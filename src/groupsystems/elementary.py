@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -30,7 +32,6 @@ from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
     Triangle,
-    circ,
     elementary_group,
     recover_system_fhgs,
     upper_triangle_positions,
@@ -59,15 +60,42 @@ class ElementarySystem:
     def slots(self) -> Tuple[Slot, ...]:
         return window_slots(self.window, self.ell)
 
+    def table(self, anchor: Anchor) -> ElementaryGroupTable:
+        try:
+            return self.tables[anchor]
+        except KeyError:
+            raise WellDefinednessFailure(
+                f"anchor {anchor} has no local group") from None
+
     def positions(self, anchor: Anchor) -> Tuple[Slot, ...]:
-        return self.tables[anchor].positions
+        return self.table(anchor).positions
+
+    @cached_property
+    def _product_plan(self) -> tuple:
+        """(slots, per time t: anchor (0, t), its slot indices, a getter of
+        its slice, label -> element index, element labels, operation table),
+        for `global_product` and `global_group_system`."""
+        slots = self.slots()
+        pos = {slot: i for i, slot in enumerate(slots)}
+        plan = []
+        for t in range(self.window[0], self.window[1] + 1):
+            table = self.table((0, t))
+            take = tuple(pos[p] for p in table.positions)
+            get = (itemgetter(*take) if len(take) > 1
+                   else lambda v, i=take[0]: (v[i],))
+            plan.append(((0, t), take, get, table._index,
+                         tuple(tri.labels for tri in table.elements),
+                         table.group.op_table))
+        return slots, tuple(plan)
 
     def verify(self) -> None:
         """Cartesian element sets plus the projection condition."""
         for anchor in self.slots():
-            table = self.tables[anchor]
+            table = self.table(anchor)
             expected = 1
             for pos in table.positions:
+                if pos not in self.label_sizes:
+                    raise WellDefinednessFailure(f"slot {pos} has no label count")
                 expected *= self.label_sizes[pos]
             if len(table.elements) != expected:
                 raise WellDefinednessFailure(
@@ -101,8 +129,8 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
     """
     for anchor in es.slots():
         for target in nested_targets(es, anchor):
-            source = es.tables[anchor]
-            tgt = es.tables[target]
+            source = es.table(anchor)
+            tgt = es.table(target)
             src_pos = {p: i for i, p in enumerate(source.positions)}
             take = [src_pos[p] for p in tgt.positions]
             idx = {tri.labels: i for i, tri in enumerate(tgt.elements)}
@@ -149,41 +177,28 @@ def global_tensors(es: ElementarySystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(itertools.product(*ranges))
 
 
-def _slice_indices(es: ElementarySystem) -> Dict[Anchor, tuple]:
-    slots = es.slots()
-    pos = {slot: i for i, slot in enumerate(slots)}
-    return {anchor: tuple(pos[p] for p in es.positions(anchor))
-            for anchor in slots}
-
-
 def global_product(es: ElementarySystem, v1: Sequence[int],
                    v2: Sequence[int]) -> Tuple[int, ...]:
     """Slicewise product: every time-t triangle of the result is the local
     product of the operands' triangles; overlaps must agree."""
-    slots = es.slots()
+    slots, plan = es._product_plan
     v1, v2 = tuple(v1), tuple(v2)
     if len(v1) != len(slots) or len(v2) != len(slots):
         raise OutOfWindow("tensor length does not match the slot table")
-    take = _slice_indices(es)
-    t0, t1 = es.window
-    out: Dict[int, int] = {}
-    for t in range(t0, t1 + 1):
-        anchor = (0, t)
-        table = es.tables[anchor]
-        idx = {tri.labels: i for i, tri in enumerate(table.elements)}
-        s1 = tuple(v1[i] for i in take[anchor])
-        s2 = tuple(v2[i] for i in take[anchor])
-        if s1 not in idx or s2 not in idx:
+    out: list = [None] * len(slots)
+    for anchor, take, get, idx, elements, op in plan:
+        i1 = idx.get(get(v1))
+        i2 = idx.get(get(v2))
+        if i1 is None or i2 is None:
             raise UnrealizedSlice(f"slice at {anchor} not an element")
-        prod = table.elements[table.group.op(idx[s1], idx[s2])]
-        for i, label in zip(take[anchor], prod.labels):
-            if i in out and out[i] != label:
-                raise OverlapInconsistency(
-                    f"slices disagree at slot {slots[i]}")
-            out[i] = label
-    if len(out) != len(slots):
+        for i, label in zip(take, elements[op[i1][i2]]):
+            if out[i] is None:
+                out[i] = label
+            elif out[i] != label:
+                raise OverlapInconsistency(f"slices disagree at slot {slots[i]}")
+    if None in out:
         raise OverlapInconsistency("slices do not cover the slot table")
-    return tuple(out[i] for i in range(len(slots)))
+    return tuple(out)
 
 
 def global_group(es: ElementarySystem) -> tuple:
@@ -199,19 +214,11 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     """The per-time image of the global group: letters are time-t triangles,
     alphabets the local groups; verified strongly controllable below its
     depth and complete by construction."""
-    slots = es.slots()
-    take = _slice_indices(es)
-    t0, t1 = es.window
-    alphabets = []
-    letter_index = {}
-    for t in range(t0, t1 + 1):
-        table = es.tables[(0, t)]
-        alphabets.append(table.group)
-        letter_index[t] = {tri.labels: i for i, tri in enumerate(table.elements)}
+    _, plan = es._product_plan
+    alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = []
     for v in global_tensors(es):
-        seq = tuple(letter_index[t][tuple(v[i] for i in take[(0, t)])]
-                    for t in range(t0, t1 + 1))
+        seq = tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
         members.append(seq)
     if len(set(members)) != len(members):
         raise WellDefinednessFailure("slice map is not injective on tensors")
@@ -221,23 +228,81 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     return system
 
 
+def _check_product(es: ElementarySystem, lab1: tuple, lab2: tuple,
+                   expected: tuple) -> None:
+    if global_product(es, lab1, lab2) != expected:
+        raise RecoveryMismatch(f"global product deviates at {lab1} * {lab2}")
+
+
 def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem:
     """For a system-extracted elementary system: check the global product
-    agrees with the transported operation, then recover the member set."""
+    agrees with the transported operation, then recover the member set.
+
+    The agreement is checked on element x generator pairs: global_product(a,
+    s) must equal a*s for every member a and every s in the generating set
+    S.  The identity is in S, so every member's slices are looked up.  Then
+    each local table at (0, t) must satisfy (x y) z = x (y z) for realized
+    slices x, y and slices z of generators.
+
+    Equivalence with checking all member pairs: write tau_t for the time-t
+    slice map.  Agreement on (a, s) says tau_t(a s) = tau_t(a) tau_t(s).
+    Write any b as a word in S; if b = w s, then
+        tau_t(a w s) = tau_t(a w) tau_t(s) = (tau_t(a) tau_t(w)) tau_t(s)
+                     = tau_t(a) (tau_t(w) tau_t(s)) = tau_t(a) tau_t(w s),
+    by induction on the word length in the second step and the checked
+    associativity in the third.  So each slice map is a homomorphism, every
+    slice of the global product of a and b is the slice of a*b, and the two
+    products agree on all pairs.  Conversely, agreement on all pairs makes
+    the realized part of each table a homomorphic image of the member
+    group, hence associative.  When that associativity fails, one of the
+    member pairs (a, w) or (a, w s) behind it has a wrong global product,
+    and that pair is raised through the same check.  The cost is |A| x |S|
+    global products instead of |A|^2.
+    """
     slots = es.slots()
     if slots != ctx.slots:
         raise RecoveryMismatch("slot tables differ")
-    for lab1 in ctx.tensors:
-        for lab2 in ctx.tensors:
-            via_global = global_product(es, lab1, lab2)
-            via_circ = circ(ctx, ctx.tensor_u(lab1), ctx.tensor_u(lab2)).labels
-            if via_global != via_circ:
-                raise RecoveryMismatch(
-                    f"global product deviates at {lab1} * {lab2}")
+    tensors, gens = ctx.tensors, ctx.generating_set
+    for lab, row in zip(tensors, ctx.right_cayley):
+        for s, prod in zip(gens, row):
+            _check_product(es, lab, tensors[s], tensors[prod])
+    _check_local_associativity(es, ctx)
     recovered = recover_system_fhgs(ctx)
     if recovered.sequences != ctx.system.sequences:
         raise RecoveryMismatch("member sets differ")
     return recovered
+
+
+def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> None:
+    """(x y) z = x (y z) in each time-t table, for x, y slices of members
+    and z slices of generators; a failure is reported as a member pair
+    whose global product deviates."""
+    tensors, seqs = ctx.tensors, ctx.system.sequences
+    mul, index = ctx.system.mul, ctx.system._index
+
+    def member_product(a: int, b: int) -> int:
+        return index[mul(seqs[a], seqs[b])]
+
+    _, plan = es._product_plan
+    for anchor, _, get, idx, _, op in plan:
+        lift: Dict[int, int] = {}  # realized element -> least member with it
+        for a, lab in enumerate(tensors):
+            lift.setdefault(idx[get(lab)], a)
+        gen_of: Dict[int, int] = {}
+        for s in ctx.generating_set:
+            gen_of.setdefault(idx[get(tensors[s])], s)
+        for x in lift:
+            for y in lift:
+                xy = op[x][y]
+                for z, s in gen_of.items():
+                    if op[xy][z] == op[x][op[y][z]]:
+                        continue
+                    a, w = lift[x], lift[y]
+                    for b in (w, member_product(w, s)):
+                        _check_product(es, tensors[a], tensors[b],
+                                       tensors[member_product(a, b)])
+                    raise RecoveryMismatch(
+                        f"local group at {anchor} is not associative")
 
 
 # -- construction ----------------------------------------------------------------
@@ -414,7 +479,7 @@ def depth_restrict(es: ElementarySystem, m: int) -> ElementarySystem:
         if k < drop:
             continue
         new_anchor = (k - drop, t)
-        old = es.tables[(k, t)]
+        old = es.table((k, t))
         positions = tuple((kk - drop, s) for (kk, s) in old.positions)
         tris = tuple(Triangle(new_anchor, positions, tri.labels)
                      for tri in old.elements)

@@ -14,7 +14,8 @@ times first inside each row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import (
     InconsistentStitch,
@@ -85,7 +86,7 @@ class ElementaryGroupTable:
         except KeyError:
             raise UnrealizedTriangle(f"{tri.labels} at anchor {self.anchor}") from None
 
-    @property
+    @cached_property
     def _index(self) -> Dict[Tuple[int, ...], int]:
         return {t.labels: i for i, t in enumerate(self.elements)}
 
@@ -117,7 +118,12 @@ def lower_triangle_positions(window: Tuple[int, int], ell: int,
 
 
 class GeneratorContext:
-    """System + basis + the member/tensor identification, with caches."""
+    """System + basis + the member/tensor identification, with caches.
+
+    The generating set S and its right and left Cayley graphs over member
+    indices are built on first use, once per context; the certificates
+    check element x generator pairs on them instead of all member pairs.
+    """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
         self.system = system
@@ -144,6 +150,36 @@ class GeneratorContext:
             self._u_group = FiniteGroup(g.op_table, name=f"U({self.system.name})",
                                         _validated=True)
         return self._u_group
+
+    @cached_property
+    def generating_set(self) -> Tuple[int, ...]:
+        """S as member indices: the identity, then every non-identity
+        transversal entry in slot order.  `_basis_chain` certified that
+        products of these entries reach every member, and decoding each
+        member above wrote it as such a product."""
+        index = self.system.index_of
+        gens = [index(self.system.identity)]
+        for slot in self.slots:
+            gens.extend(index(g) for g in self.basis.transversal(slot)[1:])
+        return tuple(dict.fromkeys(gens))
+
+    @cached_property
+    def right_cayley(self) -> Tuple[Tuple[int, ...], ...]:
+        """right[a][j] = a * s_j over member indices (|A| x |S| products)."""
+        return self._cayley(right=True)
+
+    @cached_property
+    def left_cayley(self) -> Tuple[Tuple[int, ...], ...]:
+        """left[a][j] = s_j * a over member indices (|A| x |S| products)."""
+        return self._cayley(right=False)
+
+    def _cayley(self, right: bool) -> Tuple[Tuple[int, ...], ...]:
+        system = self.system
+        seqs, index, mul = system.sequences, system._index, system.mul
+        gens = [seqs[j] for j in self.generating_set]
+        if right:
+            return tuple(tuple(index[mul(a, s)] for s in gens) for a in seqs)
+        return tuple(tuple(index[mul(s, a)] for s in gens) for a in seqs)
 
     def label_sets(self) -> Dict[Slot, int]:
         return {slot: self.basis.label_count(slot) for slot in self.slots}
@@ -230,8 +266,19 @@ def triangle(ctx: GeneratorContext, u: TensorU, k: int, t: int) -> Triangle:
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
     """The induced group on realized triangle slices at anchor (k, t).
 
-    The product is computed through lifts; one pass over all tensor pairs
-    certifies that it does not depend on the lifts chosen.
+    The product of two slices is the slice of the product of any two lifts.
+    It is lift independent exactly when the partition of the members by
+    their slice is a congruence of the member group, and that is what is
+    certified: the partition must be invariant under right and under left
+    multiplication by every s in the generating set S.
+
+    Equivalence with checking all member pairs: a congruence is invariant
+    under multiplication by anything.  Conversely, write any b as a word
+    s_1...s_m in S; right invariance carries a ~ a' to a s_1 ~ a' s_1 and on
+    to ab ~ a'b, and left invariance likewise gives ab ~ ab' from b ~ b'.
+    Then a ~ a', b ~ b' give ab ~ a'b ~ a'b'.  The check reads 2|A||S|
+    Cayley-graph entries instead of |A|^2 products; the n x n table is then
+    filled from one representative per slice class.
     """
     if (k, t) in ctx._elementary:
         return ctx._elementary[(k, t)]
@@ -243,30 +290,34 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     def slice_of(labels: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(labels[i] for i in pos_idx)
 
-    realized = sorted({slice_of(lab) for lab in ctx.tensors})
-    realized.sort(key=lambda s: (any(s), s))  # identity slice first
+    slices = [slice_of(lab) for lab in ctx.tensors]
+    realized = sorted(set(slices), key=lambda s: (any(s), s))  # identity first
     index = {s: i for i, s in enumerate(realized)}
     n = len(realized)
+    cls = [index[s] for s in slices]
 
-    table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    group = ctx.u_group
-    for i, lab1 in enumerate(ctx.tensors):
-        s1 = index[slice_of(lab1)]
-        for j, lab2 in enumerate(ctx.tensors):
-            s2 = index[slice_of(lab2)]
-            prod = index[slice_of(ctx.tensors[group.op(i, j)])]
-            if table[s1][s2] is None:
-                table[s1][s2] = prod
-            elif table[s1][s2] != prod:
-                raise WellDefinednessFailure(
-                    f"lift choice changes the product at anchor ({k},{t}): "
-                    f"slices {realized[s1]} * {realized[s2]}")
-    if any(x is None for row in table for x in row):
-        raise WellDefinednessFailure(f"unreachable slice pair at anchor ({k},{t})")
+    for graph, side in ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")):
+        for j, gen in enumerate(ctx.generating_set):
+            moves = set(zip(cls, [cls[row[j]] for row in graph]))
+            if len(moves) == n:
+                continue  # one image class per class
+            image: Dict[int, int] = {}
+            for a, row in enumerate(graph):
+                if image.setdefault(cls[a], cls[row[j]]) != cls[row[j]]:
+                    raise WellDefinednessFailure(
+                        f"lift choice changes the product at anchor ({k},{t}): "
+                        f"slice {realized[cls[a]]} times generator "
+                        f"{ctx.tensors[gen]} on the {side}")
+
+    first: Dict[int, int] = {}
+    for a, c in enumerate(cls):
+        first.setdefault(c, a)
+    reps = [first[c] for c in range(n)]
+    seqs, member, mul = ctx.system.sequences, ctx.system._index, ctx.system.mul
+    table = [[cls[member[mul(seqs[r1], seqs[r2])]] for r2 in reps] for r1 in reps]
 
     elements = tuple(Triangle((k, t), positions, s) for s in realized)
-    fg = FiniteGroup([[int(x) for x in row] for row in table],
-                     name=f"E({k},{t})")
+    fg = FiniteGroup(table, name=f"E({k},{t})")
     result = ElementaryGroupTable((k, t), positions, elements, fg)
     ctx._elementary[(k, t)] = result
     return result

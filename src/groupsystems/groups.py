@@ -176,7 +176,8 @@ class Subgroup:
     def __post_init__(self):
         mem = tuple(sorted(set(int(m) for m in self.members)))
         object.__setattr__(self, "members", mem)
-        memset = set(mem)
+        memset = frozenset(mem)
+        object.__setattr__(self, "_member_set", memset)
         if 0 not in memset:
             raise NotASubgroup("identity missing")
         for a in mem:
@@ -191,10 +192,10 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
+        return a in self._member_set
 
     def member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return self._member_set
 
     def as_group(self, name: str = "H") -> tuple:
         """Materialize as a FiniteGroup plus the embedding into the parent.

@@ -55,6 +55,20 @@ def _strip_lines(text: str) -> List[str]:
     return out
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r} in {line!r}") from None
+
+
+def _ints(parts: List[str], count: int, line: str) -> List[int]:
+    """The `count` integers after a stanza keyword."""
+    if len(parts) < count + 1:
+        raise ParseError(f"{parts[0]} line needs {count} integers: {line!r}")
+    return [_int(x, line) for x in parts[1:count + 1]]
+
+
 def parse_group(text: str) -> FiniteGroup:
     lines = _strip_lines(text)
     if not lines or not lines[0].startswith("group "):
@@ -117,7 +131,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "group":
             if len(parts) != 3:
                 raise ParseError("group line needs a name and order")
-            order = int(parts[2])
+            order = _int(parts[2], lines[i])
             block = "\n".join(lines[i:i + 1 + order])
             local_groups[parts[1]] = parse_group(block)
             i += order
@@ -126,7 +140,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
                 raise ParseError("alphabet line needs a time and group name")
             key = parts[1]
             gname = parts[2]
-            alphabet_spec["all" if key == "all" else int(key)] = gname
+            alphabet_spec["all" if key == "all" else _int(key, lines[i])] = gname
         elif head == "seq":
             try:
                 seqs.append(tuple(int(x) for x in parts[1:]))
@@ -263,7 +277,7 @@ def dump_elementary_system(es: ElementarySystem) -> str:
     for slot in es.slots():
         lines.append(f"labels {slot[0]} {slot[1]} {es.label_sizes[slot]}")
     for anchor in es.slots():
-        lines.append(dump_egrp(es.tables[anchor]).rstrip("\n"))
+        lines.append(dump_egrp(es.table(anchor)).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -288,25 +302,28 @@ def parse_elementary_system(text: str) -> ElementarySystem:
     while i < len(lines):
         parts = lines[i].split()
         if parts[0] == "labels":
-            sizes[(int(parts[1]), int(parts[2]))] = int(parts[3])
+            k, t, n = _ints(parts, 3, lines[i])
+            sizes[(k, t)] = n
             i += 1
         elif parts[0] == "egrp":
-            k, t, n = int(parts[1]), int(parts[2]), int(parts[3])
+            k, t, n = _ints(parts, 3, lines[i])
             anchor = (k, t)
+            if i + 1 + n >= len(lines):
+                raise ParseError(f"egrp block at {anchor} is truncated")
             positions = upper_triangle_positions(window, ell, k, t)
             tris = []
             for j in range(n):
                 tparts = lines[i + 1 + j].split()
                 if tparts[0] != "tri":
                     raise ParseError(f"expected tri line, got {lines[i + 1 + j]!r}")
-                labels = tuple(int(x) for x in tparts[1:])
+                labels = tuple(_int(x, lines[i + 1 + j]) for x in tparts[1:])
                 if len(labels) != len(positions):
                     raise ParseError(f"triangle at {anchor} has wrong arity")
                 tris.append(Triangle(anchor, positions, labels))
             group_header = lines[i + 1 + n].split()
-            if group_header[0] != "group":
+            if group_header[0] != "group" or len(group_header) != 3:
                 raise ParseError("expected group block after triangles")
-            order = int(group_header[2])
+            order = _int(group_header[2], lines[i + 1 + n])
             block = "\n".join(lines[i + 1 + n:i + 2 + n + order])
             group = parse_group(block)
             if group.order != n:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -48,6 +49,7 @@ class GroupSystem:
             raise OutOfWindow(f"empty window [{t0},{t1}]")
         self.window = (t0, t1)
         self.alphabets = tuple(alphabets)
+        self._op_tables = tuple(g.op_table for g in self.alphabets)
         if len(self.alphabets) != t1 - t0 + 1:
             raise NotAGroupSystem("alphabet count does not match window")
         members = sorted(set(tuple(int(x) for x in s) for s in sequences))
@@ -82,7 +84,7 @@ class GroupSystem:
         return seq[t - self.window[0]]
 
     def mul(self, a: Seq, b: Seq) -> Seq:
-        return tuple(g.op(x, y) for g, x, y in zip(self.alphabets, a, b))
+        return tuple(op[x][y] for op, x, y in zip(self._op_tables, a, b))
 
     def inverse(self, a: Seq) -> Seq:
         return tuple(g.inv(x) for g, x in zip(self.alphabets, a))
@@ -122,11 +124,29 @@ class GroupSystem:
                 raise NotAGroupSystem("alphabet letter unrealized", (t, missing))
 
     def verify_closure(self) -> None:
-        """Exhaustive componentwise-closure check with a witness pair."""
-        for a in self.sequences:
-            for b in self.sequences:
-                if self.mul(a, b) not in self._index:
-                    raise NotAGroupSystem("product escapes member set", (a, b))
+        """Componentwise closure of the member set, with a witness pair.
+
+        Generators are picked greedily in member order: a member outside
+        the closure of the generators so far becomes the next one, and the
+        closure grows breadth-first by right multiplication.  Every product
+        formed is of two members, and the first one outside the member set
+        is raised as the witness.
+
+        Equivalence with the all-pairs check: if no product escapes, the
+        final closure contains the identity, lies inside the member set and
+        is closed under right multiplication by its generators, so it is
+        the (finite) subgroup they generate; it also contains every member,
+        each being in it already or a generator.  So the member set is that
+        subgroup, hence closed.  A closed member set lets no product
+        escape.  The cost is |A| x |generators| products instead of |A|^2.
+        """
+        index = self._index
+
+        def vet(a: Seq, g: Seq, prod: Seq) -> None:
+            if prod not in index:
+                raise NotAGroupSystem("product escapes member set", (a, g))
+
+        _close_greedily({self.identity}, self.sequences, self.mul, vet)
 
     # -- the sequence group as an explicit FiniteGroup ---------------------
 
@@ -136,7 +156,10 @@ class GroupSystem:
             n = len(self.sequences)
             if n > SEQUENCE_GROUP_TABLE_CAP:
                 raise BoundExceeded(
-                    f"sequence group table capped at order {SEQUENCE_GROUP_TABLE_CAP}")
+                    f"sequence group table: {n} members exceed "
+                    f"SEQUENCE_GROUP_TABLE_CAP={SEQUENCE_GROUP_TABLE_CAP}; only "
+                    f"normal chains and subgroup views (X^t, Y^t, granules) "
+                    f"need this table")
             idx = self._index
             table = [[idx[self.mul(a, b)] for b in self.sequences]
                      for a in self.sequences]
@@ -206,22 +229,53 @@ def realized_alphabets(alphabets: Sequence[FiniteGroup],
     return tuple(per_t), new_members
 
 
+def _close_greedily(closure: set, candidates: Iterable[Seq], mul, vet) -> None:
+    """Grow `closure` (a set holding the identity) to the subgroup generated
+    by `candidates`.  A candidate becomes a generator only when it lies
+    outside the closure so far; the closure then grows breadth-first by
+    right multiplication, old members needing only the new generator and
+    members found on the way every generator.  `vet(a, s, a*s)` sees each
+    new product before it joins, and may raise."""
+    gens: List[Seq] = []
+    for g in candidates:
+        if g in closure:
+            continue
+        gens.append(g)
+        frontier, step = list(closure), (g,)
+        while frontier:
+            found = []
+            for a in frontier:
+                for s in step:
+                    prod = mul(a, s)
+                    if prod not in closure:
+                        vet(a, s, prod)
+                        closure.add(prod)
+                        found.append(prod)
+            frontier, step = found, gens
+
+
 def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                  seeds: Iterable[Seq], name: str = "A",
                  member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
     """Saturate seed sequences under componentwise products into a system.
 
-    Per-time alphabets are restricted to their realized projections."""
+    A seed becomes a generator only when it lies outside the closure of the
+    generators before it; the closure grows by right multiplication, which
+    in a finite group reaches the subgroup the seeds generate -- the set the
+    pairwise saturation of both-sided products reaches.  Seeds that are
+    already closed (a tap rule's q^L members) cost |A| x |generators|
+    products.  Per-time alphabets are restricted to their realized
+    projections."""
     t0, t1 = window
     length = t1 - t0 + 1
     ident = (0,) * length
     alphabets = tuple(alphabets)
+    tables = tuple(g.op_table for g in alphabets)
 
     def mul(a: Seq, b: Seq) -> Seq:
-        return tuple(g.op(x, y) for g, x, y in zip(alphabets, a, b))
+        return tuple(op[x][y] for op, x, y in zip(tables, a, b))
 
-    members = {ident}
-    frontier = [ident]
+    checked = []
     for s in seeds:
         s = tuple(int(x) for x in s)
         if len(s) != length:
@@ -229,22 +283,15 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
         for x, g in zip(s, alphabets):
             if not 0 <= x < g.order:
                 raise NotAGroupSystem("letter out of range", (s, x))
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    while frontier:
-        new = []
-        snapshot = list(members)
-        for a in snapshot:
-            for b in frontier:
-                for prod in (mul(a, b), mul(b, a)):
-                    if prod not in members:
-                        members.add(prod)
-                        new.append(prod)
-                        if len(members) > member_cap:
-                            raise BoundExceeded(
-                                f"saturation exceeds member cap {member_cap}")
-        frontier = new
+        checked.append(s)
+
+    members = {ident}
+
+    def vet(a: Seq, g: Seq, prod: Seq) -> None:
+        if len(members) >= member_cap:
+            raise BoundExceeded(f"saturation exceeds member cap {member_cap}")
+
+    _close_greedily(members, checked, mul, vet)
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)
@@ -355,7 +402,7 @@ class GeneratorBasis:
     transversals: Dict[Slot, Tuple[Seq, ...]]
     chain_sets: Tuple[frozenset, ...]  # chain_sets[i] = span of slots[:i]
 
-    @property
+    @cached_property
     def slot_pos(self) -> Dict[Slot, int]:
         return {slot: i for i, slot in enumerate(self.slots)}
 

@@ -191,3 +191,36 @@ def test_validate_verbose(capsys, r2_file):
     code, out, _ = run(capsys, "--verbose", "validate", r2_file)
     assert code == 0
     assert "slot k=1 t=0 generators=2" in out
+
+
+def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
+    run(capsys, "--out", tmp_path / "c2.esys", "esys", c2_file)
+    lines = (tmp_path / "c2.esys").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("egrp 0 3 "))
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("egrp "))
+    missing = tmp_path / "missing.esys"
+    missing.write_text("\n".join(lines[:start] + lines[end:]) + "\n")
+    code, _, err = run(capsys, "roundtrip", missing)
+    assert code == 2 and "anchor (0, 3)" in err
+    truncated = tmp_path / "truncated.esys"
+    truncated.write_text("\n".join(lines[:start + 3]) + "\n")
+    code, _, err = run(capsys, "roundtrip", truncated)
+    assert code == 1 and "truncated" in err
+    bad_order = tmp_path / "bad.gsys"
+    bad_order.write_text("system X\nwindow 0 1\ngroup G abc\nalphabet all Z2\nseq 1 1\n")
+    code, _, err = run(capsys, "validate", bad_order)
+    assert code == 1 and "abc" in err
+
+
+def test_4096_member_system_runs_end_to_end(capsys, tmp_path):
+    """Z4 x0 x0+x1 on [0,5] has 4096 members, twice the sequence-table cap;
+    no command on this path builds that table."""
+    p = tmp_path / "z4.gsys"
+    p.write_text("system Z4W6\nwindow 0 5\nrule conv Z4 x0 x0+x1\n")
+    code, out, _ = run(capsys, "validate", p)
+    assert code == 0 and "order=4096" in out
+    code, _, _ = run(capsys, "--out", tmp_path / "z4.esys", "esys", p)
+    assert code == 0
+    assert (tmp_path / "z4.esys").read_text().startswith("esys")
+    code, out, _ = run(capsys, "roundtrip", p)
+    assert code == 0 and "roundtrip ok order=4096" in out

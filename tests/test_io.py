@@ -1,7 +1,7 @@
 import pytest
 
 from groupsystems.elementary import extract_elementary_system, structurally_equal
-from groupsystems.errors import NotAGroupSystem, ParseError
+from groupsystems.errors import NotAGroupSystem, ParseError, WellDefinednessFailure
 from groupsystems.generators import build_context
 from groupsystems.groups import cyclic_group, symmetric_group_3
 from groupsystems.io import (
@@ -152,3 +152,33 @@ def test_elementary_system_dump_roundtrip(c2):
 def test_elementary_parse_error():
     with pytest.raises(ParseError):
         parse_elementary_system("esys X depth 2\n")
+
+
+def c2_esys_lines(c2) -> list:
+    return dump_elementary_system(extract_elementary_system(build_context(c2))).splitlines()
+
+
+def without_block(lines: list, header: str) -> list:
+    """The dump lines with the egrp block that starts at `header` removed."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    end = next((i for i in range(start + 1, len(lines))
+                if lines[i].startswith("egrp ")), len(lines))
+    return lines[:start] + lines[end:]
+
+
+def test_missing_anchor_is_a_well_definedness_failure(c2):
+    text = "\n".join(without_block(c2_esys_lines(c2), "egrp 0 3 ")) + "\n"
+    with pytest.raises(WellDefinednessFailure, match=r"anchor \(0, 3\)"):
+        parse_elementary_system(text)
+
+
+def test_truncated_egrp_block_is_a_parse_error(c2):
+    lines = c2_esys_lines(c2)
+    start = next(i for i, line in enumerate(lines) if line.startswith("egrp 0 3 "))
+    with pytest.raises(ParseError, match="truncated"):
+        parse_elementary_system("\n".join(lines[:start + 3]) + "\n")
+
+
+def test_non_integer_group_order_is_a_parse_error():
+    with pytest.raises(ParseError, match="abc"):
+        parse_system("system X\nwindow 0 1\ngroup G abc\nalphabet all Z2\nseq 1 1\n")

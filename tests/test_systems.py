@@ -1,8 +1,9 @@
 import pytest
 
-from groupsystems.errors import NotAGroupSystem, NotAMember, OutOfWindow
+from groupsystems.errors import BoundExceeded, NotAGroupSystem, NotAMember, OutOfWindow
 from groupsystems.groups import cyclic_group, zassenhaus_hom
 from groupsystems.systems import (
+    SEQUENCE_GROUP_TABLE_CAP,
     GroupSystem,
     all_tensors,
     alphabet_matrix,
@@ -234,3 +235,16 @@ def test_only_active_slots_touch_component(c2):
             for s in c2.times():
                 if not t <= s <= t + k:
                     assert c2.letter(g, s) == 0
+
+
+def test_sequence_table_cap_names_itself():
+    z2 = cyclic_group(2)
+    big = build_system((0, 11), [z2] * 12,
+                       [tuple(int(i == t) for i in range(12)) for t in range(12)])
+    assert len(big) == 4096 > SEQUENCE_GROUP_TABLE_CAP
+    big.verify_closure()  # the closure check needs no table
+    with pytest.raises(BoundExceeded) as info:
+        big.sequence_group
+    message = str(info.value)
+    assert "SEQUENCE_GROUP_TABLE_CAP=2048" in message and "4096" in message
+    assert "normal chains" in message
