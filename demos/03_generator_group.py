@@ -1,5 +1,5 @@
-"""The decomposition and generator groups, their triangle-local elementary
-groups, and recovery of the member set from per-time homomorphisms.
+"""The generator group, its triangle-local elementary groups, and recovery
+of the member set from per-time homomorphisms.
 
 Run:  python3 demos/03_generator_group.py
 """
@@ -8,11 +8,10 @@ from groupsystems import (
     alpha_t_hom,
     build_context,
     build_system,
-    circ,
-    component_group_r,
     elementary_group,
+    extract_elementary_system,
+    global_product,
     lower_elementary_group,
-    multiply_via_elementary,
     nested_anchors,
     parse_system,
     recover_system_fhgs,
@@ -34,9 +33,12 @@ prod = star(ctx, r1, r2)
 print("star of two overlapping generators selects:",
       {slot: prod[slot] for slot in ctx.slots if prod[slot]})
 
-u1, u2 = ctx.tensor_u(r1.choice), ctx.tensor_u(r2.choice)
-print("label-tensor product mirrors it:",
-      circ(ctx, u1, u2).labels == prod.choice)
+# member i has label tensor ctx.tensors[i], so the generator group is the
+# system's own sequence group over member indices
+group = c2.sequence_group
+i, j = ctx.tensor_index[r1.choice], ctx.tensor_index[r2.choice]
+print("the sequence-group table gives the same tensor:",
+      ctx.tensors[group.op(i, j)] == prod.choice)
 
 # -- elementary groups on triangles ------------------------------------------------
 
@@ -46,9 +48,9 @@ for t in c2.times():
           f"{elem.positions}")
 
 # products computed purely through the local tables agree with the global one
-via_local = multiply_via_elementary(ctx, u1, u2)
+es = extract_elementary_system(ctx)
 print("local-table product stitches to the same tensor?",
-      via_local.labels == circ(ctx, u1, u2).labels)
+      global_product(es, r1.choice, r2.choice) == prod.choice)
 
 # -- nested projections ---------------------------------------------------------------
 
@@ -58,8 +60,7 @@ print("projection (0,2) -> (1,1) surjective?", hom.is_surjective())
 
 # -- the letter fold and recovery -------------------------------------------------------
 
-comp = component_group_r(ctx, 1)
-print("\ncomponent group at t=1 has order", comp.group.order)
+print("\ntime-1 local group has order", elementary_group(ctx, 0, 1).group.order)
 print("alpha at t=1 is a surjective homomorphism onto the alphabet:",
       alpha_t_hom(ctx, 1).is_surjective())
 
@@ -77,5 +78,5 @@ ctx3 = build_context(rs3)
 print("\nS3 repetition system: order", len(rs3), "ell", ctx3.ell)
 sub = lower_elementary_group(ctx3, 1, 0)
 print("its span-2 tooth subgroup is everything?", sub.order == len(rs3),
-      "normal?", is_normal(ctx3.u_group, sub))
+      "normal?", is_normal(rs3.sequence_group, sub))
 print("recovery:", recover_system_fhgs(ctx3).sequences == rs3.sequences)

@@ -42,16 +42,12 @@ from .extensions import ExtensionSearch, enumerate_extensions, subdirect_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    TensorU,
     Triangle,
     alpha_t,
     alpha_t_hom,
     build_context,
-    circ,
-    component_group_r,
     elementary_group,
     lower_elementary_group,
-    multiply_via_elementary,
     nested_anchors,
     nested_hom,
     recover_system_fhgs,

@@ -25,7 +25,6 @@ from .errors import (
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    TensorU,
     elementary_group,
     lower_elementary_group,
     lower_triangle_positions,
@@ -125,9 +124,8 @@ def complementary(ps: PairedSequence) -> UpperPairedSequence:
 def support_subgroup(ctx: GeneratorContext, allowed: FrozenSet[Slot]) -> Subgroup:
     """Tensors supported inside `allowed` as a subgroup of the generator group."""
     members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(slot in allowed
-                           for slot in TensorU(ctx, lab).support()))
-    return Subgroup(ctx.u_group, members)
+                    if all(slot in allowed for slot in ctx.support(lab)))
+    return Subgroup(ctx.system.sequence_group, members)
 
 
 def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
@@ -136,24 +134,24 @@ def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgro
     Checked against both descriptions: tensors supported inside the teeth,
     and tensors that are the identity on the complementary upper teeth.
     """
+    group = ctx.system.sequence_group
     covered = ps.covered()
     sub = support_subgroup(ctx, covered)
     # product of the per-anchor lower elementary groups
-    prod = Subgroup(ctx.u_group, (0,))
+    prod = Subgroup(group, (0,))
     for p in ps.pairs:
-        prod = product_of_subgroups(ctx.u_group, prod,
-                                    lower_elementary_group(ctx, *p))
+        prod = product_of_subgroups(group, prod, lower_elementary_group(ctx, *p))
     if prod.members != sub.members:
         raise WellDefinednessFailure("tooth product differs from support subgroup")
     comp = complementary(ps)
     upper_union = comp.covered()
     identity_on_upper = tuple(
         i for i, lab in enumerate(ctx.tensors)
-        if all(slot not in upper_union for slot in TensorU(ctx, lab).support()))
+        if all(slot not in upper_union for slot in ctx.support(lab)))
     if identity_on_upper != sub.members:
         raise WellDefinednessFailure(
             "identity-on-complement description disagrees")
-    if not is_normal(ctx.u_group, sub):
+    if not is_normal(group, sub):
         raise WellDefinednessFailure("tooth subgroup is not normal")
     return sub
 
@@ -179,6 +177,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     def slices(lab: tuple) -> tuple:
         return tuple(tuple(lab[i] for i in idxs) for idxs in pos_lists)
 
+    group = ctx.system.sequence_group
     realized = sorted({slices(lab) for lab in ctx.tensors})
     realized.sort(key=lambda s: (any(any(part) for part in s), s))
     index = {s: i for i, s in enumerate(realized)}
@@ -188,7 +187,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
         si = index[slices(ctx.tensors[i])]
         for j in range(len(ctx.tensors)):
             sj = index[slices(ctx.tensors[j])]
-            prod = index[slices(ctx.tensors[ctx.u_group.op(i, j)])]
+            prod = index[slices(ctx.tensors[group.op(i, j)])]
             if table[si][sj] is None:
                 table[si][sj] = prod
             elif table[si][sj] != prod:
@@ -200,7 +199,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     # quotient isomorphism |U| / |kernel| with the kernel from the partition
     lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
     kernel = normal_subgroup_from_ps(ctx, lower_ps)
-    if kernel.order * fg.order != ctx.u_group.order:
+    if kernel.order * fg.order != group.order:
         raise WellDefinednessFailure("tooth group has the wrong quotient order")
     return result
 
@@ -237,7 +236,8 @@ class FillingSequence:
 def is_normal_filling_sequence(f: FillingSequence,
                                base: FrozenSet[Slot] = frozenset()) -> tuple:
     """(True, None) when every prefix is a union of lower triangles on top of
-    `base`; otherwise (False, index of the first violating prefix).
+    `base`; otherwise (False, index of the first violating prefix).  Pairs
+    already in `base` are skipped.
 
     A filled set closed under whole-lower-triangle membership stays closed
     when a pair is added iff the new pair's own triangle is filled, so the
@@ -245,8 +245,8 @@ def is_normal_filling_sequence(f: FillingSequence,
     """
     filled = set(base)
     for i, (k, t) in enumerate(f.pairs):
-        if (k, t) in filled:
-            return False, i + 1
+        if (k, t) in base:
+            continue
         filled.add((k, t))
         tri = lower_triangle_positions(f.window, f.ell, k, t)
         if any(p not in filled for p in tri):
@@ -311,8 +311,7 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     previous subgroup by the generators of the newly filled slot.
     """
     base_cov = base_ps.covered() if base_ps is not None else frozenset()
-    walk_pairs = [p for p in f.pairs if p not in base_cov]
-    ok, bad = _normal_on_base(f.window, f.ell, walk_pairs, base_cov)
+    ok, bad = is_normal_filling_sequence(f, base_cov)
     if not ok:
         raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
 
@@ -320,11 +319,14 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     base_sub = support_subgroup(ctx, frozenset(filled))
     current = set(base_sub.members)
     steps: List[ChainStep] = []
-    group = ctx.u_group
-    for (k, t) in walk_pairs:
+    group = ctx.system.sequence_group
+    width = len(ctx.slots)
+    for (k, t) in (p for p in f.pairs if p not in base_cov):
         filled.add((k, t))
         n_labels = ctx.basis.label_count((k, t))
-        reps = [ctx.generator_u((k, t), c).labels for c in range(n_labels)]
+        pos = ctx.slot_pos[(k, t)]
+        reps = [(0,) * pos + (c,) + (0,) * (width - pos - 1)
+                for c in range(n_labels)]
         rep_idx = [ctx.tensor_index[lab] for lab in reps]
         new_members = set()
         cosets = []
@@ -349,16 +351,6 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     return NormalChain(f, tuple(steps), tuple(sorted(base_sub.members)))
 
 
-def _normal_on_base(window, ell, pairs, base_cov) -> tuple:
-    filled = set(base_cov)
-    for i, (k, t) in enumerate(pairs):
-        filled.add((k, t))
-        tri = lower_triangle_positions(window, ell, k, t)
-        if any(p not in filled for p in tri):
-            return False, i + 1
-    return True, None
-
-
 def reconstruct_from_chain(ctx: GeneratorContext, f: FillingSequence) -> GroupSystem:
     """Compose one transversal representative per slot, in fill order, over
     all choices; the result must be the member set exactly."""
@@ -381,7 +373,7 @@ def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
     """Peel a member into one representative per chain step (fill order)."""
     system = ctx.system
     idx = system.index_of(tuple(seq))
-    group = ctx.u_group
+    group = system.sequence_group
     reps_out: List[tuple] = [()] * len(chain.steps)
     levels = [set(chain.base)]
     for step in chain.steps:

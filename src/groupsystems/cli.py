@@ -1,14 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse or I/O failure, 2 domain invariant violation,
-3 bound exceeded.  All output is plain text with a stable ordering, so
-identical inputs give byte-identical output.
+Exit codes: 0 success, 1 parse, usage or I/O failure, 2 domain invariant
+violation, 3 bound exceeded.  All output is plain text with a stable
+ordering, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from .chains import (
     is_normal_filling_sequence,
     normal_chain,
     reconstruct_from_chain,
+    standard_filling,
 )
 from .elementary import (
     ConstructionStrategy,
@@ -33,7 +33,6 @@ from .elementary import (
 )
 from .errors import BoundExceeded, DomainError, ParseError, ToolkitError
 from .generators import build_context, elementary_group
-from .groups import DEFAULT_ORDER_CAP
 from .systems import (
     DEFAULT_MEMBER_CAP,
     controllability_index,
@@ -47,16 +46,14 @@ from .systems import (
 @dataclass
 class RunConfig:
     member_cap: int = DEFAULT_MEMBER_CAP
-    order_cap: int = DEFAULT_ORDER_CAP
     ordering_cap: int = 720
-    seed: int = 0
     out: Optional[Path] = None
     fmt: str = "text"
     window: Optional[tuple] = None
     verbose: bool = False
 
     def __post_init__(self):
-        for bound in (self.member_cap, self.order_cap, self.ordering_cap):
+        for bound in (self.member_cap, self.ordering_cap):
             if bound <= 0:
                 raise ParseError("bounds must be positive")
 
@@ -108,7 +105,7 @@ def cmd_generators(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_tensor_file(path: str, basis) -> dict:
+def _read_tensor_file(path: str) -> dict:
     items = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -127,7 +124,7 @@ def _read_tensor_file(path: str, basis) -> dict:
 def cmd_encode(args, cfg: RunConfig) -> int:
     system = _load(args.system, cfg)
     ctx = build_context(system)
-    items = _read_tensor_file(args.tensor, ctx.basis)
+    items = _read_tensor_file(args.tensor)
     r = tensor_from_items(ctx.basis, items)
     seq = encode_time_domain(ctx.basis, r)
     lines = ["seq " + " ".join(str(x) for x in seq)]
@@ -161,7 +158,10 @@ def _parse_walk_file(path: str, window, ell) -> FillingSequence:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"walk lines are '<k> <t>', got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"bad walk line {raw!r}") from None
     return FillingSequence(window, ell, tuple(pairs))
 
 
@@ -169,14 +169,12 @@ def cmd_chains(args, cfg: RunConfig) -> int:
     system = _load(args.system, cfg)
     ctx = build_context(system)
     if args.filling.startswith("@"):
-        from .chains import standard_filling
         f = _parse_walk_file(args.filling[1:], system.window, ctx.ell)
         ok, bad = is_normal_filling_sequence(f)
         if not ok:
             raise DomainError(f"walk is not normal: prefix {bad} "
                               "is not a union of lower triangles")
     else:
-        from .chains import standard_filling
         f = standard_filling(system.window, ctx.ell, args.filling)
     chain = normal_chain(ctx, f)
     lines = []
@@ -214,13 +212,18 @@ def cmd_esys(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_kv_groups(pairs: List[str]) -> dict:
+def _parse_depth_map(items: Optional[List[str]], form: str, value) -> dict:
+    """Items `k=<value>` keyed by the integer depth k; `value` reads the
+    right-hand side."""
     out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ParseError(f"expected k=GroupName, got {item!r}")
-        k, name = item.split("=", 1)
-        out[int(k)] = fmt.resolve_group(name)
+    for item in items or []:
+        k, sep, v = item.partition("=")
+        if not sep:
+            raise ParseError(f"expected {form}, got {item!r}")
+        try:
+            out[int(k)] = value(v)
+        except ValueError:
+            raise ParseError(f"expected {form}, got {item!r}") from None
     return out
 
 
@@ -228,11 +231,8 @@ def cmd_construct(args, cfg: RunConfig) -> int:
     if cfg.window is None:
         raise ParseError("construct needs --window t0 t1")
     top = fmt.resolve_group(args.seed_group)
-    kernels = _parse_kv_groups(args.kernel)
-    ext_indices = {}
-    for item in args.ext_index or []:
-        k, idx = item.split("=", 1)
-        ext_indices[int(k)] = int(idx)
+    kernels = _parse_depth_map(args.kernel, "k=GroupName", fmt.resolve_group)
+    ext_indices = _parse_depth_map(args.ext_index, "k=index", int)
     strategy = ConstructionStrategy(kernels=kernels,
                                     extension_indices=ext_indices)
     es = construct_elementary_system(cfg.window, args.ell, top,
@@ -269,8 +269,17 @@ def cmd_roundtrip(args, cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with 1, the parse-failure code; argparse's own 2 is
+    the invariant-violation code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupsystems",
         description="Analyze finite-window group systems: generators, "
                     "encoders, chains, elementary systems.")
@@ -278,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=("T0", "T1"),
                         help="expected window; required by construct")
     parser.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP)
-    parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     parser.add_argument("--ordering-cap", type=int, default=720)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--format", choices=("text", "dump"), default="text")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -340,8 +347,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(member_cap=args.member_cap, order_cap=args.order_cap,
-                        ordering_cap=args.ordering_cap, seed=args.seed,
+        cfg = RunConfig(member_cap=args.member_cap,
+                        ordering_cap=args.ordering_cap,
                         out=args.out, fmt=args.format,
                         window=tuple(args.window) if args.window else None,
                         verbose=args.verbose)
@@ -350,7 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cfg.out is not None and any(Path(str(p)).resolve() ==
                                        Path(cfg.out).resolve() for p in inputs):
             raise ParseError("--out must differ from the input paths")
-        random.seed(cfg.seed)
         return args.func(args, cfg)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

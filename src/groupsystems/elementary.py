@@ -34,6 +34,7 @@ from .generators import (
     Triangle,
     elementary_group,
     recover_system_fhgs,
+    restriction_images,
     upper_triangle_positions,
 )
 from .groups import FiniteGroup, Homomorphism, Subgroup, direct_product, trivial_group
@@ -131,16 +132,10 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
         for target in nested_targets(es, anchor):
             source = es.table(anchor)
             tgt = es.table(target)
-            src_pos = {p: i for i, p in enumerate(source.positions)}
-            take = [src_pos[p] for p in tgt.positions]
-            idx = {tri.labels: i for i, tri in enumerate(tgt.elements)}
-            images = []
-            for tri in source.elements:
-                restricted = tuple(tri.labels[i] for i in take)
-                if restricted not in idx:
-                    return False, (anchor, target, tri.labels)
-            images = [idx[tuple(tri.labels[i] for i in take)]
-                      for tri in source.elements]
+            images = restriction_images(source, tgt)
+            if None in images:
+                tri = source.elements[images.index(None)]
+                return False, (anchor, target, tri.labels)
             for a in range(source.group.order):
                 for b in range(source.group.order):
                     lhs = images[source.group.op(a, b)]
@@ -311,7 +306,7 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> N
 class ConstructionStrategy:
     """Kernel choice per depth below the top row, and which extension of the
     subdirect product to take (an index into the deterministic enumeration;
-    index 0 always exists).
+    index 0 always exists, and one outside it raises NoExtensionFound).
 
     Keys are depths k for time-invariant choices; an anchor key (k, t)
     overrides the depth default, which is the time-varying escape hatch."""
@@ -387,7 +382,7 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
     if nk * base.order > 1:
         search = enumerate_extensions(base, kernel,
                                       max_order=max(64, nk * base.order))
-        if extension_index >= len(search.extensions):
+        if not 0 <= extension_index < len(search.extensions):
             raise NoExtensionFound(
                 f"extension index {extension_index} out of range "
                 f"({len(search.extensions)} found at anchor {anchor})")
@@ -440,8 +435,10 @@ def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
         if target is None or target.positions != overlap:
             raise WellDefinednessFailure(
                 f"missing overlap table at {both_anchor}")
-        p_right = _restriction_between(rt, target)
-        p_left = _restriction_between(lt, target)
+        p_right = Homomorphism(rt.group, target.group,
+                               restriction_images(rt, target))
+        p_left = Homomorphism(lt.group, target.group,
+                              restriction_images(lt, target))
         sub = subdirect_product(rt.group, lt.group, p_right, p_left)
     else:
         prod, _, _ = direct_product(rt.group, lt.group)
@@ -449,16 +446,6 @@ def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
     base, embed = sub.as_group(name="join")
     pair_of = [divmod(m, lt.group.order) for m in embed]
     return base, pair_of
-
-
-def _restriction_between(source: ElementaryGroupTable,
-                         target: ElementaryGroupTable) -> Homomorphism:
-    src_pos = {p: i for i, p in enumerate(source.positions)}
-    take = [src_pos[p] for p in target.positions]
-    idx = {tri.labels: i for i, tri in enumerate(target.elements)}
-    images = tuple(idx[tuple(tri.labels[i] for i in take)]
-                   for tri in source.elements)
-    return Homomorphism(source.group, target.group, images)
 
 
 # -- depth restriction -------------------------------------------------------

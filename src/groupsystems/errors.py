@@ -87,10 +87,6 @@ class ShapeMismatch(DomainError):
     pass
 
 
-class InconsistentStitch(DomainError):
-    pass
-
-
 class RecoveryMismatch(DomainError):
     pass
 

@@ -1,9 +1,13 @@
-"""The decomposition group, the generator group, and their local groups.
+"""The generator group and its triangle-local groups.
 
 Decoding every member once identifies the member set with the set of label
-tensors; the transported operation makes that set a group isomorphic to the
-system.  All the local structure (triangle slices, elementary groups,
-component groups, nested projections) is computed on top of that one table.
+tensors.  The decomposition group (selection tensors under ⋆) and the
+generator group (label tensors under ∘) are then one table, the system's
+own `sequence_group` over member indices, so it is the only group object.
+Inside a context a tensor is its raw label tuple: row i of `ctx.tensors` is
+member i.  `TensorR` validates tensors that arrive from outside, and `star`
+multiplies those.  All the local structure (triangle slices, elementary
+groups, nested projections) is computed on top of that identification.
 
 Tensor slots, labels and triangles follow one layout: a slot (k, t) holds
 the label of the span-(k+1) generator starting at t, label 0 is always the
@@ -15,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
-    InconsistentStitch,
     OutOfWindow,
     RecoveryMismatch,
     ShapeMismatch,
@@ -29,7 +32,6 @@ from .groups import FiniteGroup, Homomorphism, Subgroup
 from .systems import (
     GeneratorBasis,
     GroupSystem,
-    Seq,
     Slot,
     TensorR,
     decode_to_tensor,
@@ -38,22 +40,6 @@ from .systems import (
 )
 
 Position = Tuple[int, int]  # same (k, t) addressing as slots
-
-
-@dataclass(frozen=True)
-class TensorU:
-    """A tensor of generator labels; numerically the label at slot (k, t) is
-    the transversal index of the chosen generator."""
-
-    context: "GeneratorContext"
-    labels: Tuple[int, ...]
-
-    def __getitem__(self, slot: Slot) -> int:
-        return self.labels[self.context.basis.slot_pos[slot]]
-
-    def support(self) -> Tuple[Slot, ...]:
-        return tuple(slot for slot, c in zip(self.context.basis.slots, self.labels)
-                     if c != 0)
 
 
 @dataclass(frozen=True)
@@ -136,20 +122,7 @@ class GeneratorContext:
             decode_to_tensor(self.basis, s).choice for s in system.sequences)
         self.tensor_index: Dict[Tuple[int, ...], int] = {
             lab: i for i, lab in enumerate(self.tensors)}
-        self._u_group: Optional[FiniteGroup] = None
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
-        self._component: Dict[int, ElementaryGroupTable] = {}
-
-    # -- the groups on tensors --------------------------------------------
-
-    @property
-    def u_group(self) -> FiniteGroup:
-        """The generator group as an explicit table over member indices."""
-        if self._u_group is None:
-            g = self.system.sequence_group
-            self._u_group = FiniteGroup(g.op_table, name=f"U({self.system.name})",
-                                        _validated=True)
-        return self._u_group
 
     @cached_property
     def generating_set(self) -> Tuple[int, ...]:
@@ -184,32 +157,16 @@ class GeneratorContext:
     def label_sets(self) -> Dict[Slot, int]:
         return {slot: self.basis.label_count(slot) for slot in self.slots}
 
-    def tensor_u(self, labels: Iterable[int]) -> TensorU:
-        return TensorU(self, tuple(labels))
-
-    def tensor_u_of_member(self, seq: Seq) -> TensorU:
-        return TensorU(self, self.tensors[self.system.index_of(seq)])
-
-    def member_of_tensor_u(self, u: TensorU) -> Seq:
-        try:
-            return self.system.sequences[self.tensor_index[u.labels]]
-        except KeyError:
-            raise UnrealizedTriangle(f"tensor {u.labels} not realized") from None
-
-    def identity_u(self) -> TensorU:
-        return TensorU(self, (0,) * len(self.slots))
-
-    def generator_u(self, slot: Slot, label: int) -> TensorU:
-        labels = [0] * len(self.slots)
-        labels[self.slot_pos[slot]] = label
-        return TensorU(self, tuple(labels))
+    def support(self, labels: Tuple[int, ...]) -> Tuple[Slot, ...]:
+        """The slots where a label tuple picks a non-identity generator."""
+        return tuple(slot for slot, c in zip(self.slots, labels) if c != 0)
 
 
 def build_context(system: GroupSystem) -> GeneratorContext:
     return GeneratorContext(system)
 
 
-# -- the transported operations ---------------------------------------------
+# -- the transported operation -----------------------------------------------
 
 def star(ctx: GeneratorContext, r1: TensorR, r2: TensorR) -> TensorR:
     """Product of generator selections, transported from the member product."""
@@ -218,49 +175,32 @@ def star(ctx: GeneratorContext, r1: TensorR, r2: TensorR) -> TensorR:
     return decode_to_tensor(ctx.basis, ctx.system.mul(a, b))
 
 
-def circ(ctx: GeneratorContext, u1: TensorU, u2: TensorU) -> TensorU:
-    """Product of label tensors; same permutation as `star` under relabeling."""
-    i = ctx.tensor_index[u1.labels]
-    j = ctx.tensor_index[u2.labels]
-    return TensorU(ctx, ctx.tensors[ctx.u_group.op(i, j)])
-
-
-def u_inverse(ctx: GeneratorContext, u: TensorU) -> TensorU:
-    i = ctx.tensor_index[u.labels]
-    return TensorU(ctx, ctx.tensors[ctx.u_group.inv(i)])
-
-
-def beta(ctx: GeneratorContext, r: TensorR) -> TensorU:
-    return TensorU(ctx, r.choice)
-
-
-def beta_inv(ctx: GeneratorContext, u: TensorU) -> TensorR:
-    return TensorR(ctx.basis, u.labels)
-
-
 # -- one-sided tensor subgroups ----------------------------------------------
 
 def u_plus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
     """Tensors supported on slots starting at time >= t (image of X^t)."""
     members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(s >= t for (_, s) in TensorU(ctx, lab).support()))
-    return Subgroup(ctx.u_group, members)
+                    if all(s >= t for (_, s) in ctx.support(lab)))
+    return Subgroup(ctx.system.sequence_group, members)
 
 
 def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
     """Tensors supported on slots ending at time <= t (image of Y^t)."""
     members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(s + k <= t for (k, s) in TensorU(ctx, lab).support()))
-    return Subgroup(ctx.u_group, members)
+                    if all(s + k <= t for (k, s) in ctx.support(lab)))
+    return Subgroup(ctx.system.sequence_group, members)
 
 
 # -- triangle slices ----------------------------------------------------------
 
-def triangle(ctx: GeneratorContext, u: TensorU, k: int, t: int) -> Triangle:
+def triangle(ctx: GeneratorContext, labels: Tuple[int, ...], k: int,
+             t: int) -> Triangle:
+    """The (k, t) upper-triangle slice of a label tuple in slot order."""
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
     if not 0 <= k <= ctx.ell or (k, t) not in ctx.slot_pos:
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
-    return Triangle((k, t), positions, tuple(u[pos] for pos in positions))
+    return Triangle((k, t), positions,
+                    tuple(labels[ctx.slot_pos[pos]] for pos in positions))
 
 
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
@@ -323,32 +263,19 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     return result
 
 
-def component_group_r(ctx: GeneratorContext, t: int) -> ElementaryGroupTable:
-    """The time-t local group on decomposition-tensor triangles.
-
-    Labels of a selection tensor and of its label tensor coincide
-    numerically, so the table mirrors the elementary group at (0, t); the
-    mirroring bijection is verified to be an isomorphism.
-    """
-    if t in ctx._component:
-        return ctx._component[t]
-    elem = elementary_group(ctx, 0, t)
-    fg = FiniteGroup(elem.group.op_table, name=f"C({t})", _validated=True)
-    result = ElementaryGroupTable(elem.anchor, elem.positions, elem.elements, fg)
-    # beta^t is the identity on label tuples; isomorphism is table equality
-    if fg.op_table != elem.group.op_table:
-        raise WellDefinednessFailure("component group mirror broke")
-    ctx._component[t] = result
-    return result
+def _slice_indices(ctx: GeneratorContext,
+                   elem: ElementaryGroupTable) -> Tuple[int, ...]:
+    """Per member index, the element index of its slice in `elem`."""
+    pos_idx = [ctx.slot_pos[p] for p in elem.positions]
+    idx = elem._index
+    return tuple(idx[tuple(lab[i] for i in pos_idx)] for lab in ctx.tensors)
 
 
 def theta_t(ctx: GeneratorContext, k: int, t: int) -> Homomorphism:
     """Projection of the generator group onto the (k, t) elementary group."""
     elem = elementary_group(ctx, k, t)
-    pos_idx = [ctx.slot_pos[p] for p in elem.positions]
-    idx = elem._index
-    images = tuple(idx[tuple(lab[i] for i in pos_idx)] for lab in ctx.tensors)
-    return Homomorphism(ctx.u_group, elem.group, images, check=False)
+    return Homomorphism(ctx.system.sequence_group, elem.group,
+                        _slice_indices(ctx, elem), check=False)
 
 
 def alpha_t(ctx: GeneratorContext, tri: Triangle, t: int) -> int:
@@ -373,15 +300,26 @@ def alpha_t(ctx: GeneratorContext, tri: Triangle, t: int) -> int:
 
 def alpha_t_hom(ctx: GeneratorContext, t: int) -> Homomorphism:
     """alpha_t as a verified surjective homomorphism onto the alphabet."""
-    comp = component_group_r(ctx, t)
-    images = tuple(alpha_t(ctx, tri, t) for tri in comp.elements)
-    hom = Homomorphism(comp.group, ctx.system.alphabet(t), images)
+    elem = elementary_group(ctx, 0, t)
+    images = tuple(alpha_t(ctx, tri, t) for tri in elem.elements)
+    hom = Homomorphism(elem.group, ctx.system.alphabet(t), images)
     if not hom.is_surjective():
         raise WellDefinednessFailure(f"alpha at {t} misses alphabet letters")
     return hom
 
 
 # -- nested projections -------------------------------------------------------
+
+def restriction_images(source: ElementaryGroupTable,
+                       target: ElementaryGroupTable) -> Tuple[Optional[int], ...]:
+    """Per element of `source`, the index in `target` of its restriction to
+    the target's positions; None where that restriction is no element."""
+    src_pos = {p: i for i, p in enumerate(source.positions)}
+    take = [src_pos[p] for p in target.positions]
+    idx = target._index
+    return tuple(idx.get(tuple(tri.labels[i] for i in take))
+                 for tri in source.elements)
+
 
 def triangle_projection(ctx: GeneratorContext, src: Tuple[int, int],
                         dst: Tuple[int, int]) -> Homomorphism:
@@ -392,12 +330,8 @@ def triangle_projection(ctx: GeneratorContext, src: Tuple[int, int],
         raise ShapeMismatch(f"anchor {dst} is not nested in {src}")
     src_table = elementary_group(ctx, *src)
     dst_table = elementary_group(ctx, *dst)
-    src_pos = {p: i for i, p in enumerate(src_table.positions)}
-    take = [src_pos[p] for p in dst_table.positions]
-    idx = dst_table._index
-    images = tuple(idx[tuple(tri.labels[i] for i in take)]
-                   for tri in src_table.elements)
-    return Homomorphism(src_table.group, dst_table.group, images)
+    return Homomorphism(src_table.group, dst_table.group,
+                        restriction_images(src_table, dst_table))
 
 
 def nested_hom(ctx: GeneratorContext, k: int, t: int, j: int) -> Homomorphism:
@@ -418,27 +352,6 @@ def nested_anchors(ctx: GeneratorContext, k: int, t: int) -> Tuple[Tuple[int, in
     return tuple(out)
 
 
-# -- products through local tables only ---------------------------------------
-
-def multiply_via_elementary(ctx: GeneratorContext, u1: TensorU,
-                            u2: TensorU) -> TensorU:
-    """Compute the tensor product using nothing but per-time local tables:
-    slice, multiply in each time-t group, and stitch the overlaps."""
-    assembled: Dict[Slot, int] = {}
-    for t in ctx.system.times():
-        elem = elementary_group(ctx, 0, t)
-        t1 = triangle(ctx, u1, 0, t)
-        t2 = triangle(ctx, u2, 0, t)
-        prod = elem.elements[elem.group.op(elem.index(t1), elem.index(t2))]
-        for pos, label in zip(prod.positions, prod.labels):
-            if pos in assembled and assembled[pos] != label:
-                raise InconsistentStitch(f"overlap disagrees at slot {pos}")
-            assembled[pos] = label
-    if set(assembled) != set(ctx.slots):
-        raise InconsistentStitch("stitched tensor does not cover the window")
-    return TensorU(ctx, tuple(assembled[slot] for slot in ctx.slots))
-
-
 # -- lower elementary groups ---------------------------------------------------
 
 def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
@@ -448,10 +361,10 @@ def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
         raise OutOfWindow(f"interval [{t},{t + k}] escapes the window")
     members = tuple(sorted(ctx.system.index_of(s) for s in
                            ctx.system.finite_support_members(t, t + k)))
-    sub = Subgroup(ctx.u_group, members)
+    sub = Subgroup(ctx.system.sequence_group, members)
     allowed = set(lower_triangle_positions(ctx.system.window, ctx.ell, k, t))
     for i in sub.members:
-        bad = [slot for slot in TensorU(ctx, ctx.tensors[i]).support()
+        bad = [slot for slot in ctx.support(ctx.tensors[i])
                if slot not in allowed]
         if bad:
             raise WellDefinednessFailure(
@@ -463,13 +376,16 @@ def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
 
 def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
     """Rebuild the member set from per-time homomorphism images and check it
-    reproduces the original system exactly."""
-    seqs = []
-    for lab in ctx.tensors:
-        u = TensorU(ctx, lab)
-        seq = tuple(alpha_t(ctx, triangle(ctx, u, 0, t), t)
-                    for t in ctx.system.times())
-        seqs.append(seq)
+    reproduces the original system exactly.
+
+    alpha_t is folded once per element of each time-t local group; a
+    member's letter at t is then the fold of its slice there."""
+    columns = []
+    for t in ctx.system.times():
+        elem = elementary_group(ctx, 0, t)
+        letters = [alpha_t(ctx, tri, t) for tri in elem.elements]
+        columns.append([letters[i] for i in _slice_indices(ctx, elem)])
+    seqs = list(zip(*columns))
     if set(seqs) != set(ctx.system.sequences) or len(set(seqs)) != len(seqs):
         raise RecoveryMismatch("image of the recovery map differs from the system")
     return GroupSystem(ctx.system.window, ctx.system.alphabets, seqs,

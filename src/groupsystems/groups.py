@@ -367,26 +367,6 @@ def product_of_subgroups(g: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup
         raise NotASubgroupResult(str(exc)) from exc
 
 
-def quotient_of_subgroups(g: FiniteGroup, num: Subgroup, den: Subgroup,
-                          name: Optional[str] = None) -> QuotientPresentation:
-    """Quotient num/den for den ⊲ num, both subgroups of g.
-
-    The returned presentation lives on num materialized as its own group;
-    coset members are reported in parent indices via `cosets_in_parent`.
-    """
-    if not den.member_set() <= num.member_set():
-        raise NotASubgroup("denominator not contained in numerator")
-    num_group, embed = num.as_group(name=f"{g.name}|num")
-    pos = {m: i for i, m in enumerate(embed)}
-    den_local = Subgroup(num_group, tuple(pos[m] for m in den.members))
-    qp = quotient(num_group, den_local, name=name)
-    return qp
-
-
-def cosets_in_parent(qp: QuotientPresentation, embed: Sequence[int]) -> tuple:
-    return tuple(tuple(embed[x] for x in coset) for coset in qp.cosets)
-
-
 def zassenhaus_hom(g: FiniteGroup, u: Subgroup, ustar: Subgroup,
                    v: Subgroup, vstar: Subgroup) -> Homomorphism:
     """The butterfly map f: U(U*∩V*) → (U*∩V*)/D with D = (U*∩V)(U∩V*).

@@ -22,7 +22,6 @@ from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
     Triangle,
-    circ,
     recover_system_fhgs,
     upper_triangle_positions,
 )
@@ -55,7 +54,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     n = len(realized)
 
     table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    group = ctx.u_group
+    group = ctx.system.sequence_group
     for i, lab1 in enumerate(ctx.tensors):
         s1 = index[slice_of(lab1)]
         for j, lab2 in enumerate(ctx.tensors):
@@ -82,10 +81,11 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
     slots = es.slots()
     if slots != ctx.slots:
         raise RecoveryMismatch("slot tables differ")
-    for lab1 in ctx.tensors:
-        for lab2 in ctx.tensors:
+    group = ctx.system.sequence_group
+    for i, lab1 in enumerate(ctx.tensors):
+        for j, lab2 in enumerate(ctx.tensors):
             via_global = global_product(es, lab1, lab2)
-            via_circ = circ(ctx, ctx.tensor_u(lab1), ctx.tensor_u(lab2)).labels
+            via_circ = ctx.tensors[group.op(i, j)]
             if via_global != via_circ:
                 raise RecoveryMismatch(
                     f"global product deviates at {lab1} * {lab2}")

@@ -197,7 +197,7 @@ def test_time_rev_chain_matches_time_domain_encoder(ctx_c2):
         assert r.choice == ctx_c2.tensors[system.index_of(seq)]
         acc = system.identity
         for step, lab in zip(chain.steps, reps):
-            acc = system.mul(acc, ctx_c2.member_of_tensor_u(ctx_c2.tensor_u(lab)))
+            acc = system.mul(acc, system.sequences[ctx_c2.tensor_index[lab]])
         assert acc == seq
 
 

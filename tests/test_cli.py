@@ -161,6 +161,13 @@ def test_construct_and_verify(capsys, tmp_path):
     assert code == 0
 
 
+def test_construct_rejects_negative_extension_index(capsys):
+    code, _, err = run(capsys, "--window", "0", "3", "construct",
+                       "--seed-group", "Z2", "--ell", "1", "--kernel", "0=Z2",
+                       "--ext-index", "0=-3")
+    assert code == 2 and "extension index -3" in err
+
+
 def test_window_flag_checked(capsys, r2_file):
     code, _, err = run(capsys, "--window", "0", "2", "validate", r2_file)
     assert code == 2
@@ -210,6 +217,23 @@ def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
     bad_order.write_text("system X\nwindow 0 1\ngroup G abc\nalphabet all Z2\nseq 1 1\n")
     code, _, err = run(capsys, "validate", bad_order)
     assert code == 1 and "abc" in err
+    construct = ("--window", "0", "3", "construct", "--seed-group", "Z2",
+                 "--ell", "1")
+    for flags in (("--ext-index", "0=x"), ("--ext-index", "0"),
+                  ("--kernel", "x=Z2")):
+        code, _, err = run(capsys, *construct, *flags)
+        assert code == 1 and flags[1] in err
+    walk = tmp_path / "walk.txt"
+    walk.write_text("0 x\n")
+    code, _, err = run(capsys, "chains", c2_file, "--filling", f"@{walk}")
+    assert code == 1 and "0 x" in err
+    for argv in (("--member-cap", "x", "validate", c2_file), ("validate",)):
+        with pytest.raises(SystemExit) as usage:
+            run(capsys, *argv)
+        assert usage.value.code == 1
+    with pytest.raises(SystemExit) as usage:
+        run(capsys, "--help")
+    assert usage.value.code == 0
 
 
 def test_4096_member_system_runs_end_to_end(capsys, tmp_path):

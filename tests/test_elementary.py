@@ -14,10 +14,10 @@ from groupsystems.elementary import (
     recover_original,
     structurally_equal,
 )
-from groupsystems.errors import UnrealizedSlice
-from groupsystems.generators import ElementaryGroupTable, build_context, circ
+from groupsystems.errors import NoExtensionFound, UnrealizedSlice
+from groupsystems.generators import ElementaryGroupTable, build_context, star
 from groupsystems.groups import cyclic_group, find_isomorphism, trivial_group
-from groupsystems.systems import controllability_index
+from groupsystems.systems import TensorR, controllability_index
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +98,9 @@ def test_global_product_identity_and_circ(ctx_r2, es_r2):
     # exhaustive agreement with the transported operation
     for lab1 in ctx_r2.tensors:
         for lab2 in ctx_r2.tensors:
-            expect = circ(ctx_r2, ctx_r2.tensor_u(lab1), ctx_r2.tensor_u(lab2))
-            assert global_product(es_r2, lab1, lab2) == expect.labels
+            expect = star(ctx_r2, TensorR(ctx_r2.basis, lab1),
+                          TensorR(ctx_r2.basis, lab2))
+            assert global_product(es_r2, lab1, lab2) == expect.choice
 
 
 def test_global_product_unrealized_slice(es_c2):
@@ -174,6 +175,14 @@ def test_construct_nontrivial_extension_choice():
     assert controllability_index(system) == 1
     re_es = extract_elementary_system(build_context(system))
     assert structurally_equal(es, re_es) is not None
+
+
+@pytest.mark.parametrize("index", [-1, -3, 99])
+def test_construct_rejects_out_of_range_extension_index(index):
+    strategy = ConstructionStrategy(kernels={0: cyclic_group(2)},
+                                    extension_indices={0: index})
+    with pytest.raises(NoExtensionFound):
+        construct_elementary_system((0, 2), 1, cyclic_group(2), strategy)
 
 
 def test_construct_time_varying_escape_hatch():

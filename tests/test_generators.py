@@ -3,18 +3,14 @@ import random
 
 import pytest
 
+from groupsystems.elementary import extract_elementary_system, global_product
 from groupsystems.errors import ShapeMismatch, UnrealizedTriangle
 from groupsystems.generators import (
     alpha_t,
     alpha_t_hom,
-    beta,
-    beta_inv,
     build_context,
-    circ,
-    component_group_r,
     elementary_group,
     lower_elementary_group,
-    multiply_via_elementary,
     nested_anchors,
     nested_hom,
     recover_system_fhgs,
@@ -25,8 +21,9 @@ from groupsystems.generators import (
     u_minus_subgroup,
     u_plus_subgroup,
 )
-from groupsystems.groups import is_normal, product_of_subgroups
-from groupsystems.systems import all_tensors, identity_tensor, tensor_from_items
+from groupsystems.groups import is_normal, product_of_subgroups, quotient
+from groupsystems.systems import (TensorR, all_tensors, identity_tensor,
+                                  tensor_from_items)
 
 
 @pytest.fixture(scope="module")
@@ -64,25 +61,36 @@ def test_star_associative_exhaustive(ctx_r2, ctx_c2):
             assert lhs.choice == rhs.choice
 
 
+def star_labels(ctx, lab1, lab2):
+    """The product of two label tuples through `star`."""
+    return star(ctx, TensorR(ctx.basis, lab1), TensorR(ctx.basis, lab2)).choice
+
+
 def test_u_group_is_a_group(ctx_r2, ctx_c2, ctx_s3):
     for ctx in (ctx_r2, ctx_c2, ctx_s3):
-        assert ctx.u_group.order == len(ctx.system)
+        group = ctx.system.sequence_group
+        assert group.order == len(ctx.system)
         # table validated exhaustively (axioms checked on construction)
         from groupsystems.groups import FiniteGroup
-        FiniteGroup(ctx.u_group.op_table, name="check")
+        FiniteGroup(group.op_table, name="check")
 
 
-def test_circ_mirrors_star(ctx_r2, ctx_c2):
-    for ctx in (ctx_r2, ctx_c2):
-        for lab1 in ctx.tensors:
-            for lab2 in ctx.tensors:
-                u1, u2 = ctx.tensor_u(lab1), ctx.tensor_u(lab2)
-                via_star = star(ctx, beta_inv(ctx, u1), beta_inv(ctx, u2))
-                assert circ(ctx, u1, u2).labels == beta(ctx, via_star).labels
+def test_system_has_one_group_object(c2, s3_rep):
+    """Subgroups and projections built from a context live on the system's
+    own sequence group, so they mix with the system's subgroup views."""
+    for system in (c2, s3_rep):
+        ctx = build_context(system)
+        group = system.sequence_group
+        for (k, t) in ctx.slots:
+            sub = lower_elementary_group(ctx, k, t)
+            assert is_normal(group, sub)
+            assert quotient(group, sub).quotient.order * sub.order == group.order
+        for t in system.times():
+            assert theta_t(ctx, 0, t).domain is group
 
 
 def test_triangle_shapes(ctx_c2):
-    u = ctx_c2.identity_u()
+    u = (0,) * len(ctx_c2.slots)
     tri = triangle(ctx_c2, u, 0, 1)
     assert tri.positions == ((1, 1), (1, 0), (0, 1))
     assert tri.is_identity()
@@ -110,21 +118,13 @@ def test_elementary_group_trivial_system(trivial_sys):
         assert elementary_group(ctx, k, t).group.order == 1
 
 
-def test_component_group_mirrors_elementary(ctx_r2, ctx_c2):
-    for ctx in (ctx_r2, ctx_c2):
-        for t in ctx.system.times():
-            comp = component_group_r(ctx, t)
-            elem = elementary_group(ctx, 0, t)
-            assert comp.group.op_table == elem.group.op_table
-
-
 def test_theta_is_surjective_with_one_sided_kernel(ctx_r2, ctx_c2):
     for ctx in (ctx_r2, ctx_c2):
         for t in ctx.system.times():
             hom = theta_t(ctx, 0, t)
             assert hom.is_surjective()
             prod = product_of_subgroups(
-                ctx.u_group,
+                ctx.system.sequence_group,
                 u_plus_subgroup(ctx, t + 1),
                 u_minus_subgroup(ctx, t - 1))
             assert hom.kernel().members == prod.members
@@ -137,13 +137,13 @@ def test_alpha_t_homomorphism_and_surjectivity(ctx_r2, ctx_c2, ctx_s3):
 
 
 def test_alpha_t_r2_values(ctx_r2):
-    comp = component_group_r(ctx_r2, 0)
+    comp = elementary_group(ctx_r2, 0, 0)
     letters = sorted(alpha_t(ctx_r2, tri, 0) for tri in comp.elements)
     assert letters == [0, 1]
 
 
 def test_alpha_t_rejects_wrong_anchor(ctx_c2):
-    tri = triangle(ctx_c2, ctx_c2.identity_u(), 1, 1)
+    tri = triangle(ctx_c2, (0,) * len(ctx_c2.slots), 1, 1)
     with pytest.raises(ShapeMismatch):
         alpha_t(ctx_c2, tri, 1)
 
@@ -169,30 +169,31 @@ def test_nested_hom_left_edge(ctx_c2):
 
 
 def test_multiply_via_elementary_r2_full(ctx_r2):
+    """The slice-multiply-stitch product through the local tables only."""
+    es = extract_elementary_system(ctx_r2)
     for lab1 in ctx_r2.tensors:
         for lab2 in ctx_r2.tensors:
-            u1, u2 = ctx_r2.tensor_u(lab1), ctx_r2.tensor_u(lab2)
-            assert multiply_via_elementary(ctx_r2, u1, u2).labels == \
-                circ(ctx_r2, u1, u2).labels
+            assert global_product(es, lab1, lab2) == \
+                star_labels(ctx_r2, lab1, lab2)
 
 
 def test_multiply_via_elementary_c2_sampled(ctx_c2):
+    es = extract_elementary_system(ctx_c2)
     rng = random.Random(0)
     pairs = [(rng.choice(ctx_c2.tensors), rng.choice(ctx_c2.tensors))
              for _ in range(100)]
     for lab1, lab2 in pairs:
-        u1, u2 = ctx_c2.tensor_u(lab1), ctx_c2.tensor_u(lab2)
-        assert multiply_via_elementary(ctx_c2, u1, u2).labels == \
-            circ(ctx_c2, u1, u2).labels
+        assert global_product(es, lab1, lab2) == \
+            star_labels(ctx_c2, lab1, lab2)
 
 
 def test_lower_elementary_groups(ctx_r2, ctx_c2):
     sub = lower_elementary_group(ctx_r2, 1, 0)
     assert sub.order == 2
-    assert is_normal(ctx_r2.u_group, sub)
+    assert is_normal(ctx_r2.system.sequence_group, sub)
     for (k, t) in ctx_c2.slots:
         sub = lower_elementary_group(ctx_c2, k, t)
-        assert is_normal(ctx_c2.u_group, sub)
+        assert is_normal(ctx_c2.system.sequence_group, sub)
 
 
 def test_lower_elementary_whole_group_blockcode(parity3):
