@@ -12,26 +12,28 @@ span-by-span one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import (
     NotABlockCode,
     NotNormalFilling,
     OutOfWindow,
-    RecoveryMismatch,
     WellDefinednessFailure,
 )
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
     elementary_group,
+    induced_slice_group,
     lower_elementary_group,
     lower_triangle_positions,
+    support_subgroup,
     upper_triangle_positions,
 )
 from .groups import FiniteGroup, Subgroup, is_normal, product_of_subgroups
-from .systems import GroupSystem, Slot, window_slots
+from .systems import GroupSystem, Slot, coset_levels, window_slots
 
 Pair = Tuple[int, int]
 
@@ -121,13 +123,6 @@ def complementary(ps: PairedSequence) -> UpperPairedSequence:
     return result
 
 
-def support_subgroup(ctx: GeneratorContext, allowed: FrozenSet[Slot]) -> Subgroup:
-    """Tensors supported inside `allowed` as a subgroup of the generator group."""
-    members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(slot in allowed for slot in ctx.support(lab)))
-    return Subgroup(ctx.system.sequence_group, members)
-
-
 def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
     """Product of the lower elementary groups over the paired sequence.
 
@@ -168,38 +163,25 @@ class OplusGroup:
 def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     """Componentwise product of elementary groups over the upper teeth,
     verified isomorphic to the quotient of the generator group by the
-    complementary tooth subgroup."""
+    complementary tooth subgroup.
+
+    The group is the one induced on slices over the teeth's concatenated
+    positions (`induced_slice_group`).  Every tooth has a fixed number of
+    positions, so the flat slices sort as their per-anchor parts do."""
     anchors = ps_u.pairs
-    pos_lists = [[ctx.slot_pos[p] for p in
-                  upper_triangle_positions(ctx.system.window, ctx.ell, *a)]
-                 for a in anchors]
-
-    def slices(lab: tuple) -> tuple:
-        return tuple(tuple(lab[i] for i in idxs) for idxs in pos_lists)
-
-    group = ctx.system.sequence_group
-    realized = sorted({slices(lab) for lab in ctx.tensors})
-    realized.sort(key=lambda s: (any(any(part) for part in s), s))
-    index = {s: i for i, s in enumerate(realized)}
-    n = len(realized)
-    table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    for i in range(len(ctx.tensors)):
-        si = index[slices(ctx.tensors[i])]
-        for j in range(len(ctx.tensors)):
-            sj = index[slices(ctx.tensors[j])]
-            prod = index[slices(ctx.tensors[group.op(i, j)])]
-            if table[si][sj] is None:
-                table[si][sj] = prod
-            elif table[si][sj] != prod:
-                raise WellDefinednessFailure(
-                    f"tooth product depends on the lift at {anchors}")
-    fg = FiniteGroup([[int(x) for x in row] for row in table], name="oplus")
-    result = OplusGroup(anchors, tuple(realized), fg)
+    parts = [upper_triangle_positions(ctx.system.window, ctx.ell, *a)
+             for a in anchors]
+    flat = [ctx.slot_pos[p] for part in parts for p in part]
+    realized, fg = induced_slice_group(ctx, flat, f"teeth {anchors}", "oplus")
+    cuts = list(itertools.accumulate((len(part) for part in parts), initial=0))
+    elements = tuple(tuple(s[a:b] for a, b in zip(cuts, cuts[1:]))
+                     for s in realized)
+    result = OplusGroup(anchors, elements, fg)
 
     # quotient isomorphism |U| / |kernel| with the kernel from the partition
     lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
     kernel = normal_subgroup_from_ps(ctx, lower_ps)
-    if kernel.order * fg.order != group.order:
+    if kernel.order * fg.order != len(ctx.system):
         raise WellDefinednessFailure("tooth group has the wrong quotient order")
     return result
 
@@ -301,14 +283,18 @@ class NormalChain:
     filling: FillingSequence
     steps: Tuple[ChainStep, ...]
     base: Tuple[int, ...]  # member indices of the seed subgroup
+    # the last level: member index -> (its base part, its label per step)
+    choices: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
 
 
 def normal_chain(ctx: GeneratorContext, f: FillingSequence,
                  base_ps: Optional[PairedSequence] = None) -> NormalChain:
     """The ascending chain of tensor-support subgroups along a normal walk.
 
-    Each step's cosets are verified to be exactly the translates of the
-    previous subgroup by the generators of the newly filled slot.
+    The levels come from `coset_levels` on member indices: a step multiplies
+    the previous level by the members of the new slot's single-label
+    tensors.  Each step's cosets are verified to be disjoint, their union to
+    be the support subgroup of the filled slots, and that subgroup normal.
     """
     base_cov = base_ps.covered() if base_ps is not None else frozenset()
     ok, bad = is_normal_filling_sequence(f, base_cov)
@@ -316,83 +302,60 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
         raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
 
     filled = set(base_cov)
-    base_sub = support_subgroup(ctx, frozenset(filled))
-    current = set(base_sub.members)
-    steps: List[ChainStep] = []
-    group = ctx.system.sequence_group
+    base = support_subgroup(ctx, frozenset(filled)).members
+    walk = [p for p in f.pairs if p not in base_cov]
     width = len(ctx.slots)
-    for (k, t) in (p for p in f.pairs if p not in base_cov):
+
+    def single_labels(slot: Slot) -> Tuple[tuple, ...]:
+        pos = ctx.slot_pos[slot]
+        return tuple((0,) * pos + (c,) + (0,) * (width - pos - 1)
+                     for c in range(ctx.basis.label_count(slot)))
+
+    reps = [single_labels(p) for p in walk]
+    group = ctx.system.sequence_group
+    level = {b: (b,) for b in base}
+    entries = ([ctx.tensor_index[lab] for lab in r] for r in reps)
+    levels = coset_levels(level, entries, group.op)
+    steps: List[ChainStep] = []
+    for (k, t), step_reps, step in zip(walk, reps, levels):
         filled.add((k, t))
-        n_labels = ctx.basis.label_count((k, t))
-        pos = ctx.slot_pos[(k, t)]
-        reps = [(0,) * pos + (c,) + (0,) * (width - pos - 1)
-                for c in range(n_labels)]
-        rep_idx = [ctx.tensor_index[lab] for lab in reps]
-        new_members = set()
-        cosets = []
-        for ri in rep_idx:
-            coset = {group.op(h, ri) for h in current}
-            cosets.append(coset)
-            new_members |= coset
-        if len(new_members) != len(current) * n_labels:
+        if len(step) != len(level) * len(step_reps):
             raise NotNormalFilling(
                 f"step ({k},{t}): generator cosets are not disjoint")
         target = support_subgroup(ctx, frozenset(filled))
-        if new_members != set(target.members):
+        if step.keys() != target.member_set():
             raise NotNormalFilling(
                 f"step ({k},{t}): cosets do not fill the support subgroup")
         if not is_normal(group, target):
             raise NotNormalFilling(f"step ({k},{t}): subgroup not normal")
-        steps.append(ChainStep((k, t), n_labels,
-                               tuple(sorted(new_members)), tuple(reps)))
-        current = new_members
-    if len(current) != len(ctx.tensors) and base_ps is None:
+        steps.append(ChainStep((k, t), len(step_reps), tuple(sorted(step)),
+                               step_reps))
+        level = step
+    if len(level) != len(ctx.tensors) and base_ps is None:
         raise NotNormalFilling("chain did not reach the whole group")
-    return NormalChain(f, tuple(steps), tuple(sorted(base_sub.members)))
+    return NormalChain(f, tuple(steps), tuple(base), level)
 
 
 def reconstruct_from_chain(ctx: GeneratorContext, f: FillingSequence) -> GroupSystem:
-    """Compose one transversal representative per slot, in fill order, over
-    all choices; the result must be the member set exactly."""
+    """The members the chain's last level reaches by composing one
+    transversal entry per slot in fill order; `normal_chain` certified
+    that they are the whole member set."""
     chain = normal_chain(ctx, f)
     system = ctx.system
-    rebuilt = {system.identity: ()}
-    for step in chain.steps:
-        slot = step.pair
-        gens = ctx.basis.transversal(slot)
-        rebuilt = {system.mul(seq, g): None
-                   for seq in rebuilt for g in gens}
-    if set(rebuilt) != set(system.sequences):
-        raise RecoveryMismatch("chain composition misses members")
-    return GroupSystem(system.window, system.alphabets, rebuilt,
+    return GroupSystem(system.window, system.alphabets,
+                       (system.sequences[m] for m in chain.choices),
                        name=f"{system.name}|chain", _closed=True)
 
 
 def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
                           seq) -> Tuple[tuple, ...]:
-    """Peel a member into one representative per chain step (fill order)."""
-    system = ctx.system
-    idx = system.index_of(tuple(seq))
-    group = system.sequence_group
-    reps_out: List[tuple] = [()] * len(chain.steps)
-    levels = [set(chain.base)]
-    for step in chain.steps:
-        levels.append(set(step.subgroup))
-    residual = idx
-    for i in range(len(chain.steps) - 1, -1, -1):
-        step = chain.steps[i]
-        prev = levels[i]
-        for lab in step.representatives:
-            cand = group.op(residual, group.inv(ctx.tensor_index[lab]))
-            if cand in prev:
-                reps_out[i] = lab
-                residual = cand
-                break
-        else:
-            raise NotNormalFilling(f"coset peel failed at step {step.pair}")
-    if residual != 0:
+    """Peel a member into one representative per chain step (fill order),
+    read from the chain's last level.  In a chain seeded at a base, only
+    members whose base part is the identity have such a peel."""
+    base_part, *labels = chain.choices[ctx.system.index_of(tuple(seq))]
+    if base_part != 0:
         raise NotNormalFilling("peel left a nontrivial residual")
-    return tuple(reps_out)
+    return tuple(step.representatives[c] for step, c in zip(chain.steps, labels))
 
 
 # -- eigentriangle expansion -----------------------------------------------------
@@ -420,33 +383,32 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     # fill positions in the time-reverse column order restricted to the slice
     order = [p for p in standard_filling(ctx.system.window, ctx.ell,
                                          "time_rev").pairs if p in pos_index]
-    filled: set = set()
-    current = {0}
-    steps: List[EigenStep] = []
+    transversals = []
     for pos in order:
-        filled.add(pos)
-        n_labels = ctx.basis.label_count(pos)
         reps = []
-        for c in range(n_labels):
+        for c in range(ctx.basis.label_count(pos)):
             labels = [0] * len(positions)
             labels[pos_index[pos]] = c
             reps.append(elem._index[tuple(labels)])
-        new = set()
-        for r in reps:
-            coset = {elem.group.op(h, r) for h in current}
-            new |= coset
-        if len(new) != len(current) * n_labels:
+        transversals.append(tuple(reps))
+    filled: set = set()
+    current = {0: ()}
+    steps: List[EigenStep] = []
+    levels = coset_levels(current, transversals, elem.group.op)
+    for pos, reps, new in zip(order, transversals, levels):
+        filled.add(pos)
+        if len(new) != len(current) * len(reps):
             raise WellDefinednessFailure(
                 f"eigentriangle cosets not disjoint at {pos}")
         expected = {i for i, tri in enumerate(elem.elements)
                     if all(lab == 0 or p in filled
                            for p, lab in zip(tri.positions, tri.labels))}
-        if new != expected:
+        if new.keys() != expected:
             raise WellDefinednessFailure(
                 f"eigentriangle step does not match support at {pos}")
-        steps.append(EigenStep(pos, tuple(sorted(new)), tuple(reps)))
+        steps.append(EigenStep(pos, tuple(sorted(new)), reps))
         current = new
-    if current != set(range(elem.group.order)):
+    if len(current) != elem.group.order:
         raise WellDefinednessFailure("eigentriangle chain fell short")
     return EigenChain((0, t), elem, tuple(steps))
 

@@ -379,16 +379,17 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
         pair_of = [(None, None)]
 
     nk = kernel.order
-    if nk * base.order > 1:
+    if nk == 1:  # a trivial kernel extends the base only by itself
+        extensions = (base,)
+    else:
         search = enumerate_extensions(base, kernel,
                                       max_order=max(64, nk * base.order))
-        if not 0 <= extension_index < len(search.extensions):
-            raise NoExtensionFound(
-                f"extension index {extension_index} out of range "
-                f"({len(search.extensions)} found at anchor {anchor})")
-        ext, proj = search.extensions[extension_index]
-    else:
-        ext, proj = trivial_group(), None
+        extensions = tuple(ext for ext, _ in search.extensions)
+    if not 0 <= extension_index < len(extensions):
+        raise NoExtensionFound(
+            f"extension index {extension_index} out of range "
+            f"({len(extensions)} found at anchor {anchor})")
+    ext = extensions[extension_index]
 
     # element e of the extension is the pair (e % nk, e // nk): the kernel
     # part labels the anchor slot, the base part the child triangles

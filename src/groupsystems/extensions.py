@@ -11,7 +11,13 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import BoundExceeded, CodomainMismatch, NoExtensionFound, NotSurjective
+from .errors import (
+    AxiomViolation,
+    BoundExceeded,
+    CodomainMismatch,
+    NoExtensionFound,
+    NotSurjective,
+)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -166,7 +172,7 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
             table = build(action, fset)
             try:
                 ext = FiniteGroup(table, name=f"{k.name}.{q.name}")
-            except Exception:
+            except AxiomViolation:
                 continue  # factor set fails associativity / inverses
             hom = Homomorphism(ext, q, proj_images)
             ker, _ = hom.kernel().as_group()

@@ -1,8 +1,9 @@
 """The generator group and its triangle-local groups.
 
-Decoding every member once identifies the member set with the set of label
-tensors.  The decomposition group (selection tensors under ⋆) and the
-generator group (label tensors under ∘) are then one table, the system's
+The basis chain records every member's choice per slot, which identifies
+the member set with the set of label tensors.  The decomposition group
+(selection tensors under ⋆) and the generator group (label tensors under
+∘) are then one table, the system's
 own `sequence_group` over member indices, so it is the only group object.
 Inside a context a tensor is its raw label tuple: row i of `ctx.tensors` is
 member i.  `TensorR` validates tensors that arrive from outside, and `star`
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     OutOfWindow,
@@ -52,9 +53,6 @@ class Triangle:
 
     def is_identity(self) -> bool:
         return all(x == 0 for x in self.labels)
-
-    def label_at(self, pos: Position) -> int:
-        return self.labels[self.positions.index(pos)]
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,10 @@ def lower_triangle_positions(window: Tuple[int, int], ell: int,
 class GeneratorContext:
     """System + basis + the member/tensor identification, with caches.
 
-    The generating set S and its right and left Cayley graphs over member
-    indices are built on first use, once per context; the certificates
-    check element x generator pairs on them instead of all member pairs.
+    Row i of `tensors` is member i's choice per slot, read off the last
+    level of the basis chain.  The generating set S and its right and left
+    Cayley graphs over member indices are built on first use, once per
+    context; the certificates read them instead of all member pairs.
     """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
@@ -117,9 +116,10 @@ class GeneratorContext:
         self.ell = self.basis.ell
         self.slots = self.basis.slots
         self.slot_pos = self.basis.slot_pos
-        # decode every member once: member index <-> label tensor
+        # member index <-> label tensor
+        choices = self.basis.choices
         self.tensors: Tuple[Tuple[int, ...], ...] = tuple(
-            decode_to_tensor(self.basis, s).choice for s in system.sequences)
+            choices[s] for s in system.sequences)
         self.tensor_index: Dict[Tuple[int, ...], int] = {
             lab: i for i, lab in enumerate(self.tensors)}
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
@@ -128,8 +128,7 @@ class GeneratorContext:
     def generating_set(self) -> Tuple[int, ...]:
         """S as member indices: the identity, then every non-identity
         transversal entry in slot order.  `_basis_chain` certified that
-        products of these entries reach every member, and decoding each
-        member above wrote it as such a product."""
+        products of these entries reach every member."""
         index = self.system.index_of
         gens = [index(self.system.identity)]
         for slot in self.slots:
@@ -177,18 +176,21 @@ def star(ctx: GeneratorContext, r1: TensorR, r2: TensorR) -> TensorR:
 
 # -- one-sided tensor subgroups ----------------------------------------------
 
+def support_subgroup(ctx: GeneratorContext, allowed: Collection[Slot]) -> Subgroup:
+    """Tensors supported inside `allowed` as a subgroup of the generator group."""
+    members = tuple(i for i, lab in enumerate(ctx.tensors)
+                    if all(slot in allowed for slot in ctx.support(lab)))
+    return Subgroup(ctx.system.sequence_group, members)
+
+
 def u_plus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
     """Tensors supported on slots starting at time >= t (image of X^t)."""
-    members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(s >= t for (_, s) in ctx.support(lab)))
-    return Subgroup(ctx.system.sequence_group, members)
+    return support_subgroup(ctx, {(k, s) for k, s in ctx.slots if s >= t})
 
 
 def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
     """Tensors supported on slots ending at time <= t (image of Y^t)."""
-    members = tuple(i for i, lab in enumerate(ctx.tensors)
-                    if all(s + k <= t for (k, s) in ctx.support(lab)))
-    return Subgroup(ctx.system.sequence_group, members)
+    return support_subgroup(ctx, {(k, s) for k, s in ctx.slots if s + k <= t})
 
 
 # -- triangle slices ----------------------------------------------------------
@@ -203,8 +205,10 @@ def triangle(ctx: GeneratorContext, labels: Tuple[int, ...], k: int,
                     tuple(labels[ctx.slot_pos[pos]] for pos in positions))
 
 
-def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
-    """The induced group on realized triangle slices at anchor (k, t).
+def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
+                        where: str, name: str) -> Tuple[List[tuple], FiniteGroup]:
+    """The group induced on the realized slices of the label tensors at
+    tensor positions `pos_idx`, identity slice first: (slices, group).
 
     The product of two slices is the slice of the product of any two lifts.
     It is lift independent exactly when the partition of the members by
@@ -220,17 +224,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     Cayley-graph entries instead of |A|^2 products; the n x n table is then
     filled from one representative per slice class.
     """
-    if (k, t) in ctx._elementary:
-        return ctx._elementary[(k, t)]
-    if (k, t) not in ctx.slot_pos:
-        raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
-    positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
-    pos_idx = [ctx.slot_pos[p] for p in positions]
-
-    def slice_of(labels: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(labels[i] for i in pos_idx)
-
-    slices = [slice_of(lab) for lab in ctx.tensors]
+    slices = [tuple(lab[i] for i in pos_idx) for lab in ctx.tensors]
     realized = sorted(set(slices), key=lambda s: (any(s), s))  # identity first
     index = {s: i for i, s in enumerate(realized)}
     n = len(realized)
@@ -245,7 +239,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
             for a, row in enumerate(graph):
                 if image.setdefault(cls[a], cls[row[j]]) != cls[row[j]]:
                     raise WellDefinednessFailure(
-                        f"lift choice changes the product at anchor ({k},{t}): "
+                        f"lift choice changes the product at {where}: "
                         f"slice {realized[cls[a]]} times generator "
                         f"{ctx.tensors[gen]} on the {side}")
 
@@ -255,9 +249,21 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     reps = [first[c] for c in range(n)]
     seqs, member, mul = ctx.system.sequences, ctx.system._index, ctx.system.mul
     table = [[cls[member[mul(seqs[r1], seqs[r2])]] for r2 in reps] for r1 in reps]
+    return realized, FiniteGroup(table, name=name)
 
+
+def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
+    """The induced group on realized triangle slices at anchor (k, t); see
+    `induced_slice_group` for the lift-independence certificate."""
+    if (k, t) in ctx._elementary:
+        return ctx._elementary[(k, t)]
+    if (k, t) not in ctx.slot_pos:
+        raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
+    positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
+    realized, fg = induced_slice_group(
+        ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})",
+        f"E({k},{t})")
     elements = tuple(Triangle((k, t), positions, s) for s in realized)
-    fg = FiniteGroup(table, name=f"E({k},{t})")
     result = ElementaryGroupTable((k, t), positions, elements, fg)
     ctx._elementary[(k, t)] = result
     return result

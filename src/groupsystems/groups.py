@@ -60,14 +60,6 @@ class FiniteGroup:
         """b * a * b^-1."""
         return self.op(self.op(b, a), self.inv(b))
 
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        acc = 0
-        for _ in range(n):
-            acc = self.op(acc, a)
-        return acc
-
     def element_order(self, a: int) -> int:
         x, n = a, 1
         while x != 0:
@@ -217,21 +209,35 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, (0,))
 
 
+def close_greedily(closure: set, candidates: Iterable, mul, vet) -> None:
+    """Grow `closure` (a set holding the identity) to the subgroup generated
+    by `candidates`.  A candidate becomes a generator only when it lies
+    outside the closure so far; the closure then grows breadth-first by
+    right multiplication, old members needing only the new generator and
+    members found on the way every generator.  `vet(a, s, a*s)` sees each
+    new product before it joins, and may raise."""
+    gens: list = []
+    for g in candidates:
+        if g in closure:
+            continue
+        gens.append(g)
+        frontier, step = list(closure), (g,)
+        while frontier:
+            found = []
+            for a in frontier:
+                for s in step:
+                    prod = mul(a, s)
+                    if prod not in closure:
+                        vet(a, s, prod)
+                        closure.add(prod)
+                        found.append(prod)
+            frontier, step = found, gens
+
+
 def subgroup_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of g containing seeds, by product saturation."""
+    """Smallest subgroup of g containing seeds (`close_greedily`)."""
     closed = {0}
-    frontier = [0] + [int(s) for s in seeds]
-    closed.update(frontier)
-    while frontier:
-        new = []
-        for a in list(closed):
-            for b in frontier:
-                for x in (g.op(a, b), g.op(b, a)):
-                    if x not in closed:
-                        closed.add(x)
-                        new.append(x)
-        frontier = new
-    # finite closure under products already contains inverses
+    close_greedily(closed, (int(s) for s in seeds), g.op, lambda a, s, x: None)
     return Subgroup(g, tuple(sorted(closed)))
 
 
@@ -285,14 +291,6 @@ class Homomorphism:
 
     def is_injective(self) -> bool:
         return len(set(self.image_of)) == self.domain.order
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self ∘ inner (inner applied first)."""
-        if inner.codomain is not self.domain:
-            raise PreconditionViolated("composition domain mismatch")
-        return Homomorphism(inner.domain, self.codomain,
-                            tuple(self.image_of[x] for x in inner.image_of),
-                            check=False)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ def resolve_group(name: str, search_dir: Optional[Path] = None) -> FiniteGroup:
     """Builtin names (Z<n>, S3) or a .grp file next to the referencing file."""
     m = _CYCLIC_RE.match(name)
     if m:
+        if int(m.group(1)) < 1:
+            raise ParseError(f"cyclic group {name!r} needs an order of at least 1")
         return cyclic_group(int(m.group(1)))
     if name == "S3":
         return symmetric_group_3()

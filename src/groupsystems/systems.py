@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    close_greedily,
     QuotientPresentation,
     Subgroup,
     quotient,
@@ -146,7 +147,7 @@ class GroupSystem:
             if prod not in index:
                 raise NotAGroupSystem("product escapes member set", (a, g))
 
-        _close_greedily({self.identity}, self.sequences, self.mul, vet)
+        close_greedily({self.identity}, self.sequences, self.mul, vet)
 
     # -- the sequence group as an explicit FiniteGroup ---------------------
 
@@ -158,8 +159,8 @@ class GroupSystem:
                 raise BoundExceeded(
                     f"sequence group table: {n} members exceed "
                     f"SEQUENCE_GROUP_TABLE_CAP={SEQUENCE_GROUP_TABLE_CAP}; only "
-                    f"normal chains and subgroup views (X^t, Y^t, granules) "
-                    f"need this table")
+                    f"normal chains and subgroup views (X^t, Y^t, granules, "
+                    f"lower elementary groups, tooth subgroups) need this table")
             idx = self._index
             table = [[idx[self.mul(a, b)] for b in self.sequences]
                      for a in self.sequences]
@@ -229,31 +230,6 @@ def realized_alphabets(alphabets: Sequence[FiniteGroup],
     return tuple(per_t), new_members
 
 
-def _close_greedily(closure: set, candidates: Iterable[Seq], mul, vet) -> None:
-    """Grow `closure` (a set holding the identity) to the subgroup generated
-    by `candidates`.  A candidate becomes a generator only when it lies
-    outside the closure so far; the closure then grows breadth-first by
-    right multiplication, old members needing only the new generator and
-    members found on the way every generator.  `vet(a, s, a*s)` sees each
-    new product before it joins, and may raise."""
-    gens: List[Seq] = []
-    for g in candidates:
-        if g in closure:
-            continue
-        gens.append(g)
-        frontier, step = list(closure), (g,)
-        while frontier:
-            found = []
-            for a in frontier:
-                for s in step:
-                    prod = mul(a, s)
-                    if prod not in closure:
-                        vet(a, s, prod)
-                        closure.add(prod)
-                        found.append(prod)
-            frontier, step = found, gens
-
-
 def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                  seeds: Iterable[Seq], name: str = "A",
                  member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
@@ -291,7 +267,7 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
         if len(members) >= member_cap:
             raise BoundExceeded(f"saturation exceeds member cap {member_cap}")
 
-    _close_greedily(members, checked, mul, vet)
+    close_greedily(members, checked, mul, vet)
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)
@@ -394,13 +370,15 @@ def window_slots(window: Tuple[int, int], ell: int) -> Tuple[Slot, ...]:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """One granule transversal per (k, t) slot; entry 0 is the identity."""
+    """One granule transversal per (k, t) slot; entry 0 is the identity.
+    `choices`, the basis chain's last level, maps each member to the entry
+    per slot whose product in slot order (the time-domain encoder) it is."""
 
     system: GroupSystem
     ell: int
     slots: Tuple[Slot, ...]
     transversals: Dict[Slot, Tuple[Seq, ...]]
-    chain_sets: Tuple[frozenset, ...]  # chain_sets[i] = span of slots[:i]
+    choices: Dict[Seq, Tuple[int, ...]]
 
     @cached_property
     def slot_pos(self) -> Dict[Slot, int]:
@@ -454,8 +432,8 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
                                       ((k, t), j))
         transversals[(k, t)] = reps
 
-    chain_sets = _basis_chain(system, slots, transversals)
-    return GeneratorBasis(system, ell, slots, transversals, chain_sets)
+    choices = _basis_chain(system, slots, transversals)
+    return GeneratorBasis(system, ell, slots, transversals, choices)
 
 
 def _least_coset_reps(system: GroupSystem, num: frozenset,
@@ -471,24 +449,36 @@ def _least_coset_reps(system: GroupSystem, num: frozenset,
     return tuple(sorted(reps))
 
 
+def coset_levels(start: Dict, transversals: Iterable[Sequence], mul) -> Iterator[Dict]:
+    """The levels of a coset chain, built lazily: level i maps h * g to
+    choices(h) + (c,) for h in level i-1 and g the c-th entry of
+    transversal i.  Its cosets are disjoint iff no key collides, that is
+    iff |level i| = |level i-1| x |transversal i|; callers check that."""
+    level = start
+    for trans in transversals:
+        level = {mul(h, g): choices + (c,)
+                 for h, choices in level.items() for c, g in enumerate(trans)}
+        yield level
+
+
 def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
-                 transversals: Dict[Slot, Tuple[Seq, ...]]) -> Tuple[frozenset, ...]:
-    """Ascending member-set chain spanned by slot transversals in order.
+                 transversals: Dict[Slot, Tuple[Seq, ...]]) -> Dict[Seq, Tuple[int, ...]]:
+    """Ascending member-set chain spanned by slot transversals in order;
+    returns its last level, every member with its choice per slot.
 
     Each step must multiply the count by the transversal size and the chain
     must end at the full member set; this is the window completeness check
     behind the tensor bijection.
     """
-    sets: List[frozenset] = [frozenset({system.identity})]
-    for slot in slots:
-        prev = sets[-1]
-        step = frozenset(system.mul(h, g) for h in prev for g in transversals[slot])
-        if len(step) != len(prev) * len(transversals[slot]):
+    level = {system.identity: ()}
+    steps = coset_levels(level, (transversals[slot] for slot in slots), system.mul)
+    for slot, step in zip(slots, steps):
+        if len(step) != len(level) * len(transversals[slot]):
             raise NotAGroupSystem("chain step not coset-complete", slot)
-        sets.append(step)
-    if sets[-1] != frozenset(system.sequences):
+        level = step
+    if level.keys() != system._index.keys():
         raise NotAGroupSystem("slot transversals do not span the system")
-    return tuple(sets)
+    return level
 
 
 # -- tensors and encoders --------------------------------------------------
@@ -562,25 +552,12 @@ def encode_spectral_domain(basis: GeneratorBasis, r: TensorR) -> Seq:
 
 
 def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> TensorR:
-    """Invert the time-domain encoder by peeling cosets down the slot chain."""
-    system = basis.system
-    seq = tuple(seq)
-    if seq not in system:
-        raise NotAMember(f"{seq} is not a member of {system.name}")
-    choice = [0] * len(basis.slots)
-    residual = seq
-    for i in range(len(basis.slots) - 1, -1, -1):
-        slot = basis.slots[i]
-        prev = basis.chain_sets[i]
-        for c, g in enumerate(basis.transversal(slot)):
-            candidate = system.mul(residual, system.inverse(g))
-            if candidate in prev:
-                choice[i] = c
-                residual = candidate
-                break
-        else:
-            raise NotAGroupSystem("coset peel failed", (slot, residual))
-    return TensorR(basis, tuple(choice))
+    """Invert the time-domain encoder: the basis chain recorded each
+    member's choices as it built the member."""
+    try:
+        return TensorR(basis, basis.choices[tuple(seq)])
+    except KeyError:
+        raise NotAMember(f"{tuple(seq)} is not a member of {basis.system.name}") from None
 
 
 # -- alphabet matrix -------------------------------------------------------

@@ -10,6 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from groupsystems.chains import (
+    complementary,
+    decompose_along_chain,
+    enumerate_normal_fillings,
+    normal_chain,
+    oplus_group,
+    purge,
+    reconstruct_from_chain,
+    standard_filling,
+)
 from groupsystems.elementary import (
     ElementarySystem,
     extract_elementary_system,
@@ -19,6 +29,9 @@ from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
     NotAGroupSystem,
+    NotAMember,
+    NotASubgroup,
+    NotNormalFilling,
     ToolkitError,
     WellDefinednessFailure,
 )
@@ -34,7 +47,14 @@ from groupsystems.io import (
     parse_elementary_system,
     parse_system,
 )
-from groupsystems.systems import GroupSystem, build_system
+from groupsystems.systems import (
+    GeneratorBasis,
+    GroupSystem,
+    _basis_chain,
+    build_system,
+    decode_to_tensor,
+    window_slots,
+)
 
 FIXTURES = ["r2", "c2", "s3_rep", "trivial_sys", "parity3"]
 
@@ -299,3 +319,135 @@ def test_recover_original_accepts_what_the_oracle_accepts(c2):
     new = outcome(recover_original, bad, ctx)
     assert new[0] == "ok"
     assert_same(new, outcome(oracles.recover_original, bad, ctx), system_key)
+
+
+# -- chains, peels, decoding and the tooth group ------------------------------------
+
+def chain_outcomes(ctx: GeneratorContext, f, base_ps=None):
+    """Chain, reconstruction and every member's peel, from both sides."""
+    new = outcome(normal_chain, ctx, f, base_ps)
+    old = outcome(oracles.normal_chain, ctx, f, base_ps)
+    assert_same(new, old)
+    if new[0] == "ok":
+        for seq in ctx.system.sequences:
+            assert_same(outcome(decompose_along_chain, ctx, new[1], seq),
+                        outcome(oracles.decompose_along_chain, ctx, old[1], seq))
+    return new, old
+
+
+def assert_chains_agree(ctx: GeneratorContext, cap: int = 24) -> None:
+    """Every normal walk (capped): chain steps, members, peels and the
+    reconstruction; then decoding of every member and of a non-member."""
+    system = ctx.system
+    walks, _ = enumerate_normal_fillings(system.window, ctx.ell, cap)
+    for f in walks:
+        new, _ = chain_outcomes(ctx, f)
+        assert new[0] == "ok"
+        assert_same(outcome(reconstruct_from_chain, ctx, f),
+                    outcome(oracles.reconstruct_from_chain, ctx, f), system_key)
+    for seq in system.sequences:
+        new = outcome(decode_to_tensor, ctx.basis, seq)
+        old = outcome(oracles.decode_to_tensor, ctx.basis, seq)
+        assert_same(new, old, key=lambda r: r.choice)
+    outside = next((s for s in itertools.product(
+        *[range(g.order) for g in system.alphabets]) if s not in system), None)
+    if outside is not None:
+        new = outcome(decode_to_tensor, ctx.basis, outside)
+        assert new == ("raise", NotAMember)
+        assert_same(new, outcome(oracles.decode_to_tensor, ctx.basis, outside))
+
+
+def oplus_key(op) -> tuple:
+    return op.pairs, op.elements, op.group.op_table
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_chains_match_oracles_on_fixtures(request, name):
+    ctx = build_context(request.getfixturevalue(name))
+    assert_chains_agree(ctx)
+    window, ell = ctx.system.window, ctx.ell
+    slots = window_slots(window, ell)
+    walk = standard_filling(window, ell, "time_rev")
+    for r in range(len(slots) + 1):
+        for sample in itertools.islice(itertools.combinations(slots, r), 6):
+            ps = purge(window, ell, sample)
+            chain_outcomes(ctx, walk, ps)  # peels with a nontrivial base part raise
+            ps_u = complementary(ps)
+            assert_same(outcome(oplus_group, ctx, ps_u),
+                        outcome(oracles.oplus_group, ctx, ps_u), oplus_key)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_systems())
+def test_chains_match_oracles_on_generated_systems(case):
+    window, alphabets, seeds = case
+    try:
+        ctx = build_context(build_system(window, alphabets, seeds))
+    except ToolkitError:
+        return  # no generator basis; the certificate test covers these
+    assert_chains_agree(ctx, cap=12)
+
+
+@pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
+def test_chain_rejects_swapped_tensors(request, name):
+    """Swap the label tensors of two members: both chains reach the same
+    verdict with the same error type, and where they accept, the same steps
+    and peels.  On the parity code and the S3 repetition system every swap
+    relabels consistently and is accepted; on the others some are not."""
+    ctx = build_context(request.getfixturevalue(name))
+    walks, _ = enumerate_normal_fillings(ctx.system.window, ctx.ell, 6)
+    rejected = 0
+    for i, j in itertools.combinations(range(1, len(ctx.tensors)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        for f in walks:
+            new, _ = chain_outcomes(bad, f)
+            rejected += new[0] == "raise"
+    assert (rejected > 0) == (name in ("c2", "s3_square"))
+
+
+def bogus_basis_context(system: GroupSystem, transversals: dict) -> GeneratorContext:
+    """A context whose basis takes the given entries per slot.  They span
+    the system with disjoint cosets, so the label tensors read off their
+    chain agree with every level's support set, but the entries are no
+    granule transversals."""
+    slots = tuple(transversals)
+    basis = GeneratorBasis(system, 0, slots, transversals,
+                           _basis_chain(system, slots, transversals))
+    return GeneratorContext(system, basis)
+
+
+def test_chain_rejects_levels_that_are_no_normal_subgroups(s3_square):
+    """Levels from a spanning set of entries that is no basis: the first
+    level is no subgroup (Z4 x Z4) or a subgroup that is not normal (the
+    diagonal of S3 x S3).  The support sets agree with the levels, so only
+    the subgroup and normality checks can reject them."""
+    z4 = cyclic_group(4)
+    square = GroupSystem((0, 1), [z4, z4], itertools.product(range(4), repeat=2))
+    not_closed = bogus_basis_context(square, {
+        (0, 1): ((0, 0), (0, 1), (1, 0), (1, 1)),
+        (0, 0): ((0, 0), (0, 2), (2, 0), (2, 2))})
+    s3 = GROUPS["S3"]
+    not_normal = bogus_basis_context(s3_square, {
+        (0, 1): tuple((g, g) for g in s3.elements()),
+        (0, 0): tuple((g, 0) for g in s3.elements())})
+    walk = standard_filling((0, 1), 0, "time_rev")
+    assert walk.pairs == ((0, 1), (0, 0))
+    for bad, error in ((not_closed, NotASubgroup), (not_normal, NotNormalFilling)):
+        new, _ = chain_outcomes(bad, walk)
+        assert new == ("raise", error)
+
+
+def test_basis_chain_rejects_colliding_cosets():
+    """Entries that span the system but repeat a coset: without the size
+    check, the later choice would overwrite the earlier one silently."""
+    z4 = cyclic_group(4)
+    square = GroupSystem((0, 1), [z4, z4], itertools.product(range(4), repeat=2))
+    transversals = {(0, 1): tuple((0, b) for b in range(4)),
+                    (0, 0): tuple((a, 0) for a in range(4)) + ((1, 1),)}
+    with pytest.raises(NotAGroupSystem) as info:
+        _basis_chain(square, tuple(transversals), transversals)
+    assert info.value.reason == "chain step not coset-complete"
+    assert info.value.witness == (0, 0)

@@ -1,6 +1,9 @@
 import pytest
 
 from groupsystems.cli import main
+from groupsystems.elementary import ConstructionStrategy, construct_elementary_system
+from groupsystems.groups import cyclic_group
+from groupsystems.io import dump_elementary_system
 
 
 R2_TEXT = "system R2\nwindow 0 1\nalphabet all Z2\nseq 0 0\nseq 1 1\n"
@@ -223,6 +226,14 @@ def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
                   ("--kernel", "x=Z2")):
         code, _, err = run(capsys, *construct, *flags)
         assert code == 1 and flags[1] in err
+    for flags in (("--seed-group", "Z0", "--ell", "1"),
+                  ("--seed-group", "Z2", "--ell", "1", "--kernel", "0=Z0")):
+        code, _, err = run(capsys, "--window", "0", "3", "construct", *flags)
+        assert code == 1 and "Z0" in err
+    zero = tmp_path / "zero.gsys"
+    zero.write_text("system X\nwindow 0 1\nalphabet all Z0\nseq 0 0\n")
+    code, _, err = run(capsys, "validate", zero)
+    assert code == 1 and "Z0" in err
     walk = tmp_path / "walk.txt"
     walk.write_text("0 x\n")
     code, _, err = run(capsys, "chains", c2_file, "--filling", f"@{walk}")
@@ -248,3 +259,29 @@ def test_4096_member_system_runs_end_to_end(capsys, tmp_path):
     assert (tmp_path / "z4.esys").read_text().startswith("esys")
     code, out, _ = run(capsys, "roundtrip", p)
     assert code == 0 and "roundtrip ok order=4096" in out
+
+
+def test_construct_s3_with_trivial_kernels(capsys):
+    code, out, _ = run(capsys, "--window", "0", "4", "construct",
+                       "--seed-group", "S3", "--ell", "2")
+    assert code == 0 and "system order=216 ell=2" in out
+
+
+def test_roundtrip_twisted_esys(capsys, tmp_path):
+    """A twisted construction has no per-slot label bijection to its own
+    extraction; it round-trips up to isomorphism.  An untwisted one still
+    matches exactly, and its output line is unchanged."""
+    z2 = cyclic_group(2)
+    strategy = ConstructionStrategy(kernels={1: z2},
+                                    extension_indices={(1, 1): 2, (1, 2): 2})
+    twisted = tmp_path / "twisted.esys"
+    twisted.write_text(dump_elementary_system(
+        construct_elementary_system((0, 4), 2, z2, strategy)))
+    code, out, _ = run(capsys, "roundtrip", twisted)
+    assert (code, out) == (0, "roundtrip ok system order=128 ell=2 up to isomorphism\n")
+    plain = tmp_path / "plain.esys"
+    plain.write_text(dump_elementary_system(
+        construct_elementary_system((0, 4), 2, z2, ConstructionStrategy(kernels={1: z2}))))
+    code, out, _ = run(capsys, "roundtrip", plain)
+    assert code == 0 and out.startswith("roundtrip ok system order=") \
+        and "isomorphism" not in out

@@ -16,7 +16,13 @@ from groupsystems.elementary import (
 )
 from groupsystems.errors import NoExtensionFound, UnrealizedSlice
 from groupsystems.generators import ElementaryGroupTable, build_context, star
-from groupsystems.groups import cyclic_group, find_isomorphism, trivial_group
+from groupsystems.extensions import enumerate_extensions
+from groupsystems.groups import (
+    cyclic_group,
+    find_isomorphism,
+    symmetric_group_3,
+    trivial_group,
+)
 from groupsystems.systems import TensorR, controllability_index
 
 
@@ -183,6 +189,22 @@ def test_construct_rejects_out_of_range_extension_index(index):
                                     extension_indices={0: index})
     with pytest.raises(NoExtensionFound):
         construct_elementary_system((0, 2), 1, cyclic_group(2), strategy)
+
+
+def test_construct_trivial_kernel_takes_the_base():
+    """Trivial kernels below an S3 top: the depth-0 bases have order 216,
+    above the isomorphism cap, and each is its own only extension."""
+    es = construct_elementary_system((0, 4), 2, symmetric_group_3())
+    system = global_group_system(es)
+    assert len(system) == 216
+    assert controllability_index(system) == 2
+    strategy = ConstructionStrategy(extension_indices={0: 1})
+    with pytest.raises(NoExtensionFound):
+        construct_elementary_system((0, 4), 2, symmetric_group_3(), strategy)
+    # the extension search finds exactly the base, with the base's table
+    for base in (cyclic_group(4), symmetric_group_3()):
+        search = enumerate_extensions(base, trivial_group())
+        assert [ext.op_table for ext, _ in search.extensions] == [base.op_table]
 
 
 def test_construct_time_varying_escape_hatch():

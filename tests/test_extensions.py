@@ -1,5 +1,6 @@
 import pytest
 
+import groupsystems.extensions as extensions
 from groupsystems.errors import BoundExceeded, CodomainMismatch, NotSurjective
 from groupsystems.extensions import enumerate_extensions, subdirect_product
 from groupsystems.groups import (
@@ -113,3 +114,14 @@ def test_extensions_nonabelian_kernel_incomplete_flag():
     assert not res.complete
     assert any(is_isomorphic(ext, direct_product(cyclic_group(2), symmetric_group_3())[0])
                for ext, _ in res.extensions)
+
+
+def test_extension_search_propagates_unexpected_errors(monkeypatch):
+    """Only a failed group axiom drops a candidate table; any other error
+    is a bug and must surface."""
+    def broken(table, name="G"):
+        raise RuntimeError("table builder failed")
+
+    monkeypatch.setattr(extensions, "FiniteGroup", broken)
+    with pytest.raises(RuntimeError, match="table builder failed"):
+        enumerate_extensions(cyclic_group(2), cyclic_group(2))
