@@ -58,7 +58,7 @@ print("\nbutterfly map on a Z8 chain: domain order", hom.domain.order,
 
 z2 = cyclic_group(2)
 mod2 = Homomorphism(z4, z2, (0, 1, 0, 1))
-sub = subdirect_product(z4, z4, mod2, mod2)
+sub, _ = subdirect_product(z4, z4, mod2, mod2)
 print("\nsubdirect product of two Z4 over Z2 has order", sub.order)
 
 search = enumerate_extensions(z2, z2)

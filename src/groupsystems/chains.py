@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .errors import (
     NotABlockCode,
@@ -336,11 +336,15 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     return NormalChain(f, tuple(steps), tuple(base), level)
 
 
-def reconstruct_from_chain(ctx: GeneratorContext, f: FillingSequence) -> GroupSystem:
+def reconstruct_from_chain(ctx: GeneratorContext,
+                           f: Union[FillingSequence, NormalChain]) -> GroupSystem:
     """The members the chain's last level reaches by composing one
     transversal entry per slot in fill order; `normal_chain` certified
-    that they are the whole member set."""
-    chain = normal_chain(ctx, f)
+    that they are the whole member set.  Given a walk, the chain is built
+    here; given the `NormalChain` of `ctx` along a walk, it is reused."""
+    chain = f if isinstance(f, NormalChain) else normal_chain(ctx, f)
+    if len(chain.choices) != len(ctx.tensors):
+        raise NotNormalFilling("chain did not reach the whole group")
     system = ctx.system
     return GroupSystem(system.window, system.alphabets,
                        (system.sequences[m] for m in chain.choices),

@@ -172,7 +172,7 @@ def cmd_chains(args, cfg: RunConfig) -> int:
                         for lab in step.representatives)
         lines.append(f"step {i} add ({step.pair[0]},{step.pair[1]}) "
                      f"cosets {step.label_count} reps {reps}")
-    rebuilt = reconstruct_from_chain(ctx, f)
+    rebuilt = reconstruct_from_chain(ctx, chain)
     lines.append(f"reconstruct ok order={len(rebuilt)}")
     _emit(cfg, "\n".join(lines) + "\n")
     return 0

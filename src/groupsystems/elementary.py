@@ -37,7 +37,7 @@ from .generators import (
     restriction_images,
     upper_triangle_positions,
 )
-from .groups import FiniteGroup, Homomorphism, Subgroup, direct_product, trivial_group
+from .groups import FiniteGroup, Homomorphism, homomorphism_witness, trivial_group
 from .systems import GroupSystem, Slot, controllability_index, window_slots
 
 Anchor = Tuple[int, int]
@@ -123,10 +123,13 @@ def nested_targets(es: ElementarySystem, anchor: Anchor) -> Tuple[Anchor, ...]:
 
 
 def check_homomorphism_condition(es: ElementarySystem) -> tuple:
-    """Exhaustively verify both nested projections at every anchor.
+    """Verify both nested projections at every anchor.
 
     Returns (True, None) or (False, witness) where the witness names the
-    source anchor, target anchor, and the offending element pair.
+    source anchor, target anchor, and the offending element pair.  Each
+    projection is checked on the pairs (a, s) with s the identity or a
+    generator of the source group, which `homomorphism_witness` shows is
+    equivalent to checking every pair.
     """
     for anchor in es.slots():
         for target in nested_targets(es, anchor):
@@ -136,12 +139,9 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
             if None in images:
                 tri = source.elements[images.index(None)]
                 return False, (anchor, target, tri.labels)
-            for a in range(source.group.order):
-                for b in range(source.group.order):
-                    lhs = images[source.group.op(a, b)]
-                    rhs = tgt.group.op(images[a], images[b])
-                    if lhs != rhs:
-                        return False, (anchor, target, (a, b))
+            bad = homomorphism_witness(source.group, tgt.group, images)
+            if bad is not None:
+                return False, (anchor, target, bad)
     return True, None
 
 
@@ -334,7 +334,8 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
 
     Depth m anchors are extensions of the subdirect product of their two
     depth-(m+1) children (edge anchors have one or no child) by the
-    strategy's kernel for that depth.
+    strategy's kernel for that depth.  Anchors with equal base and kernel
+    tables share one extension search, remembered for this call only.
     """
     strategy = strategy or ConstructionStrategy({})
     t0, t1 = window
@@ -343,6 +344,7 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     slots = set(window_slots(window, ell))
     sizes: Dict[Slot, int] = {}
     tables: Dict[Anchor, ElementaryGroupTable] = {}
+    searches: dict = {}  # (base table, kernel table, cap) -> extensions
 
     for k in range(ell, -1, -1):
         for t in range(t0, t1 - k + 1):
@@ -353,7 +355,7 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
             left = (k + 1, t - 1) if (k + 1, t - 1) in slots else None
             tables[anchor] = _build_anchor(
                 tables, anchor, positions, right, left, kernel,
-                strategy.extension_index(k, t))
+                strategy.extension_index(k, t), searches)
             sizes[anchor] = kernel.order
     es = ElementarySystem(name=name, ell=ell, window=window,
                           label_sizes=sizes, tables=tables)
@@ -364,7 +366,7 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
 def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
                   positions: Tuple[Slot, ...], right: Optional[Anchor],
                   left: Optional[Anchor], kernel: FiniteGroup,
-                  extension_index: int) -> ElementaryGroupTable:
+                  extension_index: int, searches: dict) -> ElementaryGroupTable:
     # the base group the new depth extends: subdirect product of the two
     # children over their shared subtriangle (or whatever part exists)
     if right is not None and left is not None:
@@ -382,9 +384,13 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
     if nk == 1:  # a trivial kernel extends the base only by itself
         extensions = (base,)
     else:
-        search = enumerate_extensions(base, kernel,
-                                      max_order=max(64, nk * base.order))
-        extensions = tuple(ext for ext, _ in search.extensions)
+        cap = max(64, nk * base.order)
+        key = (base.op_table, kernel.op_table, cap)
+        extensions = searches.get(key)
+        if extensions is None:
+            search = enumerate_extensions(base, kernel, max_order=cap)
+            extensions = tuple(ext for ext, _ in search.extensions)
+            searches[key] = extensions
     if not 0 <= extension_index < len(extensions):
         raise NoExtensionFound(
             f"extension index {extension_index} out of range "
@@ -415,9 +421,11 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
     # canonical order: identity triangle first, then lexicographic
     order = sorted(range(len(elements)),
                    key=lambda e: (any(elements[e]), elements[e]))
-    rank = {e: i for i, e in enumerate(order)}
-    table = [[rank[ext.op(order[i], order[j])] for j in range(ext.order)]
-             for i in range(ext.order)]
+    rank = [0] * len(order)
+    for i, e in enumerate(order):
+        rank[e] = i
+    op = ext.op_table
+    table = [[rank[op[e][f]] for f in order] for e in order]
     tris = tuple(Triangle(anchor, positions, elements[e]) for e in order)
     fg = FiniteGroup(table, name=f"E({anchor[0]},{anchor[1]})", _validated=True)
     return ElementaryGroupTable(anchor, positions, tris, fg)
@@ -425,13 +433,14 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
 
 def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
                     right: Anchor, left: Anchor) -> tuple:
-    """Subdirect product of the two child groups over their overlap."""
+    """Subdirect product of the two child groups over their overlap (over
+    the trivial group, which is the direct product, when they share no
+    slot), as (group, pairs of child elements)."""
     rt, lt = tables[right], tables[left]
     overlap = tuple(p for p in rt.positions if p in set(lt.positions))
     if overlap:
         both_anchor = (right[0] + 1, left[1])
-        # restrict both children onto the overlap triangle group; build it
-        # from the right child's elements if not already present
+        # restrict both children onto the overlap triangle group
         target = tables.get(both_anchor)
         if target is None or target.positions != overlap:
             raise WellDefinednessFailure(
@@ -440,13 +449,11 @@ def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
                                restriction_images(rt, target))
         p_left = Homomorphism(lt.group, target.group,
                               restriction_images(lt, target))
-        sub = subdirect_product(rt.group, lt.group, p_right, p_left)
     else:
-        prod, _, _ = direct_product(rt.group, lt.group)
-        sub = Subgroup(prod, tuple(range(prod.order)))
-    base, embed = sub.as_group(name="join")
-    pair_of = [divmod(m, lt.group.order) for m in embed]
-    return base, pair_of
+        z1 = trivial_group()
+        p_right = Homomorphism(rt.group, z1, (0,) * rt.group.order)
+        p_left = Homomorphism(lt.group, z1, (0,) * lt.group.order)
+    return subdirect_product(rt.group, lt.group, p_right, p_left)
 
 
 # -- depth restriction -------------------------------------------------------

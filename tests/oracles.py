@@ -9,8 +9,16 @@ an oracle never feeds the code under test; `decode_to_tensor` rebuilds the
 basis chain's member sets with `_basis_chain` instead of reading a basis
 field; and `normal_chain` gives its chain an empty `choices` map, which
 only the library's peel reads.
+
+The construction routines at the end are the earlier table validation
+(all triples), the all-pairs homomorphism checks, the subdirect product
+through the full direct product, and the extension search that builds and
+validates a table for every factor set.  The only change there: the search
+validates its candidate tables with the oracle `_validate_table`, so it
+does not depend on the library's table check.
 """
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from groupsystems.chains import (
@@ -25,9 +33,17 @@ from groupsystems.chains import (
     paired_sequence_from_upper_complement,
     support_subgroup,
 )
-from groupsystems.elementary import ElementarySystem, global_product
+from groupsystems.elementary import (
+    ElementarySystem,
+    global_product,
+    nested_targets,
+)
 from groupsystems.errors import (
+    AxiomViolation,
     BoundExceeded,
+    CodomainMismatch,
+    NoExtensionFound,
+    NotSurjective,
     NotAGroupSystem,
     NotAMember,
     NotNormalFilling,
@@ -40,9 +56,22 @@ from groupsystems.generators import (
     GeneratorContext,
     Triangle,
     recover_system_fhgs,
+    restriction_images,
     upper_triangle_positions,
 )
-from groupsystems.groups import FiniteGroup, is_normal
+from groupsystems.extensions import (
+    DEFAULT_EXTENSION_ORDER_CAP,
+    ExtensionSearch,
+    _automorphisms,
+)
+from groupsystems.groups import (
+    FiniteGroup,
+    Homomorphism,
+    Subgroup,
+    direct_product,
+    find_isomorphism,
+    is_normal,
+)
 from groupsystems.systems import (
     DEFAULT_MEMBER_CAP,
     GeneratorBasis,
@@ -338,3 +367,177 @@ def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
     if residual != 0:
         raise NotNormalFilling("peel left a nontrivial residual")
     return tuple(reps_out)
+
+
+# -- construction ------------------------------------------------------------
+
+def _validate_table(table: tuple) -> None:
+    n = len(table)
+    if n == 0:
+        raise AxiomViolation("closure", "empty table")
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise AxiomViolation("closure", f"row {a} has length {len(row)}")
+        for b, x in enumerate(row):
+            if not 0 <= x < n:
+                raise AxiomViolation("closure", (a, b, x))
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise AxiomViolation("identity", a)
+    for a in range(n):
+        if 0 not in table[a]:
+            raise AxiomViolation("inverse", a)
+        b = table[a].index(0)
+        if table[b][a] != 0:
+            raise AxiomViolation("inverse", (a, b))
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise AxiomViolation("associativity", (a, b, c))
+
+
+def homomorphism_pair(domain: FiniteGroup, codomain: FiniteGroup,
+                      images: tuple) -> Optional[tuple]:
+    """The all-pairs loop of the earlier `Homomorphism(check=True)`: the
+    first pair (a, b) with images[a*b] != images[a]*images[b], or None."""
+    for a in range(domain.order):
+        for b in range(domain.order):
+            lhs = images[domain.op(a, b)]
+            rhs = codomain.op(images[a], images[b])
+            if lhs != rhs:
+                return a, b
+    return None
+
+
+def check_homomorphism_condition(es: ElementarySystem) -> tuple:
+    """Exhaustively verify both nested projections at every anchor.
+
+    Returns (True, None) or (False, witness) where the witness names the
+    source anchor, target anchor, and the offending element pair.
+    """
+    for anchor in es.slots():
+        for target in nested_targets(es, anchor):
+            source = es.table(anchor)
+            tgt = es.table(target)
+            images = restriction_images(source, tgt)
+            if None in images:
+                tri = source.elements[images.index(None)]
+                return False, (anchor, target, tri.labels)
+            for a in range(source.group.order):
+                for b in range(source.group.order):
+                    lhs = images[source.group.op(a, b)]
+                    rhs = tgt.group.op(images[a], images[b])
+                    if lhs != rhs:
+                        return False, (anchor, target, (a, b))
+    return True, None
+
+
+def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
+                      p1: Homomorphism, p2: Homomorphism) -> Subgroup:
+    """{(a,b) : p1(a) = p2(b)} inside g1 × g2.
+
+    Both projections onto the factors are verified surjective.
+    """
+    if p1.domain is not g1 or p2.domain is not g2:
+        raise CodomainMismatch("projection domains do not match the factors")
+    if p1.codomain is not p2.codomain:
+        raise CodomainMismatch("projections target different groups")
+    if not p1.is_surjective():
+        raise NotSurjective("p1 not onto the common quotient")
+    if not p2.is_surjective():
+        raise NotSurjective("p2 not onto the common quotient")
+    prod, _, _ = direct_product(g1, g2)
+    members = tuple(a * g2.order + b
+                    for a in range(g1.order) for b in range(g2.order)
+                    if p1(a) == p2(b))
+    sub = Subgroup(prod, members)
+    firsts = {m // g2.order for m in members}
+    seconds = {m % g2.order for m in members}
+    if len(firsts) != g1.order or len(seconds) != g2.order:
+        raise NotSurjective("subdirect product does not cover a factor")
+    return sub
+
+
+def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
+                         max_order: int = DEFAULT_EXTENSION_ORDER_CAP) -> ExtensionSearch:
+    """Groups E with a surjection onto q whose kernel is isomorphic to k.
+
+    Elements of every candidate are the pairs (x, a) ∈ k × q in lexicographic
+    order, the projection is (x, a) ↦ a, and the kernel is k × {1}.  For
+    abelian k the search runs over all actions q → Aut(k) and all normalized
+    factor sets, which is complete at these orders; otherwise only trivial
+    factor sets (semidirect products) are tried and `complete` is False.
+    """
+    if q.order * k.order > max_order:
+        raise BoundExceeded(
+            f"extension order {q.order * k.order} exceeds cap {max_order}")
+    nq, nk = q.order, k.order
+    auts = _automorphisms(k)
+    aut_index = {imgs: i for i, imgs in enumerate(auts)}
+    aut_op = {}
+    for i, f in enumerate(auts):
+        for j, g in enumerate(auts):
+            aut_op[i, j] = aut_index[tuple(f[g[x]] for x in range(nk))]
+
+    # all homomorphisms q -> Aut(k), found by brute force over small q
+    actions = []
+    for assignment in itertools.product(range(len(auts)), repeat=nq):
+        if assignment[0] != 0:
+            continue
+        if all(assignment[q.op(a, b)] == aut_op[assignment[a], assignment[b]]
+               for a in range(nq) for b in range(nq)):
+            actions.append(assignment)
+
+    if k.is_abelian:
+        free_pairs = [(a, b) for a in range(1, nq) for b in range(1, nq)]
+        if nk ** len(free_pairs) > 200000:
+            raise BoundExceeded("factor-set search too large")
+        complete = True
+    else:
+        free_pairs = []
+        complete = False
+
+    def build(action, fset) -> list:
+        f = {(a, b): 0 for a in range(nq) for b in range(nq)}
+        for pair, val in zip(free_pairs, fset):
+            f[pair] = val
+        # element (x, a) sits at index a*nk + x, so the projection is // nk
+        table = [[0] * (nk * nq) for _ in range(nk * nq)]
+        for a in range(nq):
+            act_a = auts[action[a]]
+            for x in range(nk):
+                for b in range(nq):
+                    for y in range(nk):
+                        xy = k.op(k.op(x, act_a[y]), f[a, b])
+                        table[a * nk + x][b * nk + y] = q.op(a, b) * nk + xy
+        return table
+
+    proj_images = tuple(x // nk for x in range(nk * nq))
+    found = []
+    reps = []  # kept groups, for isomorphism dedup
+    for action in actions:
+        for fset in itertools.product(range(nk), repeat=len(free_pairs)):
+            table = build(action, fset)
+            try:
+                _validate_table(table)
+                ext = FiniteGroup(table, name=f"{k.name}.{q.name}",
+                                  _validated=True)
+            except AxiomViolation:
+                continue  # factor set fails associativity / inverses
+            hom = Homomorphism(ext, q, proj_images)
+            ker, _ = hom.kernel().as_group()
+            if find_isomorphism(ker, k) is None:
+                continue
+            if any(find_isomorphism(seen, ext) is not None for seen in reps):
+                continue
+            reps.append(ext)
+            found.append((ext, hom))
+
+    if not found:
+        raise NoExtensionFound("no extension validated, not even the direct product")
+    dp, _, _ = direct_product(q, k)
+    if not any(find_isomorphism(dp, ext) is not None for ext, _ in found):
+        raise NoExtensionFound("direct product missing from search results")
+    return ExtensionSearch(tuple(found), complete)

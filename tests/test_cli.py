@@ -1,5 +1,7 @@
 import pytest
 
+import groupsystems.chains as chains
+import groupsystems.cli as cli
 from groupsystems.cli import main
 from groupsystems.elementary import ConstructionStrategy, construct_elementary_system
 from groupsystems.groups import cyclic_group
@@ -107,6 +109,34 @@ def test_chains_all_fillings(capsys, c2_file):
         code, out, _ = run(capsys, "chains", c2_file, "--filling", kind)
         assert code == 0
         assert "reconstruct ok order=16" in out
+
+
+C2_TIME_REV_CHAINS = (
+    "step 0 add (0,3) cosets 2 reps 0 1\n"
+    "step 1 add (0,2) cosets 1 reps 0\n"
+    "step 2 add (1,2) cosets 2 reps 0 1\n"
+    "step 3 add (0,1) cosets 1 reps 0\n"
+    "step 4 add (1,1) cosets 2 reps 0 1\n"
+    "step 5 add (0,0) cosets 1 reps 0\n"
+    "step 6 add (1,0) cosets 2 reps 0 1\n"
+    "reconstruct ok order=16\n")
+
+
+def test_chains_builds_its_chain_once(capsys, c2_file, monkeypatch):
+    """`chains` reconstructs from the chain it printed; the output is the
+    one it gave when reconstruction built a second chain."""
+    calls = []
+    real = chains.normal_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "normal_chain", counted)
+    monkeypatch.setattr(cli, "normal_chain", counted)
+    code, out, _ = run(capsys, "chains", c2_file, "--filling", "time_rev")
+    assert (code, out) == (0, C2_TIME_REV_CHAINS)
+    assert len(calls) == 1
 
 
 def test_chains_walk_file(capsys, r2_file, tmp_path):

@@ -207,6 +207,19 @@ def test_construct_trivial_kernel_takes_the_base():
         assert [ext.op_table for ext, _ in search.extensions] == [base.op_table]
 
 
+def test_construct_s3_depth_four():
+    """S3 on [0,5] with ell=3: the anchors below the top row reach order
+    216, and their subdirect bases are built on their own pairs instead of
+    inside the product of the two children (a MemoryError before)."""
+    es = construct_elementary_system((0, 5), 3, symmetric_group_3())
+    system = global_group_system(es)
+    assert len(system) == 216
+    assert controllability_index(system) == 3
+    ctx = build_context(system)
+    re_es = extract_elementary_system(ctx)
+    assert recover_original(re_es, ctx).sequences == system.sequences
+
+
 def test_construct_time_varying_escape_hatch():
     """Anchor-keyed strategy entries override the per-depth defaults."""
     z2 = cyclic_group(2)
