@@ -172,7 +172,8 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     parts = [upper_triangle_positions(ctx.system.window, ctx.ell, *a)
              for a in anchors]
     flat = [ctx.slot_pos[p] for part in parts for p in part]
-    realized, fg = induced_slice_group(ctx, flat, f"teeth {anchors}", "oplus")
+    realized, fg, _ = induced_slice_group(ctx, flat, f"teeth {anchors}",
+                                         "oplus")
     cuts = list(itertools.accumulate((len(part) for part in parts), initial=0))
     elements = tuple(tuple(s[a:b] for a, b in zip(cuts, cuts[1:]))
                      for s in realized)

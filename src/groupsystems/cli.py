@@ -110,7 +110,7 @@ def _read_int_lines(path: str, what: str, form: str) -> List[tuple]:
     """The integer fields of each non-comment line of a `what` file, each
     line shaped `form`."""
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in fmt.read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

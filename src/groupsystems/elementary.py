@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     NoExtensionFound,
@@ -229,6 +229,15 @@ def _check_product(es: ElementarySystem, lab1: tuple, lab2: tuple,
         raise RecoveryMismatch(f"global product deviates at {lab1} * {lab2}")
 
 
+def _check_products(es: ElementarySystem, ctx: GeneratorContext,
+                    pairs) -> None:
+    """`_check_product` on the member pairs (a, j), a times the j-th
+    generator, in the given order: the first deviating pair raises."""
+    tensors, gens, right = ctx.tensors, ctx.generating_set, ctx.right_cayley
+    for a, j in pairs:
+        _check_product(es, tensors[a], tensors[gens[j]], tensors[right[j][a]])
+
+
 def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem:
     """For a system-extracted elementary system: check the global product
     agrees with the transported operation, then recover the member set.
@@ -251,27 +260,77 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
     the realized part of each table a homomorphic image of the member
     group, hence associative.  When that associativity fails, one of the
     member pairs (a, w) or (a, w s) behind it has a wrong global product,
-    and that pair is raised through the same check.  The cost is |A| x |S|
-    global products instead of |A|^2.
+    and that pair is raised through the same check.
+
+    The pairs are checked as column passes over slice classes: cls_t[a] is
+    the element of the (0, t) table holding member a's slice.  When every
+    member slice is an element and the (0, t) slices cover every slot,
+    global_product(a, s) writes the labels of element op_t[cls_t[a]][cls_t[s]]
+    at the positions of each time t, and it equals the tensor of a*s iff
+    op_t[cls_t[a]][cls_t[s]] = cls_t[a*s] for every t (element labels
+    determine the element, so equal labels mean equal elements, and labels
+    all taken from one tensor never disagree on an overlap).  So for each
+    t and each s, the column cls_t mapped through column cls_t[s] of op_t
+    is compared with cls_t read along the right Cayley graph of s.  Pairs
+    that fail there, and all pairs when a slice is no element or a slot is
+    uncovered, go through `global_product` in member-then-generator order,
+    so the error and witness are the ones the per-pair loop raises.  The
+    cost is 2|A| x |S| list reads per time instead of |A| x |S| global
+    products.
     """
     slots = es.slots()
     if slots != ctx.slots:
         raise RecoveryMismatch("slot tables differ")
-    tensors, gens = ctx.tensors, ctx.generating_set
-    for lab, row in zip(tensors, ctx.right_cayley):
-        for s, prod in zip(gens, row):
-            _check_product(es, lab, tensors[s], tensors[prod])
-    _check_local_associativity(es, ctx)
+    classes = _member_classes(es, ctx)
+    _, plan = es._product_plan
+    gens = ctx.generating_set
+    covered = {i for _, take, *_ in plan for i in take}
+    if len(covered) != len(slots) or any(None in cls for cls in classes):
+        _check_products(es, ctx, itertools.product(range(len(ctx.tensors)),
+                                                   range(len(gens))))
+    deviating = set()
+    for cls, (*_, op) in zip(classes, plan):
+        for j, (s, moved) in enumerate(zip(gens, ctx.right_cayley)):
+            line = [row[cls[s]] for row in op]
+            expected = list(map(cls.__getitem__, moved))
+            got = list(map(line.__getitem__, cls))
+            if got != expected:
+                deviating.update((a, j) for a, (x, y) in
+                                 enumerate(zip(got, expected)) if x != y)
+    _check_products(es, ctx, sorted(deviating))
+    _check_local_associativity(es, ctx, classes)
     recovered = recover_system_fhgs(ctx)
     if recovered.sequences != ctx.system.sequences:
         raise RecoveryMismatch("member sets differ")
     return recovered
 
 
-def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> None:
+def _member_classes(es: ElementarySystem,
+                    ctx: GeneratorContext) -> List[List[Optional[int]]]:
+    """Per time t, cls_t: member index -> index of its slice in the (0, t)
+    table of `es`, None where the slice is no element.  A table that is
+    the context's own elementary group reuses the classes recorded when it
+    was built."""
+    columns = ctx.tensor_columns
+    out = []
+    for anchor, take, _, idx, _, _ in es._product_plan[1]:
+        if ctx._elementary.get(anchor) is es.tables[anchor]:
+            out.append(ctx._classes[anchor])
+        else:
+            out.append(list(map(idx.get, zip(*(columns[i] for i in take)))))
+    return out
+
+
+def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
+                               classes: List[List[int]]) -> None:
     """(x y) z = x (y z) in each time-t table, for x, y slices of members
     and z slices of generators; a failure is reported as a member pair
-    whose global product deviates."""
+    whose global product deviates.
+
+    Per t, z and x the test runs over all y at once: column z of op_t read
+    at row x of op_t (the left side) against row x read at column z (the
+    right side).  Only a table that fails is walked again triple by triple,
+    in x, y, z order, for the witness."""
     tensors, seqs = ctx.tensors, ctx.system.sequences
     mul, index = ctx.system.mul, ctx.system._index
 
@@ -279,13 +338,16 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> N
         return index[mul(seqs[a], seqs[b])]
 
     _, plan = es._product_plan
-    for anchor, _, get, idx, _, op in plan:
-        lift: Dict[int, int] = {}  # realized element -> least member with it
-        for a, lab in enumerate(tensors):
-            lift.setdefault(idx[get(lab)], a)
-        gen_of: Dict[int, int] = {}
+    for cls, (anchor, *_, op) in zip(classes, plan):
+        # realized element -> least member with it, in order of first member
+        least = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+        lift = {x: least[x] for x in dict.fromkeys(cls)}
+        gen_of: Dict[int, int] = {}  # generator slice -> first generator
         for s in ctx.generating_set:
-            gen_of.setdefault(idx[get(tensors[s])], s)
+            gen_of.setdefault(cls[s], s)
+        ys = list(lift)
+        if all(_associative_at(op, z, ys) for z in gen_of):
+            continue
         for x in lift:
             for y in lift:
                 xy = op[x][y]
@@ -298,6 +360,18 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> N
                                        tensors[member_product(a, b)])
                     raise RecoveryMismatch(
                         f"local group at {anchor} is not associative")
+
+
+def _associative_at(op: tuple, z: int, ys: List[int]) -> bool:
+    """(x y) z = x (y z) for all x, y in ys."""
+    col = [row[z] for row in op]
+    yz = list(map(col.__getitem__, ys))
+    for x in ys:
+        row = op[x]
+        if (list(map(col.__getitem__, map(row.__getitem__, ys)))
+                != list(map(row.__getitem__, yz))):
+            return False
+    return True
 
 
 # -- construction ----------------------------------------------------------------

@@ -105,9 +105,11 @@ class GeneratorContext:
     """System + basis + the member/tensor identification, with caches.
 
     Row i of `tensors` is member i's choice per slot, read off the last
-    level of the basis chain.  The generating set S and its right and left
-    Cayley graphs over member indices are built on first use, once per
-    context; the certificates read them instead of all member pairs.
+    level of the basis chain; `tensor_columns` holds the same labels per
+    slot.  The generating set S and its right and left Cayley graphs over
+    member indices are built on first use, once per context; the
+    certificates read them instead of all member pairs.  Each elementary
+    group built here records its slice class per member in `_classes`.
     """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
@@ -123,6 +125,12 @@ class GeneratorContext:
         self.tensor_index: Dict[Tuple[int, ...], int] = {
             lab: i for i, lab in enumerate(self.tensors)}
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
+        self._classes: Dict[Tuple[int, int], List[int]] = {}
+
+    @cached_property
+    def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The label tensors per slot: [p][i] is member i's label at slot p."""
+        return tuple(zip(*self.tensors))
 
     @cached_property
     def generating_set(self) -> Tuple[int, ...]:
@@ -136,22 +144,20 @@ class GeneratorContext:
         return tuple(dict.fromkeys(gens))
 
     @cached_property
-    def right_cayley(self) -> Tuple[Tuple[int, ...], ...]:
-        """right[a][j] = a * s_j over member indices (|A| x |S| products)."""
+    def right_cayley(self) -> Tuple[List[int], ...]:
+        """right[j][a] = a * s_j over member indices (|A| x |S| products)."""
         return self._cayley(right=True)
 
     @cached_property
-    def left_cayley(self) -> Tuple[Tuple[int, ...], ...]:
-        """left[a][j] = s_j * a over member indices (|A| x |S| products)."""
+    def left_cayley(self) -> Tuple[List[int], ...]:
+        """left[j][a] = s_j * a over member indices (|A| x |S| products)."""
         return self._cayley(right=False)
 
-    def _cayley(self, right: bool) -> Tuple[Tuple[int, ...], ...]:
+    def _cayley(self, right: bool) -> Tuple[List[int], ...]:
+        """One column pass per generator (`GroupSystem.translate`)."""
         system = self.system
-        seqs, index, mul = system.sequences, system._index, system.mul
-        gens = [seqs[j] for j in self.generating_set]
-        if right:
-            return tuple(tuple(index[mul(a, s)] for s in gens) for a in seqs)
-        return tuple(tuple(index[mul(s, a)] for s in gens) for a in seqs)
+        return tuple(system.translate(system.columns, system.sequences[j], right)
+                     for j in self.generating_set)
 
     def label_sets(self) -> Dict[Slot, int]:
         return {slot: self.basis.label_count(slot) for slot in self.slots}
@@ -206,9 +212,11 @@ def triangle(ctx: GeneratorContext, labels: Tuple[int, ...], k: int,
 
 
 def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
-                        where: str, name: str) -> Tuple[List[tuple], FiniteGroup]:
+                        where: str, name: str) -> Tuple[List[tuple], FiniteGroup,
+                                                        List[int]]:
     """The group induced on the realized slices of the label tensors at
-    tensor positions `pos_idx`, identity slice first: (slices, group).
+    tensor positions `pos_idx`, identity slice first: (slices, group,
+    classes), where classes[a] is the index of member a's slice.
 
     The product of two slices is the slice of the product of any two lifts.
     It is lift independent exactly when the partition of the members by
@@ -221,35 +229,47 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
     s_1...s_m in S; right invariance carries a ~ a' to a s_1 ~ a' s_1 and on
     to ab ~ a'b, and left invariance likewise gives ab ~ ab' from b ~ b'.
     Then a ~ a', b ~ b' give ab ~ a'b ~ a'b'.  The check reads 2|A||S|
-    Cayley-graph entries instead of |A|^2 products; the n x n table is then
-    filled from one representative per slice class.
+    Cayley-graph entries instead of |A|^2 products, as one pass over the
+    class column per graph column; the n x n table is then filled column by
+    column, each the representatives translated by one representative on
+    the right (`GroupSystem.translate`, as for the Cayley graphs).
     """
-    slices = [tuple(lab[i] for i in pos_idx) for lab in ctx.tensors]
+    columns = ctx.tensor_columns
+    slices = (list(zip(*(columns[i] for i in pos_idx))) if pos_idx
+              else [()] * len(ctx.tensors))
     realized = sorted(set(slices), key=lambda s: (any(s), s))  # identity first
     index = {s: i for i, s in enumerate(realized)}
     n = len(realized)
-    cls = [index[s] for s in slices]
+    cls = list(map(index.__getitem__, slices))
 
-    for graph, side in ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")):
-        for j, gen in enumerate(ctx.generating_set):
-            moves = set(zip(cls, [cls[row[j]] for row in graph]))
-            if len(moves) == n:
-                continue  # one image class per class
+    # the first member of each class, by reading the classes backwards
+    first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+    reps = [first[c] for c in range(n)]
+
+    # a single class is a congruence
+    graphs = ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")) if n > 1 else ()
+    for graph, side in graphs:
+        for gen, moved in zip(ctx.generating_set, graph):
+            images = list(map(cls.__getitem__, moved))
+            # one image class per class: each member's image class is that
+            # of its class representative
+            rep_images = [images[r] for r in reps]
+            if list(map(rep_images.__getitem__, cls)) == images:
+                continue
             image: Dict[int, int] = {}
-            for a, row in enumerate(graph):
-                if image.setdefault(cls[a], cls[row[j]]) != cls[row[j]]:
+            for c, d in zip(cls, images):
+                if image.setdefault(c, d) != d:
                     raise WellDefinednessFailure(
                         f"lift choice changes the product at {where}: "
-                        f"slice {realized[cls[a]]} times generator "
+                        f"slice {realized[c]} times generator "
                         f"{ctx.tensors[gen]} on the {side}")
 
-    first: Dict[int, int] = {}
-    for a, c in enumerate(cls):
-        first.setdefault(c, a)
-    reps = [first[c] for c in range(n)]
-    seqs, member, mul = ctx.system.sequences, ctx.system._index, ctx.system.mul
-    table = [[cls[member[mul(seqs[r1], seqs[r2])]] for r2 in reps] for r1 in reps]
-    return realized, FiniteGroup(table, name=name)
+    system = ctx.system
+    rep_columns = [[col[r] for r in reps] for col in system.columns]
+    table = zip(*(map(cls.__getitem__,
+                      system.translate(rep_columns, system.sequences[r]))
+                  for r in reps))
+    return realized, FiniteGroup(table, name=name), cls
 
 
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
@@ -260,28 +280,28 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     if (k, t) not in ctx.slot_pos:
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
-    realized, fg = induced_slice_group(
+    realized, fg, cls = induced_slice_group(
         ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})",
         f"E({k},{t})")
     elements = tuple(Triangle((k, t), positions, s) for s in realized)
     result = ElementaryGroupTable((k, t), positions, elements, fg)
     ctx._elementary[(k, t)] = result
+    ctx._classes[(k, t)] = cls
     return result
 
 
-def _slice_indices(ctx: GeneratorContext,
-                   elem: ElementaryGroupTable) -> Tuple[int, ...]:
-    """Per member index, the element index of its slice in `elem`."""
-    pos_idx = [ctx.slot_pos[p] for p in elem.positions]
-    idx = elem._index
-    return tuple(idx[tuple(lab[i] for i in pos_idx)] for lab in ctx.tensors)
+def slice_classes(ctx: GeneratorContext, k: int, t: int) -> List[int]:
+    """Per member index, the element index of its slice in the (k, t)
+    elementary group, as recorded when that group was built."""
+    elementary_group(ctx, k, t)
+    return ctx._classes[(k, t)]
 
 
 def theta_t(ctx: GeneratorContext, k: int, t: int) -> Homomorphism:
     """Projection of the generator group onto the (k, t) elementary group."""
     elem = elementary_group(ctx, k, t)
     return Homomorphism(ctx.system.sequence_group, elem.group,
-                        _slice_indices(ctx, elem), check=False)
+                        tuple(slice_classes(ctx, k, t)), check=False)
 
 
 def alpha_t(ctx: GeneratorContext, tri: Triangle, t: int) -> int:
@@ -385,12 +405,13 @@ def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
     reproduces the original system exactly.
 
     alpha_t is folded once per element of each time-t local group; a
-    member's letter at t is then the fold of its slice there."""
+    member's letter at t is then the fold of its slice there, read through
+    its slice class."""
     columns = []
     for t in ctx.system.times():
         elem = elementary_group(ctx, 0, t)
         letters = [alpha_t(ctx, tri, t) for tri in elem.elements]
-        columns.append([letters[i] for i in _slice_indices(ctx, elem)])
+        columns.append(map(letters.__getitem__, slice_classes(ctx, 0, t)))
     seqs = list(zip(*columns))
     if set(seqs) != set(ctx.system.sequences) or len(set(seqs)) != len(seqs):
         raise RecoveryMismatch("image of the recovery map differs from the system")

@@ -508,7 +508,8 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
     if g1.order != g2.order:
         return None
     if g1.order > order_cap:
-        raise BoundExceeded(f"isomorphism search capped at order {order_cap}")
+        raise BoundExceeded(f"isomorphism search: order {g1.order} "
+                            f"exceeds cap {order_cap}")
     n = g1.order
     orders1 = [g1.element_order(a) for a in range(n)]
     orders2 = [g2.element_order(a) for a in range(n)]

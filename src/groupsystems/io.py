@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .elementary import ElementarySystem
-from .errors import ParseError
+from .errors import BoundExceeded, ParseError
 from .generators import ElementaryGroupTable, Triangle, upper_triangle_positions
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
@@ -89,13 +89,27 @@ def parse_group(text: str) -> FiniteGroup:
             rows.append([int(x) for x in line.split()])
         except ValueError:
             raise ParseError(f"bad table row {line!r}") from None
+        if len(rows[-1]) != order:
+            raise ParseError(f"table row {len(rows) - 1} of group {name} has "
+                             f"{len(rows[-1])} entries, expected {order}: "
+                             f"{line!r}")
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
     return make_group(rows, name=name)
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; other bytes are a ParseError that
+    names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
+
+
 def load_group_file(path) -> FiniteGroup:
-    return parse_group(Path(path).read_text())
+    return parse_group(read_text(path))
 
 
 # -- .gsys ---------------------------------------------------------------------
@@ -193,7 +207,15 @@ _TAP_RE = re.compile(r"^x(\d+)$")
 def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
                  member_cap: int) -> GroupSystem:
     """Linear tap rule over a cyclic group: outputs are sums of delayed
-    inputs, inputs free over the window with an identity boundary."""
+    inputs, inputs free over the window with an identity boundary.
+
+    Members follow the input words in lexicographic order, built as letter
+    columns: input column p holds each word's input at position p, an
+    output's column at p is the sum of the input columns at p - d over its
+    delays d (positions before the window contribute the identity), and
+    the letter column packs the outputs' columns as base-q digits, the
+    first output most significant, which is the lexicographic index of a
+    tuple in the direct product of the output groups."""
     gname, taps = rule
     base = lookup(gname)
     if not base.is_abelian:
@@ -212,23 +234,26 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
         alphabet, _, _ = direct_product(alphabet, base)
     t0, t1 = window
     length = t1 - t0 + 1
-    if base.order ** length > member_cap:
-        from .errors import BoundExceeded
-        raise BoundExceeded("rule unrolling exceeds the member cap")
-    import itertools as _it
-    members = []
-    for inputs in _it.product(range(base.order), repeat=length):
-        seq = []
-        for pos in range(length):
-            letter = 0
-            for delays in tap_lists:
-                val = 0
-                for d in delays:
-                    val = base.op(val, inputs[pos - d] if pos - d >= 0 else 0)
-                letter = letter * base.order + val
-            seq.append(letter)
-        members.append(tuple(seq))
-    return build_system(window, [alphabet] * length, members, name=name,
+    q = base.order
+    count = q ** length
+    if count > member_cap:
+        raise BoundExceeded(f"rule unrolling: {q}^{length} = {count} members "
+                            f"exceed cap {member_cap}")
+    # input column p: the digit of weight q^(length-1-p) of the word index
+    inputs = [[x for x in range(q) for _ in range(q ** (length - 1 - p))]
+              * q ** p for p in range(length)]
+    op = base.op_table
+    columns = []
+    for pos in range(length):
+        letters = [0] * count
+        for delays in tap_lists:
+            val = [0] * count
+            for d in delays:
+                if pos - d >= 0:
+                    val = [op[v][x] for v, x in zip(val, inputs[pos - d])]
+            letters = [w * q + v for w, v in zip(letters, val)]
+        columns.append(letters)
+    return build_system(window, [alphabet] * length, zip(*columns), name=name,
                         member_cap=member_cap)
 
 
@@ -259,7 +284,7 @@ def dump_system(system: GroupSystem) -> str:
 
 def load_system_file(path, member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
     p = Path(path)
-    return parse_system(p.read_text(), search_dir=p.parent, member_cap=member_cap)
+    return parse_system(read_text(p), search_dir=p.parent, member_cap=member_cap)
 
 
 # -- .egrp / .esys ----------------------------------------------------------------
@@ -343,4 +368,4 @@ def parse_elementary_system(text: str) -> ElementarySystem:
 
 
 def load_elementary_system_file(path) -> ElementarySystem:
-    return parse_elementary_system(Path(path).read_text())
+    return parse_elementary_system(read_text(path))

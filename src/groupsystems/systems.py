@@ -55,7 +55,8 @@ class GroupSystem:
             raise NotAGroupSystem("alphabet count does not match window")
         members = sorted(set(tuple(int(x) for x in s) for s in sequences))
         if len(members) > member_cap:
-            raise BoundExceeded(f"{len(members)} members exceed cap {member_cap}")
+            raise BoundExceeded(f"GroupSystem {name}: {len(members)} members "
+                                f"exceed cap {member_cap}")
         self.sequences: Tuple[Seq, ...] = tuple(members)
         self.name = name
         self._index = {s: i for i, s in enumerate(self.sequences)}
@@ -87,6 +88,32 @@ class GroupSystem:
     def mul(self, a: Seq, b: Seq) -> Seq:
         return tuple(op[x][y] for op, x, y in zip(self._op_tables, a, b))
 
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The members as per-time letter columns: columns[p][i] is the
+        letter of member i at time t0 + p."""
+        return tuple(zip(*self.sequences))
+
+    @cached_property
+    def _op_columns(self) -> Tuple[tuple, ...]:
+        """Per time, the transposed operation table: [p][y][x] = x*y."""
+        return tuple(tuple(zip(*op)) for op in self._op_tables)
+
+    def translate(self, columns: Sequence[Sequence[int]], s: Seq,
+                  right: bool = True) -> List[int]:
+        """Member indices of a*s (right) or s*a (left) for the sequences a
+        given as per-time letter columns.
+
+        The letter of a*s at time p is column s_p of the time-p table read
+        at a's letter, and that of s*a is row s_p; so each letter column
+        maps through one table line at C speed (a column at an identity
+        letter stays as it is), and the zipped rows are looked up in the
+        member index.  A product outside the member set raises KeyError."""
+        lines = self._op_columns if right else self._op_tables
+        moved = [col if x == 0 else map(line[x].__getitem__, col)
+                 for line, col, x in zip(lines, columns, s)]
+        return list(map(self._index.__getitem__, zip(*moved)))
+
     def inverse(self, a: Seq) -> Seq:
         return tuple(g.inv(x) for g, x in zip(self.alphabets, a))
 
@@ -106,22 +133,35 @@ class GroupSystem:
         return f"GroupSystem({self.name!r}, window={self.window}, order={len(self)})"
 
     def _validate(self, closed: bool) -> None:
+        """Identity, letter range and inverses, then closure, then every
+        letter realized.  Range and inverses are column passes (each letter
+        column through the time-t inverse table, the zipped rows looked up
+        in the member index); when one fails, the member loop below finds
+        the first offending member, the witness."""
         ident = self.identity
         if ident not in self._index:
             raise NotAGroupSystem("identity sequence missing", ident)
-        for s in self.sequences:
-            for x, g in zip(s, self.alphabets):
-                if not 0 <= x < g.order:
-                    raise NotAGroupSystem("letter out of range", (s, x))
-            if self.inverse(s) not in self._index:
-                raise NotAGroupSystem("inverse missing", s)
+        columns = self.columns
+        ok = all(0 <= min(col) and max(col) < g.order
+                 for col, g in zip(columns, self.alphabets))
+        if ok:
+            inverted = [map(tuple(map(g.inv, g.elements())).__getitem__, col)
+                        for col, g in zip(columns, self.alphabets)]
+            ok = all(map(self._index.__contains__, zip(*inverted)))
+        if not ok:
+            for s in self.sequences:
+                for x, g in zip(s, self.alphabets):
+                    if not 0 <= x < g.order:
+                        raise NotAGroupSystem("letter out of range", (s, x))
+                if self.inverse(s) not in self._index:
+                    raise NotAGroupSystem("inverse missing", s)
         if not closed:
             self.verify_closure()
         # every alphabet letter realized at each time
-        for t in self.times():
-            seen = {self.letter(s, t) for s in self.sequences}
-            if len(seen) != self.alphabet(t).order:
-                missing = min(set(range(self.alphabet(t).order)) - seen)
+        for t, col, g in zip(self.times(), columns, self.alphabets):
+            seen = set(col)
+            if len(seen) != g.order:
+                missing = min(set(range(g.order)) - seen)
                 raise NotAGroupSystem("alphabet letter unrealized", (t, missing))
 
     def verify_closure(self) -> None:
@@ -169,19 +209,26 @@ class GroupSystem:
 
     # -- one-sided subgroups ----------------------------------------------
 
+    @cached_property
+    def _extents(self) -> Tuple[List[int], List[int]]:
+        """Per member, the first and the last position of a non-identity
+        letter (the window length and -1 for the identity), in one pass
+        over the letter columns each way."""
+        first = [self.length] * len(self.sequences)
+        last = [-1] * len(self.sequences)
+        for p in range(self.length - 1, -1, -1):
+            first = [p if x else f for x, f in zip(self.columns[p], first)]
+        for p in range(self.length):
+            last = [p if x else l for x, l in zip(self.columns[p], last)]
+        return first, last
+
     def _x_members(self, t: int) -> frozenset:
         """Members identity strictly before t (clamped outside the window)."""
-        t0 = self.window[0]
-        cut = max(0, min(t - t0, self.length))
-        return frozenset(s for s in self.sequences
-                         if all(x == 0 for x in s[:cut]))
+        return self.finite_support_members(t, self.window[1])
 
     def _y_members(self, t: int) -> frozenset:
         """Members identity strictly after t (clamped outside the window)."""
-        t0 = self.window[0]
-        cut = max(0, min(t - t0 + 1, self.length))
-        return frozenset(s for s in self.sequences
-                         if all(x == 0 for x in s[cut:]))
+        return self.finite_support_members(self.window[0], t)
 
     def x_subgroup(self, t: int) -> Subgroup:
         t0, t1 = self.window
@@ -198,8 +245,15 @@ class GroupSystem:
         return Subgroup(self.sequence_group, members)
 
     def finite_support_members(self, t_lo: int, t_hi: int) -> frozenset:
-        """A^[t_lo, t_hi]: members identity outside the interval."""
-        return self._x_members(t_lo) & self._y_members(t_hi)
+        """A^[t_lo, t_hi]: members identity outside the interval (clamped
+        to the window), read off each member's first and last non-identity
+        position."""
+        t0, n = self.window[0], self.length
+        lo = max(0, min(t_lo - t0, n))
+        hi = max(0, min(t_hi - t0 + 1, n))
+        first, last = self._extents
+        return frozenset(s for s, f, l in zip(self.sequences, first, last)
+                         if f >= lo and l < hi)
 
 
 def realized_alphabets(alphabets: Sequence[FiniteGroup],
@@ -265,7 +319,8 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
 
     def vet(a: Seq, g: Seq, prod: Seq) -> None:
         if len(members) >= member_cap:
-            raise BoundExceeded(f"saturation exceeds member cap {member_cap}")
+            raise BoundExceeded(f"build_system saturation: {len(members) + 1} "
+                                f"members exceed cap {member_cap}")
 
     close_greedily(members, checked, mul, vet)
     alphabets, members = realized_alphabets(alphabets, members)
@@ -285,15 +340,10 @@ def _connectable(system: GroupSystem, t: int, l: int) -> bool:
     t0 = system.window[0]
     cut_pre = max(0, t - t0)
     cut_suf = t + l - t0
-    pairs = set()
-    prefixes = set()
-    suffixes = set()
-    for s in system.sequences:
-        p, q = s[:cut_pre], s[cut_suf:] if cut_suf < system.length else ()
-        pairs.add((p, q))
-        prefixes.add(p)
-        suffixes.add(q)
-    return len(pairs) == len(prefixes) * len(suffixes)
+    prefixes = [s[:cut_pre] for s in system.sequences]
+    suffixes = [s[cut_suf:] for s in system.sequences]
+    return (len(set(zip(prefixes, suffixes)))
+            == len(set(prefixes)) * len(set(suffixes)))
 
 
 def controllability_index(system: GroupSystem) -> int:
@@ -413,17 +463,7 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
         for g in reps[1:]:
             if g[t - t0] == 0 or g[t + k - t0] == 0:
                 raise NotAGroupSystem("generator span defect", ((k, t), g))
-        # time-domain granule has the same order, and the chosen reps fall
-        # into distinct time-domain cosets
-        lam_den = _set_product(system, system._x_members(t + 1), den)
-        lam_num = _set_product(system, system._x_members(t + 1), num)
-        if len(lam_num) // len(lam_den) != len(reps):
-            raise NotAGroupSystem("time-domain/finite-extent granule mismatch",
-                                  (k, t))
-        for g1, g2 in itertools.combinations(reps, 2):
-            if system.mul(g1, system.inverse(g2)) in lam_den:
-                raise NotAGroupSystem("transversal entries share a coset",
-                                      ((k, t), g1, g2))
+        _check_granule(system, (k, t), num, den, reps)
         # per-time components distinguish the transversal entries
         for j in range(k + 1):
             comps = [g[t + j - t0] for g in reps]
@@ -434,6 +474,32 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
 
     choices = _basis_chain(system, slots, transversals)
     return GeneratorBasis(system, ell, slots, transversals, choices)
+
+
+def _check_granule(system: GroupSystem, slot: Slot, num: frozenset,
+                   den: frozenset, reps: Tuple[Seq, ...]) -> None:
+    """The time-domain granule X^{t+1} num / X^{t+1} den has as many cosets
+    as the finite-extent one has representatives, and the representatives
+    fall into distinct cosets of X^{t+1} den.
+
+    X^{t+1} is the kernel of the prefix projection pi onto the times <= t,
+    a homomorphism of the member group.  So X^{t+1} H = pi^-1(pi(H)) for
+    any member set H, which has |pi(H)| |X^{t+1}| members: the order test
+    |X^{t+1} num| // |X^{t+1} den| is |pi(num)| // |pi(den)|, and
+    g1 g2^-1 lies in X^{t+1} den iff pi(g1 g2^-1) lies in pi(den).  The
+    cost is |num| + |den| prefixes instead of |X^{t+1}| (|num| + |den|)
+    products.
+    """
+    k, t = slot
+    cut = t - system.window[0] + 1
+    pden = {g[:cut] for g in den}
+    if len({g[:cut] for g in num}) // len(pden) != len(reps):
+        raise NotAGroupSystem("time-domain/finite-extent granule mismatch",
+                              (k, t))
+    for g1, g2 in itertools.combinations(reps, 2):
+        if system.mul(g1, system.inverse(g2))[:cut] in pden:
+            raise NotAGroupSystem("transversal entries share a coset",
+                                  ((k, t), g1, g2))
 
 
 def _least_coset_reps(system: GroupSystem, num: frozenset,

@@ -10,6 +10,14 @@ basis chain's member sets with `_basis_chain` instead of reading a basis
 field; and `normal_chain` gives its chain an empty `choices` map, which
 only the library's peel reads.
 
+The extract-path routines after those are the per-pair forms that the
+column kernels replaced: Cayley graphs built from tuple products, the
+recovery check through one `global_product` per (member, generator)
+pair, the granule test through `_set_product` with X^{t+1}, the one-sided
+member sets found by scanning every member, and the rule unrolling by
+nested loops per member.  Their only change: the recovery loop and the
+granule test read X^t, Y^t and the Cayley graph from this module.
+
 The construction routines at the end are the earlier table validation
 (all triples), the all-pairs homomorphism checks, the subdirect product
 through the full direct product, and the extension search that builds and
@@ -38,6 +46,7 @@ from groupsystems.elementary import (
     global_product,
     nested_targets,
 )
+from groupsystems.io import _TAP_RE
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
@@ -45,6 +54,7 @@ from groupsystems.errors import (
     NoExtensionFound,
     NotSurjective,
     NotAGroupSystem,
+    ParseError,
     NotAMember,
     NotNormalFilling,
     OutOfWindow,
@@ -79,6 +89,7 @@ from groupsystems.systems import (
     Seq,
     Slot,
     TensorR,
+    build_system as library_build_system,
     realized_alphabets,
 )
 
@@ -367,6 +378,153 @@ def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
     if residual != 0:
         raise NotNormalFilling("peel left a nontrivial residual")
     return tuple(reps_out)
+
+
+# -- extract path, per pair -------------------------------------------------
+
+def cayley(ctx: GeneratorContext, right: bool) -> Tuple[Tuple[int, ...], ...]:
+    """graph[a][j] = a * s_j (right) or s_j * a (left), one tuple product
+    and one index lookup per pair."""
+    system = ctx.system
+    seqs, index, mul = system.sequences, system._index, system.mul
+    gens = [seqs[j] for j in ctx.generating_set]
+    if right:
+        return tuple(tuple(index[mul(a, s)] for s in gens) for a in seqs)
+    return tuple(tuple(index[mul(s, a)] for s in gens) for a in seqs)
+
+
+def _check_product(es: ElementarySystem, lab1: tuple, lab2: tuple,
+                   expected: tuple) -> None:
+    if global_product(es, lab1, lab2) != expected:
+        raise RecoveryMismatch(f"global product deviates at {lab1} * {lab2}")
+
+
+def recover_original_pairs(es: ElementarySystem,
+                           ctx: GeneratorContext) -> GroupSystem:
+    """The recovery check on element x generator pairs, one
+    `global_product` per pair, then local associativity on member and
+    generator slices, then the recovered member set."""
+    slots = es.slots()
+    if slots != ctx.slots:
+        raise RecoveryMismatch("slot tables differ")
+    tensors, gens = ctx.tensors, ctx.generating_set
+    for lab, row in zip(tensors, cayley(ctx, right=True)):
+        for s, prod in zip(gens, row):
+            _check_product(es, lab, tensors[s], tensors[prod])
+    _check_local_associativity(es, ctx)
+    recovered = recover_system_fhgs(ctx)
+    if recovered.sequences != ctx.system.sequences:
+        raise RecoveryMismatch("member sets differ")
+    return recovered
+
+
+def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> None:
+    """(x y) z = x (y z) in each time-t table, for x, y slices of members
+    and z slices of generators; a failure is reported as a member pair
+    whose global product deviates."""
+    tensors, seqs = ctx.tensors, ctx.system.sequences
+    mul, index = ctx.system.mul, ctx.system._index
+
+    def member_product(a: int, b: int) -> int:
+        return index[mul(seqs[a], seqs[b])]
+
+    _, plan = es._product_plan
+    for anchor, _, get, idx, _, op in plan:
+        lift: Dict[int, int] = {}  # realized element -> least member with it
+        for a, lab in enumerate(tensors):
+            lift.setdefault(idx[get(lab)], a)
+        gen_of: Dict[int, int] = {}
+        for s in ctx.generating_set:
+            gen_of.setdefault(idx[get(tensors[s])], s)
+        for x in lift:
+            for y in lift:
+                xy = op[x][y]
+                for z, s in gen_of.items():
+                    if op[xy][z] == op[x][op[y][z]]:
+                        continue
+                    a, w = lift[x], lift[y]
+                    for b in (w, member_product(w, s)):
+                        _check_product(es, tensors[a], tensors[b],
+                                       tensors[member_product(a, b)])
+                    raise RecoveryMismatch(
+                        f"local group at {anchor} is not associative")
+
+
+def x_members(system: GroupSystem, t: int) -> frozenset:
+    """Members identity strictly before t (clamped outside the window)."""
+    t0 = system.window[0]
+    cut = max(0, min(t - t0, system.length))
+    return frozenset(s for s in system.sequences
+                     if all(x == 0 for x in s[:cut]))
+
+
+def y_members(system: GroupSystem, t: int) -> frozenset:
+    """Members identity strictly after t (clamped outside the window)."""
+    t0 = system.window[0]
+    cut = max(0, min(t - t0 + 1, system.length))
+    return frozenset(s for s in system.sequences
+                     if all(x == 0 for x in s[cut:]))
+
+
+def _set_product(system: GroupSystem, a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(system.mul(x, y) for x in a for y in b)
+
+
+def check_granule(system: GroupSystem, slot: Slot, num: frozenset,
+                  den: frozenset, reps: Tuple[Seq, ...]) -> None:
+    """The time-domain granule X^{t+1} num / X^{t+1} den, as member sets:
+    its order is the number of representatives, and no two of them share
+    a coset of X^{t+1} den."""
+    k, t = slot
+    lam_den = _set_product(system, x_members(system, t + 1), den)
+    lam_num = _set_product(system, x_members(system, t + 1), num)
+    if len(lam_num) // len(lam_den) != len(reps):
+        raise NotAGroupSystem("time-domain/finite-extent granule mismatch",
+                              (k, t))
+    for g1, g2 in itertools.combinations(reps, 2):
+        if system.mul(g1, system.inverse(g2)) in lam_den:
+            raise NotAGroupSystem("transversal entries share a coset",
+                                  ((k, t), g1, g2))
+
+
+def unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
+                member_cap: int) -> GroupSystem:
+    """Linear tap rule over a cyclic group: outputs are sums of delayed
+    inputs, inputs free over the window with an identity boundary."""
+    gname, taps = rule
+    base = lookup(gname)
+    if not base.is_abelian:
+        raise ParseError("rule systems need a cyclic (abelian) group")
+    tap_lists = []
+    for expr in taps:
+        delays = []
+        for term in expr.split("+"):
+            m = _TAP_RE.match(term)
+            if not m:
+                raise ParseError(f"bad tap expression {expr!r}")
+            delays.append(int(m.group(1)))
+        tap_lists.append(tuple(delays))
+    alphabet = base
+    for _ in range(len(tap_lists) - 1):
+        alphabet, _, _ = direct_product(alphabet, base)
+    t0, t1 = window
+    length = t1 - t0 + 1
+    if base.order ** length > member_cap:
+        raise BoundExceeded("rule unrolling exceeds the member cap")
+    members = []
+    for inputs in itertools.product(range(base.order), repeat=length):
+        seq = []
+        for pos in range(length):
+            letter = 0
+            for delays in tap_lists:
+                val = 0
+                for d in delays:
+                    val = base.op(val, inputs[pos - d] if pos - d >= 0 else 0)
+                letter = letter * base.order + val
+            seq.append(letter)
+        members.append(tuple(seq))
+    return library_build_system(window, [alphabet] * length, members,
+                                name=name, member_cap=member_cap)
 
 
 # -- construction ------------------------------------------------------------

@@ -32,26 +32,34 @@ from groupsystems.errors import (
     NotAMember,
     NotASubgroup,
     NotNormalFilling,
+    OverlapInconsistency,
     ToolkitError,
     WellDefinednessFailure,
 )
 from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
+    Triangle,
     build_context,
     elementary_group,
 )
 from groupsystems.groups import FiniteGroup, cyclic_group, symmetric_group_3
 from groupsystems.io import (
+    _unroll_rule,
     dump_elementary_system,
     parse_elementary_system,
     parse_system,
+    resolve_group,
 )
 from groupsystems.systems import (
     GeneratorBasis,
     GroupSystem,
     _basis_chain,
+    _check_granule,
+    _least_coset_reps,
+    _set_product,
     build_system,
+    controllability_index,
     decode_to_tensor,
     window_slots,
 )
@@ -296,6 +304,9 @@ def test_recover_original_rejects_swapped_table_entries(request, name):
             new = outcome(recover_original, bad, ctx)
             assert_same(new, outcome(oracles.recover_original, bad, ctx),
                         system_key)
+            same_failure(failure(recover_original, bad, ctx),
+                         failure(oracles.recover_original_pairs, bad, ctx),
+                         system_key)
             rejected += new[0] == "raise"
             off_generators += (new[0] == "raise"
                                and not {c1, c2} & gen_slices)
@@ -451,3 +462,174 @@ def test_basis_chain_rejects_colliding_cosets():
         _basis_chain(square, tuple(transversals), transversals)
     assert info.value.reason == "chain step not coset-complete"
     assert info.value.witness == (0, 0)
+
+
+# -- column kernels against their per-pair forms ---------------------------------
+
+def failure(fn, *args):
+    """('ok', value) or ('raise', error type, message); the message carries
+    the witness."""
+    try:
+        return "ok", fn(*args)
+    except ToolkitError as exc:
+        return "raise", type(exc), str(exc)
+
+
+def same_failure(new, old, key=lambda v: v):
+    assert new[0] == old[0]
+    if new[0] == "ok":
+        assert key(new[1]) == key(old[1])
+    else:
+        assert new[1:] == old[1:]
+
+
+def granule_cases(system: GroupSystem):
+    """Per basis slot, the granule test's inputs as `extract_basis` forms
+    them, followed by two defective transversals: one entry fewer (an order
+    mismatch) and the second entry replaced by a member of its coset of
+    the first (colliding cosets)."""
+    ell = controllability_index(system)
+    support = system.finite_support_members
+    for k, t in window_slots(system.window, ell):
+        num = support(t, t + k)
+        den = _set_product(system, support(t, t + k - 1), support(t + 1, t + k))
+        reps = _least_coset_reps(system, num, den)
+        yield (k, t), num, den, reps
+        yield (k, t), num, den, reps[:-1]
+        if len(reps) > 1:
+            twin = system.mul(reps[0], max(den))
+            yield (k, t), num, den, (reps[0], twin) + reps[2:]
+
+
+def assert_column_kernels_agree(system: GroupSystem) -> None:
+    """One-sided member sets, granule tests, Cayley graphs and the recovery
+    check against their per-pair forms."""
+    t0, t1 = system.window
+    for t in range(t0 - 1, t1 + 3):
+        assert system._x_members(t) == oracles.x_members(system, t)
+        assert system._y_members(t) == oracles.y_members(system, t)
+        for hi in range(t - 1, t1 + 2):
+            assert system.finite_support_members(t, hi) == (
+                oracles.x_members(system, t) & oracles.y_members(system, hi))
+    for case in granule_cases(system):
+        same_failure(failure(_check_granule, system, *case),
+                     failure(oracles.check_granule, system, *case))
+    try:
+        ctx = build_context(system)
+    except ToolkitError:
+        return  # no generator basis, so no graph or recovery to compare
+    for right in (True, False):
+        graph = ctx.right_cayley if right else ctx.left_cayley
+        assert tuple(zip(*graph)) == oracles.cayley(ctx, right)
+    es = extract_elementary_system(ctx)
+    same_failure(failure(recover_original, es, ctx),
+                 failure(oracles.recover_original_pairs, es, ctx), system_key)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_column_kernels_match_oracles_on_fixtures(request, name):
+    assert_column_kernels_agree(request.getfixturevalue(name))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_systems())
+def test_column_kernels_match_oracles_on_generated_systems(case):
+    window, alphabets, seeds = case
+    assert_column_kernels_agree(build_system(window, alphabets, seeds))
+
+
+def test_granule_defects_are_rejected_with_witnesses(c2):
+    """The defective transversals of `granule_cases` fail both tests alike,
+    and each kind of defect occurs."""
+    reasons = set()
+    for case in granule_cases(c2):
+        new = failure(_check_granule, c2, *case)
+        same_failure(new, failure(oracles.check_granule, c2, *case))
+        if new[0] == "raise":
+            with pytest.raises(NotAGroupSystem) as info:
+                _check_granule(c2, *case)
+            reasons.add(info.value.reason)
+    assert reasons == {"time-domain/finite-extent granule mismatch",
+                       "transversal entries share a coset"}
+
+
+@pytest.mark.parametrize("name", ["c2", "s3_square"])
+def test_recovery_rejects_swapped_tensors_like_the_pair_loop(request, name):
+    """The elementary system of the true context checked against a context
+    with two label tensors swapped: both recovery checks name the same
+    deviating pair."""
+    ctx = build_context(request.getfixturevalue(name))
+    es = extract_elementary_system(ctx)
+    rejected = 0
+    for i, j in itertools.combinations(range(1, min(len(ctx.tensors), 10)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        new = failure(recover_original, es, bad)
+        same_failure(new, failure(oracles.recover_original_pairs, es, bad),
+                     system_key)
+        rejected += new[0] == "raise"
+    assert rejected > 0
+
+
+def test_recovery_rejects_unrealized_and_uncovered_slices_like_the_pair_loop(c2):
+    """A time-t table missing an element, one with an element's labels
+    repeated, and one whose positions leave its anchor slot uncovered: the
+    column pass hands the pairs to the per-pair check, which raises what
+    the pair loop raises."""
+    ctx = build_context(c2)
+    es = extract_elementary_system(ctx)
+    table = es.tables[(0, 1)]
+    assert table.positions[-1] == (0, 1) and table.group.order > 1
+
+    def variant(positions, elements):
+        return ElementaryGroupTable(table.anchor, positions, tuple(
+            Triangle(table.anchor, positions, tri.labels[:len(positions)])
+            for tri in elements), table.group)
+
+    unrealized = Triangle(table.anchor, table.positions,
+                          (99,) * len(table.positions))
+    variants = (variant(table.positions, table.elements[:-1] + (unrealized,)),
+                variant(table.positions, table.elements[:-1] + table.elements[:1]),
+                variant(table.positions[:-1], table.elements))
+    for bad_table in variants:
+        bad = with_table(es, (0, 1), bad_table)
+        new = failure(recover_original, bad, ctx)
+        assert new[0] == "raise"
+        same_failure(new, failure(oracles.recover_original_pairs, bad, ctx))
+    assert new[1] is OverlapInconsistency and "cover" in new[2]
+
+
+TAP_GROUPS = ("Z2", "Z3", "Z4")
+
+
+@st.composite
+def tap_rules(draw):
+    """A tap rule over Z2, Z3 or Z4 with one to three outputs of delays
+    0-3, on a window of length 1-4."""
+    group = draw(st.sampled_from(TAP_GROUPS))
+    length = draw(st.integers(1, 4))
+    outputs = draw(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+                            min_size=1, max_size=3))
+    taps = tuple("+".join(f"x{d}" for d in delays) for delays in outputs)
+    return (0, length - 1), (group, taps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tap_rules(), st.sampled_from([2 ** 16, 64]))
+def test_rule_unrolling_matches_the_nested_loops(case, cap):
+    window, rule = case
+    args = ("R", window, rule, resolve_group, cap)
+    new = outcome(_unroll_rule, *args)
+    assert_same(new, outcome(oracles.unroll_rule, *args), system_key)
+
+
+def test_rule_unrolling_matches_the_nested_loops_on_two_output_rules():
+    pairs = [("x0", "x1"), ("x0", "x0+x1"), ("x0", "x2"), ("x0+x1", "x1+x2"),
+             ("x0+x2", "x1"), ("x0+x1+x2", "x0+x2")]
+    for group in TAP_GROUPS:
+        for taps in pairs:
+            args = ("R", (0, 3), (group, taps), resolve_group, 2 ** 16)
+            assert system_key(_unroll_rule(*args)) == system_key(
+                oracles.unroll_rule(*args))

@@ -315,3 +315,48 @@ def test_roundtrip_twisted_esys(capsys, tmp_path):
     code, out, _ = run(capsys, "roundtrip", plain)
     assert code == 0 and out.startswith("roundtrip ok system order=") \
         and "isomorphism" not in out
+
+
+# -- the input boundary ------------------------------------------------------------
+
+NOT_UTF8 = b"system X\nwindow 0 1\n\xff\n"
+
+
+def test_non_utf8_inputs_are_parse_errors(capsys, r2_file, tmp_path):
+    """A byte that is no UTF-8 ends in a parse error naming the file, for
+    each of the four formats the CLI reads."""
+    bad_gsys = tmp_path / "bad.gsys"
+    bad_gsys.write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, "validate", bad_gsys)
+    assert code == 1 and str(bad_gsys) in err and "UTF-8" in err
+
+    (tmp_path / "K.grp").write_bytes(b"group K 2\n0 1\n1 0\xff\n")
+    uses_grp = tmp_path / "uses_grp.gsys"
+    uses_grp.write_text("system X\nwindow 0 1\nalphabet all K\nseq 1 1\n")
+    code, _, err = run(capsys, "validate", uses_grp)
+    assert code == 1 and str(tmp_path / "K.grp") in err and "UTF-8" in err
+
+    bad_esys = tmp_path / "bad.esys"
+    bad_esys.write_bytes(b"esys E depth 1 window 0 1\n\xff\n")
+    code, _, err = run(capsys, "roundtrip", bad_esys)
+    assert code == 1 and str(bad_esys) in err and "UTF-8" in err
+
+    bad_tensor = tmp_path / "bad.tensor"
+    bad_tensor.write_bytes(b"1 0 1\n\xfe\n")
+    code, _, err = run(capsys, "encode", r2_file, bad_tensor)
+    assert code == 1 and str(bad_tensor) in err and "UTF-8" in err
+
+
+def test_ragged_group_rows_are_parse_errors(capsys, tmp_path):
+    """A table row of the wrong length is a parse error naming the row, in
+    a .grp file and in an inline group block."""
+    (tmp_path / "G.grp").write_text("group G 2\n0 1\n1\n")
+    uses_grp = tmp_path / "uses_grp.gsys"
+    uses_grp.write_text("system X\nwindow 0 1\nalphabet all G\nseq 1 1\n")
+    inline = tmp_path / "inline.gsys"
+    inline.write_text("system X\nwindow 0 1\ngroup G 2\n0 1\n1 0 1\n"
+                      "alphabet all G\nseq 1 1\n")
+    for path, entries in ((uses_grp, 1), (inline, 3)):
+        code, _, err = run(capsys, "validate", path)
+        assert code == 1
+        assert f"table row 1 of group G has {entries} entries, expected 2" in err

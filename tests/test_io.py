@@ -1,9 +1,14 @@
 import pytest
 
 from groupsystems.elementary import extract_elementary_system, structurally_equal
-from groupsystems.errors import NotAGroupSystem, ParseError, WellDefinednessFailure
+from groupsystems.errors import (
+    BoundExceeded,
+    NotAGroupSystem,
+    ParseError,
+    WellDefinednessFailure,
+)
 from groupsystems.generators import build_context
-from groupsystems.groups import cyclic_group, symmetric_group_3
+from groupsystems.groups import cyclic_group, find_isomorphism, symmetric_group_3
 from groupsystems.io import (
     dump_elementary_system,
     dump_group,
@@ -13,6 +18,7 @@ from groupsystems.io import (
     parse_system,
     resolve_group,
 )
+from groupsystems.systems import GroupSystem
 
 
 def test_group_roundtrip_bit_exact():
@@ -182,3 +188,30 @@ def test_truncated_egrp_block_is_a_parse_error(c2):
 def test_non_integer_group_order_is_a_parse_error():
     with pytest.raises(ParseError, match="abc"):
         parse_system("system X\nwindow 0 1\ngroup G abc\nalphabet all Z2\nseq 1 1\n")
+
+
+def test_ragged_group_row_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"table row 0 of group X has 1 entries"):
+        parse_group("group X 2\n0\n1 0")
+    with pytest.raises(ParseError, match=r"table row 1 of group X has 3 entries"):
+        parse_system("system S\nwindow 0 0\ngroup X 2\n0 1\n1 0 0\n"
+                     "alphabet all X\nseq 1\n")
+
+
+def test_bound_messages_name_the_stage_the_value_and_the_cap():
+    with pytest.raises(BoundExceeded,
+                       match=r"^rule unrolling: 2\^5 = 32 members exceed cap 16$"):
+        parse_system("system R\nwindow 0 4\nrule conv Z2 x0 x1\n", member_cap=16)
+    with pytest.raises(BoundExceeded,
+                       match=r"^build_system saturation: 5 members exceed cap 4$"):
+        parse_system("system S\nwindow 0 2\nalphabet all Z2\nseq 1 0 0\n"
+                     "seq 0 1 0\nseq 0 0 1\n", member_cap=4)
+    z2 = cyclic_group(2)
+    with pytest.raises(BoundExceeded,
+                       match=r"^GroupSystem G: 4 members exceed cap 3$"):
+        GroupSystem((0, 1), [z2, z2], [(0, 0), (0, 1), (1, 0), (1, 1)],
+                    name="G", member_cap=3)
+    z4 = cyclic_group(4)
+    with pytest.raises(BoundExceeded,
+                       match=r"^isomorphism search: order 4 exceeds cap 2$"):
+        find_isomorphism(z4, z4, order_cap=2)

@@ -248,3 +248,18 @@ def test_sequence_table_cap_names_itself():
     message = str(info.value)
     assert "SEQUENCE_GROUP_TABLE_CAP=2048" in message and "4096" in message
     assert "normal chains" in message
+
+
+def test_validate_names_the_first_member_at_fault():
+    """Letter range and inverses are checked column by column; the witness
+    is still the first offending member in member order."""
+    z3 = cyclic_group(3)
+    cases = [
+        ([(0, 0), (0, 1), (1, 0), (2, 0)], "inverse missing", (0, 1)),
+        ([(0, 0), (0, 1), (0, 2), (1, 7)], "letter out of range", ((1, 7), 7)),
+        ([(0, 0), (0, 1), (0, 7)], "inverse missing", (0, 1)),
+    ]
+    for members, reason, witness in cases:
+        with pytest.raises(NotAGroupSystem) as info:
+            GroupSystem((0, 1), [z3, z3], members, _closed=True)
+        assert (info.value.reason, info.value.witness) == (reason, witness)
