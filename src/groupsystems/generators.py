@@ -230,24 +230,19 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
     to ab ~ a'b, and left invariance likewise gives ab ~ ab' from b ~ b'.
     Then a ~ a', b ~ b' give ab ~ a'b ~ a'b'.  The check reads 2|A||S|
     Cayley-graph entries instead of |A|^2 products, as one pass over the
-    class column per graph column; the n x n table is then filled column by
-    column, each the representatives translated by one representative on
-    the right (`GroupSystem.translate`, as for the Cayley graphs).
+    class column per graph column.  The right-side pass leaves, per
+    generator s, the column c -> class of rep_c s of the quotient table,
+    and `compose_columns` builds the whole table from those columns.
     """
     columns = ctx.tensor_columns
-    slices = (list(zip(*(columns[i] for i in pos_idx))) if pos_idx
-              else [()] * len(ctx.tensors))
-    realized = sorted(set(slices), key=lambda s: (any(s), s))  # identity first
-    index = {s: i for i, s in enumerate(realized)}
+    realized, cls, reps = _slice_classes(
+        list(zip(*(columns[i] for i in pos_idx))) if pos_idx
+        else [()] * len(ctx.tensors))
     n = len(realized)
-    cls = list(map(index.__getitem__, slices))
-
-    # the first member of each class, by reading the classes backwards
-    first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
-    reps = [first[c] for c in range(n)]
 
     # a single class is a congruence
     graphs = ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")) if n > 1 else ()
+    gen_columns: Dict[int, List[int]] = {}
     for graph, side in graphs:
         for gen, moved in zip(ctx.generating_set, graph):
             images = list(map(cls.__getitem__, moved))
@@ -255,6 +250,8 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
             # of its class representative
             rep_images = [images[r] for r in reps]
             if list(map(rep_images.__getitem__, cls)) == images:
+                if side == "right":
+                    gen_columns.setdefault(cls[gen], rep_images)
                 continue
             image: Dict[int, int] = {}
             for c, d in zip(cls, images):
@@ -263,26 +260,106 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
                         f"lift choice changes the product at {where}: "
                         f"slice {realized[c]} times generator "
                         f"{ctx.tensors[gen]} on the {side}")
+    return realized, FiniteGroup(compose_columns(gen_columns, n), name=name), cls
 
-    system = ctx.system
-    rep_columns = [[col[r] for r in reps] for col in system.columns]
-    table = zip(*(map(cls.__getitem__,
-                      system.translate(rep_columns, system.sequences[r]))
-                  for r in reps))
-    return realized, FiniteGroup(table, name=name), cls
+
+def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[int]]:
+    """The realized slices sorted identity first, the class of each entry
+    of `slices`, and the first entry of each class."""
+    realized = sorted(set(slices), key=lambda s: (any(s), s))
+    index = {s: i for i, s in enumerate(realized)}
+    cls = list(map(index.__getitem__, slices))
+    # the first entry of each class, by reading the classes backwards
+    first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+    return realized, cls, [first[c] for c in range(len(realized))]
+
+
+def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
+    """The rows of a quotient table of order n from the columns of its
+    generators: gen_columns[g][c] = c g for the images g of S.
+
+    Column e lists c e for every class c.  The identity's column is
+    0, 1, ..., n-1; and when e = d g, associativity gives c e = (c d) g,
+    so column e is column g read along column d.  Classes are reached
+    breadth-first from the identity by right multiplication with the
+    generators, which reaches all of them because S generates the member
+    group and the class map is onto.  The cost is n^2 list reads."""
+    cols: Dict[int, List[int]] = {0: list(range(n))}
+    frontier = [0]
+    while frontier:
+        found = []
+        for d in frontier:
+            col_d = cols[d]
+            for g, col_g in gen_columns.items():
+                e = col_g[d]
+                if e not in cols:
+                    cols[e] = list(map(col_g.__getitem__, col_d))
+                    found.append(e)
+        frontier = found
+    return list(zip(*(cols[e] for e in range(n))))
+
+
+def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
+                        positions: Tuple[Position, ...],
+                        name: str) -> Optional[Tuple[List[tuple], FiniteGroup,
+                                                     List[int]]]:
+    """`induced_slice_group` for `positions` inside the triangle of
+    `parent_anchor`, computed on the parent's elementary group P; None when
+    P cannot be built or the check fails on P, and the caller then runs
+    the member-level check, which raises its own witness.
+
+    The member classes factor through P: a member's slice at `positions`
+    is the restriction r of its parent slice, so the child partition of
+    the members is the kernel of r composed with the parent class map pi,
+    a surjective homomorphism onto P.  That partition is invariant under
+    right (left) multiplication by s iff the partition of P by r is
+    invariant under right (left) multiplication by pi(s): pi carries a
+    product a s to pi(a) pi(s) and reaches every element of P.  So the
+    congruence check of `induced_slice_group` runs on the rows and columns
+    of P's table at the parent images of S, 2 |P| |pi(S)| reads, and the
+    child table is P's table read through r at one parent element per
+    child class.  Slices, order and classes are those of the member-level
+    computation."""
+    try:
+        parent = elementary_group(ctx, *parent_anchor)
+    except WellDefinednessFailure:
+        return None
+    where = {p: i for i, p in enumerate(parent.positions)}
+    take = [where[p] for p in positions]
+    realized, r, reps = _slice_classes(
+        [tuple(tri.labels[i] for i in take) for tri in parent.elements])
+    op = parent.group.op_table
+    pcls = ctx._classes[parent_anchor]
+    for g in dict.fromkeys(pcls[s] for s in ctx.generating_set):
+        for images in ([r[row[g]] for row in op], list(map(r.__getitem__, op[g]))):
+            rep_images = [images[p] for p in reps]
+            if list(map(rep_images.__getitem__, r)) != images:
+                return None
+    table = [[r[row[q]] for q in reps] for row in (op[p] for p in reps)]
+    return realized, FiniteGroup(table, name=name), list(map(r.__getitem__, pcls))
 
 
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
     """The induced group on realized triangle slices at anchor (k, t); see
-    `induced_slice_group` for the lift-independence certificate."""
+    `induced_slice_group` for the lift-independence certificate.
+
+    The triangle of (k, t) lies inside that of (k-1, t), so for k >= 1 the
+    group is certified and tabled as a quotient of E(k-1, t)
+    (`_nested_slice_group`), which is built first.  Where that parent
+    cannot be built or the check fails on it, the member-level check runs,
+    so the table, the verdict and the message are those of
+    `induced_slice_group` on the members."""
     if (k, t) in ctx._elementary:
         return ctx._elementary[(k, t)]
     if (k, t) not in ctx.slot_pos:
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
-    realized, fg, cls = induced_slice_group(
-        ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})",
-        f"E({k},{t})")
+    name = f"E({k},{t})"
+    built = _nested_slice_group(ctx, (k - 1, t), positions, name) if k else None
+    if built is None:
+        built = induced_slice_group(
+            ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})", name)
+    realized, fg, cls = built
     elements = tuple(Triangle((k, t), positions, s) for s in realized)
     result = ElementaryGroupTable((k, t), positions, elements, fg)
     ctx._elementary[(k, t)] = result

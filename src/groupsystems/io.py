@@ -20,15 +20,24 @@ from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symme
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
+# Z<n> builds its n x n table at once; the largest order used in the tests,
+# demos and benchmark data is 12
+CYCLIC_ORDER_CAP = 1024
 
 
 def resolve_group(name: str, search_dir: Optional[Path] = None) -> FiniteGroup:
-    """Builtin names (Z<n>, S3) or a .grp file next to the referencing file."""
+    """Builtin names (Z<n>, S3) or a .grp file next to the referencing file.
+    A cyclic order above `CYCLIC_ORDER_CAP` raises BoundExceeded before any
+    table is built."""
     m = _CYCLIC_RE.match(name)
     if m:
-        if int(m.group(1)) < 1:
+        order = int(m.group(1))
+        if order < 1:
             raise ParseError(f"cyclic group {name!r} needs an order of at least 1")
-        return cyclic_group(int(m.group(1)))
+        if order > CYCLIC_ORDER_CAP:
+            raise BoundExceeded(f"resolve_group {name}: order {order} exceeds "
+                                f"cap CYCLIC_ORDER_CAP={CYCLIC_ORDER_CAP}")
+        return cyclic_group(order)
     if name == "S3":
         return symmetric_group_3()
     if search_dir is not None:

@@ -294,63 +294,95 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     in a finite group reaches the subgroup the seeds generate -- the set the
     pairwise saturation of both-sided products reaches.  Seeds that are
     already closed (a tap rule's q^L members) cost |A| x |generators|
-    products.  Per-time alphabets are restricted to their realized
-    projections."""
+    products, formed as column passes (`_saturate`).  Seed length and
+    letter range are checked on the letter columns; only a seed set that
+    fails is walked seed by seed for the witness.  Per-time alphabets are
+    restricted to their realized projections."""
     t0, t1 = window
     length = t1 - t0 + 1
-    ident = (0,) * length
     alphabets = tuple(alphabets)
-    tables = tuple(g.op_table for g in alphabets)
-
-    def mul(a: Seq, b: Seq) -> Seq:
-        return tuple(op[x][y] for op, x, y in zip(tables, a, b))
-
-    checked = []
-    for s in seeds:
-        s = tuple(int(x) for x in s)
-        if len(s) != length:
-            raise NotAGroupSystem("seed has wrong length", s)
-        for x, g in zip(s, alphabets):
-            if not 0 <= x < g.order:
-                raise NotAGroupSystem("letter out of range", (s, x))
-        checked.append(s)
-
-    members = {ident}
-
-    def vet(a: Seq, g: Seq, prod: Seq) -> None:
-        if len(members) >= member_cap:
-            raise BoundExceeded(f"build_system saturation: {len(members) + 1} "
-                                f"members exceed cap {member_cap}")
-
-    close_greedily(members, checked, mul, vet)
+    seeds = [tuple(map(int, s)) for s in seeds]
+    if not (all(len(s) == length for s in seeds)
+            and all(0 <= min(col) and max(col) < g.order
+                    for col, g in zip(zip(*seeds), alphabets))):
+        for s in seeds:
+            if len(s) != length:
+                raise NotAGroupSystem("seed has wrong length", s)
+            for x, g in zip(s, alphabets):
+                if not 0 <= x < g.order:
+                    raise NotAGroupSystem("letter out of range", (s, x))
+    members = {(0,) * length}
+    transposed = {id(g): tuple(zip(*g.op_table)) for g in alphabets}
+    _saturate(members, seeds, [transposed[id(g)] for g in alphabets], member_cap)
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)
 
 
+def _saturate(members: set, seeds: Sequence[Seq], lines: Sequence[tuple],
+              member_cap: int) -> None:
+    """`close_greedily` on sequences, by columns: grow `members` (holding
+    the identity) to the subgroup the seeds generate, taking a seed as a
+    generator only when it lies outside the closure so far.
+
+    Each breadth-first step maps the frontier's letter columns through one
+    line per time of each generator (lines[p][y][x] = x y at time p, a
+    column at an identity letter staying as it is) and keeps the products
+    not yet in the closure.  The generators and the closure after each one
+    are those of `close_greedily`, which forms the same products one tuple
+    at a time.  A closure that would pass `member_cap` raises before it
+    grows."""
+    gens: List[Seq] = []
+    for g in seeds:
+        if g in members:
+            continue
+        gens.append(g)
+        frontier, step = list(members), (g,)
+        while frontier:
+            cols = list(zip(*frontier))
+            found: set = set()
+            for s in step:
+                found.update(zip(*(col if x == 0 else map(line[x].__getitem__, col)
+                                   for line, col, x in zip(lines, cols, s))))
+            found -= members
+            if found and len(members) + len(found) > member_cap:
+                count = max(len(members), member_cap) + 1
+                raise BoundExceeded(f"build_system saturation: {count} "
+                                    f"members exceed cap {member_cap}")
+            members |= found
+            frontier, step = list(found), gens
+
+
 # -- controllability ------------------------------------------------------
 
-def _connectable(system: GroupSystem, t: int, l: int) -> bool:
-    """Window form of [t, t+l)-connectability, by a product-count identity.
-
-    Every (past of a', future of a'') pair is realizable iff the set of
-    (prefix, suffix) pairs over members is exactly the product of the
-    prefix set and the suffix set.
-    """
-    t0 = system.window[0]
-    cut_pre = max(0, t - t0)
-    cut_suf = t + l - t0
-    prefixes = [s[:cut_pre] for s in system.sequences]
-    suffixes = [s[cut_suf:] for s in system.sequences]
-    return (len(set(zip(prefixes, suffixes)))
-            == len(set(prefixes)) * len(set(suffixes)))
-
-
 def controllability_index(system: GroupSystem) -> int:
-    """Least l with the system [t, t+l)-connectable at every window time."""
-    t0, t1 = system.window
-    for l in range(0, system.length + 1):
-        if all(_connectable(system, t, l) for t in range(t0, t1 + 2)):
+    """Least l with the system [t, t+l)-connectable at every window time.
+
+    [t, t+l)-connectability asks that every (past of a', future of a'')
+    pair be realized by one member, which holds iff the number of distinct
+    (prefix, suffix) pairs over the members, cut before t and from t+l on,
+    equals the number of prefixes times the number of suffixes.  Prefixes
+    and suffixes are read as ids, one column per cut computed once: the
+    prefix of length c + 1 is the prefix of length c followed by one more
+    letter, numbered in mixed radix by the alphabet orders, and suffixes
+    likewise from the right.  Equal ids are equal slices, so each (t, l)
+    counts distinct id pairs instead of slicing every member."""
+    n, length = len(system.sequences), system.length
+    columns, orders = system.columns, [g.order for g in system.alphabets]
+    prefixes = [[0] * n]
+    for col, q in zip(columns, orders):
+        prefixes.append([p * q + x for p, x in zip(prefixes[-1], col)])
+    suffixes = [[0] * n]
+    for col, q in zip(reversed(columns), reversed(orders)):
+        suffixes.append([p * q + x for p, x in zip(suffixes[-1], col)])
+    suffixes.reverse()  # suffixes[c]: the ids of the letters from c on
+    pre_count = [len(set(ids)) for ids in prefixes]
+    suf_count = [len(set(ids)) for ids in suffixes]
+    # t runs over the window and one past it: cuts 0..length before t
+    for l in range(0, length + 1):
+        if all(len(set(zip(prefixes[cut], suffixes[min(cut + l, length)])))
+               == pre_count[cut] * suf_count[min(cut + l, length)]
+               for cut in range(length + 1)):
             return l
     raise NotControllableOnWindow(system.name)
 

@@ -18,6 +18,12 @@ member sets found by scanning every member, and the rule unrolling by
 nested loops per member.  Their only change: the recovery loop and the
 granule test read X^t, Y^t and the Cayley graph from this module.
 
+Next come the routines that nested quotients, Light's test and cut ids
+replaced: every elementary group certified and tabled on the members
+(`induced_slice_group`, `member_elementary_group`), the generator-slice
+associativity screen of the recovery check (`associative_at`), and the
+controllability index by slicing every member per (t, l).
+
 The construction routines at the end are the earlier table validation
 (all triples), the all-pairs homomorphism checks, the subdirect product
 through the full direct product, and the extension search that builds and
@@ -56,6 +62,7 @@ from groupsystems.errors import (
     NotAGroupSystem,
     ParseError,
     NotAMember,
+    NotControllableOnWindow,
     NotNormalFilling,
     OutOfWindow,
     RecoveryMismatch,
@@ -525,6 +532,101 @@ def unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
         members.append(tuple(seq))
     return library_build_system(window, [alphabet] * length, members,
                                 name=name, member_cap=member_cap)
+
+
+# -- per-anchor groups, local associativity, controllability -----------------
+
+def induced_slice_group(ctx: GeneratorContext, pos_idx, where: str,
+                        name: str) -> Tuple[List[tuple], FiniteGroup, List[int]]:
+    """The group induced on the realized slices at tensor positions
+    `pos_idx`, certified on the members: the slice partition must be
+    invariant under right and left multiplication by every generator.  The
+    table is filled column by column, each the class representatives
+    translated by one representative on the right."""
+    columns = ctx.tensor_columns
+    slices = (list(zip(*(columns[i] for i in pos_idx))) if pos_idx
+              else [()] * len(ctx.tensors))
+    realized = sorted(set(slices), key=lambda s: (any(s), s))
+    index = {s: i for i, s in enumerate(realized)}
+    n = len(realized)
+    cls = list(map(index.__getitem__, slices))
+    first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+    reps = [first[c] for c in range(n)]
+    graphs = ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")) if n > 1 else ()
+    for graph, side in graphs:
+        for gen, moved in zip(ctx.generating_set, graph):
+            images = list(map(cls.__getitem__, moved))
+            image: Dict[int, int] = {}
+            for c, d in zip(cls, images):
+                if image.setdefault(c, d) != d:
+                    raise WellDefinednessFailure(
+                        f"lift choice changes the product at {where}: "
+                        f"slice {realized[c]} times generator "
+                        f"{ctx.tensors[gen]} on the {side}")
+    system = ctx.system
+    rep_columns = [[col[r] for r in reps] for col in system.columns]
+    table = zip(*(map(cls.__getitem__,
+                      system.translate(rep_columns, system.sequences[r]))
+                  for r in reps))
+    return realized, FiniteGroup(table, name=name), cls
+
+
+def member_elementary_group(ctx: GeneratorContext, k: int,
+                            t: int) -> ElementaryGroupTable:
+    """The (k, t) elementary group by `induced_slice_group` on the members,
+    whatever k is; the context's caches are neither read nor written."""
+    if (k, t) not in ctx.slot_pos:
+        raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
+    positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
+    realized, fg, _ = induced_slice_group(
+        ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})",
+        f"E({k},{t})")
+    elements = tuple(Triangle((k, t), positions, s) for s in realized)
+    return ElementaryGroupTable((k, t), positions, elements, fg)
+
+
+def associative_at(op: tuple, z: int, ys: List[int]) -> bool:
+    """(x y) z = x (y z) for all x, y in ys."""
+    col = [row[z] for row in op]
+    yz = list(map(col.__getitem__, ys))
+    for x in ys:
+        row = op[x]
+        if (list(map(col.__getitem__, map(row.__getitem__, ys)))
+                != list(map(row.__getitem__, yz))):
+            return False
+    return True
+
+
+def is_associative(op: tuple) -> bool:
+    """(x y) z = x (y z) for all triples."""
+    n = len(op)
+    return all(op[op[x][y]][z] == op[x][op[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def _connectable(system: GroupSystem, t: int, l: int) -> bool:
+    """Window form of [t, t+l)-connectability, by a product-count identity.
+
+    Every (past of a', future of a'') pair is realizable iff the set of
+    (prefix, suffix) pairs over members is exactly the product of the
+    prefix set and the suffix set.
+    """
+    t0 = system.window[0]
+    cut_pre = max(0, t - t0)
+    cut_suf = t + l - t0
+    prefixes = [s[:cut_pre] for s in system.sequences]
+    suffixes = [s[cut_suf:] for s in system.sequences]
+    return (len(set(zip(prefixes, suffixes)))
+            == len(set(prefixes)) * len(set(suffixes)))
+
+
+def controllability_index(system: GroupSystem) -> int:
+    """Least l with the system [t, t+l)-connectable at every window time."""
+    t0, t1 = system.window
+    for l in range(0, system.length + 1):
+        if all(_connectable(system, t, l) for t in range(t0, t1 + 2)):
+            return l
+    raise NotControllableOnWindow(system.name)
 
 
 # -- construction ------------------------------------------------------------

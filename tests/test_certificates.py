@@ -23,6 +23,7 @@ from groupsystems.chains import (
 from groupsystems.elementary import (
     ElementarySystem,
     extract_elementary_system,
+    light_associative,
     recover_original,
 )
 from groupsystems.errors import (
@@ -40,10 +41,13 @@ from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
     Triangle,
+    _nested_slice_group,
     build_context,
+    compose_columns,
     elementary_group,
+    upper_triangle_positions,
 )
-from groupsystems.groups import FiniteGroup, cyclic_group, symmetric_group_3
+from groupsystems.groups import FiniteGroup, cyclic_group, direct_product, symmetric_group_3
 from groupsystems.io import (
     _unroll_rule,
     dump_elementary_system,
@@ -92,20 +96,47 @@ def assert_same(new, old, key=lambda v: v):
         assert new[1] is old[1]
 
 
+def failure(fn, *args):
+    """('ok', value) or ('raise', error type, message); the message carries
+    the witness."""
+    try:
+        return "ok", fn(*args)
+    except ToolkitError as exc:
+        return "raise", type(exc), str(exc)
+
+
+def same_failure(new, old, key=lambda v: v):
+    assert new[0] == old[0]
+    if new[0] == "ok":
+        assert key(new[1]) == key(old[1])
+    else:
+        assert new[1:] == old[1:]
+
+
+def assert_elementary_groups_agree(ctx: GeneratorContext) -> None:
+    """Every anchor, in slot order on one context: table, verdict and
+    message as certified on the members anchor by anchor, and table and
+    error type as the all-pairs oracle gives them."""
+    for anchor in ctx.slots:
+        new = failure(elementary_group, ctx, *anchor)
+        same_failure(new, failure(oracles.member_elementary_group, ctx, *anchor),
+                     table_key)
+        assert_same(new[:2], outcome(oracles.elementary_group, ctx, *anchor),
+                    table_key)
+
+
 def assert_certificates_agree(system: GroupSystem) -> None:
     """Closure, every elementary group and the recovery on one system."""
     assert_same(outcome(system.verify_closure),
                 outcome(oracles.verify_closure, system))
     ctx = build_context(system)
-    for anchor in ctx.slots:
-        assert_same(outcome(elementary_group, ctx, *anchor),
-                    outcome(oracles.elementary_group, ctx, *anchor), table_key)
+    assert_elementary_groups_agree(ctx)
     es = extract_elementary_system(ctx)
     assert_same(outcome(recover_original, es, ctx),
                 outcome(oracles.recover_original, es, ctx), system_key)
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
 def test_certificates_match_oracles_on_fixtures(request, name):
     assert_certificates_agree(request.getfixturevalue(name))
 
@@ -172,6 +203,19 @@ def test_build_system_rejections_match_oracle(c2):
         assert_same(new, old)
     assert outcome(build_system, c2.window, c2.alphabets, c2.sequences,
                    member_cap=15)[1] is BoundExceeded
+
+
+def test_build_system_seed_witnesses_match_oracle(c2):
+    """The column pass over the seeds finds a defect; the seed walk then
+    names the same first defective seed as the oracle's loop."""
+    good = list(c2.sequences[1:6])
+    short, wide = good[2][:-1], good[3][:-1] + (c2.alphabets[3].order,)
+    for seeds in ([*good[:2], short, *good[2:]], [*good[:3], wide, *good[3:]],
+                  [*good[:1], wide, short], [short, wide]):
+        new = failure(build_system, c2.window, c2.alphabets, seeds)
+        assert new[:2] == ("raise", NotAGroupSystem)
+        same_failure(new, failure(oracles.build_system, c2.window,
+                                  c2.alphabets, seeds))
 
 
 @pytest.fixture(scope="module")
@@ -466,23 +510,6 @@ def test_basis_chain_rejects_colliding_cosets():
 
 # -- column kernels against their per-pair forms ---------------------------------
 
-def failure(fn, *args):
-    """('ok', value) or ('raise', error type, message); the message carries
-    the witness."""
-    try:
-        return "ok", fn(*args)
-    except ToolkitError as exc:
-        return "raise", type(exc), str(exc)
-
-
-def same_failure(new, old, key=lambda v: v):
-    assert new[0] == old[0]
-    if new[0] == "ok":
-        assert key(new[1]) == key(old[1])
-    else:
-        assert new[1:] == old[1:]
-
-
 def granule_cases(system: GroupSystem):
     """Per basis slot, the granule test's inputs as `extract_basis` forms
     them, followed by two defective transversals: one entry fewer (an order
@@ -633,3 +660,146 @@ def test_rule_unrolling_matches_the_nested_loops_on_two_output_rules():
             args = ("R", (0, 3), (group, taps), resolve_group, 2 ** 16)
             assert system_key(_unroll_rule(*args)) == system_key(
                 oracles.unroll_rule(*args))
+
+
+# -- nested quotients and Light's test against the per-anchor forms ----------------
+
+@pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
+def test_nested_elementary_groups_match_oracles_on_every_swap(request, name):
+    """Every swap of two label tensors: where a parent anchor is broken,
+    its children fall back to the member-level check, and the results
+    still agree anchor by anchor."""
+    ctx = build_context(request.getfixturevalue(name))
+    rejected = 0
+    for i, j in itertools.combinations(range(1, len(ctx.tensors)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        assert_elementary_groups_agree(bad)
+        rejected += len(bad._elementary) < len(ctx.slots)
+    assert (rejected > 0) == (name in ("c2", "s3_square"))
+
+
+def test_compose_columns_rebuilds_nonabelian_tables():
+    """Given only the identity's and the greedy generators' columns, the
+    composed table is the group's own.  These groups are not abelian and
+    their greedy generators do not cover them, so columns composed in the
+    wrong order would show."""
+    s3 = GROUPS["S3"]
+    for g in (s3, direct_product(s3, cyclic_group(2))[0], direct_product(s3, s3)[0]):
+        op = g.op_table
+        assert len(g.generators) + 1 < g.order and not g.is_abelian
+        columns = {z: [row[z] for row in op] for z in (0, *g.generators)}
+        assert compose_columns(columns, g.order) == list(op)
+
+
+def test_nested_check_falls_back_when_only_the_child_fails(c2):
+    """Label tensors whose (0, t) slices are injective, so E(0, t) is the
+    member group itself, while the (1, t) slice singles out one member,
+    a partition that is no congruence.  The check on the parent's table
+    fails, and the member-level check names the witness."""
+    ctx = build_context(c2)
+    t = 1
+    child, parent = ctx.slot_pos[(1, t)], ctx.slot_pos[(0, t)]
+    tensors = []
+    for a, lab in enumerate(ctx.tensors):
+        lab = list(lab)
+        lab[child], lab[parent] = int(a == 5), a
+        tensors.append(tuple(lab))
+    bad = with_tensors(ctx, tensors)
+    assert elementary_group(bad, 0, t).group.order == len(c2)
+    positions = upper_triangle_positions(c2.window, ctx.ell, 1, t)
+    assert _nested_slice_group(bad, (0, t), positions, "E") is None
+    new = failure(elementary_group, bad, 1, t)
+    assert new[:2] == ("raise", WellDefinednessFailure)
+    same_failure(new, failure(oracles.member_elementary_group, bad, 1, t))
+    assert_same(new[:2], outcome(oracles.elementary_group, bad, 1, t))
+
+
+def test_light_test_matches_full_associativity_on_swapped_rows(c2):
+    """Every swap of two entries in any row of every time-t table: Light's
+    test on the greedy generators of the swapped table says exactly what
+    the check of all triples says, so where it holds the recovery's
+    generator-slice condition holds as well."""
+    ctx = build_context(c2)
+    es = extract_elementary_system(ctx)
+    verdicts = set()
+    for t in c2.times():
+        op = es.tables[(0, t)].group.op_table
+        n = len(op)
+        for row, (c1, c2_) in itertools.product(
+                range(n), itertools.combinations(range(n), 2)):
+            bad = [list(r) for r in op]
+            bad[row][c1], bad[row][c2_] = bad[row][c2_], bad[row][c1]
+            group = FiniteGroup(bad, _validated=True)
+            light = light_associative(group.op_table, group.generators)
+            assert light == oracles.is_associative(group.op_table)
+            if light:
+                assert all(oracles.associative_at(group.op_table, z, list(range(n)))
+                           for z in range(n))
+            verdicts.add(light)
+    assert verdicts == {True, False}
+
+
+def test_light_test_matches_full_associativity_on_every_small_table():
+    """Every operation table of order 2 or 3, groups or not: Light's test
+    on the table's greedy generators and 0 says exactly what the check of
+    all triples says.  Some of these tables need z = 0: they are
+    associative at every generator but not at 0."""
+    needs_zero = 0
+    for n in (2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            op = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+            gens = FiniteGroup(op, _validated=True).generators
+            full = oracles.is_associative(op)
+            assert light_associative(op, gens) == full
+            needs_zero += not full and 0 not in gens and all(
+                oracles.associative_at(op, z, list(range(n))) for z in gens)
+    assert needs_zero > 0
+
+
+def test_recovery_walks_a_table_with_a_corrupted_identity_row():
+    """Two entries of the identity row swapped at columns no generator's
+    slice reaches: the element x generator pairs never read them, Light's
+    test rejects the table (at z = 0), and the walk over member and
+    generator slices decides the verdict, as the per-pair loop does."""
+    system = parse_system("system T\nwindow 0 3\nrule conv Z2 x0 x1+x2\n")
+    ctx = build_context(system)
+    es = extract_elementary_system(ctx)
+    walked = 0
+    for t in system.times():
+        table = es.tables[(0, t)]
+        take = [ctx.slot_pos[p] for p in table.positions]
+        gen_slices = {table._index[tuple(ctx.tensors[s][i] for i in take)]
+                      for s in ctx.generating_set}
+        n = table.group.order
+        for c1, c2 in itertools.combinations(range(1, n), 2):
+            if {c1, c2} & gen_slices:
+                continue
+            op = [list(r) for r in table.group.op_table]
+            op[0][c1], op[0][c2] = op[0][c2], op[0][c1]
+            group = FiniteGroup(op, name=table.group.name, _validated=True)
+            assert not light_associative(group.op_table, group.generators)
+            bad = with_table(es, (0, t), ElementaryGroupTable(
+                table.anchor, table.positions, table.elements, group))
+            same_failure(failure(recover_original, bad, ctx),
+                         failure(oracles.recover_original_pairs, bad, ctx),
+                         system_key)
+            walked += 1
+    assert walked > 0
+
+
+# -- controllability from cut ids -------------------------------------------------
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_controllability_index_matches_oracle_on_fixtures(request, name):
+    system = request.getfixturevalue(name)
+    assert controllability_index(system) == oracles.controllability_index(system)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_systems())
+def test_controllability_index_matches_oracle_on_generated_systems(case):
+    system = build_system(*case)
+    assert controllability_index(system) == oracles.controllability_index(system)

@@ -5,7 +5,7 @@ import groupsystems.cli as cli
 from groupsystems.cli import main
 from groupsystems.elementary import ConstructionStrategy, construct_elementary_system
 from groupsystems.groups import cyclic_group
-from groupsystems.io import dump_elementary_system
+from groupsystems.io import CYCLIC_ORDER_CAP, dump_elementary_system
 
 
 R2_TEXT = "system R2\nwindow 0 1\nalphabet all Z2\nseq 0 0\nseq 1 1\n"
@@ -260,6 +260,16 @@ def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
                   ("--seed-group", "Z2", "--ell", "1", "--kernel", "0=Z0")):
         code, _, err = run(capsys, "--window", "0", "3", "construct", *flags)
         assert code == 1 and "Z0" in err
+    over = f"Z{CYCLIC_ORDER_CAP + 1}"
+    for flags in (("--seed-group", over, "--ell", "1"),
+                  ("--seed-group", "Z2", "--ell", "1", "--kernel", f"0={over}")):
+        code, _, err = run(capsys, "--window", "0", "3", "construct", *flags)
+        assert code == 3 and f"order {CYCLIC_ORDER_CAP + 1} exceeds cap" in err
+    for body in (f"alphabet all {over}\nseq 0 1\n", f"rule conv {over} x0\n"):
+        big = tmp_path / "big.gsys"
+        big.write_text(f"system X\nwindow 0 1\n{body}")
+        code, _, err = run(capsys, "validate", big)
+        assert code == 3 and over in err
     zero = tmp_path / "zero.gsys"
     zero.write_text("system X\nwindow 0 1\nalphabet all Z0\nseq 0 0\n")
     code, _, err = run(capsys, "validate", zero)

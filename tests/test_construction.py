@@ -37,6 +37,7 @@ from groupsystems.groups import (
     symmetric_group_3,
     trivial_group,
 )
+from groupsystems.systems import controllability_index
 
 FIXTURES = ["r2", "c2", "s3_rep", "trivial_sys", "parity3"]
 
@@ -235,6 +236,12 @@ def test_subdirect_products_match_oracle_on_constructions(name, construction_cal
         assert subdirects  # every two-child anchor builds one
     for g1, g2, p1, p2 in subdirects:
         assert_same_subdirect(g1, g2, p1, p2)
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_controllability_index_matches_oracle_on_constructions(name, construction_calls):
+    system = elementary.global_group_system(construction_calls[name][0])
+    assert controllability_index(system) == oracles.controllability_index(system)
 
 
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))

@@ -1,5 +1,6 @@
 import pytest
 
+import groupsystems.io as io
 from groupsystems.elementary import extract_elementary_system, structurally_equal
 from groupsystems.errors import (
     BoundExceeded,
@@ -10,6 +11,7 @@ from groupsystems.errors import (
 from groupsystems.generators import build_context
 from groupsystems.groups import cyclic_group, find_isomorphism, symmetric_group_3
 from groupsystems.io import (
+    CYCLIC_ORDER_CAP,
     dump_elementary_system,
     dump_group,
     dump_system,
@@ -215,3 +217,23 @@ def test_bound_messages_name_the_stage_the_value_and_the_cap():
     with pytest.raises(BoundExceeded,
                        match=r"^isomorphism search: order 4 exceeds cap 2$"):
         find_isomorphism(z4, z4, order_cap=2)
+    over = CYCLIC_ORDER_CAP + 1
+    with pytest.raises(BoundExceeded,
+                       match=rf"^resolve_group Z{over}: order {over} exceeds "
+                             rf"cap CYCLIC_ORDER_CAP={CYCLIC_ORDER_CAP}$"):
+        resolve_group(f"Z{over}")
+
+
+def test_cyclic_groups_above_the_cap_are_refused_everywhere(monkeypatch):
+    """`alphabet` and `rule conv` names go through the cap before any table
+    is built; the cap itself is still accepted."""
+    built = []
+    monkeypatch.setattr(io, "cyclic_group", lambda n: built.append(n) or cyclic_group(2))
+    over = f"Z{CYCLIC_ORDER_CAP + 1}"
+    for text in (f"system X\nwindow 0 1\nalphabet all {over}\nseq 0 1\n",
+                 f"system X\nwindow 0 1\nrule conv {over} x0\n"):
+        with pytest.raises(BoundExceeded, match=over):
+            parse_system(text)
+    assert built == []
+    resolve_group(f"Z{CYCLIC_ORDER_CAP}")
+    assert built == [CYCLIC_ORDER_CAP]
