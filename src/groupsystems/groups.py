@@ -32,7 +32,7 @@ class FiniteGroup:
 
     def __init__(self, op_table: Sequence[Sequence[int]], name: str = "G",
                  _validated: bool = False):
-        table = tuple(tuple(int(x) for x in row) for row in op_table)
+        table = tuple(tuple(map(int, row)) for row in op_table)
         self.order = len(table)
         self.op_table = table
         self.name = name
@@ -106,6 +106,17 @@ def _accept(a, s, prod) -> None:
     pass
 
 
+def _check_row(a: int, row: Sequence[int], n: int) -> None:
+    """Row a of an n x n table has length n and entries in 0..n-1; the
+    range is read with `min`/`max`, and only a row that fails is walked
+    entry by entry for the first bad (a, b, entry)."""
+    if len(row) != n:
+        raise AxiomViolation("closure", f"row {a} has length {len(row)}")
+    if n and (min(row) < 0 or max(row) >= n):
+        b = next(b for b, x in enumerate(row) if not 0 <= x < n)
+        raise AxiomViolation("closure", (a, b, row[b]))
+
+
 def _validate_table(table: tuple) -> tuple:
     """Check the group axioms; return the greedy generators of the table.
 
@@ -122,11 +133,7 @@ def _validate_table(table: tuple) -> tuple:
     if n == 0:
         raise AxiomViolation("closure", "empty table")
     for a, row in enumerate(table):
-        if len(row) != n:
-            raise AxiomViolation("closure", f"row {a} has length {len(row)}")
-        for b, x in enumerate(row):
-            if not 0 <= x < n:
-                raise AxiomViolation("closure", (a, b, x))
+        _check_row(a, row, n)
     for a in range(n):
         if table[0][a] != a or table[a][0] != a:
             raise AxiomViolation("identity", a)
@@ -149,19 +156,14 @@ def _validate_table(table: tuple) -> tuple:
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a square table as a group, relabeling identity to index 0."""
-    table = [list(int(x) for x in row) for row in op_table]
+    table = [list(map(int, row)) for row in op_table]
     n = len(table)
     for a, row in enumerate(table):
-        if len(row) != n:
-            raise AxiomViolation("closure", f"row {a} has length {len(row)}")
-        for b, x in enumerate(row):
-            if not 0 <= x < n:
-                raise AxiomViolation("closure", (a, b, x))
-    ident = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            ident = e
-            break
+        _check_row(a, row, n)
+    # the first e whose row and column are both 0..n-1, index 0 tried first
+    labels = list(range(n))
+    ident = next((e for e in range(n) if table[e] == labels
+                  and [row[e] for row in table] == labels), None)
     if ident is None:
         raise AxiomViolation("identity", None)
     if ident != 0:
@@ -501,7 +503,25 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
                      order_cap: int = DEFAULT_ORDER_CAP) -> Optional[tuple]:
-    """Exhaustive bijection search, pruned by element orders.
+    """An isomorphism g1 -> g2 as an image tuple, or None.
+
+    Depth-first over the greedy generators s_1, s_2, ... of g1: s_i is
+    tried at each unused element of g2 of its order, in index order.  A
+    node holds an injective homomorphism φ on H = <s_1..s_{i-1}>, and the
+    trial s_i -> b grows it to H' = <H, s_i> by right multiplication: the
+    elements of H (taking only s_i) and every element found on the way
+    (taking each s_j, j <= i) map x*s to φ(x)φ(s), a product landing on an
+    unmapped element gives it that image (rejected if the image is
+    taken), and one landing on a mapped element must agree.  The elements
+    found are H' (they hold the identity and are closed under right
+    multiplication by the generators), and φ(xs) = φ(x)φ(s) for every x in
+    H' and generator s makes φ a homomorphism on H' (see
+    `homomorphism_witness`), injective by construction.  Conversely an
+    injective homomorphism on H' extending φ with s_i -> b agrees with
+    every image assigned, so the trial passes exactly when one exists:
+    the nodes accepted, and so the images returned, are those of the
+    search that closed the mapped set under all products.  A node costs
+    |H'| x i lookups.
 
     Desk-scale only: raises BoundExceeded above `order_cap`.
     """
@@ -516,52 +536,51 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
     if sorted(orders1) != sorted(orders2):
         return None
     gens = g1.generators
-    candidates = {a: [b for b in range(n) if orders2[b] == orders1[a]] for a in gens}
+    op1, op2 = g1.op_table, g2.op_table
+    candidates = [[b for b in range(n) if orders2[b] == orders1[a]] for a in gens]
 
-    def extend(mapping: dict, pending: list) -> Optional[dict]:
-        if not pending:
-            return mapping
-        a = pending[0]
-        for b in candidates[a]:
-            if b in mapping.values():
+    def extend(images: list, used: bytearray, mapped: list,
+               i: int) -> Optional[list]:
+        if i == len(gens):
+            return images
+        a, step = gens[i], gens[:i + 1]
+        for b in candidates[i]:
+            if used[b]:
                 continue
-            new = dict(mapping)
-            new[a] = b
-            # close under products, checking consistency
+            new_images, new_used = images.copy(), bytearray(used)
+            new_images[a], new_used[b] = b, 1
+            found = mapped + [a]
             ok = True
-            frontier = list(new.items())
-            while frontier and ok:
-                nxt = []
-                items = list(new.items())
-                for x1, y1 in frontier:
-                    for x2, y2 in items:
-                        for xa, ya in ((g1.op(x1, x2), g2.op(y1, y2)),
-                                       (g1.op(x2, x1), g2.op(y2, y1))):
-                            got = new.get(xa)
-                            if got is None:
-                                if ya in new.values():
-                                    ok = False
-                                    break
-                                new[xa] = ya
-                                nxt.append((xa, ya))
-                            elif got != ya:
-                                ok = False
-                                break
-                        if not ok:
+            for pos, x in enumerate(found):
+                row, image_row = op1[x], op2[new_images[x]]
+                for s in (step if pos >= len(mapped) else (a,)):
+                    y, image = row[s], image_row[new_images[s]]
+                    got = new_images[y]
+                    if got < 0:
+                        if new_used[image]:
+                            ok = False
                             break
-                    if not ok:
+                        new_images[y], new_used[image] = image, 1
+                        found.append(y)
+                    elif got != image:
+                        ok = False
                         break
-                frontier = nxt
-            if ok and len(new) <= n:
-                result = extend(new, pending[1:])
+                if not ok:
+                    break
+            if ok:
+                result = extend(new_images, new_used, found, i + 1)
                 if result is not None:
                     return result
         return None
 
-    mapping = extend({0: 0}, gens)
-    if mapping is None or len(mapping) != n:
+    start_images = [-1] * n
+    start_images[0] = 0
+    start_used = bytearray(n)
+    start_used[0] = 1
+    mapping = extend(start_images, start_used, [0], 0)
+    if mapping is None or -1 in mapping:
         return None
-    images = tuple(mapping[a] for a in range(n))
+    images = tuple(mapping)
     if len(set(images)) != n or homomorphism_witness(g1, g2, images) is not None:
         return None
     return images

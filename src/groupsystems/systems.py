@@ -53,7 +53,7 @@ class GroupSystem:
         self._op_tables = tuple(g.op_table for g in self.alphabets)
         if len(self.alphabets) != t1 - t0 + 1:
             raise NotAGroupSystem("alphabet count does not match window")
-        members = sorted(set(tuple(int(x) for x in s) for s in sequences))
+        members = sorted({tuple(map(int, s)) for s in sequences})
         if len(members) > member_cap:
             raise BoundExceeded(f"GroupSystem {name}: {len(members)} members "
                                 f"exceed cap {member_cap}")
@@ -180,8 +180,24 @@ class GroupSystem:
         each being in it already or a generator.  So the member set is that
         subgroup, hence closed.  A closed member set lets no product
         escape.  The cost is |A| x |generators| products instead of |A|^2.
+
+        Those products are first formed as column passes: `_saturate` grows
+        the identity to the subgroup the members generate, the same
+        generators and closure, capped at |A| members.  The members are
+        closed iff that subgroup lies inside them (it holds every member),
+        and then nothing more runs.  Otherwise (the cap was passed or a
+        product lies outside) the member set is not closed, and the tuple
+        loop below finds and raises the witness.
         """
         index = self._index
+        closure = {self.identity}
+        try:
+            _saturate(closure, self.sequences, self._op_columns, len(index))
+        except BoundExceeded:
+            pass  # the closure outgrew the members
+        else:
+            if all(map(index.__contains__, closure)):
+                return
 
         def vet(a: Seq, g: Seq, prod: Seq) -> None:
             if prod not in index:

@@ -26,10 +26,12 @@ controllability index by slicing every member per (t, l).
 
 The construction routines at the end are the earlier table validation
 (all triples), the all-pairs homomorphism checks, the subdirect product
-through the full direct product, and the extension search that builds and
+through the full direct product, the isomorphism search that closes each
+partial map under all products, and the extension search that builds and
 validates a table for every factor set.  The only change there: the search
-validates its candidate tables with the oracle `_validate_table`, so it
-does not depend on the library's table check.
+validates its candidate tables with the oracle `_validate_table` and
+compares groups with the oracle `find_isomorphism`, so it depends on
+neither the library's table check nor its isomorphism search.
 """
 
 import itertools
@@ -82,11 +84,12 @@ from groupsystems.extensions import (
     _automorphisms,
 )
 from groupsystems.groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Homomorphism,
     Subgroup,
     direct_product,
-    find_isomorphism,
+    homomorphism_witness,
     is_normal,
 )
 from groupsystems.systems import (
@@ -718,6 +721,76 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
     if len(firsts) != g1.order or len(seconds) != g2.order:
         raise NotSurjective("subdirect product does not cover a factor")
     return sub
+
+
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
+                     order_cap: int = DEFAULT_ORDER_CAP) -> Optional[tuple]:
+    """Exhaustive bijection search, pruned by element orders: each
+    generator assignment closes the mapped set under all products, with a
+    dict copy per candidate.
+
+    Desk-scale only: raises BoundExceeded above `order_cap`.
+    """
+    if g1.order != g2.order:
+        return None
+    if g1.order > order_cap:
+        raise BoundExceeded(f"isomorphism search: order {g1.order} "
+                            f"exceeds cap {order_cap}")
+    n = g1.order
+    orders1 = [g1.element_order(a) for a in range(n)]
+    orders2 = [g2.element_order(a) for a in range(n)]
+    if sorted(orders1) != sorted(orders2):
+        return None
+    gens = g1.generators
+    candidates = {a: [b for b in range(n) if orders2[b] == orders1[a]] for a in gens}
+
+    def extend(mapping: dict, pending: list) -> Optional[dict]:
+        if not pending:
+            return mapping
+        a = pending[0]
+        for b in candidates[a]:
+            if b in mapping.values():
+                continue
+            new = dict(mapping)
+            new[a] = b
+            # close under products, checking consistency
+            ok = True
+            frontier = list(new.items())
+            while frontier and ok:
+                nxt = []
+                items = list(new.items())
+                for x1, y1 in frontier:
+                    for x2, y2 in items:
+                        for xa, ya in ((g1.op(x1, x2), g2.op(y1, y2)),
+                                       (g1.op(x2, x1), g2.op(y2, y1))):
+                            got = new.get(xa)
+                            if got is None:
+                                if ya in new.values():
+                                    ok = False
+                                    break
+                                new[xa] = ya
+                                nxt.append((xa, ya))
+                            elif got != ya:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        break
+                frontier = nxt
+            if ok and len(new) <= n:
+                result = extend(new, pending[1:])
+                if result is not None:
+                    return result
+        return None
+
+    mapping = extend({0: 0}, gens)
+    if mapping is None or len(mapping) != n:
+        return None
+    images = tuple(mapping[a] for a in range(n))
+    if len(set(images)) != n or homomorphism_witness(g1, g2, images) is not None:
+        return None
+    return images
 
 
 def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,

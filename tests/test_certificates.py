@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import groupsystems.systems as systems_module
 from groupsystems.chains import (
     complementary,
     decompose_along_chain,
@@ -47,7 +48,13 @@ from groupsystems.generators import (
     elementary_group,
     upper_triangle_positions,
 )
-from groupsystems.groups import FiniteGroup, cyclic_group, direct_product, symmetric_group_3
+from groupsystems.groups import (
+    FiniteGroup,
+    close_greedily,
+    cyclic_group,
+    direct_product,
+    symmetric_group_3,
+)
 from groupsystems.io import (
     _unroll_rule,
     dump_elementary_system,
@@ -252,6 +259,37 @@ def test_verify_closure_names_a_missing_product(request, name):
             GroupSystem(system.window, system.alphabets, rest)
         rejected += 1
     assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["c2", "parity3", "s3_square"])
+def test_column_closure_keeps_the_tuple_loop_witness(request, monkeypatch, name):
+    """The column pass decides; a closed member set never reaches the tuple
+    loop, and an open one gets the witness the tuple loop alone names."""
+    system = request.getfixturevalue(name)
+    witnesses = []
+    for m in system.sequences[1:]:
+        if system.inverse(m) != m:
+            continue
+        rest = [s for s in system.sequences if s != m]
+        broken = GroupSystem(system.window, system.alphabets, rest, _closed=True)
+        with pytest.raises(NotAGroupSystem) as info:
+            broken.verify_closure()
+
+        def vet(a, g, prod):
+            if prod not in broken:
+                raise KeyError((a, g))
+
+        with pytest.raises(KeyError) as loop:
+            close_greedily({broken.identity}, broken.sequences, broken.mul, vet)
+        witnesses.append(info.value.witness)
+        assert info.value.witness == loop.value.args[0]
+    assert witnesses
+
+    def tuple_loop(*args):
+        raise AssertionError("the tuple loop ran on a closed member set")
+
+    monkeypatch.setattr(systems_module, "close_greedily", tuple_loop)
+    system.verify_closure()
 
 
 def with_tensors(ctx: GeneratorContext, tensors) -> GeneratorContext:

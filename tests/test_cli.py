@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import groupsystems.chains as chains
@@ -305,6 +311,42 @@ def test_construct_s3_with_trivial_kernels(capsys):
     code, out, _ = run(capsys, "--window", "0", "4", "construct",
                        "--seed-group", "S3", "--ell", "2")
     assert code == 0 and "system order=216 ell=2" in out
+
+
+def test_construct_s3_with_kernel_below_it(capsys, tmp_path):
+    """A Z2 kernel under S3: the extension search that used to stop at its
+    2^25 factor sets finds Z2 x S3 first."""
+    out_path = tmp_path / "s3z2.esys"
+    code, out, _ = run(capsys, "--out", out_path, "--window", "0", "1",
+                       "construct", "--seed-group", "S3", "--ell", "1",
+                       "--kernel", "0=Z2")
+    assert code == 0 and "system order=24 ell=1" in out
+    code, _, _ = run(capsys, "roundtrip", out_path)
+    assert code == 0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    "--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z3",
+    "--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z2",
+    "--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2",
+], ids=["s3-z3", "s3-z2", "z4-z2"])
+def test_large_extension_searches_finish_or_name_their_cap(argv, tmp_path):
+    """Kernels under bases of order 16 and 36 either finish or stop at a
+    cap whose message names the stage, the value and the cap, in a minute
+    and without a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "groupsystems.cli", *argv.split()],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert "Traceback" not in done.stderr
+    assert done.returncode in (0, 3), done.stderr
+    if done.returncode == 3:
+        assert re.fullmatch(r"bound exceeded: [a-z ]+: .*\b\d+\b.* exceeds? "
+                            r"cap \d+\n", done.stderr), done.stderr
 
 
 def test_roundtrip_twisted_esys(capsys, tmp_path):

@@ -4,15 +4,20 @@ search filtered by the 2-cocycle identity, Light's associativity test and
 the homomorphism checks on generators.  Both sides must build the same
 tables in the same order and accept or reject the same inputs with the
 same error type (and, for tables, the same violated axiom).  Also here: a
-known-answer oracle for the extension search and the messages of its caps.
+known-answer oracle for the extension search (also past the reach of the
+earlier exhaustive walk), the number of tables it builds against a
+brute-force count of cohomology classes, the isomorphism search against the
+earlier closure search, and the messages of the caps.
 """
 
 import itertools
+from collections import defaultdict
 
 import pytest
 
 import oracles
 import groupsystems.elementary as elementary
+import groupsystems.extensions as extensions
 from groupsystems.elementary import (
     ConstructionStrategy,
     ElementarySystem,
@@ -25,7 +30,12 @@ from groupsystems.errors import (
     BoundExceeded,
     PreconditionViolated,
 )
-from groupsystems.extensions import enumerate_extensions, subdirect_product
+from groupsystems.extensions import (
+    SEARCH_NODE_CAP,
+    _automorphisms,
+    enumerate_extensions,
+    subdirect_product,
+)
 from groupsystems.generators import ElementaryGroupTable, build_context
 from groupsystems.groups import (
     FiniteGroup,
@@ -82,18 +92,45 @@ def quaternion_8():
     return closure_group([(0, 1, 0, 0), (0, 0, 1, 0)], hamilton, (1, 0, 0, 0), "Q8")
 
 
+def inverting(moduli, m, name):
+    """(Z_n1 x ... x Z_nr) ⋊ Z_m for even m, a generator of Z_m acting on
+    the normal part by inversion."""
+    zero = (0,) * len(moduli)
+
+    def mul(x, y):
+        (v, s), (w, t) = x, y
+        sign = -1 if s % 2 else 1
+        return (tuple((a + sign * b) % n for a, b, n in zip(v, w, moduli)),
+                (s + t) % m)
+
+    gens = [(tuple(int(i == j) for i in range(len(moduli))), 0)
+            for j in range(len(moduli))] + [(zero, 1)]
+    return closure_group(gens, mul, (zero, 0), name)
+
+
 def product(g1, g2):
     return direct_product(g1, g2)[0]
 
 
 Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+V4, S3 = product(Z2, Z2), symmetric_group_3()
 
-# (kernel, quotient, every extension up to isomorphism)
+# (kernel, quotient, every extension up to isomorphism; OEIS A000001)
 KNOWN_EXTENSIONS = [
     (Z4, Z2, [cyclic_group(8), product(Z4, Z2), dihedral_4(), quaternion_8()]),
     (Z2, Z2, [Z4, product(Z2, Z2)]),
     (Z3, Z2, [cyclic_group(6), symmetric_group_3()]),
     (Z3, Z3, [cyclic_group(9), product(Z3, Z3)]),
+    (Z2, Z4, [cyclic_group(8), product(Z4, Z2)]),
+    (Z2, V4, [product(Z4, Z2), product(V4, Z2), dihedral_4(), quaternion_8()]),
+]
+
+# searches the earlier walk over every factor set stopped at its cap
+KNOWN_PAST_OLD_CAP = [
+    (Z2, S3, [product(Z2, S3), inverting((3,), 4, "Dic3")]),
+    (Z3, S3, [product(Z3, S3), inverting((3, 3), 2, "Z3^2:Z2"),
+              inverting((9,), 2, "D9")]),
+    (Z2, cyclic_group(6), [product(cyclic_group(6), Z2), cyclic_group(12)]),
 ]
 
 
@@ -103,8 +140,9 @@ def ids(cases):
 
 # -- extension search: known answers ------------------------------------------
 
-@pytest.mark.parametrize("kernel,quotient,expected", KNOWN_EXTENSIONS,
-                         ids=ids(KNOWN_EXTENSIONS))
+@pytest.mark.parametrize("kernel,quotient,expected",
+                         KNOWN_EXTENSIONS + KNOWN_PAST_OLD_CAP,
+                         ids=ids(KNOWN_EXTENSIONS + KNOWN_PAST_OLD_CAP))
 def test_extension_search_finds_exactly_the_known_groups(kernel, quotient, expected):
     search = enumerate_extensions(quotient, kernel)
     assert search.complete
@@ -125,9 +163,7 @@ def test_extension_search_matches_oracle_on_known_pairs(kernel, quotient, expect
     assert_same_search(quotient, kernel)
 
 
-def assert_same_search(q, k, max_order=64):
-    new = outcome(enumerate_extensions, q, k, max_order)
-    old = outcome(oracles.enumerate_extensions, q, k, max_order)
+def same_searches(new, old):
     assert new[0] == old[0]
     if new[0] == "raise":
         assert new[1] is old[1]
@@ -139,6 +175,103 @@ def assert_same_search(q, k, max_order=64):
             == [hom.image_of for _, hom in old[1].extensions])
 
 
+def assert_same_search(q, k, max_order=64):
+    same_searches(outcome(enumerate_extensions, q, k, max_order),
+                  outcome(oracles.enumerate_extensions, q, k, max_order))
+
+
+def under_old_cap(q, k):
+    """Whether the earlier walk over every normalized factor set stayed
+    under its cap of 200000 sets (its other caps are still in force)."""
+    return not k.is_abelian or k.order ** ((q.order - 1) ** 2) <= 200000
+
+
+def assert_same_as_every_cocycle(q, k, max_order=64):
+    """Past the oracle's cap: the search against itself with the class test
+    off, which builds a table for every cocycle."""
+    new = outcome(enumerate_extensions, q, k, max_order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extensions._Classes, "is_new", lambda self, f: True)
+        every = outcome(enumerate_extensions, q, k, max_order)
+    same_searches(new, every)
+
+
+@pytest.mark.parametrize("kernel,quotient,expected", KNOWN_PAST_OLD_CAP,
+                         ids=ids(KNOWN_PAST_OLD_CAP))
+def test_class_skip_keeps_the_same_list_past_the_old_cap(kernel, quotient, expected):
+    assert not under_old_cap(quotient, kernel)
+    assert_same_as_every_cocycle(quotient, kernel)
+
+
+SMALL_GROUPS = [trivial_group(), Z2, Z3, Z4, V4, cyclic_group(5), cyclic_group(6),
+                S3, cyclic_group(7), cyclic_group(8), product(Z4, Z2),
+                product(V4, Z2), dihedral_4(), quaternion_8()]
+
+
+@pytest.mark.parametrize("q", SMALL_GROUPS, ids=[g.name for g in SMALL_GROUPS])
+def test_extension_search_matches_oracle_on_small_pairs(q):
+    """Every kernel of order <= 8 under every base of order <= 8, wherever
+    the earlier walk fits under its factor-set cap."""
+    compared = 0
+    for k in SMALL_GROUPS:
+        if under_old_cap(q, k):
+            assert_same_search(q, k)
+            compared += 1
+    assert compared >= 4  # the nonabelian kernels and Z1 fit every base
+
+
+def cohomology_class_counts(q, k):
+    """Per action q -> Aut(k) (abelian k), |H^2| = |Z^2| / |B^2| by brute
+    force: cocycles among every normalized factor set, coboundaries from
+    every normalized cochain."""
+    nq, nk = q.order, k.order
+    auts = _automorphisms(k)
+    counts = []
+    for assignment in itertools.product(range(len(auts)), repeat=nq):
+        act = [auts[i] for i in assignment]
+        if any(act[q.op(a, b)] != tuple(act[a][act[b][x]] for x in range(nk))
+               for a in range(nq) for b in range(nq)):
+            continue
+        boundaries = {
+            tuple(k.op(k.op(act[a][c[b]], c[a]), k.inv(c[q.op(a, b)]))
+                  for a in range(nq) for b in range(nq))
+            for c in ((0,) + rest
+                      for rest in itertools.product(range(nk), repeat=nq - 1))}
+        cocycles = 0
+        for values in itertools.product(range(nk), repeat=(nq - 1) ** 2):
+            f = [[0] * nq] + [[0] + list(values[(a - 1) * (nq - 1):a * (nq - 1)])
+                              for a in range(1, nq)]
+            cocycles += all(
+                k.op(f[a][b], f[q.op(a, b)][c]) == k.op(act[a][f[b][c]], f[a][q.op(b, c)])
+                for a, b, c in itertools.product(range(nq), repeat=3))
+        assert cocycles % len(boundaries) == 0
+        counts.append(cocycles // len(boundaries))
+    return counts
+
+
+CLASS_CASES = [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z2, V4), (Z3, Z2), (Z3, Z3),
+               (Z4, Z2), (V4, Z2)]
+
+
+@pytest.mark.parametrize("kernel,quotient", CLASS_CASES,
+                         ids=[f"{k.name}-by-{q.name}" for k, q in CLASS_CASES])
+def test_extension_search_builds_one_table_per_cohomology_class(
+        kernel, quotient, monkeypatch):
+    """The class test skips exactly the cocycles cohomologous to one
+    examined before under the same action: one table per class."""
+    built = []
+    real = extensions.FiniteGroup
+
+    def counting(table, name="G", **kwargs):
+        built.append(name)
+        return real(table, name=name, **kwargs)
+
+    monkeypatch.setattr(extensions, "FiniteGroup", counting)
+    enumerate_extensions(quotient, kernel)
+    tables = built.count(f"{kernel.name}.{quotient.name}")
+    assert tables == sum(cohomology_class_counts(quotient, kernel))
+
+
 # -- the cap messages -----------------------------------------------------------
 
 def test_extension_order_cap_message():
@@ -148,11 +281,12 @@ def test_extension_order_cap_message():
 
 
 def test_factor_set_cap_message():
-    # 25 free factor-set entries over Z2: 2^25 sets
+    # Z2 by Z4 x Z4 has 2^16 cocycles, found along 225 free factor-set entries
     with pytest.raises(BoundExceeded,
-                       match=r"^extension search: factor-set search too large: "
-                             r"2\^25 normalized .* exceed cap 200000$"):
-        enumerate_extensions(cyclic_group(6), Z2)
+                       match=rf"^extension search: cocycle search too large: "
+                             rf"{SEARCH_NODE_CAP + 1} search nodes for Z2 by "
+                             rf"Z4xZ4 exceed cap {SEARCH_NODE_CAP}$"):
+        enumerate_extensions(product(Z4, Z4), Z2)
 
 
 def test_automorphism_cap_message():
@@ -181,6 +315,7 @@ CONSTRUCTIONS = {
     "z2-twisted": ((0, 4), 2, Z2, ConstructionStrategy(
         kernels={1: Z2}, extension_indices={(1, 1): 2, (1, 2): 2})),
     "s3": ((0, 4), 2, symmetric_group_3(), None),
+    "s3-kernel": ((0, 2), 2, symmetric_group_3(), ConstructionStrategy(kernels={1: Z2})),
 }
 
 
@@ -248,7 +383,10 @@ def test_controllability_index_matches_oracle_on_constructions(name, constructio
 def test_extension_searches_match_oracle_on_constructions(name, construction_calls):
     _, _, searches = construction_calls[name]
     for q, k, max_order in searches:
-        assert_same_search(q, k, max_order)
+        if under_old_cap(q, k):
+            assert_same_search(q, k, max_order)
+        else:
+            assert_same_as_every_cocycle(q, k, max_order)
 
 
 def identity_hom(g):
@@ -341,6 +479,37 @@ def test_validation_matches_oracle_on_construction_groups(construction_calls):
             if group.order <= 64:
                 assert validation(_validate_table, group.op_table) == "group"
                 assert validation(oracles._validate_table, group.op_table) == "group"
+
+
+# -- isomorphism search ---------------------------------------------------------------
+
+def test_isomorphism_search_matches_oracle_on_same_order_pairs(construction_calls, request):
+    """Images or None, the same on every ordered same-order pair among the
+    fixture groups, the small and known-answer groups, and the constructed
+    anchors with the extensions they were chosen from."""
+    groups = {}
+    for key in FIXTURES:
+        for group in fixture_groups(request.getfixturevalue(key)):
+            groups.setdefault(group.op_table, group)
+    for group in SMALL_GROUPS + [g for *_, expected in KNOWN_EXTENSIONS + KNOWN_PAST_OLD_CAP
+                                 for g in expected]:
+        groups.setdefault(group.op_table, group)
+    for es, _, searches in construction_calls.values():
+        for table in es.tables.values():
+            groups.setdefault(table.group.op_table, table.group)
+        for q, k, cap in searches:
+            for ext, _ in enumerate_extensions(q, k, cap).extensions:
+                groups.setdefault(ext.op_table, ext)
+    by_order = defaultdict(list)
+    for group in groups.values():
+        by_order[group.order].append(group)
+    found = set()
+    for same in by_order.values():
+        for g1, g2 in itertools.product(same, repeat=2):
+            new = outcome(find_isomorphism, g1, g2)
+            assert new == outcome(oracles.find_isomorphism, g1, g2)
+            found.add(new[0] if new[0] == "raise" else new[1] is None)
+    assert found == {True, False, "raise"}  # isomorphic, not, and past the cap
 
 
 # -- homomorphism checks ------------------------------------------------------------
