@@ -14,18 +14,21 @@ chosen kernel, replicated over the window (clipped at the edges).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    BoundExceeded,
     NoExtensionFound,
     OutOfWindow,
     OverlapInconsistency,
     RecoveryMismatch,
     UnrealizedSlice,
     WellDefinednessFailure,
+    count_text,
 )
 from .extensions import enumerate_extensions, subdirect_product
 from .generators import (
@@ -38,7 +41,14 @@ from .generators import (
     upper_triangle_positions,
 )
 from .groups import FiniteGroup, Homomorphism, homomorphism_witness, trivial_group
-from .systems import GroupSystem, Slot, controllability_index, window_slots
+from .systems import (
+    DEFAULT_MEMBER_CAP,
+    GroupSystem,
+    Slot,
+    controllability_index,
+    iter_window_slots,
+    window_slots,
+)
 
 Anchor = Tuple[int, int]
 
@@ -90,8 +100,10 @@ class ElementarySystem:
         return slots, tuple(plan)
 
     def verify(self) -> None:
-        """Cartesian element sets plus the projection condition."""
-        for anchor in self.slots():
+        """Cartesian element sets plus the projection condition.  Anchors
+        are visited one at a time, so a window far wider than the tables
+        given fails at the first anchor without one."""
+        for anchor in iter_window_slots(self.window, self.ell):
             table = self.table(anchor)
             expected = 1
             for pos in table.positions:
@@ -105,6 +117,13 @@ class ElementarySystem:
             seen = {tri.labels for tri in table.elements}
             if len(seen) != len(table.elements):
                 raise WellDefinednessFailure(f"anchor {anchor}: duplicate triangle")
+            # distinct triangles of labels in range, as many as the product
+            for pos, col in zip(table.positions,
+                                zip(*(tri.labels for tri in table.elements))):
+                if min(col) < 0 or max(col) >= self.label_sizes[pos]:
+                    raise WellDefinednessFailure(
+                        f"anchor {anchor}: a label at slot {pos} is outside "
+                        f"0..{self.label_sizes[pos] - 1}")
         ok, witness = check_homomorphism_condition(self)
         if not ok:
             raise WellDefinednessFailure(f"projection condition fails: {witness}")
@@ -196,8 +215,18 @@ def global_product(es: ElementarySystem, v1: Sequence[int],
     return tuple(out)
 
 
+def _check_tensor_count(es: ElementarySystem, stage: str) -> None:
+    """The global group has one element per label tensor, the product of
+    the label sizes; above the member cap, raise before any is built."""
+    count = math.prod(es.label_sizes[slot] for slot in es.slots())
+    if count > DEFAULT_MEMBER_CAP:
+        raise BoundExceeded(f"{stage}: {count_text(count)} label tensors exceed cap "
+                            f"{DEFAULT_MEMBER_CAP}")
+
+
 def global_group(es: ElementarySystem) -> tuple:
     """(elements, op) of the global group; elements are label tensors."""
+    _check_tensor_count(es, "global group")
     tensors = global_tensors(es)
     index = {v: i for i, v in enumerate(tensors)}
     table = [[index[global_product(es, a, b)] for b in tensors] for a in tensors]
@@ -209,6 +238,7 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     """The per-time image of the global group: letters are time-t triangles,
     alphabets the local groups; verified strongly controllable below its
     depth and complete by construction."""
+    _check_tensor_count(es, "global group system")
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = []
@@ -299,10 +329,7 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
                                  enumerate(zip(got, expected)) if x != y)
     _check_products(es, ctx, sorted(deviating))
     _check_local_associativity(es, ctx, classes)
-    recovered = recover_system_fhgs(ctx)
-    if recovered.sequences != ctx.system.sequences:
-        raise RecoveryMismatch("member sets differ")
-    return recovered
+    return recover_system_fhgs(ctx)
 
 
 def _member_classes(es: ElementarySystem,
@@ -331,7 +358,13 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
     full associativity and so this condition.  Only a table that fails it
     is walked triple by triple, in x, y, z order, which decides the verdict
     and names the witness; the walk finds nothing where only triples
-    outside this condition fail."""
+    outside this condition fail.
+
+    A table that is the context's own elementary group (the same object,
+    as in `_member_classes`) is not tested again: `FiniteGroup` ran the
+    same test on it when it was built, and its table is immutable.  A
+    table loaded from a file or swapped in is another object, and is
+    tested."""
     tensors, seqs = ctx.tensors, ctx.system.sequences
     mul, index = ctx.system.mul, ctx.system._index
 
@@ -340,7 +373,9 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
 
     _, plan = es._product_plan
     for cls, (anchor, *_, op) in zip(classes, plan):
-        if light_associative(op, es.tables[anchor].group.generators):
+        table = es.tables[anchor]
+        if (ctx._elementary.get(anchor) is table
+                or light_associative(op, table.group.generators)):
             continue
         # realized element -> least member with it, in order of first member
         least = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))

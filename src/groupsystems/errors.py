@@ -23,6 +23,14 @@ class BoundExceeded(ToolkitError):
     pass
 
 
+def count_text(count: int) -> str:
+    """A count for a cap message: in decimal, or, when it is too long for
+    `str` (over 4300 digits), as the power of two it reaches."""
+    if count.bit_length() <= 4096:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
 class AxiomViolation(DomainError):
     """A candidate operation table is not a group; `kind` names the axiom."""
 

@@ -78,10 +78,12 @@ class ElementaryGroupTable:
 def upper_triangle_positions(window: Tuple[int, int], ell: int,
                              k: int, t: int) -> Tuple[Position, ...]:
     """In-window positions of the upper triangle with lower vertex (k, t):
-    rows kk = ell..k (top first), row kk spanning times t down to t-(kk-k)."""
+    rows kk = ell..k (top first), row kk spanning times t down to t-(kk-k).
+    Rows longer than the window, and rows below 0, hold no slot, so they
+    are skipped."""
     t0, t1 = window
     out = []
-    for kk in range(ell, k - 1, -1):
+    for kk in range(min(ell, t1 - t0), max(k, 0) - 1, -1):
         for s in range(t, t - (kk - k) - 1, -1):
             if t0 <= s and s + kk <= t1:
                 out.append((kk, s))
@@ -462,8 +464,7 @@ def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
     t0, t1 = ctx.system.window
     if not (t0 <= t and t + k <= t1):
         raise OutOfWindow(f"interval [{t},{t + k}] escapes the window")
-    members = tuple(sorted(ctx.system.index_of(s) for s in
-                           ctx.system.finite_support_members(t, t + k)))
+    members = tuple(ctx.system.finite_support_indices(t, t + k))
     sub = Subgroup(ctx.system.sequence_group, members)
     allowed = set(lower_triangle_positions(ctx.system.window, ctx.ell, k, t))
     for i in sub.members:
@@ -481,16 +482,48 @@ def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
     """Rebuild the member set from per-time homomorphism images and check it
     reproduces the original system exactly.
 
-    alpha_t is folded once per element of each time-t local group; a
-    member's letter at t is then the fold of its slice there, read through
-    its slice class."""
+    alpha_t is folded once per element of each time-t local group
+    (`_alpha_column`); a member's letter at t is then the fold of its slice
+    there, read through its slice class.  When every recovered column is
+    the system's own letter column, each member recovers to itself, so the
+    recovered rows are the member set, in member order and without
+    repeats; otherwise the rows are compared with the members as sets.
+    Either way the recovered system is the original's validated member
+    set, and it is returned under the new name without being sorted or
+    validated again (`GroupSystem.renamed`)."""
+    system = ctx.system
     columns = []
-    for t in ctx.system.times():
-        elem = elementary_group(ctx, 0, t)
-        letters = [alpha_t(ctx, tri, t) for tri in elem.elements]
-        columns.append(map(letters.__getitem__, slice_classes(ctx, 0, t)))
-    seqs = list(zip(*columns))
-    if set(seqs) != set(ctx.system.sequences) or len(set(seqs)) != len(seqs):
-        raise RecoveryMismatch("image of the recovery map differs from the system")
-    return GroupSystem(ctx.system.window, ctx.system.alphabets, seqs,
-                       name=f"{ctx.system.name}|fhgs", _closed=True)
+    for t in system.times():
+        letters = _alpha_column(ctx, t)
+        columns.append(tuple(map(letters.__getitem__, slice_classes(ctx, 0, t))))
+    if tuple(columns) != system.columns:
+        seqs = list(zip(*columns))
+        if set(seqs) != set(system.sequences) or len(set(seqs)) != len(seqs):
+            raise RecoveryMismatch("image of the recovery map differs from the system")
+    return system.renamed(f"{system.name}|fhgs")
+
+
+def _alpha_column(ctx: GeneratorContext, t: int) -> List[int]:
+    """alpha_t of every element of the (0, t) elementary group, in element
+    order, as column passes: the running letters start at the identity,
+    and each position (k, t-j) of the fold, in `alpha_t`'s column-major
+    order, maps the elements' labels there to the time-t letters of its
+    transversal entries and multiplies them on the right in one line.  A
+    label 0 picks the identity entry, whose letter leaves the product as
+    it is, so every element folds the letters `alpha_t` folds, in its
+    order."""
+    elem = elementary_group(ctx, 0, t)
+    system = ctx.system
+    op = system.alphabet(t).op_table
+    p = t - system.window[0]
+    where = {pos: i for i, pos in enumerate(elem.positions)}
+    acc = [0] * len(elem.elements)
+    for j in range(ctx.ell + 1):
+        for k in range(j, ctx.ell + 1):
+            i = where.get((k, t - j))
+            if i is None:
+                continue
+            letter = [g[p] for g in ctx.basis.transversal((k, t - j))]
+            acc = [op[a][letter[tri.labels[i]]]
+                   for a, tri in zip(acc, elem.elements)]
+    return acc

@@ -31,8 +31,11 @@ class FiniteGroup:
     __slots__ = ("order", "op_table", "name", "_inv", "_abelian", "_gens")
 
     def __init__(self, op_table: Sequence[Sequence[int]], name: str = "G",
-                 _validated: bool = False):
-        table = tuple(tuple(map(int, row)) for row in op_table)
+                 _validated: bool = False, _rows_checked: bool = False):
+        # _rows_checked: op_table is a tuple of int tuples whose rows
+        # `_check_row` has passed (`make_group`); only the axioms are left
+        table = (op_table if _rows_checked
+                 else tuple(tuple(map(int, row)) for row in op_table))
         self.order = len(table)
         self.op_table = table
         self.name = name
@@ -40,7 +43,8 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._gens: Optional[tuple] = None
         if not _validated:
-            self._gens = _validate_table(table)
+            self._gens = (_check_axioms(table) if _rows_checked
+                          else _validate_table(table))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -134,6 +138,13 @@ def _validate_table(table: tuple) -> tuple:
         raise AxiomViolation("closure", "empty table")
     for a, row in enumerate(table):
         _check_row(a, row, n)
+    return _check_axioms(table)
+
+
+def _check_axioms(table: tuple) -> tuple:
+    """`_validate_table` after the row checks: identity at 0, inverses and
+    associativity; returns the greedy generators."""
+    n = len(table)
     for a in range(n):
         if table[0][a] != a or table[a][0] != a:
             raise AxiomViolation("identity", a)
@@ -155,24 +166,26 @@ def _validate_table(table: tuple) -> tuple:
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
-    """Validate a square table as a group, relabeling identity to index 0."""
-    table = [list(map(int, row)) for row in op_table]
+    """Validate a square table as a group, relabeling identity to index 0.
+    The entries are converted and each row is range-checked once;
+    `FiniteGroup` then checks only the remaining axioms."""
+    table = tuple(tuple(map(int, row)) for row in op_table)
     n = len(table)
     for a, row in enumerate(table):
         _check_row(a, row, n)
     # the first e whose row and column are both 0..n-1, index 0 tried first
-    labels = list(range(n))
+    labels = tuple(range(n))
     ident = next((e for e in range(n) if table[e] == labels
-                  and [row[e] for row in table] == labels), None)
+                  and tuple(row[e] for row in table) == labels), None)
     if ident is None:
         raise AxiomViolation("identity", None)
     if ident != 0:
         # swap labels 0 <-> ident
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
-        table = [[perm.index(table[perm[a]][perm[b]]) for b in range(n)]
-                 for a in range(n)]
-    return FiniteGroup(table, name=name)
+        table = tuple(tuple(perm.index(table[perm[a]][perm[b]]) for b in range(n))
+                      for a in range(n))
+    return FiniteGroup(table, name=name, _rows_checked=True)
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
@@ -485,16 +498,14 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
                    name: Optional[str] = None) -> tuple:
     """g1 × g2 with lexicographic pair order (a,b) ↦ a·|g2|+b.
 
+    Row (a1, b1) is (a1 a2, b1 b2) over the pairs (a2, b2) in that order,
+    so it is built from row a1 of g1 and row b1 of g2.
+
     Returns (group, proj1, proj2).
     """
     n1, n2 = g1.order, g2.order
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            for a2 in range(n1):
-                for b2 in range(n2):
-                    table[a1 * n2 + b1][a2 * n2 + b2] = \
-                        g1.op(a1, a2) * n2 + g2.op(b1, b2)
+    table = [[x * n2 + y for x in row1 for y in row2]
+             for row1 in g1.op_table for row2 in g2.op_table]
     g = FiniteGroup(table, name=name or f"{g1.name}x{g2.name}", _validated=True)
     proj1 = Homomorphism(g, g1, tuple(x // n2 for x in range(n1 * n2)), check=False)
     proj2 = Homomorphism(g, g2, tuple(x % n2 for x in range(n1 * n2)), check=False)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .elementary import ElementarySystem
-from .errors import BoundExceeded, ParseError
+from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
 from .generators import ElementaryGroupTable, Triangle, upper_triangle_positions
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
@@ -31,7 +31,11 @@ def resolve_group(name: str, search_dir: Optional[Path] = None) -> FiniteGroup:
     table is built."""
     m = _CYCLIC_RE.match(name)
     if m:
-        order = int(m.group(1))
+        try:
+            order = int(m.group(1))
+        except ValueError:  # more digits than int() reads, so far past the cap
+            raise BoundExceeded(f"resolve_group {name}: order exceeds "
+                                f"cap CYCLIC_ORDER_CAP={CYCLIC_ORDER_CAP}") from None
         if order < 1:
             raise ParseError(f"cyclic group {name!r} needs an order of at least 1")
         if order > CYCLIC_ORDER_CAP:
@@ -53,7 +57,7 @@ def dump_group(g: FiniteGroup) -> str:
     name = re.sub(r"\s+", "_", g.name) or "G"
     lines = [f"group {name} {g.order}"]
     for row in g.op_table:
-        lines.append(" ".join(str(x) for x in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -73,6 +77,17 @@ def _int(token: str, line: str) -> int:
         raise ParseError(f"expected an integer, got {token!r} in {line!r}") from None
 
 
+def _int_list(tokens: List[str], line: str) -> List[int]:
+    """The tokens as integers; the first one that is none raises, as in
+    `_int`."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            _int(token, line)
+        raise
+
+
 def _ints(parts: List[str], count: int, line: str) -> List[int]:
     """The `count` integers after a stanza keyword."""
     if len(parts) < count + 1:
@@ -81,7 +96,11 @@ def _ints(parts: List[str], count: int, line: str) -> List[int]:
 
 
 def parse_group(text: str) -> FiniteGroup:
-    lines = _strip_lines(text)
+    return _parse_group_lines(_strip_lines(text))
+
+
+def _parse_group_lines(lines: List[str]) -> FiniteGroup:
+    """`parse_group` on lines already stripped of comments and blanks."""
     if not lines or not lines[0].startswith("group "):
         raise ParseError("expected 'group <name> <order>' header")
     parts = lines[0].split()
@@ -95,7 +114,7 @@ def parse_group(text: str) -> FiniteGroup:
     rows = []
     for line in lines[1:1 + order]:
         try:
-            rows.append([int(x) for x in line.split()])
+            rows.append(list(map(int, line.split())))
         except ValueError:
             raise ParseError(f"bad table row {line!r}") from None
         if len(rows[-1]) != order:
@@ -157,8 +176,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
             if len(parts) != 3:
                 raise ParseError("group line needs a name and order")
             order = _int(parts[2], lines[i])
-            block = "\n".join(lines[i:i + 1 + order])
-            local_groups[parts[1]] = parse_group(block)
+            local_groups[parts[1]] = _parse_group_lines(lines[i:i + 1 + order])
             i += order
         elif head == "alphabet":
             if len(parts) != 3:
@@ -194,16 +212,20 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
 
     if not seqs:
         raise ParseError("no members given")
+    # seq lengths first: they bound the window, which may be huge
     length = window[1] - window[0] + 1
+    for s in seqs:
+        if len(s) != length:
+            raise ParseError(f"seq {s} does not span the window")
+    resolved: Dict[str, FiniteGroup] = {}  # each name resolved once
     alphabets = []
     for t in range(window[0], window[1] + 1):
         gname = alphabet_spec.get(t, alphabet_spec.get("all"))
         if gname is None:
             raise ParseError(f"no alphabet for time {t}")
-        alphabets.append(lookup(gname))
-    for s in seqs:
-        if len(s) != length:
-            raise ParseError(f"seq {s} does not span the window")
+        if gname not in resolved:
+            resolved[gname] = lookup(gname)
+        alphabets.append(resolved[gname])
     # saturate; per-time alphabets shrink to the letters actually realized
     # (the alphabet at a time is by definition the projection there)
     return build_system(window, alphabets, seqs, name=name,
@@ -234,19 +256,32 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
         delays = []
         for term in expr.split("+"):
             m = _TAP_RE.match(term)
-            if not m:
-                raise ParseError(f"bad tap expression {expr!r}")
-            delays.append(int(m.group(1)))
+            try:
+                delays.append(int(m.group(1)))
+            except (AttributeError, ValueError):  # no match, or too many digits
+                raise ParseError(f"bad tap expression {expr!r}") from None
         tap_lists.append(tuple(delays))
+    q = base.order
+    # the output alphabet's table has (q^outputs)^2 entries, like Z<n>'s
+    if q ** len(tap_lists) > CYCLIC_ORDER_CAP:
+        raise BoundExceeded(f"rule unrolling: output alphabet order "
+                            f"{q}^{len(tap_lists)} exceeds cap "
+                            f"CYCLIC_ORDER_CAP={CYCLIC_ORDER_CAP}")
     alphabet = base
     for _ in range(len(tap_lists) - 1):
         alphabet, _, _ = direct_product(alphabet, base)
     t0, t1 = window
     length = t1 - t0 + 1
-    q = base.order
+    if length < 1:
+        raise OutOfWindow(f"empty window [{t0},{t1}]")
+    # q^length members: with q > 1 a window longer than the cap has more
+    # members than the cap, and with q = 1 one member as long as the window
+    if length > member_cap:
+        raise BoundExceeded(f"rule unrolling: a window of {count_text(length)} "
+                            f"times exceeds cap {member_cap}")
     count = q ** length
     if count > member_cap:
-        raise BoundExceeded(f"rule unrolling: {q}^{length} = {count} members "
+        raise BoundExceeded(f"rule unrolling: {q}^{length} = {count_text(count)} members "
                             f"exceed cap {member_cap}")
     # input column p: the digit of weight q^(length-1-p) of the word index
     inputs = [[x for x in range(q) for _ in range(q ** (length - 1 - p))]
@@ -287,7 +322,7 @@ def dump_system(system: GroupSystem) -> str:
         for t, gname in zip(system.times(), names):
             lines.append(f"alphabet {t} {gname}")
     for s in system.sequences:
-        lines.append("seq " + " ".join(str(x) for x in s))
+        lines.append("seq " + " ".join(map(str, s)))
     return "\n".join(lines) + "\n"
 
 
@@ -302,7 +337,7 @@ def dump_egrp(table: ElementaryGroupTable) -> str:
     k, t = table.anchor
     lines = [f"egrp {k} {t} {len(table.elements)}"]
     for tri in table.elements:
-        lines.append("tri " + " ".join(str(x) for x in tri.labels))
+        lines.append("tri " + " ".join(map(str, tri.labels)))
     lines.append(dump_group(table.group).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -331,6 +366,10 @@ def parse_elementary_system(text: str) -> ElementarySystem:
     except ValueError:
         raise ParseError("bad esys header numbers") from None
     ell = depth - 1
+    # every time of the window anchors a table of its own
+    if window[1] - window[0] + 1 > len(lines):
+        raise ParseError(f"esys window {window[0]} {window[1]} has more times "
+                         f"than the file has lines")
 
     sizes: Dict[Tuple[int, int], int] = {}
     tables: Dict[Tuple[int, int], ElementaryGroupTable] = {}
@@ -344,15 +383,17 @@ def parse_elementary_system(text: str) -> ElementarySystem:
         elif parts[0] == "egrp":
             k, t, n = _ints(parts, 3, lines[i])
             anchor = (k, t)
+            if n < 0:
+                raise ParseError(f"egrp block at {anchor} has a negative size")
             if i + 1 + n >= len(lines):
                 raise ParseError(f"egrp block at {anchor} is truncated")
             positions = upper_triangle_positions(window, ell, k, t)
             tris = []
-            for j in range(n):
-                tparts = lines[i + 1 + j].split()
+            for line in lines[i + 1:i + 1 + n]:
+                tparts = line.split()
                 if tparts[0] != "tri":
-                    raise ParseError(f"expected tri line, got {lines[i + 1 + j]!r}")
-                labels = tuple(_int(x, lines[i + 1 + j]) for x in tparts[1:])
+                    raise ParseError(f"expected tri line, got {line!r}")
+                labels = tuple(_int_list(tparts[1:], line))
                 if len(labels) != len(positions):
                     raise ParseError(f"triangle at {anchor} has wrong arity")
                 tris.append(Triangle(anchor, positions, labels))
@@ -360,8 +401,7 @@ def parse_elementary_system(text: str) -> ElementarySystem:
             if group_header[0] != "group" or len(group_header) != 3:
                 raise ParseError("expected group block after triangles")
             order = _int(group_header[2], lines[i + 1 + n])
-            block = "\n".join(lines[i + 1 + n:i + 2 + n + order])
-            group = parse_group(block)
+            group = _parse_group_lines(lines[i + 1 + n:i + 2 + n + order])
             if group.order != n:
                 raise ParseError(f"table order differs from element count at {anchor}")
             tables[anchor] = ElementaryGroupTable(anchor, positions,

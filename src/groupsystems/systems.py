@@ -12,6 +12,7 @@ canonical generator basis, the two encoders, and the tensor decode.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -250,26 +251,51 @@ class GroupSystem:
         t0, t1 = self.window
         if not t0 <= t <= t1 + 1:
             raise OutOfWindow(f"X^t defined for {t0} <= t <= {t1 + 1}")
-        members = tuple(sorted(self.index_of(s) for s in self._x_members(t)))
+        members = tuple(self.finite_support_indices(t, t1))
         return Subgroup(self.sequence_group, members)
 
     def y_subgroup(self, t: int) -> Subgroup:
         t0, t1 = self.window
         if not t0 - 1 <= t <= t1:
             raise OutOfWindow(f"Y^t defined for {t0 - 1} <= t <= {t1}")
-        members = tuple(sorted(self.index_of(s) for s in self._y_members(t)))
+        members = tuple(self.finite_support_indices(t0, t))
         return Subgroup(self.sequence_group, members)
 
-    def finite_support_members(self, t_lo: int, t_hi: int) -> frozenset:
-        """A^[t_lo, t_hi]: members identity outside the interval (clamped
-        to the window), read off each member's first and last non-identity
-        position."""
+    @cached_property
+    def _extent_buckets(self) -> Dict[Tuple[int, int], List[int]]:
+        """Member indices grouped by their (first, last) extents, each list
+        ascending."""
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for i, key in enumerate(zip(*self._extents)):
+            buckets.setdefault(key, []).append(i)
+        return buckets
+
+    def finite_support_indices(self, t_lo: int, t_hi: int) -> List[int]:
+        """A^[t_lo, t_hi] as ascending member indices: the members identity
+        outside the interval (clamped to the window), that is those whose
+        first non-identity position is at or after it starts and whose last
+        one is before it ends.  Read off the (first, last) buckets, so a
+        call costs the buckets (at most (length + 1)^2) plus the answer."""
         t0, n = self.window[0], self.length
         lo = max(0, min(t_lo - t0, n))
         hi = max(0, min(t_hi - t0 + 1, n))
-        first, last = self._extents
-        return frozenset(s for s, f, l in zip(self.sequences, first, last)
-                         if f >= lo and l < hi)
+        return sorted(itertools.chain.from_iterable(
+            members for (f, l), members in self._extent_buckets.items()
+            if f >= lo and l < hi))
+
+    def finite_support_members(self, t_lo: int, t_hi: int) -> frozenset:
+        """A^[t_lo, t_hi] as member sequences (`finite_support_indices`)."""
+        return frozenset(map(self.sequences.__getitem__,
+                             self.finite_support_indices(t_lo, t_hi)))
+
+    def renamed(self, name: str) -> "GroupSystem":
+        """This validated system under another name, sharing its member
+        tuple, index and letter columns: nothing is re-sorted or
+        re-validated."""
+        out = copy.copy(self)
+        out.name = name
+        out._seq_group = None
+        return out
 
 
 def realized_alphabets(alphabets: Sequence[FiniteGroup],
@@ -410,8 +436,22 @@ def _subgroup_of(system: GroupSystem, members: frozenset) -> Subgroup:
                     tuple(sorted(system.index_of(s) for s in members)))
 
 
-def _set_product(system: GroupSystem, a: frozenset, b: frozenset) -> frozenset:
-    return frozenset(system.mul(x, y) for x in a for y in b)
+def _normal_product(system: GroupSystem, h: Iterable[Seq],
+                    k: Iterable[Seq]) -> set:
+    """H K for member subgroups H and K, one of them normal in the member
+    group, as the set of member sequences.
+
+    With K normal, H K = K H is a subgroup, and it is the one H and K
+    generate, so it is the closure of H and K's members: `_saturate` grows
+    the identity to it by column passes, taking a member as a generator
+    only when it lies outside the closure so far.  The cost is |H K| x
+    |generators| letter lookups instead of the |H| |K| tuple products of
+    the set product.  Every product subgroup here is of support
+    subgroups A^[a, b], and these are normal: conjugation acts letter by
+    letter, so it never turns an identity letter into another one."""
+    product = {system.identity}
+    _saturate(product, [*h, *k], system._op_columns, len(system))
+    return product
 
 
 def time_granule(system: GroupSystem, i: int, m: int,
@@ -426,8 +466,8 @@ def time_granule(system: GroupSystem, i: int, m: int,
     xi1 = system._x_members(i + 1)
     mid = system._x_members(i) & system._y_members(i + m)
     mid_prev = system._x_members(i) & system._y_members(i + m - 1)
-    num = _set_product(system, xi1, mid)
-    den = _set_product(system, xi1, mid_prev)
+    num = _normal_product(system, xi1, mid)
+    den = _normal_product(system, xi1, mid_prev)
     qp = _quotient_of_member_sets(system, num, den)
     if (m < 0 or (ell is not None and m > ell)) and qp.quotient.order != 1:
         raise NotAGroupSystem("granule case analysis violated", (i, m))
@@ -440,14 +480,14 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentatio
     if not t0 <= i <= t1 or (m >= 0 and i + m > t1):
         raise OutOfWindow(f"granule interval [{i},{i + m}] escapes [{t0},{t1}]")
     num = system._x_members(i) & system._y_members(i + m)
-    den = _set_product(system,
-                       system._x_members(i) & system._y_members(i + m - 1),
-                       system._x_members(i + 1) & system._y_members(i + m))
+    den = _normal_product(system,
+                          system._x_members(i) & system._y_members(i + m - 1),
+                          system._x_members(i + 1) & system._y_members(i + m))
     return _quotient_of_member_sets(system, num, den)
 
 
-def _quotient_of_member_sets(system: GroupSystem, num: frozenset,
-                             den: frozenset) -> QuotientPresentation:
+def _quotient_of_member_sets(system: GroupSystem, num: Iterable[Seq],
+                             den: Iterable[Seq]) -> QuotientPresentation:
     num_sub = _subgroup_of(system, num)
     num_group, embed = num_sub.as_group(name=f"{system.name}|num")
     pos = {m: i for i, m in enumerate(embed)}
@@ -461,9 +501,14 @@ def _quotient_of_member_sets(system: GroupSystem, num: frozenset,
 def window_slots(window: Tuple[int, int], ell: int) -> Tuple[Slot, ...]:
     """All (k, t) with [t, t+k] inside the window, in time-reverse fill order:
     columns of decreasing t, each climbed from k = 0 upward."""
+    return tuple(iter_window_slots(window, ell))
+
+
+def iter_window_slots(window: Tuple[int, int], ell: int) -> Iterator[Slot]:
+    """`window_slots` one at a time."""
     t0, t1 = window
-    return tuple((k, t) for t in range(t1, t0 - 1, -1)
-                 for k in range(0, min(ell, t1 - t) + 1))
+    return ((k, t) for t in range(t1, t0 - 1, -1)
+            for k in range(0, min(ell, t1 - t) + 1))
 
 
 @dataclass(frozen=True)
@@ -496,22 +541,34 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     Verifies: spans, granule-order agreement between the time-domain and
     finite-extent forms, per-time component distinctness, and that the slot
     transversals chain-generate the whole member set (window completeness).
+
+    Member sets are member indices: the numerator A^[t,t+k] is read off
+    the extent buckets (`finite_support_indices`), and cosets and chain
+    levels are column translates.  The denominator A^[t,t+k) A^(t,t+k] is
+    the identity for k = 0, and otherwise the closure of the numerators
+    of slots (k-1, t) and (k-1, t+1) (`_normal_product`), which the
+    time-reverse fill order has met already.
     """
     ell = controllability_index(system)
     slots = window_slots(system.window, ell)
     t0, _ = system.window
+    seqs, index = system.sequences, system._index
+    nums: Dict[Slot, List[int]] = {}
     transversals: Dict[Slot, Tuple[Seq, ...]] = {}
     for (k, t) in slots:
-        num = system.finite_support_members(t, t + k)
-        den = _set_product(system,
-                           system.finite_support_members(t, t + k - 1),
-                           system.finite_support_members(t + 1, t + k))
+        num = nums[(k, t)] = system.finite_support_indices(t, t + k)
+        den = [index[system.identity]]
+        if k:
+            den = sorted(map(index.__getitem__, _normal_product(
+                system, map(seqs.__getitem__, nums[(k - 1, t)]),
+                map(seqs.__getitem__, nums[(k - 1, t + 1)]))))
         reps = _least_coset_reps(system, num, den)
         # non-identity representatives have span exactly k+1
         for g in reps[1:]:
             if g[t - t0] == 0 or g[t + k - t0] == 0:
                 raise NotAGroupSystem("generator span defect", ((k, t), g))
-        _check_granule(system, (k, t), num, den, reps)
+        _check_granule(system, (k, t), map(seqs.__getitem__, num),
+                       map(seqs.__getitem__, den), reps)
         # per-time components distinguish the transversal entries
         for j in range(k + 1):
             comps = [g[t + j - t0] for g in reps]
@@ -524,8 +581,8 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     return GeneratorBasis(system, ell, slots, transversals, choices)
 
 
-def _check_granule(system: GroupSystem, slot: Slot, num: frozenset,
-                   den: frozenset, reps: Tuple[Seq, ...]) -> None:
+def _check_granule(system: GroupSystem, slot: Slot, num: Iterable[Seq],
+                   den: Iterable[Seq], reps: Tuple[Seq, ...]) -> None:
     """The time-domain granule X^{t+1} num / X^{t+1} den has as many cosets
     as the finite-extent one has representatives, and the representatives
     fall into distinct cosets of X^{t+1} den.
@@ -550,17 +607,30 @@ def _check_granule(system: GroupSystem, slot: Slot, num: frozenset,
                                   ((k, t), g1, g2))
 
 
-def _least_coset_reps(system: GroupSystem, num: frozenset,
-                      den: frozenset) -> Tuple[Seq, ...]:
-    seen = set()
+def _least_coset_reps(system: GroupSystem, num: Sequence[int],
+                      den: Sequence[int]) -> Tuple[Seq, ...]:
+    """The least member of each coset a den, a in num, in ascending order,
+    for ascending member indices num and den.
+
+    Each coset is one left translate of den's letter columns by a
+    (`GroupSystem.translate`), and its least member is its least member
+    index, because `sequences` is sorted.  Walking num upward and skipping
+    members of cosets already formed visits each coset once, as the
+    one-tuple-product-per-denominator-member form did, and takes the same
+    minimum of the same set; a coset costs |den| lookups per time.  Over
+    the identity alone, each coset is one member."""
+    if len(den) == 1:
+        return tuple(map(system.sequences.__getitem__, num))
+    columns = [list(map(col.__getitem__, den)) for col in system.columns]
+    seen: set = set()
     reps = []
-    for a in sorted(num):
+    for a in num:
         if a in seen:
             continue
-        coset = {system.mul(a, d) for d in den}
+        coset = system.translate(columns, system.sequences[a], right=False)
         reps.append(min(coset))
         seen.update(coset)
-    return tuple(sorted(reps))
+    return tuple(map(system.sequences.__getitem__, sorted(reps)))
 
 
 def coset_levels(start: Dict, transversals: Iterable[Sequence], mul) -> Iterator[Dict]:
@@ -583,16 +653,40 @@ def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
     Each step must multiply the count by the transversal size and the chain
     must end at the full member set; this is the window completeness check
     behind the tensor bijection.
-    """
-    level = {system.identity: ()}
-    steps = coset_levels(level, (transversals[slot] for slot in slots), system.mul)
-    for slot, step in zip(slots, steps):
-        if len(step) != len(level) * len(transversals[slot]):
-            raise NotAGroupSystem("chain step not coset-complete", slot)
-        level = step
-    if level.keys() != system._index.keys():
+
+    A level is held as letter columns.  Level i holds, per member h of
+    level i-1 and entry g (the c-th) of transversal i, the product h g at
+    position pos(h) |T_i| + c: per time, one right translate of level
+    i-1's column by each entry's letter (a column at an identity letter
+    staying as it is), interleaved.  So the choices of the member at a
+    position are its mixed-radix digits, in the order `itertools.product`
+    lists them, and no choice tuple is built level by level.  A product
+    repeats at level i exactly when two keys of `coset_levels`' level i
+    collide, and every repeat lives on into the last level, which holds
+    |A| distinct members exactly when the chain spans.  So the members
+    are looked up once, at the last level, and only a chain that fails
+    there is walked level by level for the first step with a repeat, the
+    witness of the level-by-level check.  The cost is two lookups per
+    member and time over all levels, and one index lookup per member."""
+    lines = system._op_columns
+    columns = [[x] for x in system.identity]
+    levels = []
+    for slot in slots:
+        trans = transversals[slot]
+        columns = [list(itertools.chain.from_iterable(zip(*(
+            col if g[p] == 0 else map(line[g[p]].__getitem__, col)
+            for g in trans)))) for p, (line, col) in enumerate(zip(lines, columns))]
+        levels.append(columns)
+    members = list(map(system._index.get, zip(*columns)))
+    n = len(system.sequences)
+    if None in members or len(members) != n or len(set(members)) != n:
+        for slot, level in zip(slots, levels):
+            rows = list(zip(*level))
+            if len(set(rows)) != len(rows):
+                raise NotAGroupSystem("chain step not coset-complete", slot)
         raise NotAGroupSystem("slot transversals do not span the system")
-    return level
+    choices = itertools.product(*(range(len(transversals[slot])) for slot in slots))
+    return dict(zip(map(system.sequences.__getitem__, members), choices))
 
 
 # -- tensors and encoders --------------------------------------------------

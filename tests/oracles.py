@@ -24,7 +24,7 @@ replaced: every elementary group certified and tabled on the members
 associativity screen of the recovery check (`associative_at`), and the
 controllability index by slicing every member per (t, l).
 
-The construction routines at the end are the earlier table validation
+The construction routines after those are the earlier table validation
 (all triples), the all-pairs homomorphism checks, the subdirect product
 through the full direct product, the isomorphism search that closes each
 partial map under all products, and the extension search that builds and
@@ -32,6 +32,18 @@ validates a table for every factor set.  The only change there: the search
 validates its candidate tables with the oracle `_validate_table` and
 compares groups with the oracle `find_isomorphism`, so it depends on
 neither the library's table check nor its isomorphism search.
+
+Last come the generator basis and the recovery on member sequences:
+support sets found by scanning every member, the finite-extent
+denominator as the set product of its two factors, each coset formed by
+one tuple product per denominator member, the basis chain by one tuple
+product per (member, entry) pair, and the recovered member set folded
+through `alpha_t` once per element, then sorted and validated as a new
+system.  The only change: `extract_basis` runs the granule test with
+X^{t+1} (`check_granule`), so the whole basis depends on no library
+routine but the controllability index.  `recover_original` and
+`recover_original_pairs` call this `recover_system_fhgs`, and
+`direct_product` (last) is the table filled entry by entry.
 """
 
 import itertools
@@ -74,8 +86,10 @@ from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
     Triangle,
-    recover_system_fhgs,
+    alpha_t,
+    elementary_group as library_elementary_group,
     restriction_images,
+    slice_classes,
     upper_triangle_positions,
 )
 from groupsystems.extensions import (
@@ -88,7 +102,6 @@ from groupsystems.groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
-    direct_product,
     homomorphism_witness,
     is_normal,
 )
@@ -100,7 +113,9 @@ from groupsystems.systems import (
     Slot,
     TensorR,
     build_system as library_build_system,
+    controllability_index as library_controllability_index,
     realized_alphabets,
+    window_slots,
 )
 
 
@@ -874,3 +889,101 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     if not any(find_isomorphism(dp, ext) is not None for ext, _ in found):
         raise NoExtensionFound("direct product missing from search results")
     return ExtensionSearch(tuple(found), complete)
+
+
+# -- the generator basis and recovery on sequences ----------------------------
+
+def least_coset_reps(system: GroupSystem, num: frozenset,
+                     den: frozenset) -> Tuple[Seq, ...]:
+    """The least member of each coset a den, one tuple product per
+    denominator member."""
+    seen = set()
+    reps = []
+    for a in sorted(num):
+        if a in seen:
+            continue
+        coset = {system.mul(a, d) for d in den}
+        reps.append(min(coset))
+        seen.update(coset)
+    return tuple(sorted(reps))
+
+
+def basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
+                transversals: Dict[Slot, Tuple[Seq, ...]]) -> Dict[Seq, Tuple[int, ...]]:
+    """The basis chain's last level as a dict of member sequences, one
+    tuple product per (member, entry) pair."""
+    level = {system.identity: ()}
+    for slot in slots:
+        step = {system.mul(h, g): choices + (c,)
+                for h, choices in level.items()
+                for c, g in enumerate(transversals[slot])}
+        if len(step) != len(level) * len(transversals[slot]):
+            raise NotAGroupSystem("chain step not coset-complete", slot)
+        level = step
+    if level.keys() != system._index.keys():
+        raise NotAGroupSystem("slot transversals do not span the system")
+    return level
+
+
+def extract_basis(system: GroupSystem) -> GeneratorBasis:
+    """The generator basis on member sequences: support sets by scanning
+    every member, the denominator as the set product of its two factors,
+    cosets by tuple products, the granule test with X^{t+1}."""
+    ell = library_controllability_index(system)
+    slots = window_slots(system.window, ell)
+    t0 = system.window[0]
+
+    def support(lo: int, hi: int) -> frozenset:
+        return x_members(system, lo) & y_members(system, hi)
+
+    transversals: Dict[Slot, Tuple[Seq, ...]] = {}
+    for (k, t) in slots:
+        num = support(t, t + k)
+        den = _set_product(system, support(t, t + k - 1), support(t + 1, t + k))
+        reps = least_coset_reps(system, num, den)
+        for g in reps[1:]:
+            if g[t - t0] == 0 or g[t + k - t0] == 0:
+                raise NotAGroupSystem("generator span defect", ((k, t), g))
+        check_granule(system, (k, t), num, den, reps)
+        for j in range(k + 1):
+            comps = [g[t + j - t0] for g in reps]
+            if len(set(comps)) != len(comps):
+                raise NotAGroupSystem("component collision in transversal",
+                                      ((k, t), j))
+        transversals[(k, t)] = reps
+    choices = basis_chain(system, slots, transversals)
+    return GeneratorBasis(system, ell, slots, transversals, choices)
+
+
+def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
+    """The member set rebuilt from alpha_t, one call per element of each
+    time-t local group, compared with the original as a set and then
+    sorted and validated as a new system."""
+    columns = []
+    for t in ctx.system.times():
+        elem = library_elementary_group(ctx, 0, t)
+        letters = [alpha_t(ctx, tri, t) for tri in elem.elements]
+        columns.append(map(letters.__getitem__, slice_classes(ctx, 0, t)))
+    seqs = list(zip(*columns))
+    if set(seqs) != set(ctx.system.sequences) or len(set(seqs)) != len(seqs):
+        raise RecoveryMismatch("image of the recovery map differs from the system")
+    return GroupSystem(ctx.system.window, ctx.system.alphabets, seqs,
+                       name=f"{ctx.system.name}|fhgs", _closed=True)
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup,
+                   name: Optional[str] = None) -> tuple:
+    """g1 x g2 with lexicographic pair order, filled entry by entry with two
+    table lookups each."""
+    n1, n2 = g1.order, g2.order
+    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
+    for a1 in range(n1):
+        for b1 in range(n2):
+            for a2 in range(n1):
+                for b2 in range(n2):
+                    table[a1 * n2 + b1][a2 * n2 + b2] = \
+                        g1.op(a1, a2) * n2 + g2.op(b1, b2)
+    g = FiniteGroup(table, name=name or f"{g1.name}x{g2.name}", _validated=True)
+    proj1 = Homomorphism(g, g1, tuple(x // n2 for x in range(n1 * n2)), check=False)
+    proj2 = Homomorphism(g, g2, tuple(x % n2 for x in range(n1 * n2)), check=False)
+    return g, proj1, proj2

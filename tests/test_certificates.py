@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import groupsystems.elementary as elementary_module
 import groupsystems.systems as systems_module
 from groupsystems.chains import (
     complementary,
@@ -35,6 +36,7 @@ from groupsystems.errors import (
     NotASubgroup,
     NotNormalFilling,
     OverlapInconsistency,
+    RecoveryMismatch,
     ToolkitError,
     WellDefinednessFailure,
 )
@@ -42,10 +44,13 @@ from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
     Triangle,
+    _alpha_column,
     _nested_slice_group,
+    alpha_t,
     build_context,
     compose_columns,
     elementary_group,
+    recover_system_fhgs,
     upper_triangle_positions,
 )
 from groupsystems.groups import (
@@ -68,10 +73,12 @@ from groupsystems.systems import (
     _basis_chain,
     _check_granule,
     _least_coset_reps,
-    _set_product,
+    _normal_product,
     build_system,
     controllability_index,
     decode_to_tensor,
+    encode_time_domain,
+    extract_basis,
     window_slots,
 )
 
@@ -555,10 +562,13 @@ def granule_cases(system: GroupSystem):
     the first (colliding cosets)."""
     ell = controllability_index(system)
     support = system.finite_support_members
+    index = system._index
     for k, t in window_slots(system.window, ell):
         num = support(t, t + k)
-        den = _set_product(system, support(t, t + k - 1), support(t + 1, t + k))
-        reps = _least_coset_reps(system, num, den)
+        den = frozenset(_normal_product(system, support(t, t + k - 1),
+                                        support(t + 1, t + k)))
+        reps = _least_coset_reps(system, sorted(map(index.__getitem__, num)),
+                                 sorted(map(index.__getitem__, den)))
         yield (k, t), num, den, reps
         yield (k, t), num, den, reps[:-1]
         if len(reps) > 1:
@@ -841,3 +851,245 @@ def test_controllability_index_matches_oracle_on_fixtures(request, name):
 def test_controllability_index_matches_oracle_on_generated_systems(case):
     system = build_system(*case)
     assert controllability_index(system) == oracles.controllability_index(system)
+
+
+# -- the basis on member indices and the recovery on columns ---------------------
+
+def basis_key(basis: GeneratorBasis) -> tuple:
+    return basis.ell, basis.slots, basis.transversals, basis.choices
+
+
+def recovered_key(system: GroupSystem) -> tuple:
+    return (system.name, system.window) + system_key(system)
+
+
+def assert_basis_and_recovery_agree(system: GroupSystem) -> None:
+    """Transversals, choices and ell, or the error and its message, as the
+    sequence forms give them; then the recovered system from a context on
+    that basis."""
+    new = failure(extract_basis, system)
+    same_failure(new, failure(oracles.extract_basis, system), basis_key)
+    if new[0] == "ok":
+        ctx = GeneratorContext(system, new[1])
+        same_failure(failure(recover_system_fhgs, ctx),
+                     failure(oracles.recover_system_fhgs, ctx), recovered_key)
+        for t in system.times():  # the column fold, element by element
+            elements = elementary_group(ctx, 0, t).elements
+            assert _alpha_column(ctx, t) == [alpha_t(ctx, tri, t) for tri in elements]
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square", "s3_signs"])
+def test_basis_and_recovery_match_oracles_on_fixtures(request, name):
+    """The fixtures, S3 x S3, and the pairs of S3 x S3 of equal sign, whose
+    letters at time 1 are products of two generators' letters that do not
+    commute (a 3-cycle and a transposition)."""
+    if name == "s3_signs":
+        s3 = GROUPS["S3"]
+        rot = next(a for a in s3.elements() if s3.element_order(a) == 3)
+        flip = next(a for a in s3.elements() if s3.element_order(a) == 2)
+        system = build_system((0, 1), [s3, s3], [(rot, 0), (0, rot), (flip, flip)])
+        assert len(system) == 18 and controllability_index(system) == 1
+    else:
+        system = request.getfixturevalue(name)
+    assert_basis_and_recovery_agree(system)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_systems())
+def test_basis_and_recovery_match_oracles_on_generated_systems(case):
+    assert_basis_and_recovery_agree(build_system(*case))
+
+
+# Two-output tap rules whose basis has two entries with one letter at some
+# time; both forms reject them on every window tried.
+UNDECIDED_TAP_PAIRS = (
+    ("x0", "x2"), ("x0", "x0+x2"), ("x0+x1", "x2"),
+    ("x0+x1", "x0+x1+x2"), ("x0+x2", "x2"), ("x0+x1+x2", "x2"),
+)
+
+
+@pytest.mark.parametrize("group", TAP_GROUPS)
+def test_basis_rejects_colliding_components_like_the_oracle(group):
+    for taps in UNDECIDED_TAP_PAIRS:
+        for last in (3, 4):
+            system = parse_system(f"system R\nwindow 0 {last}\n"
+                                  f"rule conv {group} {taps[0]} {taps[1]}\n")
+            new = failure(extract_basis, system)
+            assert new[:2] == ("raise", NotAGroupSystem)
+            assert "component collision in transversal" in new[2]
+            same_failure(new, failure(oracles.extract_basis, system))
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_basis_matches_oracle_on_member_sets_with_one_member_removed(request, name):
+    """Each member but the identity left out: as a member set, which the
+    system check rejects before any basis is formed, and as seeds, whose
+    saturation is the system again or a subsystem."""
+    system = request.getfixturevalue(name)
+
+    def basis_of_members(members):
+        return extract_basis(GroupSystem(system.window, system.alphabets, members))
+
+    def oracle_of_members(members):
+        return oracles.extract_basis(
+            GroupSystem(system.window, system.alphabets, members))
+
+    def basis_of_seeds(members):
+        return extract_basis(build_system(system.window, system.alphabets, members))
+
+    def oracle_of_seeds(members):
+        return oracles.extract_basis(
+            build_system(system.window, system.alphabets, members))
+
+    for gone in system.sequences[1:20]:
+        members = [s for s in system.sequences if s != gone]
+        rejected = failure(basis_of_members, members)
+        assert rejected[:2] == ("raise", NotAGroupSystem)
+        same_failure(rejected, failure(oracle_of_members, members))
+        same_failure(failure(basis_of_seeds, members),
+                     failure(oracle_of_seeds, members), basis_key)
+
+
+def with_entries_swapped(basis: GeneratorBasis, slot, i: int, j: int) -> GeneratorBasis:
+    entries = list(basis.transversals[slot])
+    entries[i], entries[j] = entries[j], entries[i]
+    transversals = dict(basis.transversals)
+    transversals[slot] = tuple(entries)
+    return GeneratorBasis(basis.system, basis.ell, basis.slots, transversals,
+                          basis.choices)
+
+
+@pytest.mark.parametrize("name", ["z3_taps", "s3_square"])
+def test_recovery_compares_member_sets_where_rows_move(request, name):
+    """A context whose transversal entries are relabeled against its label
+    tensors: swapping two non-identity entries of a slot recovers members
+    in other rows, which both forms accept as the same member set; putting
+    the identity in an entry's place repeats a row, which both reject."""
+    if name == "z3_taps":
+        system = parse_system("system T\nwindow 0 2\nrule conv Z3 x0 x0+x1\n")
+    else:
+        system = request.getfixturevalue(name)
+    basis = extract_basis(system)
+    slot = max(basis.slots, key=lambda s: len(basis.transversals[s]))
+    swaps = itertools.combinations(range(1, len(basis.transversals[slot])), 2)
+    for i, j in itertools.islice(swaps, 4):
+        ctx = GeneratorContext(system, with_entries_swapped(basis, slot, i, j))
+        new = failure(recover_system_fhgs, ctx)
+        assert new[0] == "ok"
+        same_failure(new, failure(oracles.recover_system_fhgs, ctx), recovered_key)
+        # the rows moved: some member's labels now encode another member
+        assert any(encode_time_domain(ctx.basis, decode_to_tensor(ctx.basis, a)) != a
+                   for a in system.sequences)
+    entries = dict(basis.transversals)
+    entries[slot] = (system.identity,) + entries[slot][:1] + entries[slot][2:]
+    ctx = GeneratorContext(system, GeneratorBasis(
+        system, basis.ell, basis.slots, entries, basis.choices))
+    new = failure(recover_system_fhgs, ctx)
+    assert new[:2] == ("raise", RecoveryMismatch)
+    same_failure(new, failure(oracles.recover_system_fhgs, ctx))
+
+
+def test_recovered_system_shares_the_validated_members(c2):
+    ctx = build_context(c2)
+    recovered = recover_original(extract_elementary_system(ctx), ctx)
+    assert recovered.name == "C2|fhgs"
+    assert recovered.sequences is c2.sequences
+    assert recovered.columns is c2.columns
+    assert recovered._index is c2._index
+    assert c2.name == "C2"
+
+
+def test_least_coset_reps_take_left_cosets(s3_square):
+    """Over a subgroup of order 2 in the first factor of S3 x S3, which is
+    not normal, left and right cosets differ: the representatives are
+    those of the left cosets a D that the tuple-product form takes."""
+    system = s3_square
+    index = system._index
+    differ = 0
+    for flip in (a for a in GROUPS["S3"].elements() if GROUPS["S3"].element_order(a) == 2):
+        sub = frozenset({(0, 0), (flip, 0)})
+        left = _least_coset_reps(system, list(range(len(system))),
+                                 sorted(map(index.__getitem__, sub)))
+        assert left == oracles.least_coset_reps(
+            system, frozenset(system.sequences), sub)
+        right = {min(system.mul(d, a) for d in sub) for a in system.sequences}
+        differ += set(left) != right
+    assert differ
+
+
+def light_calls(monkeypatch) -> list:
+    """Record the tables Light's test runs on during recovery."""
+    calls = []
+    light = elementary_module.light_associative
+
+    def counted(op, gens):
+        calls.append(op)
+        return light(op, gens)
+
+    monkeypatch.setattr(elementary_module, "light_associative", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["c2", "s3_square"])
+def test_recovery_tests_the_tables_the_context_did_not_build(request, monkeypatch, name):
+    """Light's test is skipped only for a (0, t) table that is the
+    context's own elementary group; a file-loaded table is another object,
+    and each one is tested."""
+    system = request.getfixturevalue(name)
+    ctx = build_context(system)
+    es = extract_elementary_system(ctx)
+    calls = light_calls(monkeypatch)
+    recover_original(es, ctx)
+    assert calls == []
+    loaded = parse_elementary_system(dump_elementary_system(es))
+    recover_original(loaded, ctx)
+    assert calls == [loaded.tables[(0, t)].group.op_table for t in system.times()]
+
+
+def test_recovery_tests_a_swapped_in_table_and_names_its_witness(monkeypatch):
+    """Identity-row entries swapped at columns no generator's slice reaches
+    (the element x generator pairs never read them) in a table at an
+    anchor the context has built: Light's test runs on that table, and the
+    recovery is rejected with the witness of the per-pair loop."""
+    system = parse_system("system T\nwindow 0 3\nrule conv Z2 x0 x1+x2\n")
+    ctx = build_context(system)
+    es = extract_elementary_system(ctx)
+    calls = light_calls(monkeypatch)
+    rejected = 0
+    for t in system.times():
+        table = es.tables[(0, t)]
+        take = [ctx.slot_pos[p] for p in table.positions]
+        gen_slices = {table._index[tuple(ctx.tensors[s][i] for i in take)]
+                      for s in ctx.generating_set}
+        free = [c for c in range(1, table.group.order) if c not in gen_slices]
+        if len(free) < 2:
+            continue
+        op = [list(r) for r in table.group.op_table]
+        op[0][free[0]], op[0][free[1]] = op[0][free[1]], op[0][free[0]]
+        group = FiniteGroup(op, name=table.group.name, _validated=True)
+        bad = with_table(es, (0, t), ElementaryGroupTable(
+            table.anchor, table.positions, table.elements, group))
+        del calls[:]
+        new = failure(recover_original, bad, ctx)
+        assert calls == [group.op_table]
+        assert new[0] == "raise"
+        same_failure(new, failure(oracles.recover_original_pairs, bad, ctx))
+        rejected += 1
+    assert rejected
+
+
+FIXTURE_GROUPS = [cyclic_group(n) for n in (1, 2, 3, 4)] + [
+    symmetric_group_3(), direct_product(cyclic_group(2), cyclic_group(2))[0]]
+
+
+def test_direct_product_matches_the_entrywise_form(request):
+    """Tables and projections of every pair of fixture groups, the fixture
+    systems' alphabets included."""
+    groups = FIXTURE_GROUPS + [g for name in FIXTURES
+                               for g in request.getfixturevalue(name).alphabets]
+    for g1, g2 in itertools.product(groups, repeat=2):
+        new, old = direct_product(g1, g2), oracles.direct_product(g1, g2)
+        assert new[0].op_table == old[0].op_table and new[0].name == old[0].name
+        for p_new, p_old in zip(new[1:], old[1:]):
+            assert p_new.image_of == p_old.image_of

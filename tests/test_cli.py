@@ -1,10 +1,17 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fuzzing import fuzzed_texts
 
 import groupsystems.chains as chains
 import groupsystems.cli as cli
@@ -412,3 +419,92 @@ def test_ragged_group_rows_are_parse_errors(capsys, tmp_path):
         code, _, err = run(capsys, "validate", path)
         assert code == 1
         assert f"table row 1 of group G has {entries} entries, expected 2" in err
+
+
+def run_limited(argv: str, cwd, timeout: int = 60) -> subprocess.CompletedProcess:
+    """The command line in a child process whose address space is limited
+    to 2 GB, so an input that makes the program allocate without bound
+    fails there instead of exhausting the host."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "groupsystems.cli", *argv.split()],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit)
+
+
+def test_oversized_construct_names_its_cap_before_enumerating(tmp_path):
+    """2^40 label tensors on [0, 40]: the global group system counts them
+    against the member cap before building any."""
+    done = run_limited("--window 0 40 construct --seed-group Z2 --ell 1", tmp_path,
+                       timeout=30)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ("bound exceeded: global group system: 1099511627776 "
+                           "label tensors exceed cap 65536\n")
+
+
+def test_long_windows_end_in_typed_errors(capsys, tmp_path):
+    """Inputs whose size comes from a window, not from the text: each fails
+    at once with its documented exit code."""
+    cases = [
+        ("system X\nwindow 0 1000000\nalphabet all Z2\nseq 0\n", 1,
+         "does not span the window"),
+        ("system X\nwindow 0 100000\nrule conv Z2 x0 x1\n", 3,
+         "rule unrolling: a window of 100001 times exceeds cap 65536"),
+        ("system X\nwindow 0 100000000\nrule conv Z1 x0\n", 3,
+         "a window of 100000001 times exceeds cap"),
+        ("system X\nwindow 0 3\nrule conv Z2 x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10\n", 3,
+         "output alphabet order 2^11 exceeds cap CYCLIC_ORDER_CAP=1024"),
+        (f"system X\nwindow 0 3\nrule conv Z2 x{'9' * 5000}\n", 1, "bad tap expression"),
+        ("system X\nwindow 0 -1000000000000000000000000000000\nrule conv Z2 x0\n", 2,
+         "empty window [0,-1000000000000000000000000000000]"),
+    ]
+    for text, code, message in cases:
+        p = tmp_path / "long.gsys"
+        p.write_text(text)
+        got, _, err = run(capsys, "validate", p)
+        assert (got, message in err) == (code, True), err
+    esys = tmp_path / "wide.esys"
+    esys.write_text("esys E depth 1000000000 window 0 1000000000\nlabels 0 0 1\n")
+    got, _, err = run(capsys, "roundtrip", esys)
+    assert got == 1 and "more times than the file has lines" in err
+    huge = "Z" + "9" * 5000
+    got, _, err = run(capsys, "--window", "0", "2", "construct", "--seed-group", huge,
+                      "--ell", "1")
+    assert got == 3 and "exceeds cap CYCLIC_ORDER_CAP" in err
+
+
+FUZZ_COMMANDS = {
+    "gsys": (("validate",), ("generators",), ("esys",), ("roundtrip",), ("chains",)),
+    "esys": (("roundtrip",),),
+    "grp": (("validate",),),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_files_exit_with_a_documented_code(kind, data):
+    """`main` on fuzzed files returns 0-3 and raises nothing; a .grp file
+    is read as the alphabet of a system next to it."""
+    text = data.draw(fuzzed_texts(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind == "grp":
+            (tmp / "G0.grp").write_text(text)
+            path = tmp / "uses_g0.gsys"
+            path.write_text("system X\nwindow 0 1\nalphabet all G0\nseq 1 1\n")
+        else:
+            path = tmp / f"fuzzed.{kind}"
+            path.write_text(text)
+        for command in FUZZ_COMMANDS[kind]:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command, str(path)])
+            assert code in (0, 1, 2, 3)

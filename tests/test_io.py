@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fuzzing import fuzzed_texts
 
 import groupsystems.io as io
 from groupsystems.elementary import extract_elementary_system, structurally_equal
@@ -6,6 +10,7 @@ from groupsystems.errors import (
     BoundExceeded,
     NotAGroupSystem,
     ParseError,
+    ToolkitError,
     WellDefinednessFailure,
 )
 from groupsystems.generators import build_context
@@ -20,7 +25,7 @@ from groupsystems.io import (
     parse_system,
     resolve_group,
 )
-from groupsystems.systems import GroupSystem
+from groupsystems.systems import GroupSystem, build_system
 
 
 def test_group_roundtrip_bit_exact():
@@ -237,3 +242,78 @@ def test_cyclic_groups_above_the_cap_are_refused_everywhere(monkeypatch):
     assert built == []
     resolve_group(f"Z{CYCLIC_ORDER_CAP}")
     assert built == [CYCLIC_ORDER_CAP]
+
+
+def test_long_windows_fail_on_the_seq_length_first(monkeypatch):
+    """Seq lengths are checked before any alphabet is resolved, and each
+    alphabet name is resolved once, however long the window."""
+    resolved = []
+    monkeypatch.setattr(io, "resolve_group",
+                        lambda name, search_dir=None: resolved.append(name) or cyclic_group(2))
+    with pytest.raises(ParseError, match="does not span the window"):
+        parse_system("system X\nwindow 0 1000000\nalphabet all Z2\nseq 0\n")
+    assert resolved == []
+    system = parse_system("system X\nwindow 0 3\nalphabet all Z2\nalphabet 2 Z3\n"
+                          "seq 1 1 0 0\n")
+    assert len(system) == 2 and resolved == ["Z2", "Z3"]
+
+
+def test_reload_reports_bad_triangle_labels_by_token(c2):
+    text = dump_elementary_system(extract_elementary_system(build_context(c2)))
+    line = next(line for line in text.splitlines() if line.startswith("tri ") and " 1" in line)
+    bad = line.replace(" 1", " one", 1)
+    with pytest.raises(ParseError, match=rf"^expected an integer, got 'one' in {bad!r}$"):
+        parse_elementary_system(text.replace(line, bad, 1))
+
+
+def test_triangle_labels_outside_the_label_sets_are_rejected(r2):
+    """A triangle label past its slot's label count (or negative) keeps the
+    element count and the triangles distinct; the reload rejects it, where
+    the global group system used to fail on a missing slice."""
+    text = dump_elementary_system(extract_elementary_system(build_context(r2)))
+    for label in ("9223372036854775808", "-1"):
+        bad = text.replace("tri 1 0\ngroup E(0,0)", f"tri 1 {label}\ngroup E(0,0)", 1)
+        assert bad != text
+        with pytest.raises(WellDefinednessFailure,
+                           match=r"label at slot \(0, 0\) is outside 0\.\.0"):
+            parse_elementary_system(bad)
+
+
+# -- fuzzing the parsers ------------------------------------------------------------
+
+PARSERS = {"grp": parse_group, "gsys": parse_system, "esys": parse_elementary_system}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_texts_end_in_typed_errors(kind, data):
+    text = data.draw(fuzzed_texts(kind))
+    try:
+        PARSERS[kind](text)
+    except ToolkitError:
+        pass
+
+
+FIXED_POINT_GROUPS = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group_3()}
+
+
+@st.composite
+def saturated_systems(draw):
+    name = draw(st.sampled_from(sorted(FIXED_POINT_GROUPS)))
+    g = FIXED_POINT_GROUPS[name]
+    length = draw(st.integers(1, 4 if name != "S3" else 3))
+    letter = st.integers(0, g.order - 1)
+    seeds = draw(st.lists(st.tuples(*[letter] * length), min_size=1, max_size=4))
+    return build_system((0, length - 1), [g] * length, seeds, name="F")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(saturated_systems())
+def test_dump_parse_dump_is_a_fixed_point(system):
+    text = dump_system(system)
+    again = parse_system(text)
+    assert again.sequences == system.sequences
+    assert dump_system(again) == text
