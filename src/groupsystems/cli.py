@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -25,6 +26,7 @@ from .chains import (
 )
 from .elementary import (
     ConstructionStrategy,
+    check_tensor_count,
     construct_elementary_system,
     extract_elementary_system,
     global_group_system,
@@ -222,6 +224,13 @@ def cmd_construct(args, cfg: RunConfig) -> int:
     top = fmt.resolve_group(args.seed_group)
     kernels = _parse_depth_map(args.kernel, "k=GroupName", fmt.resolve_group)
     ext_indices = _parse_depth_map(args.ext_index, "k=index", int)
+    # before any anchor: row k has t1 - t0 + 1 - k slots of one label size
+    t0, t1 = cfg.window
+    slot_counts = Counter()
+    for k, group in {**kernels, args.ell: top}.items():
+        if 0 <= k <= min(args.ell, t1 - t0):
+            slot_counts[group.order] += t1 - t0 + 1 - k
+    check_tensor_count(slot_counts, "global group system")
     strategy = ConstructionStrategy(kernels=kernels,
                                     extension_indices=ext_indices)
     es = construct_elementary_system(cfg.window, args.ell, top,

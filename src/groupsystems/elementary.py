@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -40,7 +41,8 @@ from .generators import (
     restriction_images,
     upper_triangle_positions,
 )
-from .groups import FiniteGroup, Homomorphism, homomorphism_witness, trivial_group
+from .groups import (FiniteGroup, Homomorphism, homomorphism_witness,
+                     light_associative, trivial_group)
 from .systems import (
     DEFAULT_MEMBER_CAP,
     GroupSystem,
@@ -215,18 +217,26 @@ def global_product(es: ElementarySystem, v1: Sequence[int],
     return tuple(out)
 
 
-def _check_tensor_count(es: ElementarySystem, stage: str) -> None:
-    """The global group has one element per label tensor, the product of
-    the label sizes; above the member cap, raise before any is built."""
-    count = math.prod(es.label_sizes[slot] for slot in es.slots())
-    if count > DEFAULT_MEMBER_CAP:
-        raise BoundExceeded(f"{stage}: {count_text(count)} label tensors exceed cap "
-                            f"{DEFAULT_MEMBER_CAP}")
+def check_tensor_count(slot_counts: Dict[int, int], stage: str) -> None:
+    """The global group has one element per label tensor, a label of its
+    slot's size at every slot (`slot_counts`: size -> number of slots).
+    Above the member cap, raise before any is built.  A count past
+    2^(2^16) is not formed; the power of two it reaches is summed size by
+    size, so no window is too long to count."""
+    bits = sum(n * (size.bit_length() - 1) for size, n in slot_counts.items())
+    if bits > DEFAULT_MEMBER_CAP:
+        text = f"at least 2^{bits}"
+    else:
+        count = math.prod(size ** n for size, n in slot_counts.items())
+        if count <= DEFAULT_MEMBER_CAP:
+            return
+        text = count_text(count)
+    raise BoundExceeded(f"{stage}: {text} label tensors exceed cap {DEFAULT_MEMBER_CAP}")
 
 
 def global_group(es: ElementarySystem) -> tuple:
     """(elements, op) of the global group; elements are label tensors."""
-    _check_tensor_count(es, "global group")
+    check_tensor_count(Counter(map(es.label_sizes.get, es.slots())), "global group")
     tensors = global_tensors(es)
     index = {v: i for i, v in enumerate(tensors)}
     table = [[index[global_product(es, a, b)] for b in tensors] for a in tensors]
@@ -238,7 +248,8 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     """The per-time image of the global group: letters are time-t triangles,
     alphabets the local groups; verified strongly controllable below its
     depth and complete by construction."""
-    _check_tensor_count(es, "global group system")
+    check_tensor_count(Counter(map(es.label_sizes.get, es.slots())),
+                       "global group system")
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = []
@@ -397,26 +408,6 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
                         f"local group at {anchor} is not associative")
 
 
-def light_associative(op: tuple, gens: Sequence[int]) -> bool:
-    """Light's test on an operation table over 0..n-1: (x y) z = x (y z)
-    for all x, y and for z = 0 and every z in `gens`, the table's greedy
-    generators (`FiniteGroup.generators`).
-
-    This proves full associativity, with no assumption on the table: the
-    set T of z with (x y) z = x (y z) for all x, y is closed under the
-    product (for a, b in T, (x y)(a b) = ((x y) a) b = (x (y a)) b
-    = x ((y a) b) = x (y (a b))), and the greedy generators take every
-    element that the right products of 0 with earlier ones do not reach,
-    so 0 and the generators in T put every element in T.  The cost is
-    n^2 (|gens| + 1) reads, per z one column read along each row."""
-    for z in (0, *gens):
-        col = [row[z] for row in op]
-        for row in op:
-            if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
-                return False
-    return True
-
-
 # -- construction ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -463,7 +454,7 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     tables: Dict[Anchor, ElementaryGroupTable] = {}
     searches: dict = {}  # (base table, kernel table, cap) -> extensions
 
-    for k in range(ell, -1, -1):
+    for k in range(min(ell, t1 - t0), -1, -1):  # rows past the window hold no slot
         for t in range(t0, t1 - k + 1):
             anchor = (k, t)
             kernel = top if k == ell else strategy.kernel(k, t)
@@ -619,22 +610,13 @@ def structurally_equal(es1: ElementarySystem,
     anchors = sorted(slots, key=lambda p: (-p[0], -p[1]))
 
     def anchor_ok(anchor, phi) -> bool:
+        # phi maps the triangles injectively, and as a homomorphism
         t1, t2 = es1.tables[anchor], es2.tables[anchor]
-        mapped = {}
-        idx2 = {tri.labels: i for i, tri in enumerate(t2.elements)}
-        for i, tri in enumerate(t1.elements):
-            image = tuple(phi[pos][lab]
-                          for pos, lab in zip(tri.positions, tri.labels))
-            if image not in idx2:
-                return False
-            mapped[i] = idx2[image]
-        if len(set(mapped.values())) != len(mapped):
-            return False
-        for a in range(t1.group.order):
-            for b in range(t1.group.order):
-                if mapped[t1.group.op(a, b)] != t2.group.op(mapped[a], mapped[b]):
-                    return False
-        return True
+        images = tuple(t2._index.get(tuple(
+            phi[pos][lab] for pos, lab in zip(tri.positions, tri.labels)))
+            for tri in t1.elements)
+        return (None not in images and len(set(images)) == len(images)
+                and homomorphism_witness(t1.group, t2.group, images) is None)
 
     def backtrack(i: int, phi: Dict[Slot, tuple]) -> Optional[Dict[Slot, tuple]]:
         if i == len(anchors):

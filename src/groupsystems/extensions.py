@@ -9,6 +9,7 @@ result is flagged incomplete.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -26,6 +27,7 @@ from .groups import (
     direct_product,
     find_isomorphism,
     homomorphism_witness,
+    isomorphisms,
 )
 
 DEFAULT_EXTENSION_ORDER_CAP = 64
@@ -80,53 +82,22 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
 
 
 def _automorphisms(k: FiniteGroup, cap: int = AUTOMORPHISM_CANDIDATE_CAP) -> List[tuple]:
-    """All automorphisms of a small group, as image tuples."""
+    """All automorphisms of a small group, as image tuples (`isomorphisms`
+    from k to itself), the identity first and then in lexicographic order.
+    The order-preserving image tuples are counted against `cap` first."""
     n = k.order
-    auts = []
     orders = [k.element_order(a) for a in range(n)]
-    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in range(n)]
+    same_order = Counter(orders)
     total = 1
-    for c in candidates[1:]:
-        total *= max(len(c), 1)
+    for a in range(1, n):
+        total *= same_order[orders[a]]
         if total > cap:
             raise BoundExceeded(
                 f"extension search: automorphism search too large: at least "
                 f"{total} order-preserving image tuples for kernel "
                 f"{k.name} of order {n} exceed cap {cap}")
-
-    def backtrack(images: list) -> None:
-        a = len(images)
-        if a == n:
-            if len(set(images)) == n:
-                auts.append(tuple(images))
-            return
-        for b in candidates[a]:
-            if b in images:
-                continue
-            ok = True
-            for x in range(a):
-                xa = k.op(x, a)
-                if xa < a and images[xa] != k.op(images[x], b):
-                    ok = False
-                    break
-                ax = k.op(a, x)
-                if ax < a and images[ax] != k.op(b, images[x]):
-                    ok = False
-                    break
-            if ok:
-                images.append(b)
-                backtrack(images)
-                images.pop()
-
-    backtrack([0])
-    verified = []
-    for imgs in auts:
-        if all(imgs[k.op(a, b)] == k.op(imgs[a], imgs[b])
-               for a in range(n) for b in range(n)):
-            verified.append(imgs)
     identity = tuple(range(n))
-    verified.sort(key=lambda imgs: (imgs != identity, imgs))
-    return verified
+    return sorted(isomorphisms(k, k), key=lambda imgs: (imgs != identity, imgs))
 
 
 @dataclass(frozen=True)

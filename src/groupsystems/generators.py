@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    DomainError,
     OutOfWindow,
     RecoveryMismatch,
     ShapeMismatch,
@@ -120,6 +121,9 @@ class GeneratorContext:
         self.ell = self.basis.ell
         self.slots = self.basis.slots
         self.slot_pos = self.basis.slot_pos
+        for slot in self.slots:
+            if self.basis.transversal(slot)[:1] != (system.identity,):
+                raise DomainError(f"basis entry 0 at slot {slot} is not the identity")
         # member index <-> label tensor
         choices = self.basis.choices
         self.tensors: Tuple[Tuple[int, ...], ...] = tuple(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -53,13 +53,8 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         if self._inv is None:
-            inv = [0] * self.order
-            for x in range(self.order):
-                for y in range(self.order):
-                    if self.op_table[x][y] == 0:
-                        inv[x] = y
-                        break
-            self._inv = tuple(inv)
+            # row x holds 0 once, at the inverse of x (`_check_axioms`)
+            self._inv = tuple(row.index(0) for row in self.op_table)
         return self._inv[a]
 
     def conj(self, a: int, b: int) -> int:
@@ -123,16 +118,7 @@ def _check_row(a: int, row: Sequence[int], n: int) -> None:
 
 def _validate_table(table: tuple) -> tuple:
     """Check the group axioms; return the greedy generators of the table.
-
-    Associativity is Light's test: with S the greedy generators, which reach
-    every element from the identity by right multiplication, check
-    (x s) y = x (s y) for all x, y and every s in S, O(n^2 |S|) lookups
-    instead of O(n^3).  It is exact: the set of a with (x a) y = x (a y) for
-    all x, y holds the identity and is closed under the product (for a, b
-    in it, (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y))
-    = x ((a b) y)), so holding S it holds every element reached from the
-    identity by right multiplication with S, which is all of them.
-    """
+    Associativity is Light's test (`associativity_witness`)."""
     n = len(table)
     if n == 0:
         raise AxiomViolation("closure", "empty table")
@@ -155,14 +141,38 @@ def _check_axioms(table: tuple) -> tuple:
         if table[b][a] != 0:
             raise AxiomViolation("inverse", (a, b))
     gens = _greedy_generators(table)
+    # 0 is the identity, so Light's test needs only the generators
+    bad = associativity_witness(table, gens)
+    if bad is not None:
+        raise AxiomViolation("associativity", bad)
+    return gens
+
+
+def associativity_witness(table: tuple, gens: Sequence[int]) -> Optional[tuple]:
+    """Light's test on a table of tuple rows: the first (x, s, y) with
+    (x s) y != x (s y), s running over `gens`, or None; n^2 |gens| lookups.
+
+    None proves the table associative when `gens` holds 0 (or 0 is the
+    identity) and the greedy generators, which reach every element from 0
+    by right multiplication: with no assumption on the table, the a with
+    (x a) y = x (a y) for all x, y are closed under the product, for
+    (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y)."""
+    n = len(table)
+    if n == 1:  # [[0]], the only 1 x 1 table, is associative
+        return None
     for s in gens:
         right = itemgetter(*table[s])  # row x -> (x (s y) for each y)
         for x, row_x in enumerate(table):
             left = table[row_x[s]]     # ((x s) y for each y)
             if left != right(row_x):
                 y = next(y for y in range(n) if left[y] != row_x[table[s][y]])
-                raise AxiomViolation("associativity", (x, s, y))
-    return gens
+                return x, s, y
+    return None
+
+
+def light_associative(table: tuple, gens: Sequence[int]) -> bool:
+    """`associativity_witness` on 0 and the table's greedy generators."""
+    return associativity_witness(table, (0, *gens)) is None
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -221,12 +231,13 @@ class Subgroup:
         object.__setattr__(self, "_member_set", memset)
         if 0 not in memset:
             raise NotASubgroup("identity missing")
-        for a in mem:
-            if self.parent.inv(a) not in memset:
-                raise NotASubgroup(f"inverse of {a} missing")
-            for b in mem:
-                if self.parent.op(a, b) not in memset:
-                    raise NotASubgroup(f"product {a}*{b} escapes")
+
+        def vet(a: int, s: int, prod: int) -> None:
+            if prod not in memset:
+                raise NotASubgroup(f"product {a}*{s} escapes")
+
+        # closed iff no product escapes (`GroupSystem.verify_closure`)
+        close_greedily({0}, mem, self.parent.op, vet)
 
     @property
     def order(self) -> int:
@@ -512,9 +523,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     return g, proj1, proj2
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
-                     order_cap: int = DEFAULT_ORDER_CAP) -> Optional[tuple]:
-    """An isomorphism g1 -> g2 as an image tuple, or None.
+def isomorphisms(g1: FiniteGroup, g2: FiniteGroup,
+                 order_cap: int = DEFAULT_ORDER_CAP) -> Iterator[tuple]:
+    """Every isomorphism g1 -> g2 as an image tuple, each once.
 
     Depth-first over the greedy generators s_1, s_2, ... of g1: s_i is
     tried at each unused element of g2 of its order, in index order.  A
@@ -529,15 +540,14 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
     H' and generator s makes φ a homomorphism on H' (see
     `homomorphism_witness`), injective by construction.  Conversely an
     injective homomorphism on H' extending φ with s_i -> b agrees with
-    every image assigned, so the trial passes exactly when one exists:
-    the nodes accepted, and so the images returned, are those of the
-    search that closed the mapped set under all products.  A node costs
-    |H'| x i lookups.
+    every image assigned, so the trial passes exactly when one exists.  A
+    leaf maps all of g1, so it is an isomorphism, and each isomorphism is
+    the leaf of its generator images.  A node costs |H'| x i lookups.
 
     Desk-scale only: raises BoundExceeded above `order_cap`.
     """
     if g1.order != g2.order:
-        return None
+        return
     if g1.order > order_cap:
         raise BoundExceeded(f"isomorphism search: order {g1.order} "
                             f"exceeds cap {order_cap}")
@@ -545,15 +555,16 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
     orders1 = [g1.element_order(a) for a in range(n)]
     orders2 = [g2.element_order(a) for a in range(n)]
     if sorted(orders1) != sorted(orders2):
-        return None
+        return
     gens = g1.generators
     op1, op2 = g1.op_table, g2.op_table
     candidates = [[b for b in range(n) if orders2[b] == orders1[a]] for a in gens]
 
     def extend(images: list, used: bytearray, mapped: list,
-               i: int) -> Optional[list]:
+               i: int) -> Iterator[tuple]:
         if i == len(gens):
-            return images
+            yield tuple(images)
+            return
         a, step = gens[i], gens[:i + 1]
         for b in candidates[i]:
             if used[b]:
@@ -579,22 +590,19 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
                 if not ok:
                     break
             if ok:
-                result = extend(new_images, new_used, found, i + 1)
-                if result is not None:
-                    return result
-        return None
+                yield from extend(new_images, new_used, found, i + 1)
 
     start_images = [-1] * n
     start_images[0] = 0
     start_used = bytearray(n)
     start_used[0] = 1
-    mapping = extend(start_images, start_used, [0], 0)
-    if mapping is None or -1 in mapping:
-        return None
-    images = tuple(mapping)
-    if len(set(images)) != n or homomorphism_witness(g1, g2, images) is not None:
-        return None
-    return images
+    yield from extend(start_images, start_used, [0], 0)
+
+
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
+                     order_cap: int = DEFAULT_ORDER_CAP) -> Optional[tuple]:
+    """The first isomorphism g1 -> g2 of `isomorphisms`, or None."""
+    return next(isomorphisms(g1, g2, order_cap), None)
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup,

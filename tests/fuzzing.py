@@ -1,6 +1,7 @@
 """Hypothesis text for the input formats (.grp, .gsys, .esys): valid texts
 mutated token by token with the formats' own keywords and with small,
-negative and huge integers, or lines of such tokens alone."""
+negative and huge integers, or lines of such tokens alone; and argument
+lists for the `construct` command."""
 
 from hypothesis import strategies as st
 
@@ -64,3 +65,50 @@ def fuzzed_texts(draw, kind: str) -> str:
         else:
             lines.insert(i, draw(LINES))
     return "\n".join(lines) + "\n"
+
+
+# -- construct flags ----------------------------------------------------------
+
+GROUP_NAMES = ("Z1", "Z2", "Z3", "Z4", "S3")
+HUGE = st.sampled_from([3000, 30000, 10 ** 6, 10 ** 30])
+DEPTHS = st.one_of(st.integers(-1, 4), st.sampled_from([10 ** 6, 10 ** 30]))
+KERNEL_ITEMS = st.one_of(
+    st.builds("{}={}".format, DEPTHS, st.sampled_from(GROUP_NAMES)),
+    st.sampled_from(["=Z2", "0", "x=Z2", "0=Z0", "0=Q8", "0=Z2=Z3", "0=z2",
+                     "0=Z" + "9" * 5000]),
+)
+EXT_INDEX_ITEMS = st.one_of(
+    st.builds("{}={}".format, DEPTHS,
+              st.one_of(st.integers(-3, 3), st.sampled_from([10 ** 6, 10 ** 30]))),
+    st.sampled_from(["=1", "0", "0=x", "0=1.5", "0=" + "9" * 5000]),
+)
+
+
+@st.composite
+def construct_argvs(draw) -> list:
+    """`--window T0 T1 construct ...` with a small, negative or inverted
+    window, or one past the member cap (also inverted), ell from -1 to 4
+    or huge, and up to two --kernel and --ext-index items each, well
+    formed or not.
+
+    A window past the member cap comes with a seed group of order above 1
+    and ell from -1 to 4, so its top row alone holds more label tensors
+    than the cap, or ell is negative: a long window labelled only by
+    trivial groups is a valid construction, uncapped, whose output grows
+    with its slots."""
+    if draw(st.booleans()):
+        t0 = draw(st.integers(-3, 3))
+        window = (t0, t0 + draw(st.integers(-3, 5)))
+        seed = draw(st.sampled_from(GROUP_NAMES))
+        ell = draw(DEPTHS)
+    else:
+        length = draw(HUGE)
+        window = draw(st.sampled_from([(0, length), (-length, 0), (length, 0)]))
+        seed = draw(st.sampled_from(GROUP_NAMES[1:]))
+        ell = draw(st.integers(-1, 4))
+    argv = ["--window", str(window[0]), str(window[1]), "construct",
+            "--seed-group", seed, "--ell", str(ell)]
+    for flag, items in (("--kernel", KERNEL_ITEMS), ("--ext-index", EXT_INDEX_ITEMS)):
+        for item in draw(st.lists(items, max_size=2)):
+            argv += [flag, item]
+    return argv

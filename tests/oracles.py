@@ -33,7 +33,7 @@ validates its candidate tables with the oracle `_validate_table` and
 compares groups with the oracle `find_isomorphism`, so it depends on
 neither the library's table check nor its isomorphism search.
 
-Last come the generator basis and the recovery on member sequences:
+Then come the generator basis and the recovery on member sequences:
 support sets found by scanning every member, the finite-extent
 denominator as the set product of its two factors, each coset formed by
 one tuple product per denominator member, the basis chain by one tuple
@@ -43,7 +43,16 @@ system.  The only change: `extract_basis` runs the granule test with
 X^{t+1} (`check_granule`), so the whole basis depends on no library
 routine but the controllability index.  `recover_original` and
 `recover_original_pairs` call this `recover_system_fhgs`, and
-`direct_product` (last) is the table filled entry by entry.
+`direct_product` is the table filled entry by entry.
+
+Last are the second copies of the structural checks that `groups.py` now
+answers once: the automorphism search with its own backtracking and
+all-pairs verification, the structural equality that checks each anchor
+map on all pairs, Light's test in its (x y) z form, the table check with
+Light's test written out in it (for its witness), the inverse table by
+scanning every pair, and the subgroup check on all pairs.  The oracle
+extension search finds its automorphisms with this `automorphisms`, and
+the oracle subdirect product decides closure with `subgroup_members`.
 """
 
 import itertools
@@ -72,6 +81,7 @@ from groupsystems.errors import (
     BoundExceeded,
     CodomainMismatch,
     NoExtensionFound,
+    NotASubgroup,
     NotSurjective,
     NotAGroupSystem,
     ParseError,
@@ -93,9 +103,9 @@ from groupsystems.generators import (
     upper_triangle_positions,
 )
 from groupsystems.extensions import (
+    AUTOMORPHISM_CANDIDATE_CAP,
     DEFAULT_EXTENSION_ORDER_CAP,
     ExtensionSearch,
-    _automorphisms,
 )
 from groupsystems.groups import (
     DEFAULT_ORDER_CAP,
@@ -730,6 +740,7 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
     members = tuple(a * g2.order + b
                     for a in range(g1.order) for b in range(g2.order)
                     if p1(a) == p2(b))
+    subgroup_members(prod, members)
     sub = Subgroup(prod, members)
     firsts = {m // g2.order for m in members}
     seconds = {m % g2.order for m in members}
@@ -822,7 +833,7 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
         raise BoundExceeded(
             f"extension order {q.order * k.order} exceeds cap {max_order}")
     nq, nk = q.order, k.order
-    auts = _automorphisms(k)
+    auts = automorphisms(k)
     aut_index = {imgs: i for i, imgs in enumerate(auts)}
     aut_op = {}
     for i, f in enumerate(auts):
@@ -987,3 +998,165 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     proj1 = Homomorphism(g, g1, tuple(x // n2 for x in range(n1 * n2)), check=False)
     proj2 = Homomorphism(g, g2, tuple(x % n2 for x in range(n1 * n2)), check=False)
     return g, proj1, proj2
+
+
+# -- second copies of the structural checks --------------------------------------
+
+def automorphisms(k: FiniteGroup, cap: int = AUTOMORPHISM_CANDIDATE_CAP) -> List[tuple]:
+    """All automorphisms of a small group, as image tuples: a backtracking
+    search of its own over order-preserving images, each result then
+    verified on all pairs."""
+    n = k.order
+    auts = []
+    orders = [k.element_order(a) for a in range(n)]
+    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in range(n)]
+    total = 1
+    for c in candidates[1:]:
+        total *= max(len(c), 1)
+        if total > cap:
+            raise BoundExceeded(
+                f"extension search: automorphism search too large: at least "
+                f"{total} order-preserving image tuples for kernel "
+                f"{k.name} of order {n} exceed cap {cap}")
+
+    def backtrack(images: list) -> None:
+        a = len(images)
+        if a == n:
+            if len(set(images)) == n:
+                auts.append(tuple(images))
+            return
+        for b in candidates[a]:
+            if b in images:
+                continue
+            ok = True
+            for x in range(a):
+                xa = k.op(x, a)
+                if xa < a and images[xa] != k.op(images[x], b):
+                    ok = False
+                    break
+                ax = k.op(a, x)
+                if ax < a and images[ax] != k.op(b, images[x]):
+                    ok = False
+                    break
+            if ok:
+                images.append(b)
+                backtrack(images)
+                images.pop()
+
+    backtrack([0])
+    verified = []
+    for imgs in auts:
+        if all(imgs[k.op(a, b)] == k.op(imgs[a], imgs[b])
+               for a in range(n) for b in range(n)):
+            verified.append(imgs)
+    identity = tuple(range(n))
+    verified.sort(key=lambda imgs: (imgs != identity, imgs))
+    return verified
+
+
+def structurally_equal(es1: ElementarySystem,
+                       es2: ElementarySystem) -> Optional[Dict[Slot, tuple]]:
+    """Per-slot label bijections carrying es1 onto es2, each anchor's map
+    checked on all pairs of its elements; None if there are none."""
+    if es1.ell != es2.ell or es1.window != es2.window:
+        return None
+    slots = es1.slots()
+    if any(es1.label_sizes[s] != es2.label_sizes[s] for s in slots):
+        return None
+    anchors = sorted(slots, key=lambda p: (-p[0], -p[1]))
+
+    def anchor_ok(anchor, phi) -> bool:
+        t1, t2 = es1.tables[anchor], es2.tables[anchor]
+        mapped = {}
+        idx2 = {tri.labels: i for i, tri in enumerate(t2.elements)}
+        for i, tri in enumerate(t1.elements):
+            image = tuple(phi[pos][lab]
+                          for pos, lab in zip(tri.positions, tri.labels))
+            if image not in idx2:
+                return False
+            mapped[i] = idx2[image]
+        if len(set(mapped.values())) != len(mapped):
+            return False
+        for a in range(t1.group.order):
+            for b in range(t1.group.order):
+                if mapped[t1.group.op(a, b)] != t2.group.op(mapped[a], mapped[b]):
+                    return False
+        return True
+
+    def backtrack(i: int, phi: Dict[Slot, tuple]) -> Optional[Dict[Slot, tuple]]:
+        if i == len(anchors):
+            return dict(phi)
+        anchor = anchors[i]
+        n = es1.label_sizes[anchor]
+        for perm in itertools.permutations(range(1, n)):
+            phi[anchor] = (0,) + perm
+            if anchor_ok(anchor, phi):
+                result = backtrack(i + 1, phi)
+                if result is not None:
+                    return result
+        phi.pop(anchor, None)
+        return None
+
+    return backtrack(0, {})
+
+
+def light_associative(op: tuple, gens) -> bool:
+    """Light's test in its (x y) z = x (y z) form, for all x, y and for
+    z = 0 and every z in `gens`, per z one column read along each row."""
+    for z in (0, *gens):
+        col = [row[z] for row in op]
+        for row in op:
+            if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
+                return False
+    return True
+
+
+def check_axioms(table: tuple) -> tuple:
+    """Identity at 0, inverses and Light's test (x s) y = x (s y) over the
+    greedy generators s, written out in the table check itself; raises
+    AxiomViolation with the first failing triple (x, s, y)."""
+    n = len(table)
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise AxiomViolation("identity", a)
+    for a in range(n):
+        if 0 not in table[a]:
+            raise AxiomViolation("inverse", a)
+        b = table[a].index(0)
+        if table[b][a] != 0:
+            raise AxiomViolation("inverse", (a, b))
+    gens = FiniteGroup(table, _validated=True).generators
+    for s in gens:
+        for x in range(n):
+            for y in range(n):
+                if table[table[x][s]][y] != table[x][table[s][y]]:
+                    raise AxiomViolation("associativity", (x, s, y))
+    return gens
+
+
+def inverses(g: FiniteGroup) -> tuple:
+    """Per element, the first y with x y = 1, by scanning every pair."""
+    inv = [0] * g.order
+    for x in range(g.order):
+        for y in range(g.order):
+            if g.op_table[x][y] == 0:
+                inv[x] = y
+                break
+    return tuple(inv)
+
+
+def subgroup_members(parent: FiniteGroup, members) -> tuple:
+    """The sorted members of a subgroup of `parent`, checked on all pairs:
+    the identity, each inverse and each product; NotASubgroup otherwise."""
+    mem = tuple(sorted(set(int(m) for m in members)))
+    memset = frozenset(mem)
+    if 0 not in memset:
+        raise NotASubgroup("identity missing")
+    inv = inverses(parent)
+    for a in mem:
+        if inv[a] not in memset:
+            raise NotASubgroup(f"inverse of {a} missing")
+        for b in mem:
+            if parent.op(a, b) not in memset:
+                raise NotASubgroup(f"product {a}*{b} escapes")
+    return mem

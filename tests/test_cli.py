@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzzing import fuzzed_texts
+from fuzzing import construct_argvs, fuzzed_texts
 
 import groupsystems.chains as chains
 import groupsystems.cli as cli
+import groupsystems.elementary as elementary
 from groupsystems.cli import main
 from groupsystems.elementary import ConstructionStrategy, construct_elementary_system
 from groupsystems.groups import cyclic_group
@@ -448,6 +449,25 @@ def test_oversized_construct_names_its_cap_before_enumerating(tmp_path):
                            "label tensors exceed cap 65536\n")
 
 
+def test_over_cap_construct_fails_before_building_an_anchor(capsys, monkeypatch):
+    """2^30000 label tensors on [0, 30000]: the label sizes are counted
+    from the request, with the message the global group system gives,
+    and no anchor is built; where a row of more than 2^16 slots has a
+    size above 1, the power of two is summed size by size."""
+    def no_anchor(*args):
+        raise AssertionError("an anchor was built")
+
+    monkeypatch.setattr(elementary, "_build_anchor", no_anchor)
+    got, _, err = run(capsys, "--window", "0", "30000", "construct",
+                      "--seed-group", "Z2", "--ell", "1")
+    assert (got, err) == (3, "bound exceeded: global group system: at least "
+                             "2^30000 label tensors exceed cap 65536\n")
+    got, _, err = run(capsys, "--window", "0", str(10 ** 30), "construct",
+                      "--seed-group", "Z3", "--ell", "1", "--kernel", "0=Z4")
+    assert (got, err) == (3, "bound exceeded: global group system: at least "
+                             f"2^{3 * 10 ** 30 + 2} label tensors exceed cap 65536\n")
+
+
 def test_long_windows_end_in_typed_errors(capsys, tmp_path):
     """Inputs whose size comes from a window, not from the text: each fails
     at once with its documented exit code."""
@@ -508,3 +528,19 @@ def test_fuzzed_files_exit_with_a_documented_code(kind, data):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([*command, str(path)])
             assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=construct_argvs())
+def test_fuzzed_construct_flags_exit_with_a_documented_code(argv):
+    """`main` on fuzzed construct flags returns 0-3 and raises nothing but
+    the usage error's SystemExit(1) (an item such as `-1=Z1` reads as an
+    option)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)

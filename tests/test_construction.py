@@ -7,7 +7,11 @@ same error type (and, for tables, the same violated axiom).  Also here: a
 known-answer oracle for the extension search (also past the reach of the
 earlier exhaustive walk), the number of tables it builds against a
 brute-force count of cohomology classes, the isomorphism search against the
-earlier closure search, and the messages of the caps.
+earlier closure search, and the messages of the caps.  Last, the second
+copies of the structural checks that `groups.py` now answers once (the
+automorphism search, structural equality, Light's test in its (x y) z
+form, the inverse table and the subgroup check) against the routines that
+replaced them, on every group of order <= 8 these tests build.
 """
 
 import itertools
@@ -24,10 +28,13 @@ from groupsystems.elementary import (
     check_homomorphism_condition,
     construct_elementary_system,
     extract_elementary_system,
+    global_group_system,
+    structurally_equal,
 )
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
+    NotASubgroup,
     PreconditionViolated,
 )
 from groupsystems.extensions import (
@@ -40,10 +47,14 @@ from groupsystems.generators import ElementaryGroupTable, build_context
 from groupsystems.groups import (
     FiniteGroup,
     Homomorphism,
+    Subgroup,
     _validate_table,
     cyclic_group,
     direct_product,
     find_isomorphism,
+    isomorphisms,
+    light_associative,
+    make_group,
     symmetric_group_3,
     trivial_group,
 )
@@ -575,3 +586,159 @@ def test_homomorphism_condition_matches_oracle_on_tampered_c2(c2):
 def test_homomorphism_condition_matches_oracle_on_constructions(construction_calls):
     for es, _, _ in construction_calls.values():
         assert_same_condition(es)
+
+
+# -- one answer per structural question ------------------------------------------
+
+@pytest.fixture(scope="module")
+def groups_to_8(construction_calls, request):
+    """Every group of order <= 8 the tests build, one per table: the small
+    and known-answer groups, the fixture groups, and the constructed
+    anchors with the extensions they were chosen from."""
+    groups = {}
+    candidates = SMALL_GROUPS + [g for *_, expected in KNOWN_EXTENSIONS
+                                 for g in expected]
+    for key in FIXTURES:
+        candidates += fixture_groups(request.getfixturevalue(key))
+    for es, _, searches in construction_calls.values():
+        candidates += [table.group for table in es.tables.values()]
+        candidates += [ext for q, k, cap in searches if q.order * k.order <= 8
+                       for ext, _ in enumerate_extensions(q, k, cap).extensions]
+    for group in candidates:
+        if group.order <= 8:
+            groups.setdefault(group.op_table, group)
+    assert S3.op_table in groups and len(groups) >= len(SMALL_GROUPS)
+    return list(groups.values())
+
+
+def failure(fn, *args):
+    """(error type, message) of a call, or None when it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_automorphisms_match_oracle(groups_to_8):
+    """The same sorted list, or the same cap message, from the isomorphism
+    search on k and k as from the backtracking with all-pairs checks."""
+    capped = 0
+    for group in groups_to_8:
+        new = outcome(_automorphisms, group)
+        assert new == outcome(oracles.automorphisms, group)
+        if new[0] == "raise":
+            assert failure(_automorphisms, group) == failure(oracles.automorphisms, group)
+            capped += 1
+    assert 0 < capped < len(groups_to_8)
+
+
+def test_isomorphisms_yield_every_isomorphism_once(groups_to_8):
+    """Between groups of one order, `isomorphisms` yields |Aut(g)| distinct
+    bijective homomorphisms when g and h are isomorphic and none otherwise,
+    the first being the earlier closure search's answer."""
+    n_auts = {g.op_table: len(oracles.automorphisms(g, cap=10 ** 6))
+              for g in groups_to_8}
+    isomorphic = 0
+    for g, h in itertools.product(groups_to_8, repeat=2):
+        if g.order != h.order:
+            continue
+        maps = list(isomorphisms(g, h))
+        first = oracles.find_isomorphism(g, h)
+        if first is None:
+            assert maps == []
+            continue
+        isomorphic += 1
+        assert maps[0] == first
+        assert len(set(maps)) == len(maps) == n_auts[g.op_table]
+        for images in maps:
+            assert sorted(images) == list(range(g.order))
+            assert oracles.homomorphism_pair(g, h, images) is None
+    assert isomorphic > len(groups_to_8)  # some pairs of distinct tables
+
+
+def axiom_failure(check, table):
+    try:
+        check(table)
+    except AxiomViolation as exc:
+        return exc.kind, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("make", [lambda: Z4, symmetric_group_3, lambda: V4],
+                         ids=["Z4", "S3", "Z2xZ2"])
+def test_light_test_and_witness_match_oracle_on_single_entry_changes(make):
+    """Every change of one entry to another in-range value: `make_group`
+    names the associativity witness the table check with Light's test
+    written out in it named, and both forms of Light's test agree with the
+    check of all triples.  A change in row or column 0 leaves no identity,
+    which `make_group` rejects before the other axioms."""
+    table = make().op_table
+    n = len(table)
+    witnesses = 0
+    for changed in single_entry_changes(table):
+        if max(map(max, changed)) >= n:
+            continue
+        gens = FiniteGroup(changed, _validated=True).generators
+        light = light_associative(changed, gens)
+        assert light == oracles.light_associative(changed, gens)
+        assert light == oracles.is_associative(changed)
+        new = axiom_failure(make_group, changed)
+        if changed[0] == table[0] and all(row[0] == a for a, row in enumerate(changed)):
+            assert new == axiom_failure(oracles.check_axioms, changed)
+            witnesses += new is not None and new[0] == "associativity"
+        else:
+            assert new == ("identity", None)
+    assert witnesses > 0
+
+
+def test_light_test_and_inverses_match_oracle_on_groups(groups_to_8, construction_calls):
+    """Every group table passes both forms of Light's test, and the inverse
+    table read off the rows is the one found by scanning every pair."""
+    groups = list(groups_to_8)
+    groups += [table.group for es, _, _ in construction_calls.values()
+               for table in es.tables.values()]
+    for group in groups:
+        assert light_associative(group.op_table, group.generators)
+        assert oracles.light_associative(group.op_table, group.generators)
+        assert tuple(map(group.inv, group.elements())) == oracles.inverses(group)
+
+
+def test_subgroup_check_matches_oracle_on_every_subset(groups_to_8):
+    """Every subset holding 0 of every group of order <= 8: closure on the
+    subset's greedy generators accepts exactly the subsets the all-pairs
+    check accepts."""
+    verdicts = set()
+    for group in groups_to_8:
+        for rest in itertools.product((False, True), repeat=group.order - 1):
+            subset = (0,) + tuple(a for a, keep in enumerate(rest, 1) if keep)
+            new = outcome(lambda: Subgroup(group, subset).members)
+            assert new == outcome(oracles.subgroup_members, group, subset)
+            verdicts.add(new[0])
+    assert verdicts == {"ok", "raise"}
+    with pytest.raises(NotASubgroup, match="identity missing"):
+        Subgroup(Z4, (1, 2, 3))
+
+
+def test_structural_equality_matches_oracle(construction_calls, request):
+    """The same label bijections, or None, on every ordered pair of fixture
+    systems (c2 against r2 among them), on each construction against its
+    re-extraction, and on c2 against copies with one anchor's group
+    swapped for another of its order."""
+    systems = [extract_elementary_system(build_context(request.getfixturevalue(key)))
+               for key in FIXTURES]
+    pairs = list(itertools.product(systems, repeat=2))
+    for es, _, _ in construction_calls.values():
+        pairs.append((es, extract_elementary_system(build_context(
+            global_group_system(es)))))
+    es_c2 = systems[FIXTURES.index("c2")]
+    for anchor, table in es_c2.tables.items():
+        for group in SAME_ORDER.get(table.group.order, []):
+            bad = tampered(es_c2, anchor, group)
+            pairs += [(es_c2, bad), (bad, es_c2)]
+    verdicts = set()
+    for es1, es2 in pairs:
+        new = structurally_equal(es1, es2)
+        assert new == oracles.structurally_equal(es1, es2)
+        verdicts.add(new is None)
+    assert verdicts == {True, False}

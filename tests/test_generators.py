@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
 from groupsystems.elementary import extract_elementary_system, global_product
-from groupsystems.errors import ShapeMismatch, UnrealizedTriangle
+from groupsystems.errors import DomainError, ShapeMismatch, UnrealizedTriangle
 from groupsystems.generators import (
+    GeneratorContext,
     alpha_t,
     alpha_t_hom,
     build_context,
@@ -22,8 +25,9 @@ from groupsystems.generators import (
     u_plus_subgroup,
 )
 from groupsystems.groups import is_normal, product_of_subgroups, quotient
-from groupsystems.systems import (TensorR, all_tensors, identity_tensor,
-                                  tensor_from_items)
+from groupsystems.io import parse_system
+from groupsystems.systems import (TensorR, all_tensors, extract_basis,
+                                  identity_tensor, tensor_from_items)
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +221,25 @@ def test_unrealized_triangle_raises(ctx_r2):
                     tuple(9 for _ in elem.positions))
     with pytest.raises(UnrealizedTriangle):
         elem.index(fake)
+
+
+@pytest.mark.parametrize("make", [
+    lambda c2: parse_system("system C\nwindow 0 3\nrule conv Z2 x0 x0+x1\n"),
+    lambda c2: c2,
+], ids=["rule", "c2"])
+def test_context_rejects_a_basis_whose_entry_0_is_not_the_identity(c2, make):
+    """Entries 0 and 1 of one slot's transversal swapped: the context names
+    the slot in a DomainError, where the generating set would lose that
+    slot's generator; the basis as extracted is accepted."""
+    system = make(c2)
+    basis = extract_basis(system)
+    GeneratorContext(system, basis)
+    swaps = [slot for slot in basis.slots if len(basis.transversal(slot)) > 1]
+    assert swaps
+    for slot in swaps:
+        entries = basis.transversal(slot)
+        swapped = dict(basis.transversals)
+        swapped[slot] = (entries[1], entries[0]) + entries[2:]
+        bad = dataclasses.replace(basis, transversals=swapped)
+        with pytest.raises(DomainError, match=re.escape(f"at slot {slot} is not")):
+            GeneratorContext(system, bad)
