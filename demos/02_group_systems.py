@@ -63,9 +63,11 @@ seq = encode_time_domain(basis, r)
 print("\nencode {(1,0), (1,2)} ->", seq)
 print("spectral encoder agrees?", encode_spectral_domain(basis, r) == seq)
 back = decode_to_tensor(basis, seq)
-print("decoding returns the same tensor?", back.choice == r.choice)
+print("decoding returns the same tensor?", back == r)
 
-images = {encode_time_domain(basis, rr) for rr in all_tensors(basis)}
+# a label tensor is a tuple of labels in slot order
+images = {encode_time_domain(basis, rr)
+          for rr in all_tensors(map(basis.label_count, basis.slots))}
 print("encoding all tensors covers every member?",
       images == set(c2.sequences))
 

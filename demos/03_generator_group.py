@@ -31,14 +31,14 @@ r1 = tensor_from_items(ctx.basis, {(1, 0): 1})
 r2 = tensor_from_items(ctx.basis, {(1, 1): 1})
 prod = star(ctx, r1, r2)
 print("star of two overlapping generators selects:",
-      {slot: prod[slot] for slot in ctx.slots if prod[slot]})
+      {slot: c for slot, c in zip(ctx.slots, prod) if c})
 
 # member i has label tensor ctx.tensors[i], so the generator group is the
 # system's own sequence group over member indices
 group = c2.sequence_group
-i, j = ctx.tensor_index[r1.choice], ctx.tensor_index[r2.choice]
+i, j = ctx.tensor_index[r1], ctx.tensor_index[r2]
 print("the sequence-group table gives the same tensor:",
-      ctx.tensors[group.op(i, j)] == prod.choice)
+      ctx.tensors[group.op(i, j)] == prod)
 
 # -- elementary groups on triangles ------------------------------------------------
 
@@ -50,7 +50,7 @@ for t in c2.times():
 # products computed purely through the local tables agree with the global one
 es = extract_elementary_system(ctx)
 print("local-table product stitches to the same tensor?",
-      global_product(es, r1.choice, r2.choice) == prod.choice)
+      global_product(es, r1, r2) == prod)
 
 # -- nested projections ---------------------------------------------------------------
 

@@ -42,7 +42,6 @@ from .extensions import ExtensionSearch, enumerate_extensions, subdirect_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    Triangle,
     alpha_t,
     alpha_t_hom,
     build_context,
@@ -89,7 +88,6 @@ from .io import (
 from .systems import (
     GeneratorBasis,
     GroupSystem,
-    TensorR,
     all_tensors,
     alphabet_matrix,
     build_system,
@@ -100,7 +98,6 @@ from .systems import (
     extract_basis,
     fold_spectral_domain,
     fold_time_domain,
-    identity_tensor,
     spectral_granule,
     tensor_from_items,
     time_granule,

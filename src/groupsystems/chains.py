@@ -224,17 +224,23 @@ def is_normal_filling_sequence(f: FillingSequence,
 
     A filled set closed under whole-lower-triangle membership stays closed
     when a pair is added iff the new pair's own triangle is filled, so the
-    prefix test is incremental.
+    prefix test is incremental (`_closes`).
     """
     filled = set(base)
-    for i, (k, t) in enumerate(f.pairs):
-        if (k, t) in base:
+    for i, pair in enumerate(f.pairs):
+        if pair in base:
             continue
-        filled.add((k, t))
-        tri = lower_triangle_positions(f.window, f.ell, k, t)
-        if any(p not in filled for p in tri):
+        if not _closes(f.window, f.ell, filled, pair):
             return False, i + 1
+        filled.add(pair)
     return True, None
+
+
+def _closes(window: Tuple[int, int], ell: int, filled: set, pair: Pair) -> bool:
+    """Whether the lower triangle of `pair` lies in `filled` once `pair`
+    is added to it."""
+    return all(p == pair or p in filled
+               for p in lower_triangle_positions(window, ell, *pair))
 
 
 def standard_filling(window: Tuple[int, int], ell: int,
@@ -243,10 +249,8 @@ def standard_filling(window: Tuple[int, int], ell: int,
     forward time and the span-by-span row walks in reverse or forward time."""
     t0, t1 = window
     pairs: List[Pair] = []
-    if kind == "time_rev":
-        for t in range(t1, t0 - 1, -1):
-            for k in range(0, min(ell, t1 - t) + 1):
-                pairs.append((k, t))
+    if kind == "time_rev":  # the slot order of the basis
+        pairs.extend(window_slots(window, ell))
     elif kind == "time_fwd":
         for d in range(t0, t1 + 1):  # up the diagonals t + k = d
             for k in range(0, min(ell, d - t0) + 1):
@@ -340,16 +344,15 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
 def reconstruct_from_chain(ctx: GeneratorContext,
                            f: Union[FillingSequence, NormalChain]) -> GroupSystem:
     """The members the chain's last level reaches by composing one
-    transversal entry per slot in fill order; `normal_chain` certified
-    that they are the whole member set.  Given a walk, the chain is built
-    here; given the `NormalChain` of `ctx` along a walk, it is reused."""
+    transversal entry per slot in fill order.  `normal_chain` certified
+    that they are the whole member set, so the result is the context's
+    validated system under a new name, not sorted or validated again
+    (`GroupSystem.renamed`).  Given a walk, the chain is built here; given
+    the `NormalChain` of `ctx` along a walk, it is reused."""
     chain = f if isinstance(f, NormalChain) else normal_chain(ctx, f)
     if len(chain.choices) != len(ctx.tensors):
         raise NotNormalFilling("chain did not reach the whole group")
-    system = ctx.system
-    return GroupSystem(system.window, system.alphabets,
-                       (system.sequences[m] for m in chain.choices),
-                       name=f"{system.name}|chain", _closed=True)
+    return ctx.system.renamed(f"{ctx.system.name}|chain")
 
 
 def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
@@ -407,7 +410,7 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
                 f"eigentriangle cosets not disjoint at {pos}")
         expected = {i for i, tri in enumerate(elem.elements)
                     if all(lab == 0 or p in filled
-                           for p, lab in zip(tri.positions, tri.labels))}
+                           for p, lab in zip(positions, tri))}
         if new.keys() != expected:
             raise WellDefinednessFailure(
                 f"eigentriangle step does not match support at {pos}")
@@ -438,8 +441,7 @@ def enumerate_normal_fillings(window: Tuple[int, int], ell: int,
             out.append(FillingSequence(window, ell, tuple(prefix)))
             return True
         for p in sorted(remaining):
-            tri = lower_triangle_positions(window, ell, *p)
-            if any(q != p and q not in filled for q in tri):
+            if not _closes(window, ell, filled, p):
                 continue
             prefix.append(p)
             filled.add(p)

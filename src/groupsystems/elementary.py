@@ -35,7 +35,6 @@ from .extensions import enumerate_extensions, subdirect_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    Triangle,
     elementary_group,
     recover_system_fhgs,
     restriction_images,
@@ -47,6 +46,7 @@ from .systems import (
     DEFAULT_MEMBER_CAP,
     GroupSystem,
     Slot,
+    all_tensors,
     controllability_index,
     iter_window_slots,
     window_slots,
@@ -86,7 +86,7 @@ class ElementarySystem:
     @cached_property
     def _product_plan(self) -> tuple:
         """(slots, per time t: anchor (0, t), its slot indices, a getter of
-        its slice, label -> element index, element labels, operation table),
+        its slice, triangle -> element index, elements, operation table),
         for `global_product` and `global_group_system`."""
         slots = self.slots()
         pos = {slot: i for i, slot in enumerate(slots)}
@@ -96,8 +96,7 @@ class ElementarySystem:
             take = tuple(pos[p] for p in table.positions)
             get = (itemgetter(*take) if len(take) > 1
                    else lambda v, i=take[0]: (v[i],))
-            plan.append(((0, t), take, get, table._index,
-                         tuple(tri.labels for tri in table.elements),
+            plan.append(((0, t), take, get, table._index, table.elements,
                          table.group.op_table))
         return slots, tuple(plan)
 
@@ -116,12 +115,10 @@ class ElementarySystem:
                 raise WellDefinednessFailure(
                     f"anchor {anchor}: {len(table.elements)} triangles, "
                     f"Cartesian product needs {expected}")
-            seen = {tri.labels for tri in table.elements}
-            if len(seen) != len(table.elements):
+            if len(set(table.elements)) != len(table.elements):
                 raise WellDefinednessFailure(f"anchor {anchor}: duplicate triangle")
             # distinct triangles of labels in range, as many as the product
-            for pos, col in zip(table.positions,
-                                zip(*(tri.labels for tri in table.elements))):
+            for pos, col in zip(table.positions, zip(*table.elements)):
                 if min(col) < 0 or max(col) >= self.label_sizes[pos]:
                     raise WellDefinednessFailure(
                         f"anchor {anchor}: a label at slot {pos} is outside "
@@ -158,8 +155,7 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
             tgt = es.table(target)
             images = restriction_images(source, tgt)
             if None in images:
-                tri = source.elements[images.index(None)]
-                return False, (anchor, target, tri.labels)
+                return False, (anchor, target, source.elements[images.index(None)])
             bad = homomorphism_witness(source.group, tgt.group, images)
             if bad is not None:
                 return False, (anchor, target, bad)
@@ -185,13 +181,6 @@ def extract_elementary_system(ctx: GeneratorContext) -> ElementarySystem:
 
 
 # -- the global group -----------------------------------------------------------
-
-def global_tensors(es: ElementarySystem) -> Tuple[Tuple[int, ...], ...]:
-    """The full Cartesian product of label sets, in slot order."""
-    slots = es.slots()
-    ranges = [range(es.label_sizes[slot]) for slot in slots]
-    return tuple(itertools.product(*ranges))
-
 
 def global_product(es: ElementarySystem, v1: Sequence[int],
                    v2: Sequence[int]) -> Tuple[int, ...]:
@@ -236,8 +225,9 @@ def check_tensor_count(slot_counts: Dict[int, int], stage: str) -> None:
 
 def global_group(es: ElementarySystem) -> tuple:
     """(elements, op) of the global group; elements are label tensors."""
-    check_tensor_count(Counter(map(es.label_sizes.get, es.slots())), "global group")
-    tensors = global_tensors(es)
+    sizes = list(map(es.label_sizes.__getitem__, es.slots()))
+    check_tensor_count(Counter(sizes), "global group")
+    tensors = tuple(all_tensors(sizes))
     index = {v: i for i, v in enumerate(tensors)}
     table = [[index[global_product(es, a, b)] for b in tensors] for a in tensors]
     fg = FiniteGroup(table, name=f"V({es.name})")
@@ -248,12 +238,12 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     """The per-time image of the global group: letters are time-t triangles,
     alphabets the local groups; verified strongly controllable below its
     depth and complete by construction."""
-    check_tensor_count(Counter(map(es.label_sizes.get, es.slots())),
-                       "global group system")
+    sizes = list(map(es.label_sizes.__getitem__, es.slots()))
+    check_tensor_count(Counter(sizes), "global group system")
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = []
-    for v in global_tensors(es):
+    for v in all_tensors(sizes):
         seq = tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
         members.append(seq)
     if len(set(members)) != len(members):
@@ -449,12 +439,15 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     t0, t1 = window
     if ell < 0 or t1 - t0 < 0:
         raise OutOfWindow("degenerate construction window")
+    if ell > t1 - t0:
+        raise OutOfWindow(f"ell {ell} exceeds the window [{t0},{t1}]: "
+                          f"its longest span has ell {t1 - t0}")
     slots = set(window_slots(window, ell))
     sizes: Dict[Slot, int] = {}
     tables: Dict[Anchor, ElementaryGroupTable] = {}
     searches: dict = {}  # (base table, kernel table, cap) -> extensions
 
-    for k in range(min(ell, t1 - t0), -1, -1):  # rows past the window hold no slot
+    for k in range(ell, -1, -1):
         for t in range(t0, t1 - k + 1):
             anchor = (k, t)
             kernel = top if k == ell else strategy.kernel(k, t)
@@ -516,8 +509,7 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
             if child_anchor is None or child_elt is None:
                 continue
             child = tables[child_anchor]
-            tri = child.elements[child_elt]
-            for pos, label in zip(tri.positions, tri.labels):
+            for pos, label in zip(child.positions, child.elements[child_elt]):
                 if pos in labels and labels[pos] != label:
                     raise OverlapInconsistency(
                         f"children disagree at {pos} under anchor {anchor}")
@@ -534,9 +526,9 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
         rank[e] = i
     op = ext.op_table
     table = [[rank[op[e][f]] for f in order] for e in order]
-    tris = tuple(Triangle(anchor, positions, elements[e]) for e in order)
     fg = FiniteGroup(table, name=f"E({anchor[0]},{anchor[1]})", _validated=True)
-    return ElementaryGroupTable(anchor, positions, tris, fg)
+    return ElementaryGroupTable(anchor, positions,
+                                tuple(elements[e] for e in order), fg)
 
 
 def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
@@ -584,10 +576,8 @@ def depth_restrict(es: ElementarySystem, m: int) -> ElementarySystem:
         new_anchor = (k - drop, t)
         old = es.table((k, t))
         positions = tuple((kk - drop, s) for (kk, s) in old.positions)
-        tris = tuple(Triangle(new_anchor, positions, tri.labels)
-                     for tri in old.elements)
-        tables[new_anchor] = ElementaryGroupTable(new_anchor, positions, tris,
-                                                  old.group)
+        tables[new_anchor] = ElementaryGroupTable(new_anchor, positions,
+                                                  old.elements, old.group)
         sizes[new_anchor] = es.label_sizes[(k, t)]
     out = ElementarySystem(name=f"{es.name}|top{m}", ell=m - 1,
                            window=new_window, label_sizes=sizes, tables=tables)
@@ -613,7 +603,7 @@ def structurally_equal(es1: ElementarySystem,
         # phi maps the triangles injectively, and as a homomorphism
         t1, t2 = es1.tables[anchor], es2.tables[anchor]
         images = tuple(t2._index.get(tuple(
-            phi[pos][lab] for pos, lab in zip(tri.positions, tri.labels)))
+            phi[pos][lab] for pos, lab in zip(t1.positions, tri)))
             for tri in t1.elements)
         return (None not in images and len(set(images)) == len(images)
                 and homomorphism_witness(t1.group, t2.group, images) is None)

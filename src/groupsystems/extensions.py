@@ -328,7 +328,10 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
 
     Generator-image tuples, factor-set entries, and the cochains and
     cocycles the class test carries are search nodes; past SEARCH_NODE_CAP
-    of them the search raises BoundExceeded naming the stage.
+    of them the search raises BoundExceeded naming the stage.  The
+    isomorphism tests (kernel, dedup, direct product) compare groups of
+    order at most |q| |k|, which `max_order` already admitted, so that is
+    their order cap.
     """
     nq, nk = q.order, k.order
     if nq * nk > max_order:
@@ -366,9 +369,9 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
             ext = FiniteGroup(build(act, f), name=f"{k.name}.{q.name}")
             hom = Homomorphism(ext, q, proj_images)
             ker, _ = hom.kernel().as_group()
-            if find_isomorphism(ker, k) is None:
+            if find_isomorphism(ker, k, nq * nk) is None:
                 continue
-            if any(find_isomorphism(seen, ext) is not None for seen in reps):
+            if any(find_isomorphism(seen, ext, nq * nk) is not None for seen in reps):
                 continue
             reps.append(ext)
             found.append((ext, hom))
@@ -376,6 +379,6 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     if not found:
         raise NoExtensionFound("no extension validated, not even the direct product")
     dp, _, _ = direct_product(q, k)
-    if not any(find_isomorphism(dp, ext) is not None for ext, _ in found):
+    if not any(find_isomorphism(dp, ext, nq * nk) is not None for ext, _ in found):
         raise NoExtensionFound("direct product missing from search results")
     return ExtensionSearch(tuple(found), complete)

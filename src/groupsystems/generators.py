@@ -1,19 +1,21 @@
 """The generator group and its triangle-local groups.
 
-The basis chain records every member's choice per slot, which identifies
+The basis chain records every member's label per slot, which identifies
 the member set with the set of label tensors.  The decomposition group
 (selection tensors under ⋆) and the generator group (label tensors under
 ∘) are then one table, the system's
 own `sequence_group` over member indices, so it is the only group object.
-Inside a context a tensor is its raw label tuple: row i of `ctx.tensors` is
-member i.  `TensorR` validates tensors that arrive from outside, and `star`
-multiplies those.  All the local structure (triangle slices, elementary
-groups, nested projections) is computed on top of that identification.
+A label tensor is a tuple of labels in slot order, and row i of
+`ctx.tensors` is member i's.  `star` multiplies two tensors from a caller,
+after the encoder checks each one against the slot table.  All the local
+structure (triangle slices, elementary groups, nested projections) is
+computed on top of that identification.
 
 Tensor slots, labels and triangles follow one layout: a slot (k, t) holds
 the label of the span-(k+1) generator starting at t, label 0 is always the
-identity generator, and triangles are serialized top row first with newer
-times first inside each row.
+identity generator, and a triangle is the tuple of its labels, top row
+first with newer times first inside each row; its table holds its anchor
+and positions.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .systems import (
     GeneratorBasis,
     GroupSystem,
     Slot,
-    TensorR,
     decode_to_tensor,
     encode_time_domain,
     extract_basis,
@@ -45,35 +46,24 @@ Position = Tuple[int, int]  # same (k, t) addressing as slots
 
 
 @dataclass(frozen=True)
-class Triangle:
-    """Labels on an upper triangle anchored at (k, t), clipped to the window."""
-
-    anchor: Tuple[int, int]
-    positions: Tuple[Position, ...]
-    labels: Tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.labels)
-
-
-@dataclass(frozen=True)
 class ElementaryGroupTable:
-    """All realized triangles at one anchor with their induced operation."""
+    """All realized triangles at one anchor with their induced operation;
+    element i is the label tuple `elements[i]` over `positions`."""
 
     anchor: Tuple[int, int]
     positions: Tuple[Position, ...]
-    elements: Tuple[Triangle, ...]
+    elements: Tuple[Tuple[int, ...], ...]
     group: FiniteGroup
 
-    def index(self, tri: Triangle) -> int:
+    def index(self, tri: Tuple[int, ...]) -> int:
         try:
-            return self._index[tri.labels]
+            return self._index[tri]
         except KeyError:
-            raise UnrealizedTriangle(f"{tri.labels} at anchor {self.anchor}") from None
+            raise UnrealizedTriangle(f"{tri} at anchor {self.anchor}") from None
 
     @cached_property
     def _index(self) -> Dict[Tuple[int, ...], int]:
-        return {t.labels: i for i, t in enumerate(self.elements)}
+        return {tri: i for i, tri in enumerate(self.elements)}
 
 
 def upper_triangle_positions(window: Tuple[int, int], ell: int,
@@ -125,9 +115,7 @@ class GeneratorContext:
             if self.basis.transversal(slot)[:1] != (system.identity,):
                 raise DomainError(f"basis entry 0 at slot {slot} is not the identity")
         # member index <-> label tensor
-        choices = self.basis.choices
-        self.tensors: Tuple[Tuple[int, ...], ...] = tuple(
-            choices[s] for s in system.sequences)
+        self.tensors = self.basis.tensors
         self.tensor_index: Dict[Tuple[int, ...], int] = {
             lab: i for i, lab in enumerate(self.tensors)}
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
@@ -179,7 +167,8 @@ def build_context(system: GroupSystem) -> GeneratorContext:
 
 # -- the transported operation -----------------------------------------------
 
-def star(ctx: GeneratorContext, r1: TensorR, r2: TensorR) -> TensorR:
+def star(ctx: GeneratorContext, r1: Sequence[int],
+         r2: Sequence[int]) -> Tuple[int, ...]:
     """Product of generator selections, transported from the member product."""
     a = encode_time_domain(ctx.basis, r1)
     b = encode_time_domain(ctx.basis, r2)
@@ -207,14 +196,14 @@ def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
 
 # -- triangle slices ----------------------------------------------------------
 
-def triangle(ctx: GeneratorContext, labels: Tuple[int, ...], k: int,
-             t: int) -> Triangle:
-    """The (k, t) upper-triangle slice of a label tuple in slot order."""
+def triangle(ctx: GeneratorContext, labels: Sequence[int], k: int,
+             t: int) -> Tuple[int, ...]:
+    """The (k, t) upper-triangle slice of a label tensor, as the labels at
+    `upper_triangle_positions`."""
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
     if not 0 <= k <= ctx.ell or (k, t) not in ctx.slot_pos:
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
-    return Triangle((k, t), positions,
-                    tuple(labels[ctx.slot_pos[pos]] for pos in positions))
+    return tuple(labels[ctx.slot_pos[pos]] for pos in positions)
 
 
 def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
@@ -333,7 +322,7 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
     where = {p: i for i, p in enumerate(parent.positions)}
     take = [where[p] for p in positions]
     realized, r, reps = _slice_classes(
-        [tuple(tri.labels[i] for i in take) for tri in parent.elements])
+        [tuple(tri[i] for i in take) for tri in parent.elements])
     op = parent.group.op_table
     pcls = ctx._classes[parent_anchor]
     for g in dict.fromkeys(pcls[s] for s in ctx.generating_set):
@@ -366,8 +355,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
         built = induced_slice_group(
             ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})", name)
     realized, fg, cls = built
-    elements = tuple(Triangle((k, t), positions, s) for s in realized)
-    result = ElementaryGroupTable((k, t), positions, elements, fg)
+    result = ElementaryGroupTable((k, t), positions, tuple(realized), fg)
     ctx._elementary[(k, t)] = result
     ctx._classes[(k, t)] = cls
     return result
@@ -387,15 +375,16 @@ def theta_t(ctx: GeneratorContext, k: int, t: int) -> Homomorphism:
                         tuple(slice_classes(ctx, k, t)), check=False)
 
 
-def alpha_t(ctx: GeneratorContext, tri: Triangle, t: int) -> int:
+def alpha_t(ctx: GeneratorContext, tri: Tuple[int, ...], t: int) -> int:
     """Fold a time-t component triangle of generator labels into the letter
     it encodes, multiplying column by column (newest start time first)."""
-    if tri.anchor != (0, t):
+    positions = upper_triangle_positions(ctx.system.window, ctx.ell, 0, t)
+    if len(tri) != len(positions):
         raise ShapeMismatch(f"alpha_t needs an anchor (0,{t}) triangle")
     elementary_group(ctx, 0, t).index(tri)  # realized, or UnrealizedTriangle
     system = ctx.system
     g = system.alphabet(t)
-    by_pos = dict(zip(tri.positions, tri.labels))
+    by_pos = dict(zip(positions, tri))
     acc = 0
     for j in range(ctx.ell + 1):
         for k in range(j, ctx.ell + 1):
@@ -426,7 +415,7 @@ def restriction_images(source: ElementaryGroupTable,
     src_pos = {p: i for i, p in enumerate(source.positions)}
     take = [src_pos[p] for p in target.positions]
     idx = target._index
-    return tuple(idx.get(tuple(tri.labels[i] for i in take))
+    return tuple(idx.get(tuple(tri[i] for i in take))
                  for tri in source.elements)
 
 
@@ -528,6 +517,6 @@ def _alpha_column(ctx: GeneratorContext, t: int) -> List[int]:
             if i is None:
                 continue
             letter = [g[p] for g in ctx.basis.transversal((k, t - j))]
-            acc = [op[a][letter[tri.labels[i]]]
+            acc = [op[a][letter[tri[i]]]
                    for a, tri in zip(acc, elem.elements)]
     return acc

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .elementary import ElementarySystem
 from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
-from .generators import ElementaryGroupTable, Triangle, upper_triangle_positions
+from .generators import ElementaryGroupTable, upper_triangle_positions
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
 
@@ -337,7 +337,7 @@ def dump_egrp(table: ElementaryGroupTable) -> str:
     k, t = table.anchor
     lines = [f"egrp {k} {t} {len(table.elements)}"]
     for tri in table.elements:
-        lines.append("tri " + " ".join(map(str, tri.labels)))
+        lines.append("tri " + " ".join(map(str, tri)))
     lines.append(dump_group(table.group).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -396,7 +396,7 @@ def parse_elementary_system(text: str) -> ElementarySystem:
                 labels = tuple(_int_list(tparts[1:], line))
                 if len(labels) != len(positions):
                     raise ParseError(f"triangle at {anchor} has wrong arity")
-                tris.append(Triangle(anchor, positions, labels))
+                tris.append(labels)
             group_header = lines[i + 1 + n].split()
             if group_header[0] != "group" or len(group_header) != 3:
                 raise ParseError("expected group block after triangles")

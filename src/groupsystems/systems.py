@@ -239,14 +239,6 @@ class GroupSystem:
             last = [p if x else l for x, l in zip(self.columns[p], last)]
         return first, last
 
-    def _x_members(self, t: int) -> frozenset:
-        """Members identity strictly before t (clamped outside the window)."""
-        return self.finite_support_members(t, self.window[1])
-
-    def _y_members(self, t: int) -> frozenset:
-        """Members identity strictly after t (clamped outside the window)."""
-        return self.finite_support_members(self.window[0], t)
-
     def x_subgroup(self, t: int) -> Subgroup:
         t0, t1 = self.window
         if not t0 <= t <= t1 + 1:
@@ -282,11 +274,6 @@ class GroupSystem:
         return sorted(itertools.chain.from_iterable(
             members for (f, l), members in self._extent_buckets.items()
             if f >= lo and l < hi))
-
-    def finite_support_members(self, t_lo: int, t_hi: int) -> frozenset:
-        """A^[t_lo, t_hi] as member sequences (`finite_support_indices`)."""
-        return frozenset(map(self.sequences.__getitem__,
-                             self.finite_support_indices(t_lo, t_hi)))
 
     def renamed(self, name: str) -> "GroupSystem":
         """This validated system under another name, sharing its member
@@ -431,15 +418,10 @@ def controllability_index(system: GroupSystem) -> int:
 
 # -- granules -------------------------------------------------------------
 
-def _subgroup_of(system: GroupSystem, members: frozenset) -> Subgroup:
-    return Subgroup(system.sequence_group,
-                    tuple(sorted(system.index_of(s) for s in members)))
-
-
-def _normal_product(system: GroupSystem, h: Iterable[Seq],
-                    k: Iterable[Seq]) -> set:
+def _normal_product(system: GroupSystem, h: Iterable[int],
+                    k: Iterable[int]) -> List[int]:
     """H K for member subgroups H and K, one of them normal in the member
-    group, as the set of member sequences.
+    group, as ascending member indices.
 
     With K normal, H K = K H is a subgroup, and it is the one H and K
     generate, so it is the closure of H and K's members: `_saturate` grows
@@ -450,24 +432,26 @@ def _normal_product(system: GroupSystem, h: Iterable[Seq],
     subgroups A^[a, b], and these are normal: conjugation acts letter by
     letter, so it never turns an identity letter into another one."""
     product = {system.identity}
-    _saturate(product, [*h, *k], system._op_columns, len(system))
-    return product
+    seqs = system.sequences
+    _saturate(product, [seqs[i] for i in itertools.chain(h, k)],
+              system._op_columns, len(system))
+    return sorted(map(system._index.__getitem__, product))
 
 
 def time_granule(system: GroupSystem, i: int, m: int,
                  ell: Optional[int] = None) -> QuotientPresentation:
     """X^{i+1}(X^i ∩ Y^{i+m}) / X^{i+1}(X^i ∩ Y^{i+m-1}) as a quotient.
 
+    X^i ∩ Y^j is the support subgroup A^[i, j] (`finite_support_indices`).
     Trivial for m < 0 and (given ell) for m > ell; this is asserted.
     """
     t0, t1 = system.window
     if not t0 <= i <= t1 or (m >= 0 and i + m > t1):
         raise OutOfWindow(f"granule interval [{i},{i + m}] escapes [{t0},{t1}]")
-    xi1 = system._x_members(i + 1)
-    mid = system._x_members(i) & system._y_members(i + m)
-    mid_prev = system._x_members(i) & system._y_members(i + m - 1)
-    num = _normal_product(system, xi1, mid)
-    den = _normal_product(system, xi1, mid_prev)
+    support = system.finite_support_indices
+    xi1 = support(i + 1, t1)
+    num = _normal_product(system, xi1, support(i, i + m))
+    den = _normal_product(system, xi1, support(i, i + m - 1))
     qp = _quotient_of_member_sets(system, num, den)
     if (m < 0 or (ell is not None and m > ell)) and qp.quotient.order != 1:
         raise NotAGroupSystem("granule case analysis violated", (i, m))
@@ -479,21 +463,19 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentatio
     t0, t1 = system.window
     if not t0 <= i <= t1 or (m >= 0 and i + m > t1):
         raise OutOfWindow(f"granule interval [{i},{i + m}] escapes [{t0},{t1}]")
-    num = system._x_members(i) & system._y_members(i + m)
-    den = _normal_product(system,
-                          system._x_members(i) & system._y_members(i + m - 1),
-                          system._x_members(i + 1) & system._y_members(i + m))
-    return _quotient_of_member_sets(system, num, den)
+    support = system.finite_support_indices
+    den = _normal_product(system, support(i, i + m - 1), support(i + 1, i + m))
+    return _quotient_of_member_sets(system, support(i, i + m), den)
 
 
-def _quotient_of_member_sets(system: GroupSystem, num: Iterable[Seq],
-                             den: Iterable[Seq]) -> QuotientPresentation:
-    num_sub = _subgroup_of(system, num)
-    num_group, embed = num_sub.as_group(name=f"{system.name}|num")
+def _quotient_of_member_sets(system: GroupSystem, num: Sequence[int],
+                             den: Sequence[int]) -> QuotientPresentation:
+    """num / den for member subgroups given as member indices, den normal
+    in num."""
+    num_group, embed = Subgroup(system.sequence_group, tuple(num)).as_group(
+        name=f"{system.name}|num")
     pos = {m: i for i, m in enumerate(embed)}
-    den_local = Subgroup(num_group,
-                         tuple(sorted(pos[system.index_of(s)] for s in den)))
-    return quotient(num_group, den_local)
+    return quotient(num_group, Subgroup(num_group, tuple(map(pos.__getitem__, den))))
 
 
 # -- generator basis ------------------------------------------------------
@@ -514,14 +496,15 @@ def iter_window_slots(window: Tuple[int, int], ell: int) -> Iterator[Slot]:
 @dataclass(frozen=True)
 class GeneratorBasis:
     """One granule transversal per (k, t) slot; entry 0 is the identity.
-    `choices`, the basis chain's last level, maps each member to the entry
-    per slot whose product in slot order (the time-domain encoder) it is."""
+    Row i of `tensors`, the basis chain's last level, is member i's label
+    tensor: the entry per slot whose product in slot order (the
+    time-domain encoder) is the member."""
 
     system: GroupSystem
     ell: int
     slots: Tuple[Slot, ...]
     transversals: Dict[Slot, Tuple[Seq, ...]]
-    choices: Dict[Seq, Tuple[int, ...]]
+    tensors: Tuple[Tuple[int, ...], ...]
 
     @cached_property
     def slot_pos(self) -> Dict[Slot, int]:
@@ -552,23 +535,19 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     ell = controllability_index(system)
     slots = window_slots(system.window, ell)
     t0, _ = system.window
-    seqs, index = system.sequences, system._index
     nums: Dict[Slot, List[int]] = {}
     transversals: Dict[Slot, Tuple[Seq, ...]] = {}
     for (k, t) in slots:
         num = nums[(k, t)] = system.finite_support_indices(t, t + k)
-        den = [index[system.identity]]
+        den = [system.index_of(system.identity)]
         if k:
-            den = sorted(map(index.__getitem__, _normal_product(
-                system, map(seqs.__getitem__, nums[(k - 1, t)]),
-                map(seqs.__getitem__, nums[(k - 1, t + 1)]))))
+            den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
         reps = _least_coset_reps(system, num, den)
         # non-identity representatives have span exactly k+1
         for g in reps[1:]:
             if g[t - t0] == 0 or g[t + k - t0] == 0:
                 raise NotAGroupSystem("generator span defect", ((k, t), g))
-        _check_granule(system, (k, t), map(seqs.__getitem__, num),
-                       map(seqs.__getitem__, den), reps)
+        _check_granule(system, (k, t), num, den, reps)
         # per-time components distinguish the transversal entries
         for j in range(k + 1):
             comps = [g[t + j - t0] for g in reps]
@@ -577,12 +556,12 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
                                       ((k, t), j))
         transversals[(k, t)] = reps
 
-    choices = _basis_chain(system, slots, transversals)
-    return GeneratorBasis(system, ell, slots, transversals, choices)
+    tensors = _basis_chain(system, slots, transversals)
+    return GeneratorBasis(system, ell, slots, transversals, tensors)
 
 
-def _check_granule(system: GroupSystem, slot: Slot, num: Iterable[Seq],
-                   den: Iterable[Seq], reps: Tuple[Seq, ...]) -> None:
+def _check_granule(system: GroupSystem, slot: Slot, num: Sequence[int],
+                   den: Sequence[int], reps: Tuple[Seq, ...]) -> None:
     """The time-domain granule X^{t+1} num / X^{t+1} den has as many cosets
     as the finite-extent one has representatives, and the representatives
     fall into distinct cosets of X^{t+1} den.
@@ -597,8 +576,9 @@ def _check_granule(system: GroupSystem, slot: Slot, num: Iterable[Seq],
     """
     k, t = slot
     cut = t - system.window[0] + 1
-    pden = {g[:cut] for g in den}
-    if len({g[:cut] for g in num}) // len(pden) != len(reps):
+    seqs = system.sequences
+    pden = {seqs[i][:cut] for i in den}
+    if len({seqs[i][:cut] for i in num}) // len(pden) != len(reps):
         raise NotAGroupSystem("time-domain/finite-extent granule mismatch",
                               (k, t))
     for g1, g2 in itertools.combinations(reps, 2):
@@ -646,9 +626,10 @@ def coset_levels(start: Dict, transversals: Iterable[Sequence], mul) -> Iterator
 
 
 def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
-                 transversals: Dict[Slot, Tuple[Seq, ...]]) -> Dict[Seq, Tuple[int, ...]]:
+                 transversals: Dict[Slot, Tuple[Seq, ...]]) -> Tuple[Tuple[int, ...], ...]:
     """Ascending member-set chain spanned by slot transversals in order;
-    returns its last level, every member with its choice per slot.
+    returns its last level, every member's label tensor (its choice per
+    slot) in member-index order.
 
     Each step must multiply the count by the transversal size and the chain
     must end at the full member set; this is the window completeness check
@@ -685,95 +666,89 @@ def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
             if len(set(rows)) != len(rows):
                 raise NotAGroupSystem("chain step not coset-complete", slot)
         raise NotAGroupSystem("slot transversals do not span the system")
-    choices = itertools.product(*(range(len(transversals[slot])) for slot in slots))
-    return dict(zip(map(system.sequences.__getitem__, members), choices))
+    tensors: List[Tuple[int, ...]] = [()] * n
+    for m, labels in zip(members, all_tensors(len(transversals[slot]) for slot in slots)):
+        tensors[m] = labels
+    return tuple(tensors)
 
 
 # -- tensors and encoders --------------------------------------------------
+#
+# A label tensor is a tuple of labels in slot order: entry i is the index
+# of the chosen generator in the transversal of slot i.
 
-@dataclass(frozen=True)
-class TensorR:
-    """A generator selection: one transversal index per (k, t) slot."""
-
-    basis: GeneratorBasis
-    choice: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.choice) != len(self.basis.slots):
-            raise OutOfWindow("tensor does not match the slot table")
-        for slot, c in zip(self.basis.slots, self.choice):
-            if not 0 <= c < self.basis.label_count(slot):
-                raise OutOfWindow(f"choice {c} out of range at slot {slot}")
-
-    def __getitem__(self, slot: Slot) -> int:
-        return self.choice[self.basis.slot_pos[slot]]
-
-    def generator(self, slot: Slot) -> Seq:
-        return self.basis.transversal(slot)[self[slot]]
+def check_tensor(basis: GeneratorBasis, labels: Sequence[int]) -> Tuple[int, ...]:
+    """A label tensor from a caller as a tuple, with its length and every
+    label's range checked against the slot table."""
+    labels = tuple(labels)
+    if len(labels) != len(basis.slots):
+        raise OutOfWindow("tensor does not match the slot table")
+    for slot, c in zip(basis.slots, labels):
+        if not 0 <= c < basis.label_count(slot):
+            raise OutOfWindow(f"choice {c} out of range at slot {slot}")
+    return labels
 
 
-def identity_tensor(basis: GeneratorBasis) -> TensorR:
-    return TensorR(basis, (0,) * len(basis.slots))
-
-
-def tensor_from_items(basis: GeneratorBasis, items: Dict[Slot, int]) -> TensorR:
-    choice = [0] * len(basis.slots)
+def tensor_from_items(basis: GeneratorBasis, items: Dict[Slot, int]) -> Tuple[int, ...]:
+    """The label tensor with the given labels at some slots, 0 elsewhere."""
+    labels = [0] * len(basis.slots)
     pos = basis.slot_pos
     for slot, c in items.items():
         if slot not in pos:
             raise OutOfWindow(f"slot {slot} not in window")
-        choice[pos[slot]] = c
-    return TensorR(basis, tuple(choice))
+        labels[pos[slot]] = c
+    return check_tensor(basis, labels)
 
 
-def all_tensors(basis: GeneratorBasis) -> Iterable[TensorR]:
-    ranges = [range(basis.label_count(slot)) for slot in basis.slots]
-    for choice in itertools.product(*ranges):
-        yield TensorR(basis, choice)
+def all_tensors(sizes: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    """Every label tensor over slots with these label counts, in slot
+    order, lexicographically (the last slot fastest)."""
+    return itertools.product(*map(range, sizes))
 
 
-def encode_time_domain(basis: GeneratorBasis, r: TensorR) -> Seq:
+def encode_time_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
     """Compose the selected generators column-by-column in reverse time:
     for each start time (latest first) the spans are applied shortest first."""
     system = basis.system
     acc = system.identity
-    for slot in basis.slots:  # slots are already in time-reverse fill order
-        acc = system.mul(acc, r.generator(slot))
+    # slots are already in time-reverse fill order
+    for slot, c in zip(basis.slots, check_tensor(basis, r)):
+        acc = system.mul(acc, basis.transversals[slot][c])
     if acc not in system:
         raise NotAGroupSystem("encoder left the member set", acc)
     return acc
 
 
-def encode_spectral_domain(basis: GeneratorBasis, r: TensorR) -> Seq:
+def encode_spectral_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
     """Compose the selected generators span-by-span: all length-1 generators
     (latest start first), then all length-2 generators, and so on."""
     system = basis.system
     t0, t1 = system.window
+    labels = dict(zip(basis.slots, check_tensor(basis, r)))
     acc = system.identity
     for k in range(0, basis.ell + 1):
         for t in range(t1, t0 - 1, -1):
-            if (k, t) in basis.transversals:
-                acc = system.mul(acc, r.generator((k, t)))
+            if (k, t) in labels:
+                acc = system.mul(acc, basis.transversals[(k, t)][labels[(k, t)]])
     if acc not in system:
         raise NotAGroupSystem("encoder left the member set", acc)
     return acc
 
 
-def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> TensorR:
+def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> Tuple[int, ...]:
     """Invert the time-domain encoder: the basis chain recorded each
-    member's choices as it built the member."""
-    try:
-        return TensorR(basis, basis.choices[tuple(seq)])
-    except KeyError:
-        raise NotAMember(f"{tuple(seq)} is not a member of {basis.system.name}") from None
+    member's label tensor as it built the member."""
+    return basis.tensors[basis.system.index_of(tuple(seq))]
 
 
 # -- alphabet matrix -------------------------------------------------------
 
-def alphabet_matrix(basis: GeneratorBasis, r: TensorR, t: int) -> Dict[Tuple[int, int], int]:
+def alphabet_matrix(basis: GeneratorBasis, r: Sequence[int],
+                    t: int) -> Dict[Tuple[int, int], int]:
     """Time-t components of all generators active at t, keyed (j, k):
     column j holds generators starting at t-j, row k the spans k+1.
     Slots outside the window contribute the identity letter."""
+    labels = dict(zip(basis.slots, check_tensor(basis, r)))
     system = basis.system
     t0, t1 = system.window
     if not t0 <= t <= t1:
@@ -782,8 +757,8 @@ def alphabet_matrix(basis: GeneratorBasis, r: TensorR, t: int) -> Dict[Tuple[int
     for j in range(basis.ell + 1):
         for k in range(j, basis.ell + 1):
             slot = (k, t - j)
-            if slot in basis.transversals:
-                out[(j, k)] = system.letter(r.generator(slot), t)
+            if slot in labels:
+                out[(j, k)] = system.letter(basis.transversals[slot][labels[slot]], t)
             else:
                 out[(j, k)] = 0
     return out

@@ -53,9 +53,14 @@ Light's test written out in it (for its witness), the inverse table by
 scanning every pair, and the subgroup check on all pairs.  The oracle
 extension search finds its automorphisms with this `automorphisms`, and
 the oracle subdirect product decides closure with `subgroup_members`.
+
+At the very end is `TensorR`, the validating wrapper that label tensors
+were before they became plain label tuples.  Its checks are the
+reference for the check every tuple from a caller gets.
 """
 
 import itertools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from groupsystems.chains import (
@@ -95,7 +100,6 @@ from groupsystems.errors import (
 from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    Triangle,
     alpha_t,
     elementary_group as library_elementary_group,
     restriction_images,
@@ -121,7 +125,6 @@ from groupsystems.systems import (
     GroupSystem,
     Seq,
     Slot,
-    TensorR,
     build_system as library_build_system,
     controllability_index as library_controllability_index,
     realized_alphabets,
@@ -164,10 +167,9 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     if any(x is None for row in table for x in row):
         raise WellDefinednessFailure(f"unreachable slice pair at anchor ({k},{t})")
 
-    elements = tuple(Triangle((k, t), positions, s) for s in realized)
     fg = FiniteGroup([[int(x) for x in row] for row in table],
                      name=f"E({k},{t})")
-    return ElementaryGroupTable((k, t), positions, elements, fg)
+    return ElementaryGroupTable((k, t), positions, tuple(realized), fg)
 
 
 def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem:
@@ -261,7 +263,7 @@ def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
     return tuple(sets)
 
 
-def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> TensorR:
+def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> Tuple[int, ...]:
     """Invert the time-domain encoder by peeling cosets down the slot chain."""
     system = basis.system
     seq = tuple(seq)
@@ -281,7 +283,7 @@ def decode_to_tensor(basis: GeneratorBasis, seq: Seq) -> TensorR:
                 break
         else:
             raise NotAGroupSystem("coset peel failed", (slot, residual))
-    return TensorR(basis, tuple(choice))
+    return tuple(choice)
 
 
 def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
@@ -609,8 +611,7 @@ def member_elementary_group(ctx: GeneratorContext, k: int,
     realized, fg, _ = induced_slice_group(
         ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})",
         f"E({k},{t})")
-    elements = tuple(Triangle((k, t), positions, s) for s in realized)
-    return ElementaryGroupTable((k, t), positions, elements, fg)
+    return ElementaryGroupTable((k, t), positions, tuple(realized), fg)
 
 
 def associative_at(op: tuple, z: int, ys: List[int]) -> bool:
@@ -711,8 +712,7 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
             tgt = es.table(target)
             images = restriction_images(source, tgt)
             if None in images:
-                tri = source.elements[images.index(None)]
-                return False, (anchor, target, tri.labels)
+                return False, (anchor, target, source.elements[images.index(None)])
             for a in range(source.group.order):
                 for b in range(source.group.order):
                     lhs = images[source.group.op(a, b)]
@@ -962,8 +962,9 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
                 raise NotAGroupSystem("component collision in transversal",
                                       ((k, t), j))
         transversals[(k, t)] = reps
-    choices = basis_chain(system, slots, transversals)
-    return GeneratorBasis(system, ell, slots, transversals, choices)
+    level = basis_chain(system, slots, transversals)
+    return GeneratorBasis(system, ell, slots, transversals,
+                          tuple(map(level.__getitem__, system.sequences)))
 
 
 def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
@@ -1068,10 +1069,10 @@ def structurally_equal(es1: ElementarySystem,
     def anchor_ok(anchor, phi) -> bool:
         t1, t2 = es1.tables[anchor], es2.tables[anchor]
         mapped = {}
-        idx2 = {tri.labels: i for i, tri in enumerate(t2.elements)}
+        idx2 = {tri: i for i, tri in enumerate(t2.elements)}
         for i, tri in enumerate(t1.elements):
             image = tuple(phi[pos][lab]
-                          for pos, lab in zip(tri.positions, tri.labels))
+                          for pos, lab in zip(t1.positions, tri))
             if image not in idx2:
                 return False
             mapped[i] = idx2[image]
@@ -1160,3 +1161,20 @@ def subgroup_members(parent: FiniteGroup, members) -> tuple:
             if parent.op(a, b) not in memset:
                 raise NotASubgroup(f"product {a}*{b} escapes")
     return mem
+
+
+# -- the label tensor wrapper ---------------------------------------------------
+
+@dataclass(frozen=True)
+class TensorR:
+    """A generator selection: one transversal index per (k, t) slot."""
+
+    basis: GeneratorBasis
+    choice: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.choice) != len(self.basis.slots):
+            raise OutOfWindow("tensor does not match the slot table")
+        for slot, c in zip(self.basis.slots, self.choice):
+            if not 0 <= c < self.basis.label_count(slot):
+                raise OutOfWindow(f"choice {c} out of range at slot {slot}")

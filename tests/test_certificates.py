@@ -35,6 +35,7 @@ from groupsystems.errors import (
     NotAMember,
     NotASubgroup,
     NotNormalFilling,
+    OutOfWindow,
     OverlapInconsistency,
     RecoveryMismatch,
     ToolkitError,
@@ -43,7 +44,6 @@ from groupsystems.errors import (
 from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    Triangle,
     _alpha_column,
     _nested_slice_group,
     alpha_t,
@@ -51,6 +51,7 @@ from groupsystems.generators import (
     compose_columns,
     elementary_group,
     recover_system_fhgs,
+    star,
     upper_triangle_positions,
 )
 from groupsystems.groups import (
@@ -74,11 +75,15 @@ from groupsystems.systems import (
     _check_granule,
     _least_coset_reps,
     _normal_product,
+    all_tensors,
+    alphabet_matrix,
     build_system,
     controllability_index,
     decode_to_tensor,
+    encode_spectral_domain,
     encode_time_domain,
     extract_basis,
+    tensor_from_items,
     window_slots,
 )
 
@@ -94,8 +99,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def table_key(table: ElementaryGroupTable) -> tuple:
-    return (table.positions, tuple(tri.labels for tri in table.elements),
-            table.group.op_table)
+    return table.positions, table.elements, table.group.op_table
 
 
 def system_key(system: GroupSystem) -> tuple:
@@ -448,7 +452,7 @@ def assert_chains_agree(ctx: GeneratorContext, cap: int = 24) -> None:
     for seq in system.sequences:
         new = outcome(decode_to_tensor, ctx.basis, seq)
         old = outcome(oracles.decode_to_tensor, ctx.basis, seq)
-        assert_same(new, old, key=lambda r: r.choice)
+        assert_same(new, old)
     outside = next((s for s in itertools.product(
         *[range(g.order) for g in system.alphabets]) if s not in system), None)
     if outside is not None:
@@ -561,34 +565,44 @@ def granule_cases(system: GroupSystem):
     mismatch) and the second entry replaced by a member of its coset of
     the first (colliding cosets)."""
     ell = controllability_index(system)
-    support = system.finite_support_members
-    index = system._index
+    support = system.finite_support_indices
     for k, t in window_slots(system.window, ell):
         num = support(t, t + k)
-        den = frozenset(_normal_product(system, support(t, t + k - 1),
-                                        support(t + 1, t + k)))
-        reps = _least_coset_reps(system, sorted(map(index.__getitem__, num)),
-                                 sorted(map(index.__getitem__, den)))
+        den = _normal_product(system, support(t, t + k - 1), support(t + 1, t + k))
+        reps = _least_coset_reps(system, num, den)
         yield (k, t), num, den, reps
         yield (k, t), num, den, reps[:-1]
         if len(reps) > 1:
-            twin = system.mul(reps[0], max(den))
+            twin = system.mul(reps[0], system.sequences[max(den)])
             yield (k, t), num, den, (reps[0], twin) + reps[2:]
+
+
+def member_set(system: GroupSystem, indices) -> frozenset:
+    """The members at ascending member indices, as a set of sequences."""
+    assert list(indices) == sorted(set(indices))
+    return frozenset(map(system.sequences.__getitem__, indices))
+
+
+def oracle_granule(system: GroupSystem, slot, num, den, reps) -> None:
+    """`oracles.check_granule` on the member sets at these indices."""
+    oracles.check_granule(system, slot, member_set(system, num),
+                          member_set(system, den), reps)
 
 
 def assert_column_kernels_agree(system: GroupSystem) -> None:
     """One-sided member sets, granule tests, Cayley graphs and the recovery
     check against their per-pair forms."""
     t0, t1 = system.window
+    support = system.finite_support_indices
     for t in range(t0 - 1, t1 + 3):
-        assert system._x_members(t) == oracles.x_members(system, t)
-        assert system._y_members(t) == oracles.y_members(system, t)
+        assert member_set(system, support(t, t1)) == oracles.x_members(system, t)
+        assert member_set(system, support(t0, t)) == oracles.y_members(system, t)
         for hi in range(t - 1, t1 + 2):
-            assert system.finite_support_members(t, hi) == (
+            assert member_set(system, support(t, hi)) == (
                 oracles.x_members(system, t) & oracles.y_members(system, hi))
     for case in granule_cases(system):
         same_failure(failure(_check_granule, system, *case),
-                     failure(oracles.check_granule, system, *case))
+                     failure(oracle_granule, system, *case))
     try:
         ctx = build_context(system)
     except ToolkitError:
@@ -620,7 +634,7 @@ def test_granule_defects_are_rejected_with_witnesses(c2):
     reasons = set()
     for case in granule_cases(c2):
         new = failure(_check_granule, c2, *case)
-        same_failure(new, failure(oracles.check_granule, c2, *case))
+        same_failure(new, failure(oracle_granule, c2, *case))
         if new[0] == "raise":
             with pytest.raises(NotAGroupSystem) as info:
                 _check_granule(c2, *case)
@@ -660,11 +674,9 @@ def test_recovery_rejects_unrealized_and_uncovered_slices_like_the_pair_loop(c2)
 
     def variant(positions, elements):
         return ElementaryGroupTable(table.anchor, positions, tuple(
-            Triangle(table.anchor, positions, tri.labels[:len(positions)])
-            for tri in elements), table.group)
+            tri[:len(positions)] for tri in elements), table.group)
 
-    unrealized = Triangle(table.anchor, table.positions,
-                          (99,) * len(table.positions))
+    unrealized = (99,) * len(table.positions)
     variants = (variant(table.positions, table.elements[:-1] + (unrealized,)),
                 variant(table.positions, table.elements[:-1] + table.elements[:1]),
                 variant(table.positions[:-1], table.elements))
@@ -856,7 +868,7 @@ def test_controllability_index_matches_oracle_on_generated_systems(case):
 # -- the basis on member indices and the recovery on columns ---------------------
 
 def basis_key(basis: GeneratorBasis) -> tuple:
-    return basis.ell, basis.slots, basis.transversals, basis.choices
+    return basis.ell, basis.slots, basis.transversals, basis.tensors
 
 
 def recovered_key(system: GroupSystem) -> tuple:
@@ -864,7 +876,7 @@ def recovered_key(system: GroupSystem) -> tuple:
 
 
 def assert_basis_and_recovery_agree(system: GroupSystem) -> None:
-    """Transversals, choices and ell, or the error and its message, as the
+    """Transversals, label tensors and ell, or the error and its message, as the
     sequence forms give them; then the recovered system from a context on
     that basis."""
     new = failure(extract_basis, system)
@@ -957,7 +969,7 @@ def with_entries_swapped(basis: GeneratorBasis, slot, i: int, j: int) -> Generat
     transversals = dict(basis.transversals)
     transversals[slot] = tuple(entries)
     return GeneratorBasis(basis.system, basis.ell, basis.slots, transversals,
-                          basis.choices)
+                          basis.tensors)
 
 
 @pytest.mark.parametrize("name", ["z3_taps", "s3_square"])
@@ -984,7 +996,7 @@ def test_recovery_compares_member_sets_where_rows_move(request, name):
     entries = dict(basis.transversals)
     entries[slot] = (system.identity,) + entries[slot][:1] + entries[slot][2:]
     ctx = GeneratorContext(system, GeneratorBasis(
-        system, basis.ell, basis.slots, entries, basis.choices))
+        system, basis.ell, basis.slots, entries, basis.tensors))
     new = failure(recover_system_fhgs, ctx)
     assert new[:2] == ("raise", RecoveryMismatch)
     same_failure(new, failure(oracles.recover_system_fhgs, ctx))
@@ -1093,3 +1105,57 @@ def test_direct_product_matches_the_entrywise_form(request):
         assert new[0].op_table == old[0].op_table and new[0].name == old[0].name
         for p_new, p_old in zip(new[1:], old[1:]):
             assert p_new.image_of == p_old.image_of
+
+
+# -- label tensors as tuples -----------------------------------------------------
+
+def malformed_tensors(basis: GeneratorBasis):
+    """A tensor one label short and one label long, and per slot a label
+    one past the slot's range and a negative label."""
+    n = len(basis.slots)
+    yield (0,) * (n - 1)
+    yield (0,) * (n + 1)
+    for i, slot in enumerate(basis.slots):
+        for c in (basis.label_count(slot), -1):
+            yield (0,) * i + (c,) + (0,) * (n - i - 1)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_malformed_tensors_raise_the_wrapper_errors(request, name):
+    """Every entry point that takes a label tensor from a caller rejects a
+    malformed one with the error type and message of the old validating
+    wrapper (`oracles.TensorR`)."""
+    ctx = build_context(request.getfixturevalue(name))
+    basis, t0 = ctx.basis, ctx.system.window[0]
+    ident = (0,) * len(basis.slots)
+    for bad in malformed_tensors(basis):
+        want = failure(oracles.TensorR, basis, bad)
+        assert want[:2] == ("raise", OutOfWindow)
+        calls = [(encode_time_domain, basis, bad),
+                 (encode_spectral_domain, basis, bad),
+                 (alphabet_matrix, basis, bad, t0),
+                 (star, ctx, bad, ident), (star, ctx, ident, bad)]
+        if len(bad) == len(basis.slots):  # as items: the one label set
+            items = {slot: c for slot, c in zip(basis.slots, bad) if c}
+            calls.append((tensor_from_items, basis, items))
+        for fn, *args in calls:
+            assert failure(fn, *args) == want
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_tensors_decode_to_context_rows_and_encode_to_members(request, name):
+    """Each member decodes to its row of `ctx.tensors`; every tensor the
+    enumerator lists is accepted by the wrapper and encodes to a member,
+    and together they encode to the member set, each member once."""
+    system = request.getfixturevalue(name)
+    ctx = build_context(system)
+    basis = ctx.basis
+    assert basis.tensors is ctx.tensors
+    for i, seq in enumerate(system.sequences):
+        assert decode_to_tensor(basis, seq) == ctx.tensors[i]
+        assert oracles.decode_to_tensor(basis, seq) == ctx.tensors[i]
+    tensors = list(all_tensors(map(basis.label_count, basis.slots)))
+    for r in tensors:
+        assert oracles.TensorR(basis, r).choice == r
+    members = [encode_time_domain(basis, r) for r in tensors]
+    assert sorted(members) == list(system.sequences)

@@ -194,7 +194,7 @@ def test_time_rev_chain_matches_time_domain_encoder(ctx_c2):
             items[step.pair] = label
         r = tensor_from_items(ctx_c2.basis, items)
         assert encode_time_domain(ctx_c2.basis, r) == seq
-        assert r.choice == ctx_c2.tensors[system.index_of(seq)]
+        assert r == ctx_c2.tensors[system.index_of(seq)]
         acc = system.identity
         for step, lab in zip(chain.steps, reps):
             acc = system.mul(acc, system.sequences[ctx_c2.tensor_index[lab]])
@@ -234,7 +234,7 @@ def test_eigentriangle_expansion(ctx_r2, ctx_c2):
         assert len(nontrivial) == 2  # order-4 local group, two label slots
         for step in chain.steps:
             for rep in step.representatives:
-                labels = chain.table.elements[rep].labels
+                labels = chain.table.elements[rep]
                 assert sum(1 for x in labels if x) <= 1
 
 

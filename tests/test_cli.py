@@ -274,6 +274,11 @@ def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
                   ("--seed-group", "Z2", "--ell", "1", "--kernel", "0=Z0")):
         code, _, err = run(capsys, "--window", "0", "3", "construct", *flags)
         assert code == 1 and "Z0" in err
+    # no slot of [0,3] spans 6 times, so the seed group would have no row
+    code, out, err = run(capsys, "--window", "0", "3", "construct",
+                         "--seed-group", "Z2", "--ell", "5")
+    assert code == 2 and out == ""
+    assert "ell 5 exceeds the window [0,3]" in err
     over = f"Z{CYCLIC_ORDER_CAP + 1}"
     for flags in (("--seed-group", over, "--ell", "1"),
                   ("--seed-group", "Z2", "--ell", "1", "--kernel", f"0={over}")):
@@ -331,6 +336,20 @@ def test_construct_s3_with_kernel_below_it(capsys, tmp_path):
     assert code == 0 and "system order=24 ell=1" in out
     code, _, _ = run(capsys, "roundtrip", out_path)
     assert code == 0
+
+
+def test_construct_s3_by_s3_past_order_64(capsys, tmp_path):
+    """An S3 kernel under S3 x S3: the extensions have order 216, and the
+    search's isomorphism tests take that order as their cap instead of
+    stopping at 64.  The dump reloads and round-trips."""
+    out_path = tmp_path / "s3s3.esys"
+    code, out, err = run(capsys, "--out", out_path, "--window", "0", "2",
+                         "construct", "--seed-group", "S3", "--ell", "1",
+                         "--kernel", "0=S3")
+    assert code == 0, err
+    assert "system order=7776 ell=1" in out
+    code, out, _ = run(capsys, "roundtrip", out_path)
+    assert code == 0 and "roundtrip ok system order=7776 ell=1" in out
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -10,11 +10,10 @@ from groupsystems.elementary import (
     global_group,
     global_group_system,
     global_product,
-    global_tensors,
     recover_original,
     structurally_equal,
 )
-from groupsystems.errors import NoExtensionFound, UnrealizedSlice
+from groupsystems.errors import NoExtensionFound, OutOfWindow, UnrealizedSlice
 from groupsystems.generators import ElementaryGroupTable, build_context, star
 from groupsystems.extensions import enumerate_extensions
 from groupsystems.groups import (
@@ -23,7 +22,7 @@ from groupsystems.groups import (
     symmetric_group_3,
     trivial_group,
 )
-from groupsystems.systems import TensorR, controllability_index
+from groupsystems.systems import all_tensors, controllability_index
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +90,16 @@ def test_homomorphism_condition_detects_corruption(es_c2):
     assert witness[0] == anchor
 
 
+def test_construction_rejects_ell_past_the_window():
+    """Row ell holds the seed group, and on [0, 3] no row past 3 holds a
+    slot: ell 3 builds, ell 4 and 5 name ell and the window."""
+    es = construct_elementary_system((0, 3), 3, cyclic_group(2))
+    assert es.ell == 3 and len(global_group_system(es)) == 2
+    for ell in (4, 5):
+        with pytest.raises(OutOfWindow, match=rf"ell {ell} exceeds the window \[0,3\]"):
+            construct_elementary_system((0, 3), ell, cyclic_group(2))
+
+
 def test_homomorphism_condition_vacuous_depth1():
     es = construct_elementary_system((0, 2), 0, cyclic_group(3))
     ok, _ = check_homomorphism_condition(es)
@@ -99,14 +108,12 @@ def test_homomorphism_condition_vacuous_depth1():
 
 def test_global_product_identity_and_circ(ctx_r2, es_r2):
     ident = (0,) * len(es_r2.slots())
-    for v in global_tensors(es_r2):
+    for v in all_tensors(map(es_r2.label_sizes.__getitem__, es_r2.slots())):
         assert global_product(es_r2, ident, v) == v
     # exhaustive agreement with the transported operation
     for lab1 in ctx_r2.tensors:
         for lab2 in ctx_r2.tensors:
-            expect = star(ctx_r2, TensorR(ctx_r2.basis, lab1),
-                          TensorR(ctx_r2.basis, lab2))
-            assert global_product(es_r2, lab1, lab2) == expect.choice
+            assert global_product(es_r2, lab1, lab2) == star(ctx_r2, lab1, lab2)
 
 
 def test_global_product_unrealized_slice(es_c2):

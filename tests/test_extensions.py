@@ -125,3 +125,19 @@ def test_extension_search_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(extensions, "FiniteGroup", broken)
     with pytest.raises(RuntimeError, match="table builder failed"):
         enumerate_extensions(cyclic_group(2), cyclic_group(2))
+
+
+def test_search_past_order_64_compares_groups_at_its_own_order():
+    """S3 by S3 x S3 has order 216.  The kernel check, the dedup and the
+    direct-product check take that order as their isomorphism cap, where
+    the default cap of 64 would stop them.  Every automorphism of S3 is
+    inner and S3 has a trivial centre, so each semidirect product is the
+    direct product, and one extension remains."""
+    s3 = symmetric_group_3()
+    q, _, _ = direct_product(s3, s3)
+    search = enumerate_extensions(q, s3, max_order=216)
+    assert [ext.order for ext, _ in search.extensions] == [216]
+    assert not search.complete
+    ext = search.extensions[0][0]
+    with pytest.raises(BoundExceeded, match="order 216 exceeds cap 64"):
+        find_isomorphism(ext, ext)
