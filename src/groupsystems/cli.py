@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
@@ -45,53 +44,38 @@ from .systems import (
 )
 
 
-@dataclass
-class RunConfig:
-    member_cap: int = DEFAULT_MEMBER_CAP
-    ordering_cap: int = 720
-    out: Optional[Path] = None
-    fmt: str = "text"
-    window: Optional[tuple] = None
-    verbose: bool = False
-
-    def __post_init__(self):
-        for bound in (self.member_cap, self.ordering_cap):
-            if bound <= 0:
-                raise ParseError("bounds must be positive")
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is not None:
-        Path(cfg.out).write_text(text)
+def _emit(args, text: str) -> None:
+    if args.out is not None:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _load(path: str, cfg: RunConfig):
-    system = fmt.load_system_file(path, member_cap=cfg.member_cap)
-    if cfg.window is not None and system.window != cfg.window:
+def _load(path: str, args):
+    system = fmt.load_system_file(path, member_cap=args.member_cap)
+    if args.window is not None and system.window != args.window:
         raise DomainError(f"system window {system.window} does not match "
-                          f"--window {cfg.window}")
+                          f"--window {args.window}")
     return system
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)  # saturated, so closed
+def cmd_validate(args) -> int:
+    system = _load(args.system, args)  # saturated, so closed
     ctx = build_context(system)  # runs the completeness checks
     orders = " ".join(str(g.order) for g in system.alphabets)
     lines = [f"system {system.name} order={len(system)} ell={ctx.ell} "
              f"window={system.window[0]} {system.window[1]} "
              f"alphabets={orders}"]
-    if cfg.verbose:
+    if args.verbose:
         for slot in ctx.slots:
             lines.append(f"  slot k={slot[0]} t={slot[1]} "
                          f"generators={ctx.basis.label_count(slot)}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_generators(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_generators(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
     lines = []
     for slot in ctx.slots:
@@ -99,10 +83,10 @@ def cmd_generators(args, cfg: RunConfig) -> int:
         lines.append(f"gen k={slot[0]} t={slot[1]} count={len(trans)}")
         for i, g in enumerate(trans):
             lines.append(f"  {i}: " + " ".join(str(x) for x in g))
-    if cfg.fmt == "dump":
+    if args.format == "dump":
         for slot in ctx.slots:
             lines.append(fmt.dump_egrp(elementary_group(ctx, *slot)).rstrip("\n"))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -124,8 +108,8 @@ def _read_int_lines(path: str, what: str, form: str) -> List[tuple]:
     return rows
 
 
-def cmd_encode(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_encode(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
     items = {(k, t): c for k, t, c in
              _read_int_lines(args.tensor, "tensor", "<k> <t> <index>")}
@@ -136,12 +120,12 @@ def cmd_encode(args, cfg: RunConfig) -> int:
         spec = encode_spectral_domain(ctx.basis, r)
         lines.append("spectral " + " ".join(str(x) for x in spec))
         lines.append(f"agree {'yes' if spec == seq else 'no'}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_decode(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_decode(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
     try:
         seq = tuple(int(x) for x in args.seq.split())
@@ -149,12 +133,12 @@ def cmd_decode(args, cfg: RunConfig) -> int:
         raise ParseError(f"bad sequence {args.seq!r}") from None
     r = decode_to_tensor(ctx.basis, seq)
     lines = [f"{k} {t} {c}" for (k, t), c in zip(ctx.slots, r)]
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_chains(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_chains(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
     if args.filling.startswith("@"):
         f = FillingSequence(system.window, ctx.ell, tuple(
@@ -170,14 +154,14 @@ def cmd_chains(args, cfg: RunConfig) -> int:
                      f"cosets {step.label_count} reps {reps}")
     rebuilt = reconstruct_from_chain(ctx, chain)
     lines.append(f"reconstruct ok order={len(rebuilt)}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_blockchains(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_blockchains(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
-    chains, truncated = block_code_chains(ctx, max_orderings=cfg.ordering_cap)
+    chains, truncated = block_code_chains(ctx, max_orderings=args.ordering_cap)
     lines = [f"chains {len(chains)} truncated {'yes' if truncated else 'no'}"]
     for i, chain in enumerate(chains):
         order = 1
@@ -185,15 +169,15 @@ def cmd_blockchains(args, cfg: RunConfig) -> int:
             order *= step.label_count
         walk = " ".join(f"({p[0]},{p[1]})" for p in chain.filling.pairs)
         lines.append(f"chain {i} order={order} walk {walk}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_esys(args, cfg: RunConfig) -> int:
-    system = _load(args.system, cfg)
+def cmd_esys(args) -> int:
+    system = _load(args.system, args)
     ctx = build_context(system)
     es = extract_elementary_system(ctx)
-    _emit(cfg, fmt.dump_elementary_system(es))
+    _emit(args, fmt.dump_elementary_system(es))
     return 0
 
 
@@ -212,14 +196,14 @@ def _parse_depth_map(items: Optional[List[str]], form: str, value) -> dict:
     return out
 
 
-def cmd_construct(args, cfg: RunConfig) -> int:
-    if cfg.window is None:
+def cmd_construct(args) -> int:
+    if args.window is None:
         raise ParseError("construct needs --window t0 t1")
     top = fmt.resolve_group(args.seed_group)
     kernels = _parse_depth_map(args.kernel, "k=GroupName", fmt.resolve_group)
     ext_indices = _parse_depth_map(args.ext_index, "k=index", int)
     # before any anchor: row k has t1 - t0 + 1 - k slots of one label size
-    t0, t1 = cfg.window
+    t0, t1 = args.window
     slot_counts = Counter()
     for k, group in {**kernels, args.ell: top}.items():
         if 0 <= k <= min(args.ell, t1 - t0):
@@ -227,21 +211,21 @@ def cmd_construct(args, cfg: RunConfig) -> int:
     check_tensor_count(slot_counts, "global group system")
     strategy = ConstructionStrategy(kernels=kernels,
                                     extension_indices=ext_indices)
-    es = construct_elementary_system(cfg.window, args.ell, top,
+    es = construct_elementary_system(args.window, args.ell, top,
                                      strategy, name=args.name)
     system = global_group_system(es)
     ell = controllability_index(system)
     report = (f"constructed {es.name} depth={es.depth} "
               f"system order={len(system)} ell={ell}\n")
-    if cfg.out is not None:
-        Path(cfg.out).write_text(fmt.dump_elementary_system(es))
+    if args.out is not None:
+        Path(args.out).write_text(fmt.dump_elementary_system(es))
         sys.stdout.write(report)
     else:
         sys.stdout.write(fmt.dump_elementary_system(es) + report)
     return 0
 
 
-def cmd_roundtrip(args, cfg: RunConfig) -> int:
+def cmd_roundtrip(args) -> int:
     path = Path(args.path)
     if path.suffix == ".esys":
         es = fmt.load_elementary_system_file(path)
@@ -258,14 +242,14 @@ def cmd_roundtrip(args, cfg: RunConfig) -> int:
                 raise DomainError("re-extracted elementary system differs")
             recover_original(re_es, ctx)
             note = " up to isomorphism"
-        _emit(cfg, f"roundtrip ok system order={len(system)} "
-                   f"ell={controllability_index(system)}{note}\n")
+        _emit(args, f"roundtrip ok system order={len(system)} "
+                    f"ell={controllability_index(system)}{note}\n")
     else:
-        system = _load(str(path), cfg)
+        system = _load(str(path), args)
         ctx = build_context(system)
         es = extract_elementary_system(ctx)
         recover_original(es, ctx)
-        _emit(cfg, f"roundtrip ok order={len(system)}\n")
+        _emit(args, f"roundtrip ok order={len(system)}\n")
     return 0
 
 
@@ -347,17 +331,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(member_cap=args.member_cap,
-                        ordering_cap=args.ordering_cap,
-                        out=args.out, fmt=args.format,
-                        window=tuple(args.window) if args.window else None,
-                        verbose=args.verbose)
+        if args.member_cap <= 0 or args.ordering_cap <= 0:
+            raise ParseError("bounds must be positive")
+        if args.window is not None:  # compared with system windows, tuples
+            args.window = tuple(args.window)
         inputs = [getattr(args, name) for name in ("system", "tensor", "path")
                   if getattr(args, name, None) is not None]
-        if cfg.out is not None and any(Path(str(p)).resolve() ==
-                                       Path(cfg.out).resolve() for p in inputs):
+        if args.out is not None and any(Path(str(p)).resolve() ==
+                                        Path(args.out).resolve() for p in inputs):
             raise ParseError("--out must differ from the input paths")
-        return args.func(args, cfg)
+        return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

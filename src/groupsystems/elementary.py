@@ -35,6 +35,8 @@ from .extensions import enumerate_extensions, subdirect_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
+    _class_table,
+    _slice_classes,
     elementary_group,
     recover_system_fhgs,
     restriction_images,
@@ -173,7 +175,7 @@ def extract_elementary_system(ctx: GeneratorContext) -> ElementarySystem:
         name=f"E({ctx.system.name})",
         ell=ctx.ell,
         window=ctx.system.window,
-        label_sizes=dict(ctx.label_sets()),
+        label_sizes={slot: ctx.basis.label_count(slot) for slot in ctx.slots},
         tables=tables,
     )
     es.verify()
@@ -515,20 +517,13 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
                         f"children disagree at {pos} under anchor {anchor}")
                 labels[pos] = label
         elements.append(tuple(labels[pos] for pos in positions))
-    if len(set(elements)) != len(elements):
+    # identity triangle first, then lexicographic; rank[e] is e's new index
+    realized, rank, order = _slice_classes(elements)
+    if len(realized) != len(elements):
         raise WellDefinednessFailure(f"anchor {anchor}: label map not injective")
-
-    # canonical order: identity triangle first, then lexicographic
-    order = sorted(range(len(elements)),
-                   key=lambda e: (any(elements[e]), elements[e]))
-    rank = [0] * len(order)
-    for i, e in enumerate(order):
-        rank[e] = i
-    op = ext.op_table
-    table = [[rank[op[e][f]] for f in order] for e in order]
-    fg = FiniteGroup(table, name=f"E({anchor[0]},{anchor[1]})", _validated=True)
-    return ElementaryGroupTable(anchor, positions,
-                                tuple(elements[e] for e in order), fg)
+    fg = FiniteGroup(_class_table(ext.op_table, rank, order),
+                     name=f"E({anchor[0]},{anchor[1]})", _validated=True)
+    return ElementaryGroupTable(anchor, positions, tuple(realized), fg)
 
 
 def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],

@@ -37,6 +37,7 @@ from .systems import (
     GeneratorBasis,
     GroupSystem,
     Slot,
+    check_tensor,
     decode_to_tensor,
     encode_time_domain,
     extract_basis,
@@ -153,9 +154,6 @@ class GeneratorContext:
         return tuple(system.translate(system.columns, system.sequences[j], right)
                      for j in self.generating_set)
 
-    def label_sets(self) -> Dict[Slot, int]:
-        return {slot: self.basis.label_count(slot) for slot in self.slots}
-
     def support(self, labels: Tuple[int, ...]) -> Tuple[Slot, ...]:
         """The slots where a label tuple picks a non-identity generator."""
         return tuple(slot for slot, c in zip(self.slots, labels) if c != 0)
@@ -198,11 +196,12 @@ def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
 
 def triangle(ctx: GeneratorContext, labels: Sequence[int], k: int,
              t: int) -> Tuple[int, ...]:
-    """The (k, t) upper-triangle slice of a label tensor, as the labels at
-    `upper_triangle_positions`."""
-    positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
-    if not 0 <= k <= ctx.ell or (k, t) not in ctx.slot_pos:
+    """The (k, t) upper-triangle slice of a label tensor (`check_tensor`),
+    as the labels at `upper_triangle_positions`."""
+    labels = check_tensor(ctx.basis, labels)
+    if (k, t) not in ctx.slot_pos:
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
+    positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
     return tuple(labels[ctx.slot_pos[pos]] for pos in positions)
 
 
@@ -269,6 +268,12 @@ def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[in
     return realized, cls, [first[c] for c in range(len(realized))]
 
 
+def _class_table(op: tuple, cls: List[int], reps: List[int]) -> List[list]:
+    """The table a congruence of the table `op` induces on its classes:
+    class c times class d is the class of rep_c rep_d."""
+    return [[cls[row[q]] for q in reps] for row in (op[p] for p in reps)]
+
+
 def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
     """The rows of a quotient table of order n from the columns of its
     generators: gen_columns[g][c] = c g for the images g of S.
@@ -330,8 +335,8 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
             rep_images = [images[p] for p in reps]
             if list(map(rep_images.__getitem__, r)) != images:
                 return None
-    table = [[r[row[q]] for q in reps] for row in (op[p] for p in reps)]
-    return realized, FiniteGroup(table, name=name), list(map(r.__getitem__, pcls))
+    return (realized, FiniteGroup(_class_table(op, r, reps), name=name),
+            list(map(r.__getitem__, pcls)))
 
 
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
@@ -376,31 +381,20 @@ def theta_t(ctx: GeneratorContext, k: int, t: int) -> Homomorphism:
 
 
 def alpha_t(ctx: GeneratorContext, tri: Tuple[int, ...], t: int) -> int:
-    """Fold a time-t component triangle of generator labels into the letter
-    it encodes, multiplying column by column (newest start time first)."""
+    """The letter a realized time-t component triangle of generator labels
+    encodes: its entry in the fold of E(0, t) (`_alpha_column`)."""
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, 0, t)
     if len(tri) != len(positions):
         raise ShapeMismatch(f"alpha_t needs an anchor (0,{t}) triangle")
-    elementary_group(ctx, 0, t).index(tri)  # realized, or UnrealizedTriangle
-    system = ctx.system
-    g = system.alphabet(t)
-    by_pos = dict(zip(positions, tri))
-    acc = 0
-    for j in range(ctx.ell + 1):
-        for k in range(j, ctx.ell + 1):
-            slot = (k, t - j)
-            label = by_pos.get(slot)
-            if label:
-                gen = ctx.basis.transversal(slot)[label]
-                acc = g.op(acc, system.letter(gen, t))
-    return acc
+    i = elementary_group(ctx, 0, t).index(tri)  # realized, or UnrealizedTriangle
+    return _alpha_column(ctx, t)[i]
 
 
 def alpha_t_hom(ctx: GeneratorContext, t: int) -> Homomorphism:
     """alpha_t as a verified surjective homomorphism onto the alphabet."""
     elem = elementary_group(ctx, 0, t)
-    images = tuple(alpha_t(ctx, tri, t) for tri in elem.elements)
-    hom = Homomorphism(elem.group, ctx.system.alphabet(t), images)
+    hom = Homomorphism(elem.group, ctx.system.alphabet(t),
+                       tuple(_alpha_column(ctx, t)))
     if not hom.is_surjective():
         raise WellDefinednessFailure(f"alpha at {t} misses alphabet letters")
     return hom
@@ -497,14 +491,12 @@ def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
 
 
 def _alpha_column(ctx: GeneratorContext, t: int) -> List[int]:
-    """alpha_t of every element of the (0, t) elementary group, in element
-    order, as column passes: the running letters start at the identity,
-    and each position (k, t-j) of the fold, in `alpha_t`'s column-major
-    order, maps the elements' labels there to the time-t letters of its
-    transversal entries and multiplies them on the right in one line.  A
-    label 0 picks the identity entry, whose letter leaves the product as
-    it is, so every element folds the letters `alpha_t` folds, in its
-    order."""
+    """alpha_t of every element of E(0, t), in element order: its time-t
+    generator letters multiplied column by column, newest start first
+    (positions (k, t-j), j = 0..ell, k = j..ell), as column passes.  Per
+    position, one line maps the elements' labels to the letters of its
+    transversal entries and multiplies them on the right; label 0, the
+    identity entry, leaves the product as it is."""
     elem = elementary_group(ctx, 0, t)
     system = ctx.system
     op = system.alphabet(t).op_table

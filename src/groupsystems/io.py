@@ -168,6 +168,8 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "window":
             if len(parts) != 3:
                 raise ParseError("window line needs two integers")
+            if window is not None:
+                raise ParseError("a second window line")
             try:
                 window = (int(parts[1]), int(parts[2]))
             except ValueError:
@@ -181,9 +183,10 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "alphabet":
             if len(parts) != 3:
                 raise ParseError("alphabet line needs a time and group name")
-            key = parts[1]
-            gname = parts[2]
-            alphabet_spec["all" if key == "all" else _int(key, lines[i])] = gname
+            key = parts[1] if parts[1] == "all" else _int(parts[1], lines[i])
+            if key in alphabet_spec:
+                raise ParseError(f"alphabet {key} given twice")
+            alphabet_spec[key] = parts[2]
         elif head == "seq":
             try:
                 seqs.append(tuple(int(x) for x in parts[1:]))
@@ -192,6 +195,8 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "rule":
             if len(parts) < 4 or parts[1] != "conv":
                 raise ParseError("rule line must be 'rule conv <group> <taps...>'")
+            if rule is not None:
+                raise ParseError("a second rule line")
             rule = (parts[2], tuple(parts[3:]))
         else:
             raise ParseError(f"unknown stanza {head!r}")
@@ -199,6 +204,10 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
 
     if window is None:
         raise ParseError("missing window line")
+    for t in alphabet_spec:
+        if t != "all" and not window[0] <= t <= window[1]:
+            raise ParseError(f"alphabet time {t} outside the window "
+                             f"[{window[0]},{window[1]}]")
     if rule is not None and seqs:
         raise ParseError("a system is either explicit or rule-built, not both")
 
@@ -237,16 +246,17 @@ _TAP_RE = re.compile(r"^x(\d+)$")
 
 def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
                  member_cap: int) -> GroupSystem:
-    """Linear tap rule over a cyclic group: outputs are sums of delayed
+    """Linear tap rule over an abelian group: outputs are sums of delayed
     inputs, inputs free over the window with an identity boundary.
 
-    Members follow the input words in lexicographic order, built as letter
-    columns: input column p holds each word's input at position p, an
-    output's column at p is the sum of the input columns at p - d over its
-    delays d (positions before the window contribute the identity), and
-    the letter column packs the outputs' columns as base-q digits, the
-    first output most significant, which is the lexicographic index of a
-    tuple in the direct product of the output groups."""
+    The rule maps the input words homomorphically onto the members, so the
+    members are generated by the images of one base generator g at one
+    input time p (the identity elsewhere).  At time pos such an image's
+    output is g added once per delay d with pos - d = p, and the letter
+    packs the outputs as base-q digits, the first most significant: the
+    lexicographic index in the direct product of the output groups.
+    `build_system` closes these length x |generators| seeds once; the
+    q^length input words are never listed."""
     gname, taps = rule
     base = lookup(gname)
     if not base.is_abelian:
@@ -274,8 +284,8 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
     length = t1 - t0 + 1
     if length < 1:
         raise OutOfWindow(f"empty window [{t0},{t1}]")
-    # q^length members: with q > 1 a window longer than the cap has more
-    # members than the cap, and with q = 1 one member as long as the window
+    # q^length input words: with q > 1 a window longer than the cap has
+    # more than the cap, and with q = 1 one word as long as the window
     if length > member_cap:
         raise BoundExceeded(f"rule unrolling: a window of {count_text(length)} "
                             f"times exceeds cap {member_cap}")
@@ -283,21 +293,22 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
     if count > member_cap:
         raise BoundExceeded(f"rule unrolling: {q}^{length} = {count_text(count)} members "
                             f"exceed cap {member_cap}")
-    # input column p: the digit of weight q^(length-1-p) of the word index
-    inputs = [[x for x in range(q) for _ in range(q ** (length - 1 - p))]
-              * q ** p for p in range(length)]
     op = base.op_table
-    columns = []
-    for pos in range(length):
-        letters = [0] * count
-        for delays in tap_lists:
-            val = [0] * count
-            for d in delays:
-                if pos - d >= 0:
-                    val = [op[v][x] for v, x in zip(val, inputs[pos - d])]
-            letters = [w * q + v for w, v in zip(letters, val)]
-        columns.append(letters)
-    return build_system(window, [alphabet] * length, zip(*columns), name=name,
+
+    def image(g: int, p: int) -> tuple:
+        letters = []
+        for pos in range(length):
+            letter = 0
+            for delays in tap_lists:
+                val = 0
+                for _ in range(delays.count(pos - p)):
+                    val = op[val][g]
+                letter = letter * q + val
+            letters.append(letter)
+        return tuple(letters)
+
+    seeds = [image(g, p) for p in range(length) for g in base.generators]
+    return build_system(window, [alphabet] * length, seeds, name=name,
                         member_cap=member_cap)
 
 
@@ -376,39 +387,43 @@ def parse_elementary_system(text: str) -> ElementarySystem:
     i = 1
     while i < len(lines):
         parts = lines[i].split()
-        if parts[0] == "labels":
-            k, t, n = _ints(parts, 3, lines[i])
-            sizes[(k, t)] = n
-            i += 1
-        elif parts[0] == "egrp":
-            k, t, n = _ints(parts, 3, lines[i])
-            anchor = (k, t)
-            if n < 0:
-                raise ParseError(f"egrp block at {anchor} has a negative size")
-            if i + 1 + n >= len(lines):
-                raise ParseError(f"egrp block at {anchor} is truncated")
-            positions = upper_triangle_positions(window, ell, k, t)
-            tris = []
-            for line in lines[i + 1:i + 1 + n]:
-                tparts = line.split()
-                if tparts[0] != "tri":
-                    raise ParseError(f"expected tri line, got {line!r}")
-                labels = tuple(_int_list(tparts[1:], line))
-                if len(labels) != len(positions):
-                    raise ParseError(f"triangle at {anchor} has wrong arity")
-                tris.append(labels)
-            group_header = lines[i + 1 + n].split()
-            if group_header[0] != "group" or len(group_header) != 3:
-                raise ParseError("expected group block after triangles")
-            order = _int(group_header[2], lines[i + 1 + n])
-            group = _parse_group_lines(lines[i + 1 + n:i + 2 + n + order])
-            if group.order != n:
-                raise ParseError(f"table order differs from element count at {anchor}")
-            tables[anchor] = ElementaryGroupTable(anchor, positions,
-                                                  tuple(tris), group)
-            i += 2 + n + order
-        else:
+        if parts[0] not in ("labels", "egrp"):
             raise ParseError(f"unknown esys stanza {parts[0]!r}")
+        k, t, n = _ints(parts, 3, lines[i])
+        anchor = (k, t)
+        # the slot table by arithmetic: windows from a file may be huge
+        if not (0 <= k <= ell and window[0] <= t and t + k <= window[1]):
+            raise ParseError(f"{parts[0]} anchor ({k},{t}) is not in the slot "
+                             f"table of depth {depth} on [{window[0]},{window[1]}]")
+        if anchor in (sizes if parts[0] == "labels" else tables):
+            raise ParseError(f"{parts[0]} anchor ({k},{t}) given twice")
+        if parts[0] == "labels":
+            sizes[anchor] = n
+            i += 1
+            continue
+        if n < 0:
+            raise ParseError(f"egrp block at {anchor} has a negative size")
+        if i + 1 + n >= len(lines):
+            raise ParseError(f"egrp block at {anchor} is truncated")
+        positions = upper_triangle_positions(window, ell, k, t)
+        tris = []
+        for line in lines[i + 1:i + 1 + n]:
+            tparts = line.split()
+            if tparts[0] != "tri":
+                raise ParseError(f"expected tri line, got {line!r}")
+            labels = tuple(_int_list(tparts[1:], line))
+            if len(labels) != len(positions):
+                raise ParseError(f"triangle at {anchor} has wrong arity")
+            tris.append(labels)
+        group_header = lines[i + 1 + n].split()
+        if group_header[0] != "group" or len(group_header) != 3:
+            raise ParseError("expected group block after triangles")
+        order = _int(group_header[2], lines[i + 1 + n])
+        group = _parse_group_lines(lines[i + 1 + n:i + 2 + n + order])
+        if group.order != n:
+            raise ParseError(f"table order differs from element count at {anchor}")
+        tables[anchor] = ElementaryGroupTable(anchor, positions, tuple(tris), group)
+        i += 2 + n + order
 
     es = ElementarySystem(name=name, ell=ell, window=window,
                           label_sizes=sizes, tables=tables)

@@ -98,7 +98,7 @@ class GroupSystem:
     @cached_property
     def _op_columns(self) -> Tuple[tuple, ...]:
         """Per time, the transposed operation table: [p][y][x] = x*y."""
-        return tuple(tuple(zip(*op)) for op in self._op_tables)
+        return transposed_tables(self.alphabets)
 
     def translate(self, columns: Sequence[Sequence[int]], s: Seq,
                   right: bool = True) -> List[int]:
@@ -106,13 +106,11 @@ class GroupSystem:
         given as per-time letter columns.
 
         The letter of a*s at time p is column s_p of the time-p table read
-        at a's letter, and that of s*a is row s_p; so each letter column
-        maps through one table line at C speed (a column at an identity
-        letter stays as it is), and the zipped rows are looked up in the
-        member index.  A product outside the member set raises KeyError."""
+        at a's letter, and that of s*a is row s_p (`move_columns`); the
+        zipped rows are looked up in the member index.  A product outside
+        the member set raises KeyError."""
         lines = self._op_columns if right else self._op_tables
-        moved = [col if x == 0 else map(line[x].__getitem__, col)
-                 for line, col, x in zip(lines, columns, s)]
+        moved = move_columns(lines, columns, s)
         return list(map(self._index.__getitem__, zip(*moved)))
 
     def inverse(self, a: Seq) -> Seq:
@@ -313,6 +311,24 @@ def realized_alphabets(alphabets: Sequence[FiniteGroup],
     return tuple(per_t), new_members
 
 
+def transposed_tables(alphabets: Sequence[FiniteGroup]) -> Tuple[tuple, ...]:
+    """Per time, the transposed operation table, [p][y][x] = x*y; a group
+    serving several times is transposed once."""
+    groups = {id(g): g for g in alphabets}
+    done = {i: tuple(zip(*g.op_table)) for i, g in groups.items()}
+    return tuple(done[id(g)] for g in alphabets)
+
+
+def move_columns(lines: Sequence[tuple], columns: Sequence[Sequence[int]],
+                 s: Seq) -> list:
+    """Letter columns moved by s, column p through the table line
+    lines[p][s_p]: rows a become a*s with transposed tables and s*a with
+    the tables.  A column at an identity letter stays; the others are lazy
+    maps, one pass each at C speed."""
+    return [col if x == 0 else map(line[x].__getitem__, col)
+            for line, col, x in zip(lines, columns, s)]
+
+
 def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                  seeds: Iterable[Seq], name: str = "A",
                  member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
@@ -321,9 +337,9 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     A seed becomes a generator only when it lies outside the closure of the
     generators before it; the closure grows by right multiplication, which
     in a finite group reaches the subgroup the seeds generate -- the set the
-    pairwise saturation of both-sided products reaches.  Seeds that are
-    already closed (a tap rule's q^L members) cost |A| x |generators|
-    products, formed as column passes (`_saturate`).  Seed length and
+    pairwise saturation of both-sided products reaches.  That costs |A| x
+    |generators| products, formed as column passes (`_saturate`) through
+    the tables `GroupSystem._op_columns` holds.  Seed length and
     letter range are checked on the letter columns; only a seed set that
     fails is walked seed by seed for the witness.  Per-time alphabets are
     restricted to their realized projections."""
@@ -341,8 +357,7 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                 if not 0 <= x < g.order:
                     raise NotAGroupSystem("letter out of range", (s, x))
     members = {(0,) * length}
-    transposed = {id(g): tuple(zip(*g.op_table)) for g in alphabets}
-    _saturate(members, seeds, [transposed[id(g)] for g in alphabets], member_cap)
+    _saturate(members, seeds, transposed_tables(alphabets), member_cap)
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)
@@ -354,13 +369,12 @@ def _saturate(members: set, seeds: Sequence[Seq], lines: Sequence[tuple],
     the identity) to the subgroup the seeds generate, taking a seed as a
     generator only when it lies outside the closure so far.
 
-    Each breadth-first step maps the frontier's letter columns through one
-    line per time of each generator (lines[p][y][x] = x y at time p, a
-    column at an identity letter staying as it is) and keeps the products
-    not yet in the closure.  The generators and the closure after each one
-    are those of `close_greedily`, which forms the same products one tuple
-    at a time.  A closure that would pass `member_cap` raises before it
-    grows."""
+    Each breadth-first step moves the frontier's letter columns by each
+    generator through the transposed tables `lines` (`move_columns`) and
+    keeps the products not yet in the closure.  The generators and the
+    closure after each one are those of `close_greedily`, which forms the
+    same products one tuple at a time.  A closure that would pass
+    `member_cap` raises before it grows."""
     gens: List[Seq] = []
     for g in seeds:
         if g in members:
@@ -371,8 +385,7 @@ def _saturate(members: set, seeds: Sequence[Seq], lines: Sequence[tuple],
             cols = list(zip(*frontier))
             found: set = set()
             for s in step:
-                found.update(zip(*(col if x == 0 else map(line[x].__getitem__, col)
-                                   for line, col, x in zip(lines, cols, s))))
+                found.update(zip(*move_columns(lines, cols, s)))
             found -= members
             if found and len(members) + len(found) > member_cap:
                 count = max(len(members), member_cap) + 1
@@ -653,10 +666,9 @@ def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
     columns = [[x] for x in system.identity]
     levels = []
     for slot in slots:
-        trans = transversals[slot]
-        columns = [list(itertools.chain.from_iterable(zip(*(
-            col if g[p] == 0 else map(line[g[p]].__getitem__, col)
-            for g in trans)))) for p, (line, col) in enumerate(zip(lines, columns))]
+        moved = [move_columns(lines, columns, g) for g in transversals[slot]]
+        columns = [list(itertools.chain.from_iterable(zip(*per_time)))
+                   for per_time in zip(*moved)]
         levels.append(columns)
     members = list(map(system._index.get, zip(*columns)))
     n = len(system.sequences)

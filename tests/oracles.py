@@ -39,9 +39,10 @@ denominator as the set product of its two factors, each coset formed by
 one tuple product per denominator member, the basis chain by one tuple
 product per (member, entry) pair, and the recovered member set folded
 through `alpha_t` once per element, then sorted and validated as a new
-system.  The only change: `extract_basis` runs the granule test with
-X^{t+1} (`check_granule`), so the whole basis depends on no library
-routine but the controllability index.  `recover_original` and
+system; that `alpha_t` is the per-triangle fold that the library's column
+fold `_alpha_column` replaced.  The only change: `extract_basis` runs the
+granule test with X^{t+1} (`check_granule`), so the whole basis depends
+on no library routine but the controllability index.  `recover_original` and
 `recover_original_pairs` call this `recover_system_fhgs`, and
 `direct_product` is the table filled entry by entry.
 
@@ -95,12 +96,12 @@ from groupsystems.errors import (
     NotNormalFilling,
     OutOfWindow,
     RecoveryMismatch,
+    ShapeMismatch,
     WellDefinednessFailure,
 )
 from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    alpha_t,
     elementary_group as library_elementary_group,
     restriction_images,
     slice_classes,
@@ -965,6 +966,28 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     level = basis_chain(system, slots, transversals)
     return GeneratorBasis(system, ell, slots, transversals,
                           tuple(map(level.__getitem__, system.sequences)))
+
+
+def alpha_t(ctx: GeneratorContext, tri: Tuple[int, ...], t: int) -> int:
+    """Fold a time-t component triangle of generator labels into the letter
+    it encodes, multiplying column by column (newest start time first),
+    one triangle at a time."""
+    positions = upper_triangle_positions(ctx.system.window, ctx.ell, 0, t)
+    if len(tri) != len(positions):
+        raise ShapeMismatch(f"alpha_t needs an anchor (0,{t}) triangle")
+    library_elementary_group(ctx, 0, t).index(tri)  # realized, or UnrealizedTriangle
+    system = ctx.system
+    g = system.alphabet(t)
+    by_pos = dict(zip(positions, tri))
+    acc = 0
+    for j in range(ctx.ell + 1):
+        for k in range(j, ctx.ell + 1):
+            slot = (k, t - j)
+            label = by_pos.get(slot)
+            if label:
+                gen = ctx.basis.transversal(slot)[label]
+                acc = g.op(acc, system.letter(gen, t))
+    return acc
 
 
 def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:

@@ -52,6 +52,7 @@ from groupsystems.generators import (
     elementary_group,
     recover_system_fhgs,
     star,
+    triangle,
     upper_triangle_positions,
 )
 from groupsystems.groups import (
@@ -65,6 +66,7 @@ from groupsystems.io import (
     _unroll_rule,
     dump_elementary_system,
     parse_elementary_system,
+    parse_group,
     parse_system,
     resolve_group,
 )
@@ -722,6 +724,27 @@ def test_rule_unrolling_matches_the_nested_loops_on_two_output_rules():
                 oracles.unroll_rule(*args))
 
 
+KLEIN_FOUR = "group V 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+def test_rule_unrolling_over_the_klein_four_group_matches_the_nested_loops():
+    """A base with two generators: the seeds are the images of both, at
+    every input time, and together they must close to every member the
+    nested loops list.  Repeated delays are among the taps."""
+    v = parse_group(KLEIN_FOUR)
+    assert len(v.generators) == 2 and v.order == 4
+    lookup = {"V": v}.__getitem__
+    for taps in [("x0",), ("x1",), ("x0+x0",), ("x0+x1",), ("x0+x0+x1",),
+                 ("x0", "x0+x1"), ("x0+x1", "x1+x2"), ("x2", "x1+x1")]:
+        for length in range(1, 5):
+            args = ("R", (0, length - 1), ("V", taps), lookup, 2 ** 16)
+            assert system_key(_unroll_rule(*args)) == system_key(
+                oracles.unroll_rule(*args))
+    inline = parse_system(KLEIN_FOUR + "system K\nwindow 0 3\nrule conv V x0 x0+x1\n")
+    oracle = oracles.unroll_rule("K", (0, 3), ("V", ("x0", "x0+x1")), lookup, 2 ** 16)
+    assert system_key(inline) == system_key(oracle) and len(inline) == 4 ** 4
+
+
 # -- nested quotients and Light's test against the per-anchor forms ----------------
 
 @pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
@@ -887,7 +910,12 @@ def assert_basis_and_recovery_agree(system: GroupSystem) -> None:
                      failure(oracles.recover_system_fhgs, ctx), recovered_key)
         for t in system.times():  # the column fold, element by element
             elements = elementary_group(ctx, 0, t).elements
-            assert _alpha_column(ctx, t) == [alpha_t(ctx, tri, t) for tri in elements]
+            letters = [oracles.alpha_t(ctx, tri, t) for tri in elements]
+            assert _alpha_column(ctx, t) == letters
+            assert [alpha_t(ctx, tri, t) for tri in elements] == letters
+            for bad in (elements[0] + (0,), (-1,) * len(elements[0])):
+                assert failure(alpha_t, ctx, bad, t) == failure(
+                    oracles.alpha_t, ctx, bad, t)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square", "s3_signs"])
@@ -1134,7 +1162,8 @@ def test_malformed_tensors_raise_the_wrapper_errors(request, name):
         calls = [(encode_time_domain, basis, bad),
                  (encode_spectral_domain, basis, bad),
                  (alphabet_matrix, basis, bad, t0),
-                 (star, ctx, bad, ident), (star, ctx, ident, bad)]
+                 (star, ctx, bad, ident), (star, ctx, ident, bad),
+                 (triangle, ctx, bad, 0, t0)]
         if len(bad) == len(basis.slots):  # as items: the one label set
             items = {slot: c for slot, c in zip(basis.slots, bad) if c}
             calls.append((tensor_from_items, basis, items))

@@ -306,6 +306,16 @@ def test_malformed_inputs_exit_with_their_codes(capsys, c2_file, tmp_path):
     assert usage.value.code == 0
 
 
+def test_caps_must_be_positive_and_the_window_matches_as_a_tuple(capsys, c2_file):
+    for flags in (("--member-cap", "0"), ("--ordering-cap", "-1")):
+        code, out, err = run(capsys, *flags, "validate", c2_file)
+        assert (code, out) == (1, "") and "bounds must be positive" in err
+    code, out, _ = run(capsys, "--window", "0", "3", "validate", c2_file)
+    assert code == 0 and "order=16" in out
+    code, _, err = run(capsys, "--window", "0", "2", "validate", c2_file)
+    assert code == 2 and "does not match --window (0, 2)" in err
+
+
 def test_4096_member_system_runs_end_to_end(capsys, tmp_path):
     """Z4 x0 x0+x1 on [0,5] has 4096 members, twice the sequence-table cap;
     no command on this path builds that table."""

@@ -128,6 +128,43 @@ def test_parse_errors():
         parse_system("system X\nwindow 0 1\nrule conv Z2 y0\n")
 
 
+def test_repeated_and_stray_gsys_stanzas_are_parse_errors():
+    head = "system X\nwindow 0 1\n"
+    for text, message in (
+            (head + "window 0 2\nalphabet all Z2\nseq 1 1\n", "second window"),
+            (head + "rule conv Z2 x0\nrule conv Z2 x1\n", "second rule"),
+            (head + "alphabet 0 Z2\nalphabet 0 Z3\nalphabet 1 Z2\nseq 1 1\n",
+             "alphabet 0 given twice"),
+            (head + "alphabet all Z2\nalphabet all Z3\nseq 1 1\n",
+             "alphabet all given twice"),
+            (head + "alphabet all Z2\nalphabet 2 Z3\nseq 1 1\n",
+             r"alphabet time 2 outside the window \[0,1\]"),
+            ("alphabet -1 Z2\n" + head + "rule conv Z2 x0\n", "time -1 outside")):
+        with pytest.raises(ParseError, match=message):
+            parse_system(text)
+    # one default and per-time overrides stay valid
+    system = parse_system(head + "alphabet all Z2\nalphabet 1 Z3\nseq 1 1\nseq 0 1\n")
+    assert [g.order for g in system.alphabets] == [2, 3]
+
+
+def test_repeated_and_stray_esys_anchors_are_parse_errors(c2):
+    lines = c2_esys_lines(c2)
+    labels = next(i for i, line in enumerate(lines) if line.startswith("labels 0 3 "))
+    egrp = next(i for i, line in enumerate(lines) if line.startswith("egrp 0 3 "))
+    end = next(i for i in range(egrp + 1, len(lines)) if lines[i].startswith("egrp "))
+    stray = [(["labels 0 4 2"], r"labels anchor \(0,4\) is not in the slot table"),
+             (["labels 2 0 2"], r"anchor \(2,0\) is not in"),
+             (["labels 0 -1 2"], r"anchor \(0,-1\) is not in"),
+             (["egrp 0 99999999999999999999 1"], r"anchor \(0,9+\) is not in")]
+    for bad, message in (
+            (lines[:labels] + ["labels 0 3 5"] + lines[labels:],
+             r"labels anchor \(0,3\) given twice"),
+            (lines[:end] + lines[egrp:], r"egrp anchor \(0,3\) given twice"),
+            *((lines[:1] + extra + lines[1:], message) for extra, message in stray)):
+        with pytest.raises(ParseError, match=message):
+            parse_elementary_system("\n".join(bad) + "\n")
+
+
 def test_system_dump_roundtrip(r2, c2, s3_rep):
     for system in (r2, c2, s3_rep):
         text = dump_system(system)
