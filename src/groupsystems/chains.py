@@ -28,99 +28,86 @@ from .generators import (
     elementary_group,
     induced_slice_group,
     lower_elementary_group,
-    lower_triangle_positions,
     support_subgroup,
-    upper_triangle_positions,
 )
 from .groups import FiniteGroup, Subgroup, is_normal, product_of_subgroups
-from .systems import GroupSystem, Slot, coset_levels, window_slots
-
-Pair = Tuple[int, int]
+from .slots import (
+    Slot,
+    lower_contains,  # part of this module's interface
+    lower_triangle_positions,
+    positions_in,
+    upper_triangle_positions,
+    walk,
+    window_slots,
+)
+from .systems import GroupSystem, coset_levels
 
 
 @dataclass(frozen=True)
-class PairedSequence:
-    """Anchors of lower triangles, purged of contained ones, stable order."""
+class _Teeth:
+    """Anchors of triangles of one kind (`triangle`) in the slot table."""
 
     window: Tuple[int, int]
     ell: int
-    pairs: Tuple[Pair, ...]
+    pairs: Tuple[Slot, ...]
 
     def covered(self) -> FrozenSet[Slot]:
-        out = set()
-        for (k, t) in self.pairs:
-            out.update(lower_triangle_positions(self.window, self.ell, k, t))
-        return frozenset(out)
+        return frozenset(p for a in self.pairs
+                         for p in self.triangle(self.window, self.ell, *a))
+
+    @classmethod
+    def purged(cls, window: Tuple[int, int], ell: int, pairs: Iterable[Slot]):
+        """The slots of `pairs`, without repeats and in their order, whose
+        clipped triangle lies inside no other one's.  Each triangle holds
+        its own anchor, so distinct slots have distinct triangles, and the
+        lower triangles of slots are never clipped: one contains another
+        iff `lower_contains` says so."""
+        pairs = list(dict.fromkeys(map(tuple, pairs)))
+        slots = set(window_slots(window, ell))
+        for p in pairs:
+            if p not in slots:
+                raise OutOfWindow(f"pair {p} outside the slot table")
+        sets = [frozenset(cls.triangle(window, ell, *p)) for p in pairs]
+        return cls(window, ell, tuple(p for p, mine in zip(pairs, sets)
+                                      if not any(mine < other for other in sets)))
 
 
-def lower_contains(outer: Pair, inner: Pair) -> bool:
-    """Whether the lower triangle at `outer` contains the one at `inner`."""
-    (ko, to), (ki, ti) = outer, inner
-    return ki <= ko and to <= ti <= to + ko - ki
+class PairedSequence(_Teeth):
+    """Anchors of lower triangles, purged of contained ones, stable order."""
+
+    triangle = staticmethod(lower_triangle_positions)
+
+
+class UpperPairedSequence(_Teeth):
+    """Anchors of upper triangles, purged by clipped-set containment."""
+
+    triangle = staticmethod(upper_triangle_positions)
 
 
 def purge(window: Tuple[int, int], ell: int,
-          pairs: Iterable[Pair]) -> PairedSequence:
+          pairs: Iterable[Slot]) -> PairedSequence:
     """Drop every anchor whose lower triangle sits inside another's."""
-    slots = set(window_slots(window, ell))
-    pairs = list(dict.fromkeys(tuple(p) for p in pairs))
-    for p in pairs:
-        if p not in slots:
-            raise OutOfWindow(f"pair {p} outside the slot table")
-    kept = []
-    for p in pairs:
-        if any(q != p and lower_contains(q, p) for q in pairs):
-            continue
-        kept.append(p)
-    return PairedSequence(window, ell, tuple(kept))
+    return PairedSequence.purged(window, ell, pairs)
 
 
-@dataclass(frozen=True)
-class UpperPairedSequence:
-    """Anchors of upper triangles, purged by clipped-set containment."""
-
-    window: Tuple[int, int]
-    ell: int
-    pairs: Tuple[Pair, ...]
-
-    def covered(self) -> FrozenSet[Slot]:
-        out = set()
-        for (k, t) in self.pairs:
-            out.update(upper_triangle_positions(self.window, self.ell, k, t))
-        return frozenset(out)
+def _complement(teeth: _Teeth, kind: type, window: Tuple[int, int],
+                ell: int) -> _Teeth:
+    """The purged teeth of `kind` over the slots `teeth` misses.  A union
+    of lower triangles is closed downward and one of upper triangles
+    upward, so the two unions partition the slot table; this is checked."""
+    slots = window_slots(window, ell)
+    covered = teeth.covered()
+    result = kind.purged(window, ell, [p for p in slots if p not in covered])
+    union = result.covered()
+    if union | covered != set(slots) or union & covered:
+        raise WellDefinednessFailure("sawtooth pieces do not partition the slots")
+    return result
 
 
 def complementary(ps: PairedSequence) -> UpperPairedSequence:
     """The purged upper-triangle sequence covering everything the lower
     teeth miss; the two unions partition the slot table."""
-    slots = window_slots(ps.window, ps.ell)
-    covered = ps.covered()
-    uncovered = [p for p in slots if p not in covered]
-    upper_sets = {p: frozenset(upper_triangle_positions(ps.window, ps.ell, *p))
-                  for p in uncovered}
-    for p, pset in upper_sets.items():
-        if pset & covered:
-            raise WellDefinednessFailure(
-                f"upper triangle at {p} touches the lower teeth")
-    kept = []
-    for p in uncovered:
-        dominated = False
-        for q in uncovered:
-            if q == p:
-                continue
-            if upper_sets[p] < upper_sets[q]:
-                dominated = True
-                break
-            if upper_sets[p] == upper_sets[q] and q < p:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(p)
-    result = UpperPairedSequence(ps.window, ps.ell, tuple(kept))
-    union = result.covered()
-    if union | covered != set(slots) or union & covered:
-        raise WellDefinednessFailure("sawtooth pieces do not partition the slots")
-    return result
+    return _complement(ps, UpperPairedSequence, ps.window, ps.ell)
 
 
 def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
@@ -138,8 +125,7 @@ def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgro
         prod = product_of_subgroups(group, prod, lower_elementary_group(ctx, *p))
     if prod.members != sub.members:
         raise WellDefinednessFailure("tooth product differs from support subgroup")
-    comp = complementary(ps)
-    upper_union = comp.covered()
+    upper_union = complementary(ps).covered()
     identity_on_upper = tuple(
         i for i, lab in enumerate(ctx.tensors)
         if all(slot not in upper_union for slot in ctx.support(lab)))
@@ -155,7 +141,7 @@ def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgro
 class OplusGroup:
     """Group on tuples of upper-triangle slices over a paired sequence."""
 
-    pairs: Tuple[Pair, ...]
+    pairs: Tuple[Slot, ...]
     elements: Tuple[tuple, ...]  # tuples of per-anchor label tuples
     group: FiniteGroup
 
@@ -177,26 +163,19 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     cuts = list(itertools.accumulate((len(part) for part in parts), initial=0))
     elements = tuple(tuple(s[a:b] for a, b in zip(cuts, cuts[1:]))
                      for s in realized)
-    result = OplusGroup(anchors, elements, fg)
 
     # quotient isomorphism |U| / |kernel| with the kernel from the partition
     lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
     kernel = normal_subgroup_from_ps(ctx, lower_ps)
     if kernel.order * fg.order != len(ctx.system):
         raise WellDefinednessFailure("tooth group has the wrong quotient order")
-    return result
+    return OplusGroup(anchors, elements, fg)
 
 
 def paired_sequence_from_upper_complement(
         ctx: GeneratorContext, ps_u: UpperPairedSequence) -> PairedSequence:
     """The purged lower sequence covering everything the upper teeth miss."""
-    slots = window_slots(ctx.system.window, ctx.ell)
-    upper_union = ps_u.covered()
-    uncovered = [p for p in slots if p not in upper_union]
-    ps = purge(ctx.system.window, ctx.ell, uncovered)
-    if ps.covered() != set(slots) - upper_union:
-        raise WellDefinednessFailure("lower teeth spill into the upper union")
-    return ps
+    return _complement(ps_u, PairedSequence, ctx.system.window, ctx.ell)
 
 
 # -- filling sequences ---------------------------------------------------------
@@ -207,12 +186,10 @@ class FillingSequence:
 
     window: Tuple[int, int]
     ell: int
-    pairs: Tuple[Pair, ...]
+    pairs: Tuple[Slot, ...]
 
     def __post_init__(self):
-        expected = set(window_slots(self.window, self.ell))
-        got = list(self.pairs)
-        if len(got) != len(set(got)) or set(got) != expected:
+        if sorted(self.pairs) != sorted(window_slots(self.window, self.ell)):
             raise OutOfWindow("walk must cover every slot exactly once")
 
 
@@ -236,7 +213,7 @@ def is_normal_filling_sequence(f: FillingSequence,
     return True, None
 
 
-def _closes(window: Tuple[int, int], ell: int, filled: set, pair: Pair) -> bool:
+def _closes(window: Tuple[int, int], ell: int, filled: set, pair: Slot) -> bool:
     """Whether the lower triangle of `pair` lies in `filled` once `pair`
     is added to it."""
     return all(p == pair or p in filled
@@ -245,30 +222,16 @@ def _closes(window: Tuple[int, int], ell: int, filled: set, pair: Pair) -> bool:
 
 def standard_filling(window: Tuple[int, int], ell: int,
                      kind: str) -> FillingSequence:
-    """The four canonical walks: time-domain column walks in reverse or
-    forward time and the span-by-span row walks in reverse or forward time."""
-    t0, t1 = window
-    pairs: List[Pair] = []
-    if kind == "time_rev":  # the slot order of the basis
-        pairs.extend(window_slots(window, ell))
-    elif kind == "time_fwd":
-        for d in range(t0, t1 + 1):  # up the diagonals t + k = d
-            for k in range(0, min(ell, d - t0) + 1):
-                pairs.append((k, d - k))
-    elif kind == "spec_rev":
-        for k in range(0, ell + 1):
-            for t in range(t1 - k, t0 - 1, -1):
-                pairs.append((k, t))
-    elif kind == "spec_fwd":
-        for k in range(0, ell + 1):
-            for t in range(t0, t1 - k + 1):
-                pairs.append((k, t))
-    else:
+    """The four canonical walks (`slots.walk`): time-domain column walks in
+    reverse or forward time and the span-by-span row walks in reverse or
+    forward time."""
+    if kind not in STANDARD_FILLINGS:
         raise OutOfWindow(f"unknown filling kind {kind!r}")
-    f = FillingSequence(window, ell, tuple(pairs))
+    f = FillingSequence(window, ell, walk(window, ell, kind))
     ok, bad = is_normal_filling_sequence(f)
     assert ok, f"standard walk {kind} broke at prefix {bad}"
     return f
+
 
 STANDARD_FILLINGS = ("time_rev", "time_fwd", "spec_rev", "spec_fwd")
 
@@ -277,7 +240,7 @@ STANDARD_FILLINGS = ("time_rev", "time_fwd", "spec_rev", "spec_fwd")
 
 @dataclass(frozen=True)
 class ChainStep:
-    pair: Pair
+    pair: Slot
     label_count: int
     subgroup: Tuple[int, ...]           # member indices after this step
     representatives: Tuple[tuple, ...]  # label tensors, one per label
@@ -308,7 +271,7 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
 
     filled = set(base_cov)
     base = support_subgroup(ctx, frozenset(filled)).members
-    walk = [p for p in f.pairs if p not in base_cov]
+    path = [p for p in f.pairs if p not in base_cov]
     width = len(ctx.slots)
 
     def single_labels(slot: Slot) -> Tuple[tuple, ...]:
@@ -316,13 +279,13 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
         return tuple((0,) * pos + (c,) + (0,) * (width - pos - 1)
                      for c in range(ctx.basis.label_count(slot)))
 
-    reps = [single_labels(p) for p in walk]
+    reps = [single_labels(p) for p in path]
     group = ctx.system.sequence_group
     level = {b: (b,) for b in base}
     entries = ([ctx.tensor_index[lab] for lab in r] for r in reps)
     levels = coset_levels(level, entries, group.op)
     steps: List[ChainStep] = []
-    for (k, t), step_reps, step in zip(walk, reps, levels):
+    for (k, t), step_reps, step in zip(path, reps, levels):
         filled.add((k, t))
         if len(step) != len(level) * len(step_reps):
             raise NotNormalFilling(
@@ -370,14 +333,14 @@ def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
 
 @dataclass(frozen=True)
 class EigenStep:
-    position: Pair
+    position: Slot
     subgroup: Tuple[int, ...]           # element indices in the local group
     representatives: Tuple[int, ...]    # element indices, one per label
 
 
 @dataclass(frozen=True)
 class EigenChain:
-    anchor: Pair
+    anchor: Slot
     table: ElementaryGroupTable
     steps: Tuple[EigenStep, ...]
 
@@ -387,16 +350,15 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     nontrivial entry, one chain step per triangle position."""
     elem = elementary_group(ctx, 0, t)
     positions = elem.positions
-    pos_index = {p: i for i, p in enumerate(positions)}
     # fill positions in the time-reverse column order restricted to the slice
-    order = [p for p in standard_filling(ctx.system.window, ctx.ell,
-                                         "time_rev").pairs if p in pos_index]
+    present = set(positions)
+    order = [p for p in ctx.slots if p in present]
     transversals = []
-    for pos in order:
+    for pos, i in zip(order, positions_in(positions, order)):
         reps = []
         for c in range(ctx.basis.label_count(pos)):
             labels = [0] * len(positions)
-            labels[pos_index[pos]] = c
+            labels[i] = c
             reps.append(elem._index[tuple(labels)])
         transversals.append(tuple(reps))
     filled: set = set()
@@ -427,35 +389,22 @@ def enumerate_normal_fillings(window: Tuple[int, int], ell: int,
                               cap: int) -> tuple:
     """All normal walks of the slot table in deterministic order, capped.
 
-    Returns (fillings, truncated)."""
-    slots = window_slots(window, ell)
+    Returns (fillings, truncated), truncated when more than `cap` exist.
+    Every normal prefix extends to a normal walk, so the search stops at
+    the first walk past the cap."""
+    slots = sorted(window_slots(window, ell))
     out: List[FillingSequence] = []
-    truncated = False
 
-    def backtrack(prefix: List[Pair], filled: set, remaining: set) -> bool:
-        nonlocal truncated
-        if len(out) >= cap:
-            truncated = True
-            return False
-        if not remaining:
+    def extend(prefix: List[Slot], filled: set) -> bool:
+        """Add the walks through `prefix`; False once one is past the cap."""
+        if len(prefix) == len(slots):
             out.append(FillingSequence(window, ell, tuple(prefix)))
-            return True
-        for p in sorted(remaining):
-            if not _closes(window, ell, filled, p):
-                continue
-            prefix.append(p)
-            filled.add(p)
-            remaining.discard(p)
-            backtrack(prefix, filled, remaining)
-            prefix.pop()
-            filled.discard(p)
-            remaining.add(p)
-            if truncated:
-                return False
-        return True
+            return len(out) <= cap
+        return all(extend(prefix + [p], filled | {p}) for p in slots
+                   if p not in filled and _closes(window, ell, filled, p))
 
-    backtrack([], set(), set(slots))
-    return tuple(out), truncated
+    truncated = not extend([], set())
+    return tuple(out[:cap]), truncated
 
 
 def block_code_chains(ctx: GeneratorContext, max_orderings: int = 720) -> tuple:

@@ -40,21 +40,24 @@ from .generators import (
     elementary_group,
     recover_system_fhgs,
     restriction_images,
-    upper_triangle_positions,
 )
 from .groups import (FiniteGroup, Homomorphism, homomorphism_witness,
                      light_associative, trivial_group)
+from .slots import (
+    Slot,
+    children,
+    iter_window_slots,
+    positions_in,
+    upper_triangle_positions,
+    walk,
+    window_slots,
+)
 from .systems import (
     DEFAULT_MEMBER_CAP,
     GroupSystem,
-    Slot,
     all_tensors,
     controllability_index,
-    iter_window_slots,
-    window_slots,
 )
-
-Anchor = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class ElementarySystem:
     ell: int
     window: Tuple[int, int]
     label_sizes: Dict[Slot, int]
-    tables: Dict[Anchor, ElementaryGroupTable]
+    tables: Dict[Slot, ElementaryGroupTable]
 
     @property
     def depth(self) -> int:
@@ -75,15 +78,12 @@ class ElementarySystem:
     def slots(self) -> Tuple[Slot, ...]:
         return window_slots(self.window, self.ell)
 
-    def table(self, anchor: Anchor) -> ElementaryGroupTable:
+    def table(self, anchor: Slot) -> ElementaryGroupTable:
         try:
             return self.tables[anchor]
         except KeyError:
             raise WellDefinednessFailure(
                 f"anchor {anchor} has no local group") from None
-
-    def positions(self, anchor: Anchor) -> Tuple[Slot, ...]:
-        return self.table(anchor).positions
 
     @cached_property
     def _product_plan(self) -> tuple:
@@ -91,11 +91,10 @@ class ElementarySystem:
         its slice, triangle -> element index, elements, operation table),
         for `global_product` and `global_group_system`."""
         slots = self.slots()
-        pos = {slot: i for i, slot in enumerate(slots)}
         plan = []
         for t in range(self.window[0], self.window[1] + 1):
             table = self.table((0, t))
-            take = tuple(pos[p] for p in table.positions)
+            take = positions_in(slots, table.positions)
             get = (itemgetter(*take) if len(take) > 1
                    else lambda v, i=take[0]: (v[i],))
             plan.append(((0, t), take, get, table._index, table.elements,
@@ -130,16 +129,9 @@ class ElementarySystem:
             raise WellDefinednessFailure(f"projection condition fails: {witness}")
 
 
-def nested_targets(es: ElementarySystem, anchor: Anchor) -> Tuple[Anchor, ...]:
+def nested_targets(es: ElementarySystem, anchor: Slot) -> Tuple[Slot, ...]:
     """The next two largest anchors nested in `anchor`, clipped to the window."""
-    k, t = anchor
-    t0, t1 = es.window
-    out = []
-    if k + 1 <= es.ell and t + k + 1 <= t1:
-        out.append((k + 1, t))
-    if k + 1 <= es.ell and t - 1 >= t0:
-        out.append((k + 1, t - 1))
-    return tuple(out)
+    return tuple(c for c in children(es.window, es.ell, anchor) if c is not None)
 
 
 def check_homomorphism_condition(es: ElementarySystem) -> tuple:
@@ -444,31 +436,28 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     if ell > t1 - t0:
         raise OutOfWindow(f"ell {ell} exceeds the window [{t0},{t1}]: "
                           f"its longest span has ell {t1 - t0}")
-    slots = set(window_slots(window, ell))
     sizes: Dict[Slot, int] = {}
-    tables: Dict[Anchor, ElementaryGroupTable] = {}
+    tables: Dict[Slot, ElementaryGroupTable] = {}
     searches: dict = {}  # (base table, kernel table, cap) -> extensions
 
-    for k in range(ell, -1, -1):
-        for t in range(t0, t1 - k + 1):
-            anchor = (k, t)
-            kernel = top if k == ell else strategy.kernel(k, t)
-            positions = upper_triangle_positions(window, ell, k, t)
-            right = (k + 1, t) if (k + 1, t) in slots else None
-            left = (k + 1, t - 1) if (k + 1, t - 1) in slots else None
-            tables[anchor] = _build_anchor(
-                tables, anchor, positions, right, left, kernel,
-                strategy.extension_index(k, t), searches)
-            sizes[anchor] = kernel.order
+    # the row walk backwards: the top row first, children before parents
+    for anchor in reversed(walk(window, ell, "spec_rev")):
+        k, t = anchor
+        kernel = top if k == ell else strategy.kernel(k, t)
+        tables[anchor] = _build_anchor(
+            tables, anchor, upper_triangle_positions(window, ell, k, t),
+            *children(window, ell, anchor), kernel,
+            strategy.extension_index(k, t), searches)
+        sizes[anchor] = kernel.order
     es = ElementarySystem(name=name, ell=ell, window=window,
                           label_sizes=sizes, tables=tables)
     es.verify()
     return es
 
 
-def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
-                  positions: Tuple[Slot, ...], right: Optional[Anchor],
-                  left: Optional[Anchor], kernel: FiniteGroup,
+def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
+                  positions: Tuple[Slot, ...], right: Optional[Slot],
+                  left: Optional[Slot], kernel: FiniteGroup,
                   extension_index: int, searches: dict) -> ElementaryGroupTable:
     # the base group the new depth extends: subdirect product of the two
     # children over their shared subtriangle (or whatever part exists)
@@ -526,8 +515,8 @@ def _build_anchor(tables: Dict[Anchor, ElementaryGroupTable], anchor: Anchor,
     return ElementaryGroupTable(anchor, positions, tuple(realized), fg)
 
 
-def _subdirect_base(tables: Dict[Anchor, ElementaryGroupTable],
-                    right: Anchor, left: Anchor) -> tuple:
+def _subdirect_base(tables: Dict[Slot, ElementaryGroupTable],
+                    right: Slot, left: Slot) -> tuple:
     """Subdirect product of the two child groups over their overlap (over
     the trivial group, which is the direct product, when they share no
     slot), as (group, pairs of child elements)."""
@@ -592,7 +581,7 @@ def structurally_equal(es1: ElementarySystem,
     slots = es1.slots()
     if any(es1.label_sizes[s] != es2.label_sizes[s] for s in slots):
         return None
-    anchors = sorted(slots, key=lambda p: (-p[0], -p[1]))
+    anchors = walk(es1.window, es1.ell, "spec_fwd")[::-1]
 
     def anchor_ok(anchor, phi) -> bool:
         # phi maps the triangles injectively, and as a homomorphism

@@ -11,11 +11,11 @@ after the encoder checks each one against the slot table.  All the local
 structure (triangle slices, elementary groups, nested projections) is
 computed on top of that identification.
 
-Tensor slots, labels and triangles follow one layout: a slot (k, t) holds
-the label of the span-(k+1) generator starting at t, label 0 is always the
-identity generator, and a triangle is the tuple of its labels, top row
-first with newer times first inside each row; its table holds its anchor
-and positions.
+Tensor slots, labels and triangles follow the one layout of `slots`: a
+slot (k, t) holds the label of the span-(k+1) generator starting at t,
+label 0 is always the identity generator, and a triangle is the tuple of
+its labels, top row first with newer times first inside each row; its
+table holds its anchor and positions.
 """
 
 from __future__ import annotations
@@ -33,17 +33,22 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .groups import FiniteGroup, Homomorphism, Subgroup
+from .slots import (
+    Slot,
+    fold_order,
+    lower_contains,
+    lower_triangle_positions,
+    positions_in,
+    upper_triangle_positions,
+)
 from .systems import (
     GeneratorBasis,
     GroupSystem,
-    Slot,
     check_tensor,
     decode_to_tensor,
     encode_time_domain,
     extract_basis,
 )
-
-Position = Tuple[int, int]  # same (k, t) addressing as slots
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class ElementaryGroupTable:
     element i is the label tuple `elements[i]` over `positions`."""
 
     anchor: Tuple[int, int]
-    positions: Tuple[Position, ...]
+    positions: Tuple[Slot, ...]
     elements: Tuple[Tuple[int, ...], ...]
     group: FiniteGroup
 
@@ -67,34 +72,6 @@ class ElementaryGroupTable:
         return {tri: i for i, tri in enumerate(self.elements)}
 
 
-def upper_triangle_positions(window: Tuple[int, int], ell: int,
-                             k: int, t: int) -> Tuple[Position, ...]:
-    """In-window positions of the upper triangle with lower vertex (k, t):
-    rows kk = ell..k (top first), row kk spanning times t down to t-(kk-k).
-    Rows longer than the window, and rows below 0, hold no slot, so they
-    are skipped."""
-    t0, t1 = window
-    out = []
-    for kk in range(min(ell, t1 - t0), max(k, 0) - 1, -1):
-        for s in range(t, t - (kk - k) - 1, -1):
-            if t0 <= s and s + kk <= t1:
-                out.append((kk, s))
-    return tuple(out)
-
-
-def lower_triangle_positions(window: Tuple[int, int], ell: int,
-                             k: int, t: int) -> Tuple[Position, ...]:
-    """In-window positions of the lower triangle with upper vertex (k, t):
-    rows kk = k..0, row kk spanning times t..t+(k-kk)."""
-    t0, t1 = window
-    out = []
-    for kk in range(k, -1, -1):
-        for s in range(t, t + (k - kk) + 1):
-            if t0 <= s and s + kk <= t1:
-                out.append((kk, s))
-    return tuple(out)
-
-
 class GeneratorContext:
     """System + basis + the member/tensor identification, with caches.
 
@@ -103,7 +80,8 @@ class GeneratorContext:
     slot.  The generating set S and its right and left Cayley graphs over
     member indices are built on first use, once per context; the
     certificates read them instead of all member pairs.  Each elementary
-    group built here records its slice class per member in `_classes`.
+    group built here records its slice class per member in `_classes`, and
+    each alpha_t column (`_alpha_column`) is kept per t in `_alphas`.
     """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
@@ -121,6 +99,7 @@ class GeneratorContext:
             lab: i for i, lab in enumerate(self.tensors)}
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
         self._classes: Dict[Tuple[int, int], List[int]] = {}
+        self._alphas: Dict[int, List[int]] = {}
 
     @cached_property
     def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:
@@ -300,7 +279,7 @@ def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
 
 
 def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
-                        positions: Tuple[Position, ...],
+                        positions: Tuple[Slot, ...],
                         name: str) -> Optional[Tuple[List[tuple], FiniteGroup,
                                                      List[int]]]:
     """`induced_slice_group` for `positions` inside the triangle of
@@ -324,8 +303,7 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
         parent = elementary_group(ctx, *parent_anchor)
     except WellDefinednessFailure:
         return None
-    where = {p: i for i, p in enumerate(parent.positions)}
-    take = [where[p] for p in positions]
+    take = positions_in(parent.positions, positions)
     realized, r, reps = _slice_classes(
         [tuple(tri[i] for i in take) for tri in parent.elements])
     op = parent.group.op_table
@@ -406,8 +384,7 @@ def restriction_images(source: ElementaryGroupTable,
                        target: ElementaryGroupTable) -> Tuple[Optional[int], ...]:
     """Per element of `source`, the index in `target` of its restriction to
     the target's positions; None where that restriction is no element."""
-    src_pos = {p: i for i, p in enumerate(source.positions)}
-    take = [src_pos[p] for p in target.positions]
+    take = positions_in(source.positions, target.positions)
     idx = target._index
     return tuple(idx.get(tuple(tri[i] for i in take))
                  for tri in source.elements)
@@ -416,9 +393,7 @@ def restriction_images(source: ElementaryGroupTable,
 def triangle_projection(ctx: GeneratorContext, src: Tuple[int, int],
                         dst: Tuple[int, int]) -> Homomorphism:
     """Projection homomorphism between elementary groups of nested anchors."""
-    ksrc, tsrc = src
-    kdst, tdst = dst
-    if not (ksrc <= kdst and tsrc - (kdst - ksrc) <= tdst <= tsrc):
+    if not lower_contains(dst, src):
         raise ShapeMismatch(f"anchor {dst} is not nested in {src}")
     src_table = elementary_group(ctx, *src)
     dst_table = elementary_group(ctx, *dst)
@@ -435,13 +410,10 @@ def nested_hom(ctx: GeneratorContext, k: int, t: int, j: int) -> Homomorphism:
 
 
 def nested_anchors(ctx: GeneratorContext, k: int, t: int) -> Tuple[Tuple[int, int], ...]:
-    """All in-window anchors whose triangles nest inside the (k, t) one."""
-    out = []
-    for kk in range(k, ctx.ell + 1):
-        for s in range(t - (kk - k), t + 1):
-            if (kk, s) in ctx.slot_pos:
-                out.append((kk, s))
-    return tuple(out)
+    """All in-window anchors whose triangles nest inside the (k, t) one:
+    the positions of its upper triangle, bottom row first, older times
+    first inside each row."""
+    return upper_triangle_positions(ctx.system.window, ctx.ell, k, t)[::-1]
 
 
 # -- lower elementary groups ---------------------------------------------------
@@ -491,24 +463,23 @@ def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
 
 
 def _alpha_column(ctx: GeneratorContext, t: int) -> List[int]:
-    """alpha_t of every element of E(0, t), in element order: its time-t
-    generator letters multiplied column by column, newest start first
-    (positions (k, t-j), j = 0..ell, k = j..ell), as column passes.  Per
+    """alpha_t of every element of E(0, t), in element order, folded once
+    per context and kept in `ctx._alphas`: its time-t generator letters
+    multiplied in the `time_rev` fold order, as column passes.  Per
     position, one line maps the elements' labels to the letters of its
-    transversal entries and multiplies them on the right; label 0, the
-    identity entry, leaves the product as it is."""
+    transversal entries and multiplies them on the right."""
+    if t in ctx._alphas:
+        return ctx._alphas[t]
     elem = elementary_group(ctx, 0, t)
     system = ctx.system
     op = system.alphabet(t).op_table
     p = t - system.window[0]
-    where = {pos: i for i, pos in enumerate(elem.positions)}
+    present = set(elem.positions)
+    order = [(k, t - j) for j, k in fold_order(ctx.ell, "time_rev")
+             if (k, t - j) in present]
     acc = [0] * len(elem.elements)
-    for j in range(ctx.ell + 1):
-        for k in range(j, ctx.ell + 1):
-            i = where.get((k, t - j))
-            if i is None:
-                continue
-            letter = [g[p] for g in ctx.basis.transversal((k, t - j))]
-            acc = [op[a][letter[tri[i]]]
-                   for a, tri in zip(acc, elem.elements)]
+    for slot, i in zip(order, positions_in(elem.positions, order)):
+        letter = [g[p] for g in ctx.basis.transversal(slot)]
+        acc = [op[a][letter[tri[i]]] for a, tri in zip(acc, elem.elements)]
+    ctx._alphas[t] = acc
     return acc

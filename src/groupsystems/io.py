@@ -15,8 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .elementary import ElementarySystem
 from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
-from .generators import ElementaryGroupTable, upper_triangle_positions
+from .generators import ElementaryGroupTable
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
+from .slots import upper_triangle_positions
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
@@ -156,11 +157,16 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
     alphabet_spec: Dict = {}
     seqs: List[tuple] = []
     rule: Optional[tuple] = None
+    seen = set()  # the stanzas a file gives at most once
 
     i = 0
     while i < len(lines):
         parts = lines[i].split()
         head = parts[0]
+        if head in ("system", "window", "rule"):
+            if head in seen:
+                raise ParseError(f"a second {head} line")
+            seen.add(head)
         if head == "system":
             if len(parts) != 2:
                 raise ParseError("system line needs a name")
@@ -168,8 +174,6 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "window":
             if len(parts) != 3:
                 raise ParseError("window line needs two integers")
-            if window is not None:
-                raise ParseError("a second window line")
             try:
                 window = (int(parts[1]), int(parts[2]))
             except ValueError:
@@ -178,6 +182,8 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
             if len(parts) != 3:
                 raise ParseError("group line needs a name and order")
             order = _int(parts[2], lines[i])
+            if parts[1] in local_groups:
+                raise ParseError(f"group {parts[1]} defined twice")
             local_groups[parts[1]] = _parse_group_lines(lines[i:i + 1 + order])
             i += order
         elif head == "alphabet":
@@ -195,8 +201,6 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "rule":
             if len(parts) < 4 or parts[1] != "conv":
                 raise ParseError("rule line must be 'rule conv <group> <taps...>'")
-            if rule is not None:
-                raise ParseError("a second rule line")
             rule = (parts[2], tuple(parts[3:]))
         else:
             raise ParseError(f"unknown stanza {head!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -32,12 +32,12 @@ from .groups import (
     Subgroup,
     quotient,
 )
+from .slots import Slot, fold_order, positions_in, walk, window_slots
 
 DEFAULT_MEMBER_CAP = 2 ** 16
 SEQUENCE_GROUP_TABLE_CAP = 2048
 
 Seq = Tuple[int, ...]
-Slot = Tuple[int, int]  # (k, t): generator length k+1 starting at time t
 
 
 class GroupSystem:
@@ -216,8 +216,8 @@ class GroupSystem:
                     f"SEQUENCE_GROUP_TABLE_CAP={SEQUENCE_GROUP_TABLE_CAP}; only "
                     f"normal chains and subgroup views (X^t, Y^t, granules, "
                     f"lower elementary groups, tooth subgroups) need this table")
-            idx = self._index
-            table = [[idx[self.mul(a, b)] for b in self.sequences]
+            # row a lists a*b for every member b: one left translate
+            table = [self.translate(self.columns, a, right=False)
                      for a in self.sequences]
             self._seq_group = FiniteGroup(table, name=self.name, _validated=True)
         return self._seq_group
@@ -493,19 +493,6 @@ def _quotient_of_member_sets(system: GroupSystem, num: Sequence[int],
 
 # -- generator basis ------------------------------------------------------
 
-def window_slots(window: Tuple[int, int], ell: int) -> Tuple[Slot, ...]:
-    """All (k, t) with [t, t+k] inside the window, in time-reverse fill order:
-    columns of decreasing t, each climbed from k = 0 upward."""
-    return tuple(iter_window_slots(window, ell))
-
-
-def iter_window_slots(window: Tuple[int, int], ell: int) -> Iterator[Slot]:
-    """`window_slots` one at a time."""
-    t0, t1 = window
-    return ((k, t) for t in range(t1, t0 - 1, -1)
-            for k in range(0, min(ell, t1 - t) + 1))
-
-
 @dataclass(frozen=True)
 class GeneratorBasis:
     """One granule transversal per (k, t) slot; entry 0 is the identity.
@@ -522,6 +509,11 @@ class GeneratorBasis:
     @cached_property
     def slot_pos(self) -> Dict[Slot, int]:
         return {slot: i for i, slot in enumerate(self.slots)}
+
+    @cached_property
+    def spectral_order(self) -> Tuple[int, ...]:
+        """The slot indices in the order of the `spec_rev` walk."""
+        return positions_in(self.slots, walk(self.system.window, self.ell, "spec_rev"))
 
     def transversal(self, slot: Slot) -> Tuple[Seq, ...]:
         return self.transversals[slot]
@@ -719,29 +711,24 @@ def all_tensors(sizes: Iterable[int]) -> Iterator[Tuple[int, ...]]:
 
 
 def encode_time_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
-    """Compose the selected generators column-by-column in reverse time:
-    for each start time (latest first) the spans are applied shortest first."""
-    system = basis.system
-    acc = system.identity
-    # slots are already in time-reverse fill order
-    for slot, c in zip(basis.slots, check_tensor(basis, r)):
-        acc = system.mul(acc, basis.transversals[slot][c])
-    if acc not in system:
-        raise NotAGroupSystem("encoder left the member set", acc)
-    return acc
+    """Compose the selected generators along the `time_rev` walk, the slot
+    order: start times latest first, each start's spans shortest first."""
+    return _compose(basis, r, range(len(basis.slots)))
 
 
 def encode_spectral_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
-    """Compose the selected generators span-by-span: all length-1 generators
-    (latest start first), then all length-2 generators, and so on."""
-    system = basis.system
-    t0, t1 = system.window
-    labels = dict(zip(basis.slots, check_tensor(basis, r)))
+    """Compose the selected generators along the `spec_rev` walk: spans
+    shortest first, each span's start times latest first."""
+    return _compose(basis, r, basis.spectral_order)
+
+
+def _compose(basis: GeneratorBasis, r: Sequence[int], order: Iterable[int]) -> Seq:
+    """The product of the generators a label tensor selects, at the slot
+    indices `order` from left to right."""
+    system, slots, labels = basis.system, basis.slots, check_tensor(basis, r)
     acc = system.identity
-    for k in range(0, basis.ell + 1):
-        for t in range(t1, t0 - 1, -1):
-            if (k, t) in labels:
-                acc = system.mul(acc, basis.transversals[(k, t)][labels[(k, t)]])
+    for i in order:
+        acc = system.mul(acc, basis.transversals[slots[i]][labels[i]])
     if acc not in system:
         raise NotAGroupSystem("encoder left the member set", acc)
     return acc
@@ -760,40 +747,37 @@ def alphabet_matrix(basis: GeneratorBasis, r: Sequence[int],
     """Time-t components of all generators active at t, keyed (j, k):
     column j holds generators starting at t-j, row k the spans k+1.
     Slots outside the window contribute the identity letter."""
-    labels = dict(zip(basis.slots, check_tensor(basis, r)))
+    labels = check_tensor(basis, r)
     system = basis.system
     t0, t1 = system.window
     if not t0 <= t <= t1:
         raise OutOfWindow(f"time {t} outside window")
+    pos, transversals = basis.slot_pos, basis.transversals
     out = {}
-    for j in range(basis.ell + 1):
-        for k in range(j, basis.ell + 1):
-            slot = (k, t - j)
-            if slot in labels:
-                out[(j, k)] = system.letter(basis.transversals[slot][labels[slot]], t)
-            else:
-                out[(j, k)] = 0
+    for j, k in fold_order(basis.ell, "time_rev"):
+        slot = (k, t - j)
+        out[(j, k)] = (system.letter(transversals[slot][labels[pos[slot]]], t)
+                       if slot in pos else 0)
     return out
 
 
 def fold_time_domain(basis: GeneratorBasis, matrix: Dict[Tuple[int, int], int],
                      t: int) -> int:
-    """Column-major product of the alphabet matrix (the per-letter form of
-    the time-domain encoder)."""
-    g = basis.system.alphabet(t)
-    acc = 0
-    for j in range(basis.ell + 1):
-        for k in range(j, basis.ell + 1):
-            acc = g.op(acc, matrix[(j, k)])
-    return acc
+    """Column-major product of the alphabet matrix: the per-letter form of
+    `encode_time_domain`, which composes along the `time_rev` walk."""
+    return _fold(basis, matrix, t, "time_rev")
 
 
 def fold_spectral_domain(basis: GeneratorBasis, matrix: Dict[Tuple[int, int], int],
                          t: int) -> int:
-    """Row-major product of the alphabet matrix (per-letter spectral form)."""
-    g = basis.system.alphabet(t)
-    acc = 0
-    for k in range(basis.ell + 1):
-        for j in range(k + 1):
-            acc = g.op(acc, matrix[(j, k)])
-    return acc
+    """Row-major product of the alphabet matrix: the per-letter form of
+    `encode_spectral_domain`, which composes along the `spec_rev` walk."""
+    return _fold(basis, matrix, t, "spec_rev")
+
+
+def _fold(basis: GeneratorBasis, matrix: Dict[Tuple[int, int], int], t: int,
+          kind: str) -> int:
+    """The time-t product of the matrix entries in the walk `kind`'s fold
+    order: the time-t letter of the composition along that walk."""
+    return reduce(basis.system.alphabet(t).op,
+                  map(matrix.__getitem__, fold_order(basis.ell, kind)), 0)

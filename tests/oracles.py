@@ -55,6 +55,15 @@ scanning every pair, and the subgroup check on all pairs.  The oracle
 extension search finds its automorphisms with this `automorphisms`, and
 the oracle subdirect product decides closure with `subgroup_members`.
 
+Then come the slot-table routines as each module wrote them before the
+slot geometry moved into `slots.py`: both triangles, the lower-triangle
+containment, the lower purge and the upper one of `complementary`, the
+two complements with their own partition checks, the four walk loops,
+the span-by-span encoder loop, the alphabet matrix and the two fold
+loops, the nested anchors, the nesting test of `triangle_projection`,
+the two nested targets and the construction's child lookup.  They take
+the window and the depth where the library takes a context.
+
 At the very end is `TensorR`, the validating wrapper that label tensors
 were before they became plain label tuples.  Its checks are the
 reference for the check every tuple from a caller gets.
@@ -73,13 +82,11 @@ from groupsystems.chains import (
     UpperPairedSequence,
     is_normal_filling_sequence,
     normal_subgroup_from_ps,
-    paired_sequence_from_upper_complement,
     support_subgroup,
 )
 from groupsystems.elementary import (
     ElementarySystem,
     global_product,
-    nested_targets,
 )
 from groupsystems.io import _TAP_RE
 from groupsystems.errors import (
@@ -105,7 +112,6 @@ from groupsystems.generators import (
     elementary_group as library_elementary_group,
     restriction_images,
     slice_classes,
-    upper_triangle_positions,
 )
 from groupsystems.extensions import (
     AUTOMORPHISM_CANDIDATE_CAP,
@@ -319,7 +325,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     result = OplusGroup(anchors, tuple(realized), fg)
 
     # quotient isomorphism |U| / |kernel| with the kernel from the partition
-    lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
+    lower_ps = paired_sequence_from_upper_complement(ctx.system.window, ctx.ell, ps_u)
     kernel = normal_subgroup_from_ps(ctx, lower_ps)
     if kernel.order * fg.order != group.order:
         raise WellDefinednessFailure("tooth group has the wrong quotient order")
@@ -708,7 +714,7 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
     source anchor, target anchor, and the offending element pair.
     """
     for anchor in es.slots():
-        for target in nested_targets(es, anchor):
+        for target in nested_targets(es.window, es.ell, anchor):
             source = es.table(anchor)
             tgt = es.table(target)
             images = restriction_images(source, tgt)
@@ -1184,6 +1190,235 @@ def subgroup_members(parent: FiniteGroup, members) -> tuple:
             if parent.op(a, b) not in memset:
                 raise NotASubgroup(f"product {a}*{b} escapes")
     return mem
+
+
+# -- the slot geometry, written where it was used ---------------------------------
+
+def upper_triangle_positions(window: Tuple[int, int], ell: int,
+                             k: int, t: int) -> Tuple[Slot, ...]:
+    """In-window positions of the upper triangle with lower vertex (k, t),
+    top row first, newer times first inside each row."""
+    t0, t1 = window
+    out = []
+    for kk in range(min(ell, t1 - t0), max(k, 0) - 1, -1):
+        for s in range(t, t - (kk - k) - 1, -1):
+            if t0 <= s and s + kk <= t1:
+                out.append((kk, s))
+    return tuple(out)
+
+
+def lower_triangle_positions(window: Tuple[int, int], ell: int,
+                             k: int, t: int) -> Tuple[Slot, ...]:
+    """In-window positions of the lower triangle with upper vertex (k, t)."""
+    t0, t1 = window
+    out = []
+    for kk in range(k, -1, -1):
+        for s in range(t, t + (k - kk) + 1):
+            if t0 <= s and s + kk <= t1:
+                out.append((kk, s))
+    return tuple(out)
+
+
+def lower_contains(outer: Slot, inner: Slot) -> bool:
+    """Whether the lower triangle at `outer` contains the one at `inner`."""
+    (ko, to), (ki, ti) = outer, inner
+    return ki <= ko and to <= ti <= to + ko - ki
+
+
+def purge(window: Tuple[int, int], ell: int, pairs) -> PairedSequence:
+    """Drop every anchor whose lower triangle sits inside another's."""
+    slots = set(window_slots(window, ell))
+    pairs = list(dict.fromkeys(tuple(p) for p in pairs))
+    for p in pairs:
+        if p not in slots:
+            raise OutOfWindow(f"pair {p} outside the slot table")
+    kept = []
+    for p in pairs:
+        if any(q != p and lower_contains(q, p) for q in pairs):
+            continue
+        kept.append(p)
+    return PairedSequence(window, ell, tuple(kept))
+
+
+def purge_upper(window: Tuple[int, int], ell: int, pairs) -> Tuple[Slot, ...]:
+    """The upper anchors of `pairs` whose clipped triangle lies strictly
+    inside no other one's, the least of equal ones kept."""
+    upper_sets = {p: frozenset(upper_triangle_positions(window, ell, *p))
+                  for p in pairs}
+    kept = []
+    for p in pairs:
+        dominated = False
+        for q in pairs:
+            if q == p:
+                continue
+            if upper_sets[p] < upper_sets[q]:
+                dominated = True
+                break
+            if upper_sets[p] == upper_sets[q] and q < p:
+                dominated = True
+                break
+        if not dominated:
+            kept.append(p)
+    return tuple(kept)
+
+
+def covered(teeth, triangle) -> frozenset:
+    out = set()
+    for (k, t) in teeth.pairs:
+        out.update(triangle(teeth.window, teeth.ell, k, t))
+    return frozenset(out)
+
+
+def complementary(ps: PairedSequence) -> UpperPairedSequence:
+    """The purged upper-triangle sequence covering everything the lower
+    teeth miss; the two unions partition the slot table."""
+    slots = window_slots(ps.window, ps.ell)
+    lower = covered(ps, lower_triangle_positions)
+    uncovered = [p for p in slots if p not in lower]
+    for p in uncovered:
+        if set(upper_triangle_positions(ps.window, ps.ell, *p)) & lower:
+            raise WellDefinednessFailure(
+                f"upper triangle at {p} touches the lower teeth")
+    result = UpperPairedSequence(ps.window, ps.ell,
+                                 purge_upper(ps.window, ps.ell, uncovered))
+    union = covered(result, upper_triangle_positions)
+    if union | lower != set(slots) or union & lower:
+        raise WellDefinednessFailure("sawtooth pieces do not partition the slots")
+    return result
+
+
+def paired_sequence_from_upper_complement(
+        window: Tuple[int, int], ell: int,
+        ps_u: UpperPairedSequence) -> PairedSequence:
+    """The purged lower sequence covering everything the upper teeth miss."""
+    slots = window_slots(window, ell)
+    upper_union = covered(ps_u, upper_triangle_positions)
+    uncovered = [p for p in slots if p not in upper_union]
+    ps = purge(window, ell, uncovered)
+    if covered(ps, lower_triangle_positions) != set(slots) - upper_union:
+        raise WellDefinednessFailure("lower teeth spill into the upper union")
+    return ps
+
+
+def standard_walk(window: Tuple[int, int], ell: int, kind: str) -> Tuple[Slot, ...]:
+    """The four canonical walks, one loop each."""
+    t0, t1 = window
+    pairs: List[Slot] = []
+    if kind == "time_rev":
+        for t in range(t1, t0 - 1, -1):
+            for k in range(0, min(ell, t1 - t) + 1):
+                pairs.append((k, t))
+    elif kind == "time_fwd":
+        for d in range(t0, t1 + 1):  # up the diagonals t + k = d
+            for k in range(0, min(ell, d - t0) + 1):
+                pairs.append((k, d - k))
+    elif kind == "spec_rev":
+        for k in range(0, ell + 1):
+            for t in range(t1 - k, t0 - 1, -1):
+                pairs.append((k, t))
+    elif kind == "spec_fwd":
+        for k in range(0, ell + 1):
+            for t in range(t0, t1 - k + 1):
+                pairs.append((k, t))
+    else:
+        raise OutOfWindow(f"unknown filling kind {kind!r}")
+    return tuple(pairs)
+
+
+def encode_spectral_domain(basis: GeneratorBasis, r) -> Seq:
+    """Compose the selected generators span by span: all length-1
+    generators (latest start first), then all length-2 generators, and so
+    on."""
+    system = basis.system
+    t0, t1 = system.window
+    labels = dict(zip(basis.slots, TensorR(basis, tuple(r)).choice))
+    acc = system.identity
+    for k in range(0, basis.ell + 1):
+        for t in range(t1, t0 - 1, -1):
+            if (k, t) in labels:
+                acc = system.mul(acc, basis.transversals[(k, t)][labels[(k, t)]])
+    if acc not in system:
+        raise NotAGroupSystem("encoder left the member set", acc)
+    return acc
+
+
+def alphabet_matrix(basis: GeneratorBasis, r, t: int) -> Dict[Tuple[int, int], int]:
+    """Time-t components of all generators active at t, keyed (j, k),
+    column by column."""
+    labels = dict(zip(basis.slots, TensorR(basis, tuple(r)).choice))
+    system = basis.system
+    t0, t1 = system.window
+    if not t0 <= t <= t1:
+        raise OutOfWindow(f"time {t} outside window")
+    out = {}
+    for j in range(basis.ell + 1):
+        for k in range(j, basis.ell + 1):
+            slot = (k, t - j)
+            if slot in labels:
+                out[(j, k)] = system.letter(basis.transversals[slot][labels[slot]], t)
+            else:
+                out[(j, k)] = 0
+    return out
+
+
+def fold_time_domain(basis: GeneratorBasis, matrix, t: int) -> int:
+    """Column-major product of the alphabet matrix."""
+    g = basis.system.alphabet(t)
+    acc = 0
+    for j in range(basis.ell + 1):
+        for k in range(j, basis.ell + 1):
+            acc = g.op(acc, matrix[(j, k)])
+    return acc
+
+
+def fold_spectral_domain(basis: GeneratorBasis, matrix, t: int) -> int:
+    """Row-major product of the alphabet matrix."""
+    g = basis.system.alphabet(t)
+    acc = 0
+    for k in range(basis.ell + 1):
+        for j in range(k + 1):
+            acc = g.op(acc, matrix[(j, k)])
+    return acc
+
+
+def nested_anchors(window: Tuple[int, int], ell: int, k: int,
+                   t: int) -> Tuple[Slot, ...]:
+    """All in-window anchors whose triangles nest inside the (k, t) one."""
+    slots = set(window_slots(window, ell))
+    out = []
+    for kk in range(k, ell + 1):
+        for s in range(t - (kk - k), t + 1):
+            if (kk, s) in slots:
+                out.append((kk, s))
+    return tuple(out)
+
+
+def is_nested(src: Slot, dst: Slot) -> bool:
+    """`triangle_projection`'s test: the triangle of `dst` lies in that of
+    `src`."""
+    (ksrc, tsrc), (kdst, tdst) = src, dst
+    return ksrc <= kdst and tsrc - (kdst - ksrc) <= tdst <= tsrc
+
+
+def nested_targets(window: Tuple[int, int], ell: int, anchor: Slot) -> Tuple[Slot, ...]:
+    """The next two largest anchors nested in `anchor`, clipped to the window."""
+    k, t = anchor
+    t0, t1 = window
+    out = []
+    if k + 1 <= ell and t + k + 1 <= t1:
+        out.append((k + 1, t))
+    if k + 1 <= ell and t - 1 >= t0:
+        out.append((k + 1, t - 1))
+    return tuple(out)
+
+
+def construction_children(window: Tuple[int, int], ell: int,
+                          anchor: Slot) -> Tuple[Optional[Slot], Optional[Slot]]:
+    """The construction's (right, left) child lookup in the slot set."""
+    k, t = anchor
+    slots = set(window_slots(window, ell))
+    return ((k + 1, t) if (k + 1, t) in slots else None,
+            (k + 1, t - 1) if (k + 1, t - 1) in slots else None)
 
 
 # -- the label tensor wrapper ---------------------------------------------------

@@ -139,12 +139,18 @@ def test_repeated_and_stray_gsys_stanzas_are_parse_errors():
              "alphabet all given twice"),
             (head + "alphabet all Z2\nalphabet 2 Z3\nseq 1 1\n",
              r"alphabet time 2 outside the window \[0,1\]"),
-            ("alphabet -1 Z2\n" + head + "rule conv Z2 x0\n", "time -1 outside")):
+            ("alphabet -1 Z2\n" + head + "rule conv Z2 x0\n", "time -1 outside"),
+            ("system Y\n" + head + "alphabet all Z2\nseq 1 1\n", "second system"),
+            (head + "group G 2\n0 1\n1 0\ngroup G 3\n0 1 2\n1 2 0\n2 0 1\n"
+             "alphabet all G\nseq 1 1\n", "group G defined twice")):
         with pytest.raises(ParseError, match=message):
             parse_system(text)
-    # one default and per-time overrides stay valid
+    # one default and per-time overrides stay valid, and so do two groups
     system = parse_system(head + "alphabet all Z2\nalphabet 1 Z3\nseq 1 1\nseq 0 1\n")
     assert [g.order for g in system.alphabets] == [2, 3]
+    system = parse_system(head + "group G 2\n0 1\n1 0\ngroup H 2\n0 1\n1 0\n"
+                          "alphabet 0 G\nalphabet 1 H\nseq 1 1\n")
+    assert system.name == "X" and len(system) == 2
 
 
 def test_repeated_and_stray_esys_anchors_are_parse_errors(c2):
