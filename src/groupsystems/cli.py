@@ -94,25 +94,22 @@ def _read_int_lines(path: str, what: str, form: str) -> List[tuple]:
     """The integer fields of each non-comment line of a `what` file, each
     line shaped `form`."""
     rows = []
-    for raw in fmt.read_text(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in fmt._strip_lines(fmt.read_text(path)):
         parts = line.split()
         if len(parts) != len(form.split()):
-            raise ParseError(f"{what} lines are '{form}', got {raw!r}")
-        try:
-            rows.append(tuple(int(x) for x in parts))
-        except ValueError:
-            raise ParseError(f"bad {what} line {raw!r}") from None
+            raise ParseError(f"{what} lines are '{form}', got {line!r}")
+        rows.append(tuple(fmt._int_list(parts, line)))
     return rows
 
 
 def cmd_encode(args) -> int:
     system = _load(args.system, args)
     ctx = build_context(system)
-    items = {(k, t): c for k, t, c in
-             _read_int_lines(args.tensor, "tensor", "<k> <t> <index>")}
+    items = {}
+    for k, t, c in _read_int_lines(args.tensor, "tensor", "<k> <t> <index>"):
+        if (k, t) in items:
+            raise ParseError(f"tensor slot ({k},{t}) given twice")
+        items[k, t] = c
     r = tensor_from_items(ctx.basis, items)
     seq = encode_time_domain(ctx.basis, r)
     lines = ["seq " + " ".join(str(x) for x in seq)]
@@ -127,10 +124,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     system = _load(args.system, args)
     ctx = build_context(system)
-    try:
-        seq = tuple(int(x) for x in args.seq.split())
-    except ValueError:
-        raise ParseError(f"bad sequence {args.seq!r}") from None
+    seq = tuple(fmt._int_list(args.seq.split(), args.seq))
     r = decode_to_tensor(ctx.basis, seq)
     lines = [f"{k} {t} {c}" for (k, t), c in zip(ctx.slots, r)]
     _emit(args, "\n".join(lines) + "\n")
@@ -182,17 +176,21 @@ def cmd_esys(args) -> int:
 
 
 def _parse_depth_map(items: Optional[List[str]], form: str, value) -> dict:
-    """Items `k=<value>` keyed by the integer depth k; `value` reads the
-    right-hand side."""
+    """Items `k=<value>` keyed by the integer depth k, each depth given
+    once; `value` reads the right-hand side."""
     out = {}
     for item in items or []:
         k, sep, v = item.partition("=")
         if not sep:
             raise ParseError(f"expected {form}, got {item!r}")
         try:
-            out[int(k)] = value(v)
+            v = value(v)
+            k = int(k)
         except ValueError:
             raise ParseError(f"expected {form}, got {item!r}") from None
+        if k in out:
+            raise ParseError(f"depth {k} given twice: {item!r}")
+        out[k] = v
     return out
 
 

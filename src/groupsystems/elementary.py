@@ -46,6 +46,7 @@ from .groups import (FiniteGroup, Homomorphism, homomorphism_witness,
 from .slots import (
     Slot,
     children,
+    in_slot_table,
     iter_window_slots,
     positions_in,
     upper_triangle_positions,
@@ -401,7 +402,9 @@ class ConstructionStrategy:
     index 0 always exists, and one outside it raises NoExtensionFound).
 
     Keys are depths k for time-invariant choices; an anchor key (k, t)
-    overrides the depth default, which is the time-varying escape hatch."""
+    overrides the depth default, which is the time-varying escape hatch.
+    A key that no anchor reads (kernels are read below the top row only)
+    is refused by `construct_elementary_system` as OutOfWindow."""
 
     kernels: Dict = None
     extension_indices: Dict = None
@@ -436,6 +439,16 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     if ell > t1 - t0:
         raise OutOfWindow(f"ell {ell} exceeds the window [{t0},{t1}]: "
                           f"its longest span has ell {t1 - t0}")
+    # every key must be read by an anchor, kernels below the top row: a
+    # depth key k by anchor (k, t0), since no row up to ell is empty
+    for what, keys, k_max, place in (
+            ("kernel", strategy.kernels, ell - 1, "below the top row of"),
+            ("extension index", strategy.extension_indices, ell, "in")):
+        for key in keys or ():
+            slot = key if isinstance(key, tuple) else (key, t0)
+            if not in_slot_table(window, k_max, slot):
+                raise OutOfWindow(f"{what} key {key} names no anchor {place} "
+                                  f"the slot table of ell {ell} on [{t0},{t1}]")
     sizes: Dict[Slot, int] = {}
     tables: Dict[Slot, ElementaryGroupTable] = {}
     searches: dict = {}  # (base table, kernel table, cap) -> extensions

@@ -17,7 +17,7 @@ from .elementary import ElementarySystem
 from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
 from .generators import ElementaryGroupTable
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
-from .slots import upper_triangle_positions
+from .slots import in_slot_table, upper_triangle_positions
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
@@ -63,6 +63,8 @@ def dump_group(g: FiniteGroup) -> str:
 
 
 def _strip_lines(text: str) -> List[str]:
+    """The lines of `text` with comments ('#' to the end of the line) and
+    surrounding blanks removed, and blank lines dropped."""
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -72,6 +74,7 @@ def _strip_lines(text: str) -> List[str]:
 
 
 def _int(token: str, line: str) -> int:
+    """`_int_list` of one token."""
     try:
         return int(token)
     except ValueError:
@@ -79,8 +82,8 @@ def _int(token: str, line: str) -> int:
 
 
 def _int_list(tokens: List[str], line: str) -> List[int]:
-    """The tokens as integers; the first one that is none raises, as in
-    `_int`."""
+    """The tokens of `line` as integers, the one reader of integer fields in
+    every format; the first token that is none raises, as in `_int`."""
     try:
         return list(map(int, tokens))
     except ValueError:
@@ -89,42 +92,35 @@ def _int_list(tokens: List[str], line: str) -> List[int]:
         raise
 
 
-def _ints(parts: List[str], count: int, line: str) -> List[int]:
-    """The `count` integers after a stanza keyword."""
-    if len(parts) < count + 1:
-        raise ParseError(f"{parts[0]} line needs {count} integers: {line!r}")
-    return [_int(x, line) for x in parts[1:count + 1]]
-
-
-def parse_group(text: str) -> FiniteGroup:
-    return _parse_group_lines(_strip_lines(text))
-
-
-def _parse_group_lines(lines: List[str]) -> FiniteGroup:
-    """`parse_group` on lines already stripped of comments and blanks."""
-    if not lines or not lines[0].startswith("group "):
-        raise ParseError("expected 'group <name> <order>' header")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ParseError(f"malformed group header {lines[0]!r}")
-    name, order_s = parts[1], parts[2]
-    try:
-        order = int(order_s)
-    except ValueError:
-        raise ParseError(f"bad order {order_s!r}") from None
+def _group_block(lines: List[str], i: int) -> Tuple[FiniteGroup, int]:
+    """The group whose `group <name> <order>` header is line i, read from
+    the table rows after it, and the index of the line after the table."""
+    header = lines[i] if i < len(lines) else ""
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "group":
+        raise ParseError(f"expected 'group <name> <order>', got {header!r}")
+    name, order = parts[1], _int(parts[2], header)
+    end = i + 1 + order
     rows = []
-    for line in lines[1:1 + order]:
-        try:
-            rows.append(list(map(int, line.split())))
-        except ValueError:
-            raise ParseError(f"bad table row {line!r}") from None
+    for line in lines[i + 1:end]:
+        rows.append(_int_list(line.split(), line))
         if len(rows[-1]) != order:
             raise ParseError(f"table row {len(rows) - 1} of group {name} has "
                              f"{len(rows[-1])} entries, expected {order}: "
                              f"{line!r}")
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
-    return make_group(rows, name=name)
+    return make_group(rows, name=name), end
+
+
+def parse_group(text: str) -> FiniteGroup:
+    """A .grp file: one group block, and no line after its table."""
+    lines = _strip_lines(text)
+    group, end = _group_block(lines, 0)
+    if end < len(lines):
+        raise ParseError(f"a line after the table of group {group.name}: "
+                         f"{lines[end]!r}")
+    return group
 
 
 def read_text(path) -> str:
@@ -167,6 +163,12 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
             if head in seen:
                 raise ParseError(f"a second {head} line")
             seen.add(head)
+        if head == "group":
+            if len(parts) > 1 and parts[1] in local_groups:
+                raise ParseError(f"group {parts[1]} defined twice")
+            group, i = _group_block(lines, i)
+            local_groups[group.name] = group
+            continue
         if head == "system":
             if len(parts) != 2:
                 raise ParseError("system line needs a name")
@@ -174,18 +176,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "window":
             if len(parts) != 3:
                 raise ParseError("window line needs two integers")
-            try:
-                window = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise ParseError("window bounds must be integers") from None
-        elif head == "group":
-            if len(parts) != 3:
-                raise ParseError("group line needs a name and order")
-            order = _int(parts[2], lines[i])
-            if parts[1] in local_groups:
-                raise ParseError(f"group {parts[1]} defined twice")
-            local_groups[parts[1]] = _parse_group_lines(lines[i:i + 1 + order])
-            i += order
+            window = tuple(_int_list(parts[1:], lines[i]))
         elif head == "alphabet":
             if len(parts) != 3:
                 raise ParseError("alphabet line needs a time and group name")
@@ -194,10 +185,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
                 raise ParseError(f"alphabet {key} given twice")
             alphabet_spec[key] = parts[2]
         elif head == "seq":
-            try:
-                seqs.append(tuple(int(x) for x in parts[1:]))
-            except ValueError:
-                raise ParseError(f"bad seq line {lines[i]!r}") from None
+            seqs.append(tuple(_int_list(parts[1:], lines[i])))
         elif head == "rule":
             if len(parts) < 4 or parts[1] != "conv":
                 raise ParseError("rule line must be 'rule conv <group> <taps...>'")
@@ -375,15 +363,12 @@ def parse_elementary_system(text: str) -> ElementarySystem:
     if len(head) != 7 or head[2] != "depth" or head[4] != "window":
         raise ParseError(f"malformed esys header {lines[0]!r}")
     name = head[1]
-    try:
-        depth = int(head[3])
-        window = (int(head[5]), int(head[6]))
-    except ValueError:
-        raise ParseError("bad esys header numbers") from None
+    depth, t0, t1 = _int_list([head[3], head[5], head[6]], lines[0])
+    window = (t0, t1)
     ell = depth - 1
     # every time of the window anchors a table of its own
-    if window[1] - window[0] + 1 > len(lines):
-        raise ParseError(f"esys window {window[0]} {window[1]} has more times "
+    if t1 - t0 + 1 > len(lines):
+        raise ParseError(f"esys window {t0} {t1} has more times "
                          f"than the file has lines")
 
     sizes: Dict[Tuple[int, int], int] = {}
@@ -393,12 +378,13 @@ def parse_elementary_system(text: str) -> ElementarySystem:
         parts = lines[i].split()
         if parts[0] not in ("labels", "egrp"):
             raise ParseError(f"unknown esys stanza {parts[0]!r}")
-        k, t, n = _ints(parts, 3, lines[i])
+        if len(parts) < 4:
+            raise ParseError(f"{parts[0]} line needs 3 integers: {lines[i]!r}")
+        k, t, n = _int_list(parts[1:4], lines[i])
         anchor = (k, t)
-        # the slot table by arithmetic: windows from a file may be huge
-        if not (0 <= k <= ell and window[0] <= t and t + k <= window[1]):
+        if not in_slot_table(window, ell, anchor):
             raise ParseError(f"{parts[0]} anchor ({k},{t}) is not in the slot "
-                             f"table of depth {depth} on [{window[0]},{window[1]}]")
+                             f"table of depth {depth} on [{t0},{t1}]")
         if anchor in (sizes if parts[0] == "labels" else tables):
             raise ParseError(f"{parts[0]} anchor ({k},{t}) given twice")
         if parts[0] == "labels":
@@ -419,15 +405,10 @@ def parse_elementary_system(text: str) -> ElementarySystem:
             if len(labels) != len(positions):
                 raise ParseError(f"triangle at {anchor} has wrong arity")
             tris.append(labels)
-        group_header = lines[i + 1 + n].split()
-        if group_header[0] != "group" or len(group_header) != 3:
-            raise ParseError("expected group block after triangles")
-        order = _int(group_header[2], lines[i + 1 + n])
-        group = _parse_group_lines(lines[i + 1 + n:i + 2 + n + order])
+        group, i = _group_block(lines, i + 1 + n)
         if group.order != n:
             raise ParseError(f"table order differs from element count at {anchor}")
         tables[anchor] = ElementaryGroupTable(anchor, positions, tuple(tris), group)
-        i += 2 + n + order
 
     es = ElementarySystem(name=name, ell=ell, window=window,
                           label_sizes=sizes, tables=tables)

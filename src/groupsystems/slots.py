@@ -27,6 +27,12 @@ def iter_window_slots(window: Tuple[int, int], ell: int) -> Iterator[Slot]:
             for k in range(0, min(ell, t1 - t) + 1))
 
 
+def in_slot_table(window: Tuple[int, int], ell: int, slot: Slot) -> bool:
+    """Whether `slot` is in the table, by arithmetic: windows may be huge."""
+    k, t = slot
+    return 0 <= k <= ell and window[0] <= t <= window[1] - k
+
+
 def upper_triangle_positions(window: Tuple[int, int], ell: int,
                              k: int, t: int) -> Tuple[Slot, ...]:
     """In-window positions of the upper triangle with lower vertex (k, t):

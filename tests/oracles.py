@@ -64,9 +64,17 @@ loops, the nested anchors, the nesting test of `triangle_projection`,
 the two nested targets and the construction's child lookup.  They take
 the window and the depth where the library takes a context.
 
-At the very end is `TensorR`, the validating wrapper that label tensors
-were before they became plain label tuples.  Its checks are the
-reference for the check every tuple from a caller gets.
+Then comes `TensorR`, the validating wrapper that label tensors were
+before they became plain label tuples.  Its checks are the reference for
+the check every tuple from a caller gets.
+
+At the very end are the text readers as each format wrote them before
+`io.py` read integers, lines and group tables once: `parse_group`,
+`parse_system`, `parse_elementary_system` with their own integer
+conversions, group headers and comment stripping, and the command line's
+`read_int_lines`.  They call the library only for what did not change:
+group names, rule unrolling, saturation, the upper triangle and the
+elementary system's checks.
 """
 
 import itertools
@@ -88,7 +96,9 @@ from groupsystems.elementary import (
     ElementarySystem,
     global_product,
 )
+import groupsystems.io as fmt
 from groupsystems.io import _TAP_RE
+from groupsystems.slots import upper_triangle_positions as library_upper_triangle_positions
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
@@ -125,6 +135,7 @@ from groupsystems.groups import (
     Subgroup,
     homomorphism_witness,
     is_normal,
+    make_group,
 )
 from groupsystems.systems import (
     DEFAULT_MEMBER_CAP,
@@ -1436,3 +1447,242 @@ class TensorR:
         for slot, c in zip(self.basis.slots, self.choice):
             if not 0 <= c < self.basis.label_count(slot):
                 raise OutOfWindow(f"choice {c} out of range at slot {slot}")
+
+
+# -- the text readers, each format on its own ------------------------------------
+
+def _strip_lines(text: str) -> List[str]:
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r} in {line!r}") from None
+
+
+def _int_list(tokens: List[str], line: str) -> List[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            _int(token, line)
+        raise
+
+
+def _ints(parts: List[str], count: int, line: str) -> List[int]:
+    if len(parts) < count + 1:
+        raise ParseError(f"{parts[0]} line needs {count} integers: {line!r}")
+    return [_int(x, line) for x in parts[1:count + 1]]
+
+
+def parse_group(text: str) -> FiniteGroup:
+    return _parse_group_lines(_strip_lines(text))
+
+
+def _parse_group_lines(lines: List[str]) -> FiniteGroup:
+    if not lines or not lines[0].startswith("group "):
+        raise ParseError("expected 'group <name> <order>' header")
+    parts = lines[0].split()
+    if len(parts) != 3:
+        raise ParseError(f"malformed group header {lines[0]!r}")
+    name, order_s = parts[1], parts[2]
+    try:
+        order = int(order_s)
+    except ValueError:
+        raise ParseError(f"bad order {order_s!r}") from None
+    rows = []
+    for line in lines[1:1 + order]:
+        try:
+            rows.append(list(map(int, line.split())))
+        except ValueError:
+            raise ParseError(f"bad table row {line!r}") from None
+        if len(rows[-1]) != order:
+            raise ParseError(f"table row {len(rows) - 1} of group {name} has "
+                             f"{len(rows[-1])} entries, expected {order}: "
+                             f"{line!r}")
+    if len(rows) != order:
+        raise ParseError(f"expected {order} table rows, got {len(rows)}")
+    return make_group(rows, name=name)
+
+
+def parse_system(text: str, search_dir=None,
+                 member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
+    lines = _strip_lines(text)
+    name = "A"
+    window: Optional[Tuple[int, int]] = None
+    local_groups: Dict[str, FiniteGroup] = {}
+    alphabet_spec: Dict = {}
+    seqs: List[tuple] = []
+    rule: Optional[tuple] = None
+    seen = set()
+
+    i = 0
+    while i < len(lines):
+        parts = lines[i].split()
+        head = parts[0]
+        if head in ("system", "window", "rule"):
+            if head in seen:
+                raise ParseError(f"a second {head} line")
+            seen.add(head)
+        if head == "system":
+            if len(parts) != 2:
+                raise ParseError("system line needs a name")
+            name = parts[1]
+        elif head == "window":
+            if len(parts) != 3:
+                raise ParseError("window line needs two integers")
+            try:
+                window = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise ParseError("window bounds must be integers") from None
+        elif head == "group":
+            if len(parts) != 3:
+                raise ParseError("group line needs a name and order")
+            order = _int(parts[2], lines[i])
+            if parts[1] in local_groups:
+                raise ParseError(f"group {parts[1]} defined twice")
+            local_groups[parts[1]] = _parse_group_lines(lines[i:i + 1 + order])
+            i += order
+        elif head == "alphabet":
+            if len(parts) != 3:
+                raise ParseError("alphabet line needs a time and group name")
+            key = parts[1] if parts[1] == "all" else _int(parts[1], lines[i])
+            if key in alphabet_spec:
+                raise ParseError(f"alphabet {key} given twice")
+            alphabet_spec[key] = parts[2]
+        elif head == "seq":
+            try:
+                seqs.append(tuple(int(x) for x in parts[1:]))
+            except ValueError:
+                raise ParseError(f"bad seq line {lines[i]!r}") from None
+        elif head == "rule":
+            if len(parts) < 4 or parts[1] != "conv":
+                raise ParseError("rule line must be 'rule conv <group> <taps...>'")
+            rule = (parts[2], tuple(parts[3:]))
+        else:
+            raise ParseError(f"unknown stanza {head!r}")
+        i += 1
+
+    if window is None:
+        raise ParseError("missing window line")
+    for t in alphabet_spec:
+        if t != "all" and not window[0] <= t <= window[1]:
+            raise ParseError(f"alphabet time {t} outside the window "
+                             f"[{window[0]},{window[1]}]")
+    if rule is not None and seqs:
+        raise ParseError("a system is either explicit or rule-built, not both")
+
+    def lookup(gname: str) -> FiniteGroup:
+        if gname in local_groups:
+            return local_groups[gname]
+        return fmt.resolve_group(gname, search_dir)
+
+    if rule is not None:
+        return fmt._unroll_rule(name, window, rule, lookup, member_cap)
+
+    if not seqs:
+        raise ParseError("no members given")
+    length = window[1] - window[0] + 1
+    for s in seqs:
+        if len(s) != length:
+            raise ParseError(f"seq {s} does not span the window")
+    resolved: Dict[str, FiniteGroup] = {}
+    alphabets = []
+    for t in range(window[0], window[1] + 1):
+        gname = alphabet_spec.get(t, alphabet_spec.get("all"))
+        if gname is None:
+            raise ParseError(f"no alphabet for time {t}")
+        if gname not in resolved:
+            resolved[gname] = lookup(gname)
+        alphabets.append(resolved[gname])
+    return library_build_system(window, alphabets, seqs, name=name,
+                                member_cap=member_cap)
+
+
+def parse_elementary_system(text: str) -> ElementarySystem:
+    lines = _strip_lines(text)
+    if not lines or not lines[0].startswith("esys "):
+        raise ParseError("expected 'esys <name> depth <d> window <t0> <t1>'")
+    head = lines[0].split()
+    if len(head) != 7 or head[2] != "depth" or head[4] != "window":
+        raise ParseError(f"malformed esys header {lines[0]!r}")
+    name = head[1]
+    try:
+        depth = int(head[3])
+        window = (int(head[5]), int(head[6]))
+    except ValueError:
+        raise ParseError("bad esys header numbers") from None
+    ell = depth - 1
+    if window[1] - window[0] + 1 > len(lines):
+        raise ParseError(f"esys window {window[0]} {window[1]} has more times "
+                         f"than the file has lines")
+
+    sizes: Dict[Tuple[int, int], int] = {}
+    tables: Dict[Tuple[int, int], ElementaryGroupTable] = {}
+    i = 1
+    while i < len(lines):
+        parts = lines[i].split()
+        if parts[0] not in ("labels", "egrp"):
+            raise ParseError(f"unknown esys stanza {parts[0]!r}")
+        k, t, n = _ints(parts, 3, lines[i])
+        anchor = (k, t)
+        if not (0 <= k <= ell and window[0] <= t and t + k <= window[1]):
+            raise ParseError(f"{parts[0]} anchor ({k},{t}) is not in the slot "
+                             f"table of depth {depth} on [{window[0]},{window[1]}]")
+        if anchor in (sizes if parts[0] == "labels" else tables):
+            raise ParseError(f"{parts[0]} anchor ({k},{t}) given twice")
+        if parts[0] == "labels":
+            sizes[anchor] = n
+            i += 1
+            continue
+        if n < 0:
+            raise ParseError(f"egrp block at {anchor} has a negative size")
+        if i + 1 + n >= len(lines):
+            raise ParseError(f"egrp block at {anchor} is truncated")
+        positions = library_upper_triangle_positions(window, ell, k, t)
+        tris = []
+        for line in lines[i + 1:i + 1 + n]:
+            tparts = line.split()
+            if tparts[0] != "tri":
+                raise ParseError(f"expected tri line, got {line!r}")
+            labels = tuple(_int_list(tparts[1:], line))
+            if len(labels) != len(positions):
+                raise ParseError(f"triangle at {anchor} has wrong arity")
+            tris.append(labels)
+        group_header = lines[i + 1 + n].split()
+        if group_header[0] != "group" or len(group_header) != 3:
+            raise ParseError("expected group block after triangles")
+        order = _int(group_header[2], lines[i + 1 + n])
+        group = _parse_group_lines(lines[i + 1 + n:i + 2 + n + order])
+        if group.order != n:
+            raise ParseError(f"table order differs from element count at {anchor}")
+        tables[anchor] = ElementaryGroupTable(anchor, positions, tuple(tris), group)
+        i += 2 + n + order
+
+    es = ElementarySystem(name=name, ell=ell, window=window,
+                          label_sizes=sizes, tables=tables)
+    es.verify()
+    return es
+
+
+def read_int_lines(path: str, what: str, form: str) -> List[tuple]:
+    rows = []
+    for raw in fmt.read_text(path).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != len(form.split()):
+            raise ParseError(f"{what} lines are '{form}', got {raw!r}")
+        try:
+            rows.append(tuple(int(x) for x in parts))
+        except ValueError:
+            raise ParseError(f"bad {what} line {raw!r}") from None
+    return rows

@@ -11,15 +11,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzzing import construct_argvs, fuzzed_texts
+from fuzzing import LINES, construct_argvs, fuzzed_texts
+
+import oracles
 
 import groupsystems.chains as chains
 import groupsystems.cli as cli
 import groupsystems.elementary as elementary
 from groupsystems.cli import main
-from groupsystems.elementary import ConstructionStrategy, construct_elementary_system
+from groupsystems.elementary import (
+    ConstructionStrategy,
+    construct_elementary_system,
+    extract_elementary_system,
+)
+from groupsystems.errors import ParseError
+from groupsystems.generators import build_context
 from groupsystems.groups import cyclic_group
-from groupsystems.io import CYCLIC_ORDER_CAP, dump_elementary_system
+from groupsystems.io import CYCLIC_ORDER_CAP, dump_elementary_system, parse_system
 
 
 R2_TEXT = "system R2\nwindow 0 1\nalphabet all Z2\nseq 0 0\nseq 1 1\n"
@@ -449,6 +457,121 @@ def test_ragged_group_rows_are_parse_errors(capsys, tmp_path):
         code, _, err = run(capsys, "validate", path)
         assert code == 1
         assert f"table row 1 of group G has {entries} entries, expected 2" in err
+
+
+R2_ESYS = dump_elementary_system(extract_elementary_system(build_context(
+    parse_system(R2_TEXT))))
+
+
+def bad_integer_cases():
+    """(files to write, command line, the line holding the bad token 'x')
+    for every integer field the command line reads."""
+    def gsys(old, new):
+        return ({"r2.gsys": R2_TEXT.replace(old, new)}, ("validate", "r2.gsys"),
+                new.splitlines()[-1])
+
+    def grp(text, line):
+        return ({"G.grp": text, "g.gsys": "system X\nwindow 0 1\nalphabet all G\nseq 1 1\n"},
+                ("validate", "g.gsys"), line)
+
+    def esys(old, new, line):
+        text = R2_ESYS.replace(old, new, 1)
+        assert text != R2_ESYS
+        return {"r2.esys": text}, ("roundtrip", "r2.esys"), line
+
+    def r2_with(name, text, *argv):
+        return {"r2.gsys": R2_TEXT, **({name: text} if name else {})}, argv
+
+    return {
+        "gsys window": gsys("window 0 1", "window 0 x"),
+        "gsys seq": gsys("seq 1 1", "seq 1 x"),
+        "gsys alphabet time": gsys("alphabet all Z2", "alphabet x Z2"),
+        "gsys group header": gsys("alphabet all Z2", "group G x"),
+        "gsys group row": gsys("alphabet all Z2", "group G 2\n0 1\n1 x"),
+        "grp header": grp("group G x\n", "group G x"),
+        "grp row": grp("group G 2\n0 x\n1 0\n", "0 x"),
+        "esys header": esys("depth 2", "depth x", "esys E(R2) depth x window 0 1"),
+        "esys labels": esys("labels 0 0 1", "labels 0 x 1", "labels 0 x 1"),
+        "esys egrp": esys("egrp 0 1 2", "egrp 0 1 x", "egrp 0 1 x"),
+        "esys tri": esys("tri 1 0\ngroup E(0,1)", "tri 1 x\ngroup E(0,1)", "tri 1 x"),
+        "esys group header": esys("E(0,0) 2", "E(0,0) x", "group E(0,0) x"),
+        "esys group row": esys("E(1,0) 2\n0 1\n1 0", "E(1,0) 2\n0 1\n1 x", "1 x"),
+        "tensor file": (*r2_with("t.rt", "1 0 1\n1 x 1\n", "encode", "r2.gsys", "t.rt"),
+                        "1 x 1"),
+        "walk file": (*r2_with("walk.txt", "0 1\n0 x\n", "chains", "r2.gsys",
+                               "--filling", "@walk.txt"), "0 x"),
+        "decode --seq": (*r2_with(None, None, "decode", "r2.gsys", "--seq", "1 x"), "1 x"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(bad_integer_cases()))
+def test_every_integer_field_reports_the_bad_token(capsys, tmp_path, monkeypatch, case):
+    """A token that is no integer, in any field of any input, is one
+    parse error naming the token and its line."""
+    files, argv, line = bad_integer_cases()[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: expected an integer, got 'x' in {line!r}\n")
+
+
+def test_a_tensor_slot_given_twice_is_a_parse_error(capsys, r2_file, tmp_path):
+    """A tensor file names each slot at most once."""
+    tensor = tmp_path / "t.rt"
+    tensor.write_text("0 1 1\n1 0 1\n0 1 0\n")
+    code, out, err = run(capsys, "encode", r2_file, tensor)
+    assert (code, out, err) == (1, "", "error: tensor slot (0,1) given twice\n")
+
+
+@pytest.mark.parametrize("flag, items", [("--kernel", ("0=Z2", "0=Z3")),
+                                         ("--kernel", ("0=Z3", "0=Z2")),
+                                         ("--ext-index", ("0=0", "0=1"))])
+def test_a_construct_depth_given_twice_is_a_parse_error(capsys, flag, items):
+    """Each depth is given at most once per flag."""
+    argv = ["--window", "0", "3", "construct", "--seed-group", "Z2", "--ell", "1"]
+    for item in items:
+        argv += [flag, item]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: depth 0 given twice: {items[1]!r}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--kernel", "1=Z2"), "kernel key 1 names no anchor below the top row of"),
+    (("--kernel", "5=Z2"), "kernel key 5 names no anchor below the top row of"),
+    (("--ext-index", "2=0"), "extension index key 2 names no anchor in"),
+])
+def test_construct_depths_no_anchor_reads_exit_2(capsys, flags, message):
+    """At ell 1 a kernel is read at depth 0 only and an extension index
+    at depths 0 and 1; any other depth exits 2, as an `--ell` past the
+    window does."""
+    code, out, err = run(capsys, "--window", "0", "3", "construct",
+                         "--seed-group", "Z2", "--ell", "1", *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"invariant violation: {message} the slot table of ell 1 "
+                   f"on [0,3]\n")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.one_of(LINES, LINES.map("{} # note".format),
+                                st.sampled_from(["", "   ", "# only", "1 0 1", "0 1"])),
+                      max_size=6),
+       form=st.sampled_from(["<k> <t> <index>", "<k> <t>"]))
+def test_tensor_and_walk_files_read_as_before(tmp_path, lines, form):
+    """`_read_int_lines` on `_strip_lines` and `_int_list` gives the rows
+    the earlier reader gave, or a parse error where it gave one."""
+    path = tmp_path / "rows.txt"
+    path.write_text("\n".join(lines) + "\n")
+    results = []
+    for read in (cli._read_int_lines, oracles.read_int_lines):
+        try:
+            results.append(read(str(path), "tensor", form))
+        except ParseError:
+            results.append(ParseError)
+    assert results[0] == results[1]
 
 
 def run_limited(argv: str, cwd, timeout: int = 60) -> subprocess.CompletedProcess:

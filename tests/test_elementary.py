@@ -242,6 +242,37 @@ def test_construct_time_varying_escape_hatch():
     assert structurally_equal(es, re_es) is not None
 
 
+@pytest.mark.parametrize("field, key", [
+    ("kernels", 1),          # the top row
+    ("kernels", 5),
+    ("kernels", -1),
+    ("kernels", (1, 0)),     # a top-row anchor
+    ("kernels", (0, 3)),     # past the window
+    ("kernels", (0, -1)),
+    ("extension_indices", 2),
+    ("extension_indices", -1),
+    ("extension_indices", (1, 2)),   # spans past t1
+    ("extension_indices", (0, 3)),
+])
+def test_construct_rejects_keys_no_anchor_reads(field, key):
+    """On [0,2] at ell 1 kernels are read at depth 0 and extension indices
+    at depths 0 and 1, each at the slots of the table; any other key is
+    refused before an anchor is built."""
+    value = cyclic_group(2) if field == "kernels" else 0
+    strategy = ConstructionStrategy(**{field: {key: value}})
+    with pytest.raises(OutOfWindow, match="names no anchor"):
+        construct_elementary_system((0, 2), 1, cyclic_group(2), strategy)
+
+
+def test_construct_accepts_every_key_an_anchor_reads():
+    z2 = cyclic_group(2)
+    strategy = ConstructionStrategy(
+        kernels={0: z2, (0, 0): z2, (0, 2): trivial_group()},
+        extension_indices={0: 0, 1: 0, (1, 1): 0, (0, 2): 0})
+    es = construct_elementary_system((0, 2), 1, z2, strategy)
+    assert [es.label_sizes[0, t] for t in range(3)] == [2, 2, 1]
+
+
 def test_construct_nonabelian_interior():
     """Nonabelian extensions at interior anchors via per-anchor indices.
 

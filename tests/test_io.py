@@ -2,8 +2,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzzing import fuzzed_texts
+from fuzzing import SEEDS, fuzzed_texts
 
+import oracles
 import groupsystems.io as io
 from groupsystems.elementary import extract_elementary_system, structurally_equal
 from groupsystems.errors import (
@@ -43,6 +44,16 @@ def test_group_parse_errors():
         parse_group("group X 2\n0 1")
     with pytest.raises(ParseError):
         parse_group("group X two\n0 1\n1 0")
+
+
+def test_a_line_after_the_table_of_a_grp_file_is_a_parse_error():
+    """A .grp file holds one table and nothing after it but comments and
+    blank lines."""
+    for extra in ("1 0", "group H 1\n0", "x"):
+        with pytest.raises(ParseError, match=rf"^a line after the table of group X: "
+                                             rf"'{extra.splitlines()[0]}'$"):
+            parse_group(f"group X 2\n0 1\n1 0\n{extra}\n")
+    assert parse_group("group X 2\n0 1\n1 0\n# a comment\n\n").order == 2
 
 
 def test_group_comments_ignored():
@@ -337,6 +348,53 @@ def test_fuzzed_texts_end_in_typed_errors(kind, data):
         PARSERS[kind](text)
     except ToolkitError:
         pass
+
+
+def parsed(kind: str, parse, text: str):
+    """What a parser makes of a text: the type of the typed error it
+    raises, or the tables, members and dump it loads."""
+    try:
+        result = parse(text)
+    except ToolkitError as exc:
+        return type(exc)
+    if kind == "grp":
+        return result.name, result.op_table
+    if kind == "gsys":
+        return (result.name, result.window, result.sequences,
+                tuple(g.op_table for g in result.alphabets), dump_system(result))
+    return (result.label_sizes, {a: (tab.elements, tab.group.op_table)
+                                 for a, tab in result.tables.items()},
+            dump_elementary_system(result))
+
+
+ORACLE_PARSERS = {"grp": oracles.parse_group, "gsys": oracles.parse_system,
+                  "esys": oracles.parse_elementary_system}
+
+
+@pytest.mark.parametrize("kind, text", [(kind, text) for kind in sorted(SEEDS)
+                                        for text in SEEDS[kind]])
+def test_valid_texts_load_as_with_the_earlier_parsers(kind, text):
+    new = parsed(kind, PARSERS[kind], text)
+    assert isinstance(new, tuple) and new == parsed(kind, ORACLE_PARSERS[kind], text)
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
+    """The readers and the parsers before them load the same objects, or
+    raise the same error type; only a .grp text with a line after its
+    table, which the earlier parser ignored, is now a parse error."""
+    text = data.draw(fuzzed_texts(kind))
+    new = parsed(kind, PARSERS[kind], text)
+    old = parsed(kind, ORACLE_PARSERS[kind], text)
+    if kind == "grp" and new is ParseError and isinstance(old, tuple):
+        assert len(io._strip_lines(text)) > 1 + len(old[1])
+        with pytest.raises(ParseError, match="^a line after the table"):
+            parse_group(text)
+        return
+    assert new == old
 
 
 FIXED_POINT_GROUPS = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group_3()}

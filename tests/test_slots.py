@@ -38,6 +38,7 @@ from groupsystems.io import parse_system
 from groupsystems.slots import (
     children,
     fold_order,
+    in_slot_table,
     lower_contains,
     lower_triangle_positions,
     positions_in,
@@ -111,6 +112,13 @@ def test_triangles_and_nesting_match_the_loops(window, ell):
     for src, dst in itertools.product(anchors, repeat=2):
         assert lower_contains(dst, src) == oracles.is_nested(src, dst)
         assert lower_contains(src, dst) == oracles.lower_contains(src, dst)
+
+
+@pytest.mark.parametrize("window, ell", GRID)
+def test_slot_table_membership_is_the_slot_set(window, ell):
+    slots = set(window_slots(window, ell))
+    for anchor in around(window, ell):
+        assert in_slot_table(window, ell, anchor) == (anchor in slots)
 
 
 @pytest.mark.parametrize("window, ell", GRID)
