@@ -33,9 +33,10 @@ from .generators import (
 from .groups import FiniteGroup, Subgroup, is_normal, product_of_subgroups
 from .slots import (
     Slot,
+    fold_slots,
+    in_slot_table,
     lower_contains,  # part of this module's interface
     lower_triangle_positions,
-    positions_in,
     upper_triangle_positions,
     walk,
     window_slots,
@@ -63,9 +64,8 @@ class _Teeth:
         lower triangles of slots are never clipped: one contains another
         iff `lower_contains` says so."""
         pairs = list(dict.fromkeys(map(tuple, pairs)))
-        slots = set(window_slots(window, ell))
         for p in pairs:
-            if p not in slots:
+            if not in_slot_table(window, ell, p):
                 raise OutOfWindow(f"pair {p} outside the slot table")
         sets = [frozenset(cls.triangle(window, ell, *p)) for p in pairs]
         return cls(window, ell, tuple(p for p, mine in zip(pairs, sets)
@@ -111,27 +111,24 @@ def complementary(ps: PairedSequence) -> UpperPairedSequence:
 
 
 def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
-    """Product of the lower elementary groups over the paired sequence.
+    """Product of the lower elementary groups over the paired sequence,
+    checked against the tensors supported inside the teeth.
 
-    Checked against both descriptions: tensors supported inside the teeth,
-    and tensors that are the identity on the complementary upper teeth.
+    Those are also the tensors that are the identity on the complementary
+    upper teeth: `complementary` raises unless the two unions partition
+    the slot table, and a tensor's support, a set of slots, then lies in
+    `ps.covered()` exactly when it misses the upper union.  The call is
+    kept for that partition check.
     """
     group = ctx.system.sequence_group
-    covered = ps.covered()
-    sub = support_subgroup(ctx, covered)
+    sub = support_subgroup(ctx, ps.covered())
     # product of the per-anchor lower elementary groups
     prod = Subgroup(group, (0,))
     for p in ps.pairs:
         prod = product_of_subgroups(group, prod, lower_elementary_group(ctx, *p))
     if prod.members != sub.members:
         raise WellDefinednessFailure("tooth product differs from support subgroup")
-    upper_union = complementary(ps).covered()
-    identity_on_upper = tuple(
-        i for i, lab in enumerate(ctx.tensors)
-        if all(slot not in upper_union for slot in ctx.support(lab)))
-    if identity_on_upper != sub.members:
-        raise WellDefinednessFailure(
-            "identity-on-complement description disagrees")
+    complementary(ps)
     if not is_normal(group, sub):
         raise WellDefinednessFailure("tooth subgroup is not normal")
     return sub
@@ -350,11 +347,10 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     nontrivial entry, one chain step per triangle position."""
     elem = elementary_group(ctx, 0, t)
     positions = elem.positions
-    # fill positions in the time-reverse column order restricted to the slice
-    present = set(positions)
-    order = [p for p in ctx.slots if p in present]
+    # fill positions in the time_rev fold order, as `_alpha_column` folds
+    order = fold_slots(positions, ctx.ell, t)
     transversals = []
-    for pos, i in zip(order, positions_in(positions, order)):
+    for pos, i in order:
         reps = []
         for c in range(ctx.basis.label_count(pos)):
             labels = [0] * len(positions)
@@ -365,7 +361,7 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     current = {0: ()}
     steps: List[EigenStep] = []
     levels = coset_levels(current, transversals, elem.group.op)
-    for pos, reps, new in zip(order, transversals, levels):
+    for (pos, _), reps, new in zip(order, transversals, levels):
         filled.add(pos)
         if len(new) != len(current) * len(reps):
             raise WellDefinednessFailure(

@@ -35,14 +35,13 @@ from .extensions import enumerate_extensions, subdirect_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
-    _class_table,
     _slice_classes,
     elementary_group,
     recover_system_fhgs,
     restriction_images,
 )
-from .groups import (FiniteGroup, Homomorphism, homomorphism_witness,
-                     light_associative, trivial_group)
+from .groups import (FiniteGroup, Homomorphism, class_table,
+                     homomorphism_witness, light_associative, trivial_group)
 from .slots import (
     Slot,
     children,
@@ -523,7 +522,7 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
     realized, rank, order = _slice_classes(elements)
     if len(realized) != len(elements):
         raise WellDefinednessFailure(f"anchor {anchor}: label map not injective")
-    fg = FiniteGroup(_class_table(ext.op_table, rank, order),
+    fg = FiniteGroup(class_table(ext.op_table, rank, order),
                      name=f"E({anchor[0]},{anchor[1]})", _validated=True)
     return ElementaryGroupTable(anchor, positions, tuple(realized), fg)
 

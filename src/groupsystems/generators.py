@@ -32,10 +32,11 @@ from .errors import (
     UnrealizedTriangle,
     WellDefinednessFailure,
 )
-from .groups import FiniteGroup, Homomorphism, Subgroup
+from .groups import FiniteGroup, Homomorphism, Subgroup, class_table
 from .slots import (
     Slot,
-    fold_order,
+    fold_slots,
+    in_slot_table,
     lower_contains,
     lower_triangle_positions,
     positions_in,
@@ -178,7 +179,7 @@ def triangle(ctx: GeneratorContext, labels: Sequence[int], k: int,
     """The (k, t) upper-triangle slice of a label tensor (`check_tensor`),
     as the labels at `upper_triangle_positions`."""
     labels = check_tensor(ctx.basis, labels)
-    if (k, t) not in ctx.slot_pos:
+    if not in_slot_table(ctx.system.window, ctx.ell, (k, t)):
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
     return tuple(labels[ctx.slot_pos[pos]] for pos in positions)
@@ -247,12 +248,6 @@ def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[in
     return realized, cls, [first[c] for c in range(len(realized))]
 
 
-def _class_table(op: tuple, cls: List[int], reps: List[int]) -> List[list]:
-    """The table a congruence of the table `op` induces on its classes:
-    class c times class d is the class of rep_c rep_d."""
-    return [[cls[row[q]] for q in reps] for row in (op[p] for p in reps)]
-
-
 def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
     """The rows of a quotient table of order n from the columns of its
     generators: gen_columns[g][c] = c g for the images g of S.
@@ -313,7 +308,7 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
             rep_images = [images[p] for p in reps]
             if list(map(rep_images.__getitem__, r)) != images:
                 return None
-    return (realized, FiniteGroup(_class_table(op, r, reps), name=name),
+    return (realized, FiniteGroup(class_table(op, r, reps), name=name),
             list(map(r.__getitem__, pcls)))
 
 
@@ -329,7 +324,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     `induced_slice_group` on the members."""
     if (k, t) in ctx._elementary:
         return ctx._elementary[(k, t)]
-    if (k, t) not in ctx.slot_pos:
+    if not in_slot_table(ctx.system.window, ctx.ell, (k, t)):
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
     name = f"E({k},{t})"
@@ -474,11 +469,8 @@ def _alpha_column(ctx: GeneratorContext, t: int) -> List[int]:
     system = ctx.system
     op = system.alphabet(t).op_table
     p = t - system.window[0]
-    present = set(elem.positions)
-    order = [(k, t - j) for j, k in fold_order(ctx.ell, "time_rev")
-             if (k, t - j) in present]
     acc = [0] * len(elem.elements)
-    for slot, i in zip(order, positions_in(elem.positions, order)):
+    for slot, i in fold_slots(elem.positions, ctx.ell, t):
         letter = [g[p] for g in ctx.basis.transversal(slot)]
         acc = [op[a][letter[tri[i]]] for a, tri in zip(acc, elem.elements)]
     ctx._alphas[t] = acc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -175,6 +175,14 @@ def light_associative(table: tuple, gens: Sequence[int]) -> bool:
     return associativity_witness(table, (0, *gens)) is None
 
 
+def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> List[list]:
+    """The table a congruence of the table `op` induces on its classes:
+    class c times class d is the class cls[x] of x = reps[c] reps[d].
+    Cosets, subgroup members by position, slice classes and relabelings
+    (cls a permutation, reps its inverse) are all read off this way."""
+    return [[cls[row[q]] for q in reps] for row in (op[p] for p in reps)]
+
+
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a square table as a group, relabeling identity to index 0.
     The entries are converted and each row is range-checked once;
@@ -190,11 +198,10 @@ def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGrou
     if ident is None:
         raise AxiomViolation("identity", None)
     if ident != 0:
-        # swap labels 0 <-> ident
+        # swap labels 0 <-> ident, a transposition and so its own inverse
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
-        table = tuple(tuple(perm.index(table[perm[a]][perm[b]]) for b in range(n))
-                      for a in range(n))
+        table = tuple(map(tuple, class_table(table, perm, perm)))
     return FiniteGroup(table, name=name, _rows_checked=True)
 
 
@@ -257,8 +264,18 @@ class Subgroup:
         """
         embed = list(self.members)  # sorted, 0 first
         pos = {m: i for i, m in enumerate(embed)}
-        table = [[pos[self.parent.op(a, b)] for b in embed] for a in embed]
-        return FiniteGroup(table, name=name, _validated=True), embed
+        return FiniteGroup(class_table(self.parent.op_table, pos, embed),
+                           name=name, _validated=True), embed
+
+    def quotient_by(self, inner: Sequence[int], name: str = "H") -> tuple:
+        """This subgroup over the normal subgroup whose members (parent
+        indices, each in this one) are `inner`, on the table of
+        `as_group(name)`: (presentation, pos) with pos[m] the index of
+        member m in that table.  NotNormal (`quotient`) when `inner` is
+        not normal here."""
+        group, embed = self.as_group(name)
+        pos = {m: i for i, m in enumerate(embed)}
+        return quotient(group, Subgroup(group, tuple(map(pos.__getitem__, inner)))), pos
 
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
@@ -396,33 +413,24 @@ class QuotientPresentation:
 
 
 def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> QuotientPresentation:
-    """Coset-enumerate g/h and induce the quotient table."""
+    """Coset-enumerate g/h and induce the quotient table (`class_table`).
+    One ascending pass numbers the cosets a h: the first element not yet
+    classed is the least of its coset, so the cosets are numbered by their
+    least elements, which are the representatives."""
     if h.parent is not g:
         raise NotASubgroup("subgroup of a different parent")
     if not is_normal(g, h):
         raise NotNormal(f"{h.members} is not normal")
-    hset = h.member_set()
-    seen = {}
-    cosets = []
-    for a in range(g.order):
-        if a in seen:
-            continue
-        coset = tuple(sorted(g.op(a, x) for x in hset))
-        cosets.append(coset)
-        for y in coset:
-            seen[y] = True
-    cosets.sort(key=lambda c: c[0])
-    index_of = {}
-    for i, coset in enumerate(cosets):
-        for y in coset:
-            index_of[y] = i
-    reps = [c[0] for c in cosets]
-    table = [[index_of[g.op(reps[i], reps[j])] for j in range(len(cosets))]
-             for i in range(len(cosets))]
-    q = FiniteGroup(table, name=name or f"{g.name}/H", _validated=True)
-    proj = Homomorphism(g, q, tuple(index_of[a] for a in range(g.order)))
-    assert q.order * h.order == g.order
-    return QuotientPresentation(g, h, tuple(cosets), q, proj)
+    op, cls, reps = g.op_table, [-1] * g.order, []
+    for a, row in enumerate(op):
+        if cls[a] < 0:
+            for x in h.members:
+                cls[row[x]] = len(reps)
+            reps.append(a)
+    cosets = tuple(tuple(sorted(op[a][x] for x in h.members)) for a in reps)
+    q = FiniteGroup(class_table(op, cls, reps), name=name or f"{g.name}/H",
+                    _validated=True)
+    return QuotientPresentation(g, h, cosets, q, Homomorphism(g, q, cls))
 
 
 def intersect_subgroups(g: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup:
@@ -456,44 +464,29 @@ def zassenhaus_hom(g: FiniteGroup, u: Subgroup, ustar: Subgroup,
     for sub, sup, tag in ((u, ustar, "U ⊲ U*"), (v, vstar, "V ⊲ V*")):
         if not sub.member_set() <= sup.member_set():
             raise PreconditionViolated(f"{tag}: not contained")
-        sup_group, embed = sup.as_group()
-        pos = {m: i for i, m in enumerate(embed)}
-        if not is_normal(sup_group, Subgroup(sup_group, tuple(pos[m] for m in sub.members))):
-            raise PreconditionViolated(f"{tag}: not normal")
+        try:
+            sup.quotient_by(sub.members)
+        except NotNormal:
+            raise PreconditionViolated(f"{tag}: not normal") from None
 
     inter_star = intersect_subgroups(g, ustar, vstar)
     d = product_of_subgroups(g, intersect_subgroups(g, ustar, v),
                              intersect_subgroups(g, u, vstar))
     numerator = product_of_subgroups(g, u, inter_star)
     denominator = product_of_subgroups(g, u, intersect_subgroups(g, ustar, v))
-
-    # codomain presentation (U*∩V*)/D
-    star_group, star_embed = inter_star.as_group()
-    star_pos = {m: i for i, m in enumerate(star_embed)}
-    qp_cod = quotient(star_group, Subgroup(star_group, tuple(star_pos[m] for m in d.members)))
-
-    # domain presentation U(U*∩V*)/U(U*∩V)
-    num_group, num_embed = numerator.as_group()
-    num_pos = {m: i for i, m in enumerate(num_embed)}
-    qp_dom = quotient(num_group,
-                      Subgroup(num_group, tuple(num_pos[m] for m in denominator.members)))
+    # codomain (U*∩V*)/D and domain U(U*∩V*)/U(U*∩V)
+    qp_cod, star_pos = inter_star.quotient_by(d.members)
+    qp_dom, _ = numerator.quotient_by(denominator.members)
 
     # f on elements: x = u·u* maps to coset D·u*
     uset = u.member_set()
-    f_values = []
-    for x in numerator.members:
-        img = None
-        for ustar_elt in inter_star.members:
-            if g.op(x, g.inv(ustar_elt)) in uset:
-                img = qp_cod.coset_index(star_pos[ustar_elt])
-                break
-        if img is None:
-            raise PreconditionViolated("element of U(U*∩V*) without u·u* factorization")
-        f_values.append(img)
+    f_values = [next((qp_cod.coset_index(star_pos[y]) for y in inter_star.members
+                      if g.op(x, g.inv(y)) in uset), None) for x in numerator.members]
+    if None in f_values:
+        raise PreconditionViolated("element of U(U*∩V*) without u·u* factorization")
     # well-definedness + homomorphism property on the subgroup
-    raw = Homomorphism(num_group, qp_cod.quotient,
-                       tuple(f_values[num_pos[m]] for m in numerator.members))
-    kernel_members = tuple(sorted(num_embed[a] for a in raw.kernel().members))
+    raw = Homomorphism(qp_dom.parent, qp_cod.quotient, f_values)
+    kernel_members = tuple(numerator.members[a] for a in raw.kernel().members)
     if kernel_members != denominator.members:
         raise PreconditionViolated("Zassenhaus kernel mismatch")
 

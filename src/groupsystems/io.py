@@ -357,9 +357,9 @@ def dump_elementary_system(es: ElementarySystem) -> str:
 
 def parse_elementary_system(text: str) -> ElementarySystem:
     lines = _strip_lines(text)
-    if not lines or not lines[0].startswith("esys "):
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "esys":
         raise ParseError("expected 'esys <name> depth <d> window <t0> <t1>'")
-    head = lines[0].split()
     if len(head) != 7 or head[2] != "depth" or head[4] != "window":
         raise ParseError(f"malformed esys header {lines[0]!r}")
     name = head[1]
@@ -378,9 +378,9 @@ def parse_elementary_system(text: str) -> ElementarySystem:
         parts = lines[i].split()
         if parts[0] not in ("labels", "egrp"):
             raise ParseError(f"unknown esys stanza {parts[0]!r}")
-        if len(parts) < 4:
-            raise ParseError(f"{parts[0]} line needs 3 integers: {lines[i]!r}")
-        k, t, n = _int_list(parts[1:4], lines[i])
+        if len(parts) != 4:
+            raise ParseError(f"{parts[0]} line takes 3 integers: {lines[i]!r}")
+        k, t, n = _int_list(parts[1:], lines[i])
         anchor = (k, t)
         if not in_slot_table(window, ell, anchor):
             raise ParseError(f"{parts[0]} anchor ({k},{t}) is not in the slot "

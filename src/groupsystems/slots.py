@@ -89,6 +89,15 @@ def fold_order(ell: int, kind: str) -> Tuple[Tuple[int, int], ...]:
     raise ValueError(f"unknown fold order {kind!r}")
 
 
+def fold_slots(positions: Sequence[Slot], ell: int,
+               t: int) -> Tuple[Tuple[Slot, int], ...]:
+    """The slots of the (0, t) triangle `positions` in the `time_rev` fold
+    order at time t, each with its index in `positions`."""
+    where = {p: i for i, p in enumerate(positions)}
+    keys = ((k, t - j) for j, k in fold_order(ell, "time_rev"))
+    return tuple((slot, where[slot]) for slot in keys if slot in where)
+
+
 def children(window: Tuple[int, int], ell: int,
              anchor: Slot) -> Tuple[Optional[Slot], Optional[Slot]]:
     """The two next-largest anchors nested in `anchor`, (k+1, t) and

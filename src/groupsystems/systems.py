@@ -30,7 +30,6 @@ from .groups import (
     close_greedily,
     QuotientPresentation,
     Subgroup,
-    quotient,
 )
 from .slots import Slot, fold_order, positions_in, walk, window_slots
 
@@ -465,7 +464,8 @@ def time_granule(system: GroupSystem, i: int, m: int,
     xi1 = support(i + 1, t1)
     num = _normal_product(system, xi1, support(i, i + m))
     den = _normal_product(system, xi1, support(i, i + m - 1))
-    qp = _quotient_of_member_sets(system, num, den)
+    qp = Subgroup(system.sequence_group, num).quotient_by(
+        den, name=f"{system.name}|num")[0]
     if (m < 0 or (ell is not None and m > ell)) and qp.quotient.order != 1:
         raise NotAGroupSystem("granule case analysis violated", (i, m))
     return qp
@@ -478,17 +478,8 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentatio
         raise OutOfWindow(f"granule interval [{i},{i + m}] escapes [{t0},{t1}]")
     support = system.finite_support_indices
     den = _normal_product(system, support(i, i + m - 1), support(i + 1, i + m))
-    return _quotient_of_member_sets(system, support(i, i + m), den)
-
-
-def _quotient_of_member_sets(system: GroupSystem, num: Sequence[int],
-                             den: Sequence[int]) -> QuotientPresentation:
-    """num / den for member subgroups given as member indices, den normal
-    in num."""
-    num_group, embed = Subgroup(system.sequence_group, tuple(num)).as_group(
-        name=f"{system.name}|num")
-    pos = {m: i for i, m in enumerate(embed)}
-    return quotient(num_group, Subgroup(num_group, tuple(map(pos.__getitem__, den))))
+    return Subgroup(system.sequence_group, support(i, i + m)).quotient_by(
+        den, name=f"{system.name}|num")[0]
 
 
 # -- generator basis ------------------------------------------------------

@@ -75,6 +75,17 @@ conversions, group headers and comment stripping, and the command line's
 `read_int_lines`.  They call the library only for what did not change:
 group names, rule unrolling, saturation, the upper triangle and the
 elementary system's checks.
+
+Last of all are the quotients as each site built them before
+`groups.class_table` read every table off a class map and
+`Subgroup.quotient_by` formed every quotient of nested subgroups:
+`quotient` sorting its cosets after finding them, `as_group` by parent
+products, `make_group` relabeling through `perm.index`, the granules'
+`quotient_of_member_sets`, and `zassenhaus_hom` with its own subgroup
+tables and position maps.  They call the library only for the row check,
+`is_normal` and the subgroup intersections and products.  The oracle
+extension search and `parse_group` above build their kernel and relabeled
+tables with these `as_group` and `make_group`.
 """
 
 import itertools
@@ -105,6 +116,7 @@ from groupsystems.errors import (
     CodomainMismatch,
     NoExtensionFound,
     NotASubgroup,
+    NotNormal,
     NotSurjective,
     NotAGroupSystem,
     ParseError,
@@ -112,6 +124,7 @@ from groupsystems.errors import (
     NotControllableOnWindow,
     NotNormalFilling,
     OutOfWindow,
+    PreconditionViolated,
     RecoveryMismatch,
     ShapeMismatch,
     WellDefinednessFailure,
@@ -132,10 +145,13 @@ from groupsystems.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     Homomorphism,
+    QuotientPresentation,
     Subgroup,
+    _check_row,
     homomorphism_witness,
+    intersect_subgroups,
     is_normal,
-    make_group,
+    product_of_subgroups,
 )
 from groupsystems.systems import (
     DEFAULT_MEMBER_CAP,
@@ -904,7 +920,7 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
             except AxiomViolation:
                 continue  # factor set fails associativity / inverses
             hom = Homomorphism(ext, q, proj_images)
-            ker, _ = hom.kernel().as_group()
+            ker, _ = as_group(hom.kernel())
             if find_isomorphism(ker, k) is None:
                 continue
             if any(find_isomorphism(seen, ext) is not None for seen in reps):
@@ -1686,3 +1702,121 @@ def read_int_lines(path: str, what: str, form: str) -> List[tuple]:
         except ValueError:
             raise ParseError(f"bad {what} line {raw!r}") from None
     return rows
+
+
+# -- quotients, each built where it was used ---------------------------------------
+
+def make_group(op_table, name: str = "G") -> FiniteGroup:
+    table = tuple(tuple(map(int, row)) for row in op_table)
+    n = len(table)
+    for a, row in enumerate(table):
+        _check_row(a, row, n)
+    labels = tuple(range(n))
+    ident = next((e for e in range(n) if table[e] == labels
+                  and tuple(row[e] for row in table) == labels), None)
+    if ident is None:
+        raise AxiomViolation("identity", None)
+    if ident != 0:
+        # swap labels 0 <-> ident
+        perm = list(range(n))
+        perm[0], perm[ident] = ident, 0
+        table = tuple(tuple(perm.index(table[perm[a]][perm[b]]) for b in range(n))
+                      for a in range(n))
+    return FiniteGroup(table, name=name, _rows_checked=True)
+
+
+def as_group(sub: Subgroup, name: str = "H") -> tuple:
+    embed = list(sub.members)
+    pos = {m: i for i, m in enumerate(embed)}
+    table = [[pos[sub.parent.op(a, b)] for b in embed] for a in embed]
+    return FiniteGroup(table, name=name, _validated=True), embed
+
+
+def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> QuotientPresentation:
+    if h.parent is not g:
+        raise NotASubgroup("subgroup of a different parent")
+    if not is_normal(g, h):
+        raise NotNormal(f"{h.members} is not normal")
+    hset = h.member_set()
+    seen = {}
+    cosets = []
+    for a in range(g.order):
+        if a in seen:
+            continue
+        coset = tuple(sorted(g.op(a, x) for x in hset))
+        cosets.append(coset)
+        for y in coset:
+            seen[y] = True
+    cosets.sort(key=lambda c: c[0])
+    index_of = {}
+    for i, coset in enumerate(cosets):
+        for y in coset:
+            index_of[y] = i
+    reps = [c[0] for c in cosets]
+    table = [[index_of[g.op(reps[i], reps[j])] for j in range(len(cosets))]
+             for i in range(len(cosets))]
+    q = FiniteGroup(table, name=name or f"{g.name}/H", _validated=True)
+    proj = Homomorphism(g, q, tuple(index_of[a] for a in range(g.order)))
+    assert q.order * h.order == g.order
+    return QuotientPresentation(g, h, tuple(cosets), q, proj)
+
+
+def quotient_of_member_sets(system: GroupSystem, num, den) -> QuotientPresentation:
+    num_group, embed = as_group(Subgroup(system.sequence_group, tuple(num)),
+                                name=f"{system.name}|num")
+    pos = {m: i for i, m in enumerate(embed)}
+    return quotient(num_group, Subgroup(num_group, tuple(map(pos.__getitem__, den))))
+
+
+def zassenhaus_hom(g: FiniteGroup, u: Subgroup, ustar: Subgroup,
+                   v: Subgroup, vstar: Subgroup) -> Homomorphism:
+    for sub, sup, tag in ((u, ustar, "U ⊲ U*"), (v, vstar, "V ⊲ V*")):
+        if not sub.member_set() <= sup.member_set():
+            raise PreconditionViolated(f"{tag}: not contained")
+        sup_group, embed = as_group(sup)
+        pos = {m: i for i, m in enumerate(embed)}
+        if not is_normal(sup_group, Subgroup(sup_group, tuple(pos[m] for m in sub.members))):
+            raise PreconditionViolated(f"{tag}: not normal")
+
+    inter_star = intersect_subgroups(g, ustar, vstar)
+    d = product_of_subgroups(g, intersect_subgroups(g, ustar, v),
+                             intersect_subgroups(g, u, vstar))
+    numerator = product_of_subgroups(g, u, inter_star)
+    denominator = product_of_subgroups(g, u, intersect_subgroups(g, ustar, v))
+
+    # codomain presentation (U*∩V*)/D
+    star_group, star_embed = as_group(inter_star)
+    star_pos = {m: i for i, m in enumerate(star_embed)}
+    qp_cod = quotient(star_group, Subgroup(star_group, tuple(star_pos[m] for m in d.members)))
+
+    # domain presentation U(U*∩V*)/U(U*∩V)
+    num_group, num_embed = as_group(numerator)
+    num_pos = {m: i for i, m in enumerate(num_embed)}
+    qp_dom = quotient(num_group,
+                      Subgroup(num_group, tuple(num_pos[m] for m in denominator.members)))
+
+    # f on elements: x = u·u* maps to coset D·u*
+    uset = u.member_set()
+    f_values = []
+    for x in numerator.members:
+        img = None
+        for ustar_elt in inter_star.members:
+            if g.op(x, g.inv(ustar_elt)) in uset:
+                img = qp_cod.coset_index(star_pos[ustar_elt])
+                break
+        if img is None:
+            raise PreconditionViolated("element of U(U*∩V*) without u·u* factorization")
+        f_values.append(img)
+    # well-definedness + homomorphism property on the subgroup
+    raw = Homomorphism(num_group, qp_cod.quotient,
+                       tuple(f_values[num_pos[m]] for m in numerator.members))
+    kernel_members = tuple(sorted(num_embed[a] for a in raw.kernel().members))
+    if kernel_members != denominator.members:
+        raise PreconditionViolated("Zassenhaus kernel mismatch")
+
+    induced = Homomorphism(
+        qp_dom.quotient, qp_cod.quotient,
+        tuple(raw(qp_dom.cosets[i][0]) for i in range(qp_dom.quotient.order)))
+    if not (induced.is_injective() and induced.is_surjective()):
+        raise PreconditionViolated("Zassenhaus map not an isomorphism")
+    return induced

@@ -17,6 +17,7 @@ from groupsystems.chains import (
     decompose_along_chain,
     enumerate_normal_fillings,
     normal_chain,
+    normal_subgroup_from_ps,
     oplus_group,
     purge,
     reconstruct_from_chain,
@@ -57,10 +58,15 @@ from groupsystems.generators import (
 )
 from groupsystems.groups import (
     FiniteGroup,
+    Subgroup,
     close_greedily,
     cyclic_group,
     direct_product,
+    make_group,
+    quotient,
+    subgroup_closure,
     symmetric_group_3,
+    zassenhaus_hom,
 )
 from groupsystems.io import (
     _unroll_rule,
@@ -85,7 +91,9 @@ from groupsystems.systems import (
     encode_spectral_domain,
     encode_time_domain,
     extract_basis,
+    spectral_granule,
     tensor_from_items,
+    time_granule,
     window_slots,
 )
 
@@ -1188,3 +1196,134 @@ def test_tensors_decode_to_context_rows_and_encode_to_members(request, name):
         assert oracles.TensorR(basis, r).choice == r
     members = [encode_time_domain(basis, r) for r in tensors]
     assert sorted(members) == list(system.sequences)
+
+
+# -- quotients: one induced table, one nested quotient ------------------------------
+
+def all_subgroups(g: FiniteGroup) -> list:
+    """Every subgroup of g, sorted by members: each is reached from the
+    trivial one by adding its elements one at a time."""
+    found, frontier = {}, [subgroup_closure(g, ())]
+    while frontier:
+        h = frontier.pop()
+        if h.members not in found:
+            found[h.members] = h
+            frontier.extend(subgroup_closure(g, h.members + (a,))
+                            for a in g.elements() if a not in h)
+    return [found[m] for m in sorted(found)]
+
+
+def quotient_key(qp) -> tuple:
+    return (qp.parent.op_table, qp.normal_subgroup.members, qp.cosets,
+            qp.representatives, qp.quotient.op_table, qp.quotient.name,
+            qp.projection.image_of)
+
+
+def relabeled_s3() -> list:
+    """The S3 table with labels 0 and 3 swapped, so that its identity
+    sits at index 3."""
+    perm = [3, 1, 2, 0, 4, 5]
+    op = symmetric_group_3().op_table
+    return [[perm[op[perm[a]][perm[b]]] for b in range(6)] for a in range(6)]
+
+
+def quotient_groups() -> list:
+    z2 = cyclic_group(2)
+    return [cyclic_group(4), cyclic_group(8), direct_product(z2, z2)[0],
+            symmetric_group_3(), direct_product(z2, symmetric_group_3())[0],
+            make_group(relabeled_s3(), "S3'")]
+
+
+def test_make_group_relabels_as_before():
+    table = relabeled_s3()
+    assert table[3][3] == 3 and table[0][0] != 0
+    new, old = make_group(table, "S3'"), oracles.make_group(table, "S3'")
+    assert new.op_table == old.op_table and new.name == old.name
+    for g in quotient_groups():
+        assert make_group(g.op_table).op_table == oracles.make_group(g.op_table).op_table
+
+
+def test_quotients_and_subgroup_tables_match_the_earlier_builds():
+    """For every subgroup, normal or not, of each group: the cosets,
+    representatives, table and projection of the quotient, or the error
+    type and message; and the subgroup's own table and embedding."""
+    normal_seen = not_normal_seen = 0
+    for g in quotient_groups():
+        for h in all_subgroups(g):
+            new, old = failure(quotient, g, h), failure(oracles.quotient, g, h)
+            same_failure(new, old, quotient_key)
+            normal_seen += new[0] == "ok"
+            not_normal_seen += new[0] == "raise"
+            group, embed = h.as_group("K")
+            old_group, old_embed = oracles.as_group(h, "K")
+            assert (group.op_table, group.name, embed) == \
+                (old_group.op_table, old_group.name, old_embed)
+            for inner in all_subgroups(g):
+                if inner.member_set() <= h.member_set():
+                    qp = failure(lambda: h.quotient_by(inner.members, "K")[0])
+                    want = failure(lambda: oracles.quotient(old_group, Subgroup(
+                        old_group, tuple(map(embed.index, inner.members)))))
+                    same_failure(qp, want, quotient_key)
+    assert normal_seen and not_normal_seen
+
+
+def zassenhaus_key(hom) -> tuple:
+    return hom.domain.op_table, hom.codomain.op_table, hom.image_of
+
+
+@pytest.mark.parametrize("group", [cyclic_group(8), symmetric_group_3()],
+                         ids=["Z8", "S3"])
+def test_zassenhaus_map_matches_the_earlier_build(group):
+    """Every (U, U*, V, V*) with U <= U* and V <= V*: the same map, or the
+    same error type and message."""
+    subs = all_subgroups(group)
+    nested = [(a, b) for a in subs for b in subs if a.member_set() <= b.member_set()]
+    outcomes = set()
+    for (u, ustar), (v, vstar) in itertools.product(nested, repeat=2):
+        new = failure(zassenhaus_hom, group, u, ustar, v, vstar)
+        same_failure(new, failure(oracles.zassenhaus_hom, group, u, ustar, v, vstar),
+                     zassenhaus_key)
+        outcomes.add(new[0] if new[0] == "ok" else new[2])
+    assert "ok" in outcomes
+    if group.order == 6:
+        assert "U ⊲ U*: not normal" in outcomes and "V ⊲ V*: not normal" in outcomes
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_granules_match_the_earlier_quotient_of_member_sets(request, name):
+    system = request.getfixturevalue(name)
+    support = system.finite_support_indices
+    t0, t1 = system.window
+    for i in range(t0, t1 + 1):
+        xi1 = support(i + 1, t1)
+        for m in range(-1, t1 - i + 1):
+            for qp, num, den in (
+                    (time_granule(system, i, m),
+                     _normal_product(system, xi1, support(i, i + m)),
+                     _normal_product(system, xi1, support(i, i + m - 1))),
+                    (spectral_granule(system, i, m), support(i, i + m),
+                     _normal_product(system, support(i, i + m - 1),
+                                     support(i + 1, i + m)))):
+                old = oracles.quotient_of_member_sets(system, num, den)
+                assert quotient_key(qp) == quotient_key(old)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_tooth_subgroups_are_the_identity_on_the_complement(request, name):
+    """Every purged paired sequence: its tooth subgroup is the set of
+    tensors that are the identity on the complementary upper teeth, the
+    description `normal_subgroup_from_ps` no longer compares."""
+    ctx = build_context(request.getfixturevalue(name))
+    window, ell = ctx.system.window, ctx.ell
+    slots = window_slots(window, ell)
+    seen = set()
+    for mask in range(2 ** len(slots)):
+        ps = purge(window, ell, [s for j, s in enumerate(slots) if mask >> j & 1])
+        if ps.pairs in seen:
+            continue
+        seen.add(ps.pairs)
+        upper = complementary(ps).covered()
+        identity_on_upper = tuple(i for i, lab in enumerate(ctx.tensors)
+                                  if not upper & set(ctx.support(lab)))
+        assert normal_subgroup_from_ps(ctx, ps).members == identity_on_upper
+    assert len(seen) > 1 or len(slots) < 2

@@ -199,6 +199,23 @@ def test_esys_dump_and_roundtrip(capsys, c2_file, tmp_path):
     assert "roundtrip ok" in out
 
 
+def test_esys_stray_tokens_exit_1_and_a_tab_header_loads(capsys, c2_file, tmp_path):
+    out_path = tmp_path / "c2.esys"
+    run(capsys, "--out", out_path, "esys", c2_file)
+    text = out_path.read_text()
+    tab = tmp_path / "tab.esys"
+    tab.write_text(text.replace("esys ", "esys\t", 1))
+    code, out, _ = run(capsys, "roundtrip", tab)
+    assert code == 0 and "roundtrip ok" in out
+    for stanza, extra in (("labels", " junk 7"), ("egrp", " more")):
+        bad = tmp_path / f"{stanza}.esys"
+        bad.write_text(re.sub(rf"^({stanza} .*)$", rf"\1{extra}", text, count=1,
+                              flags=re.M))
+        code, _, err = run(capsys, "roundtrip", bad)
+        assert code == 1 and f"{stanza} line takes 3 integers" in err
+        assert extra in err and "Traceback" not in err
+
+
 def test_roundtrip_gsys(capsys, c2_file):
     code, out, _ = run(capsys, "roundtrip", c2_file)
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -180,6 +182,30 @@ def test_repeated_and_stray_esys_anchors_are_parse_errors(c2):
             *((lines[:1] + extra + lines[1:], message) for extra, message in stray)):
         with pytest.raises(ParseError, match=message):
             parse_elementary_system("\n".join(bad) + "\n")
+
+
+def test_esys_stanzas_with_stray_tokens_are_parse_errors(c2):
+    """A labels or egrp line is its keyword and three integers, nothing
+    after them and nothing missing; the error quotes the line."""
+    lines = c2_esys_lines(c2)
+    for head in ("labels 0 3 ", "egrp 0 3 "):
+        i = next(i for i, line in enumerate(lines) if line.startswith(head))
+        for bad_line in (lines[i] + " junk 7", lines[i] + " 2", lines[i] + " more",
+                         head.rstrip()):
+            bad = lines[:i] + [bad_line] + lines[i + 1:]
+            with pytest.raises(ParseError, match=re.escape(repr(bad_line))):
+                parse_elementary_system("\n".join(bad) + "\n")
+
+
+def test_esys_header_is_split_on_whitespace(c2):
+    text = "\n".join(c2_esys_lines(c2)) + "\n"
+    for sep in ("\t", "  ", " \t "):
+        again = parse_elementary_system(text.replace("esys ", "esys" + sep, 1))
+        assert dump_elementary_system(again) == text
+    for head in ("esysC2 depth 2 window 0 3", "esys", "ESYS C2 depth 2 window 0 3"):
+        lines = [head] + text.splitlines()[1:]
+        with pytest.raises(ParseError):
+            parse_elementary_system("\n".join(lines) + "\n")
 
 
 def test_system_dump_roundtrip(r2, c2, s3_rep):
@@ -385,7 +411,8 @@ def test_valid_texts_load_as_with_the_earlier_parsers(kind, text):
 def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
     """The readers and the parsers before them load the same objects, or
     raise the same error type; only a .grp text with a line after its
-    table, which the earlier parser ignored, is now a parse error."""
+    table, and an .esys labels or egrp line with tokens after its three
+    integers, which the earlier parsers ignored, are now parse errors."""
     text = data.draw(fuzzed_texts(kind))
     new = parsed(kind, PARSERS[kind], text)
     old = parsed(kind, ORACLE_PARSERS[kind], text)
@@ -393,6 +420,10 @@ def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
         assert len(io._strip_lines(text)) > 1 + len(old[1])
         with pytest.raises(ParseError, match="^a line after the table"):
             parse_group(text)
+        return
+    if kind == "esys" and new is ParseError and isinstance(old, tuple):
+        with pytest.raises(ParseError, match="^(labels|egrp) line takes 3 integers"):
+            parse_elementary_system(text)
         return
     assert new == old
 
