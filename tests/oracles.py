@@ -51,9 +51,12 @@ answers once: the automorphism search with its own backtracking and
 all-pairs verification, the structural equality that checks each anchor
 map on all pairs, Light's test in its (x y) z form, the table check with
 Light's test written out in it (for its witness), the inverse table by
-scanning every pair, and the subgroup check on all pairs.  The oracle
-extension search finds its automorphisms with this `automorphisms`, and
-the oracle subdirect product decides closure with `subgroup_members`.
+scanning every pair, the subgroup check on all pairs, and the normality
+test conjugating every member by every element.  The oracle normal chain
+and the oracle quotients decide normality with this `is_normal`, the
+oracle extension search finds its automorphisms with this
+`automorphisms`, and the oracle subdirect product decides closure with
+`subgroup_members`.
 
 Then come the slot-table routines as each module wrote them before the
 slot geometry moved into `slots.py`: both triangles, the lower-triangle
@@ -82,10 +85,10 @@ Last of all are the quotients as each site built them before
 `quotient` sorting its cosets after finding them, `as_group` by parent
 products, `make_group` relabeling through `perm.index`, the granules'
 `quotient_of_member_sets`, and `zassenhaus_hom` with its own subgroup
-tables and position maps.  They call the library only for the row check,
-`is_normal` and the subgroup intersections and products.  The oracle
-extension search and `parse_group` above build their kernel and relabeled
-tables with these `as_group` and `make_group`.
+tables and position maps.  They call the library only for the row check
+and the subgroup intersections and products.  The oracle extension search
+and `parse_group` above build their kernel and relabeled tables with these
+`as_group` and `make_group`.
 """
 
 import itertools
@@ -150,7 +153,6 @@ from groupsystems.groups import (
     _check_row,
     homomorphism_witness,
     intersect_subgroups,
-    is_normal,
     product_of_subgroups,
 )
 from groupsystems.systems import (
@@ -1217,6 +1219,19 @@ def subgroup_members(parent: FiniteGroup, members) -> tuple:
             if parent.op(a, b) not in memset:
                 raise NotASubgroup(f"product {a}*{b} escapes")
     return mem
+
+
+def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+    """Exhaustive conjugation test: a·x·a^{-1} in h for every a in g and
+    every x in h, |G|·|H| conjugates."""
+    if h.parent is not g:
+        raise NotASubgroup("subgroup of a different parent")
+    hset = h.member_set()
+    for a in range(g.order):
+        for x in h.members:
+            if g.conj(x, a) not in hset:
+                return False
+    return True
 
 
 # -- the slot geometry, written where it was used ---------------------------------

@@ -35,6 +35,7 @@ from groupsystems.errors import (
     NotAGroupSystem,
     NotAMember,
     NotASubgroup,
+    NotNormal,
     NotNormalFilling,
     OutOfWindow,
     OverlapInconsistency,
@@ -51,8 +52,10 @@ from groupsystems.generators import (
     build_context,
     compose_columns,
     elementary_group,
+    lower_elementary_group,
     recover_system_fhgs,
     star,
+    support_subgroup,
     triangle,
     upper_triangle_positions,
 )
@@ -62,6 +65,7 @@ from groupsystems.groups import (
     close_greedily,
     cyclic_group,
     direct_product,
+    is_normal,
     make_group,
     quotient,
     subgroup_closure,
@@ -1287,6 +1291,71 @@ def test_zassenhaus_map_matches_the_earlier_build(group):
     assert "ok" in outcomes
     if group.order == 6:
         assert "U ⊲ U*: not normal" in outcomes and "V ⊲ V*: not normal" in outcomes
+
+
+NORMALITY_GROUPS = {
+    "Z4": cyclic_group(4), "Z6": cyclic_group(6), "Z8": cyclic_group(8),
+    "S3": GROUPS["S3"], "Z2xZ4": direct_product(GROUPS["Z2"], cyclic_group(4))[0],
+    "S3xS3": direct_product(GROUPS["S3"], GROUPS["S3"])[0]}
+
+
+def normality_verdict(g: FiniteGroup, h: Subgroup) -> bool:
+    """The verdict on generators, checked against the exhaustive oracle;
+    the generators the closure check kept must generate h."""
+    assert subgroup_closure(g, h.generators).members == h.members
+    verdict = is_normal(g, h)
+    assert verdict == oracles.is_normal(g, h), h.members
+    return verdict
+
+
+@pytest.mark.parametrize("name", sorted(NORMALITY_GROUPS))
+def test_is_normal_matches_the_exhaustive_oracle_on_every_subgroup(name):
+    """Every subgroup of each group.  The abelian ones have only normal
+    subgroups; S3's order-2 subgroups and the diagonal of S3 x S3 are not
+    normal, and S3's quotients by them raise NotNormal."""
+    g = NORMALITY_GROUPS[name]
+    subgroups = all_subgroups(g)
+    verdicts = {h.members: normality_verdict(g, h) for h in subgroups}
+    assert all(verdicts.values()) == g.is_abelian
+    if name == "S3":
+        order2 = [h for h in subgroups if h.order == 2]
+        assert len(order2) == 3
+        for h in order2:
+            assert not verdicts[h.members]
+            with pytest.raises(NotNormal):
+                quotient(g, h)
+    if name == "S3xS3":
+        diagonal = tuple(a * 6 + a for a in range(6))
+        assert not verdicts[diagonal]
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_is_normal_matches_the_exhaustive_oracle_on_chain_subgroups(request, name):
+    """Every lower elementary group, the support subgroup of every set of
+    slots that gives one (every walk prefix among them), and the tooth
+    subgroup of each such set's purged paired sequence."""
+    ctx = build_context(request.getfixturevalue(name))
+    window, ell = ctx.system.window, ctx.ell
+    group = ctx.system.sequence_group
+    slots = window_slots(window, ell)
+    subgroups = [lower_elementary_group(ctx, *slot) for slot in slots]
+    for mask in range(2 ** len(slots)):
+        chosen = [s for j, s in enumerate(slots) if mask >> j & 1]
+        try:
+            subgroups.append(support_subgroup(ctx, frozenset(chosen)))
+        except NotASubgroup:
+            continue
+        subgroups.append(normal_subgroup_from_ps(ctx, purge(window, ell, chosen)))
+    verdicts = [normality_verdict(group, h) for h in subgroups]
+    assert verdicts and all(verdicts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NORMALITY_GROUPS)), st.data())
+def test_is_normal_matches_the_exhaustive_oracle_on_drawn_subgroups(name, data):
+    g = NORMALITY_GROUPS[name]
+    seeds = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    normality_verdict(g, subgroup_closure(g, seeds))
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square"])

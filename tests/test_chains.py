@@ -22,7 +22,9 @@ from groupsystems.chains import (
     standard_filling,
 )
 from groupsystems.errors import NotABlockCode, NotNormalFilling
-from groupsystems.generators import build_context, elementary_group
+from groupsystems.generators import build_context, elementary_group, u_minus_subgroup
+from groupsystems.groups import FiniteGroup, is_normal
+from groupsystems.io import parse_system
 from groupsystems.systems import encode_time_domain, tensor_from_items, window_slots
 
 
@@ -329,3 +331,21 @@ def test_block_code_rejects_padded_window():
     ctx = build_context(padded)
     with pytest.raises(NotABlockCode):
         block_code_chains(ctx)
+
+
+def test_is_normal_conjugates_generators_only(monkeypatch):
+    """On the 128-member sequence group of Z2 x0 x0+x1 over [0,6], one
+    normality check of a support subgroup makes at most |S_G|·|S_H|
+    conjugations, where conjugating all of H by all of G makes |G|·|H|."""
+    ctx = build_context(parse_system("system Z\nwindow 0 6\nrule conv Z2 x0 x0+x1\n"))
+    g = ctx.system.sequence_group
+    assert g.order == 128
+    h = u_minus_subgroup(ctx, 3)  # the tensors supported on slots ending by 3
+    assert 1 < h.order < g.order
+    calls = []
+    conj = FiniteGroup.conj
+    monkeypatch.setattr(FiniteGroup, "conj",
+                        lambda self, a, b: calls.append(1) or conj(self, a, b))
+    assert is_normal(g, h)
+    assert 0 < len(calls) <= len(g.generators) * len(h.generators)
+    assert len(g.generators) * len(h.generators) < g.order * h.order

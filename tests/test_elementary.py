@@ -10,15 +10,23 @@ from groupsystems.elementary import (
     global_group,
     global_group_system,
     global_product,
+    nested_targets,
     recover_original,
     structurally_equal,
 )
 from groupsystems.errors import NoExtensionFound, OutOfWindow, UnrealizedSlice
-from groupsystems.generators import ElementaryGroupTable, build_context, star
+from groupsystems.generators import (
+    ElementaryGroupTable,
+    build_context,
+    restriction_images,
+    star,
+)
 from groupsystems.extensions import enumerate_extensions
 from groupsystems.groups import (
+    FiniteGroup,
     cyclic_group,
     find_isomorphism,
+    homomorphism_witness,
     symmetric_group_3,
     trivial_group,
 )
@@ -88,6 +96,30 @@ def test_homomorphism_condition_detects_corruption(es_c2):
     ok, witness = check_homomorphism_condition(bad)
     assert not ok
     assert witness[0] == anchor
+
+
+def test_homomorphism_condition_checks_every_nested_target(es_c2):
+    """E(0,2) replaced by Z4 relabeled (0, 2, 1, 3): label 1 is Z4's
+    involution, so the projection onto (1,2), with kernel {0, 1}, is a
+    homomorphism, and only the one onto (1,1), the second target, fails."""
+    anchor = (0, 2)
+    old = es_c2.tables[anchor]
+    perm = (0, 2, 1, 3)  # an involution, so it is its own inverse
+    z4 = cyclic_group(4).op_table
+    relabeled = FiniteGroup([[perm[z4[perm[a]][perm[b]]] for b in range(4)]
+                             for a in range(4)], "Z4'")
+    tampered = dict(es_c2.tables)
+    tampered[anchor] = ElementaryGroupTable(anchor, old.positions, old.elements,
+                                            relabeled)
+    bad = ElementarySystem(es_c2.name, es_c2.ell, es_c2.window,
+                           es_c2.label_sizes, tampered)
+    assert nested_targets(bad, anchor) == ((1, 2), (1, 1))
+    first = bad.table((1, 2))
+    assert homomorphism_witness(relabeled, first.group,
+                                restriction_images(bad.table(anchor), first)) is None
+    ok, witness = check_homomorphism_condition(bad)
+    assert not ok
+    assert witness[:2] == (anchor, (1, 1))
 
 
 def test_construction_rejects_ell_past_the_window():
