@@ -159,19 +159,17 @@ def check_homomorphism_condition(es: ElementarySystem) -> tuple:
 # -- extraction ----------------------------------------------------------------
 
 def extract_elementary_system(ctx: GeneratorContext) -> ElementarySystem:
-    """Collect every anchor's elementary group and re-verify the projection
-    condition; the label sets are the generator label sets."""
-    tables = {anchor: elementary_group(ctx, *anchor)
-              for anchor in ctx.slots}
-    es = ElementarySystem(
+    """Every anchor's elementary group over the generator label sets, not
+    verified again: each table is a quotient of A by a certified
+    congruence, a nested anchor's coarser, so restriction is a homomorphism,
+    and the tensor bijection gives the Cartesian count.  A reload verifies."""
+    return ElementarySystem(
         name=f"E({ctx.system.name})",
         ell=ctx.ell,
         window=ctx.system.window,
         label_sizes={slot: ctx.basis.label_count(slot) for slot in ctx.slots},
-        tables=tables,
+        tables={anchor: elementary_group(ctx, *anchor) for anchor in ctx.slots},
     )
-    es.verify()
-    return es
 
 
 # -- the global group -----------------------------------------------------------
@@ -356,10 +354,9 @@ def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
     outside this condition fail.
 
     A table that is the context's own elementary group (the same object,
-    as in `_member_classes`) is not tested again: `FiniteGroup` ran the
-    same test on it when it was built, and its table is immutable.  A
-    table loaded from a file or swapped in is another object, and is
-    tested."""
+    as in `_member_classes`) is not tested: it is a quotient of the
+    member group by a certified congruence.  A table loaded from a file
+    or swapped in is another object, and is tested."""
     tensors, seqs = ctx.tensors, ctx.system.sequences
     mul, index = ctx.system.mul, ctx.system._index
 

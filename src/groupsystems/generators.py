@@ -109,30 +109,47 @@ class GeneratorContext:
 
     @cached_property
     def generating_set(self) -> Tuple[int, ...]:
-        """S as member indices: the identity, then every non-identity
-        transversal entry in slot order.  `_basis_chain` certified that
-        products of these entries reach every member."""
-        index = self.system.index_of
-        gens = [index(self.system.identity)]
-        for slot in self.slots:
-            gens.extend(index(g) for g in self.basis.transversal(slot)[1:])
-        return tuple(dict.fromkeys(gens))
+        """S as member indices: the identity, then each transversal entry,
+        in slot order, outside the closure of those kept before.  They
+        generate the entries `_basis_chain` certified, and certificates need
+        only <S> = A (Holt, Eick & O'Brien, Handbook of CGT, 2005, 4.1-4.3)."""
+        return self._generators[0]
 
     @cached_property
     def right_cayley(self) -> Tuple[List[int], ...]:
-        """right[j][a] = a * s_j over member indices (|A| x |S| products)."""
-        return self._cayley(right=True)
+        """right[j][a] = a * s_j over member indices."""
+        return self._generators[1]
+
+    @cached_property
+    def _generators(self) -> tuple:
+        """(S, right Cayley graph of S) in one pass, |A| x |S| list reads:
+        the closure grows breadth-first along the kept columns (`close_greedily`)."""
+        system = self.system
+        # member 0 is the identity, the least sequence
+        gens, right, reached = [0], [list(range(len(self.tensors)))], {0}
+        for slot in self.slots:
+            for j in map(system.index_of, self.basis.transversal(slot)[1:]):
+                if j not in reached:
+                    gens.append(j)
+                    right.append(system.translate(system.columns, system.sequences[j]))
+                    frontier, step = reached, right[-1:]
+                    while frontier:
+                        frontier = {b for col in step for b in
+                                    map(col.__getitem__, frontier)} - reached
+                        reached |= frontier
+                        step = right[1:]
+        return tuple(gens), tuple(right)
 
     @cached_property
     def left_cayley(self) -> Tuple[List[int], ...]:
-        """left[j][a] = s_j * a over member indices (|A| x |S| products)."""
-        return self._cayley(right=False)
-
-    def _cayley(self, right: bool) -> Tuple[List[int], ...]:
-        """One column pass per generator (`GroupSystem.translate`)."""
-        system = self.system
-        return tuple(system.translate(system.columns, system.sequences[j], right)
-                     for j in self.generating_set)
+        """left[j][a] = s_j * a over member indices; the right graph itself
+        when the generators commute pairwise, as A = <S> is then abelian."""
+        system, gens, right = self.system, self.generating_set, self.right_cayley
+        if all(right[j][s] == right[i][gens[j]]
+               for i, s in enumerate(gens) for j in range(i)):
+            return right
+        return tuple(system.translate(system.columns, system.sequences[j], False)
+                     for j in gens)
 
     def support(self, labels: Tuple[int, ...]) -> Tuple[Slot, ...]:
         """The slots where a label tuple picks a non-identity generator."""
@@ -207,6 +224,7 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
     class column per graph column.  The right-side pass leaves, per
     generator s, the column c -> class of rep_c s of the quotient table,
     and `compose_columns` builds the whole table from those columns.
+    Abelian A has one graph (`left_cayley`); a quotient needs no validation.
     """
     columns = ctx.tensor_columns
     realized, cls, reps = _slice_classes(
@@ -215,7 +233,9 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
     n = len(realized)
 
     # a single class is a congruence
-    graphs = ((ctx.right_cayley, "right"), (ctx.left_cayley, "left")) if n > 1 else ()
+    graphs = [(ctx.right_cayley, "right"), (ctx.left_cayley, "left")] if n > 1 else []
+    if graphs and graphs[1][0] is graphs[0][0]:  # abelian
+        del graphs[1]
     gen_columns: Dict[int, List[int]] = {}
     for graph, side in graphs:
         for gen, moved in zip(ctx.generating_set, graph):
@@ -234,7 +254,8 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
                         f"lift choice changes the product at {where}: "
                         f"slice {realized[c]} times generator "
                         f"{ctx.tensors[gen]} on the {side}")
-    return realized, FiniteGroup(compose_columns(gen_columns, n), name=name), cls
+    return realized, FiniteGroup(compose_columns(gen_columns, n), name=name,
+                                 _validated=True), cls
 
 
 def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[int]]:
@@ -293,7 +314,7 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
     of P's table at the parent images of S, 2 |P| |pi(S)| reads, and the
     child table is P's table read through r at one parent element per
     child class.  Slices, order and classes are those of the member-level
-    computation."""
+    computation; the table is validated only if P's identity misses class 0."""
     try:
         parent = elementary_group(ctx, *parent_anchor)
     except WellDefinednessFailure:
@@ -308,7 +329,8 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
             rep_images = [images[p] for p in reps]
             if list(map(rep_images.__getitem__, r)) != images:
                 return None
-    return (realized, FiniteGroup(class_table(op, r, reps), name=name),
+    return (realized, FiniteGroup(class_table(op, r, reps), name=name,
+                                  _validated=r[0] == 0),
             list(map(r.__getitem__, pcls)))
 
 

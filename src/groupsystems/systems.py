@@ -53,7 +53,8 @@ class GroupSystem:
         self._op_tables = tuple(g.op_table for g in self.alphabets)
         if len(self.alphabets) != t1 - t0 + 1:
             raise NotAGroupSystem("alphabet count does not match window")
-        members = sorted({tuple(map(int, s)) for s in sequences})
+        members = sorted(set(sequences) if _closed
+                         else {tuple(map(int, s)) for s in sequences})
         if len(members) > member_cap:
             raise BoundExceeded(f"GroupSystem {name}: {len(members)} members "
                                 f"exceed cap {member_cap}")
@@ -517,9 +518,13 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     """Canonical generator basis: per slot, the least member of each
     finite-extent granule coset (identity first).
 
-    Verifies: spans, granule-order agreement between the time-domain and
+    Verifies: granule-order agreement between the time-domain and
     finite-extent forms, per-time component distinctness, and that the slot
     transversals chain-generate the whole member set (window completeness).
+
+    Every non-identity entry has span k+1 unchecked: it lies outside den,
+    the identity's coset, and a member of A^[t,t+k] that is the identity
+    at t or at t+k lies in A^(t,t+k] or A^[t,t+k), inside den.
 
     Member sets are member indices: the numerator A^[t,t+k] is read off
     the extent buckets (`finite_support_indices`), and cosets and chain
@@ -539,10 +544,6 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
         if k:
             den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
         reps = _least_coset_reps(system, num, den)
-        # non-identity representatives have span exactly k+1
-        for g in reps[1:]:
-            if g[t - t0] == 0 or g[t + k - t0] == 0:
-                raise NotAGroupSystem("generator span defect", ((k, t), g))
         _check_granule(system, (k, t), num, den, reps)
         # per-time components distinguish the transversal entries
         for j in range(k + 1):

@@ -89,6 +89,11 @@ tables and position maps.  They call the library only for the row check
 and the subgroup intersections and products.  The oracle extension search
 and `parse_group` above build their kernel and relabeled tables with these
 `as_group` and `make_group`.
+
+The very last is the generating set the extract path read before it kept
+only the entries outside the closure of those before them: the identity
+plus every transversal entry, with both Cayley graphs built entry by
+entry (`full_generating_set`, `with_full_generating_set`).
 """
 
 import itertools
@@ -1835,3 +1840,30 @@ def zassenhaus_hom(g: FiniteGroup, u: Subgroup, ustar: Subgroup,
     if not (induced.is_injective() and induced.is_surjective()):
         raise PreconditionViolated("Zassenhaus map not an isomorphism")
     return induced
+
+
+# -- the generating set before it was made irredundant -----------------------
+
+def full_generating_set(ctx: GeneratorContext) -> Tuple[int, ...]:
+    """S as member indices: the identity, then every non-identity
+    transversal entry in slot order."""
+    index = ctx.system.index_of
+    gens = [index(ctx.system.identity)]
+    for slot in ctx.slots:
+        gens.extend(index(g) for g in ctx.basis.transversal(slot)[1:])
+    return tuple(dict.fromkeys(gens))
+
+
+def with_full_generating_set(ctx: GeneratorContext) -> GeneratorContext:
+    """A context over the same system, basis and tensors, with empty
+    caches, whose S is `full_generating_set` and whose right and left
+    Cayley graphs are one column pass per entry, the left one always
+    built."""
+    full = GeneratorContext(ctx.system, ctx.basis)
+    full.tensors, full.tensor_index = ctx.tensors, ctx.tensor_index
+    system = ctx.system
+    full.generating_set = gens = full_generating_set(ctx)
+    full.right_cayley, full.left_cayley = (
+        tuple(system.translate(system.columns, system.sequences[j], right)
+              for j in gens) for right in (True, False))
+    return full

@@ -3,7 +3,10 @@ oracles in `oracles.py`, on every fixture, on generated systems, and on
 injected defects.  Both sides must build the same tables and member sets,
 and accept or reject the same inputs with the same error type."""
 
+import ast
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -1396,3 +1399,173 @@ def test_tooth_subgroups_are_the_identity_on_the_complement(request, name):
                                   if not upper & set(ctx.support(lab)))
         assert normal_subgroup_from_ps(ctx, ps).members == identity_on_upper
     assert len(seen) > 1 or len(slots) < 2
+
+
+# -- the irredundant generating set ---------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+DATA_FILES = ("s3_rep.gsys", "z2k_w4_l2.gsys", "twisted_w5_l2.gsys")
+WITNESS = re.compile(r"slice (\(.*?\)) times generator (\(.*?\)) on the (right|left)$")
+
+
+def named_system(request, name: str) -> GroupSystem:
+    """A fixture, or a file of `perfbench/data` by its file name."""
+    if name.endswith(".gsys"):
+        return parse_system((DATA / name).read_text())
+    return request.getfixturevalue(name)
+
+
+def assert_generating_set_agrees(ctx: GeneratorContext) -> None:
+    """The kept S against the full one: the identity first, a subsequence,
+    exactly the entries outside the closure of those before them, the
+    whole member group, the same tables and recovery, and one Cayley side
+    exactly when the system is abelian."""
+    system, kept = ctx.system, ctx.generating_set
+    full = oracles.full_generating_set(ctx)
+    assert kept[0] == full[0] == system.index_of(system.identity)
+    rest = iter(full)
+    assert all(j in rest for j in kept)
+    seqs = system.sequences
+    closure = {system.identity}
+    taken = close_greedily(closure, [seqs[j] for j in full[1:]], system.mul,
+                           lambda *args: None)
+    assert taken == [seqs[j] for j in kept[1:]]
+    assert len(closure) == len(system)
+    abelian = all(g.is_abelian for g in system.alphabets)  # realized projections
+    assert (ctx.left_cayley is ctx.right_cayley) == abelian
+    for right in (True, False):
+        graph = ctx.right_cayley if right else ctx.left_cayley
+        assert tuple(zip(*graph)) == oracles.cayley(ctx, right)
+    wide = oracles.with_full_generating_set(ctx)
+    es, wide_es = extract_elementary_system(ctx), extract_elementary_system(wide)
+    es.verify()
+    for anchor in ctx.slots:
+        table = es.tables[anchor]
+        assert table_key(table) == table_key(wide_es.tables[anchor])
+        assert make_group(table.group.op_table).op_table == table.group.op_table
+    assert_same(outcome(recover_original, es, ctx),
+                outcome(recover_original, wide_es, wide), system_key)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"] + list(DATA_FILES))
+def test_generating_set_matches_the_full_one(request, name):
+    assert_generating_set_agrees(build_context(named_system(request, name)))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(TAP_GROUPS), st.integers(2, 5),
+       st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=2, max_size=2))
+def test_generating_set_matches_the_full_one_on_tap_rules(group, length, outputs):
+    taps = " ".join("+".join(f"x{d}" for d in delays) for delays in outputs)
+    system = parse_system(f"system T\nwindow 0 {length - 1}\nrule conv {group} {taps}\n")
+    try:
+        ctx = build_context(system)
+    except ToolkitError:
+        return  # no generator basis, so no generating set
+    assert_generating_set_agrees(ctx)
+
+
+@pytest.mark.parametrize("name", ["r2", "c2", "parity3", "trivial_sys", "s3_rep",
+                                  "s3_square", "z2k_w4_l2.gsys", "twisted_w5_l2.gsys"])
+def test_left_cayley_is_the_right_one_exactly_on_abelian_systems(request, name):
+    ctx = build_context(named_system(request, name))
+    abelian = name in ("r2", "c2", "parity3", "trivial_sys")
+    assert (ctx.left_cayley is ctx.right_cayley) == abelian
+    assert tuple(zip(*ctx.left_cayley)) == oracles.cayley(ctx, right=False)
+
+
+def assert_witness_splits_a_class(ctx: GeneratorContext, anchor, message: str) -> None:
+    """The slice and generator a WellDefinednessFailure names: that
+    generator, on that side, carries the members with that slice into more
+    than one slice class."""
+    found = WITNESS.search(message)
+    assert found, message
+    slice_, gen = ast.literal_eval(found[1]), ast.literal_eval(found[2])
+    s = ctx.tensor_index[gen]
+    assert s in ctx.generating_set
+    system = ctx.system
+    take = [ctx.slot_pos[p] for p in
+            upper_triangle_positions(system.window, ctx.ell, *anchor)]
+    images = set()
+    for i, seq in enumerate(system.sequences):
+        if tuple(ctx.tensors[i][p] for p in take) == slice_:
+            prod = (system.mul(seq, system.sequences[s]) if found[3] == "right"
+                    else system.mul(system.sequences[s], seq))
+            lab = ctx.tensors[system.index_of(prod)]
+            images.add(tuple(lab[p] for p in take))
+    assert len(images) > 1
+
+
+def s3_square_depth_one() -> GroupSystem:
+    """S3 x S3 as (a, (a, b), b) on [0, 2]: depth 1, with the first factor
+    labelling slot (1, 0) and the second slot (1, 1)."""
+    s3 = GROUPS["S3"]
+    pair = direct_product(s3, s3)[0]
+    flip = next(a for a in s3.elements() if s3.element_order(a) == 2)
+    rot = next(a for a in s3.elements() if s3.element_order(a) == 3)
+    seeds = ([(a, a * s3.order, 0) for a in (flip, rot)]
+             + [(0, b, b) for b in (flip, rot)])
+    return build_system((0, 2), [s3, pair, s3], seeds, name="S3xS3w3")
+
+
+def test_nested_elementary_group_needs_both_sides():
+    """The depth-1 form of `test_elementary_group_needs_both_sides`: slot
+    (1, 1) names the right coset of the diagonal and slot (1, 0) the first
+    factor.  E(0, 1) is then discrete, a congruence, so E(1, 1) is
+    certified on it (`_nested_slice_group`); its partition, the right
+    cosets of a subgroup that is not normal, is right invariant only, and
+    only the left side rejects it, on P and then on the members."""
+    system = s3_square_depth_one()
+    ctx = build_context(system)
+    assert ctx.ell == 1 and ctx.left_cayley is not ctx.right_cayley
+    diagonal = [seq for seq in system.sequences if seq[0] == seq[-1]]
+    cosets = sorted({frozenset(system.mul(d, a) for d in diagonal)
+                     for a in system.sequences}, key=min)
+    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    tensors = []
+    for a in system.sequences:
+        lab = [0] * len(ctx.slots)
+        lab[ctx.slot_pos[(1, 1)]], lab[ctx.slot_pos[(1, 0)]] = coset_of[a], a[0]
+        tensors.append(tuple(lab))
+    bad = with_tensors(ctx, tensors)
+    assert len(set(bad.tensors)) == len(system)
+    assert elementary_group(bad, 0, 1).group.order == len(system)
+    with pytest.raises(WellDefinednessFailure) as info:
+        elementary_group(bad, 1, 1)
+    assert str(info.value).endswith("on the left")
+    assert_witness_splits_a_class(bad, (1, 1), str(info.value))
+    for fn, ctx_ in ((elementary_group, oracles.with_full_generating_set(bad)),
+                     (oracles.elementary_group, bad)):
+        assert outcome(fn, ctx_, 1, 1) == ("raise", WellDefinednessFailure)
+
+
+@pytest.mark.parametrize("name", ["c2", "s3_square", "depth_one", "z3_taps"])
+def test_tampered_contexts_get_the_full_generating_set_verdict(request, name):
+    """Two label tensors swapped: every anchor, in slot order, gets the
+    verdict type and table that the full S gives, and each named witness
+    really splits a class."""
+    if name == "depth_one":
+        system = s3_square_depth_one()
+    elif name == "z3_taps":
+        system = parse_system("system T\nwindow 0 2\nrule conv Z3 x0 x0+x1\n")
+    else:
+        system = request.getfixturevalue(name)
+    ctx = build_context(system)
+    # on c2 every entry is kept; elsewhere S drops some
+    assert ((len(ctx.generating_set) < len(oracles.full_generating_set(ctx)))
+            == (name != "c2"))
+    rejected = 0
+    for i, j in itertools.combinations(range(1, min(len(ctx.tensors), 10)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        wide = oracles.with_full_generating_set(bad)
+        for anchor in ctx.slots:
+            new = failure(elementary_group, bad, *anchor)
+            assert_same(new[:2], outcome(elementary_group, wide, *anchor), table_key)
+            if new[0] == "raise" and new[1] is WellDefinednessFailure:
+                assert_witness_splits_a_class(bad, anchor, new[2])
+                rejected += 1
+    assert rejected > 0
