@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -45,6 +44,7 @@ from .groups import (FiniteGroup, Homomorphism, class_table,
 from .slots import (
     Slot,
     children,
+    entries_at,
     in_slot_table,
     iter_window_slots,
     positions_in,
@@ -58,6 +58,11 @@ from .systems import (
     all_tensors,
     controllability_index,
 )
+
+
+# the entries of all anchor tables one construction builds: 2^26 of them
+# take 0.5 GB as pointers alone, and their dump several times that
+ANCHOR_TABLE_CAP = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,7 @@ class ElementarySystem:
         for t in range(self.window[0], self.window[1] + 1):
             table = self.table((0, t))
             take = positions_in(slots, table.positions)
-            get = (itemgetter(*take) if len(take) > 1
-                   else lambda v, i=take[0]: (v[i],))
+            get = entries_at(take)
             plan.append(((0, t), take, get, table._index, table.elements,
                          table.group.op_table))
         return slots, tuple(plan)
@@ -427,6 +431,30 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
     depth-(m+1) children (edge anchors have one or no child) by the
     strategy's kernel for that depth.  Anchors with equal base and kernel
     tables share one extension search, remembered for this call only.
+    Tables of more than ANCHOR_TABLE_CAP entries in all raise
+    BoundExceeded before any anchor is built.
+
+    The result is not verified again (`ElementarySystem.verify`); its
+    build checks certify it, and a reload verifies:
+    - Restriction to a child is a homomorphism.  Element e of the
+      extension maps to the child triangle `pair_of[e // nk]` names, which
+      is the composite of three homomorphisms: the extension's projection
+      e -> e // nk onto the base, the coordinate map of the subdirect
+      product onto that child, and the relabel of `class_table`, an
+      isomorphism.  The anchor's labels on the child's positions are
+      copied from that child triangle, so this map is exactly the
+      restriction.
+    - The Cartesian count holds by induction from the top row.  The
+      anchor has |k| |base| elements, its label size is |k|, and the base
+      is a child's group or the fibre product R x_O L of the children over
+      the overlap table O.  Both projections onto O are verified
+      surjective, so each fibre has |R|/|O| or |L|/|O| elements and
+      |R x_O L| = |R| |L| / |O|, the product of the label sizes at the
+      positions of R or L, which with the anchor are the anchor's.  Each
+      label is in range: the anchor's is e % nk < |k|, the others are
+      copied from the children.
+    - Injectivity (distinct triangles) and agreement of the two children
+      on their overlap are checked in `_build_anchor`.
     """
     strategy = strategy or ConstructionStrategy({})
     t0, t1 = window
@@ -445,23 +473,28 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
             if not in_slot_table(window, k_max, slot):
                 raise OutOfWindow(f"{what} key {key} names no anchor {place} "
                                   f"the slot table of ell {ell} on [{t0},{t1}]")
-    sizes: Dict[Slot, int] = {}
+    # the row walk backwards: the top row first, children before parents
+    anchors = tuple(reversed(walk(window, ell, "spec_rev")))
+    kernels = {(k, t): top if k == ell else strategy.kernel(k, t)
+               for k, t in anchors}
+    positions = {(k, t): upper_triangle_positions(window, ell, k, t)
+                 for k, t in anchors}
+    # an anchor's group has one element per label triangle (the Cartesian
+    # count below), and its table the square of that many entries
+    entries = sum(math.prod(kernels[p].order for p in positions[a]) ** 2
+                  for a in anchors)
+    if entries > ANCHOR_TABLE_CAP:
+        raise BoundExceeded(f"construction: {count_text(entries)} anchor table "
+                            f"entries exceed cap {ANCHOR_TABLE_CAP}")
     tables: Dict[Slot, ElementaryGroupTable] = {}
     searches: dict = {}  # (base table, kernel table, cap) -> extensions
-
-    # the row walk backwards: the top row first, children before parents
-    for anchor in reversed(walk(window, ell, "spec_rev")):
-        k, t = anchor
-        kernel = top if k == ell else strategy.kernel(k, t)
+    for anchor in anchors:
         tables[anchor] = _build_anchor(
-            tables, anchor, upper_triangle_positions(window, ell, k, t),
-            *children(window, ell, anchor), kernel,
-            strategy.extension_index(k, t), searches)
-        sizes[anchor] = kernel.order
-    es = ElementarySystem(name=name, ell=ell, window=window,
-                          label_sizes=sizes, tables=tables)
-    es.verify()
-    return es
+            tables, anchor, positions[anchor], *children(window, ell, anchor),
+            kernels[anchor], strategy.extension_index(*anchor), searches)
+    return ElementarySystem(name=name, ell=ell, window=window,
+                            label_sizes={a: g.order for a, g in kernels.items()},
+                            tables=tables)
 
 
 def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
@@ -482,8 +515,13 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
         pair_of = [(None, None)]
 
     nk = kernel.order
-    if nk == 1:  # a trivial kernel extends the base only by itself
+    # a trivial kernel extends the base only by itself, and the only
+    # extension of a trivial base is the kernel: the search would build
+    # k's own table, (x, 1)(y, 1) = (x y, 1)
+    if nk == 1:
         extensions = (base,)
+    elif base.order == 1:
+        extensions = (kernel,)
     else:
         cap = max(64, nk * base.order)
         key = (base.op_table, kernel.op_table, cap)

@@ -41,12 +41,14 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
 
     Returns (group, pairs): element i of the group is pairs[i], the pairs
     run in lexicographic order, and the product is componentwise.  Both
-    projections are verified surjective and both factors covered.  Each
-    product is looked up among the pairs and one outside them raises
-    NotASubgroup: that is the closure check of the subgroup inside g1 × g2,
-    the same |pairs|^2 lookups, without writing out the |g1 g2|^2 table of
-    g1 × g2.  A nonempty finite subset of a group closed under the product
-    is a subgroup, so the table is a group.
+    projections are verified surjective, which covers both factors: every
+    a in g1 has p1(a) = p2(b) for some b, as p2 is onto, and likewise
+    every b in g2 a partner a.  Each product is looked up among the pairs
+    and one outside them raises NotASubgroup: that is the closure check of
+    the subgroup inside g1 × g2, the same |pairs|^2 lookups, without
+    writing out the |g1 g2|^2 table of g1 × g2.  A nonempty finite subset
+    of a group closed under the product is a subgroup, so the table is a
+    group.
     """
     if p1.domain is not g1 or p2.domain is not g2:
         raise CodomainMismatch("projection domains do not match the factors")
@@ -74,9 +76,6 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
             other = pairs[row.index(None)]
             raise NotASubgroup(f"product {(a1, b1)}*{other} escapes")
         table.append(row)
-    if (len({a for a, _ in pairs}) != g1.order
-            or len({b for _, b in pairs}) != g2.order):
-        raise NotSurjective("subdirect product does not cover a factor")
     group = FiniteGroup(table, name=f"{g1.name}x{g2.name}", _validated=True)
     return group, pairs
 
@@ -316,20 +315,23 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     still goes through `FiniteGroup` validation, and a failure there is
     raised, never skipped.
 
+    The kernel of the projection is k × {1}, and it multiplies as k:
+    (x, 1)(y, 1) = (x α_1(y) f(1, 1), 1) = (x y, 1).  So every table is an
+    extension of q by k, and no kernel isomorphism test is made.
+
     A cocycle gets a table only when it is not cohomologous to one already
     examined under the same action (`_Classes`).  If f' = f δc, then
     (x, a) ↦ (x c(a), a) is an isomorphism from the extension of f' onto
     that of f, which was kept, or dropped as isomorphic to a group kept
-    before it (the kernel check passes on every table, as k × {1}
-    multiplies as k); either way the isomorphism dedup would drop the new
-    one.  So the kept list, its order and the chosen tables are those of
-    the walk over every cocycle.  With a nonabelian kernel each action has
+    before it; either way the isomorphism dedup would drop the new one.
+    So the kept list, its order and the chosen tables are those of the
+    walk over every cocycle.  With a nonabelian kernel each action has
     one factor set, and no class test is made.
 
     Generator-image tuples, factor-set entries, and the cochains and
     cocycles the class test carries are search nodes; past SEARCH_NODE_CAP
     of them the search raises BoundExceeded naming the stage.  The
-    isomorphism tests (kernel, dedup, direct product) compare groups of
+    isomorphism tests (dedup, direct product) compare groups of
     order at most |q| |k|, which `max_order` already admitted, so that is
     their order cap.
     """
@@ -368,9 +370,6 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
                 continue  # isomorphic to an extension already examined
             ext = FiniteGroup(build(act, f), name=f"{k.name}.{q.name}")
             hom = Homomorphism(ext, q, proj_images)
-            ker, _ = hom.kernel().as_group()
-            if find_isomorphism(ker, k, nq * nk) is None:
-                continue
             if any(find_isomorphism(seen, ext, nq * nk) is not None for seen in reps):
                 continue
             reps.append(ext)

@@ -35,6 +35,7 @@ from .errors import (
 from .groups import FiniteGroup, Homomorphism, Subgroup, class_table
 from .slots import (
     Slot,
+    entries_at,
     fold_slots,
     in_slot_table,
     lower_contains,
@@ -319,9 +320,8 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
         parent = elementary_group(ctx, *parent_anchor)
     except WellDefinednessFailure:
         return None
-    take = positions_in(parent.positions, positions)
-    realized, r, reps = _slice_classes(
-        [tuple(tri[i] for i in take) for tri in parent.elements])
+    get = entries_at(positions_in(parent.positions, positions))
+    realized, r, reps = _slice_classes(list(map(get, parent.elements)))
     op = parent.group.op_table
     pcls = ctx._classes[parent_anchor]
     for g in dict.fromkeys(pcls[s] for s in ctx.generating_set):
@@ -401,10 +401,8 @@ def restriction_images(source: ElementaryGroupTable,
                        target: ElementaryGroupTable) -> Tuple[Optional[int], ...]:
     """Per element of `source`, the index in `target` of its restriction to
     the target's positions; None where that restriction is no element."""
-    take = positions_in(source.positions, target.positions)
-    idx = target._index
-    return tuple(idx.get(tuple(tri[i] for i in take))
-                 for tri in source.elements)
+    get = entries_at(positions_in(source.positions, target.positions))
+    return tuple(map(target._index.get, map(get, source.elements)))
 
 
 def triangle_projection(ctx: GeneratorContext, src: Tuple[int, int],

@@ -71,6 +71,14 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def renamed(self, name: str) -> "FiniteGroup":
+        """The same group under another name, sharing the table and the
+        inverses, commutativity and generators found so far."""
+        g = FiniteGroup(self.op_table, name=name, _validated=True,
+                        _rows_checked=True)
+        g._inv, g._abelian, g._gens = self._inv, self._abelian, self._gens
+        return g
+
     @property
     def generators(self) -> tuple:
         """Greedy generators: each index not yet reached from the identity

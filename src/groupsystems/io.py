@@ -21,8 +21,8 @@ from .slots import in_slot_table, upper_triangle_positions
 from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
-# Z<n> builds its n x n table at once; the largest order used in the tests,
-# demos and benchmark data is 12
+# Z<n> builds its n x n table at once; the largest order used in the demos
+# and benchmark data is 12, in the tests 256
 CYCLIC_ORDER_CAP = 1024
 
 
@@ -92,17 +92,27 @@ def _int_list(tokens: List[str], line: str) -> List[int]:
         raise
 
 
-def _group_block(lines: List[str], i: int) -> Tuple[FiniteGroup, int]:
+def _group_block(lines: List[str], i: int,
+                 seen: Optional[Dict[tuple, FiniteGroup]] = None
+                 ) -> Tuple[FiniteGroup, int]:
     """The group whose `group <name> <order>` header is line i, read from
-    the table rows after it, and the index of the line after the table."""
+    the table rows after it, and the index of the line after the table.
+
+    `seen`, if given, maps the row lines of each table read before to its
+    validated group: rows that repeat one of them give that table under
+    this block's name, since the same text parses to the same table."""
     header = lines[i] if i < len(lines) else ""
     parts = header.split()
     if len(parts) != 3 or parts[0] != "group":
         raise ParseError(f"expected 'group <name> <order>', got {header!r}")
     name, order = parts[1], _int(parts[2], header)
     end = i + 1 + order
+    key = tuple(lines[i + 1:end])
+    known = seen.get(key) if seen is not None else None
+    if known is not None and known.order == order:
+        return known.renamed(name), end
     rows = []
-    for line in lines[i + 1:end]:
+    for line in key:
         rows.append(_int_list(line.split(), line))
         if len(rows[-1]) != order:
             raise ParseError(f"table row {len(rows) - 1} of group {name} has "
@@ -110,7 +120,10 @@ def _group_block(lines: List[str], i: int) -> Tuple[FiniteGroup, int]:
                              f"{line!r}")
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
-    return make_group(rows, name=name), end
+    group = make_group(rows, name=name)
+    if seen is not None:
+        seen[key] = group
+    return group, end
 
 
 def parse_group(text: str) -> FiniteGroup:
@@ -243,12 +256,23 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
 
     The rule maps the input words homomorphically onto the members, so the
     members are generated by the images of one base generator g at one
-    input time p (the identity elsewhere).  At time pos such an image's
-    output is g added once per delay d with pos - d = p, and the letter
-    packs the outputs as base-q digits, the first most significant: the
-    lexicographic index in the direct product of the output groups.
-    `build_system` closes these length x |generators| seeds once; the
-    q^length input words are never listed."""
+    input time p (the identity elsewhere).  At time p + d such an image's
+    output is g added once per delay d, and the letter packs the outputs
+    as base-q digits, the first most significant: the lexicographic index
+    in the direct product of the output groups.  So the image is the
+    letter profile of g shifted to p and cut at the window's end, and it
+    is the identity unless p + d_min < length, d_min the least offset with
+    a letter other than the identity.  `build_system` closes the images
+    that are not the identity once, and judges the member cap on the
+    closed member count; the q^length input words are never listed.
+
+    Before any image is built, the images of one g give a lower bound:
+    their leading letters sit at distinct times p + d_min, so the products
+    of their powers below the order o of the leading letter are distinct
+    members (the least p whose powers differ leaves a letter other than
+    the identity at p + d_min), at least o^n of them for n images, and
+    exactly q^n for q prime.  A bound past the cap raises here, since the
+    closure would pass it too."""
     gname, taps = rule
     base = lookup(gname)
     if not base.is_abelian:
@@ -276,30 +300,34 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
     length = t1 - t0 + 1
     if length < 1:
         raise OutOfWindow(f"empty window [{t0},{t1}]")
-    # q^length input words: with q > 1 a window longer than the cap has
-    # more than the cap, and with q = 1 one word as long as the window
+    # every member is a word as long as the window
     if length > member_cap:
         raise BoundExceeded(f"rule unrolling: a window of {count_text(length)} "
                             f"times exceeds cap {member_cap}")
-    count = q ** length
-    if count > member_cap:
-        raise BoundExceeded(f"rule unrolling: {q}^{length} = {count_text(count)} members "
-                            f"exceed cap {member_cap}")
     op = base.op_table
-
-    def image(g: int, p: int) -> tuple:
-        letters = []
-        for pos in range(length):
-            letter = 0
+    offsets = sorted({d for delays in tap_lists for d in delays if d < length})
+    seeds_of = []  # per base generator: its letter profile and image count
+    for g in base.generators:
+        profile = [0] * length
+        for d in offsets:
             for delays in tap_lists:
                 val = 0
-                for _ in range(delays.count(pos - p)):
+                for _ in range(delays.count(d)):
                     val = op[val][g]
-                letter = letter * q + val
-            letters.append(letter)
-        return tuple(letters)
-
-    seeds = [image(g, p) for p in range(length) for g in base.generators]
+                profile[d] = profile[d] * q + val
+        d_min = next((d for d in offsets if profile[d]), length)
+        n = length - d_min
+        if n:
+            o = alphabet.element_order(profile[d_min])
+            if o ** n > member_cap:
+                # for q prime the images are independent over GF(q): q^n
+                least = "" if all(q % f for f in range(2, q)) else "at least "
+                value = f" = {o ** n}" if n * o.bit_length() <= 4096 else ""
+                raise BoundExceeded(f"rule unrolling: {least}{o}^{n}{value} "
+                                    f"members exceed cap {member_cap}")
+        seeds_of.append((profile, n))
+    seeds = [(0,) * p + tuple(profile[:length - p])
+             for p in range(length) for profile, n in seeds_of if p < n]
     return build_system(window, [alphabet] * length, seeds, name=name,
                         member_cap=member_cap)
 
@@ -315,8 +343,7 @@ def dump_system(system: GroupSystem) -> str:
         if g.op_table not in table_names:
             gname = f"G{len(table_names)}"
             table_names[g.op_table] = gname
-            named = FiniteGroup(g.op_table, name=gname, _validated=True)
-            blocks.append(dump_group(named).rstrip("\n"))
+            blocks.append(dump_group(g.renamed(gname)).rstrip("\n"))
     lines.extend(blocks)
     names = [table_names[g.op_table] for g in system.alphabets]
     if len(set(names)) == 1:
@@ -355,6 +382,21 @@ def dump_elementary_system(es: ElementarySystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tri_block(tri_lines: Tuple[str, ...], anchor: Tuple[int, int],
+               arity: int) -> Tuple[Tuple[int, ...], ...]:
+    """The triangles of an egrp block, each `arity` labels long."""
+    tris = []
+    for line in tri_lines:
+        tparts = line.split()
+        if tparts[0] != "tri":
+            raise ParseError(f"expected tri line, got {line!r}")
+        labels = tuple(_int_list(tparts[1:], line))
+        if len(labels) != arity:
+            raise ParseError(f"triangle at {anchor} has wrong arity")
+        tris.append(labels)
+    return tuple(tris)
+
+
 def parse_elementary_system(text: str) -> ElementarySystem:
     lines = _strip_lines(text)
     head = lines[0].split() if lines else []
@@ -373,6 +415,9 @@ def parse_elementary_system(text: str) -> ElementarySystem:
 
     sizes: Dict[Tuple[int, int], int] = {}
     tables: Dict[Tuple[int, int], ElementaryGroupTable] = {}
+    # each distinct text of tri lines and of table rows is read once
+    seen_tris: Dict[tuple, tuple] = {}
+    seen_groups: Dict[tuple, FiniteGroup] = {}
     i = 1
     while i < len(lines):
         parts = lines[i].split()
@@ -396,19 +441,18 @@ def parse_elementary_system(text: str) -> ElementarySystem:
         if i + 1 + n >= len(lines):
             raise ParseError(f"egrp block at {anchor} is truncated")
         positions = upper_triangle_positions(window, ell, k, t)
-        tris = []
-        for line in lines[i + 1:i + 1 + n]:
-            tparts = line.split()
-            if tparts[0] != "tri":
-                raise ParseError(f"expected tri line, got {line!r}")
-            labels = tuple(_int_list(tparts[1:], line))
-            if len(labels) != len(positions):
-                raise ParseError(f"triangle at {anchor} has wrong arity")
-            tris.append(labels)
-        group, i = _group_block(lines, i + 1 + n)
+        tri_lines = tuple(lines[i + 1:i + 1 + n])
+        tris = seen_tris.get(tri_lines)
+        if tris is None:
+            tris = seen_tris[tri_lines] = _tri_block(tri_lines, anchor,
+                                                     len(positions))
+        elif tris and len(tris[0]) != len(positions):
+            # a text read before: all its triangles share one arity
+            raise ParseError(f"triangle at {anchor} has wrong arity")
+        group, i = _group_block(lines, i + 1 + n, seen_groups)
         if group.order != n:
             raise ParseError(f"table order differs from element count at {anchor}")
-        tables[anchor] = ElementaryGroupTable(anchor, positions, tuple(tris), group)
+        tables[anchor] = ElementaryGroupTable(anchor, positions, tris, group)
 
     es = ElementarySystem(name=name, ell=ell, window=window,
                           label_sizes=sizes, tables=tables)

@@ -9,7 +9,8 @@ keyed (j, k) for the slot (k, t-j).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 Slot = Tuple[int, int]  # (k, t): generator length k+1 starting at time t
 
@@ -113,3 +114,13 @@ def positions_in(outer: Sequence[Slot], inner: Sequence[Slot]) -> Tuple[int, ...
     one is missing)."""
     where = {p: i for i, p in enumerate(outer)}
     return tuple(map(where.__getitem__, inner))
+
+
+def entries_at(take: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A getter of the entries of a tuple at the indices `take` (at least
+    one), as a tuple: one `itemgetter`, which returns a bare entry for a
+    single index, so that case is wrapped."""
+    if len(take) == 1:
+        i = take[0]
+        return lambda v: (v[i],)
+    return itemgetter(*take)

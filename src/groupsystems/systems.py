@@ -62,6 +62,7 @@ class GroupSystem:
         self.name = name
         self._index = {s: i for i, s in enumerate(self.sequences)}
         self._seq_group: Optional[FiniteGroup] = None
+        self._controllability: Optional[int] = None
         self._validate(closed=_closed)
 
     # -- basic structure --------------------------------------------------
@@ -408,7 +409,10 @@ def controllability_index(system: GroupSystem) -> int:
     prefix of length c + 1 is the prefix of length c followed by one more
     letter, numbered in mixed radix by the alphabet orders, and suffixes
     likewise from the right.  Equal ids are equal slices, so each (t, l)
-    counts distinct id pairs instead of slicing every member."""
+    counts distinct id pairs instead of slicing every member.  The index
+    is computed once per system and kept on it."""
+    if system._controllability is not None:
+        return system._controllability
     n, length = len(system.sequences), system.length
     columns, orders = system.columns, [g.order for g in system.alphabets]
     prefixes = [[0] * n]
@@ -425,6 +429,7 @@ def controllability_index(system: GroupSystem) -> int:
         if all(len(set(zip(prefixes[cut], suffixes[min(cut + l, length)])))
                == pre_count[cut] * suf_count[min(cut + l, length)]
                for cut in range(length + 1)):
+            system._controllability = l
             return l
     raise NotControllableOnWindow(system.name)
 

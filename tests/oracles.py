@@ -587,8 +587,10 @@ def unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
         alphabet, _, _ = direct_product(alphabet, base)
     t0, t1 = window
     length = t1 - t0 + 1
-    if base.order ** length > member_cap:
-        raise BoundExceeded("rule unrolling exceeds the member cap")
+    # the walk lists every input word; the member cap is judged on the
+    # members they give, in build_system
+    if base.order ** length > 2 ** 16:
+        raise BoundExceeded("rule unrolling lists at most 2^16 input words")
     members = []
     for inputs in itertools.product(range(base.order), repeat=length):
         seq = []

@@ -387,6 +387,37 @@ def test_construct_s3_by_s3_past_order_64(capsys, tmp_path):
     assert code == 0 and "roundtrip ok system order=7776 ell=1" in out
 
 
+@pytest.mark.parametrize("top,order", [("Z7", 7), ("Z12", 12), ("Z64", 64)])
+def test_construct_cyclic_tops_past_the_automorphism_cap(capsys, tmp_path, top, order):
+    """The top row runs no extension search, so seed groups whose
+    automorphism candidates pass the search's cap construct, and their
+    dumps round-trip."""
+    out_path = tmp_path / "top.esys"
+    code, out, err = run(capsys, "--out", out_path, "--window", "0", "1",
+                         "construct", "--seed-group", top, "--ell", "1")
+    assert (code, err) == (0, "")
+    assert out == f"constructed E depth=2 system order={order} ell=1\n"
+    code, out, _ = run(capsys, "roundtrip", out_path)
+    assert code == 0 and f"roundtrip ok system order={order} ell=1" in out
+
+
+def test_construct_caps_its_anchor_tables_before_building_one(capsys, monkeypatch):
+    """Z256 on [0, 2] has 2^16 label tensors, under the member cap, but its
+    anchor (0, 1) would hold a 2^16 x 2^16 table: the sum of the squared
+    anchor orders is counted from the label sizes, and no anchor is
+    built."""
+    def no_anchor(*args):
+        raise AssertionError("an anchor was built")
+
+    monkeypatch.setattr(elementary, "_build_anchor", no_anchor)
+    for window, top, ell, entries in (("2", "Z256", "1", 4295229440),
+                                      ("4", "Z64", "3", 100696064)):
+        code, _, err = run(capsys, "--window", "0", window, "construct",
+                           "--seed-group", top, "--ell", ell)
+        assert (code, err) == (3, f"bound exceeded: construction: {entries} anchor "
+                                  f"table entries exceed cap 67108864\n")
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -14,8 +14,11 @@ form, the inverse table and the subgroup check) against the routines that
 replaced them, on every group of order <= 8 these tests build.
 """
 
+import importlib.util
 import itertools
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +393,14 @@ def test_controllability_index_matches_oracle_on_constructions(name, constructio
     assert controllability_index(system) == oracles.controllability_index(system)
 
 
+def test_controllability_index_is_kept_on_the_system():
+    """`global_group_system` computes the index for its bound check, and a
+    caller asking again reads it off the system."""
+    system = global_group_system(construct_elementary_system((0, 3), 1, Z2))
+    system.__dict__["columns"] = None  # a second computation would fail
+    assert controllability_index(system) == 1
+
+
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
 def test_extension_searches_match_oracle_on_constructions(name, construction_calls):
     _, _, searches = construction_calls[name]
@@ -398,6 +409,89 @@ def test_extension_searches_match_oracle_on_constructions(name, construction_cal
             assert_same_search(q, k, max_order)
         else:
             assert_same_as_every_cocycle(q, k, max_order)
+
+
+def workload_requests():
+    """The construct requests of the benchmark's workload: every one its
+    cap rule admits, as (window, ell, top, strategy, name)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent
+        / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    tops = {"Z2": Z2, "Z3": Z3, "S3": S3}
+    return [((0, req.length - 1), req.ell, tops[req.top], ConstructionStrategy(
+        kernels={req.ell - 1: Z2} if req.kernel else {},
+        extension_indices=req.extension_indices()), req.key)
+        for req in workloads.construct_requests()]
+
+
+WORKLOAD_REQUESTS = workload_requests()
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_constructions_pass_the_full_verify(name, construction_calls):
+    """`construct_elementary_system` no longer verifies its result; the
+    Cartesian count and the projection condition hold on every fixture."""
+    es = construction_calls[name][0]
+    es.verify()
+    assert oracles.check_homomorphism_condition(es) == (True, None)
+
+
+@pytest.mark.parametrize("window,ell,top,strategy",
+                         [r[:4] for r in WORKLOAD_REQUESTS],
+                         ids=[r[4] for r in WORKLOAD_REQUESTS])
+def test_workload_requests_pass_the_full_verify(window, ell, top, strategy):
+    es = construct_elementary_system(window, ell, top, strategy)
+    es.verify()
+    assert oracles.check_homomorphism_condition(es) == (True, None)
+
+
+def test_workload_requests_cover_every_choice():
+    assert len(WORKLOAD_REQUESTS) == 31
+    keys = " ".join(r[4] for r in WORKLOAD_REQUESTS)
+    assert all(word in keys for word in ("top=Z2", "top=Z3", "top=S3",
+                                         "kernel Z2", "twisted"))
+
+
+def test_trivial_base_runs_no_extension_search():
+    """The top row extends the trivial group by the seed group, and rows
+    under a trivial kernel extend their base by nothing: only anchors with
+    a nontrivial base and kernel search, and the search over the trivial
+    base would give the kernel's own table, once."""
+    for k in (Z2, Z3, Z4, V4, S3):
+        (ext, _), = enumerate_extensions(trivial_group(), k).extensions
+        assert ext.op_table == k.op_table
+    for window, ell, top, strategy in [r[:4] for r in WORKLOAD_REQUESTS] + [
+            c for c in CONSTRUCTIONS.values()]:
+        searched = []
+
+        def record(q, k, max_order=64):
+            searched.append((q.order, k.order))
+            return enumerate_extensions(q, k, max_order)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elementary, "enumerate_extensions", record)
+            construct_elementary_system(window, ell, top, strategy)
+        assert all(nq > 1 and nk > 1 for nq, nk in searched)
+        kernels = (strategy or ConstructionStrategy()).kernels or {}
+        if all(g.order == 1 for g in kernels.values()):
+            assert searched == []
+
+
+@pytest.mark.parametrize("top,order", [(cyclic_group(7), 7),
+                                       (cyclic_group(12), 12),
+                                       (cyclic_group(64), 64)])
+def test_large_cyclic_tops_construct(top, order):
+    """The top row runs no automorphism search, so a seed group with more
+    automorphism candidates than its cap (6^6 for Z7) still constructs."""
+    with pytest.raises(BoundExceeded, match="automorphism search too large"):
+        enumerate_extensions(trivial_group(), top)
+    es = construct_elementary_system((0, 1), 1, top)
+    es.verify()
+    assert es.tables[(1, 0)].group.op_table == top.op_table
+    assert len(global_group_system(es)) == order
 
 
 def identity_hom(g):

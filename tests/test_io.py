@@ -8,7 +8,12 @@ from fuzzing import SEEDS, fuzzed_texts
 
 import oracles
 import groupsystems.io as io
-from groupsystems.elementary import extract_elementary_system, structurally_equal
+from groupsystems.elementary import (
+    ConstructionStrategy,
+    construct_elementary_system,
+    extract_elementary_system,
+    structurally_equal,
+)
 from groupsystems.errors import (
     BoundExceeded,
     NotAGroupSystem,
@@ -242,6 +247,95 @@ def test_elementary_system_dump_roundtrip(c2):
     assert dump_elementary_system(again) == text
 
 
+def repeated_blocks_text() -> str:
+    """Z2 top, ell 3 on [0, 5], a Z2 kernel at depth 2: 18 egrp blocks,
+    whose tables have 6 distinct texts and whose triangles 9."""
+    z2 = cyclic_group(2)
+    return dump_elementary_system(construct_elementary_system(
+        (0, 5), 3, z2, ConstructionStrategy(kernels={2: z2})))
+
+
+def repeated_tables(lines: list) -> list:
+    """(header index, order) of each table block of order >= 3 whose rows
+    repeat an earlier block's."""
+    seen, out = set(), []
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "group":
+            n = int(parts[2])
+            rows = tuple(lines[i + 1:i + 1 + n])
+            if rows in seen and n >= 3:
+                out.append((i, n))
+            seen.add(rows)
+    return out
+
+
+def raised(parse, text: str):
+    try:
+        parse(text)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_repeated_blocks_reload_under_their_own_names():
+    text = repeated_blocks_text()
+    es = parse_elementary_system(text)
+    assert len(es.tables) == 18
+    assert all(table.group.name == f"E({k},{t})"
+               for (k, t), table in es.tables.items())
+    assert dump_elementary_system(es) == text
+    assert (parsed("esys", parse_elementary_system, text)
+            == parsed("esys", oracles.parse_elementary_system, text))
+    # each distinct text was read once: repeats share its objects
+    assert len({id(t.group.op_table) for t in es.tables.values()}) == 6
+    assert len({id(t.elements) for t in es.tables.values()}) == 9
+
+
+def test_tampered_repeated_table_is_rejected_as_before():
+    """Two entries of one row swapped in a later copy of a table: the copy
+    is read afresh, and fails as the parser that read every block did."""
+    lines = repeated_blocks_text().splitlines()
+    repeats = repeated_tables(lines)
+    assert len(repeats) >= 5
+    for head, n in repeats:
+        for a, b, c in ((1, 1, 2), (n - 1, n - 2, n - 1)):
+            bad = list(lines)
+            row = bad[head + 1 + a].split()
+            row[b], row[c] = row[c], row[b]
+            bad[head + 1 + a] = " ".join(row)
+            text = "\n".join(bad) + "\n"
+            new = raised(parse_elementary_system, text)
+            assert new is not None and new == raised(oracles.parse_elementary_system, text)
+
+
+def test_tampered_repeated_triangles_are_rejected_as_before():
+    """A later copy of a triangle text with one label changed, and one
+    moved under an anchor of another arity: the same error as before."""
+    lines = repeated_blocks_text().splitlines()
+    heads = {tuple(map(int, line.split()[1:3])): i
+             for i, line in enumerate(lines) if line.startswith("egrp ")}
+    cases = []
+    for anchor in ((0, 0), (1, 1), (0, 2)):  # repeats of earlier texts
+        i = heads[anchor]
+        for label in ("1", "7"):
+            bad = list(lines)
+            parts = bad[i + 2].split()
+            parts[1] = label
+            bad[i + 2] = " ".join(parts)
+            cases.append(bad)
+    # (0, 5) and (2, 0) both have 4 triangles, of 4 and 2 labels
+    bad = list(lines)
+    src, dst = heads[(0, 5)], heads[(2, 0)]
+    bad[dst + 1:dst + 5] = lines[src + 1:src + 5]
+    cases.append(bad)
+    for bad in cases:
+        text = "\n".join(bad) + "\n"
+        new = raised(parse_elementary_system, text)
+        assert new is not None and new == raised(oracles.parse_elementary_system, text)
+    assert new == (ParseError, "triangle at (2, 0) has wrong arity")
+
+
 def test_elementary_parse_error():
     with pytest.raises(ParseError):
         parse_elementary_system("esys X depth 2\n")
@@ -307,6 +401,42 @@ def test_bound_messages_name_the_stage_the_value_and_the_cap():
                        match=rf"^resolve_group Z{over}: order {over} exceeds "
                              rf"cap CYCLIC_ORDER_CAP={CYCLIC_ORDER_CAP}$"):
         resolve_group(f"Z{over}")
+
+
+@pytest.mark.parametrize("t1", [15, 16])
+def test_rule_cap_counts_members_not_input_words(t1):
+    """x0+x0 is the identity over Z2: one member on both windows, though
+    [0, 16] has 2^17 input words, past the cap."""
+    system = parse_system(f"system X\nwindow 0 {t1}\nrule conv Z2 x0+x0\n")
+    assert len(system) == 1 and system.length == t1 + 1
+
+
+def test_rule_cap_bound_and_saturation():
+    """The leading letters bound the members below before any is built,
+    exactly for q prime; under the cap the closure judges the count."""
+    with pytest.raises(BoundExceeded, match=r"^rule unrolling: at least 2\^5 = 32 "
+                                            r"members exceed cap 16$"):
+        parse_system("system R\nwindow 0 4\nrule conv Z4 x0+x0\n", member_cap=16)
+    with pytest.raises(BoundExceeded, match=r"^rule unrolling: 2\^31 = 2147483648 "
+                                            r"members exceed cap 65536$"):
+        parse_system("system R\nwindow 0 40\nrule conv Z2 x10\n")
+    # Z4 x0+x0+x1 on [0, 2]: leading letters 2 of order 2 bound it by 2^3
+    assert len(parse_system("system R\nwindow 0 2\nrule conv Z4 x0+x0+x1\n")) == 16
+    with pytest.raises(BoundExceeded, match=r"^build_system saturation: 9 "
+                                            r"members exceed cap 8$"):
+        parse_system("system R\nwindow 0 2\nrule conv Z4 x0+x0+x1\n", member_cap=8)
+
+
+@pytest.mark.parametrize("rule", ["Z2 x0+x0", "Z2 x3", "Z2 x0+x0 x0+x0+x1",
+                                  "Z3 x1 x0+x2", "Z4 x0+x0", "Z4 x0+x0+x1",
+                                  "Z4 x2+x2 x1", "Z1 x0"])
+def test_rule_members_match_the_earlier_unrolling(rule):
+    """Identity images skipped and images cut at the window's end: the
+    members of every input word, as the walk over all of them finds."""
+    for t1 in range(4):
+        text = f"system R\nwindow 0 {t1}\nrule conv {rule}\n"
+        new = parsed("gsys", parse_system, text)
+        assert isinstance(new, tuple) and new == parsed("gsys", oracles.parse_system, text)
 
 
 def test_cyclic_groups_above_the_cap_are_refused_everywhere(monkeypatch):
