@@ -75,8 +75,8 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
         if None in row:
             other = pairs[row.index(None)]
             raise NotASubgroup(f"product {(a1, b1)}*{other} escapes")
-        table.append(row)
-    group = FiniteGroup(table, name=f"{g1.name}x{g2.name}", _validated=True)
+        table.append(tuple(row))
+    group = FiniteGroup(tuple(table), name=f"{g1.name}x{g2.name}", _validated=True)
     return group, pairs
 
 

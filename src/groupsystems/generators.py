@@ -270,7 +270,7 @@ def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[in
     return realized, cls, [first[c] for c in range(len(realized))]
 
 
-def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
+def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> Tuple[tuple, ...]:
     """The rows of a quotient table of order n from the columns of its
     generators: gen_columns[g][c] = c g for the images g of S.
 
@@ -292,7 +292,7 @@ def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> List[tuple]:
                     cols[e] = list(map(col_g.__getitem__, col_d))
                     found.append(e)
         frontier = found
-    return list(zip(*(cols[e] for e in range(n))))
+    return tuple(zip(*(cols[e] for e in range(n))))
 
 
 def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],

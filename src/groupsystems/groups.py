@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -32,10 +32,16 @@ class FiniteGroup:
 
     def __init__(self, op_table: Sequence[Sequence[int]], name: str = "G",
                  _validated: bool = False, _rows_checked: bool = False):
-        # _rows_checked: op_table is a tuple of int tuples whose rows
-        # `_check_row` has passed (`make_group`); only the axioms are left
-        table = (op_table if _rows_checked
-                 else tuple(tuple(map(int, row)) for row in op_table))
+        # _rows_checked: rows of ints that `_check_row` has passed
+        # (`make_group`), so only the axioms are left; _validated: a group
+        # table built from int tables.  Either holds ints already, and a
+        # tuple of tuple rows is taken as it is
+        if not (_validated or _rows_checked):
+            table = tuple(tuple(map(int, row)) for row in op_table)
+        elif isinstance(op_table, tuple):
+            table = op_table
+        else:
+            table = tuple(map(tuple, op_table))
         self.order = len(table)
         self.op_table = table
         self.name = name
@@ -74,8 +80,7 @@ class FiniteGroup:
     def renamed(self, name: str) -> "FiniteGroup":
         """The same group under another name, sharing the table and the
         inverses, commutativity and generators found so far."""
-        g = FiniteGroup(self.op_table, name=name, _validated=True,
-                        _rows_checked=True)
+        g = FiniteGroup(self.op_table, name=name, _validated=True)
         g._inv, g._abelian, g._gens = self._inv, self._abelian, self._gens
         return g
 
@@ -183,12 +188,15 @@ def light_associative(table: tuple, gens: Sequence[int]) -> bool:
     return associativity_witness(table, (0, *gens)) is None
 
 
-def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> List[list]:
-    """The table a congruence of the table `op` induces on its classes:
-    class c times class d is the class cls[x] of x = reps[c] reps[d].
-    Cosets, subgroup members by position, slice classes and relabelings
-    (cls a permutation, reps its inverse) are all read off this way."""
-    return [[cls[row[q]] for q in reps] for row in (op[p] for p in reps)]
+def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
+    """The table a congruence of the table `op` induces on its classes, as
+    tuple rows: class c times class d is the class cls[x] of x = reps[c]
+    reps[d].  Cosets, subgroup members by position, slice classes and
+    relabelings (cls a permutation, reps its inverse) are all read off
+    this way."""
+    get = cls.__getitem__
+    return tuple(tuple(map(get, map(row.__getitem__, reps)))
+                 for row in map(op.__getitem__, reps))
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -209,12 +217,12 @@ def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGrou
         # swap labels 0 <-> ident, a transposition and so its own inverse
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
-        table = tuple(map(tuple, class_table(table, perm, perm)))
+        table = class_table(table, perm, perm)
     return FiniteGroup(table, name=name, _rows_checked=True)
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     return FiniteGroup(table, name=name or f"Z{n}", _validated=True)
 
 
@@ -533,8 +541,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     Returns (group, proj1, proj2).
     """
     n1, n2 = g1.order, g2.order
-    table = [[x * n2 + y for x in row1 for y in row2]
-             for row1 in g1.op_table for row2 in g2.op_table]
+    table = tuple(tuple([x * n2 + y for x in row1 for y in row2])
+                  for row1 in g1.op_table for row2 in g2.op_table)
     g = FiniteGroup(table, name=name or f"{g1.name}x{g2.name}", _validated=True)
     proj1 = Homomorphism(g, g1, tuple(x // n2 for x in range(n1 * n2)), check=False)
     proj2 = Homomorphism(g, g2, tuple(x % n2 for x in range(n1 * n2)), check=False)

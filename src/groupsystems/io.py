@@ -18,7 +18,7 @@ from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
 from .generators import ElementaryGroupTable
 from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
 from .slots import in_slot_table, upper_triangle_positions
-from .systems import DEFAULT_MEMBER_CAP, GroupSystem, build_system
+from .systems import DEFAULT_MEMBER_CAP, LETTER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
 # Z<n> builds its n x n table at once; the largest order used in the demos
@@ -54,12 +54,27 @@ def resolve_group(name: str, search_dir: Optional[Path] = None) -> FiniteGroup:
 
 # -- .grp -------------------------------------------------------------------
 
-def dump_group(g: FiniteGroup) -> str:
-    name = re.sub(r"\s+", "_", g.name) or "G"
-    lines = [f"group {name} {g.order}"]
-    for row in g.op_table:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+_SPACE_RE = re.compile(r"\s+")
+
+
+def _lines(rows, prefix: str = "") -> str:
+    """Rows of values as text, one line each, every line ended."""
+    return "".join([f"{prefix}{' '.join(map(str, row))}\n" for row in rows])
+
+
+def _lines_once(cache: Dict[tuple, str], rows: tuple, prefix: str = "") -> str:
+    """`_lines`, formatted once per distinct `rows` kept in `cache`."""
+    text = cache.get(rows)
+    if text is None:
+        text = cache[rows] = _lines(rows, prefix)
+    return text
+
+
+def dump_group(g: FiniteGroup, rows: Optional[str] = None) -> str:
+    """A `group <name> <order>` header and the table rows; `rows`, if
+    given, is their text (`_lines` of the table)."""
+    name = _SPACE_RE.sub("_", g.name) or "G"
+    return f"group {name} {g.order}\n" + (_lines(g.op_table) if rows is None else rows)
 
 
 def _strip_lines(text: str) -> List[str]:
@@ -271,8 +286,9 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
     of their powers below the order o of the leading letter are distinct
     members (the least p whose powers differ leaves a letter other than
     the identity at p + d_min), at least o^n of them for n images, and
-    exactly q^n for q prime.  A bound past the cap raises here, since the
-    closure would pass it too."""
+    exactly q^n for q prime.  A bound past the member cap, or past
+    `LETTER_CAP` letters at the window's length each, raises here, since
+    the closure would pass it too."""
     gname, taps = rule
     base = lookup(gname)
     if not base.is_abelian:
@@ -319,12 +335,15 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
         n = length - d_min
         if n:
             o = alphabet.element_order(profile[d_min])
-            if o ** n > member_cap:
+            count = o ** n
+            if count > member_cap or count * length > LETTER_CAP:
                 # for q prime the images are independent over GF(q): q^n
                 least = "" if all(q % f for f in range(2, q)) else "at least "
-                value = f" = {o ** n}" if n * o.bit_length() <= 4096 else ""
-                raise BoundExceeded(f"rule unrolling: {least}{o}^{n}{value} "
-                                    f"members exceed cap {member_cap}")
+                value = f" = {count}" if n * o.bit_length() <= 4096 else ""
+                cap = (f"members exceed cap {member_cap}" if count > member_cap
+                       else f"members of {length} letters exceed cap "
+                            f"LETTER_CAP={LETTER_CAP} letters")
+                raise BoundExceeded(f"rule unrolling: {least}{o}^{n}{value} {cap}")
         seeds_of.append((profile, n))
     seeds = [(0,) * p + tuple(profile[:length - p])
              for p in range(length) for profile, n in seeds_of if p < n]
@@ -363,23 +382,30 @@ def load_system_file(path, member_cap: int = DEFAULT_MEMBER_CAP) -> GroupSystem:
 
 # -- .egrp / .esys ----------------------------------------------------------------
 
-def dump_egrp(table: ElementaryGroupTable) -> str:
+def dump_egrp(table: ElementaryGroupTable, tris: Optional[str] = None,
+              rows: Optional[str] = None) -> str:
+    """An `egrp` block: header, triangles, then the table; `tris` and
+    `rows`, if given, are the text of the triangles and table rows."""
     k, t = table.anchor
-    lines = [f"egrp {k} {t} {len(table.elements)}"]
-    for tri in table.elements:
-        lines.append("tri " + " ".join(map(str, tri)))
-    lines.append(dump_group(table.group).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    if tris is None:
+        tris = _lines(table.elements, "tri ")
+    return f"egrp {k} {t} {len(table.elements)}\n{tris}" + dump_group(table.group, rows)
 
 
 def dump_elementary_system(es: ElementarySystem) -> str:
-    lines = [f"esys {es.name} depth {es.depth} window "
-             f"{es.window[0]} {es.window[1]}"]
-    for slot in es.slots():
-        lines.append(f"labels {slot[0]} {slot[1]} {es.label_sizes[slot]}")
+    """Header, label counts, then one `egrp` block per anchor; each
+    distinct triangle list and table is formatted once (extracted systems
+    repeat both)."""
+    out = [f"esys {es.name} depth {es.depth} window "
+           f"{es.window[0]} {es.window[1]}\n"]
+    out.extend([f"labels {k} {t} {es.label_sizes[(k, t)]}\n" for k, t in es.slots()])
+    tri_text: Dict[tuple, str] = {}
+    row_text: Dict[tuple, str] = {}
     for anchor in es.slots():
-        lines.append(dump_egrp(es.table(anchor)).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+        table = es.table(anchor)
+        out.append(dump_egrp(table, _lines_once(tri_text, table.elements, "tri "),
+                             _lines_once(row_text, table.group.op_table)))
+    return "".join(out)
 
 
 def _tri_block(tri_lines: Tuple[str, ...], anchor: Tuple[int, int],

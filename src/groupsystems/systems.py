@@ -27,6 +27,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    class_table,
     close_greedily,
     QuotientPresentation,
     Subgroup,
@@ -34,6 +35,10 @@ from .groups import (
 from .slots import Slot, fold_order, positions_in, walk, window_slots
 
 DEFAULT_MEMBER_CAP = 2 ** 16
+# a built system's size in letters, members times window length: the size
+# of its letter columns, and of each cut's id column in the controllability
+# index; 2^17 members on 17 times take an eighth of it
+LETTER_CAP = 2 ** 24
 SEQUENCE_GROUP_TABLE_CAP = 2048
 
 Seq = Tuple[int, ...]
@@ -53,7 +58,8 @@ class GroupSystem:
         self._op_tables = tuple(g.op_table for g in self.alphabets)
         if len(self.alphabets) != t1 - t0 + 1:
             raise NotAGroupSystem("alphabet count does not match window")
-        members = sorted(set(sequences) if _closed
+        # a closed member set comes from a set: distinct tuples of ints
+        members = sorted(sequences if _closed
                          else {tuple(map(int, s)) for s in sequences})
         if len(members) > member_cap:
             raise BoundExceeded(f"GroupSystem {name}: {len(members)} members "
@@ -137,10 +143,24 @@ class GroupSystem:
         letter realized.  Range and inverses are column passes (each letter
         column through the time-t inverse table, the zipped rows looked up
         in the member index); when one fails, the member loop below finds
-        the first offending member, the witness."""
+        the first offending member, the witness.
+
+        A `closed` system (built only by `build_system`) keeps the identity
+        check alone; each other pass has its verdict fixed already:
+        - letter range: the seeds were range-checked, and every member is
+          a product of seeds, whose letters are table entries, in range;
+        - inverses and closure: the members are the saturation of the
+          seeds, a closed finite set holding the identity, so a subgroup,
+          which holds every inverse (a^-1 is a power of a);
+        - every letter realized: `realized_alphabets` has just shrunk each
+          alphabet to the letters its members realize.
+        The passes themselves are kept as the oracle
+        `tests/oracles.validate_system`."""
         ident = self.identity
         if ident not in self._index:
             raise NotAGroupSystem("identity sequence missing", ident)
+        if closed:
+            return
         columns = self.columns
         ok = all(0 <= min(col) and max(col) < g.order
                  for col, g in zip(columns, self.alphabets))
@@ -155,8 +175,7 @@ class GroupSystem:
                         raise NotAGroupSystem("letter out of range", (s, x))
                 if self.inverse(s) not in self._index:
                     raise NotAGroupSystem("inverse missing", s)
-        if not closed:
-            self.verify_closure()
+        self.verify_closure()
         # every alphabet letter realized at each time
         for t, col, g in zip(self.times(), columns, self.alphabets):
             seen = set(col)
@@ -218,8 +237,8 @@ class GroupSystem:
                     f"normal chains and subgroup views (X^t, Y^t, granules, "
                     f"lower elementary groups, tooth subgroups) need this table")
             # row a lists a*b for every member b: one left translate
-            table = [self.translate(self.columns, a, right=False)
-                     for a in self.sequences]
+            table = tuple(tuple(self.translate(self.columns, a, right=False))
+                          for a in self.sequences)
             self._seq_group = FiniteGroup(table, name=self.name, _validated=True)
         return self._seq_group
 
@@ -289,27 +308,30 @@ def realized_alphabets(alphabets: Sequence[FiniteGroup],
     """Shrink each per-time alphabet to its realized projection subgroup.
 
     Projections of a member group are subgroups, so each realized letter set
-    closes; letters are relabeled by rank (identity stays 0).  Returns
-    (alphabets, members) unchanged when every letter is already realized.
+    closes, and its table is read off the alphabet's (`class_table`)
+    without a closure check of its own; letters are relabeled by rank
+    (identity stays 0).  Letter sets and relabels are read on the letter
+    columns.  Returns (alphabets, members) unchanged when every letter is
+    already realized.
     """
     members = list(members)
+    columns = list(zip(*members))
     per_t: List[FiniteGroup] = []
-    relabel: List[Optional[dict]] = []
-    for pos, g in enumerate(alphabets):
-        letters = tuple(sorted({s[pos] for s in members}))
+    moved = False
+    for pos, (g, col) in enumerate(zip(alphabets, columns)):
+        letters = set(col)
         if len(letters) == g.order:
             per_t.append(g)
-            relabel.append(None)
-        else:
-            sub = Subgroup(g, letters)
-            small, embed = sub.as_group(name=g.name)
-            per_t.append(small)
-            relabel.append({old: i for i, old in enumerate(embed)})
-    if all(r is None for r in relabel):
+            continue
+        embed = sorted(letters)
+        rank = dict(zip(embed, range(len(embed))))
+        per_t.append(FiniteGroup(class_table(g.op_table, rank, embed),
+                                 name=g.name, _validated=True))
+        columns[pos] = map(rank.__getitem__, col)
+        moved = True
+    if not moved:
         return tuple(alphabets), members
-    new_members = [tuple(x if r is None else r[x] for x, r in zip(s, relabel))
-                   for s in members]
-    return tuple(per_t), new_members
+    return tuple(per_t), list(zip(*columns))
 
 
 def transposed_tables(alphabets: Sequence[FiniteGroup]) -> Tuple[tuple, ...]:
@@ -343,7 +365,12 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     the tables `GroupSystem._op_columns` holds.  Seed length and
     letter range are checked on the letter columns; only a seed set that
     fails is walked seed by seed for the witness.  Per-time alphabets are
-    restricted to their realized projections."""
+    restricted to their realized projections.  The closure may pass
+    neither `member_cap` members nor `LETTER_CAP` letters (members times
+    the window length); either raises BoundExceeded before it grows.
+
+    The system is built `_closed`, so it is not validated again (the
+    argument is in `GroupSystem._validate`)."""
     t0, t1 = window
     length = t1 - t0 + 1
     alphabets = tuple(alphabets)
@@ -358,7 +385,16 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                 if not 0 <= x < g.order:
                     raise NotAGroupSystem("letter out of range", (s, x))
     members = {(0,) * length}
-    _saturate(members, seeds, transposed_tables(alphabets), member_cap)
+    by_letters = LETTER_CAP // length
+    try:
+        _saturate(members, seeds, transposed_tables(alphabets),
+                  min(member_cap, by_letters))
+    except BoundExceeded:
+        if member_cap <= by_letters:
+            raise
+        raise BoundExceeded(f"build_system saturation: {by_letters + 1} members "
+                            f"of {length} letters exceed cap "
+                            f"LETTER_CAP={LETTER_CAP} letters") from None
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)

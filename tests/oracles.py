@@ -90,13 +90,24 @@ and the subgroup intersections and products.  The oracle extension search
 and `parse_group` above build their kernel and relabeled tables with these
 `as_group` and `make_group`.
 
-The very last is the generating set the extract path read before it kept
+Then comes the generating set the extract path read before it kept
 only the entries outside the closure of those before them: the identity
 plus every transversal entry, with both Cayley graphs built entry by
 entry (`full_generating_set`, `with_full_generating_set`).
+
+The very last are the passes the extract path ran again on what an
+earlier step had certified: the validation of a built system (letter
+range, inverses, closure and every letter realized, member by member:
+`validate_system`), the recovery's agreement pass at every time, the
+context's own tables included (`deviating_pairs`), and the dump that
+formats every table and triangle list of an elementary system anew
+(`dump_elementary_system`).  The fill check of every normal chain step
+is with the oracle `normal_chain` above, and also stands alone
+(`check_chain_fill`) for the library's chains.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -412,6 +423,20 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     if len(current) != len(ctx.tensors) and base_ps is None:
         raise NotNormalFilling("chain did not reach the whole group")
     return NormalChain(f, tuple(steps), tuple(sorted(base_sub.members)), {})
+
+
+def check_chain_fill(ctx: GeneratorContext, chain: NormalChain,
+                     base_ps: Optional[PairedSequence] = None) -> None:
+    """The fill check `normal_chain` made at every step before its
+    argument replaced it: the step's members are exactly the support
+    subgroup of the slots filled so far."""
+    filled = set(base_ps.covered() if base_ps is not None else ())
+    for step in chain.steps:
+        filled.add(step.pair)
+        target = support_subgroup(ctx, frozenset(filled))
+        if set(step.subgroup) != set(target.members):
+            raise NotNormalFilling(
+                f"step {step.pair}: cosets do not fill the support subgroup")
 
 
 def reconstruct_from_chain(ctx: GeneratorContext, f: FillingSequence) -> GroupSystem:
@@ -1869,3 +1894,64 @@ def with_full_generating_set(ctx: GeneratorContext) -> GeneratorContext:
         tuple(system.translate(system.columns, system.sequences[j], right)
               for j in gens) for right in (True, False))
     return full
+
+
+# -- passes the extract path no longer repeats ------------------------------
+
+def validate_system(system: GroupSystem) -> None:
+    """A system's letter range, inverses, closure (all pairs) and realized
+    letters, member by member, with the witnesses `GroupSystem` names."""
+    for s in system.sequences:
+        for x, g in zip(s, system.alphabets):
+            if not 0 <= x < g.order:
+                raise NotAGroupSystem("letter out of range", (s, x))
+        inverse = tuple(next(y for y in g.elements() if g.op(x, y) == 0)
+                        for x, g in zip(s, system.alphabets))
+        if inverse not in system:
+            raise NotAGroupSystem("inverse missing", s)
+    verify_closure(system)
+    for t, g in zip(system.times(), system.alphabets):
+        seen = {system.letter(s, t) for s in system.sequences}
+        for x in g.elements():
+            if x not in seen:
+                raise NotAGroupSystem("alphabet letter unrealized", (t, x))
+
+
+def deviating_pairs(es: ElementarySystem, ctx: GeneratorContext) -> List[tuple]:
+    """The recovery's agreement pass at every time, whatever the table:
+    the (member, generator position) pairs (a, j) with
+    op_t[cls_t[a]][cls_t[s_j]] != cls_t[a s_j] at some t, ascending.  The
+    slice classes are looked up in each (0, t) table, so every slice must
+    be one of its elements."""
+    tensors, gens = ctx.tensors, ctx.generating_set
+    index = ctx.system._index
+    seqs = ctx.system.sequences
+    out = set()
+    for anchor, take, get, idx, _, op in es._product_plan[1]:
+        cls = [idx[get(lab)] for lab in tensors]
+        for a in range(len(tensors)):
+            for j, s in enumerate(gens):
+                if op[cls[a]][cls[s]] != cls[index[ctx.system.mul(seqs[a], seqs[s])]]:
+                    out.add((a, j))
+    return sorted(out)
+
+
+def dump_elementary_system(es: ElementarySystem) -> str:
+    """Header, label counts, then every anchor's block with its triangles
+    and table rows formatted anew."""
+    lines = [f"esys {es.name} depth {es.depth} window "
+             f"{es.window[0]} {es.window[1]}"]
+    for slot in es.slots():
+        lines.append(f"labels {slot[0]} {slot[1]} {es.label_sizes[slot]}")
+    for anchor in es.slots():
+        table = es.table(anchor)
+        k, t = table.anchor
+        lines.append(f"egrp {k} {t} {len(table.elements)}")
+        for tri in table.elements:
+            lines.append("tri " + " ".join(map(str, tri)))
+        g = table.group
+        name = re.sub(r"\s+", "_", g.name) or "G"
+        lines.append(f"group {name} {g.order}")
+        for row in g.op_table:
+            lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import groupsystems.elementary as elementary_module
+import groupsystems.io as io_module
 import groupsystems.systems as systems_module
 from groupsystems.chains import (
     complementary,
@@ -27,7 +28,9 @@ from groupsystems.chains import (
     standard_filling,
 )
 from groupsystems.elementary import (
+    ConstructionStrategy,
     ElementarySystem,
+    construct_elementary_system,
     extract_elementary_system,
     light_associative,
     recover_original,
@@ -445,11 +448,13 @@ def test_recover_original_accepts_what_the_oracle_accepts(c2):
 # -- chains, peels, decoding and the tooth group ------------------------------------
 
 def chain_outcomes(ctx: GeneratorContext, f, base_ps=None):
-    """Chain, reconstruction and every member's peel, from both sides."""
+    """Chain, reconstruction and every member's peel, from both sides; an
+    accepted chain passes the fill check it no longer makes itself."""
     new = outcome(normal_chain, ctx, f, base_ps)
     old = outcome(oracles.normal_chain, ctx, f, base_ps)
     assert_same(new, old)
     if new[0] == "ok":
+        oracles.check_chain_fill(ctx, new[1], base_ps)
         for seq in ctx.system.sequences:
             assert_same(outcome(decompose_along_chain, ctx, new[1], seq),
                         outcome(oracles.decompose_along_chain, ctx, old[1], seq))
@@ -788,7 +793,7 @@ def test_compose_columns_rebuilds_nonabelian_tables():
         op = g.op_table
         assert len(g.generators) + 1 < g.order and not g.is_abelian
         columns = {z: [row[z] for row in op] for z in (0, *g.generators)}
-        assert compose_columns(columns, g.order) == list(op)
+        assert compose_columns(columns, g.order) == op
 
 
 def test_nested_check_falls_back_when_only_the_child_fails(c2):
@@ -1569,3 +1574,113 @@ def test_tampered_contexts_get_the_full_generating_set_verdict(request, name):
                 assert_witness_splits_a_class(bad, anchor, new[2])
                 rejected += 1
     assert rejected > 0
+
+
+# -- certified once, end to end ------------------------------------------------
+
+RULES = {"rule_z2": "system T\nwindow 0 3\nrule conv Z2 x0 x1+x2\n",
+         "rule_z3": "system T\nwindow 0 2\nrule conv Z3 x0 x0+x1\n",
+         "rule_z4": "system T\nwindow 0 2\nrule conv Z4 x0 x0+x1\n"}
+END_TO_END = FIXTURES + ["s3_square", *DATA_FILES, *RULES]
+
+
+def end_to_end_system(request, name: str) -> GroupSystem:
+    """A fixture, a file of `perfbench/data`, or a tap rule of `RULES`."""
+    if name in RULES:
+        return parse_system(RULES[name])
+    return named_system(request, name)
+
+
+def assert_built_system_valid(system: GroupSystem) -> None:
+    """The passes a `_closed` system skips, as the oracle and as the
+    unflagged constructor runs them, accept it unchanged."""
+    oracles.validate_system(system)
+    again = GroupSystem(system.window, system.alphabets, system.sequences)
+    assert system_key(again) == system_key(system)
+
+
+@pytest.mark.parametrize("name", END_TO_END)
+def test_built_systems_pass_the_validation_they_skip(request, name):
+    """Letter range, inverses, closure and realized letters hold on every
+    `build_system` output, from the whole member set, from two members and
+    from the members in reverse order."""
+    system = end_to_end_system(request, name)
+    assert_built_system_valid(system)
+    for seeds in (system.sequences, system.sequences[1:3], system.sequences[::-1]):
+        assert_built_system_valid(build_system(system.window, system.alphabets, seeds))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_systems())
+def test_built_systems_pass_the_validation_they_skip_on_generated_seeds(case):
+    new = outcome(build_system, *case)
+    if new[0] == "ok":
+        assert_built_system_valid(new[1])
+
+
+@pytest.mark.parametrize("name", END_TO_END)
+def test_agreement_pass_finds_nothing_on_the_contexts_own_tables(request, name):
+    """Recovery skips the agreement pass at times whose table the context
+    built; that pass, run at every time, finds no deviating pair there."""
+    ctx = build_context(end_to_end_system(request, name))
+    es = extract_elementary_system(ctx)
+    assert all(ctx._elementary[(0, t)] is es.tables[(0, t)]
+               for t in ctx.system.times())
+    assert oracles.deviating_pairs(es, ctx) == []
+    same_failure(failure(recover_original, es, ctx),
+                 failure(oracles.recover_original_pairs, es, ctx), system_key)
+
+
+@pytest.mark.parametrize("name", ["s3_rep", "s3_square", "rule_z3", "rule_z4"])
+def test_a_swapped_in_table_is_still_compared(request, name):
+    """A (0, t) table the context did not build is compared.  A copy of its
+    own table is accepted.  The same table with two non-identity elements
+    relabeled is still a group, so only the agreement pass can reject it;
+    where the relabel is no automorphism it does, naming the pair the
+    per-pair loop names."""
+    ctx = build_context(end_to_end_system(request, name))
+    es = extract_elementary_system(ctx)
+    rejected = 0
+    for t in ctx.system.times():
+        table = es.tables[(0, t)]
+        copy = ElementaryGroupTable(table.anchor, table.positions, table.elements,
+                                    table.group.renamed(table.group.name))
+        assert outcome(recover_original, with_table(es, (0, t), copy), ctx)[0] == "ok"
+        op, n = table.group.op_table, table.group.order
+        for c1, c2 in itertools.islice(itertools.combinations(range(1, n), 2), 30):
+            perm = list(range(n))
+            perm[c1], perm[c2] = c2, c1
+            relabeled = FiniteGroup([[perm[op[perm[x]][perm[y]]] for y in range(n)]
+                                     for x in range(n)], name=table.group.name)
+            bad = with_table(es, (0, t), ElementaryGroupTable(
+                table.anchor, table.positions, table.elements, relabeled))
+            new = failure(recover_original, bad, ctx)
+            same_failure(new, failure(oracles.recover_original_pairs, bad, ctx),
+                         system_key)
+            assert (new[0] == "raise") == bool(oracles.deviating_pairs(bad, ctx))
+            rejected += new[0] == "raise"
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", END_TO_END + ["twisted_w5_l2.esys", "construct"])
+def test_dump_formats_each_table_once_and_writes_the_same_bytes(request, name,
+                                                                monkeypatch):
+    """The dump equals the one that formats every block anew, and formats
+    each distinct table and triangle list once."""
+    if name == "twisted_w5_l2.esys":
+        es = parse_elementary_system((DATA / name).read_text())
+    elif name == "construct":
+        es = construct_elementary_system((0, 5), 3, cyclic_group(2),
+                                         ConstructionStrategy({2: cyclic_group(2)}))
+    else:
+        es = extract_elementary_system(build_context(end_to_end_system(request, name)))
+    assert dump_elementary_system(es) == oracles.dump_elementary_system(es)
+    formatted = []
+    lines = io_module._lines
+    monkeypatch.setattr(io_module, "_lines",
+                        lambda rows, prefix="": formatted.append(rows) or lines(rows, prefix))
+    dump_elementary_system(es)
+    tables = list(es.tables.values())
+    assert len(formatted) == (len({t.group.op_table for t in tables})
+                              + len({t.elements for t in tables}))

@@ -54,6 +54,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_validate_past_the_letter_cap_exits_3(capsys, tmp_path):
+    """2^16 members of 516 letters: within the member cap, past LETTER_CAP;
+    the run ends in exit 3 naming the stage and the cap, not in a
+    MemoryError in the controllability index."""
+    path = tmp_path / "x500.gsys"
+    path.write_text("system X\nwindow 0 515\nrule conv Z2 x500\n")
+    code, out, err = run(capsys, "validate", path)
+    assert code == 3 and out == ""
+    assert "rule unrolling" in err and "exceed cap LETTER_CAP=16777216 letters" in err
+
+
 def test_validate_r2(capsys, r2_file):
     code, out, _ = run(capsys, "validate", r2_file)
     assert code == 0

@@ -8,6 +8,7 @@ from fuzzing import SEEDS, fuzzed_texts
 
 import oracles
 import groupsystems.io as io
+import groupsystems.systems as systems
 from groupsystems.elementary import (
     ConstructionStrategy,
     construct_elementary_system,
@@ -425,6 +426,48 @@ def test_rule_cap_bound_and_saturation():
     with pytest.raises(BoundExceeded, match=r"^build_system saturation: 9 "
                                             r"members exceed cap 8$"):
         parse_system("system R\nwindow 0 2\nrule conv Z4 x0+x0+x1\n", member_cap=8)
+
+
+def test_letter_cap_stops_a_rule_with_long_members():
+    """x500 on [0, 515]: 2^16 members, within the member cap, but of 516
+    letters each, past LETTER_CAP; the bound raises before any member is
+    built."""
+    with pytest.raises(BoundExceeded, match=r"^rule unrolling: 2\^16 = 65536 members "
+                                            r"of 516 letters exceed cap "
+                                            r"LETTER_CAP=16777216 letters$"):
+        parse_system("system X\nwindow 0 515\nrule conv Z2 x500\n")
+    assert len(parse_system("system X\nwindow 0 515\nrule conv Z2 x508\n")) == 2 ** 8
+
+
+def test_letter_cap_stops_the_saturation_of_seq_members(monkeypatch):
+    """Seven free letters on a window of 64 times close to 128 members,
+    8,192 letters.  A cap of 4,096 letters holds 64 such members, and the
+    closure stops when it would pass them."""
+    seqs = "".join("seq " + " ".join("1" if t == p else "0" for t in range(64)) + "\n"
+                   for p in range(7))
+    text = "system S\nwindow 0 63\nalphabet all Z2\n" + seqs
+    assert len(parse_system(text)) == 128
+    monkeypatch.setattr(systems, "LETTER_CAP", 2 ** 12)
+    with pytest.raises(BoundExceeded, match=r"^build_system saturation: 65 members "
+                                            r"of 64 letters exceed cap "
+                                            r"LETTER_CAP=4096 letters$"):
+        parse_system(text)
+
+
+def test_too_few_triangles_are_rejected_by_the_cartesian_count(c2):
+    """One more label at slot (0, 1) leaves the anchor (0, 1), and only it,
+    with fewer triangles than its label sets multiply to.  Every other
+    check passes: the triangles are distinct and their labels in range, and
+    the projections are as before.  So the Cartesian count rejects it."""
+    lines = c2_esys_lines(c2)
+    i = lines.index(next(line for line in lines if line.startswith("labels 0 1 ")))
+    size = int(lines[i].split()[3])
+    lines[i] = f"labels 0 1 {size + 1}"
+    count = int(next(line for line in lines if line.startswith("egrp 0 1 ")).split()[3])
+    with pytest.raises(WellDefinednessFailure,
+                       match=rf"^anchor \(0, 1\): {count} triangles, Cartesian "
+                             rf"product needs {count // size * (size + 1)}$"):
+        parse_elementary_system("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("rule", ["Z2 x0+x0", "Z2 x3", "Z2 x0+x0 x0+x0+x1",
