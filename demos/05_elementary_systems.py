@@ -21,6 +21,7 @@ from groupsystems import (
     recover_original,
     structurally_equal,
 )
+from groupsystems.errors import RecoveryMismatch
 
 c2 = parse_system("system C2\nwindow 0 3\nrule conv Z2 x0 x0+x1\n")
 ctx = build_context(c2)
@@ -42,6 +43,24 @@ print("\nslicewise product of two tensors:", global_product(es, u1, u2))
 recovered = recover_original(es, ctx)
 print("recovering the original system:",
       recovered.sequences == c2.sequences)
+
+# a reloaded dump holds other table objects than the context's own: each
+# (0, t) table is compared with the context's elementary group E(0, t)
+reloaded = parse_elementary_system(dump_elementary_system(es))
+print("recovering from a reloaded dump accepted:",
+      recover_original(reloaded, ctx).sequences == c2.sequences)
+
+# the elementary system of another system on the same slot table: its
+# tables multiply the labels mod 4, so some product of C2's tensors deviates
+z4 = parse_system("system Z4\nwindow 0 3\nrule conv Z4 x0 x0+x1\n")
+foreign = extract_elementary_system(build_context(z4))
+try:
+    recover_original(foreign, ctx)
+    print("recovering against a foreign elementary system accepted")
+except RecoveryMismatch as exc:
+    print("recovering against a foreign elementary system rejected:",
+          type(exc).__name__)
+    print("   witness pair:", str(exc).removeprefix("global product deviates at "))
 
 # -- depth restriction ----------------------------------------------------------------
 

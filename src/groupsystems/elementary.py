@@ -40,7 +40,7 @@ from .generators import (
     restriction_images,
 )
 from .groups import (FiniteGroup, Homomorphism, class_table,
-                     homomorphism_witness, light_associative, trivial_group)
+                     homomorphism_witness, trivial_group)
 from .slots import (
     Slot,
     children,
@@ -256,156 +256,79 @@ def _check_product(es: ElementarySystem, lab1: tuple, lab2: tuple,
         raise RecoveryMismatch(f"global product deviates at {lab1} * {lab2}")
 
 
-def _check_products(es: ElementarySystem, ctx: GeneratorContext,
-                    pairs) -> None:
-    """`_check_product` on the member pairs (a, j), a times the j-th
-    generator, in the given order: the first deviating pair raises."""
-    tensors, gens, right = ctx.tensors, ctx.generating_set, ctx.right_cayley
-    for a, j in pairs:
-        _check_product(es, tensors[a], tensors[gens[j]], tensors[right[j][a]])
-
-
 def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem:
     """For a system-extracted elementary system: check the global product
-    agrees with the transported operation, then recover the member set.
+    agrees with the member product on every pair of members, then recover
+    the member set.
 
-    The agreement is checked on element x generator pairs: global_product(a,
-    s) must equal a*s for every member a and every s in the generating set
-    S.  The identity is in S, so every member's slices are looked up.  Then
-    each local table at (0, t) must satisfy (x y) z = x (y z) for realized
-    slices x, y and slices z of generators.
+    The check compares each (0, t) table of `es` with the context's own
+    certified E(0, t) through the triangles.  Write cls_t for the class map
+    of E(0, t): member a -> index of its time-t slice.  Its partition is a
+    certified two-sided congruence (`induced_slice_group`), so cls_t is a
+    homomorphism of the member group onto E(0, t), and the time-t slice
+    of a b is the triangle own_t[cls_t(a) cls_t(b)].  With phi_t(x) the
+    index of triangle own_t[x] in the table of `es` (None if it has none),
+    time t passes at the class pair (x, y) when
+        elements_t[op_t[phi_t x][phi_t y]] == own_t[x y].
+    Where the (0, t) table sits on E(0, t)'s positions, `global_product(a,
+    b)` writes at those positions the left side at (cls_t a, cls_t b), or
+    raises UnrealizedSlice where phi_t is None; the tensor of a b holds the
+    right side there.  So if every time passes at the classes of a and b,
+    every time writes the labels of that one tensor, no overlap disagrees,
+    and the product is right; if a time fails, a lookup raises or a label
+    differs from the tensor's, which either disagrees on an overlap or
+    stays in the result.  A pair of members is thus rejected iff its
+    classes fail at some time, and since each cls_t is onto, all |A|^2
+    pairs are decided by |E(0, t)|^2 class pairs per time.  The first
+    rejected pair in member order is the least (first member of class x,
+    first member of class y) over the failing class pairs, and it is
+    raised through `_check_product`, so the error and its witness are the
+    ones the all-pairs loop raises first (`tests/oracles.recover_original`).
 
-    Equivalence with checking all member pairs: write tau_t for the time-t
-    slice map.  Agreement on (a, s) says tau_t(a s) = tau_t(a) tau_t(s).
-    Write any b as a word in S; if b = w s, then
-        tau_t(a w s) = tau_t(a w) tau_t(s) = (tau_t(a) tau_t(w)) tau_t(s)
-                     = tau_t(a) (tau_t(w) tau_t(s)) = tau_t(a) tau_t(w s),
-    by induction on the word length in the second step and the checked
-    associativity in the third.  So each slice map is a homomorphism, every
-    slice of the global product of a and b is the slice of a*b, and the two
-    products agree on all pairs.  Conversely, agreement on all pairs makes
-    the realized part of each table a homomorphic image of the member
-    group, hence associative.  When that associativity fails, one of the
-    member pairs (a, w) or (a, w s) behind it has a wrong global product,
-    and that pair is raised through the same check.
-
-    The pairs are checked as column passes over slice classes: cls_t[a] is
-    the element of the (0, t) table holding member a's slice.  When every
-    member slice is an element and the (0, t) slices cover every slot,
-    global_product(a, s) writes the labels of element op_t[cls_t[a]][cls_t[s]]
-    at the positions of each time t, and it equals the tensor of a*s iff
-    op_t[cls_t[a]][cls_t[s]] = cls_t[a*s] for every t (element labels
-    determine the element, so equal labels mean equal elements, and labels
-    all taken from one tensor never disagree on an overlap).  So for each
-    t and each s, the column cls_t mapped through column cls_t[s] of op_t
-    is compared with cls_t read along the right Cayley graph of s.  Pairs
-    that fail there, and all pairs when a slice is no element or a slot is
-    uncovered, go through `global_product` in member-then-generator order,
-    so the error and witness are the ones the per-pair loop raises.  The
-    cost is 2|A| x |S| list reads per time instead of |A| x |S| global
-    products.
-
-    A time t whose (0, t) table is the context's own elementary group (the
-    same object, as in `_member_classes`) is not compared: that table was
-    composed from the representative columns of a partition certified as
-    a two-sided congruence (`induced_slice_group`), so it is the quotient
-    table and cls_t a homomorphism onto it: op_t[cls_t[a]][cls_t[s]] =
-    cls_t[a*s] for every member a and every s in S, also for a generator
-    whose class another generator's column represents, since left
-    invariance puts a*s and a*s' in one class when s and s' are.  Such a
-    time adds no deviating pair, so the pairs raised, and their order, are
-    those of the comparison at every time, which is kept as the oracle
-    `tests/oracles.deviating_pairs`.  A table loaded from a file or
-    swapped in is another object and is compared.
+    A time whose (0, t) table is the context's own E(0, t) (the same
+    object) has phi_t the identity, and its condition is the homomorphism
+    property of cls_t, so it is not compared.  A table on other positions
+    than E(0, t)'s, or a context whose E(0, t) fails its certificate, has
+    no such argument: then every pair of members goes through
+    `global_product` until the first one fails.
     """
-    slots = es.slots()
-    if slots != ctx.slots:
+    if es.slots() != ctx.slots:
         raise RecoveryMismatch("slot tables differ")
-    classes = _member_classes(es, ctx)
-    _, plan = es._product_plan
-    gens = ctx.generating_set
-    covered = {i for _, take, *_ in plan for i in take}
-    if len(covered) != len(slots) or any(None in cls for cls in classes):
-        _check_products(es, ctx, itertools.product(range(len(ctx.tensors)),
-                                                   range(len(gens))))
-    deviating = set()
-    for cls, (anchor, *_, op) in zip(classes, plan):
-        if ctx._elementary.get(anchor) is es.tables[anchor]:
+    failing: List[Tuple[int, int]] = []
+    for t in ctx.system.times():
+        table = es.table((0, t))
+        if ctx._elementary.get((0, t)) is table:
             continue
-        for j, (s, moved) in enumerate(zip(gens, ctx.right_cayley)):
-            line = [row[cls[s]] for row in op]
-            expected = list(map(cls.__getitem__, moved))
-            got = list(map(line.__getitem__, cls))
-            if got != expected:
-                deviating.update((a, j) for a, (x, y) in
-                                 enumerate(zip(got, expected)) if x != y)
-    _check_products(es, ctx, sorted(deviating))
-    _check_local_associativity(es, ctx, classes)
+        try:
+            own = elementary_group(ctx, 0, t)
+        except WellDefinednessFailure:
+            own = None
+        if own is None or own.positions != table.positions:
+            pairs = itertools.product(range(len(ctx.tensors)), repeat=2)
+            break
+        failing += _failing_pairs(table, own, ctx._classes[(0, t)])
+    else:
+        pairs = [min(failing)] if failing else []
+    system, tensors = ctx.system, ctx.tensors
+    for a, b in pairs:
+        ab = system.index_of(system.mul(system.sequences[a], system.sequences[b]))
+        _check_product(es, tensors[a], tensors[b], tensors[ab])
     return recover_system_fhgs(ctx)
 
 
-def _member_classes(es: ElementarySystem,
-                    ctx: GeneratorContext) -> List[List[Optional[int]]]:
-    """Per time t, cls_t: member index -> index of its slice in the (0, t)
-    table of `es`, None where the slice is no element.  A table that is
-    the context's own elementary group reuses the classes recorded when it
-    was built."""
-    columns = ctx.tensor_columns
-    out = []
-    for anchor, take, _, idx, _, _ in es._product_plan[1]:
-        if ctx._elementary.get(anchor) is es.tables[anchor]:
-            out.append(ctx._classes[anchor])
-        else:
-            out.append(list(map(idx.get, zip(*(columns[i] for i in take)))))
-    return out
-
-
-def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext,
-                               classes: List[List[int]]) -> None:
-    """(x y) z = x (y z) in each time-t table, for x, y slices of members
-    and z slices of generators; a failure is reported as a member pair
-    whose global product deviates.
-
-    Each table first runs Light's test (`light_associative`), which proves
-    full associativity and so this condition.  Only a table that fails it
-    is walked triple by triple, in x, y, z order, which decides the verdict
-    and names the witness; the walk finds nothing where only triples
-    outside this condition fail.
-
-    A table that is the context's own elementary group (the same object,
-    as in `_member_classes`) is not tested: it is a quotient of the
-    member group by a certified congruence.  A table loaded from a file
-    or swapped in is another object, and is tested."""
-    tensors, seqs = ctx.tensors, ctx.system.sequences
-    mul, index = ctx.system.mul, ctx.system._index
-
-    def member_product(a: int, b: int) -> int:
-        return index[mul(seqs[a], seqs[b])]
-
-    _, plan = es._product_plan
-    for cls, (anchor, *_, op) in zip(classes, plan):
-        table = es.tables[anchor]
-        if (ctx._elementary.get(anchor) is table
-                or light_associative(op, table.group.generators)):
-            continue
-        # realized element -> least member with it, in order of first member
-        least = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
-        lift = {x: least[x] for x in dict.fromkeys(cls)}
-        gen_of: Dict[int, int] = {}  # generator slice -> first generator
-        for s in ctx.generating_set:
-            gen_of.setdefault(cls[s], s)
-        for x in lift:
-            for y in lift:
-                xy = op[x][y]
-                for z, s in gen_of.items():
-                    if op[xy][z] == op[x][op[y][z]]:
-                        continue
-                    a, w = lift[x], lift[y]
-                    for b in (w, member_product(w, s)):
-                        _check_product(es, tensors[a], tensors[b],
-                                       tensors[member_product(a, b)])
-                    raise RecoveryMismatch(
-                        f"local group at {anchor} is not associative")
+def _failing_pairs(table: ElementaryGroupTable, own: ElementaryGroupTable,
+                   cls: List[int]) -> List[Tuple[int, int]]:
+    """(first member of class x, first member of class y) under `cls` for
+    each class pair (x, y) of `own` with elements[op[phi x][phi y]] !=
+    own.elements[x y], phi mapping each triangle of `own` to its index in
+    `table` (None if it has none)."""
+    phi = list(map(table._index.get, own.elements))
+    elements, op = table.elements, table.group.op_table
+    first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+    return [(first[x], first[y]) for x, row in enumerate(own.group.op_table)
+            for y, xy in enumerate(row)
+            if phi[x] is None or phi[y] is None
+            or elements[op[phi[x]][phi[y]]] != own.elements[xy]]
 
 
 # -- construction ----------------------------------------------------------------
@@ -502,7 +425,7 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
         raise BoundExceeded(f"construction: {count_text(entries)} anchor table "
                             f"entries exceed cap {ANCHOR_TABLE_CAP}")
     tables: Dict[Slot, ElementaryGroupTable] = {}
-    searches: dict = {}  # (base table, kernel table, cap) -> extensions
+    searches: dict = {}  # (base table, kernel table) -> extensions
     for anchor in anchors:
         tables[anchor] = _build_anchor(
             tables, anchor, positions[anchor], *children(window, ell, anchor),
@@ -538,11 +461,11 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
     elif base.order == 1:
         extensions = (kernel,)
     else:
-        cap = max(64, nk * base.order)
-        key = (base.op_table, kernel.op_table, cap)
+        key = (base.op_table, kernel.op_table)
         extensions = searches.get(key)
         if extensions is None:
-            search = enumerate_extensions(base, kernel, max_order=cap)
+            search = enumerate_extensions(base, kernel,
+                                          max_order=max(64, nk * base.order))
             extensions = tuple(ext for ext, _ in search.extensions)
             searches[key] = extensions
     if not 0 <= extension_index < len(extensions):

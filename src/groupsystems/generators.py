@@ -315,7 +315,11 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
     of P's table at the parent images of S, 2 |P| |pi(S)| reads, and the
     child table is P's table read through r at one parent element per
     child class.  Slices, order and classes are those of the member-level
-    computation; the table is validated only if P's identity misses class 0."""
+    computation.  The table is not validated: it is the quotient of P by
+    a congruence, so a group, and its identity is class 0.  P's element 0
+    is its identity, the all-zero triangle (the slice of the identity
+    member, whose labels are all 0); its restriction is all zeros, which
+    `_slice_classes` sorts first, so r[0] == 0."""
     try:
         parent = elementary_group(ctx, *parent_anchor)
     except WellDefinednessFailure:
@@ -330,7 +334,7 @@ def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
             if list(map(rep_images.__getitem__, r)) != images:
                 return None
     return (realized, FiniteGroup(class_table(op, r, reps), name=name,
-                                  _validated=r[0] == 0),
+                                  _validated=True),
             list(map(r.__getitem__, pcls)))
 
 

@@ -183,11 +183,6 @@ def associativity_witness(table: tuple, gens: Sequence[int]) -> Optional[tuple]:
     return None
 
 
-def light_associative(table: tuple, gens: Sequence[int]) -> bool:
-    """`associativity_witness` on 0 and the table's greedy generators."""
-    return associativity_witness(table, (0, *gens)) is None
-
-
 def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
     """The table a congruence of the table `op` induces on its classes, as
     tuple rows: class c times class d is the class cls[x] of x = reps[c]

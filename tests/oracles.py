@@ -12,17 +12,20 @@ only the library's peel reads.
 
 The extract-path routines after those are the per-pair forms that the
 column kernels replaced: Cayley graphs built from tuple products, the
-recovery check through one `global_product` per (member, generator)
-pair, the granule test through `_set_product` with X^{t+1}, the one-sided
-member sets found by scanning every member, and the rule unrolling by
-nested loops per member.  Their only change: the recovery loop and the
-granule test read X^t, Y^t and the Cayley graph from this module.
+granule test through `_set_product` with X^{t+1}, the one-sided member
+sets found by scanning every member, and the rule unrolling by nested
+loops per member.  Their only change: the granule test reads X^t and Y^t
+from this module.  The recovery check has no per-pair form of its own:
+the library compares each (0, t) table with the context's own E(0, t),
+and the reference for its verdict and witness is `recover_original`
+above, one `global_product` per pair of members.
 
 Next come the routines that nested quotients, Light's test and cut ids
 replaced: every elementary group certified and tabled on the members
-(`induced_slice_group`, `member_elementary_group`), the generator-slice
-associativity screen of the recovery check (`associative_at`), and the
-controllability index by slicing every member per (t, l).
+(`induced_slice_group`, `member_elementary_group`), associativity at one
+z over a set of elements (`associative_at`) and over all triples
+(`is_associative`), and the controllability index by slicing every
+member per (t, l).
 
 The construction routines after those are the earlier table validation
 (all triples), the all-pairs homomorphism checks, the subdirect product
@@ -42,9 +45,9 @@ through `alpha_t` once per element, then sorted and validated as a new
 system; that `alpha_t` is the per-triangle fold that the library's column
 fold `_alpha_column` replaced.  The only change: `extract_basis` runs the
 granule test with X^{t+1} (`check_granule`), so the whole basis depends
-on no library routine but the controllability index.  `recover_original` and
-`recover_original_pairs` call this `recover_system_fhgs`, and
-`direct_product` is the table filled entry by entry.
+on no library routine but the controllability index.  `recover_original`
+calls this `recover_system_fhgs`, and `direct_product` is the table
+filled entry by entry.
 
 Last are the second copies of the structural checks that `groups.py` now
 answers once: the automorphism search with its own backtracking and
@@ -98,8 +101,9 @@ entry (`full_generating_set`, `with_full_generating_set`).
 The very last are the passes the extract path ran again on what an
 earlier step had certified: the validation of a built system (letter
 range, inverses, closure and every letter realized, member by member:
-`validate_system`), the recovery's agreement pass at every time, the
-context's own tables included (`deviating_pairs`), and the dump that
+`validate_system`), the earlier recovery's agreement pass on element x
+generator pairs at every time, the context's own tables included
+(`deviating_pairs`), and the dump that
 formats every table and triangle list of an elementary system anew
 (`dump_elementary_system`).  The fill check of every normal chain step
 is with the oracle `normal_chain` above, and also stands alone
@@ -494,63 +498,6 @@ def cayley(ctx: GeneratorContext, right: bool) -> Tuple[Tuple[int, ...], ...]:
     if right:
         return tuple(tuple(index[mul(a, s)] for s in gens) for a in seqs)
     return tuple(tuple(index[mul(s, a)] for s in gens) for a in seqs)
-
-
-def _check_product(es: ElementarySystem, lab1: tuple, lab2: tuple,
-                   expected: tuple) -> None:
-    if global_product(es, lab1, lab2) != expected:
-        raise RecoveryMismatch(f"global product deviates at {lab1} * {lab2}")
-
-
-def recover_original_pairs(es: ElementarySystem,
-                           ctx: GeneratorContext) -> GroupSystem:
-    """The recovery check on element x generator pairs, one
-    `global_product` per pair, then local associativity on member and
-    generator slices, then the recovered member set."""
-    slots = es.slots()
-    if slots != ctx.slots:
-        raise RecoveryMismatch("slot tables differ")
-    tensors, gens = ctx.tensors, ctx.generating_set
-    for lab, row in zip(tensors, cayley(ctx, right=True)):
-        for s, prod in zip(gens, row):
-            _check_product(es, lab, tensors[s], tensors[prod])
-    _check_local_associativity(es, ctx)
-    recovered = recover_system_fhgs(ctx)
-    if recovered.sequences != ctx.system.sequences:
-        raise RecoveryMismatch("member sets differ")
-    return recovered
-
-
-def _check_local_associativity(es: ElementarySystem, ctx: GeneratorContext) -> None:
-    """(x y) z = x (y z) in each time-t table, for x, y slices of members
-    and z slices of generators; a failure is reported as a member pair
-    whose global product deviates."""
-    tensors, seqs = ctx.tensors, ctx.system.sequences
-    mul, index = ctx.system.mul, ctx.system._index
-
-    def member_product(a: int, b: int) -> int:
-        return index[mul(seqs[a], seqs[b])]
-
-    _, plan = es._product_plan
-    for anchor, _, get, idx, _, op in plan:
-        lift: Dict[int, int] = {}  # realized element -> least member with it
-        for a, lab in enumerate(tensors):
-            lift.setdefault(idx[get(lab)], a)
-        gen_of: Dict[int, int] = {}
-        for s in ctx.generating_set:
-            gen_of.setdefault(idx[get(tensors[s])], s)
-        for x in lift:
-            for y in lift:
-                xy = op[x][y]
-                for z, s in gen_of.items():
-                    if op[xy][z] == op[x][op[y][z]]:
-                        continue
-                    a, w = lift[x], lift[y]
-                    for b in (w, member_product(w, s)):
-                        _check_product(es, tensors[a], tensors[b],
-                                       tensors[member_product(a, b)])
-                    raise RecoveryMismatch(
-                        f"local group at {anchor} is not associative")
 
 
 def x_members(system: GroupSystem, t: int) -> frozenset:

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,7 +32,6 @@ from groupsystems.elementary import (
     ElementarySystem,
     construct_elementary_system,
     extract_elementary_system,
-    light_associative,
     recover_original,
 )
 from groupsystems.errors import (
@@ -68,6 +67,7 @@ from groupsystems.generators import (
 from groupsystems.groups import (
     FiniteGroup,
     Subgroup,
+    associativity_witness,
     close_greedily,
     cyclic_group,
     direct_product,
@@ -418,7 +418,7 @@ def test_recover_original_rejects_swapped_table_entries(request, name):
             assert_same(new, outcome(oracles.recover_original, bad, ctx),
                         system_key)
             same_failure(failure(recover_original, bad, ctx),
-                         failure(oracles.recover_original_pairs, bad, ctx),
+                         failure(oracles.recover_original, bad, ctx),
                          system_key)
             rejected += new[0] == "raise"
             off_generators += (new[0] == "raise"
@@ -634,7 +634,7 @@ def assert_column_kernels_agree(system: GroupSystem) -> None:
         assert tuple(zip(*graph)) == oracles.cayley(ctx, right)
     es = extract_elementary_system(ctx)
     same_failure(failure(recover_original, es, ctx),
-                 failure(oracles.recover_original_pairs, es, ctx), system_key)
+                 failure(oracles.recover_original, es, ctx), system_key)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
@@ -678,7 +678,7 @@ def test_recovery_rejects_swapped_tensors_like_the_pair_loop(request, name):
         tensors[i], tensors[j] = tensors[j], tensors[i]
         bad = with_tensors(ctx, tensors)
         new = failure(recover_original, es, bad)
-        same_failure(new, failure(oracles.recover_original_pairs, es, bad),
+        same_failure(new, failure(oracles.recover_original, es, bad),
                      system_key)
         rejected += new[0] == "raise"
     assert rejected > 0
@@ -706,7 +706,7 @@ def test_recovery_rejects_unrealized_and_uncovered_slices_like_the_pair_loop(c2)
         bad = with_table(es, (0, 1), bad_table)
         new = failure(recover_original, bad, ctx)
         assert new[0] == "raise"
-        same_failure(new, failure(oracles.recover_original_pairs, bad, ctx))
+        same_failure(new, failure(oracles.recover_original, bad, ctx))
     assert new[1] is OverlapInconsistency and "cover" in new[2]
 
 
@@ -732,6 +732,55 @@ def test_rule_unrolling_matches_the_nested_loops(case, cap):
     args = ("R", window, rule, resolve_group, cap)
     new = outcome(_unroll_rule, *args)
     assert_same(new, outcome(oracles.unroll_rule, *args), system_key)
+
+
+def counted_recovery(es: ElementarySystem, ctx: GeneratorContext) -> tuple:
+    """`failure` of `recover_original`, and the number of global products
+    it formed."""
+    calls = []
+    product = elementary_module.global_product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elementary_module, "global_product",
+                   lambda *args: calls.append(args) or product(*args))
+        return failure(recover_original, es, ctx), len(calls)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tap_rules(), st.data())
+def test_recovery_of_a_changed_reload_matches_the_all_pairs_loop(case, data):
+    """A reloaded dump of a tap rule's extraction is accepted with the
+    original members and no global product.  With one entry of one
+    (0, t) table changed, or two entries of one row swapped, the verdict,
+    error type and witness are the all-pairs loop's, and the table
+    comparison alone decides: a rejection forms one global product, the
+    witness pair's.  Rules without a generator basis are skipped."""
+    window, rule = case
+    system = _unroll_rule("R", window, rule, resolve_group, 2 ** 16)
+    built = outcome(build_context, system)
+    assume(built[0] == "ok")  # some rules have no generator basis
+    ctx = built[1]
+    loaded = parse_elementary_system(dump_elementary_system(
+        extract_elementary_system(ctx)))
+    (verdict, recovered), products = counted_recovery(loaded, ctx)
+    assert verdict == "ok" and products == 0
+    assert recovered.sequences == system.sequences
+    t = data.draw(st.sampled_from(system.times()))
+    table = loaded.tables[(0, t)]
+    n = table.group.order
+    op = [list(row) for row in table.group.op_table]
+    x, y, z = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if data.draw(st.booleans()):
+        op[x][y] = z
+    else:
+        op[x][y], op[x][z] = op[x][z], op[x][y]
+    bad = with_table(loaded, (0, t), ElementaryGroupTable(
+        table.anchor, table.positions, table.elements,
+        FiniteGroup(op, name=table.group.name, _validated=True)))
+    new, products = counted_recovery(bad, ctx)
+    same_failure(new, failure(oracles.recover_original, bad, ctx), system_key)
+    assert (new[0] == "raise") == (op != [list(r) for r in table.group.op_table])
+    assert products == (new[0] == "raise")
 
 
 def test_rule_unrolling_matches_the_nested_loops_on_two_output_rules():
@@ -821,9 +870,9 @@ def test_nested_check_falls_back_when_only_the_child_fails(c2):
 
 def test_light_test_matches_full_associativity_on_swapped_rows(c2):
     """Every swap of two entries in any row of every time-t table: Light's
-    test on the greedy generators of the swapped table says exactly what
-    the check of all triples says, so where it holds the recovery's
-    generator-slice condition holds as well."""
+    test on 0 and the greedy generators of the swapped table says exactly
+    what the check of all triples says, so where it holds (x y) z =
+    x (y z) holds at every z."""
     ctx = build_context(c2)
     es = extract_elementary_system(ctx)
     verdicts = set()
@@ -835,7 +884,8 @@ def test_light_test_matches_full_associativity_on_swapped_rows(c2):
             bad = [list(r) for r in op]
             bad[row][c1], bad[row][c2_] = bad[row][c2_], bad[row][c1]
             group = FiniteGroup(bad, _validated=True)
-            light = light_associative(group.op_table, group.generators)
+            light = associativity_witness(group.op_table,
+                                          (0, *group.generators)) is None
             assert light == oracles.is_associative(group.op_table)
             if light:
                 assert all(oracles.associative_at(group.op_table, z, list(range(n)))
@@ -855,7 +905,7 @@ def test_light_test_matches_full_associativity_on_every_small_table():
             op = tuple(flat[i * n:(i + 1) * n] for i in range(n))
             gens = FiniteGroup(op, _validated=True).generators
             full = oracles.is_associative(op)
-            assert light_associative(op, gens) == full
+            assert (associativity_witness(op, (0, *gens)) is None) == full
             needs_zero += not full and 0 not in gens and all(
                 oracles.associative_at(op, z, list(range(n))) for z in gens)
     assert needs_zero > 0
@@ -863,9 +913,10 @@ def test_light_test_matches_full_associativity_on_every_small_table():
 
 def test_recovery_walks_a_table_with_a_corrupted_identity_row():
     """Two entries of the identity row swapped at columns no generator's
-    slice reaches: the element x generator pairs never read them, Light's
-    test rejects the table (at z = 0), and the walk over member and
-    generator slices decides the verdict, as the per-pair loop does."""
+    slice reaches: the element x generator pairs never read them, and the
+    table is not associative (Light's test fails at z = 0).  The
+    comparison with the context's own table decides the verdict and the
+    witness, as the all-pairs loop does."""
     system = parse_system("system T\nwindow 0 3\nrule conv Z2 x0 x1+x2\n")
     ctx = build_context(system)
     es = extract_elementary_system(ctx)
@@ -882,11 +933,12 @@ def test_recovery_walks_a_table_with_a_corrupted_identity_row():
             op = [list(r) for r in table.group.op_table]
             op[0][c1], op[0][c2] = op[0][c2], op[0][c1]
             group = FiniteGroup(op, name=table.group.name, _validated=True)
-            assert not light_associative(group.op_table, group.generators)
+            assert associativity_witness(group.op_table,
+                                         (0, *group.generators)) is not None
             bad = with_table(es, (0, t), ElementaryGroupTable(
                 table.anchor, table.positions, table.elements, group))
             same_failure(failure(recover_original, bad, ctx),
-                         failure(oracles.recover_original_pairs, bad, ctx),
+                         failure(oracles.recover_original, bad, ctx),
                          system_key)
             walked += 1
     assert walked > 0
@@ -1078,44 +1130,62 @@ def test_least_coset_reps_take_left_cosets(s3_square):
     assert differ
 
 
-def light_calls(monkeypatch) -> list:
-    """Record the tables Light's test runs on during recovery."""
+def compared_tables(monkeypatch) -> list:
+    """Record the (0, t) tables recovery compares with the context's own."""
     calls = []
-    light = elementary_module.light_associative
+    compare = elementary_module._failing_pairs
 
-    def counted(op, gens):
-        calls.append(op)
-        return light(op, gens)
+    def counted(table, own, cls):
+        calls.append(table)
+        return compare(table, own, cls)
 
-    monkeypatch.setattr(elementary_module, "light_associative", counted)
+    monkeypatch.setattr(elementary_module, "_failing_pairs", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", ["c2", "s3_square"])
 def test_recovery_tests_the_tables_the_context_did_not_build(request, monkeypatch, name):
-    """Light's test is skipped only for a (0, t) table that is the
-    context's own elementary group; a file-loaded table is another object,
-    and each one is tested."""
+    """The context's own extraction is accepted without a comparison and
+    without the global product's plan.  A reloaded dump holds other
+    objects, so each of its (0, t) tables is compared; with one entry of
+    one of them changed, the recovery is rejected as the all-pairs loop
+    rejects it."""
     system = request.getfixturevalue(name)
     ctx = build_context(system)
     es = extract_elementary_system(ctx)
-    calls = light_calls(monkeypatch)
+    calls = compared_tables(monkeypatch)
     recover_original(es, ctx)
-    assert calls == []
+    assert calls == [] and "_product_plan" not in vars(es)
     loaded = parse_elementary_system(dump_elementary_system(es))
     recover_original(loaded, ctx)
-    assert calls == [loaded.tables[(0, t)].group.op_table for t in system.times()]
+    assert calls == [loaded.tables[(0, t)] for t in system.times()]
+    rejected = 0
+    for t in system.times():
+        table = loaded.tables[(0, t)]
+        n = table.group.order
+        if n == 1:
+            continue
+        op = [list(r) for r in table.group.op_table]
+        op[n - 1][n - 1] = (op[n - 1][n - 1] + 1) % n
+        bad = with_table(loaded, (0, t), ElementaryGroupTable(
+            table.anchor, table.positions, table.elements,
+            FiniteGroup(op, name=table.group.name, _validated=True)))
+        new = failure(recover_original, bad, ctx)
+        assert new[0] == "raise"
+        same_failure(new, failure(oracles.recover_original, bad, ctx))
+        rejected += 1
+    assert rejected
 
 
 def test_recovery_tests_a_swapped_in_table_and_names_its_witness(monkeypatch):
     """Identity-row entries swapped at columns no generator's slice reaches
     (the element x generator pairs never read them) in a table at an
-    anchor the context has built: Light's test runs on that table, and the
-    recovery is rejected with the witness of the per-pair loop."""
+    anchor the context has built: recovery compares that table and is
+    rejected with the witness of the all-pairs loop."""
     system = parse_system("system T\nwindow 0 3\nrule conv Z2 x0 x1+x2\n")
     ctx = build_context(system)
     es = extract_elementary_system(ctx)
-    calls = light_calls(monkeypatch)
+    calls = compared_tables(monkeypatch)
     rejected = 0
     for t in system.times():
         table = es.tables[(0, t)]
@@ -1132,9 +1202,9 @@ def test_recovery_tests_a_swapped_in_table_and_names_its_witness(monkeypatch):
             table.anchor, table.positions, table.elements, group))
         del calls[:]
         new = failure(recover_original, bad, ctx)
-        assert calls == [group.op_table]
+        assert calls == [bad.tables[(0, t)]]
         assert new[0] == "raise"
-        same_failure(new, failure(oracles.recover_original_pairs, bad, ctx))
+        same_failure(new, failure(oracles.recover_original, bad, ctx))
         rejected += 1
     assert rejected
 
@@ -1621,24 +1691,27 @@ def test_built_systems_pass_the_validation_they_skip_on_generated_seeds(case):
 
 @pytest.mark.parametrize("name", END_TO_END)
 def test_agreement_pass_finds_nothing_on_the_contexts_own_tables(request, name):
-    """Recovery skips the agreement pass at times whose table the context
-    built; that pass, run at every time, finds no deviating pair there."""
+    """Recovery compares no time whose table the context built; the
+    earlier agreement pass on element x generator pairs, run at every
+    time, finds no deviating pair there."""
     ctx = build_context(end_to_end_system(request, name))
     es = extract_elementary_system(ctx)
     assert all(ctx._elementary[(0, t)] is es.tables[(0, t)]
                for t in ctx.system.times())
     assert oracles.deviating_pairs(es, ctx) == []
     same_failure(failure(recover_original, es, ctx),
-                 failure(oracles.recover_original_pairs, es, ctx), system_key)
+                 failure(oracles.recover_original, es, ctx), system_key)
 
 
 @pytest.mark.parametrize("name", ["s3_rep", "s3_square", "rule_z3", "rule_z4"])
 def test_a_swapped_in_table_is_still_compared(request, name):
     """A (0, t) table the context did not build is compared.  A copy of its
     own table is accepted.  The same table with two non-identity elements
-    relabeled is still a group, so only the agreement pass can reject it;
-    where the relabel is no automorphism it does, naming the pair the
-    per-pair loop names."""
+    relabeled is still a group, so only the comparison with the context's
+    own table can reject it; where the relabel is no automorphism it does,
+    naming the pair the all-pairs loop names first.  Since the table is a
+    group, the earlier agreement pass on element x generator pairs gives
+    the same verdict."""
     ctx = build_context(end_to_end_system(request, name))
     es = extract_elementary_system(ctx)
     rejected = 0
@@ -1656,7 +1729,7 @@ def test_a_swapped_in_table_is_still_compared(request, name):
             bad = with_table(es, (0, t), ElementaryGroupTable(
                 table.anchor, table.positions, table.elements, relabeled))
             new = failure(recover_original, bad, ctx)
-            same_failure(new, failure(oracles.recover_original_pairs, bad, ctx),
+            same_failure(new, failure(oracles.recover_original, bad, ctx),
                          system_key)
             assert (new[0] == "raise") == bool(oracles.deviating_pairs(bad, ctx))
             rejected += new[0] == "raise"
