@@ -233,17 +233,17 @@ def global_group(es: ElementarySystem) -> tuple:
 def global_group_system(es: ElementarySystem) -> GroupSystem:
     """The per-time image of the global group: letters are time-t triangles,
     alphabets the local groups; verified strongly controllable below its
-    depth and complete by construction."""
+    depth and complete by construction.
+
+    Distinct tensors give distinct members: slot (k, s) lies in the (0, s)
+    triangle, so two tensors that differ at it differ in their time-s
+    slices, which are distinct triangles and so distinct letters."""
     sizes = list(map(es.label_sizes.__getitem__, es.slots()))
     check_tensor_count(Counter(sizes), "global group system")
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
-    members = []
-    for v in all_tensors(sizes):
-        seq = tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
-        members.append(seq)
-    if len(set(members)) != len(members):
-        raise WellDefinednessFailure("slice map is not injective on tensors")
+    members = [tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
+               for v in all_tensors(sizes)]
     system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})")
     if controllability_index(system) > es.ell:
         raise WellDefinednessFailure("global system exceeds the seeded depth")
@@ -391,8 +391,8 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
       positions of R or L, which with the anchor are the anchor's.  Each
       label is in range: the anchor's is e % nk < |k|, the others are
       copied from the children.
-    - Injectivity (distinct triangles) and agreement of the two children
-      on their overlap are checked in `_build_anchor`.
+    - The triangles are distinct and the two children agree on their
+      overlap, by the arguments in `_build_anchor`.
     """
     strategy = strategy or ConstructionStrategy({})
     t0, t1 = window
@@ -439,8 +439,19 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
                   positions: Tuple[Slot, ...], right: Optional[Slot],
                   left: Optional[Slot], kernel: FiniteGroup,
                   extension_index: int, searches: dict) -> ElementaryGroupTable:
-    # the base group the new depth extends: subdirect product of the two
-    # children over their shared subtriangle (or whatever part exists)
+    """The anchor's table: an extension of the base (the subdirect product
+    of its children over their shared subtriangle, or whatever part
+    exists) by the kernel, element e labelling the anchor slot e % nk and
+    the child triangles the base pair e // nk names.
+
+    - The children agree on their overlap.  A base pair (a, b) has
+      p_right(a) = p_left(b), and both are restrictions onto the overlap
+      table, so a's and b's triangles hold one overlap triangle on the
+      shared positions.
+    - The triangles are distinct.  Distinct e differ in e % nk, the anchor
+      label, or in e // nk, and then in a or in b, whose child triangles
+      are distinct elements of a child table and are copied whole.
+    """
     if right is not None and left is not None:
         base, pair_of = _subdirect_base(tables, right, left)
     elif right is not None or left is not None:
@@ -485,16 +496,10 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
             if child_anchor is None or child_elt is None:
                 continue
             child = tables[child_anchor]
-            for pos, label in zip(child.positions, child.elements[child_elt]):
-                if pos in labels and labels[pos] != label:
-                    raise OverlapInconsistency(
-                        f"children disagree at {pos} under anchor {anchor}")
-                labels[pos] = label
+            labels.update(zip(child.positions, child.elements[child_elt]))
         elements.append(tuple(labels[pos] for pos in positions))
     # identity triangle first, then lexicographic; rank[e] is e's new index
     realized, rank, order = _slice_classes(elements)
-    if len(realized) != len(elements):
-        raise WellDefinednessFailure(f"anchor {anchor}: label map not injective")
     fg = FiniteGroup(class_table(ext.op_table, rank, order),
                      name=f"E({anchor[0]},{anchor[1]})", _validated=True)
     return ElementaryGroupTable(anchor, positions, tuple(realized), fg)
@@ -504,16 +509,17 @@ def _subdirect_base(tables: Dict[Slot, ElementaryGroupTable],
                     right: Slot, left: Slot) -> tuple:
     """Subdirect product of the two child groups over their overlap (over
     the trivial group, which is the direct product, when they share no
-    slot), as (group, pairs of child elements)."""
+    slot), as (group, pairs of child elements).
+
+    The children (k+1, t) and (k+1, t-1) of (k, t) hold the slots whose
+    spans cover [t, t+k+1] and [t-1, t+k], so their overlap holds those
+    covering [t-1, t+k+1]: the triangle of (k+2, t-1), in the same order.
+    It is empty exactly when that anchor is outside the slot table, and
+    otherwise its table is built, since rows are built deepest first."""
     rt, lt = tables[right], tables[left]
-    overlap = tuple(p for p in rt.positions if p in set(lt.positions))
-    if overlap:
-        both_anchor = (right[0] + 1, left[1])
-        # restrict both children onto the overlap triangle group
-        target = tables.get(both_anchor)
-        if target is None or target.positions != overlap:
-            raise WellDefinednessFailure(
-                f"missing overlap table at {both_anchor}")
+    # restrict both children onto the overlap triangle group
+    target = tables.get((right[0] + 1, left[1]))
+    if target is not None:
         p_right = Homomorphism(rt.group, target.group,
                                restriction_images(rt, target))
         p_left = Homomorphism(lt.group, target.group,

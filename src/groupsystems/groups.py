@@ -31,12 +31,10 @@ class FiniteGroup:
     __slots__ = ("order", "op_table", "name", "_inv", "_abelian", "_gens")
 
     def __init__(self, op_table: Sequence[Sequence[int]], name: str = "G",
-                 _validated: bool = False, _rows_checked: bool = False):
-        # _rows_checked: rows of ints that `_check_row` has passed
-        # (`make_group`), so only the axioms are left; _validated: a group
-        # table built from int tables.  Either holds ints already, and a
-        # tuple of tuple rows is taken as it is
-        if not (_validated or _rows_checked):
+                 _validated: bool = False):
+        # _validated: a group table built from int tables, which holds ints
+        # already; a tuple of tuple rows is taken as it is
+        if not _validated:
             table = tuple(tuple(map(int, row)) for row in op_table)
         elif isinstance(op_table, tuple):
             table = op_table
@@ -49,8 +47,7 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._gens: Optional[tuple] = None
         if not _validated:
-            self._gens = (_check_axioms(table) if _rows_checked
-                          else _validate_table(table))
+            self._gens = _validate_table(table)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -196,8 +193,9 @@ def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a square table as a group, relabeling identity to index 0.
-    The entries are converted and each row is range-checked once;
-    `FiniteGroup` then checks only the remaining axioms."""
+    The entries are converted and each row is range-checked once, then
+    the remaining axioms are checked, and the group keeps the generators
+    that check found."""
     table = tuple(tuple(map(int, row)) for row in op_table)
     n = len(table)
     for a, row in enumerate(table):
@@ -213,7 +211,10 @@ def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGrou
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
         table = class_table(table, perm, perm)
-    return FiniteGroup(table, name=name, _rows_checked=True)
+    gens = _check_axioms(table)
+    g = FiniteGroup(table, name=name, _validated=True)
+    g._gens = gens
+    return g
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:

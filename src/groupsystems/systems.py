@@ -560,12 +560,20 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     finite-extent granule coset (identity first).
 
     Verifies: granule-order agreement between the time-domain and
-    finite-extent forms, per-time component distinctness, and that the slot
-    transversals chain-generate the whole member set (window completeness).
+    finite-extent forms, that the entries fall into distinct cosets, and
+    that the slot transversals chain-generate the whole member set (window
+    completeness).
 
     Every non-identity entry has span k+1 unchecked: it lies outside den,
     the identity's coset, and a member of A^[t,t+k] that is the identity
-    at t or at t+k lies in A^(t,t+k] or A^[t,t+k), inside den.
+    at t or at t+k lies in A^(t,t+k] or A^[t,t+k), inside den.  For the
+    same reason the entries of a slot have distinct letters at both ends
+    of its span: if g1 and g2 shared their letter at t, g2^-1 g1 in
+    A^[t,t+k] would be the identity at t, so in A^(t,t+k] within den, and
+    g1, g2 would share a coset; likewise at t+k with A^[t,t+k).  At the
+    interior times no certificate needs distinct letters, and a slot's
+    entries may share one (Forney and Trott ask only that a shortest
+    generator be non-identity at its two ends).
 
     Member sets are member indices: the numerator A^[t,t+k] is read off
     the extent buckets (`finite_support_indices`), and cosets and chain
@@ -576,7 +584,6 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     """
     ell = controllability_index(system)
     slots = window_slots(system.window, ell)
-    t0, _ = system.window
     nums: Dict[Slot, List[int]] = {}
     transversals: Dict[Slot, Tuple[Seq, ...]] = {}
     for (k, t) in slots:
@@ -586,12 +593,6 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
             den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
         reps = _least_coset_reps(system, num, den)
         _check_granule(system, (k, t), num, den, reps)
-        # per-time components distinguish the transversal entries
-        for j in range(k + 1):
-            comps = [g[t + j - t0] for g in reps]
-            if len(set(comps)) != len(comps):
-                raise NotAGroupSystem("component collision in transversal",
-                                      ((k, t), j))
         transversals[(k, t)] = reps
 
     tensors = _basis_chain(system, slots, transversals)

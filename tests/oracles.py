@@ -971,11 +971,6 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
             if g[t - t0] == 0 or g[t + k - t0] == 0:
                 raise NotAGroupSystem("generator span defect", ((k, t), g))
         check_granule(system, (k, t), num, den, reps)
-        for j in range(k + 1):
-            comps = [g[t + j - t0] for g in reps]
-            if len(set(comps)) != len(comps):
-                raise NotAGroupSystem("component collision in transversal",
-                                      ((k, t), j))
         transversals[(k, t)] = reps
     level = basis_chain(system, slots, transversals)
     return GeneratorBasis(system, ell, slots, transversals,
@@ -1716,7 +1711,7 @@ def make_group(op_table, name: str = "G") -> FiniteGroup:
         perm[0], perm[ident] = ident, 0
         table = tuple(tuple(perm.index(table[perm[a]][perm[b]]) for b in range(n))
                       for a in range(n))
-    return FiniteGroup(table, name=name, _rows_checked=True)
+    return FiniteGroup(table, name=name)
 
 
 def as_group(sub: Subgroup, name: str = "H") -> tuple:
