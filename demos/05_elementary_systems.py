@@ -19,7 +19,7 @@ from groupsystems import (
     parse_elementary_system,
     parse_system,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from groupsystems.errors import RecoveryMismatch
 
@@ -82,15 +82,18 @@ print("seed Z2, kernel Z2: system order", len(system2),
       "ell", controllability_index(system2),
       "bottom group order", built2.tables[(0, 1)].group.order)
 
-# the construction round-trips: re-extraction is structurally equal
-re_es = extract_elementary_system(build_context(system2))
-print("re-extracted system structurally equal?",
-      structurally_equal(built2, re_es) is not None)
+# the construction round-trips: the re-extraction of its global system is
+# isomorphic to it through the members, and here by one label map per slot
+maps = roundtrip_label_maps(built2, build_context(system2))
+print("re-extracted system equal up to slot labels?", maps is not None)
 
 # -- dumps reload and re-verify -----------------------------------------------------------
 
 text = dump_elementary_system(built2)
 again = parse_elementary_system(text)
 print("\ndump/reload preserves structure?",
-      structurally_equal(built2, again) is not None)
+      again.label_sizes == built2.label_sizes
+      and all(again.tables[a].elements == t.elements
+              and again.tables[a].group.op_table == t.group.op_table
+              for a, t in built2.tables.items()))
 print("dump starts with:", text.splitlines()[0])

@@ -36,7 +36,7 @@ from .elementary import (
     global_group_system,
     global_product,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from .extensions import ExtensionSearch, enumerate_extensions, subdirect_product
 from .generators import (

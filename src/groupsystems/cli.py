@@ -29,11 +29,10 @@ from .elementary import (
     extract_elementary_system,
     global_group_system,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from .errors import BoundExceeded, DomainError, ParseError, ToolkitError
 from .generators import build_context, elementary_group
-from .groups import find_isomorphism
 from .systems import (
     DEFAULT_MEMBER_CAP,
     controllability_index,
@@ -51,11 +50,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_window(window, args) -> None:
+    if args.window is not None and window != args.window:
+        raise DomainError(f"system window {window} does not match "
+                          f"--window {args.window}")
+
+
 def _load(path: str, args):
     system = fmt.load_system_file(path, member_cap=args.member_cap)
-    if args.window is not None and system.window != args.window:
-        raise DomainError(f"system window {system.window} does not match "
-                          f"--window {args.window}")
+    _check_window(system.window, args)
     return system
 
 
@@ -227,26 +230,17 @@ def cmd_roundtrip(args) -> int:
     path = Path(args.path)
     if path.suffix == ".esys":
         es = fmt.load_elementary_system_file(path)
+        _check_window(es.window, args)
         system = global_group_system(es)
-        ctx = build_context(system)
-        re_es = extract_elementary_system(ctx)
-        note = ""
-        if structurally_equal(es, re_es) is None:
-            # twisted strategies relabel beyond per-slot bijections; accept
-            # isomorphic local groups when the extraction recovers the system
-            if es.label_sizes != re_es.label_sizes or any(
-                    find_isomorphism(es.table(a).group, re_es.table(a).group) is None
-                    for a in es.slots()):
-                raise DomainError("re-extracted elementary system differs")
-            recover_original(re_es, ctx)
-            note = " up to isomorphism"
+    else:
+        system = _load(str(path), args)
+    ctx = build_context(system)
+    recover_original(extract_elementary_system(ctx), ctx)
+    if path.suffix == ".esys":
+        note = "" if roundtrip_label_maps(es, ctx) is not None else " up to isomorphism"
         _emit(args, f"roundtrip ok system order={len(system)} "
                     f"ell={controllability_index(system)}{note}\n")
     else:
-        system = _load(str(path), args)
-        ctx = build_context(system)
-        es = extract_elementary_system(ctx)
-        recover_original(es, ctx)
         _emit(args, f"roundtrip ok order={len(system)}\n")
     return 0
 

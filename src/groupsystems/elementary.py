@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
+    DomainError,
     NoExtensionFound,
     OutOfWindow,
     OverlapInconsistency,
@@ -38,6 +39,7 @@ from .generators import (
     elementary_group,
     recover_system_fhgs,
     restriction_images,
+    slice_classes,
 )
 from .groups import (FiniteGroup, Homomorphism, class_table,
                      homomorphism_witness, trivial_group)
@@ -560,41 +562,64 @@ def depth_restrict(es: ElementarySystem, m: int) -> ElementarySystem:
     return out
 
 
-# -- structural equality -------------------------------------------------------
+# -- the roundtrip certificate ---------------------------------------------------
 
-def structurally_equal(es1: ElementarySystem,
-                       es2: ElementarySystem) -> Optional[Dict[Slot, tuple]]:
-    """A family of per-slot label bijections carrying one system onto the
-    other (entrywise on triangles, preserving every table); None if no
-    family exists.  Identity labels must correspond."""
-    if es1.ell != es2.ell or es1.window != es2.window:
-        return None
-    slots = es1.slots()
-    if any(es1.label_sizes[s] != es2.label_sizes[s] for s in slots):
-        return None
-    anchors = walk(es1.window, es1.ell, "spec_fwd")[::-1]
+def roundtrip_label_maps(es: ElementarySystem,
+                         ctx: GeneratorContext) -> Optional[Dict[Slot, tuple]]:
+    """The per-slot label bijections that carry `es` onto its
+    re-extraction, where `ctx` is the context of `global_group_system(es)`;
+    None where the isomorphism of the roundtrip is not one of labels.
 
-    def anchor_ok(anchor, phi) -> bool:
-        # phi maps the triangles injectively, and as a homomorphism
-        t1, t2 = es1.tables[anchor], es2.tables[anchor]
-        images = tuple(t2._index.get(tuple(
-            phi[pos][lab] for pos, lab in zip(t1.positions, tri)))
-            for tri in t1.elements)
-        return (None not in images and len(set(images)) == len(images)
-                and homomorphism_witness(t1.group, t2.group, images) is None)
+    Member m of that system is a label tensor of `es`, and its letter at t
+    is its (0, t) triangle.  Each anchor (k, t) has two class maps on the
+    members, and both are surjective homomorphisms from the member group:
+    - the file's, m -> its (0, t) triangle restricted to (k, t), because
+      the member product is letterwise in E(0, t), restriction is a
+      homomorphism (the projection condition a reload verifies) and every
+      triangle is realized (the Cartesian count);
+    - the re-extraction's, `slice_classes(ctx, k, t)`, because its
+      congruence is certified.
+    The label sizes agree, so both groups have one order n by the Cartesian
+    count, and the two maps factor through one isomorphism E(k, t) ->
+    E'(k, t) exactly when they partition the members alike, that is when
+    they take n distinct pairs over the members.  On both sides restriction
+    to a nested anchor only reads positions, so these isomorphisms commute
+    with every projection and form a natural isomorphism of the two
+    diagrams of groups (S. Mac Lane, Categories for the Working
+    Mathematician, 1971, I.4).  A member's label at slot p is read off its
+    triangle at anchor p on both sides, so the family is induced by label
+    bijections exactly when the isomorphism at each anchor p pairs the
+    labels at p one to one; it is then returned as {slot: tuple of
+    re-extraction labels indexed by the label of `es`}.
 
-    def backtrack(i: int, phi: Dict[Slot, tuple]) -> Optional[Dict[Slot, tuple]]:
-        if i == len(anchors):
-            return dict(phi)
-        anchor = anchors[i]
-        n = es1.label_sizes[anchor]
-        for perm in itertools.permutations(range(1, n)):
-            phi[anchor] = (0,) + perm
-            if anchor_ok(anchor, phi):
-                result = backtrack(i + 1, phi)
-                if result is not None:
-                    return result
-        phi.pop(anchor, None)
-        return None
-
-    return backtrack(0, {})
+    One pass over the members per anchor, with no search and no cap.  A
+    slot table or label sizes other than `es`'s raise DomainError; an
+    anchor whose partitions differ raises RecoveryMismatch naming it and
+    two members that share its triangle in `es` but not in the
+    re-extraction.
+    """
+    if es.label_sizes != {s: ctx.basis.label_count(s) for s in ctx.slots}:
+        raise DomainError("re-extracted elementary system differs")
+    maps: Dict[Slot, tuple] = {}
+    for k, t in ctx.slots:
+        table, own = es.table((k, t)), elementary_group(ctx, k, t)
+        images = restriction_images(es.table((0, t)), table)
+        es_cls = [images[x] for x in ctx.system.columns[t - es.window[0]]]
+        ext_cls = slice_classes(ctx, k, t)
+        pairs = set(zip(es_cls, ext_cls))
+        if len(pairs) != len(table.elements):
+            # es_cls is onto the triangles, so there are more pairs than
+            # triangles and some triangle has members in two classes
+            first: Dict[int, int] = {}
+            a, b = next((first[x], m) for m, x in enumerate(es_cls)
+                        if ext_cls[first.setdefault(x, m)] != ext_cls[m])
+            raise RecoveryMismatch(
+                f"re-extracted elementary system differs at anchor {(k, t)}: "
+                f"members {a} and {b} share a triangle of the file but not "
+                f"of the re-extraction")
+        at = table.positions.index((k, t))
+        labels = set((table.elements[x][at], own.elements[y][at])
+                     for x, y in pairs)
+        if len(labels) == es.label_sizes[(k, t)]:
+            maps[(k, t)] = tuple(y for _, y in sorted(labels))
+    return maps if len(maps) == len(ctx.slots) else None

@@ -1087,18 +1087,12 @@ def automorphisms(k: FiniteGroup, cap: int = AUTOMORPHISM_CANDIDATE_CAP) -> List
     return verified
 
 
-def structurally_equal(es1: ElementarySystem,
-                       es2: ElementarySystem) -> Optional[Dict[Slot, tuple]]:
-    """Per-slot label bijections carrying es1 onto es2, each anchor's map
-    checked on all pairs of its elements; None if there are none."""
-    if es1.ell != es2.ell or es1.window != es2.window:
-        return None
-    slots = es1.slots()
-    if any(es1.label_sizes[s] != es2.label_sizes[s] for s in slots):
-        return None
-    anchors = sorted(slots, key=lambda p: (-p[0], -p[1]))
-
-    def anchor_ok(anchor, phi) -> bool:
+def carries(es1: ElementarySystem, es2: ElementarySystem,
+            phi: Dict[Slot, tuple], anchors=None) -> bool:
+    """Whether the per-slot label maps `phi` carry each of `anchors` (all
+    by default) of es1 onto es2: every triangle to a triangle, injectively,
+    and as a homomorphism checked on all pairs of elements."""
+    for anchor in es1.slots() if anchors is None else anchors:
         t1, t2 = es1.tables[anchor], es2.tables[anchor]
         mapped = {}
         idx2 = {tri: i for i, tri in enumerate(t2.elements)}
@@ -1114,7 +1108,20 @@ def structurally_equal(es1: ElementarySystem,
             for b in range(t1.group.order):
                 if mapped[t1.group.op(a, b)] != t2.group.op(mapped[a], mapped[b]):
                     return False
-        return True
+    return True
+
+
+def structurally_equal(es1: ElementarySystem,
+                       es2: ElementarySystem) -> Optional[Dict[Slot, tuple]]:
+    """Per-slot label bijections carrying es1 onto es2, each fixing label
+    0, each anchor's map checked on all pairs of its elements; None if
+    there are none."""
+    if es1.ell != es2.ell or es1.window != es2.window:
+        return None
+    slots = es1.slots()
+    if any(es1.label_sizes[s] != es2.label_sizes[s] for s in slots):
+        return None
+    anchors = sorted(slots, key=lambda p: (-p[0], -p[1]))
 
     def backtrack(i: int, phi: Dict[Slot, tuple]) -> Optional[Dict[Slot, tuple]]:
         if i == len(anchors):
@@ -1123,7 +1130,7 @@ def structurally_equal(es1: ElementarySystem,
         n = es1.label_sizes[anchor]
         for perm in itertools.permutations(range(1, n)):
             phi[anchor] = (0,) + perm
-            if anchor_ok(anchor, phi):
+            if carries(es1, es2, phi, (anchor,)):
                 result = backtrack(i + 1, phi)
                 if result is not None:
                     return result

@@ -22,7 +22,7 @@ from groupsystems.elementary import (
     extract_elementary_system,
     global_group_system,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from groupsystems.generators import (
     build_context,
@@ -184,8 +184,7 @@ def test_criterion_10_elementary_roundtrip(r2, c2, s3_rep):
             system.verify_closure()
             assert controllability_index(system) == 1  # the seeded depth
             ctx = build_context(system)  # completeness: tensor bijection holds
-            re_es = extract_elementary_system(ctx)
-            assert structurally_equal(es, re_es) is not None
+            assert roundtrip_label_maps(es, ctx) is not None
 
 
 def test_criterion_11_block_code_chains(parity3):

@@ -6,7 +6,8 @@ over one alphabet G on one window are the subgroups of G^L.  They are
 listed here from the trivial subgroup up, each as the generators it was
 closed from, and each is built with `build_system` and must pass:
 extraction and recovery, a reload of its dump, the global system of its
-elementary system with a re-extraction that is structurally equal, a
+elementary system with a re-extraction that the roundtrip certificate
+carries label by label, as the oracle's label search also finds, a
 normal chain along `time_rev` and its reconstruction, the generator basis
 of the all-pairs oracle, and both encoders on every member.  The subgroup
 counts are the expected values, so a change in any verdict shows."""
@@ -21,7 +22,7 @@ from groupsystems.elementary import (
     extract_elementary_system,
     global_group_system,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from groupsystems.generators import build_context
 from groupsystems.groups import cyclic_group, direct_product, symmetric_group_3
@@ -97,9 +98,12 @@ def check_system(system) -> None:
     assert recover_original(es, ctx).sequences == system.sequences
     reloaded = parse_elementary_system(dump_elementary_system(es))
     assert recover_original(reloaded, ctx).sequences == system.sequences
-    image = global_group_system(es)
-    assert len(image) == len(system)
-    assert structurally_equal(es, extract_elementary_system(build_context(image))) is not None
+    image = build_context(global_group_system(es))
+    assert len(image.system) == len(system)
+    maps = roundtrip_label_maps(es, image)
+    re_es = extract_elementary_system(image)
+    assert maps is not None and oracles.carries(es, re_es, maps)
+    assert oracles.structurally_equal(es, re_es) is not None
     chain = normal_chain(ctx, standard_filling(system.window, ctx.ell, "time_rev"))
     assert reconstruct_from_chain(ctx, chain).sequences == system.sequences
 

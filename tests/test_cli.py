@@ -473,6 +473,27 @@ def test_roundtrip_twisted_esys(capsys, tmp_path):
         and "isomorphism" not in out
 
 
+def test_roundtrip_twisted_esys_with_anchors_past_order_64(capsys, tmp_path):
+    """Twisted depth-2 anchors on [0,6] have 128 elements.  The roundtrip
+    checks the isomorphism it holds, with no search and so no cap (an
+    anchor-by-anchor search stopped at order 64 with exit 3), and an
+    `.esys` is held to --window like a `.gsys`."""
+    z2 = cyclic_group(2)
+    strategy = ConstructionStrategy(kernels={2: z2},
+                                    extension_indices={(2, t): 2 for t in (1, 2, 3)})
+    path = tmp_path / "twisted06.esys"
+    path.write_text(dump_elementary_system(
+        construct_elementary_system((0, 6), 3, z2, strategy)))
+    code, out, _ = run(capsys, "roundtrip", path)
+    assert (code, out) == (0, "roundtrip ok system order=512 ell=3 up to isomorphism\n")
+    code, out, err = run(capsys, "--window", "0", "9", "roundtrip", path)
+    assert (code, out) == (2, "")
+    assert err == ("invariant violation: system window (0, 6) does not match "
+                   "--window (0, 9)\n")
+    code, out, _ = run(capsys, "--window", "0", "6", "roundtrip", path)
+    assert code == 0 and out.endswith(" up to isomorphism\n")
+
+
 # -- the input boundary ------------------------------------------------------------
 
 NOT_UTF8 = b"system X\nwindow 0 1\n\xff\n"

@@ -9,9 +9,10 @@ earlier exhaustive walk), the number of tables it builds against a
 brute-force count of cohomology classes, the isomorphism search against the
 earlier closure search, and the messages of the caps.  Last, the second
 copies of the structural checks that `groups.py` now answers once (the
-automorphism search, structural equality, Light's test in its (x y) z
-form, the inverse table and the subgroup check) against the routines that
-replaced them, on every group of order <= 8 these tests build.
+automorphism search, Light's test in its (x y) z form, the inverse table
+and the subgroup check) against the routines that replaced them, on every
+group of order <= 8 these tests build, and the roundtrip certificate
+against the label-bijection search it replaced.
 """
 
 import importlib.util
@@ -32,11 +33,12 @@ from groupsystems.elementary import (
     construct_elementary_system,
     extract_elementary_system,
     global_group_system,
-    structurally_equal,
+    roundtrip_label_maps,
 )
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
+    DomainError,
     NotASubgroup,
     PreconditionViolated,
 )
@@ -814,25 +816,26 @@ def test_subgroup_check_matches_oracle_on_every_subset(groups_to_8):
         Subgroup(Z4, (1, 2, 3))
 
 
-def test_structural_equality_matches_oracle(construction_calls, request):
-    """The same label bijections, or None, on every ordered pair of fixture
-    systems (c2 against r2 among them), on each construction against its
-    re-extraction, and on c2 against copies with one anchor's group
-    swapped for another of its order."""
+def test_roundtrip_label_maps_match_oracle(construction_calls, request):
+    """On every fixture's extraction and every construction (the two of
+    the CLI's twisted-roundtrip test among them), against the context of
+    its global system: the roundtrip certificate returns label maps
+    exactly where the oracle's label search finds a family, and its maps
+    carry the one system onto the other."""
     systems = [extract_elementary_system(build_context(request.getfixturevalue(key)))
                for key in FIXTURES]
-    pairs = list(itertools.product(systems, repeat=2))
-    for es, _, _ in construction_calls.values():
-        pairs.append((es, extract_elementary_system(build_context(
-            global_group_system(es)))))
-    es_c2 = systems[FIXTURES.index("c2")]
-    for anchor, table in es_c2.tables.items():
-        for group in SAME_ORDER.get(table.group.order, []):
-            bad = tampered(es_c2, anchor, group)
-            pairs += [(es_c2, bad), (bad, es_c2)]
+    systems += [es for es, _, _ in construction_calls.values()]
     verdicts = set()
-    for es1, es2 in pairs:
-        new = structurally_equal(es1, es2)
-        assert new == oracles.structurally_equal(es1, es2)
-        verdicts.add(new is None)
+    for es in systems:
+        ctx = build_context(global_group_system(es))
+        re_es = extract_elementary_system(ctx)
+        if re_es.label_sizes != es.label_sizes:  # the trivial top's depth is 0
+            assert oracles.structurally_equal(es, re_es) is None
+            with pytest.raises(DomainError, match="differs$"):
+                roundtrip_label_maps(es, ctx)
+            continue
+        maps = roundtrip_label_maps(es, ctx)
+        assert (maps is None) == (oracles.structurally_equal(es, re_es) is None)
+        assert maps is None or oracles.carries(es, re_es, maps)
+        verdicts.add(maps is None)
     assert verdicts == {True, False}

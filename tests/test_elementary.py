@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+
+import oracles
 
 from groupsystems.elementary import (
     ConstructionStrategy,
@@ -12,11 +16,17 @@ from groupsystems.elementary import (
     global_product,
     nested_targets,
     recover_original,
-    structurally_equal,
+    roundtrip_label_maps,
 )
-from groupsystems.errors import NoExtensionFound, OutOfWindow, UnrealizedSlice
+from groupsystems.errors import (
+    NoExtensionFound,
+    OutOfWindow,
+    RecoveryMismatch,
+    UnrealizedSlice,
+)
 from groupsystems.generators import (
     ElementaryGroupTable,
+    GeneratorContext,
     build_context,
     restriction_images,
     star,
@@ -165,15 +175,13 @@ def test_global_group_system_roundtrip_r2(ctx_r2, es_r2):
     system = global_group_system(es_r2)
     assert len(system) == len(ctx_r2.system)
     assert controllability_index(system) == ctx_r2.ell
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es_r2, re_es) is not None
+    assert roundtrip_label_maps(es_r2, build_context(system)) is not None
 
 
 def test_global_group_system_roundtrip_c2(ctx_c2, es_c2):
     system = global_group_system(es_c2)
     assert len(system) == 16
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es_c2, re_es) is not None
+    assert roundtrip_label_maps(es_c2, build_context(system)) is not None
 
 
 def test_recover_original(ctx_r2, es_r2, ctx_c2, es_c2, ctx_s3):
@@ -196,8 +204,7 @@ def test_construct_z2_trivial_kernel():
     system = global_group_system(es)
     assert controllability_index(system) == 1
     assert len(system) == 8  # three span-2 label slots
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es, re_es) is not None
+    assert roundtrip_label_maps(es, build_context(system)) is not None
 
 
 def test_construct_z2_with_z2_kernel():
@@ -207,8 +214,7 @@ def test_construct_z2_with_z2_kernel():
     system = global_group_system(es)
     assert controllability_index(system) == 1
     assert len(system) == 2 ** 7  # three span-2 slots and four span-1 slots
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es, re_es) is not None
+    assert roundtrip_label_maps(es, build_context(system)) is not None
 
 
 def test_construct_nontrivial_extension_choice():
@@ -218,8 +224,7 @@ def test_construct_nontrivial_extension_choice():
     es = construct_elementary_system((0, 2), 1, cyclic_group(2), strategy)
     system = global_group_system(es)
     assert controllability_index(system) == 1
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es, re_es) is not None
+    assert roundtrip_label_maps(es, build_context(system)) is not None
 
 
 @pytest.mark.parametrize("index", [-1, -3, 99])
@@ -270,8 +275,7 @@ def test_construct_time_varying_escape_hatch():
     assert es.label_sizes[(0, 2)] == 2
     system = global_group_system(es)
     assert controllability_index(system) == 1
-    re_es = extract_elementary_system(build_context(system))
-    assert structurally_equal(es, re_es) is not None
+    assert roundtrip_label_maps(es, build_context(system)) is not None
 
 
 @pytest.mark.parametrize("field, key", [
@@ -310,12 +314,13 @@ def test_construct_nonabelian_interior():
 
     The twisted construction yields a valid 2-controllable complete system
     whose own extraction round-trips, and whose extracted local groups are
-    isomorphic anchor by anchor to the constructed ones.  The label-level
-    structural equality (≍) is NOT asserted here: with a twisted bottom the
-    chain-decomposition labels of the built system differ from the
-    construction labels by more than a per-slot relabeling (composing a
-    tensor's own single-label generators in encoder order injects twist
-    terms), so ≍ only holds for untwisted strategies.
+    isomorphic to the constructed ones by a natural isomorphism, which the
+    roundtrip certificate checks.  That isomorphism is not one of labels:
+    with a twisted bottom the chain-decomposition labels of the built
+    system differ from the construction labels by more than a per-slot
+    relabeling (composing a tensor's own single-label generators in
+    encoder order injects twist terms), so label maps exist only for
+    untwisted strategies.
     """
     z2 = cyclic_group(2)
     strategy = ConstructionStrategy(
@@ -328,6 +333,7 @@ def test_construct_nonabelian_interior():
     assert controllability_index(system) == 2
     ctx = build_context(system)  # completeness: the tensor bijection holds
     re_es = extract_elementary_system(ctx)
+    assert roundtrip_label_maps(es, ctx) is None
     for anchor in es.slots():
         assert es.label_sizes[anchor] == re_es.label_sizes[anchor]
         assert find_isomorphism(es.tables[anchor].group,
@@ -345,9 +351,35 @@ def test_depth_restrict(es_c2):
     assert depth_restrict(es_c2, 2) is es_c2
 
 
-def test_structural_equality_reflexive_and_sensitive(es_c2, es_r2):
-    assert structurally_equal(es_c2, es_c2) is not None
-    assert structurally_equal(es_c2, es_r2) is None
+def test_roundtrip_rejects_contexts_relabeled_by_automorphisms(es_c2):
+    """The global system of C2 relabeled by the automorphisms a -> a g
+    where a's letter at time 0 (a Z2 letter) is 1, for each member g != 1
+    whose letter there is 0: each relabeled context still extracts, the
+    oracle's label search finds a family and every anchor pair is
+    isomorphic, yet the members' triangles and classes disagree, and the
+    certificate names the anchor where they first do."""
+    system = global_group_system(es_c2)
+    assert system.alphabet(0).order == 2
+    ctx = build_context(system)
+    seqs = system.sequences
+    relabeled = 0
+    for g in seqs:
+        if g == system.identity or g[0] != 0:
+            continue
+        phi = [system.index_of(system.mul(a, g)) if a[0] == 1 else i
+               for i, a in enumerate(seqs)]
+        basis = dataclasses.replace(ctx.basis, tensors=tuple(
+            map(ctx.basis.tensors.__getitem__, phi)))
+        moved = GeneratorContext(system, basis)
+        re_es = extract_elementary_system(moved)
+        assert oracles.structurally_equal(es_c2, re_es) is not None
+        assert all(find_isomorphism(es_c2.tables[a].group, re_es.tables[a].group)
+                   is not None for a in es_c2.slots())
+        with pytest.raises(RecoveryMismatch,
+                           match=r"differs at anchor \(0, [23]\): members 0 and 8 "):
+            roundtrip_label_maps(es_c2, moved)
+        relabeled += 1
+    assert relabeled == 7
 
 
 def test_depth3_construction_full_pipeline():
@@ -372,5 +404,4 @@ def test_depth3_construction_full_pipeline():
             prod *= step.label_count
         assert prod == len(system)
         assert reconstruct_from_chain(ctx, f).sequences == system.sequences
-    re_es = extract_elementary_system(ctx)
-    assert structurally_equal(es, re_es) is not None
+    assert roundtrip_label_maps(es, ctx) is not None

@@ -13,7 +13,6 @@ from groupsystems.elementary import (
     ConstructionStrategy,
     construct_elementary_system,
     extract_elementary_system,
-    structurally_equal,
 )
 from groupsystems.errors import (
     BoundExceeded,
@@ -244,7 +243,11 @@ def test_elementary_system_dump_roundtrip(c2):
     es = extract_elementary_system(build_context(c2))
     text = dump_elementary_system(es)
     again = parse_elementary_system(text)
-    assert structurally_equal(es, again) is not None
+    assert again.label_sizes == es.label_sizes
+    assert again.tables.keys() == es.tables.keys()
+    for anchor, table in es.tables.items():
+        assert again.tables[anchor].elements == table.elements
+        assert again.tables[anchor].group.op_table == table.group.op_table
     assert dump_elementary_system(again) == text
 
 
