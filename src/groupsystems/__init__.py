@@ -32,7 +32,6 @@ from .elementary import (
     construct_elementary_system,
     depth_restrict,
     extract_elementary_system,
-    global_group,
     global_group_system,
     global_product,
     recover_original,

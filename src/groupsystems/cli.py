@@ -101,7 +101,7 @@ def _read_int_lines(path: str, what: str, form: str) -> List[tuple]:
         parts = line.split()
         if len(parts) != len(form.split()):
             raise ParseError(f"{what} lines are '{form}', got {line!r}")
-        rows.append(tuple(fmt._int_list(parts, line)))
+        rows.append(fmt._int_list(parts, line))
     return rows
 
 
@@ -127,7 +127,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     system = _load(args.system, args)
     ctx = build_context(system)
-    seq = tuple(fmt._int_list(args.seq.split(), args.seq))
+    seq = fmt._int_list(args.seq.split(), args.seq)
     r = decode_to_tensor(ctx.basis, seq)
     lines = [f"{k} {t} {c}" for (k, t), c in zip(ctx.slots, r)]
     _emit(args, "\n".join(lines) + "\n")
@@ -209,7 +209,7 @@ def cmd_construct(args) -> int:
     for k, group in {**kernels, args.ell: top}.items():
         if 0 <= k <= min(args.ell, t1 - t0):
             slot_counts[group.order] += t1 - t0 + 1 - k
-    check_tensor_count(slot_counts, "global group system")
+    check_tensor_count(slot_counts)
     strategy = ConstructionStrategy(kernels=kernels,
                                     extension_indices=ext_indices)
     es = construct_elementary_system(args.window, args.ell, top,

@@ -204,7 +204,7 @@ def global_product(es: ElementarySystem, v1: Sequence[int],
     return tuple(out)
 
 
-def check_tensor_count(slot_counts: Dict[int, int], stage: str) -> None:
+def check_tensor_count(slot_counts: Dict[int, int]) -> None:
     """The global group has one element per label tensor, a label of its
     slot's size at every slot (`slot_counts`: size -> number of slots).
     Above the member cap, raise before any is built.  A count past
@@ -218,37 +218,36 @@ def check_tensor_count(slot_counts: Dict[int, int], stage: str) -> None:
         if count <= DEFAULT_MEMBER_CAP:
             return
         text = count_text(count)
-    raise BoundExceeded(f"{stage}: {text} label tensors exceed cap {DEFAULT_MEMBER_CAP}")
-
-
-def global_group(es: ElementarySystem) -> tuple:
-    """(elements, op) of the global group; elements are label tensors."""
-    sizes = list(map(es.label_sizes.__getitem__, es.slots()))
-    check_tensor_count(Counter(sizes), "global group")
-    tensors = tuple(all_tensors(sizes))
-    index = {v: i for i, v in enumerate(tensors)}
-    table = [[index[global_product(es, a, b)] for b in tensors] for a in tensors]
-    fg = FiniteGroup(table, name=f"V({es.name})")
-    return tensors, fg
+    raise BoundExceeded(f"global group system: {text} label tensors exceed "
+                        f"cap {DEFAULT_MEMBER_CAP}")
 
 
 def global_group_system(es: ElementarySystem) -> GroupSystem:
-    """The per-time image of the global group: letters are time-t triangles,
-    alphabets the local groups; verified strongly controllable below its
-    depth and complete by construction.
+    """The per-time image of the global group, and its one table: letters
+    are time-t triangles, alphabets the local groups; verified strongly
+    controllable at exactly its depth and complete by construction.
 
     Distinct tensors give distinct members: slot (k, s) lies in the (0, s)
     triangle, so two tensors that differ at it differ in their time-s
-    slices, which are distinct triangles and so distinct letters."""
+    slices, which are distinct triangles and so distinct letters.
+
+    A controllability index other than `es.ell` is refused either way.
+    Above it, the system is not the one the labels describe.  Below it,
+    the re-extraction has a smaller slot table than `es`, so the roundtrip
+    would reject the file; a trivial seed group with ell >= 1 gives one."""
     sizes = list(map(es.label_sizes.__getitem__, es.slots()))
-    check_tensor_count(Counter(sizes), "global group system")
+    check_tensor_count(Counter(sizes))
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = [tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
                for v in all_tensors(sizes)]
     system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})")
-    if controllability_index(system) > es.ell:
+    ell = controllability_index(system)
+    if ell > es.ell:
         raise WellDefinednessFailure("global system exceeds the seeded depth")
+    if ell < es.ell:
+        raise WellDefinednessFailure(f"global system realizes ell={ell}, "
+                                     f"below the seeded ell={es.ell}")
     return system
 
 
@@ -517,19 +516,25 @@ def _subdirect_base(tables: Dict[Slot, ElementaryGroupTable],
     spans cover [t, t+k+1] and [t-1, t+k], so their overlap holds those
     covering [t-1, t+k+1]: the triangle of (k+2, t-1), in the same order.
     It is empty exactly when that anchor is outside the slot table, and
-    otherwise its table is built, since rows are built deepest first."""
+    otherwise its table is built, since rows are built deepest first.
+
+    Both restriction maps are built unchecked: each restricts a
+    constructed anchor to its own child (k+2, t-1), and restriction to a
+    child is a homomorphism by the first point of
+    `construct_elementary_system`.  Maps onto the trivial group are
+    homomorphisms anyway."""
     rt, lt = tables[right], tables[left]
     # restrict both children onto the overlap triangle group
     target = tables.get((right[0] + 1, left[1]))
     if target is not None:
         p_right = Homomorphism(rt.group, target.group,
-                               restriction_images(rt, target))
+                               restriction_images(rt, target), check=False)
         p_left = Homomorphism(lt.group, target.group,
-                              restriction_images(lt, target))
+                              restriction_images(lt, target), check=False)
     else:
         z1 = trivial_group()
-        p_right = Homomorphism(rt.group, z1, (0,) * rt.group.order)
-        p_left = Homomorphism(lt.group, z1, (0,) * lt.group.order)
+        p_right = Homomorphism(rt.group, z1, (0,) * rt.group.order, check=False)
+        p_left = Homomorphism(lt.group, z1, (0,) * lt.group.order, check=False)
     return subdirect_product(rt.group, lt.group, p_right, p_left)
 
 

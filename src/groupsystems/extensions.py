@@ -147,11 +147,16 @@ def _actions(q: FiniteGroup, auts: List[tuple], tree: List[tuple],
     `homomorphism_witness` finds no failing pair.  Every homomorphism
     arises from its own generator images, and a tuple whose carried map
     passes is one, so these are exactly the tuples the brute-force search
-    kept."""
+    kept.
+
+    The table of Aut(k) is built unvalidated: row f composes f with each
+    automorphism, composition is associative, the identity automorphism
+    is index 0, and each row is a permutation since every automorphism
+    has an inverse among `auts`."""
     index = {imgs: i for i, imgs in enumerate(auts)}
     # auts[i] after auts[j]; the identity automorphism is index 0
     compose = [[index[tuple(map(f.__getitem__, g))] for g in auts] for f in auts]
-    aut_group = FiniteGroup(compose, name="Aut")
+    aut_group = FiniteGroup(compose, name="Aut", _validated=True)
     gens = q.generators
     actions = []
     for images in itertools.product(range(len(auts)), repeat=len(gens)):
@@ -309,9 +314,16 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     bracketings of (x,a)(y,b)(z,c) shows that for abelian k the table is
     associative iff the cocycle identity holds (for trivial factor sets
     both sides are the identity).  Normalization and α_1 = id make (0, 1)
-    the identity and every row a permutation, so each table is a group; it
-    still goes through `FiniteGroup` validation, and a failure there is
-    raised, never skipped.
+    the identity and every row a permutation, so each table is a group,
+    and it is built unvalidated:
+    - for abelian k, α passed `homomorphism_witness` (`_actions`) and every
+      cocycle identity holds (`_cocycles`), which is associativity;
+    - a nonabelian k only gets trivial factor sets, semidirect products of
+      k by a homomorphism α, which are associative;
+    - the projection (x, a) ↦ a is a homomorphism by the table's layout:
+      the q part of (x, a)(y, b) is ab.
+    The table check and the homomorphism check this replaces are kept in
+    the oracle `tests/oracles.enumerate_extensions`.
 
     The kernel of the projection is k × {1}, and it multiplies as k:
     (x, 1)(y, 1) = (x α_1(y) f(1, 1), 1) = (x y, 1).  So every table is an
@@ -375,8 +387,9 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
         for f in _cocycles(q, k, act, checks, budget):
             if classes is not None and not classes.is_new(f):
                 continue  # isomorphic to an extension already examined
-            ext = FiniteGroup(build(act, f), name=f"{k.name}.{q.name}")
-            hom = Homomorphism(ext, q, proj_images)
+            ext = FiniteGroup(build(act, f), name=f"{k.name}.{q.name}",
+                              _validated=True)
+            hom = Homomorphism(ext, q, proj_images, check=False)
             if any(find_isomorphism(seen, ext, nq * nk) is not None for seen in reps):
                 continue
             reps.append(ext)

@@ -97,11 +97,15 @@ class GeneratorContext:
                 raise DomainError(f"basis entry 0 at slot {slot} is not the identity")
         # member index <-> label tensor
         self.tensors = self.basis.tensors
-        self.tensor_index: Dict[Tuple[int, ...], int] = {
-            lab: i for i, lab in enumerate(self.tensors)}
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
         self._classes: Dict[Tuple[int, int], List[int]] = {}
         self._alphas: Dict[int, List[int]] = {}
+
+    @cached_property
+    def tensor_index(self) -> Dict[Tuple[int, ...], int]:
+        """Label tensor -> member index, built on first use: only
+        `chains.normal_chain` reads it."""
+        return {lab: i for i, lab in enumerate(self.tensors)}
 
     @cached_property
     def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:

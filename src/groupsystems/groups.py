@@ -192,11 +192,17 @@ def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
-    """Validate a square table as a group, relabeling identity to index 0.
-    The entries are converted and each row is range-checked once, then
-    the remaining axioms are checked, and the group keeps the generators
-    that check found."""
-    table = tuple(tuple(map(int, row)) for row in op_table)
+    """Validate a square table as a group, relabeling identity to index 0:
+    the entries are converted to int once, then `make_group_of_ints`."""
+    return make_group_of_ints(tuple(tuple(map(int, row)) for row in op_table),
+                              name)
+
+
+def make_group_of_ints(table: tuple, name: str = "G") -> FiniteGroup:
+    """`make_group` of a tuple of tuple rows that hold ints already, as a
+    parser builds them.  Each row is range-checked once, then the
+    remaining axioms are checked, and the group keeps the generators that
+    check found."""
     n = len(table)
     for a, row in enumerate(table):
         _check_row(a, row, n)

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Tuple
 from .elementary import ElementarySystem
 from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
 from .generators import ElementaryGroupTable
-from .groups import FiniteGroup, cyclic_group, direct_product, make_group, symmetric_group_3
+from .groups import (FiniteGroup, cyclic_group, direct_product, make_group_of_ints,
+                     symmetric_group_3)
 from .slots import in_slot_table, upper_triangle_positions
 from .systems import DEFAULT_MEMBER_CAP, LETTER_CAP, GroupSystem, build_system
 
@@ -96,11 +97,12 @@ def _int(token: str, line: str) -> int:
         raise ParseError(f"expected an integer, got {token!r} in {line!r}") from None
 
 
-def _int_list(tokens: List[str], line: str) -> List[int]:
-    """The tokens of `line` as integers, the one reader of integer fields in
-    every format; the first token that is none raises, as in `_int`."""
+def _int_list(tokens: List[str], line: str) -> Tuple[int, ...]:
+    """The tokens of `line` as a tuple of integers, the one reader of
+    integer fields in every format; the first token that is none raises,
+    as in `_int`."""
     try:
-        return list(map(int, tokens))
+        return tuple(map(int, tokens))
     except ValueError:
         for token in tokens:
             _int(token, line)
@@ -115,7 +117,9 @@ def _group_block(lines: List[str], i: int,
 
     `seen`, if given, maps the row lines of each table read before to its
     validated group: rows that repeat one of them give that table under
-    this block's name, since the same text parses to the same table."""
+    this block's name, since the same text parses to the same table.  The
+    rows are ints once read, so they are validated as they are
+    (`make_group_of_ints`)."""
     header = lines[i] if i < len(lines) else ""
     parts = header.split()
     if len(parts) != 3 or parts[0] != "group":
@@ -135,7 +139,7 @@ def _group_block(lines: List[str], i: int,
                              f"{line!r}")
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
-    group = make_group(rows, name=name)
+    group = make_group_of_ints(tuple(rows), name=name)
     if seen is not None:
         seen[key] = group
     return group, end
@@ -204,7 +208,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
         elif head == "window":
             if len(parts) != 3:
                 raise ParseError("window line needs two integers")
-            window = tuple(_int_list(parts[1:], lines[i]))
+            window = _int_list(parts[1:], lines[i])
         elif head == "alphabet":
             if len(parts) != 3:
                 raise ParseError("alphabet line needs a time and group name")
@@ -213,7 +217,7 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
                 raise ParseError(f"alphabet {key} given twice")
             alphabet_spec[key] = parts[2]
         elif head == "seq":
-            seqs.append(tuple(_int_list(parts[1:], lines[i])))
+            seqs.append(_int_list(parts[1:], lines[i]))
         elif head == "rule":
             if len(parts) < 4 or parts[1] != "conv":
                 raise ParseError("rule line must be 'rule conv <group> <taps...>'")
@@ -416,7 +420,7 @@ def _tri_block(tri_lines: Tuple[str, ...], anchor: Tuple[int, int],
         tparts = line.split()
         if tparts[0] != "tri":
             raise ParseError(f"expected tri line, got {line!r}")
-        labels = tuple(_int_list(tparts[1:], line))
+        labels = _int_list(tparts[1:], line)
         if len(labels) != arity:
             raise ParseError(f"triangle at {anchor} has wrong arity")
         tris.append(labels)

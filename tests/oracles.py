@@ -45,7 +45,8 @@ through `alpha_t` once per element, then sorted and validated as a new
 system; that `alpha_t` is the per-triangle fold that the library's column
 fold `_alpha_column` replaced.  The only change: `extract_basis` runs the
 granule test with X^{t+1} (`check_granule`), so the whole basis depends
-on no library routine but the controllability index.  `recover_original`
+on no library routine but the controllability index; `check_basis_granules`
+runs that test, pair loop included, on a library basis.  `recover_original`
 calls this `recover_system_fhgs`, and `direct_product` is the table
 filled entry by entry.
 
@@ -951,6 +952,25 @@ def basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
     return level
 
 
+def granule_sets(system: GroupSystem, k: int, t: int) -> Tuple[frozenset, frozenset]:
+    """The numerator A^[t,t+k] and the denominator A^[t,t+k) A^(t,t+k] of
+    slot (k, t), support sets by scanning every member."""
+
+    def support(lo: int, hi: int) -> frozenset:
+        return x_members(system, lo) & y_members(system, hi)
+
+    return support(t, t + k), _set_product(system, support(t, t + k - 1),
+                                           support(t + 1, t + k))
+
+
+def check_basis_granules(basis: GeneratorBasis) -> None:
+    """`check_granule`, its pair loop included, on every transversal of a
+    basis, over the member sets of `granule_sets`."""
+    for (k, t) in basis.slots:
+        check_granule(basis.system, (k, t), *granule_sets(basis.system, k, t),
+                      basis.transversal((k, t)))
+
+
 def extract_basis(system: GroupSystem) -> GeneratorBasis:
     """The generator basis on member sequences: support sets by scanning
     every member, the denominator as the set product of its two factors,
@@ -958,14 +978,9 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     ell = library_controllability_index(system)
     slots = window_slots(system.window, ell)
     t0 = system.window[0]
-
-    def support(lo: int, hi: int) -> frozenset:
-        return x_members(system, lo) & y_members(system, hi)
-
     transversals: Dict[Slot, Tuple[Seq, ...]] = {}
     for (k, t) in slots:
-        num = support(t, t + k)
-        den = _set_product(system, support(t, t + k - 1), support(t + 1, t + k))
+        num, den = granule_sets(system, k, t)
         reps = least_coset_reps(system, num, den)
         for g in reps[1:]:
             if g[t - t0] == 0 or g[t + k - t0] == 0:

@@ -9,7 +9,10 @@ extraction and recovery, a reload of its dump, the global system of its
 elementary system with a re-extraction that the roundtrip certificate
 carries label by label, as the oracle's label search also finds, a
 normal chain along `time_rev` and its reconstruction, the generator basis
-of the all-pairs oracle, and both encoders on every member.  The subgroup
+of the all-pairs oracle, and both encoders on every member.  The oracle
+basis runs `oracles.check_granule`, pair loop included, on transversals
+asserted equal to the library's, so those pass the test that
+`_check_granule` no longer makes.  The subgroup
 counts are the expected values, so a change in any verdict shows."""
 
 import itertools

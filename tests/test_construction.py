@@ -38,9 +38,9 @@ from groupsystems.elementary import (
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
-    DomainError,
     NotASubgroup,
     PreconditionViolated,
+    WellDefinednessFailure,
 )
 from groupsystems.extensions import (
     SEARCH_NODE_CAP,
@@ -58,6 +58,7 @@ from groupsystems.groups import (
     cyclic_group,
     direct_product,
     find_isomorphism,
+    homomorphism_witness,
     isomorphisms,
     make_group,
     symmetric_group_3,
@@ -335,14 +336,45 @@ CONSTRUCTIONS = {
 }
 
 
+def record_unchecked_builds(mp):
+    """Patch in recorders of what a construction builds unchecked: every
+    table `extensions` builds (the extension candidates, Aut(k) and the
+    subdirect products) and every map `_subdirect_base` builds, as
+    (domain, codomain, images).  Returns the two lists they fill."""
+    tables, maps = [], []
+
+    def record_table(table, name="G", **kwargs):
+        tables.append(FiniteGroup(table, name=name, **kwargs))
+        return tables[-1]
+
+    def record_map(domain, codomain, images, **kwargs):
+        maps.append((domain, codomain, tuple(images)))
+        return Homomorphism(domain, codomain, images, **kwargs)
+
+    mp.setattr(extensions, "FiniteGroup", record_table)
+    mp.setattr(elementary, "Homomorphism", record_map)
+    return tables, maps
+
+
+def assert_unchecked_builds_hold(tables, maps):
+    """Each recorded table passes `make_group` as it is, identity at 0,
+    and each recorded map passes `homomorphism_witness`."""
+    for group in tables:
+        assert make_group(group.op_table).op_table == group.op_table
+    for domain, codomain, images in maps:
+        assert homomorphism_witness(domain, codomain, images) is None
+
+
 @pytest.fixture(scope="module")
 def construction_calls():
     """Per construction: the built system, the distinct subdirect-product
-    inputs and the distinct extension searches it made."""
+    inputs and the distinct extension searches it made.  The tables and
+    maps it builds unchecked are asserted to pass the checks it skips."""
     recorded = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, (window, ell, top, strategy) in CONSTRUCTIONS.items():
             subdirects, searches = {}, {}
+            unchecked = record_unchecked_builds(mp)
 
             def record_subdirect(g1, g2, p1, p2, seen=subdirects):
                 seen.setdefault((g1.op_table, g2.op_table, p1.image_of,
@@ -357,6 +389,7 @@ def construction_calls():
             mp.setattr(elementary, "subdirect_product", record_subdirect)
             mp.setattr(elementary, "enumerate_extensions", record_search)
             es = construct_elementary_system(window, ell, top, strategy)
+            assert_unchecked_builds_hold(*unchecked)
             recorded[name] = (es, list(subdirects.values()),
                               list(searches.values()))
     return recorded
@@ -391,7 +424,13 @@ def test_subdirect_products_match_oracle_on_constructions(name, construction_cal
 
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
 def test_controllability_index_matches_oracle_on_constructions(name, construction_calls):
-    system = elementary.global_group_system(construction_calls[name][0])
+    es = construction_calls[name][0]
+    if name == "trivial-top":  # all-trivial tables realize ell 0, not 1
+        with pytest.raises(WellDefinednessFailure,
+                           match="realizes ell=0, below the seeded ell=1$"):
+            elementary.global_group_system(es)
+        return
+    system = elementary.global_group_system(es)
     assert controllability_index(system) == oracles.controllability_index(system)
 
 
@@ -444,8 +483,11 @@ def test_constructions_pass_the_full_verify(name, construction_calls):
 @pytest.mark.parametrize("window,ell,top,strategy",
                          [r[:4] for r in WORKLOAD_REQUESTS],
                          ids=[r[4] for r in WORKLOAD_REQUESTS])
-def test_workload_requests_pass_the_full_verify(window, ell, top, strategy):
+def test_workload_requests_pass_the_full_verify(window, ell, top, strategy,
+                                                monkeypatch):
+    unchecked = record_unchecked_builds(monkeypatch)
     es = construct_elementary_system(window, ell, top, strategy)
+    assert_unchecked_builds_hold(*unchecked)
     es.verify()
     assert oracles.check_homomorphism_condition(es) == (True, None)
 
@@ -821,19 +863,20 @@ def test_roundtrip_label_maps_match_oracle(construction_calls, request):
     the CLI's twisted-roundtrip test among them), against the context of
     its global system: the roundtrip certificate returns label maps
     exactly where the oracle's label search finds a family, and its maps
-    carry the one system onto the other."""
+    carry the one system onto the other.  The trivial-top construction
+    gets no global system: `global_group_system` refuses its depth."""
     systems = [extract_elementary_system(build_context(request.getfixturevalue(key)))
                for key in FIXTURES]
     systems += [es for es, _, _ in construction_calls.values()]
     verdicts = set()
     for es in systems:
+        if es is construction_calls["trivial-top"][0]:
+            with pytest.raises(WellDefinednessFailure,
+                               match="below the seeded ell=1$"):
+                global_group_system(es)
+            continue
         ctx = build_context(global_group_system(es))
         re_es = extract_elementary_system(ctx)
-        if re_es.label_sizes != es.label_sizes:  # the trivial top's depth is 0
-            assert oracles.structurally_equal(es, re_es) is None
-            with pytest.raises(DomainError, match="differs$"):
-                roundtrip_label_maps(es, ctx)
-            continue
         maps = roundtrip_label_maps(es, ctx)
         assert (maps is None) == (oracles.structurally_equal(es, re_es) is None)
         assert maps is None or oracles.carries(es, re_es, maps)

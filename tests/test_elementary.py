@@ -11,7 +11,6 @@ from groupsystems.elementary import (
     construct_elementary_system,
     depth_restrict,
     extract_elementary_system,
-    global_group,
     global_group_system,
     global_product,
     nested_targets,
@@ -23,6 +22,7 @@ from groupsystems.errors import (
     OutOfWindow,
     RecoveryMismatch,
     UnrealizedSlice,
+    WellDefinednessFailure,
 )
 from groupsystems.generators import (
     ElementaryGroupTable,
@@ -164,13 +164,6 @@ def test_global_product_unrealized_slice(es_c2):
         global_product(es_c2, bad, bad)
 
 
-def test_global_group_uniqueness(es_r2):
-    tensors1, g1 = global_group(es_r2)
-    tensors2, g2 = global_group(es_r2)
-    assert tensors1 == tensors2
-    assert g1.op_table == g2.op_table
-
-
 def test_global_group_system_roundtrip_r2(ctx_r2, es_r2):
     system = global_group_system(es_r2)
     assert len(system) == len(ctx_r2.system)
@@ -192,9 +185,16 @@ def test_recover_original(ctx_r2, es_r2, ctx_c2, es_c2, ctx_s3):
 
 
 def test_construct_trivial_seed():
+    """All-trivial tables describe a system of ell 0, not the seeded 1: its
+    re-extraction would have another slot table, so it is refused."""
     es = construct_elementary_system((0, 3), 1, trivial_group())
     assert all(t.group.order == 1 for t in es.tables.values())
-    assert len(global_group_system(es)) == 1
+    with pytest.raises(WellDefinednessFailure,
+                       match=r"^global system realizes ell=0, below the "
+                             r"seeded ell=1$"):
+        global_group_system(es)
+    assert len(global_group_system(construct_elementary_system(
+        (0, 3), 0, trivial_group()))) == 1
 
 
 def test_construct_z2_trivial_kernel():

@@ -117,9 +117,9 @@ def test_extensions_nonabelian_kernel_incomplete_flag():
 
 
 def test_extension_search_propagates_unexpected_errors(monkeypatch):
-    """Only a failed group axiom drops a candidate table; any other error
-    is a bug and must surface."""
-    def broken(table, name="G"):
+    """The search drops no candidate table on an error: an error from the
+    table builder is a bug and must surface."""
+    def broken(table, name="G", **kwargs):
         raise RuntimeError("table builder failed")
 
     monkeypatch.setattr(extensions, "FiniteGroup", broken)
