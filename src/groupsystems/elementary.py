@@ -231,6 +231,20 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     triangle, so two tensors that differ at it differ in their time-s
     slices, which are distinct triangles and so distinct letters.
 
+    The system is built closed, so `GroupSystem` checks only its identity
+    and is not validated a second time.  `es` is verified, extracted or
+    constructed (an unverified one can miss a slice in `idx`), so:
+    - the global group, all label tensors under the slicewise product, is
+      a group: the projection condition makes the (0, t) tables agree on
+      their overlaps;
+    - the member letters map it into the product of the E(0, t), one
+      letter per time, a homomorphism, and injective by the above;
+    - so the members are a subgroup, closed and holding every inverse,
+      and each letter is an element index of its table, in range;
+    - every triangle is a label tuple and every label tuple is some
+      tensor's slice (the Cartesian count), so every letter is realized.
+    The oracle `tests/oracles.validate_system` still runs every pass.
+
     A controllability index other than `es.ell` is refused either way.
     Above it, the system is not the one the labels describe.  Below it,
     the re-extraction has a smaller slot table than `es`, so the roundtrip
@@ -241,7 +255,8 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
     members = [tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
                for v in all_tensors(sizes)]
-    system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})")
+    system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})",
+                         _closed=True)
     ell = controllability_index(system)
     if ell > es.ell:
         raise WellDefinednessFailure("global system exceeds the seeded depth")

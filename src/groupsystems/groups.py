@@ -1,9 +1,10 @@
 """Finite group arithmetic on explicit operation tables.
 
 Elements are indices ``0..order-1`` with the identity pinned at index 0.
-Constructors relabel when the two-sided identity sits elsewhere, so every
-serialized table is deterministic.  All values are immutable after
-construction; operations are pure functions.
+A table is read as written: one whose identity sits elsewhere is not a
+group table here (`AxiomViolation("identity", ...)`), so every table keeps
+the labels it was given.  All values are immutable after construction;
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         if self._inv is None:
-            # row x holds 0 once, at the inverse of x (`_check_axioms`)
+            # row x holds 0 once, at the inverse of x (`_validate_table`)
             self._inv = tuple(row.index(0) for row in self.op_table)
         return self._inv[a]
 
@@ -127,20 +128,14 @@ def _check_row(a: int, row: Sequence[int], n: int) -> None:
 
 
 def _validate_table(table: tuple) -> tuple:
-    """Check the group axioms; return the greedy generators of the table.
-    Associativity is Light's test (`associativity_witness`)."""
+    """Check the group axioms on a table of int rows as written: rows,
+    identity at 0, inverses, then associativity by Light's test
+    (`associativity_witness`); return the greedy generators."""
     n = len(table)
     if n == 0:
         raise AxiomViolation("closure", "empty table")
     for a, row in enumerate(table):
         _check_row(a, row, n)
-    return _check_axioms(table)
-
-
-def _check_axioms(table: tuple) -> tuple:
-    """`_validate_table` after the row checks: identity at 0, inverses and
-    associativity; returns the greedy generators."""
-    n = len(table)
     for a in range(n):
         if table[0][a] != a or table[a][0] != a:
             raise AxiomViolation("identity", a)
@@ -192,34 +187,17 @@ def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
-    """Validate a square table as a group, relabeling identity to index 0:
-    the entries are converted to int once, then `make_group_of_ints`."""
-    return make_group_of_ints(tuple(tuple(map(int, row)) for row in op_table),
-                              name)
+    """Validate a square table as a group, read as written: its entries are
+    converted to int once, and its identity must be element 0."""
+    return FiniteGroup(op_table, name=name)
 
 
 def make_group_of_ints(table: tuple, name: str = "G") -> FiniteGroup:
     """`make_group` of a tuple of tuple rows that hold ints already, as a
-    parser builds them.  Each row is range-checked once, then the
-    remaining axioms are checked, and the group keeps the generators that
-    check found."""
-    n = len(table)
-    for a, row in enumerate(table):
-        _check_row(a, row, n)
-    # the first e whose row and column are both 0..n-1, index 0 tried first
-    labels = tuple(range(n))
-    ident = next((e for e in range(n) if table[e] == labels
-                  and tuple(row[e] for row in table) == labels), None)
-    if ident is None:
-        raise AxiomViolation("identity", None)
-    if ident != 0:
-        # swap labels 0 <-> ident, a transposition and so its own inverse
-        perm = list(range(n))
-        perm[0], perm[ident] = ident, 0
-        table = class_table(table, perm, perm)
-    gens = _check_axioms(table)
+    parser builds them: validated without a second conversion, and the
+    group keeps the generators the check found."""
     g = FiniteGroup(table, name=name, _validated=True)
-    g._gens = gens
+    g._gens = _validate_table(table)
     return g
 
 
@@ -233,10 +211,9 @@ def trivial_group(name: str = "Z1") -> FiniteGroup:
 
 
 def symmetric_group_3(name: str = "S3") -> FiniteGroup:
-    """S3 built from permutation composition, identity relabeled to 0."""
+    """S3 built from permutation composition, the permutations in sorted
+    order, so the identity first."""
     perms = sorted(itertools.permutations(range(3)))
-    # put identity first
-    perms.sort(key=lambda p: (p != (0, 1, 2), p))
     idx = {p: i for i, p in enumerate(perms)}
     table = [[idx[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
     return make_group(table, name=name)

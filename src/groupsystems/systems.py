@@ -58,7 +58,7 @@ class GroupSystem:
         self._op_tables = tuple(g.op_table for g in self.alphabets)
         if len(self.alphabets) != t1 - t0 + 1:
             raise NotAGroupSystem("alphabet count does not match window")
-        # a closed member set comes from a set: distinct tuples of ints
+        # a closed member set holds distinct tuples of ints already
         members = sorted(sequences if _closed
                          else {tuple(map(int, s)) for s in sequences})
         if len(members) > member_cap:
@@ -145,8 +145,10 @@ class GroupSystem:
         in the member index); when one fails, the member loop below finds
         the first offending member, the witness.
 
-        A `closed` system (built only by `build_system`) keeps the identity
-        check alone; each other pass has its verdict fixed already:
+        A `closed` system keeps the identity check alone.  The global
+        system of an elementary system is one (`global_group_system` gives
+        the argument); one built by `build_system` has each other pass's
+        verdict fixed already:
         - letter range: the seeds were range-checked, and every member is
           a product of seeds, whose letters are table entries, in range;
         - inverses and closure: the members are the saturation of the

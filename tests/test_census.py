@@ -5,15 +5,16 @@ On a finite window a group system is a subgroup of G^L, so the systems
 over one alphabet G on one window are the subgroups of G^L.  They are
 listed here from the trivial subgroup up, each as the generators it was
 closed from, and each is built with `build_system` and must pass:
-extraction and recovery, a reload of its dump, the global system of its
-elementary system with a re-extraction that the roundtrip certificate
-carries label by label, as the oracle's label search also finds, a
-normal chain along `time_rev` and its reconstruction, the generator basis
-of the all-pairs oracle, and both encoders on every member.  The oracle
-basis runs `oracles.check_granule`, pair loop included, on transversals
-asserted equal to the library's, so those pass the test that
-`_check_granule` no longer makes.  The subgroup
-counts are the expected values, so a change in any verdict shows."""
+extraction and recovery, a reload of its dump, the global system of the
+reloaded elementary system with every pass of the system check and with
+a re-extraction that the roundtrip certificate carries label by label, as
+the oracle's label search also finds, a normal chain along `time_rev`
+and its reconstruction, the generator basis of the all-pairs oracle, and
+both encoders on every member.  The oracle basis runs
+`oracles.check_granule`, pair loop included, on transversals asserted
+equal to the library's, so those pass the test that `_check_granule` no
+longer makes.  The subgroup counts are the expected values, so a change
+in any verdict shows."""
 
 import itertools
 
@@ -101,7 +102,9 @@ def check_system(system) -> None:
     assert recover_original(es, ctx).sequences == system.sequences
     reloaded = parse_elementary_system(dump_elementary_system(es))
     assert recover_original(reloaded, ctx).sequences == system.sequences
-    image = build_context(global_group_system(es))
+    global_system = global_group_system(reloaded)
+    oracles.validate_system(global_system)
+    image = build_context(global_system)
     assert len(image.system) == len(system)
     maps = roundtrip_label_maps(es, image)
     re_es = extract_elementary_system(image)

@@ -1302,26 +1302,32 @@ def quotient_key(qp) -> tuple:
             qp.projection.image_of)
 
 
-def relabeled_s3() -> list:
-    """The S3 table with labels 0 and 3 swapped, so that its identity
-    sits at index 3."""
-    perm = [3, 1, 2, 0, 4, 5]
+def relabeled_s3(perm: list) -> list:
+    """The S3 table with its labels moved by the involution `perm`."""
     op = symmetric_group_3().op_table
     return [[perm[op[perm[a]][perm[b]]] for b in range(6)] for a in range(6)]
+
+
+IDENTITY_AT_3 = [3, 1, 2, 0, 4, 5]    # labels 0 and 3 swapped
+ROTATIONS_FIRST = [0, 3, 4, 1, 2, 5]  # the 3-cycles at 1 and 2, 0 kept
 
 
 def quotient_groups() -> list:
     z2 = cyclic_group(2)
     return [cyclic_group(4), cyclic_group(8), direct_product(z2, z2)[0],
             symmetric_group_3(), direct_product(z2, symmetric_group_3())[0],
-            make_group(relabeled_s3(), "S3'")]
+            make_group(relabeled_s3(ROTATIONS_FIRST), "S3'")]
 
 
-def test_make_group_relabels_as_before():
-    table = relabeled_s3()
+def test_make_group_reads_tables_as_written():
+    """A table whose identity is not element 0, which the earlier
+    `make_group` relabeled, is rejected; a group table is kept as given."""
+    table = relabeled_s3(IDENTITY_AT_3)
     assert table[3][3] == 3 and table[0][0] != 0
-    new, old = make_group(table, "S3'"), oracles.make_group(table, "S3'")
-    assert new.op_table == old.op_table and new.name == old.name
+    with pytest.raises(AxiomViolation) as exc:
+        make_group(table, "S3'")
+    assert (exc.value.kind, exc.value.witness) == ("identity", 0)
+    assert make_group(relabeled_s3(ROTATIONS_FIRST)).op_table != symmetric_group_3().op_table
     for g in quotient_groups():
         assert make_group(g.op_table).op_table == oracles.make_group(g.op_table).op_table
 

@@ -474,10 +474,15 @@ WORKLOAD_REQUESTS = workload_requests()
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
 def test_constructions_pass_the_full_verify(name, construction_calls):
     """`construct_elementary_system` no longer verifies its result; the
-    Cartesian count and the projection condition hold on every fixture."""
+    Cartesian count and the projection condition hold on every fixture.
+    `global_group_system` builds its system closed; every pass of the
+    system check accepts it (`trivial-top` gets none: its depth is
+    refused)."""
     es = construction_calls[name][0]
     es.verify()
     assert oracles.check_homomorphism_condition(es) == (True, None)
+    if name != "trivial-top":
+        oracles.validate_system(global_group_system(es))
 
 
 @pytest.mark.parametrize("window,ell,top,strategy",
@@ -490,6 +495,7 @@ def test_workload_requests_pass_the_full_verify(window, ell, top, strategy,
     assert_unchecked_builds_hold(*unchecked)
     es.verify()
     assert oracles.check_homomorphism_condition(es) == (True, None)
+    oracles.validate_system(global_group_system(es))
 
 
 def test_workload_requests_cover_every_choice():
@@ -807,13 +813,13 @@ def axiom_failure(check, table):
                          ids=["Z4", "S3", "Z2xZ2"])
 def test_light_test_and_witness_match_oracle_on_single_entry_changes(make):
     """Every change of one entry to another in-range value: `make_group`
-    names the associativity witness the table check with Light's test
-    written out in it named, and both forms of Light's test agree with the
-    check of all triples.  A change in row or column 0 leaves no identity,
-    which `make_group` rejects before the other axioms."""
+    names the witness the table check with Light's test written out in it
+    named, and both forms of Light's test agree with the check of all
+    triples.  A change in row or column 0 fails the identity check in
+    both, before the other axioms, with one witness."""
     table = make().op_table
     n = len(table)
-    witnesses = 0
+    witnesses = identities = 0
     for changed in single_entry_changes(table):
         if max(map(max, changed)) >= n:
             continue
@@ -822,12 +828,10 @@ def test_light_test_and_witness_match_oracle_on_single_entry_changes(make):
         assert light == oracles.light_associative(changed, gens)
         assert light == oracles.is_associative(changed)
         new = axiom_failure(make_group, changed)
-        if changed[0] == table[0] and all(row[0] == a for a, row in enumerate(changed)):
-            assert new == axiom_failure(oracles.check_axioms, changed)
-            witnesses += new is not None and new[0] == "associativity"
-        else:
-            assert new == ("identity", None)
-    assert witnesses > 0
+        assert new == axiom_failure(oracles.check_axioms, changed)
+        witnesses += new is not None and new[0] == "associativity"
+        identities += new is not None and new[0] == "identity"
+    assert witnesses > 0 and identities > 0
 
 
 def test_light_test_and_inverses_match_oracle_on_groups(groups_to_8, construction_calls):

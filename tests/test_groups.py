@@ -64,11 +64,11 @@ def test_builtin_s3_matches_oracle():
     assert is_isomorphic(symmetric_group_3(), make_group(table))
 
 
-def test_identity_relabel():
-    # Z2 with identity at index 1
-    g = make_group([[1, 0], [0, 1]], "Z2swap")
-    assert g.op(0, 0) == 0
-    assert g.op(0, 1) == 1
+def test_identity_off_zero_is_rejected():
+    # Z2 with identity at index 1: a table is read as written, not relabeled
+    with pytest.raises(AxiomViolation) as exc:
+        make_group([[1, 0], [0, 1]], "Z2swap")
+    assert (exc.value.kind, exc.value.witness) == ("identity", 0)
 
 
 def test_axiom_violations_report_witness():

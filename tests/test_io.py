@@ -13,8 +13,10 @@ from groupsystems.elementary import (
     ConstructionStrategy,
     construct_elementary_system,
     extract_elementary_system,
+    global_group_system,
 )
 from groupsystems.errors import (
+    AxiomViolation,
     BoundExceeded,
     NotAGroupSystem,
     ParseError,
@@ -28,6 +30,7 @@ from groupsystems.io import (
     dump_elementary_system,
     dump_group,
     dump_system,
+    load_system_file,
     parse_elementary_system,
     parse_group,
     parse_system,
@@ -588,10 +591,19 @@ def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
     """The readers and the parsers before them load the same objects, or
     raise the same error type; only a .grp text with a line after its
     table, and an .esys labels or egrp line with tokens after its three
-    integers, which the earlier parsers ignored, are now parse errors."""
+    integers, which the earlier parsers ignored, are now parse errors.
+    A table whose identity is not element 0, which the earlier parsers
+    relabeled before going on, is now an identity AxiomViolation; the
+    earlier parse took that table for a group, so it raised no
+    AxiomViolation, and the table's element 0 is no identity."""
     text = data.draw(fuzzed_texts(kind))
     new = parsed(kind, PARSERS[kind], text)
     old = parsed(kind, ORACLE_PARSERS[kind], text)
+    if new is AxiomViolation and old is not AxiomViolation:
+        with pytest.raises(AxiomViolation) as exc:
+            PARSERS[kind](text)
+        assert (exc.value.kind, exc.value.witness) == ("identity", 0)
+        return
     if kind == "grp" and new is ParseError and isinstance(old, tuple):
         assert len(io._strip_lines(text)) > 1 + len(old[1])
         with pytest.raises(ParseError, match="^a line after the table"):
@@ -602,6 +614,126 @@ def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
             parse_elementary_system(text)
         return
     assert new == old
+
+
+# -- tables are read as written --------------------------------------------------
+
+def assert_identity_off_zero(load, *args) -> None:
+    with pytest.raises(AxiomViolation) as exc:
+        load(*args)
+    assert exc.value.kind == "identity"
+
+
+def test_an_inline_group_with_its_identity_off_zero_is_rejected():
+    """Z2 with its identity at 1.  The earlier loader relabeled the table
+    but read `seq 0 0` in the file's labels, (a, a), and loaded the
+    trivial system; written identity first, the same system has two
+    members and ell 1."""
+    text = "system X\nwindow 0 1\ngroup G 2\n1 0\n0 1\nalphabet all G\nseq 0 0\n"
+    assert_identity_off_zero(parse_system, text)
+    assert len(oracles.parse_system(text)) == 1
+    system = parse_system("system X\nwindow 0 1\ngroup G 2\n0 1\n1 0\n"
+                          "alphabet all G\nseq 1 1\n")
+    assert len(system) == 2 and systems.controllability_index(system) == 1
+
+
+def test_a_sibling_group_with_its_identity_off_zero_is_rejected(tmp_path):
+    """Z3 with its identity at 1, in `G.grp` beside the system file: the
+    earlier loader read `seq 0 1 0` as a system of ell 0, not 2."""
+    (tmp_path / "G.grp").write_text("group G 3\n2 0 1\n0 1 2\n1 2 0\n")
+    path = tmp_path / "uses_g.gsys"
+    path.write_text("system X\nwindow 0 2\nalphabet all G\nseq 0 1 0\n")
+    assert_identity_off_zero(load_system_file, path)
+
+
+def egrp_blocks(lines: list) -> list:
+    """(header line, element count) of each egrp block of a dump: its
+    triangles follow the header, then the group header and the rows."""
+    return [(i, int(line.split()[3])) for i, line in enumerate(lines)
+            if line.startswith("egrp ")]
+
+
+def relabeled_block(lines: list, h: int, n: int, perm: list,
+                    triangles: bool = True) -> None:
+    """Element a of the block at line h becomes element perm[a], in its
+    table and, if `triangles`, in its triangle lines."""
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    rows = [list(map(int, line.split())) for line in lines[h + n + 2:h + 2 * n + 2]]
+    lines[h + n + 2:h + 2 * n + 2] = [
+        " ".join(str(perm[rows[inv[a]][inv[b]]]) for b in range(n)) for a in range(n)]
+    if triangles:
+        lines[h + 1:h + n + 1] = [lines[h + 1 + inv[a]] for a in range(n)]
+
+
+def test_a_consistently_relabeled_esys_block_is_rejected():
+    """Elements 0 and 1 of the first block of a constructed dump swapped in
+    its triangles and its table: the same group with its identity at 1.
+    The earlier loader relabeled the table alone and reported a
+    projection condition failure that the file does not have."""
+    lines = dump_elementary_system(construct_elementary_system(
+        (0, 2), 1, symmetric_group_3())).splitlines()
+    (h, n), *_ = egrp_blocks(lines)
+    relabeled_block(lines, h, n, [1, 0, *range(2, n)])
+    assert_identity_off_zero(parse_elementary_system, "\n".join(lines) + "\n")
+
+
+TAMPERED_BASES = [
+    ((0, 3), 1, cyclic_group(2), ConstructionStrategy(kernels={0: cyclic_group(2)})),
+    ((0, 4), 2, cyclic_group(2), ConstructionStrategy(
+        kernels={1: cyclic_group(2)}, extension_indices={(1, 1): 2, (1, 2): 2})),
+    ((0, 2), 1, symmetric_group_3(), None),
+]
+TAMPERED_DUMPS = [dump_elementary_system(construct_elementary_system(*args))
+                  for args in TAMPERED_BASES]
+
+
+@st.composite
+def tampered_dumps(draw):
+    """A constructed dump with one or two blocks changed: two entries of a
+    table row swapped, two triangle lines swapped, or the elements
+    relabeled by a permutation fixing 0, in the table alone or in the
+    table and the triangles.  Returns the text and whether every change
+    was a relabel of both, which leaves a system that loads."""
+    lines = draw(st.sampled_from(TAMPERED_DUMPS)).splitlines()
+    consistent = True
+    for _ in range(draw(st.integers(1, 2))):
+        h, n = draw(st.sampled_from([b for b in egrp_blocks(lines) if b[1] > 2]))
+        kind = draw(st.sampled_from(("entries", "triangles", "relabel")))
+        if kind == "relabel":
+            perm = [0, *draw(st.permutations(range(1, n)))]
+            both = draw(st.booleans())
+            relabeled_block(lines, h, n, perm, triangles=both)
+            consistent = consistent and both
+            continue
+        consistent = False
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        if kind == "triangles":
+            lines[h + 1 + i], lines[h + 1 + j] = lines[h + 1 + j], lines[h + 1 + i]
+        else:
+            a = h + n + 2 + draw(st.integers(0, n - 1))
+            row = lines[a].split()
+            row[i], row[j] = row[j], row[i]
+            lines[a] = " ".join(row)
+    return "\n".join(lines) + "\n", consistent
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tampered_dumps())
+def test_global_systems_of_tampered_dumps_pass_the_system_check(case):
+    """`global_group_system` builds its system closed, unchecked but for
+    its identity; on every tampered dump that still loads, every pass of
+    the system check accepts it.  A dump relabeled consistently loads."""
+    text, consistent = case
+    try:
+        es = parse_elementary_system(text)
+    except ToolkitError:
+        assert not consistent
+        return
+    oracles.validate_system(global_group_system(es))
 
 
 FIXED_POINT_GROUPS = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group_3()}
