@@ -31,7 +31,7 @@ from .errors import (
     WellDefinednessFailure,
     count_text,
 )
-from .extensions import enumerate_extensions, subdirect_product
+from .extensions import enumerate_extensions, fibre_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
@@ -41,7 +41,7 @@ from .generators import (
     restriction_images,
     slice_classes,
 )
-from .groups import (FiniteGroup, Homomorphism, class_table,
+from .groups import (FiniteGroup, class_table, compose_columns,
                      homomorphism_witness, trivial_group)
 from .slots import (
     Slot,
@@ -233,7 +233,8 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
 
     The system is built closed, so `GroupSystem` checks only its identity
     and is not validated a second time.  `es` is verified, extracted or
-    constructed (an unverified one can miss a slice in `idx`), so:
+    constructed (an unverified one that misses a slice raises
+    WellDefinednessFailure naming its (0, t) anchor), so:
     - the global group, all label tensors under the slicewise product, is
       a group: the projection condition makes the (0, t) tables agree on
       their overlaps;
@@ -253,8 +254,13 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     check_tensor_count(Counter(sizes))
     _, plan = es._product_plan
     alphabets = [es.table(anchor).group for anchor, *_ in plan]
-    members = [tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
-               for v in all_tensors(sizes)]
+    try:
+        members = [tuple(idx[get(v)] for _, _, get, idx, _, _ in plan)
+                   for v in all_tensors(sizes)]
+    except KeyError:
+        anchor, tri = next((anchor, get(v)) for v in all_tensors(sizes)
+                           for anchor, _, get, idx, _, _ in plan if get(v) not in idx)
+        raise WellDefinednessFailure(f"anchor {anchor} has no triangle {tri}") from None
     system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})",
                          _closed=True)
     ell = controllability_index(system)
@@ -383,21 +389,22 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
 
     Depth m anchors are extensions of the subdirect product of their two
     depth-(m+1) children (edge anchors have one or no child) by the
-    strategy's kernel for that depth.  Anchors with equal base and kernel
-    tables share one extension search, remembered for this call only.
+    strategy's kernel for that depth.  Extension index 0, the direct
+    product, runs no search (`_build_anchor`); anchors with equal base and
+    kernel tables share one search, remembered for this call only.
     Tables of more than ANCHOR_TABLE_CAP entries in all raise
     BoundExceeded before any anchor is built.
 
     The result is not verified again (`ElementarySystem.verify`); its
     build checks certify it, and a reload verifies:
     - Restriction to a child is a homomorphism.  Element e of the
-      extension maps to the child triangle `pair_of[e // nk]` names, which
-      is the composite of three homomorphisms: the extension's projection
-      e -> e // nk onto the base, the coordinate map of the subdirect
-      product onto that child, and the relabel of `class_table`, an
-      isomorphism.  The anchor's labels on the child's positions are
-      copied from that child triangle, so this map is exactly the
-      restriction.
+      extension maps to the child triangle that base element e // nk
+      names, which is the composite of three homomorphisms: the
+      extension's projection e -> e // nk onto the base (the direct
+      product's at index 0), the coordinate map of the fibre product onto
+      that child, and the ranking of the triangles, an isomorphism.  The
+      anchor's labels on the child's positions are copied from that child
+      triangle, so this map is exactly the restriction.
     - The Cartesian count holds by induction from the top row.  The
       anchor has |k| |base| elements, its label size is |k|, and the base
       is a child's group or the fibre product R x_O L of the children over
@@ -455,102 +462,111 @@ def _build_anchor(tables: Dict[Slot, ElementaryGroupTable], anchor: Slot,
                   positions: Tuple[Slot, ...], right: Optional[Slot],
                   left: Optional[Slot], kernel: FiniteGroup,
                   extension_index: int, searches: dict) -> ElementaryGroupTable:
-    """The anchor's table: an extension of the base (the subdirect product
-    of its children over their shared subtriangle, or whatever part
-    exists) by the kernel, element e labelling the anchor slot e % nk and
-    the child triangles the base pair e // nk names.
+    """The anchor's table: an extension of the base (the fibre product of
+    its children over their shared subtriangle, or whatever part exists)
+    by the kernel.  Element e = s |k| + x is base element s with kernel
+    label x: it labels the anchor slot x and the child positions with the
+    child triangles s names.  The triangles are ranked (`_slice_classes`)
+    and the table is written once, in that order.
 
-    - The children agree on their overlap.  A base pair (a, b) has
-      p_right(a) = p_left(b), and both are restrictions onto the overlap
-      table, so a's and b's triangles hold one overlap triangle on the
-      shared positions.
-    - The triangles are distinct.  Distinct e differ in e % nk, the anchor
-      label, or in e // nk, and then in a or in b, whose child triangles
-      are distinct elements of a child table and are copied whole.
+    - The children agree on their overlap.  A base pair (a, b) has equal
+      images in the overlap table, and both maps are restrictions, so a's
+      and b's triangles hold one overlap triangle on the shared positions.
+    - The triangles are distinct.  Distinct e differ in x, the anchor
+      label, or in s, and then in a or in b, whose child triangles are
+      distinct elements of a child table and are copied whole.
+    - Index 0 is the direct product k × base, which `enumerate_extensions`
+      lists first, so it runs no search: its table is composed from the
+      columns of the kernel's generators at the identity of the base and
+      of the base's generators at the kernel's identity, which generate
+      k × base.  A trivial kernel or base has only this extension, and an
+      index >= 1 there is out of range.
+    - An index >= 1 runs the search on the base table, composed from the
+      same columns in base order, and its extension (x, s) at s |k| + x
+      is relabeled by the ranks (`class_table`).
     """
-    if right is not None and left is not None:
-        base, pair_of = _subdirect_base(tables, right, left)
-    elif right is not None or left is not None:
-        child = tables[right if right is not None else left]
-        base = child.group
-        pair_of = [(i, None) if right is not None else (None, i)
-                   for i in range(base.order)]
+    heads, base_columns, base_name = _anchor_base(tables, positions[:-1],
+                                                  right, left)
+    nk, nb = kernel.order, len(heads)
+    ext = None
+    if extension_index:
+        # a trivial kernel or base has one extension, k x base
+        count = 1
+        if nk > 1 and nb > 1:
+            base = FiniteGroup(compose_columns(base_columns, nb), name=base_name,
+                               _validated=True)
+            key = (base.op_table, kernel.op_table)
+            extensions = searches.get(key)
+            if extensions is None:
+                search = enumerate_extensions(base, kernel,
+                                              max_order=max(64, nk * nb))
+                extensions = tuple(group for group, _ in search.extensions)
+                searches[key] = extensions
+            count = len(extensions)
+        if not 0 <= extension_index < count:
+            raise NoExtensionFound(
+                f"extension index {extension_index} out of range "
+                f"({count} found at anchor {anchor})")
+        ext = extensions[extension_index]
+    # the anchor slot is the last position: the bottom row of its triangle
+    realized, rank, order = _slice_classes([head + (x,) for head in heads
+                                            for x in range(nk)])
+    if ext is not None:
+        table = class_table(ext.op_table, rank, order)
     else:
-        base = trivial_group()
-        pair_of = [(None, None)]
-
-    nk = kernel.order
-    # a trivial kernel extends the base only by itself, and the only
-    # extension of a trivial base is the kernel: the search would build
-    # k's own table, (x, 1)(y, 1) = (x y, 1)
-    if nk == 1:
-        extensions = (base,)
-    elif base.order == 1:
-        extensions = (kernel,)
-    else:
-        key = (base.op_table, kernel.op_table)
-        extensions = searches.get(key)
-        if extensions is None:
-            search = enumerate_extensions(base, kernel,
-                                          max_order=max(64, nk * base.order))
-            extensions = tuple(ext for ext, _ in search.extensions)
-            searches[key] = extensions
-    if not 0 <= extension_index < len(extensions):
-        raise NoExtensionFound(
-            f"extension index {extension_index} out of range "
-            f"({len(extensions)} found at anchor {anchor})")
-    ext = extensions[extension_index]
-
-    # element e of the extension is the pair (e % nk, e // nk): the kernel
-    # part labels the anchor slot, the base part the child triangles
-    elements = []
-    for e in range(ext.order):
-        x, s = e % nk, e // nk
-        labels: Dict[Slot, int] = {anchor: x}
-        a, b = pair_of[s]
-        for child_anchor, child_elt in ((right, a), (left, b)):
-            if child_anchor is None or child_elt is None:
-                continue
-            child = tables[child_anchor]
-            labels.update(zip(child.positions, child.elements[child_elt]))
-        elements.append(tuple(labels[pos] for pos in positions))
-    # identity triangle first, then lexicographic; rank[e] is e's new index
-    realized, rank, order = _slice_classes(elements)
-    fg = FiniteGroup(class_table(ext.op_table, rank, order),
-                     name=f"E({anchor[0]},{anchor[1]})", _validated=True)
+        # columns over e = s nk + x, then read in triangle order
+        columns = [[s + y for s in range(0, nb * nk, nk) for y in col]
+                   for col in ([row[g] for row in kernel.op_table]
+                               for g in kernel.generators)]
+        columns += (base_columns if nk == 1 else
+                    [[s + x for s in map(nk.__mul__, col) for x in range(nk)]
+                     for col in base_columns])
+        get = rank.__getitem__
+        table = compose_columns([list(map(get, map(col.__getitem__, order)))
+                                 for col in columns], nb * nk)
+    fg = FiniteGroup(table, name=f"E({anchor[0]},{anchor[1]})", _validated=True)
     return ElementaryGroupTable(anchor, positions, tuple(realized), fg)
 
 
-def _subdirect_base(tables: Dict[Slot, ElementaryGroupTable],
-                    right: Slot, left: Slot) -> tuple:
-    """Subdirect product of the two child groups over their overlap (over
-    the trivial group, which is the direct product, when they share no
-    slot), as (group, pairs of child elements).
+def _anchor_base(tables: Dict[Slot, ElementaryGroupTable],
+                 positions: Tuple[Slot, ...], right: Optional[Slot],
+                 left: Optional[Slot]) -> tuple:
+    """The base of an anchor whose child positions are `positions`, as
+    (heads, columns, name): heads[s] is base element s's labels at those
+    positions, and columns[j][s] is s times the j-th generator of a
+    generating set of the base.
 
-    The children (k+1, t) and (k+1, t-1) of (k, t) hold the slots whose
-    spans cover [t, t+k+1] and [t-1, t+k], so their overlap holds those
-    covering [t-1, t+k+1]: the triangle of (k+2, t-1), in the same order.
-    It is empty exactly when that anchor is outside the slot table, and
-    otherwise its table is built, since rows are built deepest first.
-
-    Both restriction maps are built unchecked: each restricts a
-    constructed anchor to its own child (k+2, t-1), and restriction to a
-    child is a homomorphism by the first point of
-    `construct_elementary_system`.  Maps onto the trivial group are
-    homomorphisms anyway."""
+    With both children the base is their fibre product over the overlap
+    (`fibre_product`; over the trivial group, the direct product, when
+    they share no slot).  The children (k+1, t) and (k+1, t-1) of (k, t)
+    hold the slots whose spans cover [t, t+k+1] and [t-1, t+k], so their
+    overlap holds those covering [t-1, t+k+1]: the triangle of (k+2,
+    t-1), in the same order.  It is empty exactly when that anchor is
+    outside the slot table, and otherwise its table is built, since rows
+    are built deepest first.  Both maps are restrictions of constructed
+    anchors to their own child (k+2, t-1), so homomorphisms by the first
+    point of `construct_elementary_system`."""
+    if right is None or left is None:
+        if right is None and left is None:
+            return [()], [], "Z1"
+        child = tables[right if right is not None else left]
+        op = child.group.op_table
+        get = entries_at(positions_in(child.positions, positions))
+        return (list(map(get, child.elements)),
+                [[row[g] for row in op] for g in child.group.generators],
+                child.group.name)
     rt, lt = tables[right], tables[left]
-    # restrict both children onto the overlap triangle group
     target = tables.get((right[0] + 1, left[1]))
-    if target is not None:
-        p_right = Homomorphism(rt.group, target.group,
-                               restriction_images(rt, target), check=False)
-        p_left = Homomorphism(lt.group, target.group,
-                              restriction_images(lt, target), check=False)
+    if target is None:
+        q = trivial_group()
+        images = (0,) * rt.group.order, (0,) * lt.group.order
     else:
-        z1 = trivial_group()
-        p_right = Homomorphism(rt.group, z1, (0,) * rt.group.order, check=False)
-        p_left = Homomorphism(lt.group, z1, (0,) * lt.group.order, check=False)
-    return subdirect_product(rt.group, lt.group, p_right, p_left)
+        q = target.group
+        images = restriction_images(rt, target), restriction_images(lt, target)
+    pairs, columns = fibre_product(rt.group, lt.group, q, *images)
+    get = entries_at(positions_in(rt.positions + lt.positions, positions))
+    heads = [get(rt.elements[a] + lt.elements[b]) for a, b in pairs]
+    return heads, columns, f"{rt.group.name}x{lt.group.name}"
 
 
 # -- depth restriction -------------------------------------------------------

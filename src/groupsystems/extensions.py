@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -23,7 +23,9 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     close_greedily,
+    compose_columns,
     find_isomorphism,
+    greedy_columns,
     homomorphism_witness,
     isomorphisms,
 )
@@ -33,48 +35,65 @@ AUTOMORPHISM_CANDIDATE_CAP = 10000
 SEARCH_NODE_CAP = 200000
 
 
-def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
-                      p1: Homomorphism, p2: Homomorphism) -> tuple:
-    """The subgroup {(a,b) : p1(a) = p2(b)} of g1 × g2, built on its pairs.
+def fibre_product(g1: FiniteGroup, g2: FiniteGroup, q: FiniteGroup,
+                  images1: Sequence[int], images2: Sequence[int]) -> tuple:
+    """The subgroup {(a, b) : images1[a] = images2[b]} of g1 × g2 for maps
+    onto q, as (pairs, columns): the pairs in lexicographic order, and the
+    column of each of its greedy generators over pair indices
+    (`greedy_columns`), which `compose_columns` turns into its table.
 
-    Returns (group, pairs): element i of the group is pairs[i], the pairs
-    run in lexicographic order, and the product is componentwise.  Both
-    projections are verified surjective, which covers both factors: every
-    a in g1 has p1(a) = p2(b) for some b, as p2 is onto, and likewise
-    every b in g2 a partner a.  Each product is looked up among the pairs
-    and one outside them raises NotASubgroup: that is the closure check of
-    the subgroup inside g1 × g2, the same |pairs|^2 lookups, without
-    writing out the |g1 g2|^2 table of g1 × g2.  A nonempty finite subset
-    of a group closed under the product is a subgroup, so the table is a
-    group.
-    """
-    if p1.domain is not g1 or p2.domain is not g2:
-        raise CodomainMismatch("projection domains do not match the factors")
-    if p1.codomain is not p2.codomain:
-        raise CodomainMismatch("projections target different groups")
-    if not p1.is_surjective():
+    Both maps are verified onto q (NotSurjective), which covers both
+    factors: every a in g1 has images1[a] = images2[b] for some b, and
+    likewise every b a partner a.  The closure check runs on generators,
+    as `Subgroup` vets a member set: a pair is taken as a generator when
+    the generators before it do not reach it, and its whole column, the
+    pairs times it, must stay among the pairs, or NotASubgroup is raised.
+    A finite subset of a group that holds the identity and is closed under
+    right multiplication by a generating subset of itself is a subgroup:
+    the elements reached from the identity along the columns are the
+    subgroup the generators generate (the monoid they generate, in a
+    finite group), every pair is reached or taken, and the columns stay
+    inside the pairs.  Conversely, in a subgroup no product escapes.  So
+    the verdict is that of the all-pairs check, at |pairs| |generators|
+    lookups instead of |pairs|^2."""
+    if len(set(images1)) != q.order:
         raise NotSurjective("p1 not onto the common quotient")
-    if not p2.is_surjective():
+    if len(set(images2)) != q.order:
         raise NotSurjective("p2 not onto the common quotient")
     fibre: Dict[int, list] = {}
-    for b in range(g2.order):
-        fibre.setdefault(p2(b), []).append(b)
-    pairs = tuple((a, b) for a in range(g1.order)
-                  for b in fibre.get(p1(a), ()))
+    for b, x in enumerate(images2):
+        fibre.setdefault(x, []).append(b)
+    pairs = tuple([(a, b) for a, x in enumerate(images1) for b in fibre.get(x, ())])
     if not pairs or pairs[0] != (0, 0):
         raise NotASubgroup("identity missing")
     n2 = g2.order
     index = {a * n2 + b: i for i, (a, b) in enumerate(pairs)}
-    op1, op2 = g1.op_table, g2.op_table
-    table = []
-    for a1, b1 in pairs:
-        row1, row2 = op1[a1], op2[b1]
-        row = [index.get(row1[a2] * n2 + row2[b2]) for a2, b2 in pairs]
-        if None in row:
-            other = pairs[row.index(None)]
-            raise NotASubgroup(f"product {(a1, b1)}*{other} escapes")
-        table.append(tuple(row))
-    group = FiniteGroup(tuple(table), name=f"{g1.name}x{g2.name}", _validated=True)
+    rows = [(g1.op_table[a], g2.op_table[b]) for a, b in pairs]
+
+    def column(j: int) -> list:
+        a, b = pairs[j]
+        col = [index.get(row1[a] * n2 + row2[b]) for row1, row2 in rows]
+        if None in col:
+            raise NotASubgroup(f"product {pairs[col.index(None)]}*{pairs[j]} escapes")
+        return col
+
+    return pairs, greedy_columns(range(len(pairs)), column)[1]
+
+
+def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
+                      p1: Homomorphism, p2: Homomorphism) -> tuple:
+    """The subgroup {(a,b) : p1(a) = p2(b)} of g1 × g2 (`fibre_product`),
+    as (group, pairs): element i of the group is pairs[i], the pairs run
+    in lexicographic order, and the product is componentwise.  The table
+    is composed from the generator columns, unvalidated: the fibre
+    product is a subgroup of g1 × g2, so a group."""
+    if p1.domain is not g1 or p2.domain is not g2:
+        raise CodomainMismatch("projection domains do not match the factors")
+    if p1.codomain is not p2.codomain:
+        raise CodomainMismatch("projections target different groups")
+    pairs, columns = fibre_product(g1, g2, p1.codomain, p1.image_of, p2.image_of)
+    group = FiniteGroup(compose_columns(columns, len(pairs)),
+                        name=f"{g1.name}x{g2.name}", _validated=True)
     return group, pairs
 
 

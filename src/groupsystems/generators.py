@@ -32,7 +32,8 @@ from .errors import (
     UnrealizedTriangle,
     WellDefinednessFailure,
 )
-from .groups import FiniteGroup, Homomorphism, Subgroup, class_table
+from .groups import (FiniteGroup, Homomorphism, Subgroup, class_table,
+                     compose_columns, greedy_columns)
 from .slots import (
     Slot,
     entries_at,
@@ -128,22 +129,14 @@ class GeneratorContext:
     @cached_property
     def _generators(self) -> tuple:
         """(S, right Cayley graph of S) in one pass, |A| x |S| list reads:
-        the closure grows breadth-first along the kept columns (`close_greedily`)."""
+        the closure grows breadth-first along the kept columns (`greedy_columns`)."""
         system = self.system
+        entries = (g for slot in self.slots for g in self.basis.transversal(slot)[1:])
+        gens, right = greedy_columns(
+            map(system.index_of, entries),
+            lambda j: system.translate(system.columns, system.sequences[j]))
         # member 0 is the identity, the least sequence
-        gens, right, reached = [0], [list(range(len(self.tensors)))], {0}
-        for slot in self.slots:
-            for j in map(system.index_of, self.basis.transversal(slot)[1:]):
-                if j not in reached:
-                    gens.append(j)
-                    right.append(system.translate(system.columns, system.sequences[j]))
-                    frontier, step = reached, right[-1:]
-                    while frontier:
-                        frontier = {b for col in step for b in
-                                    map(col.__getitem__, frontier)} - reached
-                        reached |= frontier
-                        step = right[1:]
-        return tuple(gens), tuple(right)
+        return (0, *gens), (list(range(len(self.tensors))), *right)
 
     @cached_property
     def left_cayley(self) -> Tuple[List[int], ...]:
@@ -259,8 +252,8 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
                         f"lift choice changes the product at {where}: "
                         f"slice {realized[c]} times generator "
                         f"{ctx.tensors[gen]} on the {side}")
-    return realized, FiniteGroup(compose_columns(gen_columns, n), name=name,
-                                 _validated=True), cls
+    table = compose_columns(list(gen_columns.values()), n)
+    return realized, FiniteGroup(table, name=name, _validated=True), cls
 
 
 def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[int]]:
@@ -272,31 +265,6 @@ def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[in
     # the first entry of each class, by reading the classes backwards
     first = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
     return realized, cls, [first[c] for c in range(len(realized))]
-
-
-def compose_columns(gen_columns: Dict[int, List[int]], n: int) -> Tuple[tuple, ...]:
-    """The rows of a quotient table of order n from the columns of its
-    generators: gen_columns[g][c] = c g for the images g of S.
-
-    Column e lists c e for every class c.  The identity's column is
-    0, 1, ..., n-1; and when e = d g, associativity gives c e = (c d) g,
-    so column e is column g read along column d.  Classes are reached
-    breadth-first from the identity by right multiplication with the
-    generators, which reaches all of them because S generates the member
-    group and the class map is onto.  The cost is n^2 list reads."""
-    cols: Dict[int, List[int]] = {0: list(range(n))}
-    frontier = [0]
-    while frontier:
-        found = []
-        for d in frontier:
-            col_d = cols[d]
-            for g, col_g in gen_columns.items():
-                e = col_g[d]
-                if e not in cols:
-                    cols[e] = list(map(col_g.__getitem__, col_d))
-                    found.append(e)
-        frontier = found
-    return tuple(zip(*(cols[e] for e in range(n))))
 
 
 def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],

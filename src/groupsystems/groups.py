@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AxiomViolation,
@@ -186,6 +186,58 @@ def class_table(op: Sequence[Sequence[int]], cls, reps: Sequence[int]) -> tuple:
                  for row in map(op.__getitem__, reps))
 
 
+def compose_columns(columns: Sequence[Sequence[int]], n: int) -> Tuple[tuple, ...]:
+    """The rows of a group table of order n from the columns of a set S of
+    elements that generates it: columns[j][c] = c s_j for every element c.
+
+    Column e lists c e for every element c.  The identity's column is
+    0, 1, ..., n-1; and when e = d s, associativity gives c e = (c d) s,
+    so column e is column s read along column d.  Elements are reached
+    breadth-first from the identity by right multiplication with S, which
+    reaches all of them because S generates the group.  The cost is n^2
+    list reads.  Quotient tables (`induced_slice_group`), fibre products
+    (`extensions.subdirect_product`) and constructed anchors
+    (`elementary._build_anchor`) are all written this way."""
+    cols: Dict[int, List[int]] = {0: list(range(n))}
+    frontier = [0]
+    while frontier:
+        found = []
+        for d in frontier:
+            col_d = cols[d]
+            for col_s in columns:
+                e = col_s[d]
+                if e not in cols:
+                    cols[e] = list(map(col_s.__getitem__, col_d))
+                    found.append(e)
+        frontier = found
+    return tuple(zip(*(cols[e] for e in range(n))))
+
+
+def greedy_columns(candidates: Iterable[int], column) -> Tuple[list, list]:
+    """The greedy generators among `candidates` and their columns, where
+    column(j)[a] is the index of a j for every element a: a candidate is
+    taken when it lies outside the closure of those taken before, and the
+    closure grows breadth-first along the columns, old elements needing
+    only the new column and elements found on the way every column (the
+    order of `close_greedily`, a whole column at a time).  The elements
+    reached are the closure of the identity, 0, under the generators.
+    `column` may raise, for a candidate whose products leave the set."""
+    gens: list = []
+    cols: list = []
+    reached = {0}
+    for j in candidates:
+        if j not in reached:
+            gens.append(j)
+            cols.append(column(j))
+            frontier, step = reached, cols[-1:]
+            while frontier:
+                frontier = {b for col in step
+                            for b in map(col.__getitem__, frontier)} - reached
+                reached |= frontier
+                step = cols
+    return gens, cols
+
+
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a square table as a group, read as written: its entries are
     converted to int once, and its identity must be element 0."""
@@ -202,8 +254,12 @@ def make_group_of_ints(table: tuple, name: str = "G") -> FiniteGroup:
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
+    """Z_n on 0..n-1 under addition mod n; its greedy generators are (1,),
+    none for Z1, and are set without a closure pass."""
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(table, name=name or f"Z{n}", _validated=True)
+    g = FiniteGroup(table, name=name or f"Z{n}", _validated=True)
+    g._gens = (1,)[:n - 1]
+    return g
 
 
 def trivial_group(name: str = "Z1") -> FiniteGroup:

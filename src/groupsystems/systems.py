@@ -760,11 +760,15 @@ def encode_spectral_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
 
 def _compose(basis: GeneratorBasis, r: Sequence[int], order: Iterable[int]) -> Seq:
     """The product of the generators a label tensor selects, at the slot
-    indices `order` from left to right."""
+    indices `order` from left to right.  Entry 0 of every transversal is
+    the identity (`GeneratorBasis`; a context checks it), so slots with
+    label 0 are skipped and only the non-identity entries are multiplied,
+    in the same order."""
     system, slots, labels = basis.system, basis.slots, check_tensor(basis, r)
     acc = system.identity
     for i in order:
-        acc = system.mul(acc, basis.transversals[slots[i]][labels[i]])
+        if labels[i]:
+            acc = system.mul(acc, basis.transversals[slots[i]][labels[i]])
     if acc not in system:
         raise NotAGroupSystem("encoder left the member set", acc)
     return acc

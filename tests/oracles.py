@@ -34,7 +34,10 @@ partial map under all products, and the extension search that builds and
 validates a table for every factor set.  The only change there: the search
 validates its candidate tables with the oracle `_validate_table` and
 compares groups with the oracle `find_isomorphism`, so it depends on
-neither the library's table check nor its isomorphism search.
+neither the library's table check nor its isomorphism search.  After
+them comes the construction that built each anchor twice: the base table
+in pair order, an extension search at every index, then the relabel
+into triangle order (`construct_elementary_system`).
 
 Then come the generator basis and the recovery on member sequences:
 support sets found by scanning every member, the finite-extent
@@ -128,6 +131,7 @@ from groupsystems.chains import (
     support_subgroup,
 )
 from groupsystems.elementary import (
+    ConstructionStrategy,
     ElementarySystem,
     global_product,
 )
@@ -916,6 +920,84 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     if not any(find_isomorphism(dp, ext) is not None for ext, _ in found):
         raise NoExtensionFound("direct product missing from search results")
     return ExtensionSearch(tuple(found), complete)
+
+
+def construct_elementary_system(window: Tuple[int, int], ell: int,
+                                top: FiniteGroup,
+                                strategy: Optional[ConstructionStrategy] = None,
+                                name: str = "E", search=None) -> ElementarySystem:
+    """The earlier construction, anchor by anchor from the top row down:
+    the base table in pair order (the `subdirect_product` above on two
+    children, a child's own group on one, the trivial group on none), the
+    extension at the anchor's index among those `search(base, k,
+    max_order)` lists (the `enumerate_extensions` above by default; the
+    base itself under a trivial kernel, the kernel over a trivial base),
+    and that table relabeled into triangle order, identity triangle
+    first.  Element e of the extension labels the anchor slot e % |k|
+    and the child positions with the triangles of base pair e // |k|.
+    No cap and no strategy key is checked."""
+    strategy = strategy or ConstructionStrategy({})
+    search = search or enumerate_extensions
+    tables: Dict[Slot, ElementaryGroupTable] = {}
+    for anchor in reversed(standard_walk(window, ell, "spec_rev")):
+        k, t = anchor
+        kernel = top if k == ell else strategy.kernel(k, t)
+        right, left = children = construction_children(window, ell, anchor)
+        if right is not None and left is not None:
+            rt, lt = tables[right], tables[left]
+            target = tables.get((k + 2, t - 1))
+            q = target.group if target is not None else FiniteGroup([[0]], "Z1")
+
+            def onto(child):
+                images = (restriction_images(child, target) if target is not None
+                          else (0,) * child.group.order)
+                return Homomorphism(child.group, q, images, check=False)
+
+            sub = subdirect_product(rt.group, lt.group, onto(rt), onto(lt))
+            base, _ = as_group(sub)
+            pair_of = [divmod(m, lt.group.order) for m in sub.members]
+        elif right is not None:
+            base = tables[right].group
+            pair_of = [(i, None) for i in range(base.order)]
+        elif left is not None:
+            base = tables[left].group
+            pair_of = [(None, i) for i in range(base.order)]
+        else:
+            base, pair_of = FiniteGroup([[0]], "Z1"), [(None, None)]
+        nk = kernel.order
+        if nk == 1:
+            exts = [base]
+        elif base.order == 1:
+            exts = [kernel]
+        else:
+            exts = [ext for ext, _ in search(base, kernel,
+                                             max(64, nk * base.order)).extensions]
+        index = strategy.extension_index(k, t)
+        if not 0 <= index < len(exts):
+            raise NoExtensionFound(f"extension index {index} out of range "
+                                   f"({len(exts)} found at anchor {anchor})")
+        ext = exts[index]
+        positions = upper_triangle_positions(window, ell, k, t)
+        elements = []
+        for e in range(ext.order):
+            labels = {anchor: e % nk}
+            for child, elt in zip(children, pair_of[e // nk]):
+                if child is not None and elt is not None:
+                    labels.update(zip(tables[child].positions,
+                                      tables[child].elements[elt]))
+            elements.append(tuple(labels[pos] for pos in positions))
+        realized = sorted(set(elements), key=lambda tri: (any(tri), tri))
+        rank = [realized.index(tri) for tri in elements]
+        reps = [rank.index(c) for c in range(len(realized))]
+        table = [[rank[ext.op(reps[c], reps[d])] for d in range(len(reps))]
+                 for c in range(len(reps))]
+        tables[anchor] = ElementaryGroupTable(
+            anchor, positions, tuple(realized),
+            FiniteGroup(table, name=f"E({k},{t})", _validated=True))
+    sizes = {anchor: (top if anchor[0] == ell else strategy.kernel(*anchor)).order
+             for anchor in tables}
+    return ElementarySystem(name=name, ell=ell, window=window,
+                            label_sizes=sizes, tables=tables)
 
 
 # -- the generator basis and recovery on sequences ----------------------------

@@ -57,7 +57,6 @@ from groupsystems.generators import (
     _nested_slice_group,
     alpha_t,
     build_context,
-    compose_columns,
     elementary_group,
     lower_elementary_group,
     recover_system_fhgs,
@@ -71,6 +70,7 @@ from groupsystems.groups import (
     Subgroup,
     associativity_witness,
     close_greedily,
+    compose_columns,
     cyclic_group,
     direct_product,
     is_normal,
@@ -834,7 +834,7 @@ def test_compose_columns_rebuilds_nonabelian_tables():
     for g in (s3, direct_product(s3, cyclic_group(2))[0], direct_product(s3, s3)[0]):
         op = g.op_table
         assert len(g.generators) + 1 < g.order and not g.is_abelian
-        columns = {z: [row[z] for row in op] for z in (0, *g.generators)}
+        columns = [[row[z] for row in op] for z in (0, *g.generators)]
         assert compose_columns(columns, g.order) == op
 
 

@@ -432,23 +432,26 @@ def test_construct_caps_its_anchor_tables_before_building_one(capsys, monkeypatc
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.mark.parametrize("argv", [
-    "--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z3",
-    "--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z2",
-    "--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2",
-], ids=["s3-z3", "s3-z2", "z4-z2"])
-def test_large_extension_searches_finish_or_name_their_cap(argv, tmp_path):
-    """Kernels under bases of order 16 and 36 either finish or stop at a
-    cap whose message names the stage, the value and the cap, in a minute
-    and without a traceback."""
+@pytest.mark.parametrize("argv,code", [
+    ("--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z3", 0),
+    ("--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z2", 0),
+    ("--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2", 0),
+    ("--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z2 --ext-index 0=1", 3),
+    ("--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2 --ext-index 0=1", 3),
+], ids=["s3-z3", "s3-z2", "z4-z2", "s3-z2-index1", "z4-z2-index1"])
+def test_large_extension_searches_finish_or_name_their_cap(argv, code, tmp_path):
+    """Kernels under bases of order 16 and 36: index 0, the direct
+    product, needs no search and finishes; index 1 stops at the search's
+    node cap with a message that names the stage, the value and the cap,
+    in a minute and without a traceback."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "groupsystems.cli", *argv.split()],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=60)
     assert "Traceback" not in done.stderr
-    assert done.returncode in (0, 3), done.stderr
-    if done.returncode == 3:
+    assert done.returncode == code, done.stderr
+    if code == 3:
         assert re.fullmatch(r"bound exceeded: [a-z ]+: .*\b\d+\b.* exceeds? "
                             r"cap \d+\n", done.stderr), done.stderr
 

@@ -1,9 +1,10 @@
 """The construction path against the earlier exhaustive routines in
 `oracles.py`: the subdirect product built on its own pairs, the extension
-search filtered by the 2-cocycle identity, Light's associativity test and
-the homomorphism checks on generators.  Both sides must build the same
-tables in the same order and accept or reject the same inputs with the
-same error type (and, for tables, the same violated axiom).  Also here: a
+search filtered by the 2-cocycle identity, Light's associativity test, the
+homomorphism checks on generators, and the anchor build that made a pair
+table, searched and relabeled it.  Both sides must build the same tables
+in the same order and accept or reject the same inputs with the same
+error type (and, for tables, the same violated axiom).  Also here: a
 known-answer oracle for the extension search (also past the reach of the
 earlier exhaustive walk), the number of tables it builds against a
 brute-force count of cohomology classes, the isomorphism search against the
@@ -17,6 +18,7 @@ against the label-bijection search it replaced.
 
 import importlib.util
 import itertools
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -38,17 +40,22 @@ from groupsystems.elementary import (
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
+    NoExtensionFound,
     NotASubgroup,
     PreconditionViolated,
     WellDefinednessFailure,
 )
 from groupsystems.extensions import (
     SEARCH_NODE_CAP,
+    ExtensionSearch,
     _automorphisms,
     enumerate_extensions,
+    fibre_product,
     subdirect_product,
 )
 from groupsystems.generators import ElementaryGroupTable, build_context
+from groupsystems.io import dump_elementary_system
+from groupsystems.slots import children
 from groupsystems.groups import (
     FiniteGroup,
     Homomorphism,
@@ -338,58 +345,69 @@ CONSTRUCTIONS = {
 
 def record_unchecked_builds(mp):
     """Patch in recorders of what a construction builds unchecked: every
-    table `extensions` builds (the extension candidates, Aut(k) and the
-    subdirect products) and every map `_subdirect_base` builds, as
-    (domain, codomain, images).  Returns the two lists they fill."""
-    tables, maps = [], []
+    table `extensions` and `elementary` build (the extension candidates,
+    Aut(k), the base and anchor tables) and the inputs of every fibre
+    product `_anchor_base` forms, (g1, g2, q, images1, images2), whose two
+    maps onto q are not checked.  Returns the two lists they fill."""
+    tables, fibres = [], []
 
     def record_table(table, name="G", **kwargs):
         tables.append(FiniteGroup(table, name=name, **kwargs))
         return tables[-1]
 
-    def record_map(domain, codomain, images, **kwargs):
-        maps.append((domain, codomain, tuple(images)))
-        return Homomorphism(domain, codomain, images, **kwargs)
+    def record_fibre(g1, g2, q, images1, images2):
+        fibres.append((g1, g2, q, tuple(images1), tuple(images2)))
+        return fibre_product(g1, g2, q, images1, images2)
 
     mp.setattr(extensions, "FiniteGroup", record_table)
-    mp.setattr(elementary, "Homomorphism", record_map)
-    return tables, maps
+    mp.setattr(elementary, "FiniteGroup", record_table)
+    mp.setattr(elementary, "fibre_product", record_fibre)
+    return tables, fibres
 
 
-def assert_unchecked_builds_hold(tables, maps):
+def assert_unchecked_builds_hold(tables, fibres):
     """Each recorded table passes `make_group` as it is, identity at 0,
-    and each recorded map passes `homomorphism_witness`."""
+    and both maps of each fibre product pass `homomorphism_witness`."""
     for group in tables:
         assert make_group(group.op_table).op_table == group.op_table
-    for domain, codomain, images in maps:
-        assert homomorphism_witness(domain, codomain, images) is None
+    for g1, g2, q, images1, images2 in fibres:
+        assert homomorphism_witness(g1, q, images1) is None
+        assert homomorphism_witness(g2, q, images2) is None
+
+
+def two_child_anchors(es):
+    return [a for a in es.slots()
+            if None not in children(es.window, es.ell, a)]
 
 
 @pytest.fixture(scope="module")
 def construction_calls():
-    """Per construction: the built system, the distinct subdirect-product
-    inputs and the distinct extension searches it made.  The tables and
-    maps it builds unchecked are asserted to pass the checks it skips."""
+    """Per construction: the built system, the distinct fibre-product
+    inputs as (g1, g2, p1, p2) and the distinct extension searches it
+    made.  Every two-child anchor forms one fibre product, and the tables
+    and maps it builds unchecked are asserted to pass the checks it
+    skips."""
     recorded = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, (window, ell, top, strategy) in CONSTRUCTIONS.items():
-            subdirects, searches = {}, {}
-            unchecked = record_unchecked_builds(mp)
-
-            def record_subdirect(g1, g2, p1, p2, seen=subdirects):
-                seen.setdefault((g1.op_table, g2.op_table, p1.image_of,
-                                 p2.image_of), (g1, g2, p1, p2))
-                return subdirect_product(g1, g2, p1, p2)
+            searches = {}
+            tables, fibres = record_unchecked_builds(mp)
 
             def record_search(q, k, max_order=64, seen=searches):
                 seen.setdefault((q.op_table, k.op_table, max_order),
                                 (q, k, max_order))
                 return enumerate_extensions(q, k, max_order)
 
-            mp.setattr(elementary, "subdirect_product", record_subdirect)
             mp.setattr(elementary, "enumerate_extensions", record_search)
             es = construct_elementary_system(window, ell, top, strategy)
-            assert_unchecked_builds_hold(*unchecked)
+            assert_unchecked_builds_hold(tables, fibres)
+            assert len(fibres) == len(two_child_anchors(es))
+            subdirects = {}
+            for g1, g2, q, images1, images2 in fibres:
+                subdirects.setdefault(
+                    (g1.op_table, g2.op_table, images1, images2),
+                    (g1, g2, Homomorphism(g1, q, images1, check=False),
+                     Homomorphism(g2, q, images2, check=False)))
             recorded[name] = (es, list(subdirects.values()),
                               list(searches.values()))
     return recorded
@@ -416,8 +434,8 @@ def assert_same_subdirect(g1, g2, p1, p2):
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
 def test_subdirect_products_match_oracle_on_constructions(name, construction_calls):
     es, subdirects, _ = construction_calls[name]
-    if es.ell >= 1 and es.window[1] - es.window[0] >= 1:
-        assert subdirects  # every two-child anchor builds one
+    if two_child_anchors(es):
+        assert subdirects
     for g1, g2, p1, p2 in subdirects:
         assert_same_subdirect(g1, g2, p1, p2)
 
@@ -509,7 +527,9 @@ def test_trivial_base_runs_no_extension_search():
     """The top row extends the trivial group by the seed group, and rows
     under a trivial kernel extend their base by nothing: only anchors with
     a nontrivial base and kernel search, and the search over the trivial
-    base would give the kernel's own table, once."""
+    base would give the kernel's own table, once.  Index 0 is the direct
+    product, built without a search, so a construction with every index
+    0 searches nothing."""
     for k in (Z2, Z3, Z4, V4, S3):
         (ext, _), = enumerate_extensions(trivial_group(), k).extensions
         assert ext.op_table == k.op_table
@@ -525,9 +545,83 @@ def test_trivial_base_runs_no_extension_search():
             mp.setattr(elementary, "enumerate_extensions", record)
             construct_elementary_system(window, ell, top, strategy)
         assert all(nq > 1 and nk > 1 for nq, nk in searched)
-        kernels = (strategy or ConstructionStrategy()).kernels or {}
-        if all(g.order == 1 for g in kernels.values()):
+        strategy = strategy or ConstructionStrategy()
+        if not any((strategy.extension_indices or {}).values()):
             assert searched == []
+
+
+@pytest.mark.parametrize("anchor", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 2)],
+                         ids=str)
+def test_index_past_the_only_extension_names_its_anchor(anchor):
+    """An index >= 1 where the kernel or the base is trivial is out of
+    range at that anchor, interior ones included, before either shortcut
+    builds the anchor."""
+    strategy = ConstructionStrategy(extension_indices={anchor: 1})
+    message = f"extension index 1 out of range (1 found at anchor {anchor})"
+    with pytest.raises(NoExtensionFound, match=f"^{re.escape(message)}$"):
+        construct_elementary_system((0, 3), 1, Z2, strategy)
+
+
+@pytest.fixture(scope="module")
+def oracle_search():
+    """The oracle's extension search where the earlier walk fits under its
+    factor-set cap, the library's past it; remembered for this module."""
+    seen = {}
+
+    def search(q, k, max_order):
+        key = (q.op_table, k.op_table, max_order)
+        if key not in seen:
+            seen[key] = (oracles.enumerate_extensions if under_old_cap(q, k)
+                         else enumerate_extensions)(q, k, max_order)
+        return seen[key]
+
+    return search
+
+
+def direct_product_only(q, k, max_order):
+    """Index 0 alone, as `enumerate_extensions` proves it: the direct
+    product k x q with (x, a) at a |k| + x, which is `direct_product(q,
+    k)`'s layout."""
+    return ExtensionSearch(((direct_product(q, k)[0], None),), False)
+
+
+def assert_same_construction(args, search):
+    new = construct_elementary_system(*args)
+    old = oracles.construct_elementary_system(*args, search=search)
+    assert new.label_sizes == old.label_sizes
+    assert set(new.tables) == set(old.tables)
+    for anchor, table in new.tables.items():
+        assert table.positions == old.tables[anchor].positions
+        assert table.elements == old.tables[anchor].elements
+        assert table.group.op_table == old.tables[anchor].group.op_table
+    assert dump_elementary_system(new) == dump_elementary_system(old)
+
+
+@pytest.mark.parametrize("which", ["oracle-search", "library-search"])
+@pytest.mark.parametrize("args", list(CONSTRUCTIONS.values())
+                         + [r[:4] for r in WORKLOAD_REQUESTS],
+                         ids=list(CONSTRUCTIONS) + [r[4] for r in WORKLOAD_REQUESTS])
+def test_constructions_match_the_earlier_anchor_build(args, which, oracle_search):
+    """Each anchor built once against the earlier build (the pair table,
+    the search's extension at the anchor's index, the relabel): the same
+    triangles, tables and dump.  With the library's search, each index-0
+    table is the relabeled first extension `enumerate_extensions` lists."""
+    assert_same_construction(args, oracle_search if which == "oracle-search"
+                             else enumerate_extensions)
+
+
+@pytest.mark.parametrize("args", [
+    ((0, 2), 1, Z4, ConstructionStrategy(kernels={0: Z2})),
+    ((0, 3), 1, S3, ConstructionStrategy(kernels={0: Z2})),
+], ids=["z4-z2", "s3-z2"])
+def test_default_index_past_the_search_cap_is_the_direct_product(args):
+    """Bases of order 16 and 36 under a Z2 kernel: the search stops at its
+    node cap, and index 0, which needs none, is the relabeled direct
+    product."""
+    with pytest.raises(BoundExceeded, match="cocycle search too large"):
+        construct_elementary_system(*args[:3], ConstructionStrategy(
+            kernels=args[3].kernels, extension_indices={0: 1}))
+    assert_same_construction(args, direct_product_only)
 
 
 @pytest.mark.parametrize("top,order", [(cyclic_group(7), 7),

@@ -177,6 +177,22 @@ def test_global_group_system_roundtrip_c2(ctx_c2, es_c2):
     assert roundtrip_label_maps(es_c2, build_context(system)) is not None
 
 
+def test_global_group_system_names_an_unverified_anchor():
+    """An elementary system built directly and not verified, whose (0, 1)
+    table holds only two of its four triangles: the member letters miss
+    a slice, and the error names the anchor instead of a bare KeyError."""
+    es = construct_elementary_system((0, 2), 1, cyclic_group(2))
+    table = es.tables[(0, 1)]
+    short = dataclasses.replace(table, elements=table.elements[:2],
+                                group=cyclic_group(2))
+    bad = dataclasses.replace(es, tables={**es.tables, (0, 1): short})
+    with pytest.raises(WellDefinednessFailure,
+                       match=r"^anchor \(0, 1\) has no triangle \(1, 0, 0\)$"):
+        global_group_system(bad)
+    with pytest.raises(WellDefinednessFailure):
+        bad.verify()
+
+
 def test_recover_original(ctx_r2, es_r2, ctx_c2, es_c2, ctx_s3):
     assert recover_original(es_r2, ctx_r2).sequences == ctx_r2.system.sequences
     assert recover_original(es_c2, ctx_c2).sequences == ctx_c2.system.sequences
