@@ -8,11 +8,11 @@ from groupsystems import (
     cyclic_group,
     direct_product,
     enumerate_extensions,
+    fibre_product,
     is_isomorphic,
     is_normal,
     make_group,
     quotient,
-    subdirect_product,
     subgroup_closure,
     symmetric_group_3,
     zassenhaus_hom,
@@ -58,8 +58,8 @@ print("\nbutterfly map on a Z8 chain: domain order", hom.domain.order,
 
 z2 = cyclic_group(2)
 mod2 = Homomorphism(z4, z2, (0, 1, 0, 1))
-sub, _ = subdirect_product(z4, z4, mod2, mod2)
-print("\nsubdirect product of two Z4 over Z2 has order", sub.order)
+pairs, _ = fibre_product(z4, z4, z2, mod2.image_of, mod2.image_of)
+print("\nsubdirect product of two Z4 over Z2 has order", len(pairs))
 
 search = enumerate_extensions(z2, z2)
 print("extensions of Z2 by Z2:",

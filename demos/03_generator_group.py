@@ -20,7 +20,7 @@ from groupsystems import (
     tensor_from_items,
     triangle_projection,
 )
-from groupsystems.groups import is_normal
+from groupsystems.groups import normal_by_cosets
 
 c2 = parse_system("system C2\nwindow 0 3\nrule conv Z2 x0 x0+x1\n")
 ctx = build_context(c2)
@@ -34,11 +34,10 @@ print("star of two overlapping generators selects:",
       {slot: c for slot, c in zip(ctx.slots, prod) if c})
 
 # member i has label tensor ctx.tensors[i], so the generator group is the
-# system's own sequence group over member indices
-group = c2.sequence_group
+# member group itself over member indices
 i, j = ctx.tensor_index[r1], ctx.tensor_index[r2]
-print("the sequence-group table gives the same tensor:",
-      ctx.tensors[group.op(i, j)] == prod)
+print("the member product gives the same tensor:",
+      ctx.tensors[c2.index_of(c2.mul(c2.sequences[i], c2.sequences[j]))] == prod)
 
 # -- elementary groups on triangles ------------------------------------------------
 
@@ -77,6 +76,6 @@ rs3 = build_system((0, 1), [s3, s3], [(flip, flip), (rot, rot)], name="RS3")
 ctx3 = build_context(rs3)
 print("\nS3 repetition system: order", len(rs3), "ell", ctx3.ell)
 sub = lower_elementary_group(ctx3, 1, 0)
-print("its span-2 tooth subgroup is everything?", sub.order == len(rs3),
-      "normal?", is_normal(rs3.sequence_group, sub))
+print("its span-2 tooth subgroup is everything?", len(sub) == len(rs3),
+      "normal?", normal_by_cosets(sub, sub, ctx3.right_cayley, ctx3.left_cayley))
 print("recovery:", recover_system_fhgs(ctx3).sequences == rs3.sequences)

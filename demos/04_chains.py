@@ -35,10 +35,10 @@ print("complementary upper teeth:", comp.pairs,
       "covering:", sorted(comp.covered()))
 
 sub = normal_subgroup_from_ps(ctx, ps)
-print("the tooth subgroup has order", sub.order)
+print("the tooth subgroup has order", len(sub))
 op = oplus_group(ctx, comp)
 print("the complementary tooth group has order", op.group.order,
-      "(their product is", sub.order * op.group.order, "= system order)")
+      "(their product is", len(sub) * op.group.order, "= system order)")
 
 # -- the four standard walks -------------------------------------------------------
 

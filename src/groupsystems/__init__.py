@@ -37,7 +37,7 @@ from .elementary import (
     recover_original,
     roundtrip_label_maps,
 )
-from .extensions import ExtensionSearch, enumerate_extensions, subdirect_product
+from .extensions import ExtensionSearch, enumerate_extensions, fibre_product
 from .generators import (
     ElementaryGroupTable,
     GeneratorContext,
@@ -50,7 +50,6 @@ from .generators import (
     nested_hom,
     recover_system_fhgs,
     star,
-    theta_t,
     triangle,
     triangle_projection,
 )

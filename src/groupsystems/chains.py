@@ -30,7 +30,7 @@ from .generators import (
     lower_elementary_group,
     support_subgroup,
 )
-from .groups import FiniteGroup, Subgroup, is_normal, product_of_subgroups
+from .groups import FiniteGroup, normal_by_cosets
 from .slots import (
     Slot,
     fold_slots,
@@ -41,7 +41,7 @@ from .slots import (
     walk,
     window_slots,
 )
-from .systems import GroupSystem, coset_levels
+from .systems import GroupSystem, _normal_product, coset_levels
 
 
 @dataclass(frozen=True)
@@ -110,30 +110,22 @@ def complementary(ps: PairedSequence) -> UpperPairedSequence:
     return _complement(ps, UpperPairedSequence, ps.window, ps.ell)
 
 
-def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
-    """Product of the lower elementary groups over the paired sequence,
-    checked against the tensors supported inside the teeth.
+def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Tuple[int, ...]:
+    """Product of the lower elementary groups over the paired sequence (the
+    closure of their members, `systems._normal_product`), checked against
+    the tensors supported inside the teeth.
 
     Those are also the tensors that are the identity on the complementary
-    upper teeth: `complementary` raises unless the two unions partition
-    the slot table, and a tensor's support, a set of slots, then lies in
-    `ps.covered()` exactly when it misses the upper union.  The call is
-    kept for that partition check.
-
-    The result is normal with no test of its own.  Once the tooth-product
-    check passes, it is the product of the teeth's A^[t,t+k].  Each of
-    those is normal, since conjugation acts letter by letter
-    (`systems._normal_product`), and a product of normal subgroups is
-    normal.  The conjugation test this replaces is kept in the tests as
-    `oracles.is_normal` on every tooth subgroup.
+    upper teeth: `complementary`, called for that, raises unless the two
+    unions partition the slot table, and a tensor's support then lies in
+    `ps.covered()` exactly when it misses the upper union.  The result is
+    normal with no test of its own, as the product of the teeth's
+    A^[t,t+k], each normal (`systems._normal_product`); the tests check it
+    with `oracles.is_normal`.
     """
-    group = ctx.system.sequence_group
     sub = support_subgroup(ctx, ps.covered())
-    # product of the per-anchor lower elementary groups
-    prod = Subgroup(group, (0,))
-    for p in ps.pairs:
-        prod = product_of_subgroups(group, prod, lower_elementary_group(ctx, *p))
-    if prod.members != sub.members:
+    teeth = [lower_elementary_group(ctx, *p) for p in ps.pairs]
+    if tuple(_normal_product(ctx.system, *teeth)) != sub:
         raise WellDefinednessFailure("tooth product differs from support subgroup")
     complementary(ps)
     return sub
@@ -169,7 +161,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     # quotient isomorphism |U| / |kernel| with the kernel from the partition
     lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
     kernel = normal_subgroup_from_ps(ctx, lower_ps)
-    if kernel.order * fg.order != len(ctx.system):
+    if len(kernel) * fg.order != len(ctx.system):
         raise WellDefinednessFailure("tooth group has the wrong quotient order")
     return OplusGroup(anchors, elements, fg)
 
@@ -271,20 +263,24 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
 
     The levels come from `coset_levels` on member indices: a step multiplies
     the previous level by the members of the new slot's single-label
-    tensors.  Each step's cosets are verified to be disjoint, and the
-    support subgroup of the filled slots normal.
+    tensors (their columns, `ctx.single_labels`).  Each step's cosets are
+    verified to be disjoint, and the support subgroup of the filled slots
+    normal.
 
     The union of the cosets is that support subgroup, with no check of its
-    own.  The subgroup `target` is closure-checked (`Subgroup`), and it
-    holds the previous level (by induction, the previous support subgroup,
-    on fewer slots; at the start the base's) and each new single-label
-    member (supported on the new slot), so every product of the two: the
-    step lies in `target`.  The count check gives |step| = |level| times
-    the new slot's label count, and by the tensor bijection (every label
-    tensor is one member's) |target| is the product of the label counts
-    of the filled slots, which is the same number.  So the step is
-    `target`, and a step's `subgroup` is `target.members`.  The check this
-    replaces is kept in the oracle `tests/oracles.normal_chain`.
+    own.  The subgroup `target` is closure-checked (`support_subgroup`),
+    and it holds the previous level (by induction, the previous support
+    subgroup, on fewer slots; at the start the base's) and each new
+    single-label member (supported on the new slot), so every product of
+    the two: the step lies in `target`.  The count check gives |step| =
+    |level| times the new slot's label count, and by the tensor bijection
+    (every label tensor is one member's) |target| is the product of the
+    label counts of the filled slots, which is the same number.  So the
+    step is `target`, and a step's `subgroup` is `target`.  The check this
+    replaces is kept in the oracle `tests/oracles.normal_chain`.  The step,
+    being those products, is generated by the base and the single-label
+    members so far, and `normal_by_cosets` tests it on them and on the
+    Cayley graphs of S, one object when the member group is abelian.
     """
     base_cov = base_ps.covered() if base_ps is not None else frozenset()
     ok, bad = is_normal_filling_sequence(f, base_cov)
@@ -292,31 +288,25 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
         raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
 
     filled = set(base_cov)
-    base = support_subgroup(ctx, frozenset(filled)).members
+    base = support_subgroup(ctx, frozenset(filled))
     path = [p for p in f.pairs if p not in base_cov]
-    width = len(ctx.slots)
-
-    def single_labels(slot: Slot) -> Tuple[tuple, ...]:
-        pos = ctx.slot_pos[slot]
-        return tuple((0,) * pos + (c,) + (0,) * (width - pos - 1)
-                     for c in range(ctx.basis.label_count(slot)))
-
-    reps = [single_labels(p) for p in path]
-    group = ctx.system.sequence_group
+    singles = [ctx.single_labels[p] for p in path]
     level = {b: (b,) for b in base}
-    entries = ([ctx.tensor_index[lab] for lab in r] for r in reps)
-    levels = coset_levels(level, entries, group.op)
+    # an entry is its right column: h * g = column[h]
+    levels = coset_levels(level, (cols for _, cols in singles), lambda h, col: col[h])
+    gens = list(base)
     steps: List[ChainStep] = []
-    for (k, t), step_reps, step in zip(path, reps, levels):
+    for (k, t), (members, _), step in zip(path, singles, levels):
         filled.add((k, t))
-        if len(step) != len(level) * len(step_reps):
+        if len(step) != len(level) * len(members):
             raise NotNormalFilling(
                 f"step ({k},{t}): generator cosets are not disjoint")
         target = support_subgroup(ctx, frozenset(filled))
-        if not is_normal(group, target):
+        gens += members[1:]
+        if not normal_by_cosets(target, gens, ctx.right_cayley, ctx.left_cayley):
             raise NotNormalFilling(f"step ({k},{t}): subgroup not normal")
-        steps.append(ChainStep((k, t), len(step_reps), target.members,
-                               step_reps))
+        steps.append(ChainStep((k, t), len(members), target,
+                               tuple(map(ctx.tensors.__getitem__, members))))
         level = step
     if len(level) != len(ctx.tensors) and base_ps is None:
         raise NotNormalFilling("chain did not reach the whole group")

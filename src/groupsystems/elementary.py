@@ -65,6 +65,8 @@ from .systems import (
 # the entries of all anchor tables one construction builds: 2^26 of them
 # take 0.5 GB as pointers alone, and their dump several times that
 ANCHOR_TABLE_CAP = 2 ** 26
+# the kernel of an anchor without one, and the overlap of disjoint children
+_Z1 = trivial_group()
 
 
 @dataclass(frozen=True)
@@ -371,8 +373,8 @@ class ConstructionStrategy:
 
     def kernel(self, k: int, t: int) -> FiniteGroup:
         if not self.kernels:
-            return trivial_group()
-        return self.kernels.get((k, t), self.kernels.get(k, trivial_group()))
+            return _Z1
+        return self.kernels.get((k, t), self.kernels.get(k, _Z1))
 
     def extension_index(self, k: int, t: int) -> int:
         if not self.extension_indices:
@@ -558,7 +560,7 @@ def _anchor_base(tables: Dict[Slot, ElementaryGroupTable],
     rt, lt = tables[right], tables[left]
     target = tables.get((right[0] + 1, left[1]))
     if target is None:
-        q = trivial_group()
+        q = _Z1
         images = (0,) * rt.group.order, (0,) * lt.group.order
     else:
         q = target.group

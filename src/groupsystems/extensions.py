@@ -1,4 +1,4 @@
-"""Subdirect products and small-order group extensions.
+"""Fibre products and small-order group extensions.
 
 Extension enumeration is complete for abelian kernels (actions, then
 cocycles depth-first, one table per cohomology class); for nonabelian
@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
-    CodomainMismatch,
     NotASubgroup,
     NotSurjective,
 )
@@ -23,7 +22,6 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     close_greedily,
-    compose_columns,
     find_isomorphism,
     greedy_columns,
     homomorphism_witness,
@@ -78,23 +76,6 @@ def fibre_product(g1: FiniteGroup, g2: FiniteGroup, q: FiniteGroup,
         return col
 
     return pairs, greedy_columns(range(len(pairs)), column)[1]
-
-
-def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
-                      p1: Homomorphism, p2: Homomorphism) -> tuple:
-    """The subgroup {(a,b) : p1(a) = p2(b)} of g1 × g2 (`fibre_product`),
-    as (group, pairs): element i of the group is pairs[i], the pairs run
-    in lexicographic order, and the product is componentwise.  The table
-    is composed from the generator columns, unvalidated: the fibre
-    product is a subgroup of g1 × g2, so a group."""
-    if p1.domain is not g1 or p2.domain is not g2:
-        raise CodomainMismatch("projection domains do not match the factors")
-    if p1.codomain is not p2.codomain:
-        raise CodomainMismatch("projections target different groups")
-    pairs, columns = fibre_product(g1, g2, p1.codomain, p1.image_of, p2.image_of)
-    group = FiniteGroup(compose_columns(columns, len(pairs)),
-                        name=f"{g1.name}x{g2.name}", _validated=True)
-    return group, pairs
 
 
 def _automorphisms(k: FiniteGroup, cap: int = AUTOMORPHISM_CANDIDATE_CAP) -> List[tuple]:
@@ -369,9 +350,13 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
 
     Generator-image tuples, factor-set entries, and the cochains and
     cocycles the class test carries are search nodes; past SEARCH_NODE_CAP
-    of them the search raises BoundExceeded naming the stage.  The
-    isomorphism dedup compares groups of order at most |q| |k|, which
-    `max_order` already admitted, so that is its order cap.
+    of them the search raises BoundExceeded naming the stage, before it
+    lists the cocycle identities when the walk is bound to pass the cap: it
+    spends a node on the last free pair of each cocycle, and the trivial
+    action has |Z^2| >= |B^2| >= |k|^(|q|-1-|S_q|), the |k|^(|q|-1)
+    normalized 1-cochains over the at most |k|^|S_q| crossed homomorphisms
+    (fixed by their values on S_q).  The isomorphism dedup compares groups
+    of order at most |q| |k|, which `max_order` admitted, its order cap.
     """
     nq, nk = q.order, k.order
     if nq * nk > max_order:
@@ -383,6 +368,11 @@ def enumerate_extensions(q: FiniteGroup, k: FiniteGroup,
     tree = _spanning_tree(q)
     actions = _actions(q, auts, tree, budget)
     complete = k.is_abelian
+    e = nq - 1 - len(q.generators)
+    if complete and nq > 1 and budget.spent + nk ** e > SEARCH_NODE_CAP:
+        raise BoundExceeded(
+            f"extension search: cocycle search too large: at least {nk}^{e} "
+            f"search nodes for {budget.what} exceed cap {SEARCH_NODE_CAP}")
     checks = _identity_checks(q) if complete else []
     qop, kop = q.op_table, k.op_table
 

@@ -3,13 +3,13 @@
 The basis chain records every member's label per slot, which identifies
 the member set with the set of label tensors.  The decomposition group
 (selection tensors under ⋆) and the generator group (label tensors under
-∘) are then one table, the system's
-own `sequence_group` over member indices, so it is the only group object.
-A label tensor is a tuple of labels in slot order, and row i of
-`ctx.tensors` is member i's.  `star` multiplies two tensors from a caller,
-after the encoder checks each one against the slot table.  All the local
-structure (triangle slices, elementary groups, nested projections) is
-computed on top of that identification.
+∘) are then the member group on member indices, of which no table is
+built; a member subgroup is a tuple of ascending member indices.  A label
+tensor is a tuple of labels in slot order, and row i of `ctx.tensors` is
+member i's.  `star` multiplies two tensors from a caller, after the
+encoder checks each one against the slot table.  All the local structure
+(triangle slices, elementary groups, nested projections) is computed on
+top of that identification.
 
 Tensor slots, labels and triangles follow the one layout of `slots`: a
 slot (k, t) holds the label of the span-(k+1) generator starting at t,
@@ -26,13 +26,14 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
+    NotASubgroup,
     OutOfWindow,
     RecoveryMismatch,
     ShapeMismatch,
     UnrealizedTriangle,
     WellDefinednessFailure,
 )
-from .groups import (FiniteGroup, Homomorphism, Subgroup, class_table,
+from .groups import (FiniteGroup, Homomorphism, class_table, closure_generators,
                      compose_columns, greedy_columns)
 from .slots import (
     Slot,
@@ -104,9 +105,21 @@ class GeneratorContext:
 
     @cached_property
     def tensor_index(self) -> Dict[Tuple[int, ...], int]:
-        """Label tensor -> member index, built on first use: only
-        `chains.normal_chain` reads it."""
+        """Label tensor -> member index, built on first use."""
         return {lab: i for i, lab in enumerate(self.tensors)}
+
+    @cached_property
+    def single_labels(self) -> Dict[Slot, tuple]:
+        """Per slot, (members, columns) by label c, built once per context:
+        the member whose tensor is c at the slot and 0 elsewhere
+        (`tensor_index`), and its right column [a] = a * member."""
+        system, width, out = self.system, len(self.slots), {}
+        for pos, slot in enumerate(self.slots):
+            members = tuple(self.tensor_index[(0,) * pos + (c,) + (0,) * (width - pos - 1)]
+                            for c in range(self.basis.label_count(slot)))
+            out[slot] = members, tuple(system.translate(system.columns, system.sequences[m])
+                                       for m in members)
+        return out
 
     @cached_property
     def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:
@@ -170,19 +183,41 @@ def star(ctx: GeneratorContext, r1: Sequence[int],
 
 # -- one-sided tensor subgroups ----------------------------------------------
 
-def support_subgroup(ctx: GeneratorContext, allowed: Collection[Slot]) -> Subgroup:
-    """Tensors supported inside `allowed` as a subgroup of the generator group."""
+def support_subgroup(ctx: GeneratorContext, allowed: Collection[Slot]) -> Tuple[int, ...]:
+    """The members T whose tensors lie inside `allowed`, ascending, or
+    NotASubgroup; the verdict of `Subgroup`, at |T| |E| column reads.
+
+    E, the members with one non-identity label, at a slot of `allowed`,
+    lies in T, so a subgroup T has T E <= T, the check.  If T E <= T, then
+    <E> <= T.  The products of one member of E or 1 per slot of `allowed`
+    in slot order lie in <E>; when they are T, T = <E> is a subgroup.  With
+    the basis chain's tensors they are: they encode the tensors inside
+    `allowed`.  Only other tensors leave them short, and then T's own
+    closure check runs."""
     members = tuple(i for i, lab in enumerate(ctx.tensors)
                     if all(slot in allowed for slot in ctx.support(lab)))
-    return Subgroup(ctx.system.sequence_group, members)
+    inside = frozenset(members)
+    products = [0]
+    for slot in ctx.slots:
+        if slot in allowed:
+            singles, columns = ctx.single_labels[slot]
+            for e, col in zip(singles[1:], columns[1:]):
+                if not all(map(inside.__contains__, map(col.__getitem__, members))):
+                    a = next(a for a in members if col[a] not in inside)
+                    raise NotASubgroup(f"product {a}*{e} escapes")
+            products = [b for col in columns for b in map(col.__getitem__, products)]
+    if inside != set(products):
+        seqs, index, mul = ctx.system.sequences, ctx.system._index, ctx.system.mul
+        closure_generators(members, inside, lambda a, b: index[mul(seqs[a], seqs[b])])
+    return members
 
 
-def u_plus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
+def u_plus_subgroup(ctx: GeneratorContext, t: int) -> Tuple[int, ...]:
     """Tensors supported on slots starting at time >= t (image of X^t)."""
     return support_subgroup(ctx, {(k, s) for k, s in ctx.slots if s >= t})
 
 
-def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Subgroup:
+def u_minus_subgroup(ctx: GeneratorContext, t: int) -> Tuple[int, ...]:
     """Tensors supported on slots ending at time <= t (image of Y^t)."""
     return support_subgroup(ctx, {(k, s) for k, s in ctx.slots if s + k <= t})
 
@@ -344,13 +379,6 @@ def slice_classes(ctx: GeneratorContext, k: int, t: int) -> List[int]:
     return ctx._classes[(k, t)]
 
 
-def theta_t(ctx: GeneratorContext, k: int, t: int) -> Homomorphism:
-    """Projection of the generator group onto the (k, t) elementary group."""
-    elem = elementary_group(ctx, k, t)
-    return Homomorphism(ctx.system.sequence_group, elem.group,
-                        tuple(slice_classes(ctx, k, t)), check=False)
-
-
 def alpha_t(ctx: GeneratorContext, tri: Tuple[int, ...], t: int) -> int:
     """The letter a realized time-t component triangle of generator labels
     encodes: its entry in the fold of E(0, t) (`_alpha_column`)."""
@@ -409,21 +437,19 @@ def nested_anchors(ctx: GeneratorContext, k: int, t: int) -> Tuple[Tuple[int, in
 
 # -- lower elementary groups ---------------------------------------------------
 
-def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
-    """Image in the generator group of the members supported on [t, t+k]."""
+def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Tuple[int, ...]:
+    """A^[t, t+k] (`GroupSystem.x_subgroup`), every member's tensor inside
+    the lower triangle of (k, t)."""
     t0, t1 = ctx.system.window
     if not (t0 <= t and t + k <= t1):
         raise OutOfWindow(f"interval [{t},{t + k}] escapes the window")
     members = tuple(ctx.system.finite_support_indices(t, t + k))
-    sub = Subgroup(ctx.system.sequence_group, members)
     allowed = set(lower_triangle_positions(ctx.system.window, ctx.ell, k, t))
-    for i in sub.members:
-        bad = [slot for slot in ctx.support(ctx.tensors[i])
-               if slot not in allowed]
-        if bad:
-            raise WellDefinednessFailure(
-                f"member tensor escapes the lower triangle at {bad[0]}")
-    return sub
+    bad = next((slot for i in members for slot in ctx.support(ctx.tensors[i])
+                if slot not in allowed), None)
+    if bad is not None:
+        raise WellDefinednessFailure(f"member tensor escapes the lower triangle at {bad}")
+    return members
 
 
 # -- recovery ------------------------------------------------------------------

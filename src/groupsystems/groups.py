@@ -61,10 +61,6 @@ class FiniteGroup:
             self._inv = tuple(row.index(0) for row in self.op_table)
         return self._inv[a]
 
-    def conj(self, a: int, b: int) -> int:
-        """b * a * b^-1."""
-        return self.op(self.op(b, a), self.inv(b))
-
     def element_order(self, a: int) -> int:
         x, n = a, 1
         while x != 0:
@@ -196,7 +192,7 @@ def compose_columns(columns: Sequence[Sequence[int]], n: int) -> Tuple[tuple, ..
     breadth-first from the identity by right multiplication with S, which
     reaches all of them because S generates the group.  The cost is n^2
     list reads.  Quotient tables (`induced_slice_group`), fibre products
-    (`extensions.subdirect_product`) and constructed anchors
+    (`extensions.fibre_product`) and constructed anchors
     (`elementary._build_anchor`) are all written this way."""
     cols: Dict[int, List[int]] = {0: list(range(n))}
     frontier = [0]
@@ -287,15 +283,7 @@ class Subgroup:
         object.__setattr__(self, "members", mem)
         memset = frozenset(mem)
         object.__setattr__(self, "_member_set", memset)
-        if 0 not in memset:
-            raise NotASubgroup("identity missing")
-
-        def vet(a: int, s: int, prod: int) -> None:
-            if prod not in memset:
-                raise NotASubgroup(f"product {a}*{s} escapes")
-
-        # closed iff no product escapes (`GroupSystem.verify_closure`)
-        gens = close_greedily({0}, mem, self.parent.op, vet)
+        gens = closure_generators(mem, memset, self.parent.op)
         object.__setattr__(self, "_generators", tuple(gens))
 
     @property
@@ -336,6 +324,20 @@ class Subgroup:
         group, embed = self.as_group(name)
         pos = {m: i for i, m in enumerate(embed)}
         return quotient(group, Subgroup(group, tuple(map(pos.__getitem__, inner)))), pos
+
+
+def closure_generators(members: Sequence[int], memset: frozenset, mul) -> list:
+    """`close_greedily` from 0 over ascending `members` (set `memset`) under
+    `mul`: the generators taken, or NotASubgroup unless 0 is a member and no
+    product escapes, which is closure (`GroupSystem.verify_closure`)."""
+    if 0 not in memset:
+        raise NotASubgroup("identity missing")
+
+    def vet(a: int, s: int, prod: int) -> None:
+        if prod not in memset:
+            raise NotASubgroup(f"product {a}*{s} escapes")
+
+    return close_greedily({0}, members, mul, vet)
 
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
@@ -380,24 +382,33 @@ def subgroup_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     return Subgroup(g, tuple(sorted(closed)))
 
 
-def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    """Whether h is normal in g: s·x·s^{-1} in h for every generator s of g
-    and every generator x of h, |S_G|·|S_H| conjugates.
+def normal_by_cosets(members: Sequence[int], gens: Sequence[int],
+                     right: Sequence, left: Sequence) -> bool:
+    """Whether H, with `members` and generated by `gens`, is normal in G,
+    given per generator s of G its columns right[j][a] = a s and left[j][a]
+    = s a: s x in H s, so s x s^-1 in H, for each s and x in `gens`.  Then
+    s H s^-1 = <s gens s^-1> <= H, so every generator lies in H's
+    normalizer, which is then G (Holt, Eick & O'Brien, Handbook of CGT,
+    2005, §4.1).  `right is left` says that G is abelian."""
+    if right is left:
+        return True
+    for r, l in zip(right, left):
+        coset = set(map(r.__getitem__, members))
+        if not all(map(coset.__contains__, map(l.__getitem__, gens))):
+            return False
+    return True
 
-    Conjugation by s is an automorphism of g, so s<S_H>s^{-1} = <s S_H s^{-1}>
-    lies in h, and equals h since both have |h| elements.  The normalizer
-    of h is a subgroup of g holding every generator s, so it is g (Holt,
-    Eick & O'Brien, Handbook of Computational Group Theory, 2005, §4.1-4.3).
-    The premise is that g is a group generated by `g.generators`: every
-    `FiniteGroup` is validated, or is built `_validated=True` from a table
-    that is already a group (a sequence group from its closed member set,
-    `as_group`, a quotient, a direct or subdirect product, a relabeled
-    group), and its greedy generators reach every element.  `h.generators`
-    generate h because `Subgroup` checked its closure from them."""
+
+def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+    """`normal_by_cosets` on g's table at `g.generators`, which generate g
+    (a `FiniteGroup` is validated, or built `_validated=True` from a group
+    table), and on `h.generators`, which generate h (`Subgroup`)."""
     if h.parent is not g:
         raise NotASubgroup("subgroup of a different parent")
-    hset = h.member_set()
-    return all(g.conj(x, s) in hset for s in g.generators for x in h.generators)
+    op = g.op_table
+    return normal_by_cosets(h.members, h.generators,
+                            [[row[s] for row in op] for s in g.generators],
+                            [op[s] for s in g.generators])
 
 
 def homomorphism_witness(domain: FiniteGroup, codomain: FiniteGroup,
@@ -447,9 +458,6 @@ class Homomorphism:
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain,
                         tuple(a for a, x in enumerate(self.image_of) if x == 0))
-
-    def image(self) -> Subgroup:
-        return Subgroup(self.codomain, tuple(sorted(set(self.image_of))))
 
     def is_surjective(self) -> bool:
         return len(set(self.image_of)) == self.codomain.order

@@ -25,13 +25,8 @@ from .errors import (
     NotControllableOnWindow,
     OutOfWindow,
 )
-from .groups import (
-    FiniteGroup,
-    class_table,
-    close_greedily,
-    QuotientPresentation,
-    Subgroup,
-)
+from .groups import (FiniteGroup, QuotientPresentation, Subgroup, class_table,
+                     close_greedily, quotient)
 from .slots import Slot, fold_order, positions_in, walk, window_slots
 
 DEFAULT_MEMBER_CAP = 2 ** 16
@@ -39,7 +34,6 @@ DEFAULT_MEMBER_CAP = 2 ** 16
 # of its letter columns, and of each cut's id column in the controllability
 # index; 2^17 members on 17 times take an eighth of it
 LETTER_CAP = 2 ** 24
-SEQUENCE_GROUP_TABLE_CAP = 2048
 
 Seq = Tuple[int, ...]
 
@@ -67,7 +61,6 @@ class GroupSystem:
         self.sequences: Tuple[Seq, ...] = tuple(members)
         self.name = name
         self._index = {s: i for i, s in enumerate(self.sequences)}
-        self._seq_group: Optional[FiniteGroup] = None
         self._controllability: Optional[int] = None
         self._validate(closed=_closed)
 
@@ -226,24 +219,6 @@ class GroupSystem:
 
         close_greedily({self.identity}, self.sequences, self.mul, vet)
 
-    # -- the sequence group as an explicit FiniteGroup ---------------------
-
-    @property
-    def sequence_group(self) -> FiniteGroup:
-        if self._seq_group is None:
-            n = len(self.sequences)
-            if n > SEQUENCE_GROUP_TABLE_CAP:
-                raise BoundExceeded(
-                    f"sequence group table: {n} members exceed "
-                    f"SEQUENCE_GROUP_TABLE_CAP={SEQUENCE_GROUP_TABLE_CAP}; only "
-                    f"normal chains and subgroup views (X^t, Y^t, granules, "
-                    f"lower elementary groups, tooth subgroups) need this table")
-            # row a lists a*b for every member b: one left translate
-            table = tuple(tuple(self.translate(self.columns, a, right=False))
-                          for a in self.sequences)
-            self._seq_group = FiniteGroup(table, name=self.name, _validated=True)
-        return self._seq_group
-
     # -- one-sided subgroups ----------------------------------------------
 
     @cached_property
@@ -259,19 +234,21 @@ class GroupSystem:
             last = [p if x else l for x, l in zip(self.columns[p], last)]
         return first, last
 
-    def x_subgroup(self, t: int) -> Subgroup:
+    def x_subgroup(self, t: int) -> Tuple[int, ...]:
+        """X^t = A^[t, t1] as ascending member indices.  A^[a, b] is a
+        subgroup with no closure check: the kernel of the restriction to the
+        times outside [a, b], a homomorphism as the product is letterwise."""
         t0, t1 = self.window
         if not t0 <= t <= t1 + 1:
             raise OutOfWindow(f"X^t defined for {t0} <= t <= {t1 + 1}")
-        members = tuple(self.finite_support_indices(t, t1))
-        return Subgroup(self.sequence_group, members)
+        return tuple(self.finite_support_indices(t, t1))
 
-    def y_subgroup(self, t: int) -> Subgroup:
+    def y_subgroup(self, t: int) -> Tuple[int, ...]:
+        """Y^t = A^[t0, t] as ascending member indices (`x_subgroup`)."""
         t0, t1 = self.window
         if not t0 - 1 <= t <= t1:
             raise OutOfWindow(f"Y^t defined for {t0 - 1} <= t <= {t1}")
-        members = tuple(self.finite_support_indices(t0, t))
-        return Subgroup(self.sequence_group, members)
+        return tuple(self.finite_support_indices(t0, t))
 
     @cached_property
     def _extent_buckets(self) -> Dict[Tuple[int, int], List[int]]:
@@ -301,7 +278,6 @@ class GroupSystem:
         re-validated."""
         out = copy.copy(self)
         out.name = name
-        out._seq_group = None
         return out
 
 
@@ -474,13 +450,12 @@ def controllability_index(system: GroupSystem) -> int:
 
 # -- granules -------------------------------------------------------------
 
-def _normal_product(system: GroupSystem, h: Iterable[int],
-                    k: Iterable[int]) -> List[int]:
-    """H K for member subgroups H and K, one of them normal in the member
+def _normal_product(system: GroupSystem, *subgroups: Iterable[int]) -> List[int]:
+    """The product H K ... of member subgroups, each normal in the member
     group, as ascending member indices.
 
     With K normal, H K = K H is a subgroup, and it is the one H and K
-    generate, so it is the closure of H and K's members: `_saturate` grows
+    generate, so the product is the closure of the members: `_saturate` grows
     the identity to it by column passes, taking a member as a generator
     only when it lies outside the closure so far.  The cost is |H K| x
     |generators| letter lookups instead of the |H| |K| tuple products of
@@ -489,7 +464,7 @@ def _normal_product(system: GroupSystem, h: Iterable[int],
     letter, so it never turns an identity letter into another one."""
     product = {system.identity}
     seqs = system.sequences
-    _saturate(product, [seqs[i] for i in itertools.chain(h, k)],
+    _saturate(product, [seqs[i] for i in itertools.chain(*subgroups)],
               system._op_columns, len(system))
     return sorted(map(system._index.__getitem__, product))
 
@@ -508,8 +483,7 @@ def time_granule(system: GroupSystem, i: int, m: int,
     xi1 = support(i + 1, t1)
     num = _normal_product(system, xi1, support(i, i + m))
     den = _normal_product(system, xi1, support(i, i + m - 1))
-    qp = Subgroup(system.sequence_group, num).quotient_by(
-        den, name=f"{system.name}|num")[0]
+    qp = _member_quotient(system, num, den)
     if (m < 0 or (ell is not None and m > ell)) and qp.quotient.order != 1:
         raise NotAGroupSystem("granule case analysis violated", (i, m))
     return qp
@@ -522,8 +496,19 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentatio
         raise OutOfWindow(f"granule interval [{i},{i + m}] escapes [{t0},{t1}]")
     support = system.finite_support_indices
     den = _normal_product(system, support(i, i + m - 1), support(i + 1, i + m))
-    return Subgroup(system.sequence_group, support(i, i + m)).quotient_by(
-        den, name=f"{system.name}|num")[0]
+    return _member_quotient(system, support(i, i + m), den)
+
+
+def _member_quotient(system: GroupSystem, num, den) -> QuotientPresentation:
+    """num / den for member subgroups den <= num (member indices) on num's
+    own table, row i one left translate of num's columns by num[i]."""
+    pos = {m: i for i, m in enumerate(num)}
+    columns = [list(map(col.__getitem__, num)) for col in system.columns]
+    table = tuple(tuple(map(pos.__getitem__,
+                            system.translate(columns, system.sequences[a], right=False)))
+                  for a in num)
+    group = FiniteGroup(table, name=f"{system.name}|num", _validated=True)
+    return quotient(group, Subgroup(group, tuple(map(pos.__getitem__, den))))
 
 
 # -- generator basis ------------------------------------------------------

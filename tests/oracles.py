@@ -10,6 +10,13 @@ basis chain's member sets with `_basis_chain` instead of reading a basis
 field; and `normal_chain` gives its chain an empty `choices` map, which
 only the library's peel reads.
 
+They read the member product on the |A| x |A| table that the library no
+longer builds, `sequence_group`, which comes first, built once per system
+object, with the subgroup views on it as the library had them before a
+member subgroup became a tuple of member indices: `support_subgroup` with
+its closure check on the table, `lower_elementary_group`, and
+`normal_subgroup_from_ps` by set products of the teeth.
+
 The extract-path routines after those are the per-pair forms that the
 column kernels replaced: Cayley graphs built from tuple products, the
 granule test through `_set_product` with X^{t+1}, the one-sided member
@@ -116,6 +123,7 @@ is with the oracle `normal_chain` above, and also stands alone
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -126,9 +134,8 @@ from groupsystems.chains import (
     OplusGroup,
     PairedSequence,
     UpperPairedSequence,
+    complementary,
     is_normal_filling_sequence,
-    normal_subgroup_from_ps,
-    support_subgroup,
 )
 from groupsystems.elementary import (
     ConstructionStrategy,
@@ -193,6 +200,59 @@ from groupsystems.systems import (
 )
 
 
+_TABLES: "weakref.WeakKeyDictionary[GroupSystem, FiniteGroup]" = weakref.WeakKeyDictionary()
+
+
+def sequence_group(system: GroupSystem) -> FiniteGroup:
+    """The member group as an explicit |A| x |A| table over member indices,
+    built once per system object: row a lists a*b for every member b, one
+    left translate of the letter columns per member."""
+    if system not in _TABLES:
+        table = tuple(tuple(system.translate(system.columns, a, right=False))
+                      for a in system.sequences)
+        _TABLES[system] = FiniteGroup(table, name=system.name, _validated=True)
+    return _TABLES[system]
+
+
+def support_subgroup(ctx: GeneratorContext, allowed) -> Subgroup:
+    """Tensors supported inside `allowed` as a subgroup of the table."""
+    members = tuple(i for i, lab in enumerate(ctx.tensors)
+                    if all(slot in allowed for slot in ctx.support(lab)))
+    return Subgroup(sequence_group(ctx.system), members)
+
+
+def lower_elementary_group(ctx: GeneratorContext, k: int, t: int) -> Subgroup:
+    """Image in the generator group of the members supported on [t, t+k]."""
+    t0, t1 = ctx.system.window
+    if not (t0 <= t and t + k <= t1):
+        raise OutOfWindow(f"interval [{t},{t + k}] escapes the window")
+    members = tuple(ctx.system.finite_support_indices(t, t + k))
+    sub = Subgroup(sequence_group(ctx.system), members)
+    allowed = set(lower_triangle_positions(ctx.system.window, ctx.ell, k, t))
+    for i in sub.members:
+        bad = [slot for slot in ctx.support(ctx.tensors[i])
+               if slot not in allowed]
+        if bad:
+            raise WellDefinednessFailure(
+                f"member tensor escapes the lower triangle at {bad[0]}")
+    return sub
+
+
+def normal_subgroup_from_ps(ctx: GeneratorContext, ps: PairedSequence) -> Subgroup:
+    """Product of the lower elementary groups over the paired sequence, by
+    set products on the table, checked against the tensors supported
+    inside the teeth."""
+    group = sequence_group(ctx.system)
+    sub = support_subgroup(ctx, ps.covered())
+    prod = Subgroup(group, (0,))
+    for p in ps.pairs:
+        prod = product_of_subgroups(group, prod, lower_elementary_group(ctx, *p))
+    if prod.members != sub.members:
+        raise WellDefinednessFailure("tooth product differs from support subgroup")
+    complementary(ps)
+    return sub
+
+
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
     """The induced group on realized triangle slices at anchor (k, t).
 
@@ -213,7 +273,7 @@ def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTa
     n = len(realized)
 
     table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    group = ctx.system.sequence_group
+    group = sequence_group(ctx.system)
     for i, lab1 in enumerate(ctx.tensors):
         s1 = index[slice_of(lab1)]
         for j, lab2 in enumerate(ctx.tensors):
@@ -239,7 +299,7 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
     slots = es.slots()
     if slots != ctx.slots:
         raise RecoveryMismatch("slot tables differ")
-    group = ctx.system.sequence_group
+    group = sequence_group(ctx.system)
     for i, lab1 in enumerate(ctx.tensors):
         for j, lab2 in enumerate(ctx.tensors):
             via_global = global_product(es, lab1, lab2)
@@ -359,7 +419,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     def slices(lab: tuple) -> tuple:
         return tuple(tuple(lab[i] for i in idxs) for idxs in pos_lists)
 
-    group = ctx.system.sequence_group
+    group = sequence_group(ctx.system)
     realized = sorted({slices(lab) for lab in ctx.tensors})
     realized.sort(key=lambda s: (any(any(part) for part in s), s))
     index = {s: i for i, s in enumerate(realized)}
@@ -402,7 +462,7 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     base_sub = support_subgroup(ctx, frozenset(filled))
     current = set(base_sub.members)
     steps: List[ChainStep] = []
-    group = ctx.system.sequence_group
+    group = sequence_group(ctx.system)
     width = len(ctx.slots)
     for (k, t) in (p for p in f.pairs if p not in base_cov):
         filled.add((k, t))
@@ -470,7 +530,7 @@ def decompose_along_chain(ctx: GeneratorContext, chain: NormalChain,
     """Peel a member into one representative per chain step (fill order)."""
     system = ctx.system
     idx = system.index_of(tuple(seq))
-    group = system.sequence_group
+    group = sequence_group(system)
     reps_out: List[tuple] = [()] * len(chain.steps)
     levels = [set(chain.base)]
     for step in chain.steps:
@@ -1307,7 +1367,7 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     hset = h.member_set()
     for a in range(g.order):
         for x in h.members:
-            if g.conj(x, a) not in hset:
+            if g.op(g.op(a, x), g.inv(a)) not in hset:
                 return False
     return True
 
@@ -1855,7 +1915,7 @@ def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> Quotien
 
 
 def quotient_of_member_sets(system: GroupSystem, num, den) -> QuotientPresentation:
-    num_group, embed = as_group(Subgroup(system.sequence_group, tuple(num)),
+    num_group, embed = as_group(Subgroup(sequence_group(system), tuple(num)),
                                 name=f"{system.name}|num")
     pos = {m: i for i, m in enumerate(embed)}
     return quotient(num_group, Subgroup(num_group, tuple(map(pos.__getitem__, den))))

@@ -7,6 +7,8 @@ import random
 import sys
 from contextlib import contextmanager
 
+import oracles
+
 from groupsystems.chains import (
     STANDARD_FILLINGS,
     block_code_chains,
@@ -31,7 +33,7 @@ from groupsystems.generators import (
     recover_system_fhgs,
     triangle_projection,
 )
-from groupsystems.groups import cyclic_group, zassenhaus_hom
+from groupsystems.groups import Subgroup, cyclic_group, zassenhaus_hom
 from groupsystems.systems import (
     all_tensors,
     controllability_index,
@@ -78,7 +80,7 @@ def test_criterion_3_granule_case_analysis(r2, c2):
         for system in (r2, c2):
             ell = controllability_index(system)
             t0, t1 = system.window
-            g = system.sequence_group
+            g = oracles.sequence_group(system)
             for i in range(t0, t1 + 1):
                 for m in range(-2, t1 - i + 1):
                     qp = time_granule(system, i, m, ell=ell)
@@ -89,10 +91,10 @@ def test_criterion_3_granule_case_analysis(r2, c2):
                         assert qp.quotient.order == gam.quotient.order
                         hom = zassenhaus_hom(
                             g,
-                            system.x_subgroup(min(i + 1, t1 + 1)),
-                            system.x_subgroup(i),
-                            system.y_subgroup(max(i + m - 1, t0 - 1)),
-                            system.y_subgroup(i + m),
+                            Subgroup(g, system.x_subgroup(min(i + 1, t1 + 1))),
+                            Subgroup(g, system.x_subgroup(i)),
+                            Subgroup(g, system.y_subgroup(max(i + m - 1, t0 - 1))),
+                            Subgroup(g, system.y_subgroup(i + m)),
                         )
                         assert hom.is_injective() and hom.is_surjective()
                         assert hom.domain.order == qp.quotient.order

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import groupsystems.elementary as elementary_module
+import groupsystems.generators as generators_module
 import groupsystems.io as io_module
 import groupsystems.systems as systems_module
 from groupsystems.chains import (
@@ -75,6 +76,7 @@ from groupsystems.groups import (
     direct_product,
     is_normal,
     make_group,
+    normal_by_cosets,
     quotient,
     subgroup_closure,
     symmetric_group_3,
@@ -1421,18 +1423,79 @@ def test_is_normal_matches_the_exhaustive_oracle_on_chain_subgroups(request, nam
     subgroup of each such set's purged paired sequence."""
     ctx = build_context(request.getfixturevalue(name))
     window, ell = ctx.system.window, ctx.ell
-    group = ctx.system.sequence_group
+    group = oracles.sequence_group(ctx.system)
     slots = window_slots(window, ell)
-    subgroups = [lower_elementary_group(ctx, *slot) for slot in slots]
+    members = [lower_elementary_group(ctx, *slot) for slot in slots]
     for mask in range(2 ** len(slots)):
-        chosen = [s for j, s in enumerate(slots) if mask >> j & 1]
-        try:
-            subgroups.append(support_subgroup(ctx, frozenset(chosen)))
-        except NotASubgroup:
-            continue
-        subgroups.append(normal_subgroup_from_ps(ctx, purge(window, ell, chosen)))
+        chosen = frozenset(s for j, s in enumerate(slots) if mask >> j & 1)
+        new = outcome(support_subgroup, ctx, chosen)
+        assert_same(new, outcome(oracles.support_subgroup, ctx, chosen),
+                    lambda v: v if isinstance(v, tuple) else v.members)
+        if new[0] == "ok":
+            members += [new[1], normal_subgroup_from_ps(ctx, purge(window, ell, chosen))]
+    subgroups = [Subgroup(group, m) for m in members]
     verdicts = [normality_verdict(group, h) for h in subgroups]
     assert verdicts and all(verdicts)
+    # the chain step's form: the context's Cayley graphs of its generating set
+    assert all(normal_by_cosets(h.members, h.generators, ctx.right_cayley,
+                                ctx.left_cayley) for h in subgroups)
+
+
+@pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
+def test_support_subgroup_matches_the_closure_check_with_swapped_tensors(
+        request, name, monkeypatch):
+    """Two label tensors swapped: on every set of slots, `support_subgroup`
+    accepts and rejects what the closure check on the table does.  Where
+    the single-label products fall short of the supported members, the
+    closure check of its own runs."""
+    ctx = build_context(request.getfixturevalue(name))
+    slots = ctx.slots
+    fallbacks = []
+    check = generators_module.closure_generators
+    monkeypatch.setattr(generators_module, "closure_generators",
+                        lambda *args: fallbacks.append(1) or check(*args))
+    verdicts = set()
+    for i, j in itertools.combinations(range(1, min(len(ctx.tensors), 8)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        for mask in range(2 ** len(slots)):
+            chosen = frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
+            new = outcome(support_subgroup, bad, chosen)
+            assert_same(new, outcome(oracles.support_subgroup, bad, chosen),
+                        lambda v: v if isinstance(v, tuple) else v.members)
+            verdicts.add(new[0])
+    # every swap on the parity code and the S3 repetition system relabels
+    # consistently (`test_chain_rejects_swapped_tensors`)
+    assert (verdicts == {"ok", "raise"}) == bool(fallbacks) == (name in ("c2", "s3_square"))
+
+
+def test_support_subgroup_rejects_a_coset_union_of_single_labels():
+    """Tensors that are no encoding: on Z4 x Z2 x Z2, the members with
+    tensors inside three slots are <a, b> and the coset c<a, b>, with a, b
+    and ab the single-label ones.  They are closed under right
+    multiplication by a, b and ab, but c c = (2, 2, 0) escapes: only the
+    closure check of their own rejects them."""
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    system = build_system((0, 2), [z4, z4, z2], [(1, 1, 0), (2, 0, 0), (0, 0, 1)])
+    ctx = build_context(system)
+    assert ctx.slots == ((0, 2), (0, 1), (1, 1), (0, 0), (1, 0))
+    allowed = frozenset({(0, 2), (0, 1), (0, 0)})
+    a, b, c = (0, 0, 1), (2, 0, 0), (1, 1, 0)
+    ab, ca, cb, cab = (2, 0, 1), (1, 1, 1), (3, 1, 0), (3, 1, 1)
+    inside = {(0, 0, 0): (0, 0, 0, 0, 0), a: (1, 0, 0, 0, 0), b: (0, 1, 0, 0, 0),
+              ab: (0, 0, 0, 1, 0), c: (1, 1, 0, 0, 0), ca: (1, 0, 0, 1, 0),
+              cb: (0, 1, 0, 1, 0), cab: (1, 1, 0, 1, 0)}
+    outside = iter(lab for lab in ctx.tensors if lab[4])
+    bad = with_tensors(ctx, [inside.get(seq) or next(outside)
+                             for seq in system.sequences])
+    members = [system.index_of(seq) for seq in inside]
+    for e in map(system.index_of, (a, b, ab)):
+        assert all(system.mul(system.sequences[m], system.sequences[e]) in inside
+                   for m in members)
+    assert system.mul(c, c) not in inside
+    assert outcome(oracles.support_subgroup, bad, allowed) == ("raise", NotASubgroup)
+    assert outcome(support_subgroup, bad, allowed) == ("raise", NotASubgroup)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1460,6 +1523,8 @@ def test_granules_match_the_earlier_quotient_of_member_sets(request, name):
                                      support(i + 1, i + m)))):
                 old = oracles.quotient_of_member_sets(system, num, den)
                 assert quotient_key(qp) == quotient_key(old)
+                assert is_normal(qp.parent, qp.normal_subgroup)
+                assert oracles.is_normal(qp.parent, qp.normal_subgroup)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
@@ -1481,8 +1546,10 @@ def test_tooth_subgroups_are_the_identity_on_the_complement(request, name):
         identity_on_upper = tuple(i for i, lab in enumerate(ctx.tensors)
                                   if not upper & set(ctx.support(lab)))
         sub = normal_subgroup_from_ps(ctx, ps)
-        assert sub.members == identity_on_upper
-        assert oracles.is_normal(sub.parent, sub)
+        assert sub == identity_on_upper
+        assert sub == oracles.normal_subgroup_from_ps(ctx, ps).members
+        group = oracles.sequence_group(ctx.system)
+        assert oracles.is_normal(group, Subgroup(group, sub))
     assert len(seen) > 1 or len(slots) < 2
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,10 @@ from groupsystems.chains import (
     standard_filling,
 )
 from groupsystems.errors import NotABlockCode, NotNormalFilling
-from groupsystems.generators import build_context, elementary_group, u_minus_subgroup
-from groupsystems.groups import FiniteGroup, is_normal
-from groupsystems.io import parse_system
+import groupsystems.chains as chains_module
+from groupsystems.generators import build_context, elementary_group
+from groupsystems.groups import FiniteGroup
+from groupsystems.io import load_system_file, parse_system
 from groupsystems.systems import encode_time_domain, tensor_from_items, window_slots
 
 
@@ -82,11 +84,11 @@ def test_sawtooth_partition_seeded_random():
 def test_normal_subgroup_from_ps(ctx_r2, ctx_c2):
     window, ell = ctx_r2.system.window, ctx_r2.ell
     empty = purge(window, ell, [])
-    assert normal_subgroup_from_ps(ctx_r2, empty).members == (0,)
+    assert normal_subgroup_from_ps(ctx_r2, empty) == (0,)
     full = purge(window, ell, window_slots(window, ell))
-    assert normal_subgroup_from_ps(ctx_r2, full).order == len(ctx_r2.system)
+    assert len(normal_subgroup_from_ps(ctx_r2, full)) == len(ctx_r2.system)
     single = purge(window, ell, [(1, 0)])
-    assert normal_subgroup_from_ps(ctx_r2, single).order == 2
+    assert len(normal_subgroup_from_ps(ctx_r2, single)) == 2
     # C2: every purged sample passes its internal cross-checks
     rng = random.Random(1)
     slots = window_slots(ctx_c2.system.window, ctx_c2.ell)
@@ -211,7 +213,7 @@ def test_chain_seeded_at_a_tooth_subgroup(ctx_c2):
     base = purge(window, ell, [(1, 0)])
     f = standard_filling(window, ell, "time_rev")
     chain = normal_chain(ctx_c2, f, base_ps=base)
-    assert len(chain.base) == normal_subgroup_from_ps(ctx_c2, base).order == 2
+    assert len(chain.base) == len(normal_subgroup_from_ps(ctx_c2, base)) == 2
     walked = [step.pair for step in chain.steps]
     assert set(walked) == set(window_slots(window, ell)) - base.covered()
     prod = len(chain.base)
@@ -335,19 +337,31 @@ def test_block_code_rejects_padded_window():
         block_code_chains(ctx)
 
 
-def test_is_normal_conjugates_generators_only(monkeypatch):
-    """On the 128-member sequence group of Z2 x0 x0+x1 over [0,6], one
-    normality check of a support subgroup makes at most |S_G|·|S_H|
-    conjugations, where conjugating all of H by all of G makes |G|·|H|."""
-    ctx = build_context(parse_system("system Z\nwindow 0 6\nrule conv Z2 x0 x0+x1\n"))
-    g = ctx.system.sequence_group
-    assert g.order == 128
-    h = u_minus_subgroup(ctx, 3)  # the tensors supported on slots ending by 3
-    assert 1 < h.order < g.order
-    calls = []
-    conj = FiniteGroup.conj
-    monkeypatch.setattr(FiniteGroup, "conj",
-                        lambda self, a, b: calls.append(1) or conj(self, a, b))
-    assert is_normal(g, h)
-    assert 0 < len(calls) <= len(g.generators) * len(h.generators)
-    assert len(g.generators) * len(h.generators) < g.order * h.order
+@pytest.mark.parametrize("text", [
+    "system Z\nwindow 0 6\nrule conv Z2 x0 x0+x1\n",
+    (Path(__file__).resolve().parent.parent / "perfbench" / "data"
+     / "twisted_w5_l2.gsys"),
+], ids=["z2_w7", "twisted_w5_l2"])
+def test_chain_builds_no_member_table(monkeypatch, text):
+    """A normal chain on 128 members, abelian or not, builds no group
+    table as large as the member group: every step's normality is tested
+    on the generating set's Cayley graphs, |S| columns each way."""
+    system = (parse_system(text) if isinstance(text, str)
+              else load_system_file(str(text)))
+    ctx = build_context(system)
+    assert len(system) == 128
+    orders, graphs = [], []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__", lambda self, table, *a, **k:
+                        orders.append(len(table)) or init(self, table, *a, **k))
+    test = chains_module.normal_by_cosets
+    monkeypatch.setattr(chains_module, "normal_by_cosets",
+                        lambda h, gens, right, left: graphs.append((right, left))
+                        or test(h, gens, right, left))
+    walk = standard_filling(system.window, ctx.ell, "time_rev")
+    assert len(reconstruct_from_chain(ctx, normal_chain(ctx, walk))) == 128
+    assert max(orders, default=0) < 128
+    assert len(graphs) == len(walk.pairs)
+    assert all(right is ctx.right_cayley and left is ctx.left_cayley
+               for right, left in graphs)
+    assert len(ctx.right_cayley) == len(ctx.generating_set) < 128

@@ -26,7 +26,7 @@ from groupsystems.elementary import (
 )
 from groupsystems.errors import ParseError
 from groupsystems.generators import build_context
-from groupsystems.groups import cyclic_group
+from groupsystems.groups import FiniteGroup, cyclic_group
 from groupsystems.io import CYCLIC_ORDER_CAP, dump_elementary_system, parse_system
 
 
@@ -170,6 +170,24 @@ def test_chains_builds_its_chain_once(capsys, c2_file, monkeypatch):
     code, out, _ = run(capsys, "chains", c2_file, "--filling", "time_rev")
     assert (code, out) == (0, C2_TIME_REV_CHAINS)
     assert len(calls) == 1
+
+
+def test_chains_on_4096_members_builds_no_member_table(capsys, tmp_path, monkeypatch):
+    """Z2 x0 x0+x1 over [0,11]: 4096 members, twice as many as the member
+    table the chains once needed allowed.  Every walk reconstructs, and no
+    group table of order |A| or more is built on the way."""
+    path = tmp_path / "z2w12.gsys"
+    path.write_text("system Z\nwindow 0 11\nrule conv Z2 x0 x0+x1\n")
+    orders = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__", lambda self, table, *a, **k:
+                        orders.append(len(table)) or init(self, table, *a, **k))
+    for kind in ("time_rev", "spec_fwd"):
+        code, out, err = run(capsys, "chains", path, "--filling", kind)
+        assert (code, err) == (0, "")
+        assert out.endswith("reconstruct ok order=4096\n")
+        assert out.count("\nstep ") == 22
+    assert max(orders) < 4096
 
 
 def test_chains_walk_file(capsys, r2_file, tmp_path):
@@ -438,12 +456,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     ("--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2", 0),
     ("--window 0 3 construct --seed-group S3 --ell 1 --kernel 0=Z2 --ext-index 0=1", 3),
     ("--window 0 2 construct --seed-group Z4 --ell 1 --kernel 0=Z2 --ext-index 0=1", 3),
-], ids=["s3-z3", "s3-z2", "z4-z2", "s3-z2-index1", "z4-z2-index1"])
+    ("--window 0 2 construct --seed-group Z10 --ell 1 --kernel 0=Z2 --ext-index 0=1", 3),
+], ids=["s3-z3", "s3-z2", "z4-z2", "s3-z2-index1", "z4-z2-index1", "z10-z2-index1"])
 def test_large_extension_searches_finish_or_name_their_cap(argv, code, tmp_path):
-    """Kernels under bases of order 16 and 36: index 0, the direct
-    product, needs no search and finishes; index 1 stops at the search's
-    node cap with a message that names the stage, the value and the cap,
-    in a minute and without a traceback."""
+    """Kernels under bases of order 16, 36 and 100: index 0, the direct
+    product, needs no search and finishes; index 1 stops in the cocycle
+    search with a message that names the stage, the value and the node
+    cap, in a minute and without a traceback.  Under the bases of order
+    36 and 100 the search is refused before it starts, as it is bound to
+    pass the cap."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "groupsystems.cli", *argv.split()],
@@ -454,6 +475,7 @@ def test_large_extension_searches_finish_or_name_their_cap(argv, code, tmp_path)
     if code == 3:
         assert re.fullmatch(r"bound exceeded: [a-z ]+: .*\b\d+\b.* exceeds? "
                             r"cap \d+\n", done.stderr), done.stderr
+        assert "cocycle search too large" in done.stderr
 
 
 def test_roundtrip_twisted_esys(capsys, tmp_path):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import oracles
 from groupsystems.elementary import extract_elementary_system, global_product
 from groupsystems.errors import DomainError, ShapeMismatch, UnrealizedTriangle
 from groupsystems.generators import (
@@ -17,14 +18,15 @@ from groupsystems.generators import (
     nested_anchors,
     nested_hom,
     recover_system_fhgs,
+    slice_classes,
     star,
-    theta_t,
     triangle,
     triangle_projection,
     u_minus_subgroup,
     u_plus_subgroup,
 )
-from groupsystems.groups import is_normal, product_of_subgroups, quotient
+from groupsystems.groups import (Homomorphism, Subgroup, is_normal,
+                                 product_of_subgroups, quotient)
 from groupsystems.io import parse_system
 from groupsystems.systems import all_tensors, extract_basis, tensor_from_items
 
@@ -66,25 +68,27 @@ def test_star_associative_exhaustive(ctx_r2, ctx_c2):
 
 def test_u_group_is_a_group(ctx_r2, ctx_c2, ctx_s3):
     for ctx in (ctx_r2, ctx_c2, ctx_s3):
-        group = ctx.system.sequence_group
+        group = oracles.sequence_group(ctx.system)
         assert group.order == len(ctx.system)
         # table validated exhaustively (axioms checked on construction)
         from groupsystems.groups import FiniteGroup
         FiniteGroup(group.op_table, name="check")
 
 
-def test_system_has_one_group_object(c2, s3_rep):
-    """Subgroups and projections built from a context live on the system's
-    own sequence group, so they mix with the system's subgroup views."""
+def test_member_subgroups_are_index_tuples_on_the_members(c2, s3_rep):
+    """Lower elementary groups and slice classes read member indices, so
+    they mix with the system's subgroup views on the member table."""
     for system in (c2, s3_rep):
         ctx = build_context(system)
-        group = system.sequence_group
+        group = oracles.sequence_group(system)
         for (k, t) in ctx.slots:
-            sub = lower_elementary_group(ctx, k, t)
+            members = lower_elementary_group(ctx, k, t)
+            assert members == oracles.lower_elementary_group(ctx, k, t).members
+            sub = Subgroup(group, members)
             assert is_normal(group, sub)
-            assert quotient(group, sub).quotient.order * sub.order == group.order
+            assert quotient(group, sub).quotient.order * len(members) == group.order
         for t in system.times():
-            assert theta_t(ctx, 0, t).domain is group
+            assert len(slice_classes(ctx, 0, t)) == group.order
 
 
 def test_triangle_shapes(ctx_c2):
@@ -121,15 +125,20 @@ def test_elementary_group_trivial_system(trivial_sys):
         assert elementary_group(ctx, k, t).group.order == 1
 
 
-def test_theta_is_surjective_with_one_sided_kernel(ctx_r2, ctx_c2):
+def test_slice_classes_are_a_surjection_with_one_sided_kernel(ctx_r2, ctx_c2):
+    """The slice classes at (0, t) are a homomorphism of the member group
+    onto E(0, t) whose kernel is the product of the images of X^{t+1} and
+    Y^{t-1}."""
     for ctx in (ctx_r2, ctx_c2):
+        group = oracles.sequence_group(ctx.system)
         for t in ctx.system.times():
-            hom = theta_t(ctx, 0, t)
+            hom = Homomorphism(group, elementary_group(ctx, 0, t).group,
+                               slice_classes(ctx, 0, t))
             assert hom.is_surjective()
             prod = product_of_subgroups(
-                ctx.system.sequence_group,
-                u_plus_subgroup(ctx, t + 1),
-                u_minus_subgroup(ctx, t - 1))
+                group,
+                Subgroup(group, u_plus_subgroup(ctx, t + 1)),
+                Subgroup(group, u_minus_subgroup(ctx, t - 1)))
             assert hom.kernel().members == prod.members
 
 
@@ -191,12 +200,14 @@ def test_multiply_via_elementary_c2_sampled(ctx_c2):
 
 
 def test_lower_elementary_groups(ctx_r2, ctx_c2):
+    group = oracles.sequence_group(ctx_r2.system)
     sub = lower_elementary_group(ctx_r2, 1, 0)
-    assert sub.order == 2
-    assert is_normal(ctx_r2.system.sequence_group, sub)
+    assert len(sub) == 2
+    assert is_normal(group, Subgroup(group, sub))
+    group = oracles.sequence_group(ctx_c2.system)
     for (k, t) in ctx_c2.slots:
         sub = lower_elementary_group(ctx_c2, k, t)
-        assert is_normal(ctx_c2.system.sequence_group, sub)
+        assert is_normal(group, Subgroup(group, sub))
 
 
 def test_lower_elementary_whole_group_blockcode(parity3):
@@ -204,7 +215,7 @@ def test_lower_elementary_whole_group_blockcode(parity3):
     t0, t1 = parity3.window
     sub = lower_elementary_group(ctx, ctx.ell, t0)
     # the only members NOT in A^[0, ell] are those using later slots
-    assert sub.order == len(parity3.finite_support_indices(t0, t0 + ctx.ell))
+    assert len(sub) == len(parity3.finite_support_indices(t0, t0 + ctx.ell))
 
 
 def test_fhgs_recovery(ctx_r2, ctx_c2, ctx_s3, trivial_sys):

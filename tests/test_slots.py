@@ -262,7 +262,7 @@ def test_alpha_column_is_folded_once_per_time(fixture, request):
 def test_sequence_group_is_the_member_product(fixture, request):
     system = request.getfixturevalue(fixture)
     index = {s: i for i, s in enumerate(system.sequences)}
-    table = system.renamed("copy").sequence_group.op_table
+    table = oracles.sequence_group(system.renamed("copy")).op_table
     assert table == tuple(tuple(index[system.mul(a, b)] for b in system.sequences)
                           for a in system.sequences)
 

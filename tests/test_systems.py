@@ -1,9 +1,9 @@
 import pytest
 
-from groupsystems.errors import BoundExceeded, NotAGroupSystem, NotAMember, OutOfWindow
-from groupsystems.groups import cyclic_group, zassenhaus_hom
+import oracles
+from groupsystems.errors import NotAGroupSystem, NotAMember, OutOfWindow
+from groupsystems.groups import Subgroup, cyclic_group, zassenhaus_hom
 from groupsystems.systems import (
-    SEQUENCE_GROUP_TABLE_CAP,
     GroupSystem,
     all_tensors,
     alphabet_matrix,
@@ -50,15 +50,30 @@ def test_saturation_closes_seeds():
 
 
 def test_x_y_subgroups(r2, c2):
-    assert r2.x_subgroup(0).order == 2
-    assert r2.x_subgroup(1).order == 1  # 11 is not identity at time 0
-    assert r2.x_subgroup(2).order == 1
-    assert r2.y_subgroup(1).order == 2
+    assert len(r2.x_subgroup(0)) == 2
+    assert r2.x_subgroup(1) == (0,)  # 11 is not identity at time 0
+    assert r2.x_subgroup(2) == (0,)
+    assert len(r2.y_subgroup(1)) == 2
     # C2 members supported in [0,1]: inputs with x = e_0 impulse or zero
     y1 = c2.y_subgroup(1)
-    assert y1.order == 2
+    assert len(y1) == 2
     with pytest.raises(OutOfWindow):
         r2.x_subgroup(3)
+
+
+@pytest.mark.parametrize("name", ["r2", "c2", "s3_rep", "parity3"])
+def test_support_sets_are_subgroups_with_no_closure_check(request, name):
+    """X^t and Y^t, read off the extent buckets, pass the table's closure
+    check at every t: a support set is a kernel, so a subgroup."""
+    system = request.getfixturevalue(name)
+    group = oracles.sequence_group(system)
+    t0, t1 = system.window
+    for t in range(t0, t1 + 2):
+        members = system.x_subgroup(t)
+        assert Subgroup(group, members).members == members
+    for t in range(t0 - 1, t1 + 1):
+        members = system.y_subgroup(t)
+        assert Subgroup(group, members).members == members
 
 
 def test_controllability(trivial_sys, r2, c2, s3_rep):
@@ -99,7 +114,7 @@ def test_spectral_granule(trivial_sys, r2, c2):
 def test_granule_orders_match_zassenhaus(r2, c2):
     for sys_ in (r2, c2):
         ell = controllability_index(sys_)
-        g = sys_.sequence_group
+        g = oracles.sequence_group(sys_)
         t0, t1 = sys_.window
         for (k, t) in window_slots(sys_.window, ell):
             lam = time_granule(sys_, t, k, ell=ell)
@@ -107,10 +122,10 @@ def test_granule_orders_match_zassenhaus(r2, c2):
             assert lam.quotient.order == gam.quotient.order
             hom = zassenhaus_hom(
                 g,
-                sys_.x_subgroup(min(t + 1, t1 + 1)),
-                sys_.x_subgroup(t),
-                sys_.y_subgroup(max(t + k - 1, t0 - 1)),
-                sys_.y_subgroup(t + k),
+                Subgroup(g, sys_.x_subgroup(min(t + 1, t1 + 1))),
+                Subgroup(g, sys_.x_subgroup(t)),
+                Subgroup(g, sys_.y_subgroup(max(t + k - 1, t0 - 1))),
+                Subgroup(g, sys_.y_subgroup(t + k)),
             )
             assert hom.is_injective() and hom.is_surjective()
             assert hom.domain.order == lam.quotient.order
@@ -236,19 +251,6 @@ def test_only_active_slots_touch_component(c2):
             for s in c2.times():
                 if not t <= s <= t + k:
                     assert c2.letter(g, s) == 0
-
-
-def test_sequence_table_cap_names_itself():
-    z2 = cyclic_group(2)
-    big = build_system((0, 11), [z2] * 12,
-                       [tuple(int(i == t) for i in range(12)) for t in range(12)])
-    assert len(big) == 4096 > SEQUENCE_GROUP_TABLE_CAP
-    big.verify_closure()  # the closure check needs no table
-    with pytest.raises(BoundExceeded) as info:
-        big.sequence_group
-    message = str(info.value)
-    assert "SEQUENCE_GROUP_TABLE_CAP=2048" in message and "4096" in message
-    assert "normal chains" in message
 
 
 def test_validate_names_the_first_member_at_fault():
