@@ -56,10 +56,6 @@ class PreconditionViolated(DomainError):
     pass
 
 
-class CodomainMismatch(DomainError):
-    pass
-
-
 class NotSurjective(DomainError):
     pass
 

@@ -84,8 +84,9 @@ class GeneratorContext:
     slot.  The generating set S and its right and left Cayley graphs over
     member indices are built on first use, once per context; the
     certificates read them instead of all member pairs.  Each elementary
-    group built here records its slice class per member in `_classes`, and
-    each alpha_t column (`_alpha_column`) is kept per t in `_alphas`.
+    group built here records its slice class per member in `_classes`,
+    each alpha_t column (`_alpha_column`) is kept per t in `_alphas`, and
+    each single-label member's right column, S's among them, in `_right`.
     """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
@@ -102,6 +103,7 @@ class GeneratorContext:
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
         self._classes: Dict[Tuple[int, int], List[int]] = {}
         self._alphas: Dict[int, List[int]] = {}
+        self._right: Dict[int, List[int]] = {}
 
     @cached_property
     def tensor_index(self) -> Dict[Tuple[int, ...], int]:
@@ -112,14 +114,19 @@ class GeneratorContext:
     def single_labels(self) -> Dict[Slot, tuple]:
         """Per slot, (members, columns) by label c, built once per context:
         the member whose tensor is c at the slot and 0 elsewhere
-        (`tensor_index`), and its right column [a] = a * member."""
-        system, width, out = self.system, len(self.slots), {}
+        (`tensor_index`), and its right column (`_right_column`)."""
+        width, out = len(self.slots), {}
         for pos, slot in enumerate(self.slots):
             members = tuple(self.tensor_index[(0,) * pos + (c,) + (0,) * (width - pos - 1)]
                             for c in range(self.basis.label_count(slot)))
-            out[slot] = members, tuple(system.translate(system.columns, system.sequences[m])
-                                       for m in members)
+            out[slot] = members, tuple(map(self._right_column, members))
         return out
+
+    def _right_column(self, m: int) -> List[int]:
+        """[a] = a * m over member indices, kept in `_right`."""
+        if m not in self._right:
+            self._right[m] = self.system.translate(self.system.columns, self.system.sequences[m])
+        return self._right[m]
 
     @cached_property
     def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:
@@ -145,9 +152,7 @@ class GeneratorContext:
         the closure grows breadth-first along the kept columns (`greedy_columns`)."""
         system = self.system
         entries = (g for slot in self.slots for g in self.basis.transversal(slot)[1:])
-        gens, right = greedy_columns(
-            map(system.index_of, entries),
-            lambda j: system.translate(system.columns, system.sequences[j]))
+        gens, right = greedy_columns(map(system.index_of, entries), self._right_column)
         # member 0 is the identity, the least sequence
         return (0, *gens), (list(range(len(self.tensors))), *right)
 

@@ -385,11 +385,11 @@ def subgroup_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 def normal_by_cosets(members: Sequence[int], gens: Sequence[int],
                      right: Sequence, left: Sequence) -> bool:
     """Whether H, with `members` and generated by `gens`, is normal in G,
-    given per generator s of G its columns right[j][a] = a s and left[j][a]
-    = s a: s x in H s, so s x s^-1 in H, for each s and x in `gens`.  Then
-    s H s^-1 = <s gens s^-1> <= H, so every generator lies in H's
-    normalizer, which is then G (Holt, Eick & O'Brien, Handbook of CGT,
-    2005, §4.1).  `right is left` says that G is abelian."""
+    given per generator s of G its columns right[j][a] = a s (a in H) and
+    left[j][a] = s a: s x in H s, so s x s^-1 in H, for each s and x in
+    `gens`.  Then s H s^-1 = <s gens s^-1> <= H, so every generator lies in
+    H's normalizer, which is then G (Holt, Eick & O'Brien, Handbook of
+    CGT, 2005, §4.1).  `right is left` says that G is abelian."""
     if right is left:
         return True
     for r, l in zip(right, left):
@@ -402,12 +402,13 @@ def normal_by_cosets(members: Sequence[int], gens: Sequence[int],
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """`normal_by_cosets` on g's table at `g.generators`, which generate g
     (a `FiniteGroup` is validated, or built `_validated=True` from a group
-    table), and on `h.generators`, which generate h (`Subgroup`)."""
+    table), and on `h.generators`, which generate h (`Subgroup`): |S_G|
+    (|H| + |S_H|) table reads, the right columns kept to h's members."""
     if h.parent is not g:
         raise NotASubgroup("subgroup of a different parent")
     op = g.op_table
     return normal_by_cosets(h.members, h.generators,
-                            [[row[s] for row in op] for s in g.generators],
+                            [{x: op[x][s] for x in h.members} for s in g.generators],
                             [op[s] for s in g.generators])
 
 

@@ -16,7 +16,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -25,8 +25,7 @@ from .errors import (
     NotControllableOnWindow,
     OutOfWindow,
 )
-from .groups import (FiniteGroup, QuotientPresentation, Subgroup, class_table,
-                     close_greedily, quotient)
+from .groups import FiniteGroup, class_table, close_greedily
 from .slots import Slot, fold_order, positions_in, walk, window_slots
 
 DEFAULT_MEMBER_CAP = 2 ** 16
@@ -469,8 +468,15 @@ def _normal_product(system: GroupSystem, *subgroups: Iterable[int]) -> List[int]
     return sorted(map(system._index.__getitem__, product))
 
 
+class Granule(NamedTuple):
+    """A quotient num / den of member subgroups: its cosets as ascending
+    member indices, by least member, and its table on their numbers."""
+    cosets: Tuple[Tuple[int, ...], ...]
+    quotient: FiniteGroup
+
+
 def time_granule(system: GroupSystem, i: int, m: int,
-                 ell: Optional[int] = None) -> QuotientPresentation:
+                 ell: Optional[int] = None) -> Granule:
     """X^{i+1}(X^i ∩ Y^{i+m}) / X^{i+1}(X^i ∩ Y^{i+m-1}) as a quotient.
 
     X^i ∩ Y^j is the support subgroup A^[i, j] (`finite_support_indices`).
@@ -489,7 +495,7 @@ def time_granule(system: GroupSystem, i: int, m: int,
     return qp
 
 
-def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentation:
+def spectral_granule(system: GroupSystem, i: int, m: int) -> Granule:
     """A^[i,i+m] / (A^[i,i+m) A^(i,i+m]) -- the finite-extent granule."""
     t0, t1 = system.window
     if not t0 <= i <= t1 or (m >= 0 and i + m > t1):
@@ -499,16 +505,18 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> QuotientPresentatio
     return _member_quotient(system, support(i, i + m), den)
 
 
-def _member_quotient(system: GroupSystem, num, den) -> QuotientPresentation:
-    """num / den for member subgroups den <= num (member indices) on num's
-    own table, row i one left translate of num's columns by num[i]."""
-    pos = {m: i for i, m in enumerate(num)}
-    columns = [list(map(col.__getitem__, num)) for col in system.columns]
-    table = tuple(tuple(map(pos.__getitem__,
-                            system.translate(columns, system.sequences[a], right=False)))
-                  for a in num)
-    group = FiniteGroup(table, name=f"{system.name}|num", _validated=True)
-    return quotient(group, Subgroup(group, tuple(map(pos.__getitem__, den))))
+def _member_quotient(system: GroupSystem, num, den) -> Granule:
+    """num / den for member subgroups den <= num, den normal (products of
+    support subgroups), with no table of num: |num| products for the cosets
+    (`_cosets`), |Q|^2 for the table, row c the cosets moved by coset c."""
+    cls, cosets, seqs = {}, [], system.sequences
+    for coset in _cosets(system, num, den):
+        cls.update(dict.fromkeys(coset, len(cosets)))
+        cosets.append(tuple(sorted(coset)))
+    columns = [[col[c[0]] for c in cosets] for col in system.columns]
+    table = tuple(tuple(map(cls.__getitem__, system.translate(columns, seqs[c[0]], right=False)))
+                  for c in cosets)
+    return Granule(tuple(cosets), FiniteGroup(table, name=f"{system.name}|num/H", _validated=True))
 
 
 # -- generator basis ------------------------------------------------------
@@ -577,7 +585,7 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
         den = [system.index_of(system.identity)]
         if k:
             den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
-        reps = _least_coset_reps(system, num, den)
+        reps = tuple(system.sequences[coset[0]] for coset in _cosets(system, num, den))
         _check_granule(system, (k, t), num, den, reps)
         transversals[(k, t)] = reps
 
@@ -597,13 +605,13 @@ def _check_granule(system: GroupSystem, slot: Slot, num: Sequence[int],
     |num| + |den| prefixes instead of |X^{t+1}| (|num| + |den|) products.
 
     That the representatives fall into distinct cosets of X^{t+1} den
-    needs no test of its own.  `_least_coset_reps` gives one member per
-    coset a den, so `reps` is a transversal of den in num.  All these
-    subgroups are normal, so a den -> a X^{t+1} den maps num / den onto
-    X^{t+1} num / X^{t+1} den as a surjective homomorphism.  Once the
-    order test passes, both sides have len(reps) elements, the map is a
-    bijection, and distinct entries lie in distinct X^{t+1} den cosets.
-    The pair test this replaces is kept in `tests/oracles.check_granule`.
+    needs no test of its own.  `_cosets` gives one member per coset a den,
+    so `reps` is a transversal of den in num.  All these subgroups are
+    normal, so a den -> a X^{t+1} den maps num / den onto X^{t+1} num /
+    X^{t+1} den as a surjective homomorphism.  Once the order test passes,
+    both sides have len(reps) elements, the map is a bijection, and
+    distinct entries lie in distinct X^{t+1} den cosets.  The pair test
+    this replaces is kept in `tests/oracles.check_granule`.
     """
     cut = slot[1] - system.window[0] + 1
     seqs = system.sequences
@@ -613,30 +621,20 @@ def _check_granule(system: GroupSystem, slot: Slot, num: Sequence[int],
                               slot)
 
 
-def _least_coset_reps(system: GroupSystem, num: Sequence[int],
-                      den: Sequence[int]) -> Tuple[Seq, ...]:
-    """The least member of each coset a den, a in num, in ascending order,
-    for ascending member indices num and den.
-
-    Each coset is one left translate of den's letter columns by a
-    (`GroupSystem.translate`), and its least member is its least member
-    index, because `sequences` is sorted.  Walking num upward and skipping
-    members of cosets already formed visits each coset once, as the
-    one-tuple-product-per-denominator-member form did, and takes the same
-    minimum of the same set; a coset costs |den| lookups per time.  Over
-    the identity alone, each coset is one member."""
-    if len(den) == 1:
-        return tuple(map(system.sequences.__getitem__, num))
-    columns = [list(map(col.__getitem__, den)) for col in system.columns]
-    seen: set = set()
-    reps = []
+def _cosets(system: GroupSystem, num: Sequence[int],
+            den: Sequence[int]) -> Iterator[List[int]]:
+    """The cosets a den of a subgroup den of num (ascending member indices)
+    by least member a, each a first: den's letter columns moved by a
+    (`translate`), |den| lookups per time, with a den[0] = a, or [a] with
+    no columns when den is the identity alone.  Walking num upward past the
+    members of cosets formed meets each at its least."""
+    columns = [list(map(col.__getitem__, den)) for col in system.columns if den[1:]]
+    seen, seqs = set(), system.sequences
     for a in num:
-        if a in seen:
-            continue
-        coset = system.translate(columns, system.sequences[a], right=False)
-        reps.append(min(coset))
-        seen.update(coset)
-    return tuple(map(system.sequences.__getitem__, sorted(reps)))
+        if a not in seen:
+            coset = system.translate(columns, seqs[a], right=False) if den[1:] else [a]
+            seen.update(coset)
+            yield coset
 
 
 def coset_levels(start: Dict, transversals: Iterable[Sequence], mul) -> Iterator[Dict]:

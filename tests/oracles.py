@@ -148,7 +148,7 @@ from groupsystems.slots import upper_triangle_positions as library_upper_triangl
 from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
-    CodomainMismatch,
+    DomainError,
     NoExtensionFound,
     NotASubgroup,
     NotNormal,
@@ -809,9 +809,9 @@ def subdirect_product(g1: FiniteGroup, g2: FiniteGroup,
     Both projections onto the factors are verified surjective.
     """
     if p1.domain is not g1 or p2.domain is not g2:
-        raise CodomainMismatch("projection domains do not match the factors")
+        raise DomainError("projection domains do not match the factors")
     if p1.codomain is not p2.codomain:
-        raise CodomainMismatch("projections target different groups")
+        raise DomainError("projections target different groups")
     if not p1.is_surjective():
         raise NotSurjective("p1 not onto the common quotient")
     if not p2.is_surjective():

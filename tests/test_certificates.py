@@ -95,7 +95,7 @@ from groupsystems.systems import (
     GroupSystem,
     _basis_chain,
     _check_granule,
-    _least_coset_reps,
+    _cosets,
     _normal_product,
     all_tensors,
     alphabet_matrix,
@@ -578,18 +578,24 @@ def test_basis_chain_rejects_colliding_cosets():
 
 # -- column kernels against their per-pair forms ---------------------------------
 
+def least_coset_reps(system: GroupSystem, num, den) -> tuple:
+    """The least member of each coset a den, a in num, as `extract_basis`
+    takes them from `_cosets`."""
+    return tuple(system.sequences[coset[0]] for coset in _cosets(system, num, den))
+
+
 def granule_cases(system: GroupSystem):
     """Per basis slot, the granule test's inputs as `extract_basis` forms
     them, followed by a defective transversal with one entry fewer (an
     order mismatch).  A transversal with colliding cosets is not among
-    them: `_least_coset_reps` never forms one, and `_check_granule` no
+    them: `_cosets` never forms one, and `_check_granule` no
     longer tests for it (`assert_basis_granules_pass_the_pair_test`)."""
     ell = controllability_index(system)
     support = system.finite_support_indices
     for k, t in window_slots(system.window, ell):
         num = support(t, t + k)
         den = _normal_product(system, support(t, t + k - 1), support(t + 1, t + k))
-        reps = _least_coset_reps(system, num, den)
+        reps = least_coset_reps(system, num, den)
         yield (k, t), num, den, reps
         yield (k, t), num, den, reps[:-1]
 
@@ -1124,8 +1130,8 @@ def test_least_coset_reps_take_left_cosets(s3_square):
     differ = 0
     for flip in (a for a in GROUPS["S3"].elements() if GROUPS["S3"].element_order(a) == 2):
         sub = frozenset({(0, 0), (flip, 0)})
-        left = _least_coset_reps(system, list(range(len(system))),
-                                 sorted(map(index.__getitem__, sub)))
+        left = least_coset_reps(system, list(range(len(system))),
+                                sorted(map(index.__getitem__, sub)))
         assert left == oracles.least_coset_reps(
             system, frozenset(system.sequences), sub)
         right = {min(system.mul(d, a) for d in sub) for a in system.sequences}
@@ -1522,9 +1528,12 @@ def test_granules_match_the_earlier_quotient_of_member_sets(request, name):
                      _normal_product(system, support(i, i + m - 1),
                                      support(i + 1, i + m)))):
                 old = oracles.quotient_of_member_sets(system, num, den)
-                assert quotient_key(qp) == quotient_key(old)
-                assert is_normal(qp.parent, qp.normal_subgroup)
-                assert oracles.is_normal(qp.parent, qp.normal_subgroup)
+                assert qp.cosets == tuple(tuple(num[x] for x in coset)
+                                          for coset in old.cosets)
+                assert qp.quotient.op_table == old.quotient.op_table
+                assert qp.quotient.name == old.quotient.name
+                assert is_normal(old.parent, old.normal_subgroup)
+                assert oracles.is_normal(old.parent, old.normal_subgroup)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square"])

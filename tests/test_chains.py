@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,8 @@ from groupsystems.chains import (
 )
 from groupsystems.errors import NotABlockCode, NotNormalFilling
 import groupsystems.chains as chains_module
-from groupsystems.generators import build_context, elementary_group
-from groupsystems.groups import FiniteGroup
+from groupsystems.generators import build_context, elementary_group, u_minus_subgroup
+from groupsystems.groups import FiniteGroup, Subgroup, is_normal
 from groupsystems.io import load_system_file, parse_system
 from groupsystems.systems import encode_time_domain, tensor_from_items, window_slots
 
@@ -337,17 +338,50 @@ def test_block_code_rejects_padded_window():
         block_code_chains(ctx)
 
 
-@pytest.mark.parametrize("text", [
+CHAIN_SYSTEMS = pytest.mark.parametrize("text", [
     "system Z\nwindow 0 6\nrule conv Z2 x0 x0+x1\n",
     (Path(__file__).resolve().parent.parent / "perfbench" / "data"
      / "twisted_w5_l2.gsys"),
 ], ids=["z2_w7", "twisted_w5_l2"])
+
+
+def load_text(text):
+    return parse_system(text) if isinstance(text, str) else load_system_file(str(text))
+
+
+class CountingRow(tuple):
+    """A table row that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingRow.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@CHAIN_SYSTEMS
+def test_is_normal_conjugates_generators_only(text):
+    """On the 128-member sequence group (the oracle table), one normality
+    check of a support subgroup reads at most |S_G|·(|H| + |S_H|) table
+    entries, where conjugating all of H by all of G reads |G|·|H|."""
+    ctx = build_context(load_text(text))
+    table = oracles.sequence_group(ctx.system).op_table
+    g = FiniteGroup(tuple(map(CountingRow, table)), _validated=True)
+    h = Subgroup(g, u_minus_subgroup(ctx, 3))  # tensors on slots ending by 3
+    assert g.order == 128 and 1 < h.order < g.order
+    bound = len(g.generators) * (h.order + len(h.generators))
+    CountingRow.reads = 0
+    verdict = is_normal(g, h)
+    assert 0 < CountingRow.reads <= bound < g.order * h.order
+    assert verdict == oracles.is_normal(g, h)
+
+
+@CHAIN_SYSTEMS
 def test_chain_builds_no_member_table(monkeypatch, text):
     """A normal chain on 128 members, abelian or not, builds no group
     table as large as the member group: every step's normality is tested
     on the generating set's Cayley graphs, |S| columns each way."""
-    system = (parse_system(text) if isinstance(text, str)
-              else load_system_file(str(text)))
+    system = load_text(text)
     ctx = build_context(system)
     assert len(system) == 128
     orders, graphs = [], []

@@ -2,7 +2,8 @@ import pytest
 
 import oracles
 from groupsystems.errors import NotAGroupSystem, NotAMember, OutOfWindow
-from groupsystems.groups import Subgroup, cyclic_group, zassenhaus_hom
+from groupsystems.groups import FiniteGroup, Subgroup, cyclic_group, zassenhaus_hom
+from groupsystems.io import parse_system
 from groupsystems.systems import (
     GroupSystem,
     all_tensors,
@@ -109,6 +110,30 @@ def test_spectral_granule(trivial_sys, r2, c2):
     # trivial away from the right edge
     assert spectral_granule(c2, 0, 0).quotient.order == 1
     assert spectral_granule(c2, 3, 0).quotient.order == 2  # clipped tail
+
+
+def test_granules_on_4096_members_build_no_member_table(monkeypatch):
+    """Z2 x0 x0+x1 over [0,11] has 4096 members.  A granule whose numerator
+    is all of them is built on its cosets, and no group table of more than
+    the quotient's order is made; every slot's granules have the basis's
+    label count as their order."""
+    system = parse_system("system Z\nwindow 0 11\nrule conv Z2 x0 x0+x1\n")
+    basis = extract_basis(system)
+    assert len(system) == 4096 and basis.ell == 1
+    orders = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__", lambda self, table, *a, **k:
+                        orders.append(len(table)) or init(self, table, *a, **k))
+    t0, t1 = system.window
+    for whole in (time_granule(system, t0, t1 - t0, ell=1),
+                  spectral_granule(system, t0, t1 - t0)):
+        assert whole.quotient.order == 1
+        assert whole.cosets[0] == tuple(range(4096))
+    for k, t in basis.slots:
+        assert (time_granule(system, t, k, ell=1).quotient.order
+                == spectral_granule(system, t, k).quotient.order
+                == basis.label_count((k, t)))
+    assert max(orders) == 2
 
 
 def test_granule_orders_match_zassenhaus(r2, c2):
