@@ -56,7 +56,7 @@ from .generators import (
 from .groups import (
     FiniteGroup,
     Homomorphism,
-    QuotientPresentation,
+    Quotient,
     Subgroup,
     cyclic_group,
     direct_product,

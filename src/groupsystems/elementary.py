@@ -45,6 +45,7 @@ from .groups import (FiniteGroup, class_table, compose_columns,
                      homomorphism_witness, trivial_group)
 from .slots import (
     Slot,
+    check_slot_table,
     children,
     entries_at,
     in_slot_table,
@@ -113,6 +114,7 @@ class ElementarySystem:
         """Cartesian element sets plus the projection condition.  Anchors
         are visited one at a time, so a window far wider than the tables
         given fails at the first anchor without one."""
+        check_slot_table(self.window, self.ell)
         for anchor in iter_window_slots(self.window, self.ell):
             table = self.table(anchor)
             expected = 1
@@ -420,12 +422,8 @@ def construct_elementary_system(window: Tuple[int, int], ell: int,
       overlap, by the arguments in `_build_anchor`.
     """
     strategy = strategy or ConstructionStrategy({})
+    check_slot_table(window, ell)
     t0, t1 = window
-    if ell < 0 or t1 - t0 < 0:
-        raise OutOfWindow("degenerate construction window")
-    if ell > t1 - t0:
-        raise OutOfWindow(f"ell {ell} exceeds the window [{t0},{t1}]: "
-                          f"its longest span has ell {t1 - t0}")
     # every key must be read by an anchor, kernels below the top row: a
     # depth key k by anchor (k, t0), since no row up to ell is empty
     for what, keys, k_max, place in (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     AxiomViolation,
@@ -103,8 +103,7 @@ class FiniteGroup:
 
 
 def _greedy_generators(table: tuple) -> tuple:
-    closure: set = {0}
-    return tuple(close_greedily(closure, range(1, len(table)),
+    return tuple(close_greedily({0}, range(1, len(table)),
                                 lambda a, s: table[a][s], _accept))
 
 
@@ -211,27 +210,18 @@ def compose_columns(columns: Sequence[Sequence[int]], n: int) -> Tuple[tuple, ..
 
 def greedy_columns(candidates: Iterable[int], column) -> Tuple[list, list]:
     """The greedy generators among `candidates` and their columns, where
-    column(j)[a] is the index of a j for every element a: a candidate is
-    taken when it lies outside the closure of those taken before, and the
-    closure grows breadth-first along the columns, old elements needing
-    only the new column and elements found on the way every column (the
-    order of `close_greedily`, a whole column at a time).  The elements
-    reached are the closure of the identity, 0, under the generators.
-    `column` may raise, for a candidate whose products leave the set."""
-    gens: list = []
-    cols: list = []
-    reached = {0}
-    for j in candidates:
-        if j not in reached:
-            gens.append(j)
-            cols.append(column(j))
-            frontier, step = reached, cols[-1:]
-            while frontier:
-                frontier = {b for col in step
-                            for b in map(col.__getitem__, frontier)} - reached
-                reached |= frontier
-                step = cols
-    return gens, cols
+    column(j)[a] is the index of a j for every element a (`saturate` from
+    the identity, 0, along the columns).  Only a candidate taken has its
+    column made, once; `column` may raise, for a candidate whose products
+    leave the set."""
+    cols: dict = {}
+
+    def move(frontier: list, j: int):
+        col = cols[j] = cols.get(j) or column(j)
+        return map(col.__getitem__, frontier)
+
+    gens = saturate({0}, candidates, move)
+    return gens, [cols[j] for j in gens]
 
 
 def make_group(op_table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -315,15 +305,19 @@ class Subgroup:
         return FiniteGroup(class_table(self.parent.op_table, pos, embed),
                            name=name, _validated=True), embed
 
-    def quotient_by(self, inner: Sequence[int], name: str = "H") -> tuple:
+    def quotient_by(self, inner: Sequence[int], name: str = "H") -> Quotient:
         """This subgroup over the normal subgroup whose members (parent
-        indices, each in this one) are `inner`, on the table of
-        `as_group(name)`: (presentation, pos) with pos[m] the index of
-        member m in that table.  NotNormal (`quotient`) when `inner` is
-        not normal here."""
+        indices, each in this one) are `inner`: the `quotient` of
+        `inner_subgroup(inner, name)`, its cosets positions in that table.
+        NotNormal when `inner` is not normal here."""
+        return quotient(*self.inner_subgroup(inner, name))
+
+    def inner_subgroup(self, inner: Sequence[int], name: str = "H") -> tuple:
+        """(group, sub): `as_group(name)`, and `inner` (parent indices, each
+        in this subgroup) as a subgroup of it, at the members' positions."""
         group, embed = self.as_group(name)
-        pos = {m: i for i, m in enumerate(embed)}
-        return quotient(group, Subgroup(group, tuple(map(pos.__getitem__, inner)))), pos
+        pos = dict(zip(embed, range(len(embed))))
+        return group, Subgroup(group, tuple(map(pos.__getitem__, inner)))
 
 
 def closure_generators(members: Sequence[int], memset: frozenset, mul) -> list:
@@ -372,6 +366,31 @@ def close_greedily(closure: set, candidates: Iterable, mul, vet) -> list:
                         closure.add(prod)
                         found.append(prod)
             frontier, step = found, gens
+    return gens
+
+
+def saturate(closure: set, candidates: Iterable, move, cap: Optional[int] = None) -> list:
+    """`close_greedily` a level at a time: the same generators and closure,
+    with each breadth-first level formed as whole passes, move(frontier, s)
+    giving the products a s of every a in the frontier list (one list per
+    level, moved by each generator in turn).  The products not reached yet
+    are the next level, and a level that would take the closure past `cap`
+    elements raises BoundExceeded before it joins."""
+    gens: list = []
+    for g in candidates:
+        if g in closure:
+            continue
+        gens.append(g)
+        frontier, step = list(closure), (g,)
+        while frontier:
+            found: set = set()
+            for s in step:
+                found.update(move(frontier, s))
+            found -= closure
+            if found and cap is not None and len(closure) + len(found) > cap:
+                raise BoundExceeded(f"closure: more than {cap} elements")
+            closure |= found
+            frontier, step = list(found), gens
     return gens
 
 
@@ -467,29 +486,19 @@ class Homomorphism:
         return len(set(self.image_of)) == self.domain.order
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
-    """A quotient g/h with deterministic coset representatives.
-
-    Cosets are sorted by their least element; representatives are those
-    least elements, so the identity coset is index 0 with representative 0.
-    """
-
-    parent: FiniteGroup
-    normal_subgroup: Subgroup
-    cosets: tuple
+class Quotient(NamedTuple):
+    """A quotient group: its cosets, each ascending and numbered by its
+    least element, so the kernel is coset 0, and its table on those
+    numbers.  The projection is the coset map read off the cosets."""
+    cosets: Tuple[Tuple[int, ...], ...]
     quotient: FiniteGroup
-    projection: Homomorphism
 
     @property
     def representatives(self) -> tuple:
         return tuple(c[0] for c in self.cosets)
 
-    def coset_index(self, a: int) -> int:
-        return self.projection(a)
 
-
-def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> QuotientPresentation:
+def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> Quotient:
     """Coset-enumerate g/h and induce the quotient table (`class_table`).
     One ascending pass numbers the cosets a h: the first element not yet
     classed is the least of its coset, so the cosets are numbered by their
@@ -505,9 +514,8 @@ def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> Quotien
                 cls[row[x]] = len(reps)
             reps.append(a)
     cosets = tuple(tuple(sorted(op[a][x] for x in h.members)) for a in reps)
-    q = FiniteGroup(class_table(op, cls, reps), name=name or f"{g.name}/H",
-                    _validated=True)
-    return QuotientPresentation(g, h, cosets, q, Homomorphism(g, q, cls))
+    return Quotient(cosets, FiniteGroup(class_table(op, cls, reps),
+                                        name=name or f"{g.name}/H", _validated=True))
 
 
 def intersect_subgroups(g: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup:
@@ -541,35 +549,32 @@ def zassenhaus_hom(g: FiniteGroup, u: Subgroup, ustar: Subgroup,
     for sub, sup, tag in ((u, ustar, "U ⊲ U*"), (v, vstar, "V ⊲ V*")):
         if not sub.member_set() <= sup.member_set():
             raise PreconditionViolated(f"{tag}: not contained")
-        try:
-            sup.quotient_by(sub.members)
-        except NotNormal:
-            raise PreconditionViolated(f"{tag}: not normal") from None
+        if not is_normal(*sup.inner_subgroup(sub.members)):
+            raise PreconditionViolated(f"{tag}: not normal")
 
     inter_star = intersect_subgroups(g, ustar, vstar)
     d = product_of_subgroups(g, intersect_subgroups(g, ustar, v),
                              intersect_subgroups(g, u, vstar))
     numerator = product_of_subgroups(g, u, inter_star)
     denominator = product_of_subgroups(g, u, intersect_subgroups(g, ustar, v))
-    # codomain (U*∩V*)/D and domain U(U*∩V*)/U(U*∩V)
-    qp_cod, star_pos = inter_star.quotient_by(d.members)
-    qp_dom, _ = numerator.quotient_by(denominator.members)
+    # codomain (U*∩V*)/D and domain U(U*∩V*)/U(U*∩V), each on its numerator's table
+    cod = inter_star.quotient_by(d.members)
+    num_group, den = numerator.inner_subgroup(denominator.members)
+    dom = quotient(num_group, den)
 
-    # f on elements: x = u·u* maps to coset D·u*
+    # f on elements: x = u·u* maps to coset D·u*, u* at position p in U*∩V*
+    coset_of = {p: i for i, coset in enumerate(cod.cosets) for p in coset}
     uset = u.member_set()
-    f_values = [next((qp_cod.coset_index(star_pos[y]) for y in inter_star.members
+    f_values = [next((coset_of[p] for p, y in enumerate(inter_star.members)
                       if g.op(x, g.inv(y)) in uset), None) for x in numerator.members]
     if None in f_values:
         raise PreconditionViolated("element of U(U*∩V*) without u·u* factorization")
     # well-definedness + homomorphism property on the subgroup
-    raw = Homomorphism(qp_dom.parent, qp_cod.quotient, f_values)
-    kernel_members = tuple(numerator.members[a] for a in raw.kernel().members)
-    if kernel_members != denominator.members:
+    raw = Homomorphism(num_group, cod.quotient, f_values)
+    if raw.kernel().members != den.members:
         raise PreconditionViolated("Zassenhaus kernel mismatch")
 
-    induced = Homomorphism(
-        qp_dom.quotient, qp_cod.quotient,
-        tuple(raw(qp_dom.cosets[i][0]) for i in range(qp_dom.quotient.order)))
+    induced = Homomorphism(dom.quotient, cod.quotient, tuple(raw(c[0]) for c in dom.cosets))
     if not (induced.is_injective() and induced.is_surjective()):
         raise PreconditionViolated("Zassenhaus map not an isomorphism")
     return induced

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .elementary import ElementarySystem
-from .errors import BoundExceeded, OutOfWindow, ParseError, count_text
+from .errors import BoundExceeded, ParseError, count_text
 from .generators import ElementaryGroupTable
 from .groups import (FiniteGroup, cyclic_group, direct_product, make_group_of_ints,
                      symmetric_group_3)
-from .slots import in_slot_table, upper_triangle_positions
+from .slots import check_slot_table, in_slot_table, upper_triangle_positions
 from .systems import DEFAULT_MEMBER_CAP, LETTER_CAP, GroupSystem, build_system
 
 _CYCLIC_RE = re.compile(r"^Z(\d+)$")
@@ -55,7 +55,7 @@ def resolve_group(name: str, search_dir: Optional[Path] = None) -> FiniteGroup:
 
 # -- .grp -------------------------------------------------------------------
 
-_SPACE_RE = re.compile(r"\s+")
+_NON_TOKEN_RE = re.compile(r"[\s#]+")
 
 
 def _lines(rows, prefix: str = "") -> str:
@@ -71,10 +71,16 @@ def _lines_once(cache: Dict[tuple, str], rows: tuple, prefix: str = "") -> str:
     return text
 
 
+def _token(name: str, default: str) -> str:
+    """A header name as one token: runs of blanks and of the comment
+    character '#' become '_', and an empty name is `default`."""
+    return _NON_TOKEN_RE.sub("_", name) or default
+
+
 def dump_group(g: FiniteGroup, rows: Optional[str] = None) -> str:
     """A `group <name> <order>` header and the table rows; `rows`, if
     given, is their text (`_lines` of the table)."""
-    name = _SPACE_RE.sub("_", g.name) or "G"
+    name = _token(g.name, "G")
     return f"group {name} {g.order}\n" + (_lines(g.op_table) if rows is None else rows)
 
 
@@ -245,8 +251,8 @@ def parse_system(text: str, search_dir: Optional[Path] = None,
 
     if not seqs:
         raise ParseError("no members given")
-    # seq lengths first: they bound the window, which may be huge
-    length = window[1] - window[0] + 1
+    # the window, then seq lengths: they bound the window, which may be huge
+    length = check_slot_table(window, 0)
     for s in seqs:
         if len(s) != length:
             raise ParseError(f"seq {s} does not span the window")
@@ -316,10 +322,7 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
     alphabet = base
     for _ in range(len(tap_lists) - 1):
         alphabet, _, _ = direct_product(alphabet, base)
-    t0, t1 = window
-    length = t1 - t0 + 1
-    if length < 1:
-        raise OutOfWindow(f"empty window [{t0},{t1}]")
+    length = check_slot_table(window, 0)
     # every member is a word as long as the window
     if length > member_cap:
         raise BoundExceeded(f"rule unrolling: a window of {count_text(length)} "
@@ -358,7 +361,7 @@ def _unroll_rule(name: str, window: Tuple[int, int], rule: tuple, lookup,
 def dump_system(system: GroupSystem) -> str:
     """Canonical dump: inline groups (deduped by table), alphabet lines,
     then members in lexicographic order."""
-    lines = [f"system {system.name}",
+    lines = [f"system {_token(system.name, 'A')}",
              f"window {system.window[0]} {system.window[1]}"]
     table_names: Dict[tuple, str] = {}
     blocks: List[str] = []
@@ -400,7 +403,7 @@ def dump_elementary_system(es: ElementarySystem) -> str:
     """Header, label counts, then one `egrp` block per anchor; each
     distinct triangle list and table is formatted once (extracted systems
     repeat both)."""
-    out = [f"esys {es.name} depth {es.depth} window "
+    out = [f"esys {_token(es.name, 'E')} depth {es.depth} window "
            f"{es.window[0]} {es.window[1]}\n"]
     out.extend([f"labels {k} {t} {es.label_sizes[(k, t)]}\n" for k, t in es.slots()])
     tri_text: Dict[tuple, str] = {}
@@ -439,7 +442,7 @@ def parse_elementary_system(text: str) -> ElementarySystem:
     window = (t0, t1)
     ell = depth - 1
     # every time of the window anchors a table of its own
-    if t1 - t0 + 1 > len(lines):
+    if check_slot_table(window, ell) > len(lines):
         raise ParseError(f"esys window {t0} {t1} has more times "
                          f"than the file has lines")
 

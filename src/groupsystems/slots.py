@@ -12,7 +12,24 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from .errors import OutOfWindow
+
 Slot = Tuple[int, int]  # (k, t): generator length k+1 starting at time t
+
+
+def check_slot_table(window: Tuple[int, int], ell: int) -> int:
+    """The window's length t1 - t0 + 1; OutOfWindow unless t0 <= t1 and
+    0 <= ell <= t1 - t0, as no system on the window has a controllability
+    index above t1 - t0."""
+    t0, t1 = window
+    if t1 < t0:
+        raise OutOfWindow(f"empty window [{t0},{t1}]")
+    if ell < 0:
+        raise OutOfWindow(f"ell {ell} is negative")
+    if ell > t1 - t0:
+        raise OutOfWindow(f"ell {ell} exceeds the window [{t0},{t1}]: "
+                          f"its longest span has ell {t1 - t0}")
+    return t1 - t0 + 1
 
 
 def window_slots(window: Tuple[int, int], ell: int) -> Tuple[Slot, ...]:

@@ -16,7 +16,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
@@ -25,8 +25,8 @@ from .errors import (
     NotControllableOnWindow,
     OutOfWindow,
 )
-from .groups import FiniteGroup, class_table, close_greedily
-from .slots import Slot, fold_order, positions_in, walk, window_slots
+from .groups import FiniteGroup, Quotient, class_table, close_greedily, saturate
+from .slots import Slot, check_slot_table, fold_order, positions_in, walk, window_slots
 
 DEFAULT_MEMBER_CAP = 2 ** 16
 # a built system's size in letters, members times window length: the size
@@ -43,13 +43,11 @@ class GroupSystem:
     def __init__(self, window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                  sequences: Iterable[Seq], name: str = "A",
                  member_cap: int = DEFAULT_MEMBER_CAP, _closed: bool = False):
-        t0, t1 = int(window[0]), int(window[1])
-        if t1 < t0:
-            raise OutOfWindow(f"empty window [{t0},{t1}]")
-        self.window = (t0, t1)
+        self.window = (int(window[0]), int(window[1]))
+        length = check_slot_table(self.window, 0)
         self.alphabets = tuple(alphabets)
         self._op_tables = tuple(g.op_table for g in self.alphabets)
-        if len(self.alphabets) != t1 - t0 + 1:
+        if len(self.alphabets) != length:
             raise NotAGroupSystem("alphabet count does not match window")
         # a closed member set holds distinct tuples of ints already
         members = sorted(sequences if _closed
@@ -194,18 +192,15 @@ class GroupSystem:
         subgroup, hence closed.  A closed member set lets no product
         escape.  The cost is |A| x |generators| products instead of |A|^2.
 
-        Those products are first formed as column passes: `_saturate` grows
-        the identity to the subgroup the members generate, the same
-        generators and closure, capped at |A| members.  The members are
-        closed iff that subgroup lies inside them (it holds every member),
-        and then nothing more runs.  Otherwise (the cap was passed or a
-        product lies outside) the member set is not closed, and the tuple
-        loop below finds and raises the witness.
+        Those products are first formed as column passes: `saturate` grows
+        the identity to the subgroup the members generate, capped at |A|
+        members.  They are closed iff it lies inside them (it holds every
+        member), and then nothing more runs.  Otherwise they are not
+        closed, and the tuple loop below finds and raises the witness.
         """
-        index = self._index
-        closure = {self.identity}
+        index, closure = self._index, {self.identity}
         try:
-            _saturate(closure, self.sequences, self._op_columns, len(index))
+            saturate(closure, self.sequences, letter_move(self._op_columns), len(index))
         except BoundExceeded:
             pass  # the closure outgrew the members
         else:
@@ -338,8 +333,8 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     generators before it; the closure grows by right multiplication, which
     in a finite group reaches the subgroup the seeds generate -- the set the
     pairwise saturation of both-sided products reaches.  That costs |A| x
-    |generators| products, formed as column passes (`_saturate`) through
-    the tables `GroupSystem._op_columns` holds.  Seed length and
+    |generators| products, formed as column passes (`saturate`,
+    `letter_move`) through the transposed tables.  Seed length and
     letter range are checked on the letter columns; only a seed set that
     fails is walked seed by seed for the witness.  Per-time alphabets are
     restricted to their realized projections.  The closure may pass
@@ -348,8 +343,7 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
 
     The system is built `_closed`, so it is not validated again (the
     argument is in `GroupSystem._validate`)."""
-    t0, t1 = window
-    length = t1 - t0 + 1
+    length = check_slot_table(window, 0)
     alphabets = tuple(alphabets)
     seeds = [tuple(map(int, s)) for s in seeds]
     if not (all(len(s) == length for s in seeds)
@@ -364,11 +358,12 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     members = {(0,) * length}
     by_letters = LETTER_CAP // length
     try:
-        _saturate(members, seeds, transposed_tables(alphabets),
-                  min(member_cap, by_letters))
+        saturate(members, seeds, letter_move(transposed_tables(alphabets)),
+                 min(member_cap, by_letters))
     except BoundExceeded:
         if member_cap <= by_letters:
-            raise
+            raise BoundExceeded(f"build_system saturation: {max(member_cap, 1) + 1} "
+                                f"members exceed cap {member_cap}") from None
         raise BoundExceeded(f"build_system saturation: {by_letters + 1} members "
                             f"of {length} letters exceed cap "
                             f"LETTER_CAP={LETTER_CAP} letters") from None
@@ -377,36 +372,17 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                        member_cap=member_cap, _closed=True)
 
 
-def _saturate(members: set, seeds: Sequence[Seq], lines: Sequence[tuple],
-              member_cap: int) -> None:
-    """`close_greedily` on sequences, by columns: grow `members` (holding
-    the identity) to the subgroup the seeds generate, taking a seed as a
-    generator only when it lies outside the closure so far.
+def letter_move(lines: Sequence[tuple]):
+    """The move of `saturate` on sequences through the transposed tables
+    `lines`: the frontier's letter columns, formed once per level, moved by
+    s (`move_columns`) and zipped back into sequences."""
+    last: list = [None, None]  # the frontier of the level, and its columns
 
-    Each breadth-first step moves the frontier's letter columns by each
-    generator through the transposed tables `lines` (`move_columns`) and
-    keeps the products not yet in the closure.  The generators and the
-    closure after each one are those of `close_greedily`, which forms the
-    same products one tuple at a time.  A closure that would pass
-    `member_cap` raises before it grows."""
-    gens: List[Seq] = []
-    for g in seeds:
-        if g in members:
-            continue
-        gens.append(g)
-        frontier, step = list(members), (g,)
-        while frontier:
-            cols = list(zip(*frontier))
-            found: set = set()
-            for s in step:
-                found.update(zip(*move_columns(lines, cols, s)))
-            found -= members
-            if found and len(members) + len(found) > member_cap:
-                count = max(len(members), member_cap) + 1
-                raise BoundExceeded(f"build_system saturation: {count} "
-                                    f"members exceed cap {member_cap}")
-            members |= found
-            frontier, step = list(found), gens
+    def move(frontier: list, s: Seq):
+        if last[0] is not frontier:
+            last[:] = frontier, list(zip(*frontier))
+        return zip(*move_columns(lines, last[1], s))
+    return move
 
 
 # -- controllability ------------------------------------------------------
@@ -454,29 +430,20 @@ def _normal_product(system: GroupSystem, *subgroups: Iterable[int]) -> List[int]
     group, as ascending member indices.
 
     With K normal, H K = K H is a subgroup, and it is the one H and K
-    generate, so the product is the closure of the members: `_saturate` grows
-    the identity to it by column passes, taking a member as a generator
-    only when it lies outside the closure so far.  The cost is |H K| x
-    |generators| letter lookups instead of the |H| |K| tuple products of
-    the set product.  Every product subgroup here is of support
-    subgroups A^[a, b], and these are normal: conjugation acts letter by
-    letter, so it never turns an identity letter into another one."""
-    product = {system.identity}
-    seqs = system.sequences
-    _saturate(product, [seqs[i] for i in itertools.chain(*subgroups)],
-              system._op_columns, len(system))
+    generate, so the product is the closure of the members (`saturate`,
+    `letter_move`): |H K| x |generators| letter lookups instead of the
+    |H| |K| tuple products of the set product.  Every product subgroup
+    here is of support subgroups A^[a, b], and these are normal:
+    conjugation acts letter by letter, so it never turns an identity
+    letter into another one."""
+    product, seqs = {system.identity}, system.sequences
+    saturate(product, [seqs[i] for i in itertools.chain(*subgroups)],
+             letter_move(system._op_columns))
     return sorted(map(system._index.__getitem__, product))
 
 
-class Granule(NamedTuple):
-    """A quotient num / den of member subgroups: its cosets as ascending
-    member indices, by least member, and its table on their numbers."""
-    cosets: Tuple[Tuple[int, ...], ...]
-    quotient: FiniteGroup
-
-
 def time_granule(system: GroupSystem, i: int, m: int,
-                 ell: Optional[int] = None) -> Granule:
+                 ell: Optional[int] = None) -> Quotient:
     """X^{i+1}(X^i ∩ Y^{i+m}) / X^{i+1}(X^i ∩ Y^{i+m-1}) as a quotient.
 
     X^i ∩ Y^j is the support subgroup A^[i, j] (`finite_support_indices`).
@@ -495,7 +462,7 @@ def time_granule(system: GroupSystem, i: int, m: int,
     return qp
 
 
-def spectral_granule(system: GroupSystem, i: int, m: int) -> Granule:
+def spectral_granule(system: GroupSystem, i: int, m: int) -> Quotient:
     """A^[i,i+m] / (A^[i,i+m) A^(i,i+m]) -- the finite-extent granule."""
     t0, t1 = system.window
     if not t0 <= i <= t1 or (m >= 0 and i + m > t1):
@@ -505,7 +472,7 @@ def spectral_granule(system: GroupSystem, i: int, m: int) -> Granule:
     return _member_quotient(system, support(i, i + m), den)
 
 
-def _member_quotient(system: GroupSystem, num, den) -> Granule:
+def _member_quotient(system: GroupSystem, num, den) -> Quotient:
     """num / den for member subgroups den <= num, den normal (products of
     support subgroups), with no table of num: |num| products for the cosets
     (`_cosets`), |Q|^2 for the table, row c the cosets moved by coset c."""
@@ -516,7 +483,7 @@ def _member_quotient(system: GroupSystem, num, den) -> Granule:
     columns = [[col[c[0]] for c in cosets] for col in system.columns]
     table = tuple(tuple(map(cls.__getitem__, system.translate(columns, seqs[c[0]], right=False)))
                   for c in cosets)
-    return Granule(tuple(cosets), FiniteGroup(table, name=f"{system.name}|num/H", _validated=True))
+    return Quotient(tuple(cosets), FiniteGroup(table, name=f"{system.name}|num/H", _validated=True))
 
 
 # -- generator basis ------------------------------------------------------

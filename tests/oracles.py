@@ -96,7 +96,9 @@ elementary system's checks.
 Last of all are the quotients as each site built them before
 `groups.class_table` read every table off a class map and
 `Subgroup.quotient_by` formed every quotient of nested subgroups:
-`quotient` sorting its cosets after finding them, `as_group` by parent
+`quotient` sorting its cosets after finding them and returning the
+record `QuotientPresentation` (parent, normal subgroup, cosets, quotient
+and a verified projection) that `groups.Quotient` replaced, `as_group` by parent
 products, `make_group` relabeling through `perm.index`, the granules'
 `quotient_of_member_sets`, and `zassenhaus_hom` with its own subgroup
 tables and position maps.  They call the library only for the row check
@@ -180,7 +182,6 @@ from groupsystems.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     Homomorphism,
-    QuotientPresentation,
     Subgroup,
     _check_row,
     homomorphism_witness,
@@ -1883,6 +1884,26 @@ def as_group(sub: Subgroup, name: str = "H") -> tuple:
     pos = {m: i for i, m in enumerate(embed)}
     table = [[pos[sub.parent.op(a, b)] for b in embed] for a in embed]
     return FiniteGroup(table, name=name, _validated=True), embed
+
+
+@dataclass(frozen=True)
+class QuotientPresentation:
+    """The quotient record `quotient` returned before `groups.Quotient`:
+    the parent, the normal subgroup and the verified projection beside the
+    cosets and the quotient group."""
+
+    parent: FiniteGroup
+    normal_subgroup: Subgroup
+    cosets: tuple
+    quotient: FiniteGroup
+    projection: Homomorphism
+
+    @property
+    def representatives(self) -> tuple:
+        return tuple(c[0] for c in self.cosets)
+
+    def coset_index(self, a: int) -> int:
+        return self.projection(a)
 
 
 def quotient(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> QuotientPresentation:

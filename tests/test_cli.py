@@ -756,6 +756,34 @@ def test_long_windows_end_in_typed_errors(capsys, tmp_path):
     assert got == 3 and "exceeds cap CYCLIC_ORDER_CAP" in err
 
 
+def test_headers_that_name_no_slot_table_exit_2(capsys, tmp_path):
+    """The three .esys headers that name no slot table, and a .gsys seq
+    file with a reversed window, exit 2 at their headers with the slot
+    table's refusal; a constructed dump under a name with a blank in it
+    round-trips."""
+    built = tmp_path / "w01.esys"
+    assert run(capsys, "--window", "0", "1", "--out", built, "construct",
+               "--seed-group", "Z2", "--ell", "1")[0] == 0
+    deep = built.read_text().replace("depth 2", "depth 5", 1)
+    cases = [("d0.esys", "esys E depth 0 window 0 0\n", "roundtrip",
+              "ell -1 is negative"),
+             ("rev.esys", "esys E depth 1 window 3 0\n", "roundtrip", "empty window [3,0]"),
+             ("d5.esys", deep, "roundtrip", "ell 4 exceeds the window [0,1]"),
+             ("rev.gsys", "system X\nwindow 3 0\nalphabet all Z2\nseq 0 0\n", "validate",
+              "empty window [3,0]")]
+    for file, text, command, message in cases:
+        path = tmp_path / file
+        path.write_text(text)
+        got, out, err = run(capsys, command, path)
+        assert (got, out, err.startswith(f"invariant violation: {message}")) == (2, "", True), err
+    named = tmp_path / "named.esys"
+    got, out, _ = run(capsys, "--window", "0", "3", "--out", named, "construct",
+                      "--seed-group", "Z2", "--ell", "1", "--name", "my sys")
+    assert (got, out) == (0, "constructed my sys depth=2 system order=8 ell=1\n")
+    assert named.read_text().startswith("esys my_sys depth 2 window 0 3\n")
+    assert run(capsys, "roundtrip", named)[:2] == (0, "roundtrip ok system order=8 ell=1\n")
+
+
 FUZZ_COMMANDS = {
     "gsys": (("validate",), ("generators",), ("esys",), ("roundtrip",), ("chains",)),
     "esys": (("roundtrip",),),

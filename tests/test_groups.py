@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsystems.errors import AxiomViolation, NotNormal
+from conftest import make_c2, make_parity3, make_s3_rep
+from groupsystems.errors import AxiomViolation, BoundExceeded, NotNormal
 from groupsystems.groups import (
+    Homomorphism,
+    close_greedily,
     cyclic_group,
     direct_product,
     find_isomorphism,
+    greedy_columns,
     intersect_subgroups,
     is_isomorphic,
     is_normal,
     make_group,
     product_of_subgroups,
     quotient,
+    saturate,
     subgroup_closure,
     symmetric_group_3,
     trivial_group,
@@ -22,6 +27,8 @@ from groupsystems.groups import (
     whole_subgroup,
     zassenhaus_hom,
 )
+from groupsystems.io import parse_system
+from groupsystems.systems import build_system, letter_move
 
 
 def s3_via_permutations():
@@ -140,13 +147,20 @@ def test_quotient_z4_and_s3():
 
 
 def test_quotient_lagrange_property():
+    """Lagrange, the kernel as the identity coset, and the projection as
+    the coset map read off the cosets: a homomorphism onto the quotient
+    with kernel h."""
     for g in (cyclic_group(6), symmetric_group_3(), cyclic_group(8)):
         for seed in g.elements():
             h = subgroup_closure(g, (seed,))
             if is_normal(g, h):
                 qp = quotient(g, h)
                 assert qp.quotient.order * h.order == g.order
-                assert qp.projection.kernel().members == h.members
+                assert qp.cosets[0] == h.members
+                coset_of = {a: i for i, coset in enumerate(qp.cosets) for a in coset}
+                projection = Homomorphism(g, qp.quotient, [coset_of[a] for a in g.elements()])
+                assert projection.kernel().members == h.members
+                assert projection.is_surjective()
 
 
 def test_product_of_subgroups():
@@ -237,3 +251,75 @@ def test_intersect_subgroups():
     b = subgroup_closure(z12, (3,))
     both = intersect_subgroups(z12, a, b)
     assert both.members == (0, 6)
+
+
+# -- the two closures ---------------------------------------------------------
+
+def assert_saturate_matches(start, candidates, move, mul, cap) -> None:
+    """`saturate` reaches the closure and takes the generators that
+    `close_greedily` does, and raises BoundExceeded exactly when that
+    closure has more than `cap` elements."""
+    want = set(start)
+    gens = close_greedily(want, candidates, mul, lambda a, s, prod: None)
+    got = set(start)
+    try:
+        assert saturate(got, candidates, move, cap) == gens
+    except BoundExceeded:
+        assert cap is not None and len(want) > cap
+    else:
+        assert got == want
+        assert cap is None or len(want) <= cap
+
+
+TABLE_GROUPS = [cyclic_group(6), symmetric_group_3(),
+                direct_product(cyclic_group(2), cyclic_group(4))[0],
+                direct_product(symmetric_group_3(), cyclic_group(2))[0],
+                direct_product(cyclic_group(2), cyclic_group(2))[0]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(TABLE_GROUPS) - 1), st.data())
+def test_saturate_matches_close_greedily_on_tables(which, data):
+    """Group tables relabeled by a drawn permutation that keeps 0, drawn
+    candidate lists with repeats, and drawn caps; `greedy_columns` keeps
+    the columns of the generators taken."""
+    g = TABLE_GROUPS[which]
+    n = g.order
+    perm = [0] + data.draw(st.permutations(range(1, n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[g.op(a, b)]
+    candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    cap = data.draw(st.none() | st.integers(1, n + 1))
+    assert_saturate_matches({0}, candidates,
+                            lambda frontier, s: [table[a][s] for a in frontier],
+                            lambda a, s: table[a][s], cap)
+    gens, cols = greedy_columns(candidates, lambda j: [row[j] for row in table])
+    assert gens == close_greedily({0}, candidates, lambda a, s: table[a][s],
+                                  lambda a, s, prod: None)
+    assert cols == [[row[j] for row in table] for j in gens]
+
+
+def s3_square():
+    s3 = symmetric_group_3()
+    flip = next(a for a in s3.elements() if s3.element_order(a) == 2)
+    rot = next(a for a in s3.elements() if s3.element_order(a) == 3)
+    return build_system((0, 1), [s3, s3], [(flip, 0), (rot, 0), (0, flip), (0, rot)])
+
+
+LETTER_SYSTEMS = {"c2": make_c2(), "s3_rep": make_s3_rep(), "parity3": make_parity3(),
+                  "s3_square": s3_square(),
+                  "z3_w4": parse_system("system Z\nwindow 0 3\nrule conv Z3 x0 x0+x1\n")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(LETTER_SYSTEMS)), st.data())
+def test_saturate_matches_close_greedily_on_letter_columns(name, data):
+    """Drawn member lists of the fixture systems, moved as letter columns
+    (`letter_move`) against the tuple product `GroupSystem.mul`."""
+    system = LETTER_SYSTEMS[name]
+    candidates = data.draw(st.lists(st.sampled_from(system.sequences), max_size=6))
+    cap = data.draw(st.none() | st.integers(1, len(system) + 1))
+    assert_saturate_matches({system.identity}, candidates,
+                            letter_move(system._op_columns), system.mul, cap)

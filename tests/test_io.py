@@ -11,6 +11,7 @@ import groupsystems.io as io
 import groupsystems.systems as systems
 from groupsystems.elementary import (
     ConstructionStrategy,
+    ElementarySystem,
     construct_elementary_system,
     extract_elementary_system,
     global_group_system,
@@ -19,6 +20,7 @@ from groupsystems.errors import (
     AxiomViolation,
     BoundExceeded,
     NotAGroupSystem,
+    OutOfWindow,
     ParseError,
     ToolkitError,
     WellDefinednessFailure,
@@ -36,6 +38,7 @@ from groupsystems.io import (
     parse_system,
     resolve_group,
 )
+from groupsystems.slots import check_slot_table
 from groupsystems.systems import GroupSystem, build_system
 
 
@@ -348,6 +351,53 @@ def test_elementary_parse_error():
         parse_elementary_system("esys X depth 2\n")
 
 
+def test_esys_headers_that_name_no_slot_table_are_refused():
+    """A depth below 1, a reversed window, and a depth whose ell passes
+    t1 - t0 name no slot table: refused at the header, where they once
+    loaded (the last only to fail its roundtrip); `verify` refuses them
+    too."""
+    dump = dump_elementary_system(construct_elementary_system((0, 1), 1, cyclic_group(2)))
+    assert dump.startswith("esys E depth 2 window 0 1\n")
+    for text, message in (
+            ("esys E depth 0 window 0 0\n", "ell -1 is negative"),
+            ("esys E depth 1 window 3 0\n", "empty window [3,0]"),
+            (dump.replace("depth 2", "depth 5", 1),
+             "ell 4 exceeds the window [0,1]: its longest span has ell 1")):
+        with pytest.raises(OutOfWindow, match=f"^{re.escape(message)}$"):
+            parse_elementary_system(text)
+    with pytest.raises(OutOfWindow, match="ell -1 is negative"):
+        ElementarySystem(name="E", ell=-1, window=(0, 0), label_sizes={}, tables={}).verify()
+
+
+def test_a_reversed_seq_window_is_refused_as_the_rule_form_is():
+    """`window 3 0` gives the rule form's refusal in a seq file too, before
+    the seq lengths; `window 1 0` with an empty seq, whose length matched,
+    reached the saturation's division by the window length."""
+    for body in ("rule conv Z2 x0\n", "alphabet all Z2\nseq 0 0\n"):
+        with pytest.raises(OutOfWindow, match=r"^empty window \[3,0\]$"):
+            parse_system(f"system X\nwindow 3 0\n{body}")
+    with pytest.raises(OutOfWindow, match=r"^empty window \[1,0\]$"):
+        parse_system("system X\nwindow 1 0\nalphabet all Z2\nseq\n")
+    with pytest.raises(OutOfWindow, match=r"^empty window \[1,0\]$"):
+        build_system((1, 0), [], [()])
+
+
+def test_header_names_are_written_as_one_comment_free_token():
+    """Blanks and '#' in a system or elementary-system name become '_',
+    an empty name the default, and the dump loads again; a name that is
+    one comment-free token already is written as it is."""
+    for name, token in (("my sys", "my_sys"), ("", "E"), ("#x", "_x"), ("E(R2)", "E(R2)")):
+        es = construct_elementary_system((0, 3), 1, cyclic_group(2), name=name)
+        text = dump_elementary_system(es)
+        assert text.startswith(f"esys {token} depth 2 window 0 3\n")
+        again = parse_elementary_system(text)
+        assert again.name == token and dump_elementary_system(again) == text
+    system = GroupSystem((0, 1), [cyclic_group(2)] * 2, [(0, 0), (1, 1)], name="a b#c")
+    text = dump_system(system)
+    assert text.startswith("system a_b_c\n")
+    assert parse_system(text).sequences == system.sequences
+
+
 def c2_esys_lines(c2) -> list:
     return dump_elementary_system(extract_elementary_system(build_context(c2))).splitlines()
 
@@ -595,7 +645,10 @@ def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
     A table whose identity is not element 0, which the earlier parsers
     relabeled before going on, is now an identity AxiomViolation; the
     earlier parse took that table for a group, so it raised no
-    AxiomViolation, and the table's element 0 is no identity."""
+    AxiomViolation, and the table's element 0 is no identity.  A header
+    that names no slot table (`check_slot_table`), which the earlier
+    parsers read on past, is now OutOfWindow: an .esys window and depth,
+    or the reversed window of a .gsys `seq` file."""
     text = data.draw(fuzzed_texts(kind))
     new = parsed(kind, PARSERS[kind], text)
     old = parsed(kind, ORACLE_PARSERS[kind], text)
@@ -613,7 +666,22 @@ def test_fuzzed_texts_load_as_with_the_earlier_parsers(kind, data):
         with pytest.raises(ParseError, match="^(labels|egrp) line takes 3 integers"):
             parse_elementary_system(text)
         return
+    if new is OutOfWindow and old is not OutOfWindow:
+        with pytest.raises(OutOfWindow):
+            check_slot_table(*header_slot_table(kind, text))
+        return
     assert new == old
+
+
+def header_slot_table(kind: str, text: str) -> tuple:
+    """(window, ell) of a text's header: an .esys window and its depth less
+    one, or a .gsys window with ell 0."""
+    for line in io._strip_lines(text):
+        parts = line.split()
+        if kind == "esys":
+            return (int(parts[5]), int(parts[6])), int(parts[3]) - 1
+        if parts[0] == "window":
+            return (int(parts[1]), int(parts[2])), 0
 
 
 # -- tables are read as written --------------------------------------------------
