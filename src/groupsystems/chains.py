@@ -422,9 +422,7 @@ def block_code_chains(ctx: GeneratorContext, max_orderings: int = 720) -> tuple:
     is nontrivial at each window end.  Returns (chains, truncated).
     """
     system = ctx.system
-    t0, t1 = system.window
-    if all(system.letter(s, t0) == 0 for s in system.sequences) or \
-            all(system.letter(s, t1) == 0 for s in system.sequences):
+    if not (any(system.columns[0]) and any(system.columns[-1])):
         raise NotABlockCode("window padded with dead time")
     fillings, truncated = enumerate_normal_fillings(system.window, ctx.ell,
                                                     max_orderings)

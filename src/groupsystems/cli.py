@@ -216,7 +216,7 @@ def cmd_construct(args) -> int:
                                      strategy, name=args.name)
     system = global_group_system(es)
     ell = controllability_index(system)
-    report = (f"constructed {es.name} depth={es.depth} "
+    report = (f"constructed {fmt._token(es.name, 'E')} depth={es.depth} "
               f"system order={len(system)} ell={ell}\n")
     if args.out is not None:
         Path(args.out).write_text(fmt.dump_elementary_system(es))

@@ -22,7 +22,6 @@ from .errors import (
     BoundExceeded,
     NotAGroupSystem,
     NotAMember,
-    NotControllableOnWindow,
     OutOfWindow,
 )
 from .groups import FiniteGroup, Quotient, class_table, close_greedily, saturate
@@ -30,8 +29,7 @@ from .slots import Slot, check_slot_table, fold_order, positions_in, walk, windo
 
 DEFAULT_MEMBER_CAP = 2 ** 16
 # a built system's size in letters, members times window length: the size
-# of its letter columns, and of each cut's id column in the controllability
-# index; 2^17 members on 17 times take an eighth of it
+# of its letter columns; 2^17 members on 17 times take an eighth of it
 LETTER_CAP = 2 ** 24
 
 Seq = Tuple[int, ...]
@@ -253,18 +251,25 @@ class GroupSystem:
             buckets.setdefault(key, []).append(i)
         return buckets
 
-    def finite_support_indices(self, t_lo: int, t_hi: int) -> List[int]:
-        """A^[t_lo, t_hi] as ascending member indices: the members identity
+    def _support_buckets(self, t_lo: int, t_hi: int) -> List[List[int]]:
+        """The extent buckets inside A^[t_lo, t_hi]: the members identity
         outside the interval (clamped to the window), that is those whose
         first non-identity position is at or after it starts and whose last
-        one is before it ends.  Read off the (first, last) buckets, so a
-        call costs the buckets (at most (length + 1)^2) plus the answer."""
+        one is before it ends.  A call costs the buckets, at most
+        (length + 1)^2."""
         t0, n = self.window[0], self.length
         lo = max(0, min(t_lo - t0, n))
         hi = max(0, min(t_hi - t0 + 1, n))
-        return sorted(itertools.chain.from_iterable(
-            members for (f, l), members in self._extent_buckets.items()
-            if f >= lo and l < hi))
+        return [members for (f, l), members in self._extent_buckets.items()
+                if f >= lo and l < hi]
+
+    def support_order(self, t_lo: int, t_hi: int) -> int:
+        """|A^[t_lo, t_hi]|, read off the extent buckets."""
+        return sum(map(len, self._support_buckets(t_lo, t_hi)))
+
+    def finite_support_indices(self, t_lo: int, t_hi: int) -> List[int]:
+        """A^[t_lo, t_hi] as ascending member indices (`_support_buckets`)."""
+        return sorted(itertools.chain.from_iterable(self._support_buckets(t_lo, t_hi)))
 
     def renamed(self, name: str) -> "GroupSystem":
         """This validated system under another name, sharing its member
@@ -391,36 +396,23 @@ def controllability_index(system: GroupSystem) -> int:
     """Least l with the system [t, t+l)-connectable at every window time.
 
     [t, t+l)-connectability asks that every (past of a', future of a'')
-    pair be realized by one member, which holds iff the number of distinct
-    (prefix, suffix) pairs over the members, cut before t and from t+l on,
-    equals the number of prefixes times the number of suffixes.  Prefixes
-    and suffixes are read as ids, one column per cut computed once: the
-    prefix of length c + 1 is the prefix of length c followed by one more
-    letter, numbered in mixed radix by the alphabet orders, and suffixes
-    likewise from the right.  Equal ids are equal slices, so each (t, l)
-    counts distinct id pairs instead of slicing every member.  The index
-    is computed once per system and kept on it."""
-    if system._controllability is not None:
-        return system._controllability
-    n, length = len(system.sequences), system.length
-    columns, orders = system.columns, [g.order for g in system.alphabets]
-    prefixes = [[0] * n]
-    for col, q in zip(columns, orders):
-        prefixes.append([p * q + x for p, x in zip(prefixes[-1], col)])
-    suffixes = [[0] * n]
-    for col, q in zip(reversed(columns), reversed(orders)):
-        suffixes.append([p * q + x for p, x in zip(suffixes[-1], col)])
-    suffixes.reverse()  # suffixes[c]: the ids of the letters from c on
-    pre_count = [len(set(ids)) for ids in prefixes]
-    suf_count = [len(set(ids)) for ids in suffixes]
-    # t runs over the window and one past it: cuts 0..length before t
-    for l in range(0, length + 1):
-        if all(len(set(zip(prefixes[cut], suffixes[min(cut + l, length)])))
-               == pre_count[cut] * suf_count[min(cut + l, length)]
-               for cut in range(length + 1)):
-            system._controllability = l
-            return l
-    raise NotControllableOnWindow(system.name)
+    pair be joined by one member c = a' x = a'' y, with x the identity
+    before t and y the identity from t+l on.  So the pair is joined iff
+    a''^-1 a' lies in Y X, where Y = A^[t0, t+l-1] and X = A^[t, t1].
+    Since |Y X| = |Y| |X| / |Y ∩ X| and Y ∩ X = A^[t, t+l-1], every pair
+    is joined iff |Y| |X| = |A| |A^[t, t+l-1]| (Forney and Trott: A is
+    l-controllable iff A = A^[t0, t+l-1] A^[t, t1] at every t).  The orders
+    are sums of extent bucket sizes (`support_order`), so past the buckets
+    no member is read, and l = length always passes (Y = A).  The index is
+    computed once per system and kept on it."""
+    if system._controllability is None:
+        t0, t1 = system.window
+        order, n = system.support_order, len(system)
+        system._controllability = next(
+            l for l in range(system.length + 1)
+            if all(order(t0, t + l - 1) * order(t, t1) == n * order(t, t + l - 1)
+                   for t in range(t0, t1 + 2)))
+    return system._controllability
 
 
 # -- granules -------------------------------------------------------------
@@ -635,25 +627,26 @@ def _basis_chain(system: GroupSystem, slots: Tuple[Slot, ...],
     lists them, and no choice tuple is built level by level.  A product
     repeats at level i exactly when two keys of `coset_levels`' level i
     collide, and every repeat lives on into the last level, which holds
-    |A| distinct members exactly when the chain spans.  So the members
-    are looked up once, at the last level, and only a chain that fails
-    there is walked level by level for the first step with a repeat, the
-    witness of the level-by-level check.  The cost is two lookups per
-    member and time over all levels, and one index lookup per member."""
+    |A| distinct members exactly when the chain spans.  So only the
+    current level is kept, the members are looked up once, at the last
+    level, and only a chain that fails there is walked again level by
+    level (`coset_levels` on the member tuples) for the first step that
+    repeats, the witness of the level-by-level check.  The cost is two
+    lookups per member and time over all levels, and one index lookup
+    per member."""
     lines = system._op_columns
     columns = [[x] for x in system.identity]
-    levels = []
     for slot in slots:
         moved = [move_columns(lines, columns, g) for g in transversals[slot]]
         columns = [list(itertools.chain.from_iterable(zip(*per_time)))
                    for per_time in zip(*moved)]
-        levels.append(columns)
     members = list(map(system._index.get, zip(*columns)))
     n = len(system.sequences)
     if None in members or len(members) != n or len(set(members)) != n:
-        for slot, level in zip(slots, levels):
-            rows = list(zip(*level))
-            if len(set(rows)) != len(rows):
+        size, chosen = 1, [transversals[slot] for slot in slots]
+        for slot, level in zip(slots, coset_levels({system.identity: ()}, chosen, system.mul)):
+            size *= len(transversals[slot])
+            if len(level) != size:
                 raise NotAGroupSystem("chain step not coset-complete", slot)
         raise NotAGroupSystem("slot transversals do not span the system")
     tensors: List[Tuple[int, ...]] = [()] * n

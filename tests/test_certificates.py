@@ -4,6 +4,7 @@ injected defects.  Both sides must build the same tables and member sets,
 and accept or reject the same inputs with the same error type."""
 
 import ast
+import copy
 import itertools
 import re
 from pathlib import Path
@@ -576,6 +577,22 @@ def test_basis_chain_rejects_colliding_cosets():
     assert info.value.witness == (0, 0)
 
 
+def test_basis_chain_names_a_repeat_at_a_later_slot(c2):
+    """The basis of C2 with one more entry in its last transversal, an
+    entry times a member of the first slot's transversal, so the last step
+    repeats a coset while every step before it is coset-complete: the
+    chain names the last slot, as the oracle does."""
+    basis = extract_basis(c2)
+    slots, transversals = basis.slots, dict(basis.transversals)
+    last = transversals[slots[-1]]
+    earlier = next(g for g in transversals[slots[0]] if g != c2.identity)
+    transversals[slots[-1]] = last + (c2.mul(earlier, last[1]),)
+    new = failure(_basis_chain, c2, slots, transversals)
+    assert new == ("raise", NotAGroupSystem, str(NotAGroupSystem(
+        "chain step not coset-complete", slots[-1])))
+    assert new == failure(oracles._basis_chain, c2, slots, transversals)
+
+
 # -- column kernels against their per-pair forms ---------------------------------
 
 def least_coset_reps(system: GroupSystem, num, den) -> tuple:
@@ -945,12 +962,71 @@ def test_recovery_walks_a_table_with_a_corrupted_identity_row():
     assert walked > 0
 
 
-# -- controllability from cut ids -------------------------------------------------
+# -- controllability from support orders -----------------------------------------
 
 @pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
 def test_controllability_index_matches_oracle_on_fixtures(request, name):
     system = request.getfixturevalue(name)
     assert controllability_index(system) == oracles.controllability_index(system)
+
+
+class Unreadable:
+    """A member container that answers `len` and nothing else."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("members read")
+
+    def __getitem__(self, i):
+        raise AssertionError("members read")
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["s3_square"])
+def test_controllability_index_reads_only_the_extent_buckets(request, name):
+    """Once the extent buckets are built, the index answers on a copy whose
+    members and letter columns cannot be read: it counts support orders."""
+    system = request.getfixturevalue(name)
+    system._extent_buckets
+    blind = copy.copy(system)
+    blind._controllability = None
+    blind.sequences = Unreadable(len(system))
+    blind.columns = Unreadable(system.length)
+    assert controllability_index(blind) == oracles.controllability_index(system)
+
+
+MIXED_GROUPS = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "Z4": cyclic_group(4),
+                "Z2xZ2": direct_product(cyclic_group(2), cyclic_group(2))[0],
+                "S3": symmetric_group_3()}
+
+
+@st.composite
+def mixed_alphabet_systems(draw):
+    """One to four seeds over alphabets drawn per time from Z2, Z3, Z4,
+    Z2 x Z2 and S3, on windows of length 1-7, closed under a cap of 2^10
+    members (a closure past it is discarded)."""
+    length = draw(st.integers(1, 7))
+    groups = [MIXED_GROUPS[name] for name in draw(st.lists(
+        st.sampled_from(sorted(MIXED_GROUPS)), min_size=length, max_size=length))]
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, g.order - 1) for g in groups]),
+                          min_size=1, max_size=4))
+    try:
+        return build_system((0, length - 1), groups, seeds, member_cap=2 ** 10)
+    except BoundExceeded:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_alphabet_systems())
+def test_index_and_basis_match_oracles_on_mixed_alphabets(system):
+    assert controllability_index(system) == oracles.controllability_index(system)
+    same_failure(failure(extract_basis, system),
+                 failure(oracles.extract_basis, system), basis_key)
 
 
 @settings(max_examples=40, deadline=None,

@@ -779,9 +779,24 @@ def test_headers_that_name_no_slot_table_exit_2(capsys, tmp_path):
     named = tmp_path / "named.esys"
     got, out, _ = run(capsys, "--window", "0", "3", "--out", named, "construct",
                       "--seed-group", "Z2", "--ell", "1", "--name", "my sys")
-    assert (got, out) == (0, "constructed my sys depth=2 system order=8 ell=1\n")
+    assert (got, out) == (0, "constructed my_sys depth=2 system order=8 ell=1\n")
     assert named.read_text().startswith("esys my_sys depth 2 window 0 3\n")
     assert run(capsys, "roundtrip", named)[:2] == (0, "roundtrip ok system order=8 ell=1\n")
+
+
+@pytest.mark.parametrize("name, token", [("", "E"), ("#x", "_x")])
+def test_construct_reports_the_name_its_dump_writes(tmp_path, capsys, name, token):
+    """The `constructed` line names the system by the token its dump's
+    header writes, with or without --out: an empty name is the default E,
+    and blanks and the comment character become '_'."""
+    path = tmp_path / "named.esys"
+    report = f"constructed {token} depth=2 system order=8 ell=1\n"
+    args = ("--window", "0", "3", "construct", "--seed-group", "Z2", "--ell", "1",
+            "--name", name)
+    assert run(capsys, "--out", path, *args)[:2] == (0, report)
+    assert path.read_text().startswith(f"esys {token} depth 2 window 0 3\n")
+    got, out, _ = run(capsys, *args)
+    assert (got, out) == (0, path.read_text() + report)
 
 
 FUZZ_COMMANDS = {
