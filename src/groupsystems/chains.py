@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     NotABlockCode,
@@ -37,6 +37,7 @@ from .slots import (
     in_slot_table,
     lower_contains,  # part of this module's interface
     lower_triangle_positions,
+    slot_count,
     upper_triangle_positions,
     walk,
     window_slots,
@@ -176,14 +177,30 @@ def paired_sequence_from_upper_complement(
 
 @dataclass(frozen=True)
 class FillingSequence:
-    """A walk visiting every slot of the window exactly once."""
+    """A walk visiting every slot of the window exactly once.
+
+    The walk is checked without listing the table: it has as many pairs as
+    the table has slots (`slot_count`), the pairs are distinct, and each is
+    a pair of integers in the table (0 <= k <= ell and t0 <= t <= t1 - k,
+    the test of `in_slot_table`, written inline as it runs per pair).  The
+    pairs then map one to one into the table, a finite set of the same
+    size, so they are all of it, each once.  A pair of another length, or
+    one that cannot be hashed, fails the check too."""
 
     window: Tuple[int, int]
     ell: int
     pairs: Tuple[Slot, ...]
 
     def __post_init__(self):
-        if sorted(self.pairs) != sorted(window_slots(self.window, self.ell)):
+        (t0, t1), ell, pairs = self.window, self.ell, self.pairs
+        try:
+            ok = (len(pairs) == slot_count(self.window, ell)
+                  and len(set(pairs)) == len(pairs)
+                  and all(isinstance(k, int) and isinstance(t, int)
+                          and 0 <= k <= ell and t0 <= t <= t1 - k for k, t in pairs))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise OutOfWindow("walk must cover every slot exactly once")
 
 
@@ -259,7 +276,14 @@ class NormalChain:
 
 def normal_chain(ctx: GeneratorContext, f: FillingSequence,
                  base_ps: Optional[PairedSequence] = None) -> NormalChain:
-    """The ascending chain of tensor-support subgroups along a normal walk.
+    """The ascending chain of tensor-support subgroups along a normal walk:
+    `_normal_chains` on the one walk."""
+    return _normal_chains(ctx, (f,), base_ps)[0]
+
+
+def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
+                   base_ps: Optional[PairedSequence] = None) -> Tuple[NormalChain, ...]:
+    """The chain along each walk, in order, each order ideal certified once.
 
     The levels come from `coset_levels` on member indices: a step multiplies
     the previous level by the members of the new slot's single-label
@@ -281,36 +305,59 @@ def normal_chain(ctx: GeneratorContext, f: FillingSequence,
     being those products, is generated by the base and the single-label
     members so far, and `normal_by_cosets` tests it on them and on the
     Cayley graphs of S, one object when the member group is abelian.
-    """
-    base_cov = base_ps.covered() if base_ps is not None else frozenset()
-    ok, bad = is_normal_filling_sequence(f, base_cov)
-    if not ok:
-        raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
 
-    filled = set(base_cov)
-    base = support_subgroup(ctx, frozenset(filled))
-    path = [p for p in f.pairs if p not in base_cov]
-    singles = [ctx.single_labels[p] for p in path]
-    level = {b: (b,) for b in base}
-    # an entry is its right column: h * g = column[h]
-    levels = coset_levels(level, (cols for _, cols in singles), lambda h, col: col[h])
-    gens = list(base)
-    steps: List[ChainStep] = []
-    for (k, t), (members, _), step in zip(path, singles, levels):
-        filled.add((k, t))
-        if len(step) != len(level) * len(members):
-            raise NotNormalFilling(
-                f"step ({k},{t}): generator cosets are not disjoint")
-        target = support_subgroup(ctx, frozenset(filled))
-        gens += members[1:]
-        if not normal_by_cosets(target, gens, ctx.right_cayley, ctx.left_cayley):
-            raise NotNormalFilling(f"step ({k},{t}): subgroup not normal")
-        steps.append(ChainStep((k, t), len(members), target,
-                               tuple(map(ctx.tensors.__getitem__, members))))
-        level = step
-    if len(level) != len(ctx.tensors) and base_ps is None:
-        raise NotNormalFilling("chain did not reach the whole group")
-    return NormalChain(f, tuple(steps), tuple(base), level)
+    The filled slots of a prefix are an order ideal of the slot poset
+    (R. P. Stanley, Enumerative Combinatorics 1, §3.4), and walks share
+    them.  Neither `target` nor its normality verdict depends on the
+    order the ideal was filled in: its generators are the base and the
+    single-label members of its slots, whatever the order.  So both are
+    computed at the first step that fills the ideal and read back at
+    every later one (`certified`, keyed by the ideal's bits at
+    `ctx.slot_pos`, and kept for this call only; the base's subgroup is
+    read the same way).  The count check depends only on the edge (ideal,
+    new slot), since the previous level is the ideal's support subgroup
+    as a set, and it is one `len` of the level that `coset_levels` builds
+    for the walk's choices anyway.  So the chains, and the first error
+    with its message, are those of one `normal_chain` per walk in turn."""
+    base_cov = base_ps.covered() if base_ps is not None else frozenset()
+    base_bits = sum(1 << ctx.slot_pos[p] for p in base_cov)
+    certified: Dict[int, Tuple[int, ...]] = {}
+    chains = []
+    for f in walks:
+        ok, bad = is_normal_filling_sequence(f, base_cov)
+        if not ok:
+            raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
+        if base_bits not in certified:
+            certified[base_bits] = support_subgroup(ctx, base_cov)
+        base = certified[base_bits]
+        filled, bits = set(base_cov), base_bits
+        path = [p for p in f.pairs if p not in base_cov]
+        singles = [ctx.single_labels[p] for p in path]
+        level = {b: (b,) for b in base}
+        # an entry is its right column: h * g = column[h]
+        levels = coset_levels(level, (cols for _, cols in singles), lambda h, col: col[h])
+        gens = list(base)
+        steps: List[ChainStep] = []
+        for (k, t), (members, _), step in zip(path, singles, levels):
+            filled.add((k, t))
+            bits |= 1 << ctx.slot_pos[(k, t)]
+            if len(step) != len(level) * len(members):
+                raise NotNormalFilling(
+                    f"step ({k},{t}): generator cosets are not disjoint")
+            gens += members[1:]
+            target = certified.get(bits)
+            if target is None:
+                target = support_subgroup(ctx, frozenset(filled))
+                if not normal_by_cosets(target, gens, ctx.right_cayley, ctx.left_cayley):
+                    raise NotNormalFilling(f"step ({k},{t}): subgroup not normal")
+                certified[bits] = target
+            steps.append(ChainStep((k, t), len(members), target,
+                                   tuple(map(ctx.tensors.__getitem__, members))))
+            level = step
+        if len(level) != len(ctx.tensors) and base_ps is None:
+            raise NotNormalFilling("chain did not reach the whole group")
+        chains.append(NormalChain(f, tuple(steps), tuple(base), level))
+    return tuple(chains)
 
 
 def reconstruct_from_chain(ctx: GeneratorContext,
@@ -398,25 +445,55 @@ def enumerate_normal_fillings(window: Tuple[int, int], ell: int,
     """All normal walks of the slot table in deterministic order, capped.
 
     Returns (fillings, truncated), truncated when more than `cap` exist.
-    Every normal prefix extends to a normal walk, so the search stops at
-    the first walk past the cap."""
+    The prefixes of normal walks are the order ideals of the slot poset,
+    the lattice J(P) (R. P. Stanley, Enumerative Combinatorics 1, §3.4),
+    and a walk is a path up its edges.  Each slot of the sorted table is a
+    bit, and each slot's lower triangle, itself left out, a mask; a slot
+    can be added to an ideal when its bit is clear and its mask lies inside
+    the ideal.  Those slots are listed once per ideal the search meets, in
+    slot order, and a depth-first search with an explicit stack adds them
+    in that order, so the walks come in the order of the recursion that
+    tries every slot in sorted order at every prefix.  Every normal prefix
+    extends to a normal walk, so the search stops at the first walk past
+    the cap."""
     slots = sorted(window_slots(window, ell))
-    out: List[FillingSequence] = []
+    bit = {p: 1 << i for i, p in enumerate(slots)}
+    below = [sum(bit[q] for q in lower_triangle_positions(window, ell, *p) if q != p)
+             for p in slots]
+    full = (1 << len(slots)) - 1
+    addable: Dict[int, List[Tuple[int, int]]] = {}
 
-    def extend(prefix: List[Slot], filled: set) -> bool:
-        """Add the walks through `prefix`; False once one is past the cap."""
-        if len(prefix) == len(slots):
-            out.append(FillingSequence(window, ell, tuple(prefix)))
-            return len(out) <= cap
-        return all(extend(prefix + [p], filled | {p}) for p in slots
-                   if p not in filled and _closes(window, ell, filled, p))
+    def edges(ideal: int) -> Iterator[Tuple[int, int]]:
+        """(slot, larger ideal) for each slot that can be added to `ideal`."""
+        if ideal not in addable:
+            addable[ideal] = [(i, ideal | 1 << i) for i, mask in enumerate(below)
+                              if not ideal >> i & 1 and not mask & ~ideal]
+        return iter(addable[ideal])
 
-    truncated = not extend([], set())
-    return tuple(out[:cap]), truncated
+    # an empty table has one walk, the empty one
+    out = [] if full else [FillingSequence(window, ell, ())]
+    path: List[Slot] = []
+    stack = [edges(0)]  # per prefix, the edges still to take from its ideal
+    while stack and len(out) <= cap:
+        for i, ideal in stack[-1]:
+            path.append(slots[i])
+            if ideal != full:
+                stack.append(edges(ideal))
+                break
+            out.append(FillingSequence(window, ell, tuple(path)))
+            path.pop()
+            if len(out) > cap:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return tuple(out[:cap]), len(out) > cap
 
 
 def block_code_chains(ctx: GeneratorContext, max_orderings: int = 720) -> tuple:
-    """All normal chains of a block code, one per normal walk (capped).
+    """All normal chains of a block code, one per normal walk (capped),
+    each order ideal certified once (`_normal_chains`).
 
     A block code here is a system living on its natural window: some member
     is nontrivial at each window end.  Returns (chains, truncated).
@@ -426,5 +503,4 @@ def block_code_chains(ctx: GeneratorContext, max_orderings: int = 720) -> tuple:
         raise NotABlockCode("window padded with dead time")
     fillings, truncated = enumerate_normal_fillings(system.window, ctx.ell,
                                                     max_orderings)
-    chains = tuple(normal_chain(ctx, f) for f in fillings)
-    return chains, truncated
+    return _normal_chains(ctx, fillings), truncated

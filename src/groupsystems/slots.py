@@ -45,6 +45,14 @@ def iter_window_slots(window: Tuple[int, int], ell: int) -> Iterator[Slot]:
             for k in range(0, min(ell, t1 - t) + 1))
 
 
+def slot_count(window: Tuple[int, int], ell: int) -> int:
+    """The number of slots `window_slots` lists, by arithmetic: row k of
+    the table, 0 <= k <= min(ell, t1 - t0), holds t1 - t0 + 1 - k slots."""
+    length = window[1] - window[0] + 1
+    rows = max(min(ell, length - 1) + 1, 0)
+    return rows * length - rows * (rows - 1) // 2
+
+
 def in_slot_table(window: Tuple[int, int], ell: int, slot: Slot) -> bool:
     """Whether `slot` is in the table, by arithmetic: windows may be huge."""
     k, t = slot

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -345,6 +346,12 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     restricted to their realized projections.  The closure may pass
     neither `member_cap` members nor `LETTER_CAP` letters (members times
     the window length); either raises BoundExceeded before it grows.
+    Where the letter cap is the lower bound (at the default member cap,
+    windows of more than 256 times), a seed whose cyclic subgroup passes
+    it is refused before any product is formed (`_orbit_passes`): that
+    subgroup lies in the closure, so saturation would raise the same
+    error after the whole orbit.  The check costs at most one product
+    per letter per member of that orbit, which saturation forms anyway.
 
     The system is built `_closed`, so it is not validated again (the
     argument is in `GroupSystem._validate`)."""
@@ -362,6 +369,8 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
                     raise NotAGroupSystem("letter out of range", (s, x))
     members = {(0,) * length}
     by_letters = LETTER_CAP // length
+    if by_letters < member_cap and _orbit_passes(alphabets, seeds, by_letters):
+        raise _past_letters(by_letters, length)
     try:
         saturate(members, seeds, letter_move(transposed_tables(alphabets)),
                  min(member_cap, by_letters))
@@ -369,12 +378,37 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
         if member_cap <= by_letters:
             raise BoundExceeded(f"build_system saturation: {max(member_cap, 1) + 1} "
                                 f"members exceed cap {member_cap}") from None
-        raise BoundExceeded(f"build_system saturation: {by_letters + 1} members "
-                            f"of {length} letters exceed cap "
-                            f"LETTER_CAP={LETTER_CAP} letters") from None
+        raise _past_letters(by_letters, length) from None
     alphabets, members = realized_alphabets(alphabets, members)
     return GroupSystem(window, alphabets, members, name=name,
                        member_cap=member_cap, _closed=True)
+
+
+def _past_letters(by_letters: int, length: int) -> BoundExceeded:
+    """The error of a closure of more than `by_letters` members of
+    `length` letters each, past `LETTER_CAP`."""
+    return BoundExceeded(f"build_system saturation: {by_letters + 1} members "
+                         f"of {length} letters exceed cap "
+                         f"LETTER_CAP={LETTER_CAP} letters")
+
+
+def _orbit_passes(alphabets: Sequence[FiniteGroup], seeds: Iterable[Seq],
+                  bound: int) -> bool:
+    """Whether some seed's cyclic subgroup has more than `bound` members.
+    Its order is the lcm of the orders of the seed's letters, since a power
+    of the seed is the identity iff it is at every time.  A letter's order
+    is computed once per (alphabet, letter)."""
+    orders: Dict[Tuple[int, int], int] = {}
+    for s in seeds:
+        n = 1
+        for g, x in zip(alphabets, s):
+            key = (id(g), x)
+            if key not in orders:
+                orders[key] = g.element_order(x)
+            n = math.lcm(n, orders[key])
+            if n > bound:
+                return True
+    return False
 
 
 def letter_move(lines: Sequence[tuple]):

@@ -1506,6 +1506,29 @@ def standard_walk(window: Tuple[int, int], ell: int, kind: str) -> Tuple[Slot, .
     return tuple(pairs)
 
 
+def enumerate_normal_fillings(window: Tuple[int, int], ell: int, cap: int) -> tuple:
+    """All normal walks, (walks, truncated): a recursion that tries every
+    slot in sorted order at every prefix and adds those whose lower
+    triangle is filled, stopping at the first walk past `cap`."""
+    slots = sorted(window_slots(window, ell))
+    out: List[FillingSequence] = []
+
+    def closes(filled: set, pair: Slot) -> bool:
+        return all(p == pair or p in filled
+                   for p in lower_triangle_positions(window, ell, *pair))
+
+    def extend(prefix: List[Slot], filled: set) -> bool:
+        """Add the walks through `prefix`; False once one is past the cap."""
+        if len(prefix) == len(slots):
+            out.append(FillingSequence(window, ell, tuple(prefix)))
+            return len(out) <= cap
+        return all(extend(prefix + [p], filled | {p}) for p in slots
+                   if p not in filled and closes(filled, p))
+
+    truncated = not extend([], set())
+    return tuple(out[:cap]), truncated
+
+
 def encode_spectral_domain(basis: GeneratorBasis, r) -> Seq:
     """Compose the selected generators span by span: all length-1
     generators (latest start first), then all length-2 generators, and so

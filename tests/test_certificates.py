@@ -19,6 +19,7 @@ import groupsystems.generators as generators_module
 import groupsystems.io as io_module
 import groupsystems.systems as systems_module
 from groupsystems.chains import (
+    block_code_chains,
     complementary,
     decompose_along_chain,
     enumerate_normal_fillings,
@@ -529,6 +530,32 @@ def test_chain_rejects_swapped_tensors(request, name):
         for f in walks:
             new, _ = chain_outcomes(bad, f)
             rejected += new[0] == "raise"
+    assert (rejected > 0) == (name in ("c2", "s3_square"))
+
+
+@pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
+def test_block_code_chains_fail_as_the_first_failing_walk(request, name):
+    """Swap the label tensors of two members: `block_code_chains`, which
+    certifies each ideal once, raises the error and message of the first
+    walk whose own `normal_chain` fails, and where none fails it gives
+    their chains, `choices` included."""
+    ctx = build_context(request.getfixturevalue(name))
+    walks, _ = enumerate_normal_fillings(ctx.system.window, ctx.ell, 6)
+    rejected = 0
+    for i, j in itertools.combinations(range(1, len(ctx.tensors)), 2):
+        tensors = list(ctx.tensors)
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+        bad = with_tensors(ctx, tensors)
+        per_walk = [failure(normal_chain, bad, f) for f in walks]
+        first = next((r for r in per_walk if r[0] == "raise"), None)
+        got = failure(block_code_chains, with_tensors(ctx, tensors), 6)
+        if first is not None:
+            assert got == first
+            rejected += 1
+        else:
+            chains = [r[1] for r in per_walk]
+            assert got[0] == "ok" and list(got[1][0]) == chains
+            assert [c.choices for c in got[1][0]] == [c.choices for c in chains]
     assert (rejected > 0) == (name in ("c2", "s3_square"))
 
 

@@ -292,6 +292,55 @@ def test_block_code_chains_repetition(r2):
         assert prod == 2
 
 
+def z2_conv(t1):
+    return parse_system(f"system Z\nwindow 0 {t1}\nrule conv Z2 x0 x0+x1\n")
+
+
+@pytest.mark.parametrize("fixture, t1, caps", [
+    ("parity3", None, None), ("r2", None, None), (None, 3, None),
+    (None, 4, (1, 720)), (None, 5, (1, 720)),
+])
+def test_block_code_chains_are_the_per_walk_chains(request, fixture, t1, caps):
+    """One certificate per ideal gives the chains, `choices` included, of
+    one `normal_chain` per walk, on two fixtures and on Z2 `x0 x0+x1` over
+    [0,t1]: at cap 1, at the exact walk count and past it, or at 720 where
+    there are more walks."""
+    system = request.getfixturevalue(fixture) if fixture else z2_conv(t1)
+    ctx = build_context(system)
+    if caps is None:
+        every, truncated = enumerate_normal_fillings(system.window, ctx.ell, 720)
+        assert not truncated
+        caps = (1, len(every), len(every) + 1)
+    for cap in caps:
+        chains, truncated = block_code_chains(ctx, max_orderings=cap)
+        walks, walks_truncated = enumerate_normal_fillings(system.window, ctx.ell, cap)
+        assert truncated == walks_truncated
+        expected = [normal_chain(ctx, f) for f in walks]
+        assert list(chains) == expected
+        assert [c.choices for c in chains] == [c.choices for c in expected]
+
+
+@pytest.mark.parametrize("t1, ideals", [(3, 33), (4, 51), (5, 62)])
+def test_block_code_chains_certify_each_ideal_once(monkeypatch, t1, ideals):
+    """Z2 `x0 x0+x1` on [0,3], [0,4] and [0,5] (272, then 720 capped
+    walks): one normality test per nonempty ideal the walks fill, and one
+    support subgroup per ideal, the empty one included."""
+    ctx = build_context(z2_conv(t1))
+    tests, supports = [], []
+    test = chains_module.normal_by_cosets
+    monkeypatch.setattr(chains_module, "normal_by_cosets",
+                        lambda *args: tests.append(args[0]) or test(*args))
+    support = chains_module.support_subgroup
+    monkeypatch.setattr(chains_module, "support_subgroup",
+                        lambda c, allowed: supports.append(frozenset(allowed))
+                        or support(c, allowed))
+    chains, _ = block_code_chains(ctx)
+    filled = {frozenset(chain.filling.pairs[:i])
+              for chain in chains for i in range(len(chain.filling.pairs) + 1)}
+    assert len(tests) == ideals == len(filled) - 1
+    assert len(supports) == len(set(supports)) and set(supports) == filled
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.sampled_from(window_slots((0, 5), 2))))
 def test_purge_idempotent_and_partition_property(sample):

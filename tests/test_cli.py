@@ -218,6 +218,19 @@ def test_blockchains_parity(capsys, tmp_path):
             assert "order=4" in line
 
 
+def test_blockchains_walks_longer_than_the_recursion_limit(capsys, tmp_path):
+    """The repetition code on [0,45] has ell 45: its walks have 1,081
+    slots, and listing them needs no recursion."""
+    p = tmp_path / "rep46.gsys"
+    p.write_text("system R\nwindow 0 45\nalphabet all Z2\nseq" + " 1" * 46 + "\n")
+    code, out, err = run(capsys, "--ordering-cap", 2, "blockchains", p)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "chains 2 truncated yes" and len(lines) == 3
+    assert all(line.startswith(f"chain {i} order=2 walk (0,0) ")
+               and line.count("(") == 1081 for i, line in enumerate(lines[1:]))
+
+
 def test_esys_dump_and_roundtrip(capsys, c2_file, tmp_path):
     out_path = tmp_path / "c2.esys"
     code, _, _ = run(capsys, "--out", out_path, "esys", c2_file)

@@ -510,6 +510,45 @@ def test_letter_cap_stops_the_saturation_of_seq_members(monkeypatch):
         parse_system(text)
 
 
+def test_a_seed_orbit_past_the_letter_cap_is_refused_before_saturation(monkeypatch):
+    """One seed over Z1024 on 16,400 times: its cyclic subgroup, of 1,024
+    members, passes the 1,023 members of 16,400 letters that LETTER_CAP
+    holds, so the build is refused with saturation's own message before
+    any product is formed."""
+    text = "system S\nwindow 0 16399\nalphabet all Z1024\nseq " + " 1" * 16400 + "\n"
+    monkeypatch.setattr(systems, "saturate", None)  # never reached
+    with pytest.raises(BoundExceeded, match=r"^build_system saturation: 1024 members "
+                                            r"of 16400 letters exceed cap "
+                                            r"LETTER_CAP=16777216 letters$"):
+        parse_system(text)
+
+
+@pytest.mark.parametrize("letters, order", [("2", 7), ("7", 2), ("1", 14),
+                                            ("2 7", 14), ("7 2", 14)])
+def test_a_seed_orbit_is_the_lcm_of_its_letter_orders(monkeypatch, letters, order):
+    """A cap of 4,096 letters holds 13 members of 300 letters.  A seed over
+    Z14 whose letters have orders 2 and 7 generates 14 members, though each
+    letter alone stays within the cap; the refusal is the one saturation
+    gives, and a seed within the cap still builds."""
+    monkeypatch.setattr(systems, "LETTER_CAP", 2 ** 12)
+    cells = letters.split() + ["0"] * (300 - len(letters.split()))
+    text = "system S\nwindow 0 299\nalphabet all Z14\nseq " + " ".join(cells) + "\n"
+    if order <= 13:
+        assert len(parse_system(text)) == order
+        return
+    saturate = systems.saturate
+    for early in (True, False):
+        if early:  # refused before any product is formed
+            monkeypatch.setattr(systems, "saturate", None)
+        else:  # past the early check, saturation refuses it the same way
+            monkeypatch.setattr(systems, "saturate", saturate)
+            monkeypatch.setattr(systems, "_orbit_passes", lambda *args: False)
+        with pytest.raises(BoundExceeded, match=r"^build_system saturation: 14 members "
+                                                r"of 300 letters exceed cap "
+                                                r"LETTER_CAP=4096 letters$"):
+            parse_system(text)
+
+
 def test_too_few_triangles_are_rejected_by_the_cartesian_count(c2):
     """One more label at slot (0, 1) leaves the anchor (0, 1), and only it,
     with fewer triangles than its label sets multiply to.  Every other

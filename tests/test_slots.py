@@ -20,6 +20,7 @@ from groupsystems.chains import (
     UpperPairedSequence,
     complementary,
     enumerate_normal_fillings,
+    is_normal_filling_sequence,
     paired_sequence_from_upper_complement,
     purge,
     standard_filling,
@@ -42,6 +43,7 @@ from groupsystems.slots import (
     lower_contains,
     lower_triangle_positions,
     positions_in,
+    slot_count,
     upper_triangle_positions,
     walk,
     window_slots,
@@ -94,9 +96,17 @@ def test_walks_match_the_loops(window, ell):
     with pytest.raises(OutOfWindow, match="unknown filling kind"):
         standard_filling(window, ell, "bogus")
     slots = window_slots(window, ell)
-    for pairs in (slots + slots[:1], slots[1:], slots[1:] + ((0, window[1] + 1),)):
+    last = slots[-1]
+    # too long, too short, out of the window; then one pair in place of the
+    # last slot: too short, too long, a list, k > ell, not integers, a repeat
+    bad = [slots + slots[:1], slots[1:], slots[1:] + ((0, window[1] + 1),)]
+    bad += [slots[:-1] + (pair,) for pair in
+            ((0,), (0, window[0], 2), list(last), (ell + 1, window[0]),
+             (last[0] + 0.5, last[1]), slots[0]) if pair != last]
+    for pairs in bad:
         with pytest.raises(OutOfWindow, match="every slot exactly once"):
             FillingSequence(window, ell, pairs)
+    assert slot_count(window, ell) == len(slots)
 
 
 @pytest.mark.parametrize("window, ell", GRID)
@@ -291,6 +301,39 @@ def test_encoders_multiply_in_walk_order(c2):
         assert got == [g for g in expected if g != system.identity]
     spec = oracles.standard_walk(c2.window, ctx.ell, "spec_rev")
     assert [basis.slots[i] for i in basis.spectral_order] == list(spec) != list(basis.slots)
+
+
+@pytest.mark.parametrize("window, ell", [((t0, t0 + length - 1), ell)
+                                         for t0, lengths in ((0, range(1, 8)), (2, range(1, 5)))
+                                         for length in lengths for ell in range(length)])
+def test_enumerator_lists_the_recursion_order(window, ell):
+    """The walks of J(P) in the order and with the truncation flag of the
+    recursion (`oracles.enumerate_normal_fillings`), at caps 1, 2, 5 and
+    720, and at the exact walk count and one less where it is at most 720."""
+    caps = [1, 2, 5, 720]
+    every, truncated = oracles.enumerate_normal_fillings(window, ell, 720)
+    if not truncated:
+        caps += [len(every), len(every) - 1]
+    for cap in caps:
+        assert enumerate_normal_fillings(window, ell, cap) == \
+            oracles.enumerate_normal_fillings(window, ell, cap)
+
+
+@pytest.mark.parametrize("window, ell, count", [((0, 6), 0, 5040), ((0, 4), 1, 7936)])
+def test_enumerator_lists_every_walk_past_720(window, ell, count):
+    every, truncated = oracles.enumerate_normal_fillings(window, ell, count)
+    assert len(every) == count and not truncated
+    assert enumerate_normal_fillings(window, ell, count) == (every, False)
+    assert enumerate_normal_fillings(window, ell, count - 1) == (every[:-1], True)
+
+
+def test_enumerator_needs_no_recursion():
+    """Ell 45 on [0,45]: a walk of 1,081 slots, deeper than the recursion
+    limit."""
+    walks, truncated = enumerate_normal_fillings((0, 45), 45, 1)
+    assert truncated and len(walks) == 1
+    assert len(walks[0].pairs) == 1081 == slot_count((0, 45), 45)
+    assert is_normal_filling_sequence(walks[0]) == (True, None)
 
 
 def test_filling_enumeration_cap_boundary():
