@@ -323,16 +323,16 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
     failing: List[Tuple[int, int]] = []
     for t in ctx.system.times():
         table = es.table((0, t))
-        if ctx._elementary.get((0, t)) is table:
-            continue
         try:
             own = elementary_group(ctx, 0, t)
         except WellDefinednessFailure:
             own = None
+        if own is table:
+            continue
         if own is None or own.positions != table.positions:
             pairs = itertools.product(range(len(ctx.tensors)), repeat=2)
             break
-        failing += _failing_pairs(table, own, ctx._classes[(0, t)])
+        failing += _failing_pairs(table, own, slice_classes(ctx, 0, t))
     else:
         pairs = [min(failing)] if failing else []
     system, tensors = ctx.system, ctx.tensors

@@ -75,10 +75,6 @@ class OutOfWindow(DomainError):
     pass
 
 
-class NotControllableOnWindow(DomainError):
-    pass
-
-
 class NotAMember(DomainError):
     pass
 

@@ -80,8 +80,8 @@ class GeneratorContext:
     """System + basis + the member/tensor identification, with caches.
 
     Row i of `tensors` is member i's choice per slot, read off the last
-    level of the basis chain; `tensor_columns` holds the same labels per
-    slot.  The generating set S and its right and left Cayley graphs over
+    level of the basis chain; it is the only table of the labels.  The
+    generating set S and its right and left Cayley graphs over
     member indices are built on first use, once per context; the
     certificates read them instead of all member pairs.  Each elementary
     group built here records its slice class per member in `_classes`,
@@ -127,11 +127,6 @@ class GeneratorContext:
         if m not in self._right:
             self._right[m] = self.system.translate(self.system.columns, self.system.sequences[m])
         return self._right[m]
-
-    @cached_property
-    def tensor_columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """The label tensors per slot: [p][i] is member i's label at slot p."""
-        return tuple(zip(*self.tensors))
 
     @cached_property
     def generating_set(self) -> Tuple[int, ...]:
@@ -210,7 +205,8 @@ def support_subgroup(ctx: GeneratorContext, allowed: Collection[Slot]) -> Tuple[
                 if not all(map(inside.__contains__, map(col.__getitem__, members))):
                     a = next(a for a in members if col[a] not in inside)
                     raise NotASubgroup(f"product {a}*{e} escapes")
-            products = [b for col in columns for b in map(col.__getitem__, products)]
+            if len(columns) > 1:  # the identity's column fixes every product
+                products = [b for col in columns for b in map(col.__getitem__, products)]
     if inside != set(products):
         seqs, index, mul = ctx.system.sequences, ctx.system._index, ctx.system.mul
         closure_generators(members, inside, lambda a, b: index[mul(seqs[a], seqs[b])])
@@ -264,9 +260,8 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
     and `compose_columns` builds the whole table from those columns.
     Abelian A has one graph (`left_cayley`); a quotient needs no validation.
     """
-    columns = ctx.tensor_columns
     realized, cls, reps = _slice_classes(
-        list(zip(*(columns[i] for i in pos_idx))) if pos_idx
+        list(map(entries_at(pos_idx), ctx.tensors)) if pos_idx
         else [()] * len(ctx.tensors))
     n = len(realized)
 
@@ -276,22 +271,21 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
         del graphs[1]
     gen_columns: Dict[int, List[int]] = {}
     for graph, side in graphs:
-        for gen, moved in zip(ctx.generating_set, graph):
+        # S's first member, the identity, moves no member
+        for gen, moved in zip(ctx.generating_set[1:], graph[1:]):
             images = list(map(cls.__getitem__, moved))
             # one image class per class: each member's image class is that
-            # of its class representative
+            # of its class representative; the witness is the first member
+            # whose is not (a representative is its class's first member)
             rep_images = [images[r] for r in reps]
-            if list(map(rep_images.__getitem__, cls)) == images:
-                if side == "right":
-                    gen_columns.setdefault(cls[gen], rep_images)
-                continue
-            image: Dict[int, int] = {}
-            for c, d in zip(cls, images):
-                if image.setdefault(c, d) != d:
-                    raise WellDefinednessFailure(
-                        f"lift choice changes the product at {where}: "
-                        f"slice {realized[c]} times generator "
-                        f"{ctx.tensors[gen]} on the {side}")
+            if list(map(rep_images.__getitem__, cls)) != images:
+                a = next(a for a, c in enumerate(cls) if rep_images[c] != images[a])
+                raise WellDefinednessFailure(
+                    f"lift choice changes the product at {where}: "
+                    f"slice {realized[cls[a]]} times generator "
+                    f"{ctx.tensors[gen]} on the {side}")
+            if side == "right":
+                gen_columns.setdefault(cls[gen], rep_images)
     table = compose_columns(list(gen_columns.values()), n)
     return realized, FiniteGroup(table, name=name, _validated=True), cls
 
@@ -465,20 +459,21 @@ def recover_system_fhgs(ctx: GeneratorContext) -> GroupSystem:
 
     alpha_t is folded once per element of each time-t local group
     (`_alpha_column`); a member's letter at t is then the fold of its slice
-    there, read through its slice class.  When every recovered column is
-    the system's own letter column, each member recovers to itself, so the
-    recovered rows are the member set, in member order and without
-    repeats; otherwise the rows are compared with the members as sets.
+    there, read through its slice class.  Each recovered column is
+    compared with the system's own letter column as it is formed.  When
+    every one matches, each member recovers to itself, so the recovered
+    rows are the member set, in member order and without repeats;
+    otherwise the whole recovered table is formed and its rows are
+    compared with the members as sets.
     Either way the recovered system is the original's validated member
     set, and it is returned under the new name without being sorted or
     validated again (`GroupSystem.renamed`)."""
     system = ctx.system
-    columns = []
-    for t in system.times():
-        letters = _alpha_column(ctx, t)
-        columns.append(tuple(map(letters.__getitem__, slice_classes(ctx, 0, t))))
-    if tuple(columns) != system.columns:
-        seqs = list(zip(*columns))
+
+    def column(t: int) -> Tuple[int, ...]:
+        return tuple(map(_alpha_column(ctx, t).__getitem__, slice_classes(ctx, 0, t)))
+    if any(column(t) != col for t, col in zip(system.times(), system.columns)):
+        seqs = list(zip(*map(column, system.times())))
         if set(seqs) != set(system.sequences) or len(set(seqs)) != len(seqs):
             raise RecoveryMismatch("image of the recovery map differs from the system")
     return system.renamed(f"{system.name}|fhgs")

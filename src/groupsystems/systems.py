@@ -214,19 +214,6 @@ class GroupSystem:
 
     # -- one-sided subgroups ----------------------------------------------
 
-    @cached_property
-    def _extents(self) -> Tuple[List[int], List[int]]:
-        """Per member, the first and the last position of a non-identity
-        letter (the window length and -1 for the identity), in one pass
-        over the letter columns each way."""
-        first = [self.length] * len(self.sequences)
-        last = [-1] * len(self.sequences)
-        for p in range(self.length - 1, -1, -1):
-            first = [p if x else f for x, f in zip(self.columns[p], first)]
-        for p in range(self.length):
-            last = [p if x else l for x, l in zip(self.columns[p], last)]
-        return first, last
-
     def x_subgroup(self, t: int) -> Tuple[int, ...]:
         """X^t = A^[t, t1] as ascending member indices.  A^[a, b] is a
         subgroup with no closure check: the kernel of the restriction to the
@@ -246,9 +233,17 @@ class GroupSystem:
     @cached_property
     def _extent_buckets(self) -> Dict[Tuple[int, int], List[int]]:
         """Member indices grouped by their (first, last) extents, each list
-        ascending."""
+        ascending: the first and the last position of a non-identity letter
+        (the window length and -1 for the identity), read in one pass over
+        the letter columns each way only to bucket the members."""
+        first = [self.length] * len(self.sequences)
+        last = [-1] * len(self.sequences)
+        for p in range(self.length - 1, -1, -1):
+            first = [p if x else f for x, f in zip(self.columns[p], first)]
+        for p in range(self.length):
+            last = [p if x else l for x, l in zip(self.columns[p], last)]
         buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i, key in enumerate(zip(*self._extents)):
+        for i, key in enumerate(zip(first, last)):
             buckets.setdefault(key, []).append(i)
         return buckets
 
@@ -347,11 +342,10 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     neither `member_cap` members nor `LETTER_CAP` letters (members times
     the window length); either raises BoundExceeded before it grows.
     Where the letter cap is the lower bound (at the default member cap,
-    windows of more than 256 times), a seed whose cyclic subgroup passes
-    it is refused before any product is formed (`_orbit_passes`): that
-    subgroup lies in the closure, so saturation would raise the same
-    error after the whole orbit.  The check costs at most one product
-    per letter per member of that orbit, which saturation forms anyway.
+    windows of more than 256 times), seeds whose closure is bound to pass
+    it are refused before any product is formed (`_orbit_passes`), with
+    the error saturation would raise after forming its levels.  The check
+    reads each seed's letters once.
 
     The system is built `_closed`, so it is not validated again (the
     argument is in `GroupSystem._validate`)."""
@@ -394,21 +388,34 @@ def _past_letters(by_letters: int, length: int) -> BoundExceeded:
 
 def _orbit_passes(alphabets: Sequence[FiniteGroup], seeds: Iterable[Seq],
                   bound: int) -> bool:
-    """Whether some seed's cyclic subgroup has more than `bound` members.
-    Its order is the lcm of the orders of the seed's letters, since a power
-    of the seed is the identity iff it is at every time.  A letter's order
-    is computed once per (alphabet, letter)."""
+    """Whether the closure of the seeds has more than `bound` members by
+    one of two lower bounds on its order; neither exceeds it.
+
+    A seed's cyclic subgroup: its order is the lcm of the orders of the
+    seed's letters, since a power of the seed is the identity iff it is at
+    every time.  And seeds s_1, ..., s_m whose first non-identity letters
+    x_j sit at times p_1 < ... < p_m: the products s_1^e_1 ... s_m^e_m with
+    0 <= e_j < |x_j| are distinct.  If two were equal, left-cancel the
+    common factors before the first exponent that differs, e_j != e'_j;
+    at time p_j the seeds after s_j are still the identity, so x_j^e_j =
+    x_j^e'_j, which the range of the exponents excludes.  Taking the
+    largest |x| at each first time, the closure has at least their
+    product of members.  A letter's order is computed once per (alphabet,
+    letter)."""
     orders: Dict[Tuple[int, int], int] = {}
+    leading: Dict[int, int] = {}  # first time -> largest |x| there
     for s in seeds:
         n = 1
-        for g, x in zip(alphabets, s):
+        for p, (g, x) in enumerate(zip(alphabets, s)):
             key = (id(g), x)
             if key not in orders:
                 orders[key] = g.element_order(x)
+            if n == 1 and orders[key] > 1:
+                leading[p] = max(leading.get(p, 1), orders[key])
             n = math.lcm(n, orders[key])
             if n > bound:
                 return True
-    return False
+    return math.prod(leading.values()) > bound
 
 
 def letter_move(lines: Sequence[tuple]):

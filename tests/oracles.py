@@ -158,7 +158,6 @@ from groupsystems.errors import (
     NotAGroupSystem,
     ParseError,
     NotAMember,
-    NotControllableOnWindow,
     NotNormalFilling,
     OutOfWindow,
     PreconditionViolated,
@@ -654,9 +653,7 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx, where: str,
     invariant under right and left multiplication by every generator.  The
     table is filled column by column, each the class representatives
     translated by one representative on the right."""
-    columns = ctx.tensor_columns
-    slices = (list(zip(*(columns[i] for i in pos_idx))) if pos_idx
-              else [()] * len(ctx.tensors))
+    slices = [tuple(row[i] for i in pos_idx) for row in ctx.tensors]
     realized = sorted(set(slices), key=lambda s: (any(s), s))
     index = {s: i for i, s in enumerate(realized)}
     n = len(realized)
@@ -736,7 +733,8 @@ def controllability_index(system: GroupSystem) -> int:
     for l in range(0, system.length + 1):
         if all(_connectable(system, t, l) for t in range(t0, t1 + 2)):
             return l
-    raise NotControllableOnWindow(system.name)
+    raise AssertionError("l = length always passes: every suffix is empty, so "
+                         "the (prefix, suffix) pairs are the prefixes")
 
 
 # -- construction ------------------------------------------------------------

@@ -1620,6 +1620,23 @@ def test_support_subgroup_rejects_a_coset_union_of_single_labels():
     assert outcome(support_subgroup, bad, allowed) == ("raise", NotASubgroup)
 
 
+def test_support_subgroup_matches_the_oracle_along_a_walk_of_single_labels():
+    """The repetition code on [0,9]: one slot of its 55 has two labels, so
+    the product list is rebuilt at that slot only.  Every prefix of the
+    `time_rev` walk gives the members the filter and closure check give."""
+    system = parse_system("system R\nwindow 0 9\nalphabet all Z2\nseq" + " 1" * 10 + "\n")
+    ctx = build_context(system)
+    multi = [slot for slot in ctx.slots if ctx.basis.label_count(slot) > 1]
+    assert len(ctx.slots) == 55 and len(multi) == 1
+    walk = standard_filling(system.window, ctx.ell, "time_rev").pairs
+    for j in range(len(walk) + 1):
+        chosen = frozenset(walk[:j])
+        assert_same(outcome(support_subgroup, ctx, chosen),
+                    outcome(oracles.support_subgroup, ctx, chosen),
+                    lambda v: v if isinstance(v, tuple) else v.members)
+        assert len(support_subgroup(ctx, chosen)) == 1 + (multi[0] in chosen)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(NORMALITY_GROUPS)), st.data())
 def test_is_normal_matches_the_exhaustive_oracle_on_drawn_subgroups(name, data):

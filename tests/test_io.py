@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -498,12 +499,14 @@ def test_letter_cap_stops_a_rule_with_long_members():
 def test_letter_cap_stops_the_saturation_of_seq_members(monkeypatch):
     """Seven free letters on a window of 64 times close to 128 members,
     8,192 letters.  A cap of 4,096 letters holds 64 such members, and the
-    closure stops when it would pass them."""
+    closure stops when it would pass them.  The early check, which would
+    refuse the seeds first (2^7 > 64), is turned off to reach saturation."""
     seqs = "".join("seq " + " ".join("1" if t == p else "0" for t in range(64)) + "\n"
                    for p in range(7))
     text = "system S\nwindow 0 63\nalphabet all Z2\n" + seqs
     assert len(parse_system(text)) == 128
     monkeypatch.setattr(systems, "LETTER_CAP", 2 ** 12)
+    monkeypatch.setattr(systems, "_orbit_passes", lambda *args: False)
     with pytest.raises(BoundExceeded, match=r"^build_system saturation: 65 members "
                                             r"of 64 letters exceed cap "
                                             r"LETTER_CAP=4096 letters$"):
@@ -521,6 +524,43 @@ def test_a_seed_orbit_past_the_letter_cap_is_refused_before_saturation(monkeypat
                                             r"of 16400 letters exceed cap "
                                             r"LETTER_CAP=16777216 letters$"):
         parse_system(text)
+
+
+def test_seeds_leading_at_distinct_times_past_the_letter_cap_are_refused_before_saturation(
+        monkeypatch):
+    """The 16-seed form of `rule conv Z2 x500` on [0,515], one unit seed
+    per time from 500 to 515: each orbit has 2 members, but the first
+    letters sit at 16 distinct times, so the closure has at least 2^16
+    members, past the 32,513 of 516 letters that LETTER_CAP holds.  The
+    build is refused with saturation's own message before any product is
+    formed."""
+    seqs = "".join("seq " + " ".join("1" if t == p else "0" for t in range(516)) + "\n"
+                   for p in range(500, 516))
+    text = "system X\nwindow 0 515\nalphabet all Z2\n" + seqs
+    monkeypatch.setattr(systems, "saturate", None)  # never reached
+    with pytest.raises(BoundExceeded, match=r"^build_system saturation: 32514 members "
+                                            r"of 516 letters exceed cap "
+                                            r"LETTER_CAP=16777216 letters$"):
+        parse_system(text)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_early_closure_bounds_never_exceed_the_closure(seed):
+    """Seed sets over Z2, Z3, Z4 and S3 on windows of 1 to 6 times, with
+    letters often the identity so that first letters share times: neither
+    lower bound of `_orbit_passes` passes the order of the closure, and
+    some meet it."""
+    rng = random.Random(seed)
+    groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group_3()]
+    tight = 0
+    for _ in range(40):
+        length, g = rng.randint(1, 6), rng.choice(groups)
+        seeds = [tuple(rng.randrange(g.order) if rng.random() < 0.4 else 0
+                       for _ in range(length)) for _ in range(rng.randint(1, 3))]
+        order = len(systems.build_system((0, length - 1), [g] * length, seeds))
+        assert not systems._orbit_passes([g] * length, seeds, order)
+        tight += systems._orbit_passes([g] * length, seeds, order - 1)
+    assert tight
 
 
 @pytest.mark.parametrize("letters, order", [("2", 7), ("7", 2), ("1", 14),
