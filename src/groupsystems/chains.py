@@ -148,7 +148,12 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
 
     The group is the one induced on slices over the teeth's concatenated
     positions (`induced_slice_group`).  Every tooth has a fixed number of
-    positions, so the flat slices sort as their per-anchor parts do."""
+    positions, so the flat slices sort as their per-anchor parts do.
+    |group| |kernel| = |A| needs no test (`tests/oracles.oplus_group` keeps
+    it): the slices form a congruence (`induced_slice_group`), whose classes
+    are the cosets of the identity's class, the kernel, as the lower and
+    upper unions partition the slot table (`_complement`).
+    `normal_subgroup_from_ps` certifies the kernel."""
     anchors = ps_u.pairs
     parts = [upper_triangle_positions(ctx.system.window, ctx.ell, *a)
              for a in anchors]
@@ -159,11 +164,7 @@ def oplus_group(ctx: GeneratorContext, ps_u: UpperPairedSequence) -> OplusGroup:
     elements = tuple(tuple(s[a:b] for a, b in zip(cuts, cuts[1:]))
                      for s in realized)
 
-    # quotient isomorphism |U| / |kernel| with the kernel from the partition
-    lower_ps = paired_sequence_from_upper_complement(ctx, ps_u)
-    kernel = normal_subgroup_from_ps(ctx, lower_ps)
-    if len(kernel) * fg.order != len(ctx.system):
-        raise WellDefinednessFailure("tooth group has the wrong quotient order")
+    normal_subgroup_from_ps(ctx, paired_sequence_from_upper_complement(ctx, ps_u))
     return OplusGroup(anchors, elements, fg)
 
 
@@ -277,13 +278,19 @@ class NormalChain:
 def normal_chain(ctx: GeneratorContext, f: FillingSequence,
                  base_ps: Optional[PairedSequence] = None) -> NormalChain:
     """The ascending chain of tensor-support subgroups along a normal walk:
-    `_normal_chains` on the one walk."""
+    `_normal_chains` on the one walk, checked normal on top of the base
+    here, where a caller hands it in."""
+    ok, bad = is_normal_filling_sequence(f, base_ps.covered() if base_ps else frozenset())
+    if not ok:
+        raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
     return _normal_chains(ctx, (f,), base_ps)[0]
 
 
 def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
                    base_ps: Optional[PairedSequence] = None) -> Tuple[NormalChain, ...]:
     """The chain along each walk, in order, each order ideal certified once.
+    The walks are normal on top of the base: `normal_chain` checks a
+    caller's, and `block_code_chains` builds its own so.
 
     The levels come from `coset_levels` on member indices: a step multiplies
     the previous level by the members of the new slot's single-label
@@ -306,6 +313,11 @@ def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
     members so far, and `normal_by_cosets` tests it on them and on the
     Cayley graphs of S, one object when the member group is abelian.
 
+    With no base the last level is A, unchecked: the base is the one
+    member with the zero tensor, and each step multiplies the level by its
+    slot's label count, whose product is |A| (`_basis_chain` certified it,
+    or `GeneratorContext` for a given basis).
+
     The filled slots of a prefix are an order ideal of the slot poset
     (R. P. Stanley, Enumerative Combinatorics 1, §3.4), and walks share
     them.  Neither `target` nor its normality verdict depends on the
@@ -324,9 +336,6 @@ def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
     certified: Dict[int, Tuple[int, ...]] = {}
     chains = []
     for f in walks:
-        ok, bad = is_normal_filling_sequence(f, base_cov)
-        if not ok:
-            raise NotNormalFilling(f"prefix {bad} is not a union of lower triangles")
         if base_bits not in certified:
             certified[base_bits] = support_subgroup(ctx, base_cov)
         base = certified[base_bits]
@@ -354,8 +363,6 @@ def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
             steps.append(ChainStep((k, t), len(members), target,
                                    tuple(map(ctx.tensors.__getitem__, members))))
             level = step
-        if len(level) != len(ctx.tensors) and base_ps is None:
-            raise NotNormalFilling("chain did not reach the whole group")
         chains.append(NormalChain(f, tuple(steps), tuple(base), level))
     return tuple(chains)
 
@@ -363,11 +370,11 @@ def _normal_chains(ctx: GeneratorContext, walks: Iterable[FillingSequence],
 def reconstruct_from_chain(ctx: GeneratorContext,
                            f: Union[FillingSequence, NormalChain]) -> GroupSystem:
     """The members the chain's last level reaches by composing one
-    transversal entry per slot in fill order.  `normal_chain` certified
-    that they are the whole member set, so the result is the context's
-    validated system under a new name, not sorted or validated again
-    (`GroupSystem.renamed`).  Given a walk, the chain is built here; given
-    the `NormalChain` of `ctx` along a walk, it is reused."""
+    transversal entry per slot in fill order.  A chain `normal_chain`
+    built reaches the whole member set (`_normal_chains`), a hand-built one
+    is checked, and the result is the context's validated system under a
+    new name, not sorted or validated again (`GroupSystem.renamed`).  Given
+    a walk, the chain is built here; given a `NormalChain`, it is reused."""
     chain = f if isinstance(f, NormalChain) else normal_chain(ctx, f)
     if len(chain.choices) != len(ctx.tensors):
         raise NotNormalFilling("chain did not reach the whole group")
@@ -408,14 +415,10 @@ def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     positions = elem.positions
     # fill positions in the time_rev fold order, as `_alpha_column` folds
     order = fold_slots(positions, ctx.ell, t)
-    transversals = []
-    for pos, i in order:
-        reps = []
-        for c in range(ctx.basis.label_count(pos)):
-            labels = [0] * len(positions)
-            labels[i] = c
-            reps.append(elem._index[tuple(labels)])
-        transversals.append(tuple(reps))
+    width = len(positions)
+    transversals = [tuple(elem.index((0,) * i + (c,) + (0,) * (width - i - 1))
+                          for c in range(ctx.basis.label_count(pos)))
+                    for pos, i in order]
     filled: set = set()
     current = {0: ()}
     steps: List[EigenStep] = []

@@ -554,9 +554,12 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     """Canonical generator basis: per slot, the least member of each
     finite-extent granule coset (identity first).
 
-    Verifies: granule-order agreement between the time-domain and
-    finite-extent forms (`_check_granule`), and that the slot transversals
-    chain-generate the whole member set (window completeness).
+    Verifies window completeness (`_basis_chain`).  The time-domain
+    granule X^{t+1} num / X^{t+1} den needs no test: the prefix projection
+    pi through t has kernel X^{t+1}, and num ∩ X^{t+1} = A^(t,t+k] ⊆ den,
+    as den is seeded with it.  So |pi(num)| / |pi(den)| = |num| / |den|,
+    the number of entries (second isomorphism theorem; Forney and Trott,
+    IEEE Trans. IT 39, 1993); `tests/oracles.check_granule` keeps the test.
 
     Every non-identity entry has span k+1 unchecked: it lies outside den,
     the identity's coset, and a member of A^[t,t+k] that is the identity
@@ -585,40 +588,11 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
         den = [system.index_of(system.identity)]
         if k:
             den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
-        reps = tuple(system.sequences[coset[0]] for coset in _cosets(system, num, den))
-        _check_granule(system, (k, t), num, den, reps)
-        transversals[(k, t)] = reps
+        transversals[(k, t)] = tuple(system.sequences[coset[0]]
+                                     for coset in _cosets(system, num, den))
 
     tensors = _basis_chain(system, slots, transversals)
     return GeneratorBasis(system, ell, slots, transversals, tensors)
-
-
-def _check_granule(system: GroupSystem, slot: Slot, num: Sequence[int],
-                   den: Sequence[int], reps: Tuple[Seq, ...]) -> None:
-    """The time-domain granule X^{t+1} num / X^{t+1} den has as many cosets
-    as the finite-extent one has representatives.
-
-    X^{t+1} is the kernel of the prefix projection pi onto the times <= t,
-    a homomorphism of the member group.  So X^{t+1} H = pi^-1(pi(H)) for
-    any member set H, which has |pi(H)| |X^{t+1}| members: the order test
-    |X^{t+1} num| // |X^{t+1} den| is |pi(num)| // |pi(den)|.  The cost is
-    |num| + |den| prefixes instead of |X^{t+1}| (|num| + |den|) products.
-
-    That the representatives fall into distinct cosets of X^{t+1} den
-    needs no test of its own.  `_cosets` gives one member per coset a den,
-    so `reps` is a transversal of den in num.  All these subgroups are
-    normal, so a den -> a X^{t+1} den maps num / den onto X^{t+1} num /
-    X^{t+1} den as a surjective homomorphism.  Once the order test passes,
-    both sides have len(reps) elements, the map is a bijection, and
-    distinct entries lie in distinct X^{t+1} den cosets.  The pair test
-    this replaces is kept in `tests/oracles.check_granule`.
-    """
-    cut = slot[1] - system.window[0] + 1
-    seqs = system.sequences
-    pden = {seqs[i][:cut] for i in den}
-    if len({seqs[i][:cut] for i in num}) // len(pden) != len(reps):
-        raise NotAGroupSystem("time-domain/finite-extent granule mismatch",
-                              slot)
 
 
 def _cosets(system: GroupSystem, num: Sequence[int],

@@ -26,6 +26,7 @@ from groupsystems.chains import (
     normal_chain,
     normal_subgroup_from_ps,
     oplus_group,
+    paired_sequence_from_upper_complement,
     purge,
     reconstruct_from_chain,
     standard_filling,
@@ -96,7 +97,6 @@ from groupsystems.systems import (
     GeneratorBasis,
     GroupSystem,
     _basis_chain,
-    _check_granule,
     _cosets,
     _normal_product,
     all_tensors,
@@ -486,20 +486,38 @@ def oplus_key(op) -> tuple:
     return op.pairs, op.elements, op.group.op_table
 
 
+def assert_oplus_agrees(ctx: GeneratorContext, ps_u) -> str:
+    """The tooth group against the oracle's; where it is built, its order
+    times its kernel's is |A|, the quotient order `oplus_group` no longer
+    tests.  Returns the verdict."""
+    new = outcome(oplus_group, ctx, ps_u)
+    assert_same(new, outcome(oracles.oplus_group, ctx, ps_u), oplus_key)
+    if new[0] == "ok":
+        lower = paired_sequence_from_upper_complement(ctx, ps_u)
+        kernel = normal_subgroup_from_ps(ctx, lower)
+        assert new[1].group.order * len(kernel) == len(ctx.system)
+    return new[0]
+
+
+def sampled_teeth(ctx: GeneratorContext, per_size: int):
+    """Up to `per_size` lower paired sequences per number of anchors, each
+    with its complementary upper one."""
+    window, ell = ctx.system.window, ctx.ell
+    slots = window_slots(window, ell)
+    for r in range(len(slots) + 1):
+        for sample in itertools.islice(itertools.combinations(slots, r), per_size):
+            ps = purge(window, ell, sample)
+            yield ps, complementary(ps)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_chains_match_oracles_on_fixtures(request, name):
     ctx = build_context(request.getfixturevalue(name))
     assert_chains_agree(ctx)
-    window, ell = ctx.system.window, ctx.ell
-    slots = window_slots(window, ell)
-    walk = standard_filling(window, ell, "time_rev")
-    for r in range(len(slots) + 1):
-        for sample in itertools.islice(itertools.combinations(slots, r), 6):
-            ps = purge(window, ell, sample)
-            chain_outcomes(ctx, walk, ps)  # peels with a nontrivial base part raise
-            ps_u = complementary(ps)
-            assert_same(outcome(oplus_group, ctx, ps_u),
-                        outcome(oracles.oplus_group, ctx, ps_u), oplus_key)
+    walk = standard_filling(ctx.system.window, ctx.ell, "time_rev")
+    for ps, ps_u in sampled_teeth(ctx, 6):
+        chain_outcomes(ctx, walk, ps)  # peels with a nontrivial base part raise
+        assert assert_oplus_agrees(ctx, ps_u) == "ok"
 
 
 @settings(max_examples=40, deadline=None,
@@ -512,6 +530,8 @@ def test_chains_match_oracles_on_generated_systems(case):
     except ToolkitError:
         return  # no generator basis; the certificate test covers these
     assert_chains_agree(ctx, cap=12)
+    for _, ps_u in sampled_teeth(ctx, 2):
+        assert assert_oplus_agrees(ctx, ps_u) == "ok"
 
 
 @pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
@@ -519,10 +539,13 @@ def test_chain_rejects_swapped_tensors(request, name):
     """Swap the label tensors of two members: both chains reach the same
     verdict with the same error type, and where they accept, the same steps
     and peels.  On the parity code and the S3 repetition system every swap
-    relabels consistently and is accepted; on the others some are not."""
+    relabels consistently and is accepted; on the others some are not.
+    On the swaps of member 1, the tooth groups over one paired sequence
+    per size agree likewise, and some are built, with the quotient order."""
     ctx = build_context(request.getfixturevalue(name))
     walks, _ = enumerate_normal_fillings(ctx.system.window, ctx.ell, 6)
-    rejected = 0
+    teeth = [ps_u for _, ps_u in sampled_teeth(ctx, 1)]
+    rejected, oplus_verdicts = 0, set()
     for i, j in itertools.combinations(range(1, len(ctx.tensors)), 2):
         tensors = list(ctx.tensors)
         tensors[i], tensors[j] = tensors[j], tensors[i]
@@ -530,7 +553,10 @@ def test_chain_rejects_swapped_tensors(request, name):
         for f in walks:
             new, _ = chain_outcomes(bad, f)
             rejected += new[0] == "raise"
+        if i == 1:
+            oplus_verdicts.update(assert_oplus_agrees(bad, ps_u) for ps_u in teeth)
     assert (rejected > 0) == (name in ("c2", "s3_square"))
+    assert "ok" in oplus_verdicts
 
 
 @pytest.mark.parametrize("name", ["c2", "parity3", "s3_rep", "s3_square"])
@@ -628,37 +654,16 @@ def least_coset_reps(system: GroupSystem, num, den) -> tuple:
     return tuple(system.sequences[coset[0]] for coset in _cosets(system, num, den))
 
 
-def granule_cases(system: GroupSystem):
-    """Per basis slot, the granule test's inputs as `extract_basis` forms
-    them, followed by a defective transversal with one entry fewer (an
-    order mismatch).  A transversal with colliding cosets is not among
-    them: `_cosets` never forms one, and `_check_granule` no
-    longer tests for it (`assert_basis_granules_pass_the_pair_test`)."""
-    ell = controllability_index(system)
-    support = system.finite_support_indices
-    for k, t in window_slots(system.window, ell):
-        num = support(t, t + k)
-        den = _normal_product(system, support(t, t + k - 1), support(t + 1, t + k))
-        reps = least_coset_reps(system, num, den)
-        yield (k, t), num, den, reps
-        yield (k, t), num, den, reps[:-1]
-
-
 def member_set(system: GroupSystem, indices) -> frozenset:
     """The members at ascending member indices, as a set of sequences."""
     assert list(indices) == sorted(set(indices))
     return frozenset(map(system.sequences.__getitem__, indices))
 
 
-def oracle_granule(system: GroupSystem, slot, num, den, reps) -> None:
-    """`oracles.check_granule` on the member sets at these indices."""
-    oracles.check_granule(system, slot, member_set(system, num),
-                          member_set(system, den), reps)
-
-
 def assert_column_kernels_agree(system: GroupSystem) -> None:
-    """One-sided member sets, granule tests, Cayley graphs and the recovery
-    check against their per-pair forms."""
+    """One-sided member sets, Cayley graphs and the recovery check against
+    their per-pair forms, and the granule test that `extract_basis` needs
+    not run, pair loop included, on the basis."""
     t0, t1 = system.window
     support = system.finite_support_indices
     for t in range(t0 - 1, t1 + 3):
@@ -667,9 +672,6 @@ def assert_column_kernels_agree(system: GroupSystem) -> None:
         for hi in range(t - 1, t1 + 2):
             assert member_set(system, support(t, hi)) == (
                 oracles.x_members(system, t) & oracles.y_members(system, hi))
-    for case in granule_cases(system):
-        same_failure(failure(_check_granule, system, *case),
-                     failure(oracle_granule, system, *case))
     try:
         ctx = build_context(system)
     except ToolkitError:
@@ -694,20 +696,6 @@ def test_column_kernels_match_oracles_on_fixtures(request, name):
 def test_column_kernels_match_oracles_on_generated_systems(case):
     window, alphabets, seeds = case
     assert_column_kernels_agree(build_system(window, alphabets, seeds))
-
-
-def test_granule_defects_are_rejected_with_witnesses(c2):
-    """The defective transversals of `granule_cases` fail both tests alike,
-    with the order test's witness."""
-    reasons = set()
-    for case in granule_cases(c2):
-        new = failure(_check_granule, c2, *case)
-        same_failure(new, failure(oracle_granule, c2, *case))
-        if new[0] == "raise":
-            with pytest.raises(NotAGroupSystem) as info:
-                _check_granule(c2, *case)
-            reasons.add(info.value.reason)
-    assert reasons == {"time-domain/finite-extent granule mismatch"}
 
 
 @pytest.mark.parametrize("name", ["c2", "s3_square"])

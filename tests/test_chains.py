@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -159,11 +160,15 @@ def test_normal_chain_r2(ctx_r2):
 
 
 def test_normal_chain_rejects_bad_walk(ctx_c2):
+    """A walk that fills a span-2 slot first: `normal_chain`, where a caller
+    hands in a walk, checks it before any chain is built."""
     window, ell = ctx_c2.system.window, ctx_c2.ell
     slots = list(window_slots(window, ell))
     bad_order = tuple(sorted(slots, key=lambda p: (-p[0], -p[1])))
+    assert bad_order[0][0] == 1
     bad = FillingSequence(window, ell, bad_order)
-    with pytest.raises(NotNormalFilling):
+    with pytest.raises(NotNormalFilling,
+                       match=r"^prefix 1 is not a union of lower triangles$"):
         normal_chain(ctx_c2, bad)
 
 
@@ -448,3 +453,13 @@ def test_chain_builds_no_member_table(monkeypatch, text):
     assert all(right is ctx.right_cayley and left is ctx.left_cayley
                for right, left in graphs)
     assert len(ctx.right_cayley) == len(ctx.generating_set) < 128
+
+
+def test_reconstruction_rejects_a_chain_whose_choices_miss_members(ctx_c2):
+    """A hand-built `NormalChain` with one member left out of its last
+    level: the one input that reaches the length check."""
+    chain = normal_chain(ctx_c2, standard_filling(ctx_c2.system.window, ctx_c2.ell,
+                                                  "time_rev"))
+    short = dataclasses.replace(chain, choices=dict(list(chain.choices.items())[:-1]))
+    with pytest.raises(NotNormalFilling, match="^chain did not reach the whole group$"):
+        reconstruct_from_chain(ctx_c2, short)

@@ -857,3 +857,20 @@ def test_fuzzed_construct_flags_exit_with_a_documented_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("argv, files, code, err", [
+    (("construct", "--seed-group", "Z2", "--ell", "1"), {}, 1,
+     "error: construct needs --window t0 t1\n"),
+    (("encode", "r2.gsys", "far.rt"), {"r2.gsys": R2_TEXT, "far.rt": "5 0 1\n"}, 2,
+     "invariant violation: slot (5, 0) not in window\n"),
+    (("validate", "g0.gsys"),
+     {"g0.gsys": "system X\nwindow 0 1\ngroup G 0\nalphabet all G\nseq 0 0\n"}, 2,
+     "invariant violation: group axiom violated: closure at empty table\n"),
+], ids=["construct-without-window", "encode-slot-outside", "empty-group"])
+def test_input_checks_exit_with_their_code_and_message(capsys, tmp_path, argv, files,
+                                                       code, err):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(capsys, *argv) == (code, "", err)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from groupsystems.elementary import (
     roundtrip_label_maps,
 )
 from groupsystems.errors import (
+    DomainError,
     NoExtensionFound,
     OutOfWindow,
     RecoveryMismatch,
@@ -421,3 +423,35 @@ def test_depth3_construction_full_pipeline():
         assert prod == len(system)
         assert reconstruct_from_chain(ctx, f).sequences == system.sequences
     assert roundtrip_label_maps(es, ctx) is not None
+
+
+# -- input checks that no other test reaches -------------------------------------
+
+def with_moved_labels(es: ElementarySystem, anchor) -> ElementarySystem:
+    """`es`, unverified, with the first label of every triangle at `anchor`
+    moved by 10, so none restricts to an element of a nested anchor."""
+    table = es.tables[anchor]
+    moved = tuple((tri[0] + 10,) + tri[1:] for tri in table.elements)
+    return dataclasses.replace(es, tables={**es.tables, anchor: ElementaryGroupTable(
+        anchor, table.positions, moved, table.group)})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda es, ctx: global_product(es, (0,), (0,)), OutOfWindow,
+     "tensor length does not match the slot table"),
+    (lambda es, ctx: recover_original(es, ctx), RecoveryMismatch, "slot tables differ"),
+    (lambda es, ctx: depth_restrict(es, 9), OutOfWindow, "depth 9 not in 1..2"),
+    (lambda es, ctx: roundtrip_label_maps(es, ctx), DomainError,
+     "re-extracted elementary system differs"),
+], ids=["global-product-length", "recover-other-slots", "depth-range",
+        "roundtrip-other-label-sizes"])
+def test_input_checks_raise_their_error_and_message(es_c2, ctx_r2, call, error, message):
+    """The elementary system of C2 against R2's context, whose slot table
+    and label sizes differ."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(es_c2, ctx_r2)
+
+
+def test_homomorphism_condition_names_a_restriction_that_is_no_element(es_c2):
+    assert check_homomorphism_condition(with_moved_labels(es_c2, (0, 0))) == (
+        False, ((0, 0), (1, 0), (10, 0)))

@@ -62,6 +62,18 @@ def test_fibre_product_rejects_non_surjective():
         fibre_group(z4, z4, collapse, collapse)
 
 
+@pytest.mark.parametrize("onto, message", [
+    ((False, True), "p1 not onto the common quotient"),
+    ((True, False), "p2 not onto the common quotient"),
+], ids=["p1", "p2"])
+def test_fibre_product_names_the_map_that_is_not_onto(onto, message):
+    """Z4 over Z2 by reduction mod 2, or by the map onto the identity."""
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    maps = [Homomorphism(z4, z2, (0, 1, 0, 1) if ok else (0, 0, 0, 0)) for ok in onto]
+    with pytest.raises(NotSurjective, match=f"^{message}$"):
+        fibre_group(z4, z4, *maps)
+
+
 def test_extensions_trivial_quotient():
     z3 = cyclic_group(3)
     res = enumerate_extensions(trivial_group(), z3)

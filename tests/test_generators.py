@@ -6,8 +6,10 @@ import re
 import pytest
 
 import oracles
+from groupsystems.chains import eigentriangle_expansion, normal_chain, standard_filling
 from groupsystems.elementary import extract_elementary_system, global_product
-from groupsystems.errors import DomainError, ShapeMismatch, UnrealizedTriangle
+from groupsystems.errors import (DomainError, OutOfWindow, ShapeMismatch, ToolkitError,
+                                 UnrealizedTriangle)
 from groupsystems.generators import (
     GeneratorContext,
     alpha_t,
@@ -251,3 +253,56 @@ def test_context_rejects_a_basis_whose_entry_0_is_not_the_identity(c2, make):
         bad = dataclasses.replace(basis, transversals=swapped)
         with pytest.raises(DomainError, match=re.escape(f"at slot {slot} is not")):
             GeneratorContext(system, bad)
+
+
+def test_context_certifies_the_tensors_of_a_given_basis():
+    """A given basis whose tensors are not the members' distinct label
+    tensors, the whole label product, is rejected where its context is
+    built, naming the first bad member; a chain on it once ended in a
+    KeyError.  Random identifications are rejected alike, and random
+    permutations of the tensors are accepted, and every public call on
+    them ends in a value or a ToolkitError."""
+    system = parse_system("system C\nwindow 0 2\nrule conv Z2 x0 x0+x1\n")
+    basis = extract_basis(system)
+    tensors, n = list(basis.tensors), len(system)
+    walk = standard_filling(system.window, basis.ell, "time_rev")
+
+    def context(changed):
+        return GeneratorContext(system, dataclasses.replace(basis, tensors=tuple(changed)))
+
+    wide = (2,) + tensors[1][1:]
+    cases = [
+        ({1: wide}, f"tensor {wide} of member 1 is not one in-range label per slot"),
+        ({2: tensors[2][:-1]},
+         f"tensor {tensors[2][:-1]} of member 2 is not one in-range label per slot"),
+        ({3: tensors[1]}, f"tensor {tensors[1]} of member 3 is member 1's"),
+        ({n - 1: None}, f"{n - 1} tensors for {n} label tensors and {n} members"),
+    ]
+    for changes, message in cases:
+        changed = [changes.get(m, labels) for m, labels in enumerate(tensors)]
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            context([labels for labels in changed if labels is not None])
+    rng = random.Random(5)
+    product = list(all_tensors(basis.label_count(slot) for slot in basis.slots))
+    for _ in range(20):
+        with pytest.raises(ShapeMismatch):
+            context(rng.choices(product, k=n))
+        ctx = context([tensors[0]] + rng.sample(tensors[1:], n - 1))
+        for call, *args in ((normal_chain, ctx, walk), (eigentriangle_expansion, ctx, 1),
+                            (recover_system_fhgs, ctx), (extract_elementary_system, ctx)):
+            try:
+                call(*args)
+            except ToolkitError:
+                pass
+
+
+# -- input checks that no other test reaches -------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: triangle(ctx, ctx.tensors[1], 9, 0), "anchor (9,0) not in the slot table"),
+    (lambda ctx: elementary_group(ctx, 9, 0), "anchor (9,0) not in the slot table"),
+    (lambda ctx: lower_elementary_group(ctx, 0, 9), "interval [9,9] escapes the window"),
+], ids=["triangle", "elementary-group", "lower-elementary-group"])
+def test_anchors_outside_the_table_raise_out_of_window(c2, call, message):
+    with pytest.raises(OutOfWindow, match=f"^{re.escape(message)}$"):
+        call(build_context(c2))

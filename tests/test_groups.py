@@ -1,13 +1,16 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_c2, make_parity3, make_s3_rep
-from groupsystems.errors import AxiomViolation, BoundExceeded, NotNormal
+from groupsystems.errors import (AxiomViolation, BoundExceeded, NotASubgroup, NotASubgroupResult,
+                                 NotNormal, PreconditionViolated)
 from groupsystems.groups import (
     Homomorphism,
+    Subgroup,
     close_greedily,
     cyclic_group,
     direct_product,
@@ -323,3 +326,37 @@ def test_saturate_matches_close_greedily_on_letter_columns(name, data):
     cap = data.draw(st.none() | st.integers(1, len(system) + 1))
     assert_saturate_matches({system.identity}, candidates,
                             letter_move(system._op_columns), system.mul, cap)
+
+
+# -- input checks that no other test reaches -------------------------------------
+
+S3 = symmetric_group_3()
+Z2 = cyclic_group(2)
+
+
+def flip_subgroup(i: int) -> Subgroup:
+    """The subgroup of S3 generated by its i-th transposition, not normal."""
+    flips = [a for a in S3.elements() if S3.element_order(a) == 2]
+    return Subgroup(S3, (0, flips[i]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_group([[0, 1], [1]]), AxiomViolation,
+     "group axiom violated: closure at row 1 has length 1"),
+    (lambda: make_group([]), AxiomViolation, "group axiom violated: closure at empty table"),
+    (lambda: is_normal(S3, trivial_subgroup(Z2)), NotASubgroup,
+     "subgroup of a different parent"),
+    (lambda: quotient(S3, trivial_subgroup(Z2)), NotASubgroup,
+     "subgroup of a different parent"),
+    (lambda: Homomorphism(Z2, Z2, (0,)), PreconditionViolated,
+     "image table has wrong length"),
+    (lambda: product_of_subgroups(S3, flip_subgroup(0), flip_subgroup(1)),
+     NotASubgroupResult, "product 2*1 escapes"),
+    (lambda: zassenhaus_hom(S3, flip_subgroup(0), trivial_subgroup(S3),
+                            trivial_subgroup(S3), whole_subgroup(S3)),
+     PreconditionViolated, "U ⊲ U*: not contained"),
+], ids=["ragged-row", "empty-table", "is-normal-parent", "quotient-parent",
+        "homomorphism-length", "product-of-non-normal", "zassenhaus-containment"])
+def test_input_checks_raise_their_error_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -26,6 +26,7 @@ from groupsystems.errors import (
     ToolkitError,
     WellDefinednessFailure,
 )
+from groupsystems.cli import main
 from groupsystems.generators import build_context
 from groupsystems.groups import cyclic_group, find_isomorphism, symmetric_group_3
 from groupsystems.io import (
@@ -904,3 +905,47 @@ def test_dump_parse_dump_is_a_fixed_point(system):
     again = parse_system(text)
     assert again.sequences == system.sequences
     assert dump_system(again) == text
+
+
+# -- input checks that no other test reaches -------------------------------------
+
+def esys_text(*lines: str) -> str:
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_system, "system\nwindow 0 1\nalphabet all Z2\nseq 0 0\n",
+     "system line needs a name"),
+    (parse_system, "system R\nwindow 0 1\nalphabet all\nseq 0 0\n",
+     "alphabet line needs a time and group name"),
+    (parse_system, "system R\nwindow 0 1\nrule conv Z2 x0\nseq 1 1\n",
+     "a system is either explicit or rule-built, not both"),
+    (parse_system, "system R\nwindow 0 1\nrule conv S3 x0 x1\n",
+     "rule systems need a cyclic (abelian) group"),
+    # (1, 0) on [0,1] at depth 2 has one position, (0, 0) two
+    (parse_elementary_system,
+     esys_text("esys E depth 2 window 0 1", "egrp 1 0 1", "tri 0 0", "group G 1", "0"),
+     "triangle at (1, 0) has wrong arity"),
+    (parse_elementary_system,
+     esys_text("esys E depth 2 window 0 1", "egrp 1 0 1", "tri 0", "group G 1", "0",
+               "egrp 0 0 1", "tri 0", "group G 1", "0"),
+     "triangle at (0, 0) has wrong arity"),
+    (parse_elementary_system, esys_text("esys E depth 1 window 0 0", "egrp 0 0 -1"),
+     "egrp block at (0, 0) has a negative size"),
+    (parse_elementary_system,
+     esys_text("esys E depth 1 window 0 0", "labels 0 0 2", "egrp 0 0 1", "tri 0",
+               "group G 2", "0 1", "1 0"),
+     "table order differs from element count at (0, 0)"),
+], ids=["system-name", "alphabet-tokens", "explicit-and-rule", "rule-s3",
+        "tri-arity", "repeated-tri-arity", "egrp-negative", "egrp-count"])
+def test_input_checks_raise_and_exit_with_their_message(tmp_path, capsys, parse, text,
+                                                        message):
+    """Each check, where the parser meets it and where the CLI loads the
+    file: a ParseError with its message, and exit 1 with it on stderr."""
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+    path = tmp_path / ("in.gsys" if parse is parse_system else "in.esys")
+    path.write_text(text)
+    command = "validate" if parse is parse_system else "roundtrip"
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

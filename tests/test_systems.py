@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 import oracles
@@ -6,6 +9,7 @@ from groupsystems.groups import FiniteGroup, Subgroup, cyclic_group, zassenhaus_
 from groupsystems.io import parse_system
 from groupsystems.systems import (
     GroupSystem,
+    _basis_chain,
     all_tensors,
     alphabet_matrix,
     build_system,
@@ -293,3 +297,56 @@ def test_validate_names_the_first_member_at_fault():
         with pytest.raises(NotAGroupSystem) as info:
             GroupSystem((0, 1), [z3, z3], members)
         assert (info.value.reason, info.value.witness) == (reason, witness)
+
+
+# -- input checks that no other test reaches -------------------------------------
+
+def with_entry(basis, slot, entry):
+    """The basis with the last entry of `slot`'s transversal replaced."""
+    transversals = dict(basis.transversals)
+    transversals[slot] = transversals[slot][:-1] + (entry,)
+    return dataclasses.replace(basis, transversals=transversals)
+
+
+def without_last_slot_entries(basis):
+    """The transversals with the last slot's cut to its identity entry."""
+    transversals = dict(basis.transversals)
+    transversals[basis.slots[-1]] = transversals[basis.slots[-1]][:1]
+    return transversals
+
+
+Z2 = cyclic_group(2)
+UNREACHED_SYSTEM_CHECKS = {
+    "alphabet-count": (lambda c2, r2: GroupSystem((0, 1), [Z2], [(0, 0)]),
+                       NotAGroupSystem, "not a group system: alphabet count does not "
+                                        "match window (witness None)"),
+    "alphabet-time": (lambda c2, r2: c2.alphabet(9), OutOfWindow, "time 9 outside [0,3]"),
+    "alphabet-matrix-time": (lambda c2, r2: alphabet_matrix(extract_basis(c2), [0] * 7, 9),
+                             OutOfWindow, "time 9 outside window"),
+    "y-subgroup": (lambda c2, r2: c2.y_subgroup(9), OutOfWindow,
+                   "Y^t defined for -1 <= t <= 3"),
+    "no-identity": (lambda c2, r2: GroupSystem((0, 1), [Z2, Z2], [(1, 1)]),
+                    NotAGroupSystem, "not a group system: identity sequence missing "
+                                     "(witness (0, 0))"),
+    "time-granule": (lambda c2, r2: time_granule(c2, 0, 9), OutOfWindow,
+                     "granule interval [0,9] escapes [0,3]"),
+    "spectral-granule": (lambda c2, r2: spectral_granule(c2, 9, 0), OutOfWindow,
+                         "granule interval [9,9] escapes [0,3]"),
+    "tensor-slot": (lambda c2, r2: tensor_from_items(extract_basis(c2), {(5, 0): 1}),
+                    OutOfWindow, "slot (5, 0) not in window"),
+    "entry-not-member": (lambda c2, r2: encode_time_domain(
+        with_entry(extract_basis(r2), (1, 0), (1, 0)), (0, 0, 1)),
+        NotAGroupSystem, "not a group system: encoder left the member set "
+                         "(witness (1, 0))"),
+    "chain-short": (lambda c2, r2: _basis_chain(
+        c2, extract_basis(c2).slots, without_last_slot_entries(extract_basis(c2))),
+        NotAGroupSystem, "not a group system: slot transversals do not span the "
+                         "system (witness None)"),
+}
+
+
+@pytest.mark.parametrize("name", UNREACHED_SYSTEM_CHECKS)
+def test_input_checks_raise_their_error_and_message(c2, r2, name):
+    call, error, message = UNREACHED_SYSTEM_CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(c2, r2)
