@@ -410,35 +410,23 @@ class EigenChain:
 
 def eigentriangle_expansion(ctx: GeneratorContext, t: int) -> EigenChain:
     """Expand the time-t local group along representatives with at most one
-    nontrivial entry, one chain step per triangle position."""
+    nontrivial entry, one chain step per triangle position.
+
+    Positions are filled in the `time_rev` fold order (`_alpha_column`),
+    the slot order on the triangle, so a product of single-label elements
+    is the slice of the member whose tensor holds their labels and 0
+    elsewhere (`_basis_chain`).  Each level is thus the triangles 0 off
+    the filled positions, with disjoint cosets, and the last is E(0, t)."""
     elem = elementary_group(ctx, 0, t)
-    positions = elem.positions
-    # fill positions in the time_rev fold order, as `_alpha_column` folds
-    order = fold_slots(positions, ctx.ell, t)
-    width = len(positions)
+    width = len(elem.positions)
+    order = fold_slots(elem.positions, ctx.ell, t)
     transversals = [tuple(elem.index((0,) * i + (c,) + (0,) * (width - i - 1))
                           for c in range(ctx.basis.label_count(pos)))
                     for pos, i in order]
-    filled: set = set()
-    current = {0: ()}
-    steps: List[EigenStep] = []
-    levels = coset_levels(current, transversals, elem.group.op)
-    for (pos, _), reps, new in zip(order, transversals, levels):
-        filled.add(pos)
-        if len(new) != len(current) * len(reps):
-            raise WellDefinednessFailure(
-                f"eigentriangle cosets not disjoint at {pos}")
-        expected = {i for i, tri in enumerate(elem.elements)
-                    if all(lab == 0 or p in filled
-                           for p, lab in zip(positions, tri))}
-        if new.keys() != expected:
-            raise WellDefinednessFailure(
-                f"eigentriangle step does not match support at {pos}")
-        steps.append(EigenStep(pos, tuple(sorted(new)), reps))
-        current = new
-    if len(current) != elem.group.order:
-        raise WellDefinednessFailure("eigentriangle chain fell short")
-    return EigenChain((0, t), elem, tuple(steps))
+    levels = coset_levels({0: ()}, transversals, elem.group.op)
+    return EigenChain((0, t), elem, tuple(
+        EigenStep(pos, tuple(sorted(level)), reps)
+        for (pos, _), reps, level in zip(order, transversals, levels)))
 
 
 # -- block codes -----------------------------------------------------------------

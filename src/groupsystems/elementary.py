@@ -250,10 +250,15 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
       tensor's slice (the Cartesian count), so every letter is realized.
     The oracle `tests/oracles.validate_system` still runs every pass.
 
-    A controllability index other than `es.ell` is refused either way.
-    Above it, the system is not the one the labels describe.  Below it,
-    the re-extraction has a smaller slot table than `es`, so the roundtrip
-    would reject the file; a trivial seed group with ell >= 1 gives one."""
+    The controllability index is at most `es.ell`: a member is the
+    identity at s iff its tensor is 0 on the (0, s) triangle, so
+    |A^[a, b]| is the product of the label counts of the slots inside
+    [a, b], and the identity |A^[t0, t+l-1]| |A^[t, t1]| = |A| |A^[t, t+l-1]|
+    (`controllability_index`) holds at every t once no slot starts before
+    t and ends after t+l-1, as at l = `es.ell`.  An index below `es.ell`
+    is refused: the re-extraction has a smaller slot table than `es`, so
+    the roundtrip would reject the file; a trivial seed group with
+    ell >= 1 gives one."""
     sizes = list(map(es.label_sizes.__getitem__, es.slots()))
     check_tensor_count(Counter(sizes))
     _, plan = es._product_plan
@@ -268,8 +273,6 @@ def global_group_system(es: ElementarySystem) -> GroupSystem:
     system = GroupSystem(es.window, alphabets, members, name=f"S({es.name})",
                          _closed=True)
     ell = controllability_index(system)
-    if ell > es.ell:
-        raise WellDefinednessFailure("global system exceeds the seeded depth")
     if ell < es.ell:
         raise WellDefinednessFailure(f"global system realizes ell={ell}, "
                                      f"below the seeded ell={es.ell}")

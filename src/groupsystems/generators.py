@@ -20,13 +20,11 @@ table holds its anchor and positions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
-    DomainError,
     NotASubgroup,
     OutOfWindow,
     RecoveryMismatch,
@@ -88,21 +86,18 @@ class GeneratorContext:
     group built here records its slice class per member in `_classes`,
     each alpha_t column (`_alpha_column`) is kept per t in `_alphas`, and
     each single-label member's right column, S's among them, in `_right`.
-    A given basis's tensors are certified here (`_certify_tensors`); an
-    extracted basis's are, by `_basis_chain`.
+    Every basis, given or extracted, is certified where it is built
+    (`GeneratorBasis`), for its own system, which must be `system`.
     """
 
     def __init__(self, system: GroupSystem, basis: Optional[GeneratorBasis] = None):
         self.system = system
         self.basis = basis if basis is not None else extract_basis(system)
+        if self.basis.system is not system:
+            raise ShapeMismatch(f"basis of {self.basis.system!r} given for {system!r}")
         self.ell = self.basis.ell
         self.slots = self.basis.slots
         self.slot_pos = self.basis.slot_pos
-        for slot in self.slots:
-            if self.basis.transversal(slot)[:1] != (system.identity,):
-                raise DomainError(f"basis entry 0 at slot {slot} is not the identity")
-        if basis is not None:
-            _certify_tensors(basis, len(system))
         # member index <-> label tensor
         self.tensors = self.basis.tensors
         self._elementary: Dict[Tuple[int, int], ElementaryGroupTable] = {}
@@ -170,22 +165,6 @@ class GeneratorContext:
     def support(self, labels: Tuple[int, ...]) -> Tuple[Slot, ...]:
         """The slots where a label tuple picks a non-identity generator."""
         return tuple(slot for slot, c in zip(self.slots, labels) if c != 0)
-
-
-def _certify_tensors(basis: GeneratorBasis, size: int) -> None:
-    """ShapeMismatch naming the first bad member, unless the tensors are
-    `size` distinct ones, each label in range, and so all label tensors."""
-    counts = [basis.label_count(slot) for slot in basis.slots]
-    owner: Dict[Tuple[int, ...], int] = {}
-    for m, labels in enumerate(basis.tensors):
-        if not (isinstance(labels, tuple) and len(labels) == len(counts)
-                and all(isinstance(c, int) and 0 <= c < n for c, n in zip(labels, counts))):
-            raise ShapeMismatch(f"tensor {labels} of member {m} is not one in-range label per slot")
-        if owner.setdefault(labels, m) != m:
-            raise ShapeMismatch(f"tensor {labels} of member {m} is member {owner[labels]}'s")
-    if not len(owner) == math.prod(counts) == size:
-        raise ShapeMismatch(f"{len(owner)} tensors for {math.prod(counts)} label tensors "
-                            f"and {size} members")
 
 
 def build_context(system: GroupSystem) -> GeneratorContext:

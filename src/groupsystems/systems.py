@@ -15,15 +15,17 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundExceeded,
+    DomainError,
     NotAGroupSystem,
     NotAMember,
     OutOfWindow,
+    ShapeMismatch,
 )
 from .groups import FiniteGroup, Quotient, class_table, close_greedily, saturate
 from .slots import Slot, check_slot_table, fold_order, positions_in, walk, window_slots
@@ -128,11 +130,12 @@ class GroupSystem:
         return f"GroupSystem({self.name!r}, window={self.window}, order={len(self)})"
 
     def _validate(self, closed: bool) -> None:
-        """Identity, letter range and inverses, then closure, then every
-        letter realized.  Range and inverses are column passes (each letter
-        column through the time-t inverse table, the zipped rows looked up
-        in the member index); when one fails, the member loop below finds
-        the first offending member, the witness.
+        """Identity, length and letter range, and inverses, then closure,
+        then every letter realized.  Length, range and inverses are column
+        passes (`letters_fit`, then each letter column through the time-t
+        inverse table, the zipped rows looked up in the member index); when
+        one fails, the member loop below finds the first offending member,
+        the witness.
 
         A `closed` system keeps the identity check alone.  The global
         system of an elementary system is one (`global_group_system` gives
@@ -153,17 +156,14 @@ class GroupSystem:
         if closed:
             return
         columns = self.columns
-        ok = all(0 <= min(col) and max(col) < g.order
-                 for col, g in zip(columns, self.alphabets))
+        ok = letters_fit(self.sequences, columns, self.alphabets, self.length)
         if ok:
             inverted = [map(tuple(map(g.inv, g.elements())).__getitem__, col)
                         for col, g in zip(columns, self.alphabets)]
             ok = all(map(self._index.__contains__, zip(*inverted)))
         if not ok:
             for s in self.sequences:
-                for x, g in zip(s, self.alphabets):
-                    if not 0 <= x < g.order:
-                        raise NotAGroupSystem("letter out of range", (s, x))
+                check_letters(s, self.alphabets, self.length, "member")
                 if self.inverse(s) not in self._index:
                     raise NotAGroupSystem("inverse missing", s)
         self.verify_closure()
@@ -276,6 +276,25 @@ class GroupSystem:
         return out
 
 
+def letters_fit(seqs: Sequence[Seq], columns: Iterable[Sequence[int]],
+                alphabets: Sequence[FiniteGroup], length: int) -> bool:
+    """Whether every sequence has `length` letters, each in range: the
+    column test on `columns`, the letter columns of `seqs`."""
+    return (all(map(length.__eq__, map(len, seqs)))
+            and all(0 <= min(col) and max(col) < g.order
+                    for col, g in zip(columns, alphabets)))
+
+
+def check_letters(s: Seq, alphabets: Sequence[FiniteGroup], length: int,
+                  what: str) -> None:
+    """NotAGroupSystem naming `s` unless `letters_fit` passes it."""
+    if len(s) != length:
+        raise NotAGroupSystem(f"{what} has wrong length", s)
+    for x, g in zip(s, alphabets):
+        if not 0 <= x < g.order:
+            raise NotAGroupSystem("letter out of range", (s, x))
+
+
 def realized_alphabets(alphabets: Sequence[FiniteGroup],
                        members: Iterable[Seq]) -> tuple:
     """Shrink each per-time alphabet to its realized projection subgroup.
@@ -352,15 +371,9 @@ def build_system(window: Tuple[int, int], alphabets: Sequence[FiniteGroup],
     length = check_slot_table(window, 0)
     alphabets = tuple(alphabets)
     seeds = [tuple(map(int, s)) for s in seeds]
-    if not (all(len(s) == length for s in seeds)
-            and all(0 <= min(col) and max(col) < g.order
-                    for col, g in zip(zip(*seeds), alphabets))):
+    if not letters_fit(seeds, zip(*seeds), alphabets, length):
         for s in seeds:
-            if len(s) != length:
-                raise NotAGroupSystem("seed has wrong length", s)
-            for x, g in zip(s, alphabets):
-                if not 0 <= x < g.order:
-                    raise NotAGroupSystem("letter out of range", (s, x))
+            check_letters(s, alphabets, length, "seed")
     members = {(0,) * length}
     by_letters = LETTER_CAP // length
     if by_letters < member_cap and _orbit_passes(alphabets, seeds, by_letters):
@@ -523,16 +536,39 @@ def _member_quotient(system: GroupSystem, num, den) -> Quotient:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """One granule transversal per (k, t) slot; entry 0 is the identity.
-    Row i of `tensors`, the basis chain's last level, is member i's label
-    tensor: the entry per slot whose product in slot order (the
-    time-domain encoder) is the member."""
+    """One granule transversal per slot of the table at `ell`, entry 0 the
+    identity.  They fix the slots and `tensors`, the basis chain's last
+    level: row i is member i's label tensor, the entry per slot whose
+    product in slot order (the time-domain encoder) is the member.  Built
+    given or extracted, a basis is certified in order: the slot table
+    (`check_slot_table`), transversals keyed by exactly its slots
+    (ShapeMismatch naming the first missing, then the first extra one),
+    entry 0 the identity (DomainError), entries members (NotAMember), and
+    the chain (`_basis_chain`)."""
 
     system: GroupSystem
     ell: int
-    slots: Tuple[Slot, ...]
     transversals: Dict[Slot, Tuple[Seq, ...]]
-    tensors: Tuple[Tuple[int, ...], ...]
+    tensors: Tuple[Tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self):
+        system, transversals = self.system, self.transversals
+        check_slot_table(system.window, self.ell)
+        slots = self.slots
+        if transversals.keys() != set(slots):
+            slot = next(s for s in (*slots, *transversals)
+                        if (s in transversals) != (s in self.slot_pos))
+            raise ShapeMismatch(f"transversals not keyed by the slot table at slot {slot}")
+        for slot in slots:
+            if transversals[slot][:1] != (system.identity,):
+                raise DomainError(f"basis entry 0 at slot {slot} is not the identity")
+            for g in transversals[slot]:
+                system.index_of(g)
+        object.__setattr__(self, "tensors", _basis_chain(system, slots, transversals))
+
+    @cached_property
+    def slots(self) -> Tuple[Slot, ...]:
+        return window_slots(self.system.window, self.ell)
 
     @cached_property
     def slot_pos(self) -> Dict[Slot, int]:
@@ -554,7 +590,7 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     """Canonical generator basis: per slot, the least member of each
     finite-extent granule coset (identity first).
 
-    Verifies window completeness (`_basis_chain`).  The time-domain
+    The basis certifies itself (`GeneratorBasis`).  The time-domain
     granule X^{t+1} num / X^{t+1} den needs no test: the prefix projection
     pi through t has kernel X^{t+1}, and num ∩ X^{t+1} = A^(t,t+k] ⊆ den,
     as den is seeded with it.  So |pi(num)| / |pi(den)| = |num| / |den|,
@@ -580,19 +616,16 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
     time-reverse fill order has met already.
     """
     ell = controllability_index(system)
-    slots = window_slots(system.window, ell)
     nums: Dict[Slot, List[int]] = {}
     transversals: Dict[Slot, Tuple[Seq, ...]] = {}
-    for (k, t) in slots:
+    for (k, t) in window_slots(system.window, ell):
         num = nums[(k, t)] = system.finite_support_indices(t, t + k)
         den = [system.index_of(system.identity)]
         if k:
             den = _normal_product(system, nums[(k - 1, t)], nums[(k - 1, t + 1)])
         transversals[(k, t)] = tuple(system.sequences[coset[0]]
                                      for coset in _cosets(system, num, den))
-
-    tensors = _basis_chain(system, slots, transversals)
-    return GeneratorBasis(system, ell, slots, transversals, tensors)
+    return GeneratorBasis(system, ell, transversals)
 
 
 def _cosets(system: GroupSystem, num: Sequence[int],
@@ -718,17 +751,14 @@ def encode_spectral_domain(basis: GeneratorBasis, r: Sequence[int]) -> Seq:
 
 def _compose(basis: GeneratorBasis, r: Sequence[int], order: Iterable[int]) -> Seq:
     """The product of the generators a label tensor selects, at the slot
-    indices `order` from left to right.  Entry 0 of every transversal is
-    the identity (`GeneratorBasis`; a context checks it), so slots with
-    label 0 are skipped and only the non-identity entries are multiplied,
-    in the same order."""
+    indices `order` from left to right: a member, as every entry of a
+    certified basis is (`GeneratorBasis`).  Entry 0 is the identity, so
+    slots with label 0 are skipped."""
     system, slots, labels = basis.system, basis.slots, check_tensor(basis, r)
     acc = system.identity
     for i in order:
         if labels[i]:
             acc = system.mul(acc, basis.transversals[slots[i]][labels[i]])
-    if acc not in system:
-        raise NotAGroupSystem("encoder left the member set", acc)
     return acc
 
 

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from groupsystems.generators import GeneratorContext
 from groupsystems.groups import cyclic_group, direct_product, symmetric_group_3
-from groupsystems.systems import GroupSystem, build_system
+from groupsystems.systems import GeneratorBasis, GroupSystem, build_system, window_slots
 
 
 def make_r2():
@@ -79,3 +80,26 @@ def trivial_sys():
 @pytest.fixture(scope="session")
 def parity3():
     return make_parity3()
+
+
+def with_tensors(ctx: GeneratorContext, tensors) -> GeneratorContext:
+    """A context over the same system and basis whose member/tensor
+    identification is replaced, with empty caches.  A basis derives its
+    tensors from its transversals, so a broken identification is made
+    here; swapping labels i and j at a slot in every tensor is the basis
+    with that slot's entries i and j swapped."""
+    bad = GeneratorContext(ctx.system, ctx.basis)
+    bad.tensors = tuple(tensors)
+    bad.tensor_index = {lab: i for i, lab in enumerate(bad.tensors)}
+    return bad
+
+
+def parity3_context(entries: dict) -> GeneratorContext:
+    """A context on the parity code over a given basis of depth 1: each
+    slot's transversal is the identity followed by its `entries`, none at
+    slots not named.  Entries that span the code with disjoint cosets
+    make a basis, granule transversals or not."""
+    system = make_parity3()
+    transversals = {slot: (system.identity, *entries.get(slot, ()))
+                    for slot in window_slots(system.window, 1)}
+    return GeneratorContext(system, GeneratorBasis(system, 1, transversals))

@@ -127,7 +127,7 @@ import itertools
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from groupsystems.chains import (
     ChainStep,
@@ -1112,7 +1112,17 @@ def check_basis_granules(basis: GeneratorBasis) -> None:
                       basis.transversal((k, t)))
 
 
-def extract_basis(system: GroupSystem) -> GeneratorBasis:
+class OracleBasis(NamedTuple):
+    """The basis `extract_basis` forms, with the tensors of its own chain
+    (`basis_chain`), not those a `GeneratorBasis` derives."""
+
+    ell: int
+    slots: Tuple[Slot, ...]
+    transversals: Dict[Slot, Tuple[Seq, ...]]
+    tensors: Tuple[Tuple[int, ...], ...]
+
+
+def extract_basis(system: GroupSystem) -> OracleBasis:
     """The generator basis on member sequences: support sets by scanning
     every member, the denominator as the set product of its two factors,
     cosets by tuple products, the granule test with X^{t+1}."""
@@ -1129,8 +1139,8 @@ def extract_basis(system: GroupSystem) -> GeneratorBasis:
         check_granule(system, (k, t), num, den, reps)
         transversals[(k, t)] = reps
     level = basis_chain(system, slots, transversals)
-    return GeneratorBasis(system, ell, slots, transversals,
-                          tuple(map(level.__getitem__, system.sequences)))
+    return OracleBasis(ell, slots, transversals,
+                       tuple(map(level.__getitem__, system.sequences)))
 
 
 def alpha_t(ctx: GeneratorContext, tri: Tuple[int, ...], t: int) -> int:
@@ -2047,9 +2057,12 @@ def with_full_generating_set(ctx: GeneratorContext) -> GeneratorContext:
 # -- passes the extract path no longer repeats ------------------------------
 
 def validate_system(system: GroupSystem) -> None:
-    """A system's letter range, inverses, closure (all pairs) and realized
-    letters, member by member, with the witnesses `GroupSystem` names."""
+    """A system's member lengths, letter range, inverses, closure (all
+    pairs) and realized letters, member by member, with the witnesses
+    `GroupSystem` names."""
     for s in system.sequences:
+        if len(s) != system.length:
+            raise NotAGroupSystem("member has wrong length", s)
         for x, g in zip(s, system.alphabets):
             if not 0 <= x < g.order:
                 raise NotAGroupSystem("letter out of range", (s, x))

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import with_tensors
 import groupsystems.elementary as elementary_module
 import groupsystems.generators as generators_module
 import groupsystems.io as io_module
@@ -322,15 +323,6 @@ def test_column_closure_keeps_the_tuple_loop_witness(request, monkeypatch, name)
     system.verify_closure()
 
 
-def with_tensors(ctx: GeneratorContext, tensors) -> GeneratorContext:
-    """A context over the same system whose member/tensor identification is
-    replaced, with empty caches."""
-    bad = GeneratorContext(ctx.system, ctx.basis)
-    bad.tensors = tuple(tensors)
-    bad.tensor_index = {lab: i for i, lab in enumerate(bad.tensors)}
-    return bad
-
-
 @pytest.mark.parametrize("name", ["c2", "s3_square"])
 def test_elementary_group_rejects_a_broken_identification(request, name):
     """Swap the label tensors of two members: the slice partition stops
@@ -590,10 +582,7 @@ def bogus_basis_context(system: GroupSystem, transversals: dict) -> GeneratorCon
     the system with disjoint cosets, so the label tensors read off their
     chain agree with every level's support set, but the entries are no
     granule transversals."""
-    slots = tuple(transversals)
-    basis = GeneratorBasis(system, 0, slots, transversals,
-                           _basis_chain(system, slots, transversals))
-    return GeneratorContext(system, basis)
+    return GeneratorContext(system, GeneratorBasis(system, 0, transversals))
 
 
 def test_chain_rejects_levels_that_are_no_normal_subgroups(s3_square):
@@ -1163,43 +1152,41 @@ def test_basis_matches_oracle_on_member_sets_with_one_member_removed(request, na
                      failure(oracle_of_seeds, members), basis_key)
 
 
-def with_entries_swapped(basis: GeneratorBasis, slot, i: int, j: int) -> GeneratorBasis:
-    entries = list(basis.transversals[slot])
-    entries[i], entries[j] = entries[j], entries[i]
-    transversals = dict(basis.transversals)
-    transversals[slot] = tuple(entries)
-    return GeneratorBasis(basis.system, basis.ell, basis.slots, transversals,
-                          basis.tensors)
+def with_labels_swapped(ctx: GeneratorContext, slot, i: int, j: int) -> GeneratorContext:
+    """The context of the basis with `slot`'s entries i and j swapped: a
+    `with_tensors` context whose labels i and j at `slot` are swapped."""
+    pos, swap = ctx.slot_pos[slot], {i: j, j: i}
+    return with_tensors(ctx, (lab[:pos] + (swap.get(lab[pos], lab[pos]),) + lab[pos + 1:]
+                              for lab in ctx.tensors))
 
 
 @pytest.mark.parametrize("name", ["z3_taps", "s3_square"])
 def test_recovery_compares_member_sets_where_rows_move(request, name):
     """A context whose transversal entries are relabeled against its label
     tensors: swapping two non-identity entries of a slot recovers members
-    in other rows, which both forms accept as the same member set; putting
-    the identity in an entry's place repeats a row, which both reject."""
+    in other rows, which both forms accept as the same member set.  Giving
+    every member the identity's tensor, through the trivial endomorphism,
+    so that every slice partition is still a congruence, repeats a row,
+    which both reject."""
     if name == "z3_taps":
         system = parse_system("system T\nwindow 0 2\nrule conv Z3 x0 x0+x1\n")
     else:
         system = request.getfixturevalue(name)
-    basis = extract_basis(system)
-    slot = max(basis.slots, key=lambda s: len(basis.transversals[s]))
-    swaps = itertools.combinations(range(1, len(basis.transversals[slot])), 2)
+    ctx = GeneratorContext(system)
+    slot = max(ctx.slots, key=ctx.basis.label_count)
+    swaps = itertools.combinations(range(1, ctx.basis.label_count(slot)), 2)
     for i, j in itertools.islice(swaps, 4):
-        ctx = GeneratorContext(system, with_entries_swapped(basis, slot, i, j))
-        new = failure(recover_system_fhgs, ctx)
+        moved = with_labels_swapped(ctx, slot, i, j)
+        new = failure(recover_system_fhgs, moved)
         assert new[0] == "ok"
-        same_failure(new, failure(oracles.recover_system_fhgs, ctx), recovered_key)
+        same_failure(new, failure(oracles.recover_system_fhgs, moved), recovered_key)
         # the rows moved: some member's labels now encode another member
-        assert any(encode_time_domain(ctx.basis, decode_to_tensor(ctx.basis, a)) != a
-                   for a in system.sequences)
-    entries = dict(basis.transversals)
-    entries[slot] = (system.identity,) + entries[slot][:1] + entries[slot][2:]
-    ctx = GeneratorContext(system, GeneratorBasis(
-        system, basis.ell, basis.slots, entries, basis.tensors))
-    new = failure(recover_system_fhgs, ctx)
+        assert any(encode_time_domain(ctx.basis, lab) != a
+                   for lab, a in zip(moved.tensors, system.sequences))
+    collapsed = with_tensors(ctx, [ctx.tensors[0]] * len(system))
+    new = failure(recover_system_fhgs, collapsed)
     assert new[:2] == ("raise", RecoveryMismatch)
-    same_failure(new, failure(oracles.recover_system_fhgs, ctx))
+    same_failure(new, failure(oracles.recover_system_fhgs, collapsed))
 
 
 def test_recovered_system_shares_the_validated_members(c2):

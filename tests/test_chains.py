@@ -4,6 +4,7 @@ from pathlib import Path
 
 import oracles
 import pytest
+from conftest import parity3_context
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from groupsystems.chains import (
     reconstruct_from_chain,
     standard_filling,
 )
-from groupsystems.errors import NotABlockCode, NotNormalFilling
+from groupsystems.errors import NotABlockCode, NotNormalFilling, WellDefinednessFailure
 import groupsystems.chains as chains_module
 from groupsystems.generators import build_context, elementary_group, u_minus_subgroup
 from groupsystems.groups import FiniteGroup, Subgroup, is_normal
@@ -81,6 +82,17 @@ def test_sawtooth_partition_seeded_random():
         comp = complementary(ps)  # raises if the unions fail to partition
         assert ps.covered() | comp.covered() == set(slots)
         assert not ps.covered() & comp.covered()
+
+
+def test_tooth_product_is_checked_against_a_given_basis():
+    """A basis of the parity code whose entries span it but are no granule
+    transversals: slot (0, 1) holds 110, whose span is two times.  The
+    tensors inside the tooth of (0, 1) are those of 000 and 110, while its
+    lower elementary group A^[1, 1] is the identity alone."""
+    ctx = parity3_context({(0, 1): [(1, 1, 0)], (1, 0): [(0, 1, 1)]})
+    with pytest.raises(WellDefinednessFailure,
+                       match="^tooth product differs from support subgroup$"):
+        normal_subgroup_from_ps(ctx, purge(ctx.system.window, 1, [(0, 1)]))
 
 
 def test_normal_subgroup_from_ps(ctx_r2, ctx_c2):

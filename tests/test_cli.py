@@ -85,6 +85,10 @@ def test_validate_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", p)
     assert code == 1
     assert "error" in err
+    p.write_text("system X\nwindow 0\nalphabet all Z2\nseq 0\n")
+    code, out, err = run(capsys, "validate", p)
+    assert (code, out) == (1, "")
+    assert "window line needs two integers" in err
 
 
 def test_validate_invariant_violation(capsys, tmp_path):

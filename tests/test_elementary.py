@@ -4,6 +4,7 @@ import re
 import pytest
 
 import oracles
+from conftest import with_tensors
 
 from groupsystems.elementary import (
     ConstructionStrategy,
@@ -28,7 +29,6 @@ from groupsystems.errors import (
 )
 from groupsystems.generators import (
     ElementaryGroupTable,
-    GeneratorContext,
     build_context,
     restriction_images,
     star,
@@ -386,9 +386,7 @@ def test_roundtrip_rejects_contexts_relabeled_by_automorphisms(es_c2):
             continue
         phi = [system.index_of(system.mul(a, g)) if a[0] == 1 else i
                for i, a in enumerate(seqs)]
-        basis = dataclasses.replace(ctx.basis, tensors=tuple(
-            map(ctx.basis.tensors.__getitem__, phi)))
-        moved = GeneratorContext(system, basis)
+        moved = with_tensors(ctx, map(ctx.tensors.__getitem__, phi))
         re_es = extract_elementary_system(moved)
         assert oracles.structurally_equal(es_c2, re_es) is not None
         assert all(find_isomorphism(es_c2.tables[a].group, re_es.tables[a].group)

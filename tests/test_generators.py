@@ -6,10 +6,11 @@ import re
 import pytest
 
 import oracles
+from conftest import parity3_context, with_tensors
 from groupsystems.chains import eigentriangle_expansion, normal_chain, standard_filling
 from groupsystems.elementary import extract_elementary_system, global_product
 from groupsystems.errors import (DomainError, OutOfWindow, ShapeMismatch, ToolkitError,
-                                 UnrealizedTriangle)
+                                 UnrealizedTriangle, WellDefinednessFailure)
 from groupsystems.generators import (
     GeneratorContext,
     alpha_t,
@@ -237,10 +238,11 @@ def test_unrealized_triangle_raises(ctx_r2):
     lambda c2: parse_system("system C\nwindow 0 3\nrule conv Z2 x0 x0+x1\n"),
     lambda c2: c2,
 ], ids=["rule", "c2"])
-def test_context_rejects_a_basis_whose_entry_0_is_not_the_identity(c2, make):
-    """Entries 0 and 1 of one slot's transversal swapped: the context names
-    the slot in a DomainError, where the generating set would lose that
-    slot's generator; the basis as extracted is accepted."""
+def test_basis_rejects_an_entry_0_that_is_not_the_identity(c2, make):
+    """Entries 0 and 1 of one slot's transversal swapped, which still span
+    the system: the basis is refused where it is built, with a DomainError
+    naming the slot, before its chain runs; the generating set would lose
+    that slot's generator.  The basis as extracted is accepted."""
     system = make(c2)
     basis = extract_basis(system)
     GeneratorContext(system, basis)
@@ -250,46 +252,41 @@ def test_context_rejects_a_basis_whose_entry_0_is_not_the_identity(c2, make):
         entries = basis.transversal(slot)
         swapped = dict(basis.transversals)
         swapped[slot] = (entries[1], entries[0]) + entries[2:]
-        bad = dataclasses.replace(basis, transversals=swapped)
         with pytest.raises(DomainError, match=re.escape(f"at slot {slot} is not")):
-            GeneratorContext(system, bad)
+            dataclasses.replace(basis, transversals=swapped)
 
 
-def test_context_certifies_the_tensors_of_a_given_basis():
-    """A given basis whose tensors are not the members' distinct label
-    tensors, the whole label product, is rejected where its context is
-    built, naming the first bad member; a chain on it once ended in a
-    KeyError.  Random identifications are rejected alike, and random
-    permutations of the tensors are accepted, and every public call on
-    them ends in a value or a ToolkitError."""
+def test_context_refuses_a_basis_of_another_system(r2, c2):
+    """A basis is certified for its own system; handed to a context of
+    another one, it once ended in a KeyError in the first certificate."""
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "basis of GroupSystem('R2', window=(0, 1), order=2) given for "
+            "GroupSystem('C2', window=(0, 3), order=16)")):
+        GeneratorContext(c2, extract_basis(r2))
+
+
+def test_alpha_hom_is_checked_onto_the_alphabet():
+    """A basis of the parity code that spans it at one slot, (0, 0), with
+    all four members: E(0, 1) holds the identity triangle alone, so alpha
+    at time 1 reaches letter 0 only, and the map is refused."""
+    ctx = parity3_context({(0, 0): [(1, 0, 1), (1, 1, 0), (0, 1, 1)]})
+    with pytest.raises(WellDefinednessFailure, match="^alpha at 1 misses alphabet letters$"):
+        alpha_t_hom(ctx, 1)
+
+
+def test_public_calls_on_permuted_identifications_end_in_a_typed_error():
+    """Contexts whose member/tensor identification is a random permutation
+    of the tensors, the identity's kept: every public call on them ends in
+    a value or a ToolkitError."""
     system = parse_system("system C\nwindow 0 2\nrule conv Z2 x0 x0+x1\n")
-    basis = extract_basis(system)
-    tensors, n = list(basis.tensors), len(system)
-    walk = standard_filling(system.window, basis.ell, "time_rev")
-
-    def context(changed):
-        return GeneratorContext(system, dataclasses.replace(basis, tensors=tuple(changed)))
-
-    wide = (2,) + tensors[1][1:]
-    cases = [
-        ({1: wide}, f"tensor {wide} of member 1 is not one in-range label per slot"),
-        ({2: tensors[2][:-1]},
-         f"tensor {tensors[2][:-1]} of member 2 is not one in-range label per slot"),
-        ({3: tensors[1]}, f"tensor {tensors[1]} of member 3 is member 1's"),
-        ({n - 1: None}, f"{n - 1} tensors for {n} label tensors and {n} members"),
-    ]
-    for changes, message in cases:
-        changed = [changes.get(m, labels) for m, labels in enumerate(tensors)]
-        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
-            context([labels for labels in changed if labels is not None])
+    ctx = GeneratorContext(system)
+    tensors, n = list(ctx.tensors), len(system)
+    walk = standard_filling(system.window, ctx.ell, "time_rev")
     rng = random.Random(5)
-    product = list(all_tensors(basis.label_count(slot) for slot in basis.slots))
     for _ in range(20):
-        with pytest.raises(ShapeMismatch):
-            context(rng.choices(product, k=n))
-        ctx = context([tensors[0]] + rng.sample(tensors[1:], n - 1))
-        for call, *args in ((normal_chain, ctx, walk), (eigentriangle_expansion, ctx, 1),
-                            (recover_system_fhgs, ctx), (extract_elementary_system, ctx)):
+        bad = with_tensors(ctx, [tensors[0]] + rng.sample(tensors[1:], n - 1))
+        for call, *args in ((normal_chain, bad, walk), (eigentriangle_expansion, bad, 1),
+                            (recover_system_fhgs, bad), (extract_elementary_system, bad)):
             try:
                 call(*args)
             except ToolkitError:

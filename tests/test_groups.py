@@ -229,6 +229,7 @@ def test_find_isomorphism_distinguishes_z4_v4():
     v4, _, _ = direct_product(cyclic_group(2), cyclic_group(2))
     assert find_isomorphism(z4, v4) is None
     assert find_isomorphism(z4, cyclic_group(4)) is not None
+    assert find_isomorphism(z4, cyclic_group(2)) is None
 
 
 @settings(max_examples=30, deadline=None)

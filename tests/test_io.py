@@ -152,6 +152,9 @@ def test_parse_errors():
         parse_system("system X\nwindow 0 0\nbogus 1\n")
     with pytest.raises(ParseError):
         parse_system("system X\nwindow 0 1\nrule conv Z2 y0\n")
+    for window in ("window 0", "window 0 1 2"):
+        with pytest.raises(ParseError, match="window line needs two integers"):
+            parse_system(f"system X\n{window}\nalphabet all Z2\nseq 0\n")
 
 
 def test_repeated_and_stray_gsys_stanzas_are_parse_errors():

@@ -4,10 +4,11 @@ import re
 import pytest
 
 import oracles
-from groupsystems.errors import NotAGroupSystem, NotAMember, OutOfWindow
+from groupsystems.errors import NotAGroupSystem, NotAMember, OutOfWindow, ShapeMismatch
 from groupsystems.groups import FiniteGroup, Subgroup, cyclic_group, zassenhaus_hom
 from groupsystems.io import parse_system
 from groupsystems.systems import (
+    GeneratorBasis,
     GroupSystem,
     _basis_chain,
     all_tensors,
@@ -283,20 +284,52 @@ def test_only_active_slots_touch_component(c2):
 
 
 def test_validate_names_the_first_member_at_fault():
-    """Letter range and inverses are checked column by column; the witness
-    is still the first offending member in member order.  These passes run
-    before closure in the unflagged constructor; a `_closed` system (built
-    by `build_system`) skips them."""
+    """Member length, letter range and inverses are checked column by
+    column; the witness is still the first offending member in member
+    order.  These passes run before closure in the unflagged constructor;
+    a `_closed` system (built by `build_system`) skips them.  A member of
+    the wrong length was once cut to the window by the letter columns and
+    reported as missing its inverse."""
     z3 = cyclic_group(3)
     cases = [
         ([(0, 0), (0, 1), (1, 0), (2, 0)], "inverse missing", (0, 1)),
         ([(0, 0), (0, 1), (0, 2), (1, 7)], "letter out of range", ((1, 7), 7)),
         ([(0, 0), (0, 1), (0, 7)], "inverse missing", (0, 1)),
+        ([(0, 0), (1, 1, 5)], "member has wrong length", (1, 1, 5)),
+        ([(0, 0), (0, 1), (0, 2), (1,)], "member has wrong length", (1,)),
     ]
     for members, reason, witness in cases:
         with pytest.raises(NotAGroupSystem) as info:
             GroupSystem((0, 1), [z3, z3], members)
         assert (info.value.reason, info.value.witness) == (reason, witness)
+
+
+def test_a_basis_is_certified_where_it_is_built():
+    """The transversals fix a basis: its slot table and tensors are derived.
+    Transversals that miss a slot of the table at `ell`, or whose entries
+    do not span the system with disjoint cosets, are refused where the
+    basis is built; each was once accepted and ended in a KeyError later,
+    and the replaced entry generates 4 of the 8 members."""
+    system = parse_system("system C\nwindow 0 2\nrule conv Z2 x0 x0+x1\n")
+    basis = extract_basis(system)
+    assert [f.name for f in dataclasses.fields(basis) if f.init] == [
+        "system", "ell", "transversals"]
+    again = GeneratorBasis(system, basis.ell, dict(basis.transversals))
+    assert (again.slots, again.tensors) == (basis.slots, basis.tensors)
+    assert basis.slots == window_slots(system.window, basis.ell)
+    replaced = {**basis.transversals, (0, 2): ((0, 0, 0), (0, 3, 1))}
+    with pytest.raises(NotAGroupSystem) as info:
+        GeneratorBasis(system, basis.ell, replaced)
+    assert (info.value.reason, info.value.witness) == ("chain step not coset-complete", (1, 1))
+    dropped = {slot: e for slot, e in basis.transversals.items() if slot != (0, 2)}
+    extra = {**basis.transversals, (2, 0): (system.identity,)}
+    for transversals, ell, slot in ((dropped, basis.ell, (0, 2)),
+                                    (basis.transversals, basis.ell + 1, (2, 0)),
+                                    (extra, basis.ell, (2, 0))):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"at slot {slot}") + "$"):
+            GeneratorBasis(system, ell, transversals)
+    with pytest.raises(OutOfWindow, match="ell 3 exceeds the window"):
+        GeneratorBasis(system, 3, basis.transversals)
 
 
 # -- input checks that no other test reaches -------------------------------------
@@ -334,10 +367,10 @@ UNREACHED_SYSTEM_CHECKS = {
                          "granule interval [9,9] escapes [0,3]"),
     "tensor-slot": (lambda c2, r2: tensor_from_items(extract_basis(c2), {(5, 0): 1}),
                     OutOfWindow, "slot (5, 0) not in window"),
-    "entry-not-member": (lambda c2, r2: encode_time_domain(
-        with_entry(extract_basis(r2), (1, 0), (1, 0)), (0, 0, 1)),
-        NotAGroupSystem, "not a group system: encoder left the member set "
-                         "(witness (1, 0))"),
+    "entry-not-member": (lambda c2, r2: with_entry(extract_basis(r2), (1, 0), (1, 0)),
+                         NotAMember, "(1, 0) is not a member of R2"),
+    "granule-case": (lambda c2, r2: time_granule(c2, 0, 1, ell=0), NotAGroupSystem,
+                     "not a group system: granule case analysis violated (witness (0, 1))"),
     "chain-short": (lambda c2, r2: _basis_chain(
         c2, extract_basis(c2).slots, without_last_slot_entries(extract_basis(c2))),
         NotAGroupSystem, "not a group system: slot transversals do not span the "
