@@ -293,7 +293,7 @@ def recover_original(es: ElementarySystem, ctx: GeneratorContext) -> GroupSystem
     The check compares each (0, t) table of `es` with the context's own
     certified E(0, t) through the triangles.  Write cls_t for the class map
     of E(0, t): member a -> index of its time-t slice.  Its partition is a
-    certified two-sided congruence (`induced_slice_group`), so cls_t is a
+    certified two-sided congruence (`elementary_group`), so cls_t is a
     homomorphism of the member group onto E(0, t), and the time-t slice
     of a b is the triangle own_t[cls_t(a) cls_t(b)].  With phi_t(x) the
     index of triangle own_t[x] in the table of `es` (None if it has none),
@@ -617,7 +617,7 @@ def roundtrip_label_maps(es: ElementarySystem,
       homomorphism (the projection condition a reload verifies) and every
       triangle is realized (the Cartesian count);
     - the re-extraction's, `slice_classes(ctx, k, t)`, because its
-      congruence is certified.
+      partition is a certified congruence (`elementary_group`).
     The label sizes agree, so both groups have one order n by the Cartesian
     count, and the two maps factor through one isomorphism E(k, t) ->
     E'(k, t) exactly when they partition the members alike, that is when

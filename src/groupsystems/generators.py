@@ -20,6 +20,7 @@ table holds its anchor and positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -80,12 +81,13 @@ class GeneratorContext:
 
     Row i of `tensors` is member i's choice per slot, read off the last
     level of the basis chain; it is the only table of the labels.  The
-    generating set S and its right and left Cayley graphs over
-    member indices are built on first use, once per context; the
-    certificates read them instead of all member pairs.  Each elementary
-    group built here records its slice class per member in `_classes`,
-    each alpha_t column (`_alpha_column`) is kept per t in `_alphas`, and
-    each single-label member's right column, S's among them, in `_right`.
+    generating set S and its right and left Cayley graphs over member
+    indices are built on first use, once per context, for the checks that
+    read them instead of all member pairs; an elementary group certified
+    by its counts (`_cuts`) reads none.  Each elementary group built here
+    records its slice class per member in `_classes`, each alpha_t column
+    (`_alpha_column`) is kept per t in `_alphas`, and each single-label
+    member's right column, S's among them, in `_right`.
     Every basis, given or extracted, is certified where it is built
     (`GeneratorBasis`), for its own system, which must be `system`.
     """
@@ -133,7 +135,8 @@ class GeneratorContext:
         """S as member indices: the identity, then each transversal entry,
         in slot order, outside the closure of those kept before.  They
         generate the entries `_basis_chain` certified, and certificates need
-        only <S> = A (Holt, Eick & O'Brien, Handbook of CGT, 2005, 4.1-4.3)."""
+        only <S> = A (Holt, Eick & O'Brien, Handbook of CGT, 2005, 4.1-4.3).
+        An elementary group certified by its counts reads none of it."""
         return self._generators[0]
 
     @cached_property
@@ -161,6 +164,35 @@ class GeneratorContext:
             return right
         return tuple(system.translate(system.columns, system.sequences[j], False)
                      for j in gens)
+
+    @cached_property
+    def _cuts(self) -> Tuple[frozenset, frozenset]:
+        """(future, past): the times u where the labels at the slots ending
+        at or after u take |A| / |A^[t0, u-1]| values, and those where the
+        labels at the slots starting at or before u take |A| / |A^[u+1, t1]|,
+        the orders summed off the extent buckets; both empty unless the
+        tensors are the basis's own and each transversal entry at slot
+        (k, s) is the identity outside [s, s+k], as extracted ones are by
+        construction (`elementary_group` gives the argument)."""
+        system, count = self.system, self.basis.label_count
+        n, length, t0 = len(self.tensors), system.length, system.window[0]
+        if self.tensors is not self.basis.tensors or any(
+                any(g[:s - t0]) or any(g[s + k - t0 + 1:])
+                for k, s in self.slots for g in self.basis.transversal((k, s))):
+            return frozenset(), frozenset()
+        # label counts by end and start position, bucket sizes by last and first
+        ends, starts, lasts, firsts = [1] * length, [1] * length, [0] * length, [0] * length
+        for k, s in self.slots:
+            ends[s + k - t0] *= count((k, s))
+            starts[s - t0] *= count((k, s))
+        for (first, last), members in system._extent_buckets.items():
+            if last >= 0:  # not the identity
+                lasts[last] += len(members)
+                firsts[first] += len(members)
+        return (frozenset(t0 + p for p in range(length)
+                          if n == math.prod(ends[p:]) * (1 + sum(lasts[:p]))),
+                frozenset(t0 + p for p in range(length)
+                          if n == math.prod(starts[:p + 1]) * (1 + sum(firsts[p + 1:]))))
 
     def support(self, labels: Tuple[int, ...]) -> Tuple[Slot, ...]:
         """The slots where a label tuple picks a non-identity generator."""
@@ -241,7 +273,9 @@ def induced_slice_group(ctx: GeneratorContext, pos_idx: Sequence[int],
                                                         List[int]]:
     """The group induced on the realized slices of the label tensors at
     tensor positions `pos_idx`, identity slice first: (slices, group,
-    classes), where classes[a] is the index of member a's slice.
+    classes), where classes[a] is the index of member a's slice; the
+    member-level check, for the teeth of `oplus_group` and for the anchors
+    whose counts do not hold (`elementary_group`).
 
     The product of two slices is the slice of the product of any two lifts.
     It is lift independent exactly when the partition of the members by
@@ -301,74 +335,75 @@ def _slice_classes(slices: List[tuple]) -> Tuple[List[tuple], List[int], List[in
     return realized, cls, [first[c] for c in range(len(realized))]
 
 
-def _nested_slice_group(ctx: GeneratorContext, parent_anchor: Tuple[int, int],
-                        positions: Tuple[Slot, ...],
-                        name: str) -> Optional[Tuple[List[tuple], FiniteGroup,
-                                                     List[int]]]:
-    """`induced_slice_group` for `positions` inside the triangle of
-    `parent_anchor`, computed on the parent's elementary group P; None when
-    P cannot be built or the check fails on P, and the caller then runs
-    the member-level check, which raises its own witness.
-
-    The member classes factor through P: a member's slice at `positions`
-    is the restriction r of its parent slice, so the child partition of
-    the members is the kernel of r composed with the parent class map pi,
-    a surjective homomorphism onto P.  That partition is invariant under
-    right (left) multiplication by s iff the partition of P by r is
-    invariant under right (left) multiplication by pi(s): pi carries a
-    product a s to pi(a) pi(s) and reaches every element of P.  So the
-    congruence check of `induced_slice_group` runs on the rows and columns
-    of P's table at the parent images of S, 2 |P| |pi(S)| reads, and the
-    child table is P's table read through r at one parent element per
-    child class.  Slices, order and classes are those of the member-level
-    computation.  The table is not validated: it is the quotient of P by
-    a congruence, so a group, and its identity is class 0.  P's element 0
-    is its identity, the all-zero triangle (the slice of the identity
-    member, whose labels are all 0); its restriction is all zeros, which
-    `_slice_classes` sorts first, so r[0] == 0."""
-    try:
-        parent = elementary_group(ctx, *parent_anchor)
-    except WellDefinednessFailure:
-        return None
-    get = entries_at(positions_in(parent.positions, positions))
-    realized, r, reps = _slice_classes(list(map(get, parent.elements)))
-    op = parent.group.op_table
-    pcls = ctx._classes[parent_anchor]
-    for g in dict.fromkeys(pcls[s] for s in ctx.generating_set):
-        for images in ([r[row[g]] for row in op], list(map(r.__getitem__, op[g]))):
-            rep_images = [images[p] for p in reps]
-            if list(map(rep_images.__getitem__, r)) != images:
-                return None
-    return (realized, FiniteGroup(class_table(op, r, reps), name=name,
-                                  _validated=True),
-            list(map(r.__getitem__, pcls)))
-
-
 def elementary_group(ctx: GeneratorContext, k: int, t: int) -> ElementaryGroupTable:
-    """The induced group on realized triangle slices at anchor (k, t); see
-    `induced_slice_group` for the lift-independence certificate.
+    """The induced group on realized triangle slices at anchor (k, t).
 
-    The triangle of (k, t) lies inside that of (k-1, t), so for k >= 1 the
-    group is certified and tabled as a quotient of E(k-1, t)
-    (`_nested_slice_group`), which is built first.  Where that parent
-    cannot be built or the check fails on it, the member-level check runs,
-    so the table, the verdict and the message are those of
-    `induced_slice_group` on the members."""
+    It is certified by three facts that read no member (`_cuts`): (1) the
+    tensors are the basis chain's decode, so every label tuple is one
+    member's; (2) every transversal entry at slot (k', s) is the identity
+    outside [s, s+k']; (3) with U the slots ending at or after t+k and V
+    those starting at or before t, the U-labels take |A| / |A^[t0, t+k-1]|
+    values and the V-labels |A| / |A^[t+1, t1]|.  The encoder multiplies
+    entries letterwise and, by (2), entries off U are the identity at the
+    times >= t+k, so there a member's letters are a function of its
+    U-labels: the U-label partition refines the kernel partition of the
+    projection onto those times.  By (1) it has as many classes as U-label
+    tuples, which by (3) is the order of the projection's image, so the
+    two partitions are equal; likewise V and the times <= t.  The
+    triangle is U ∩ V, and by (1) two members that agree on it are joined
+    by the member that agrees with one on U and with the other on V.  So
+    the slice partition is the join of the kernel partitions of two
+    normal subgroups, A^[t0, t+k-1] and A^[t+1, t1]: the cosets of their
+    product, a congruence (Forney and Trott, IEEE Trans. IT 39, 1993; at
+    k = 0, the branch group at t).  Where a fact fails, the member-level
+    check runs (`induced_slice_group`), with its verdict and message.
+    Either way the slices, their order and the classes are those of
+    `induced_slice_group`."""
     if (k, t) in ctx._elementary:
         return ctx._elementary[(k, t)]
     if not in_slot_table(ctx.system.window, ctx.ell, (k, t)):
         raise OutOfWindow(f"anchor ({k},{t}) not in the slot table")
     positions = upper_triangle_positions(ctx.system.window, ctx.ell, k, t)
-    name = f"E({k},{t})"
-    built = _nested_slice_group(ctx, (k - 1, t), positions, name) if k else None
-    if built is None:
-        built = induced_slice_group(
+    name, (future, past) = f"E({k},{t})", ctx._cuts
+    if t + k in future and t in past:
+        realized, table, cls = _quotient_by_cuts(ctx, k, t, positions)
+        fg = FiniteGroup(table, name=name, _validated=True)
+    else:
+        realized, fg, cls = induced_slice_group(
             ctx, [ctx.slot_pos[p] for p in positions], f"anchor ({k},{t})", name)
-    realized, fg, cls = built
     result = ElementaryGroupTable((k, t), positions, tuple(realized), fg)
     ctx._elementary[(k, t)] = result
     ctx._classes[(k, t)] = cls
     return result
+
+
+def _quotient_by_cuts(ctx: GeneratorContext, k: int, t: int, positions: Tuple[Slot, ...]
+                      ) -> Tuple[List[tuple], tuple, List[int]]:
+    """(slices, table, classes) at an anchor certified by `_cuts`.  For
+    k >= 1 whose parent (k-1, t) is certified too, the triangle lies in the
+    parent's, so the group is the parent's quotient, and the table and the
+    classes are read through the restriction (`class_table`).  Otherwise
+    the table is composed (`compose_columns`) from one column per
+    transversal entry of a new class, the representatives' letter columns
+    translated by the entry (`GroupSystem.translate`), |E| lookups per
+    time: the entries generate A, so their classes generate the quotient.
+    The table is a quotient of a group, so it is not validated."""
+    if k and t + k - 1 in ctx._cuts[0]:
+        parent = elementary_group(ctx, k - 1, t)
+        get = entries_at(positions_in(parent.positions, positions))
+        realized, r, reps = _slice_classes(list(map(get, parent.elements)))
+        return (realized, class_table(parent.group.op_table, r, reps),
+                list(map(r.__getitem__, ctx._classes[(k - 1, t)])))
+    system = ctx.system
+    get = entries_at([ctx.slot_pos[p] for p in positions])
+    realized, cls, reps = _slice_classes(list(map(get, ctx.tensors)))
+    columns = [[col[r] for r in reps] for col in system.columns]
+    gens: Dict[int, List[int]] = {}
+    for g in (g for slot in ctx.slots for g in ctx.basis.transversal(slot)[1:]):
+        c = cls[system.index_of(g)]
+        if c and c not in gens:
+            gens[c] = list(map(cls.__getitem__, system.translate(columns, g)))
+    return realized, compose_columns(list(gens.values()), len(realized)), cls
 
 
 def slice_classes(ctx: GeneratorContext, k: int, t: int) -> List[int]:

@@ -190,7 +190,7 @@ def compose_columns(columns: Sequence[Sequence[int]], n: int) -> Tuple[tuple, ..
     so column e is column s read along column d.  Elements are reached
     breadth-first from the identity by right multiplication with S, which
     reaches all of them because S generates the group.  The cost is n^2
-    list reads.  Quotient tables (`induced_slice_group`), fibre products
+    list reads.  Quotient tables (`elementary_group`), fibre products
     (`extensions.fibre_product`) and constructed anchors
     (`elementary._build_anchor`) are all written this way."""
     cols: Dict[int, List[int]] = {0: list(range(n))}

@@ -537,7 +537,8 @@ def _member_quotient(system: GroupSystem, num, den) -> Quotient:
 @dataclass(frozen=True)
 class GeneratorBasis:
     """One granule transversal per slot of the table at `ell`, entry 0 the
-    identity.  They fix the slots and `tensors`, the basis chain's last
+    identity, each transversal held as a tuple of int tuples however it
+    is given.  They fix the slots and `tensors`, the basis chain's last
     level: row i is member i's label tensor, the entry per slot whose
     product in slot order (the time-domain encoder) is the member.  Built
     given or extracted, a basis is certified in order: the slot table
@@ -552,7 +553,10 @@ class GeneratorBasis:
     tensors: Tuple[Tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        system, transversals = self.system, self.transversals
+        system = self.system
+        transversals = {slot: tuple(tuple(map(int, g)) for g in entries)
+                        for slot, entries in self.transversals.items()}
+        object.__setattr__(self, "transversals", transversals)
         check_slot_table(system.window, self.ell)
         slots = self.slots
         if transversals.keys() != set(slots):

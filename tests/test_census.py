@@ -100,6 +100,7 @@ def check_system(system) -> None:
         assert encode_spectral_domain(basis, tensor) == seq
     es = extract_elementary_system(ctx)
     assert recover_original(es, ctx).sequences == system.sequences
+    assert "_generators" not in ctx.__dict__  # every anchor certified by counts
     reloaded = parse_elementary_system(dump_elementary_system(es))
     assert recover_original(reloaded, ctx).sequences == system.sequences
     global_system = global_group_system(reloaded)
@@ -108,6 +109,7 @@ def check_system(system) -> None:
     assert len(image.system) == len(system)
     maps = roundtrip_label_maps(es, image)
     re_es = extract_elementary_system(image)
+    assert "_generators" not in image.__dict__
     assert maps is not None and oracles.carries(es, re_es, maps)
     assert oracles.structurally_equal(es, re_es) is not None
     chain = normal_chain(ctx, standard_filling(system.window, ctx.ell, "time_rev"))

@@ -6,6 +6,7 @@ and accept or reject the same inputs with the same error type."""
 import ast
 import copy
 import itertools
+import random
 import re
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import with_tensors
+from conftest import parity3_context, with_tensors
 import groupsystems.elementary as elementary_module
 import groupsystems.generators as generators_module
 import groupsystems.io as io_module
@@ -59,12 +60,12 @@ from groupsystems.generators import (
     ElementaryGroupTable,
     GeneratorContext,
     _alpha_column,
-    _nested_slice_group,
     alpha_t,
     build_context,
     elementary_group,
     lower_elementary_group,
     recover_system_fhgs,
+    slice_classes,
     star,
     support_subgroup,
     triangle,
@@ -870,8 +871,9 @@ def test_compose_columns_rebuilds_nonabelian_tables():
 def test_nested_check_falls_back_when_only_the_child_fails(c2):
     """Label tensors whose (0, t) slices are injective, so E(0, t) is the
     member group itself, while the (1, t) slice singles out one member,
-    a partition that is no congruence.  The check on the parent's table
-    fails, and the member-level check names the witness."""
+    a partition that is no congruence.  The tensors are not the basis's,
+    so no anchor is certified by its counts, and the member-level check
+    names the witness at the child alone."""
     ctx = build_context(c2)
     t = 1
     child, parent = ctx.slot_pos[(1, t)], ctx.slot_pos[(0, t)]
@@ -881,9 +883,8 @@ def test_nested_check_falls_back_when_only_the_child_fails(c2):
         lab[child], lab[parent] = int(a == 5), a
         tensors.append(tuple(lab))
     bad = with_tensors(ctx, tensors)
+    assert bad._cuts == (frozenset(), frozenset())
     assert elementary_group(bad, 0, t).group.order == len(c2)
-    positions = upper_triangle_positions(c2.window, ctx.ell, 1, t)
-    assert _nested_slice_group(bad, (0, t), positions, "E") is None
     new = failure(elementary_group, bad, 1, t)
     assert new[:2] == ("raise", WellDefinednessFailure)
     same_failure(new, failure(oracles.member_elementary_group, bad, 1, t))
@@ -1782,10 +1783,10 @@ def s3_square_depth_one() -> GroupSystem:
 def test_nested_elementary_group_needs_both_sides():
     """The depth-1 form of `test_elementary_group_needs_both_sides`: slot
     (1, 1) names the right coset of the diagonal and slot (1, 0) the first
-    factor.  E(0, 1) is then discrete, a congruence, so E(1, 1) is
-    certified on it (`_nested_slice_group`); its partition, the right
-    cosets of a subgroup that is not normal, is right invariant only, and
-    only the left side rejects it, on P and then on the members."""
+    factor.  E(0, 1) is then discrete, a congruence; the partition of
+    E(1, 1), the right cosets of a subgroup that is not normal, is right
+    invariant only, and only the left side of the member-level check
+    rejects it, as the full S and the all-pairs oracle do."""
     system = s3_square_depth_one()
     ctx = build_context(system)
     assert ctx.ell == 1 and ctx.left_cayley is not ctx.right_cayley
@@ -1799,7 +1800,7 @@ def test_nested_elementary_group_needs_both_sides():
         lab[ctx.slot_pos[(1, 1)]], lab[ctx.slot_pos[(1, 0)]] = coset_of[a], a[0]
         tensors.append(tuple(lab))
     bad = with_tensors(ctx, tensors)
-    assert len(set(bad.tensors)) == len(system)
+    assert len(set(bad.tensors)) == len(system) and not any(bad._cuts)
     assert elementary_group(bad, 0, 1).group.order == len(system)
     with pytest.raises(WellDefinednessFailure) as info:
         elementary_group(bad, 1, 1)
@@ -1951,3 +1952,141 @@ def test_dump_formats_each_table_once_and_writes_the_same_bytes(request, name,
     tables = list(es.tables.values())
     assert len(formatted) == (len({t.group.op_table for t in tables})
                               + len({t.elements for t in tables}))
+
+
+# -- elementary groups certified by counts at two cuts ---------------------------
+
+CAYLEY = ("_generators", "generating_set", "right_cayley", "left_cayley")
+
+
+def member_classes(ctx: GeneratorContext, table: ElementaryGroupTable) -> list:
+    """Per member, the index in `table` of its slice."""
+    take = [ctx.slot_pos[p] for p in table.positions]
+    return [table._index[tuple(lab[i] for i in take)] for lab in ctx.tensors]
+
+
+def assert_counts_agree(ctx: GeneratorContext, certified: bool) -> None:
+    """Every anchor, in slot order on one context: elements, table and class
+    map, or error type and message, as the member-level check gives them.
+    Where `certified`, every anchor passed its counts, so no Cayley graph
+    was built; otherwise some anchor ran the member-level check on them."""
+    new = {anchor: failure(elementary_group, ctx, *anchor) for anchor in ctx.slots}
+    assert any(map(ctx.__dict__.__contains__, CAYLEY)) != certified
+    for anchor in ctx.slots:
+        old = failure(oracles.member_elementary_group, ctx, *anchor)
+        same_failure(new[anchor], old, table_key)
+        if old[0] == "ok":
+            assert slice_classes(ctx, *anchor) == member_classes(ctx, old[1])
+
+
+@pytest.mark.parametrize("name", END_TO_END)
+def test_counts_certify_every_anchor_like_the_member_check(request, name):
+    """Every fixture, `perfbench/data` system and tap rule: each anchor is
+    certified by its counts and has the table and classes of the
+    member-level check, and neither the extraction nor the recovery builds
+    a Cayley graph."""
+    ctx = build_context(end_to_end_system(request, name))
+    es = extract_elementary_system(ctx)
+    recover_original(es, ctx)
+    assert not any(map(ctx.__dict__.__contains__, CAYLEY))
+    assert_counts_agree(ctx, certified=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_alphabet_systems())
+def test_counts_certify_every_anchor_on_mixed_alphabets(system):
+    try:
+        ctx = build_context(system)
+    except ToolkitError:
+        return  # no generator basis
+    assert_counts_agree(ctx, certified=True)
+
+
+def other_coset_members(ctx: GeneratorContext, rng) -> GeneratorContext:
+    """A context over a hand-built basis: each entry of slot (k, t) times a
+    random member of A^[t, t+k-1] or A^[t+1, t+k], both inside the
+    denominator, so the same coset and still inside A^[t, t+k], and the
+    non-identity entries of each slot in a random order."""
+    system, transversals = ctx.system, {}
+    for k, t in ctx.slots:
+        factor = (system.finite_support_indices(t, t + k - 1)
+                  + system.finite_support_indices(t + 1, t + k)) if k else [0]
+        entries = [system.mul(g, system.sequences[rng.choice(factor)])
+                   for g in ctx.basis.transversal((k, t))[1:]]
+        transversals[(k, t)] = (system.identity, *rng.sample(entries, len(entries)))
+    return GeneratorContext(system, GeneratorBasis(system, ctx.ell, transversals))
+
+
+@pytest.mark.parametrize("name", END_TO_END)
+def test_counts_certify_hand_built_local_bases(request, name):
+    """Bases of other coset members in other orders are local and keep the
+    label counts, so every anchor is certified, with the member-level
+    tables and classes over their own tensors."""
+    ctx = build_context(end_to_end_system(request, name))
+    rng = random.Random(7)
+    moved = set()
+    for _ in range(3):
+        other = other_coset_members(ctx, rng)
+        moved.add(other.basis.transversals != ctx.basis.transversals)
+        assert_counts_agree(other, certified=True)
+    assert True in moved or name in ("r2", "trivial_sys", "parity3")
+
+
+def test_a_local_basis_failing_the_future_count_takes_the_member_check():
+    """Z4 at time 0 over a trivial time 1, depth 1: the entry 1 at (0, 0)
+    and 2 at (1, 0), both local.  At anchor (0, 1) the labels ending at
+    time 1 or later take 2 values, while |A| / |A^[0, 0]| is 1, so the
+    future count fails there; the slice partition {0, 1} {2, 3} is no
+    congruence, and the member-level check names it.  The count one time
+    earlier would hold and certify it."""
+    z4 = cyclic_group(4)
+    system = GroupSystem((0, 1), [z4, cyclic_group(1)], [(x, 0) for x in range(4)])
+    ctx = GeneratorContext(system, GeneratorBasis(system, 1, {
+        (0, 1): ((0, 0),), (0, 0): ((0, 0), (1, 0)), (1, 0): ((0, 0), (2, 0))}))
+    assert ctx._cuts == (frozenset({0}), frozenset({0, 1}))
+    assert failure(elementary_group, ctx, 0, 1)[:2] == ("raise", WellDefinednessFailure)
+    assert_counts_agree(ctx, certified=False)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): [(1, 1, 0)], (1, 0): [(0, 1, 1)]},
+    {(0, 0): [(1, 0, 1), (1, 1, 0), (0, 1, 1)]},
+    {(0, 2): [(0, 1, 1)], (1, 0): [(1, 1, 0)]},
+])
+def test_non_local_bases_take_the_member_check(entries):
+    """Parity-code bases with an entry outside its slot's span: no count
+    is trusted, and every anchor runs the member-level check."""
+    ctx = parity3_context(entries)
+    assert ctx._cuts == (frozenset(), frozenset())
+    assert_counts_agree(ctx, certified=False)
+
+
+def test_a_non_local_basis_whose_counts_hold_is_refused_on_the_members():
+    """Z2^3 on [0, 2] at depth 0, with 100 at slot (0, 2): a letter at
+    time 0.  The counts at anchor (0, 2) hold, but the members labelled 0
+    there, 000 011 110 001, are no subgroup, and the member-level check
+    names the lift dependence."""
+    z2 = cyclic_group(2)
+    system = GroupSystem((0, 2), [z2] * 3, itertools.product((0, 1), repeat=3))
+    ctx = GeneratorContext(system, GeneratorBasis(system, 0, {
+        (0, 2): ((0, 0, 0), (1, 0, 0)), (0, 1): ((0, 0, 0),),
+        (0, 0): ((0, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1))}))
+    new = failure(elementary_group, ctx, 0, 2)
+    assert new[:2] == ("raise", WellDefinednessFailure)
+    same_failure(new, failure(oracles.member_elementary_group, ctx, 0, 2))
+    assert "_generators" in ctx.__dict__
+
+
+@pytest.mark.parametrize("name", ["c2", "s3_square", "twisted_w5_l2.gsys"])
+def test_a_context_with_other_tensors_takes_the_member_check(request, name):
+    """Two label tensors swapped over a local basis whose counts hold: the
+    tensors are not the basis's, so the member-level check runs at every
+    anchor, with its verdicts and messages."""
+    ctx = build_context(named_system(request, name))
+    assert all(ctx._cuts)
+    tensors = list(ctx.tensors)
+    tensors[1], tensors[2] = tensors[2], tensors[1]
+    bad = with_tensors(ctx, tensors)
+    assert bad._cuts == (frozenset(), frozenset())
+    assert_counts_agree(bad, certified=False)

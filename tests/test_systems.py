@@ -332,6 +332,21 @@ def test_a_basis_is_certified_where_it_is_built():
         GeneratorBasis(system, 3, basis.transversals)
 
 
+def test_a_basis_takes_transversals_given_as_lists():
+    """Transversals given as lists, or entries given as lists, make the
+    extracted basis: each is held as a tuple of int tuples before any
+    check.  An entry that is no member is still refused."""
+    system = parse_system("system C\nwindow 0 2\nrule conv Z2 x0 x0+x1\n")
+    basis = extract_basis(system)
+    for convert in (list, lambda entries: tuple(map(list, entries))):
+        given = {slot: convert(entries) for slot, entries in basis.transversals.items()}
+        again = GeneratorBasis(system, basis.ell, given)
+        assert (again.transversals, again.tensors) == (basis.transversals, basis.tensors)
+    given = {**basis.transversals, (0, 2): [[0, 0, 0], [0, 1, 1]]}
+    with pytest.raises(NotAMember):
+        GeneratorBasis(system, basis.ell, given)
+
+
 # -- input checks that no other test reaches -------------------------------------
 
 def with_entry(basis, slot, entry):
